@@ -1,7 +1,11 @@
 """Experiment harness: config parsing, replicated runs, CSV output, sweeps,
-and the brute-force verification suite behind the ``verify`` subcommand.
+and the verification suite behind the ``verify`` subcommand, which checks the
+library against the brute-force oracles of ``coreselect.oracles``.
 
-The CSV layout per replica is one row per round::
+Every policy kind runs through one replica loop: rounds stream through a
+``RegretLedger`` and, when an output directory is set, into the replica's CSV
+as they end, so no per-round record is kept.  The CSV layout per replica is
+one row per round::
 
     round,reward,full_reward,cum_reward,cum_benchmark,aug_regret,static_regret,observed,cum_cost
 
@@ -11,18 +15,23 @@ config produce byte-identical files.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
-from .adversary import Adversary, HintSpec, adversary_from_config, generate_hints
+from .adversary import (
+    Adversary,
+    HintSpec,
+    adversary_from_config,
+    generate_hints,
+    random_coverage,
+)
 from .corevec import (
-    AdmissibleVector,
     avg_submodular_shapley_check,
     core_membership,
     dictator_vector,
@@ -41,20 +50,27 @@ from .hypersimplex import (
     euclidean_project,
     lmo,
 )
+from .oracles import (
+    enumerate_lmo_value,
+    enumerate_matching_value,
+    enumerate_projection,
+    indicator_game,
+    random_monotone_function,
+    second_game,
+)
 from .policy import (
     OftrlPolicy,
     PricedPolicy,
+    RegretLedger,
     RoundRecord,
     ScoreConfig,
     ScorePolicy,
     SemiBanditPolicy,
-    augmented_regret,
+    _as_vector,
     augmented_regret_bound,
-    cumulative_cost,
     norm_bound,
     optimistic_regret_bound,
     priced_regret_bound,
-    static_linear_regret,
     static_regret_bound,
 )
 from .sampling import madow_marginal_measure, madow_sample
@@ -149,15 +165,19 @@ class ExperimentConfig:
 
 @dataclass
 class ReplicaResult:
-    records: list[RoundRecord]
+    """One replica's accounting, plus the squared sup-distance of every hint
+    when the optimistic policy's rewards are small enough to enumerate."""
+
+    ledger: RegretLedger
     sq_distances: list[float] | None = None
 
-    def final_summary(self, alpha: float, k: int, n: int) -> dict:
+    def final_summary(self) -> dict:
+        ledger = self.ledger
         return {
-            "aug_regret": augmented_regret(self.records, alpha, k, n),
-            "static_regret": static_linear_regret(self.records),
-            "cost": cumulative_cost(self.records),
-            "cum_reward": float(sum(r.reward for r in self.records)),
+            "aug_regret": float(ledger.aug_regret()),
+            "static_regret": ledger.static_regret(),
+            "cost": float(ledger.cum_cost),
+            "cum_reward": float(ledger.cum_reward),
         }
 
 
@@ -185,74 +205,81 @@ def _resolve_bounds(cfg: ExperimentConfig, adv: Adversary) -> tuple[float, float
     return float(alpha), float(M), float(G)
 
 
-def _vector_of(strategy, f: SetFunction) -> np.ndarray:
-    out = strategy(f)
-    if isinstance(out, AdmissibleVector):
-        return out.g
-    return np.asarray(out, dtype=float)
+def _policy_round(cfg: ExperimentConfig, score_cfg: ScoreConfig, rngs: dict,
+                  strategy, result: ReplicaResult):
+    """The configured policy's round, as a function of the revealed reward.
+
+    The optimistic policy's hint is made from this round's proxy vector
+    before it proposes; rewards on at most 16 elements also log the hint's
+    squared sup-distance for the optimistic bound.
+    """
+    pol = cfg.policy
+    if pol.kind == "oftrl":
+        policy = OftrlPolicy(score_cfg, rngs["policy"], mode=pol.mode,
+                             sigma_scale=pol.sigma, track_expected=False)
+        spec = cfg.hints if cfg.hints is not None else HintSpec("perfect")
+        result.sq_distances = [] if cfg.n <= 16 else None
+
+        def play(f: SetFunction) -> RoundRecord:
+            fv = _as_vector(strategy(f))
+            h = generate_hints([fv], spec, rngs["hints"])[0]
+            record = policy.step(f, h.w, lambda _f: fv)
+            if result.sq_distances is not None:
+                if isinstance(f, (ModularFunction, CoverageFunction)):
+                    result.sq_distances.append(distance_sup(f, h) ** 2)
+                else:
+                    result.sq_distances = None
+            return record
+
+        return play
+    if pol.kind == "score":
+        policy = ScorePolicy(score_cfg, rngs["policy"], track_expected=False)
+    elif pol.kind == "semibandit":
+        policy = SemiBanditPolicy(score_cfg, rngs["policy"], track_expected=False)
+    else:
+        if pol.eta is None:
+            score_cfg = PricedPolicy.tuned_config(
+                cfg.n, cfg.k, cfg.T, score_cfg.G, pol.cost, alpha=score_cfg.alpha,
+                M=score_cfg.M, epsilon=pol.epsilon)
+        policy = PricedPolicy(score_cfg, rngs["policy"], cost=pol.cost,
+                              epsilon=pol.epsilon, track_expected=False)
+    return lambda f: policy.step(f, strategy)
 
 
 def run_replica(cfg: ExperimentConfig, replica: int,
-                track_expected: bool = False) -> ReplicaResult:
-    """One independent seeded run; deterministic in (config, replica index)."""
+                out_dir: str | Path | None = None) -> ReplicaResult:
+    """One independent seeded run; deterministic in (config, replica index).
+
+    With ``out_dir`` set, each round's row of ``replica_<i>.csv`` is written
+    as the round ends.
+    """
     adv = adversary_from_config(cfg.adversary, cfg.n)
     alpha, M, G = _resolve_bounds(cfg, adv)
     rngs = _replica_rngs(cfg.seed, replica)
-    pol = cfg.policy
-
     score_cfg = ScoreConfig(n=cfg.n, k=cfg.k, T=cfg.T, alpha=alpha, M=M, G=G,
-                            eta=pol.eta)
-    if pol.kind == "oftrl":
-        fs = list(adv.rounds(cfg.T, rngs["adversary"]))
-        strategy = adv.core_strategy(rngs["strategy"])
-        fvecs = [_vector_of(strategy, f) for f in fs]
-        hint_spec = cfg.hints if cfg.hints is not None else HintSpec("perfect")
-        hints = generate_hints(fvecs, hint_spec, rngs["hints"])
-        policy = OftrlPolicy(score_cfg, rngs["policy"], mode=pol.mode,
-                             sigma_scale=pol.sigma, track_expected=track_expected)
-        records = []
-        sq = []
-        can_enum = cfg.n <= 16 and all(
-            isinstance(f, (ModularFunction, CoverageFunction)) for f in fs
-        )
-        for f, h, fv in zip(fs, hints, fvecs):
-            records.append(policy.step(f, h.w, lambda _f, _fv=fv: _fv))
-            if can_enum:
-                sq.append(distance_sup(f, h) ** 2)
-        return ReplicaResult(records, sq if can_enum else None)
-
-    if pol.kind == "score":
-        policy = ScorePolicy(score_cfg, rngs["policy"], track_expected=track_expected)
-    elif pol.kind == "semibandit":
-        policy = SemiBanditPolicy(score_cfg, rngs["policy"], track_expected=track_expected)
+                            eta=cfg.policy.eta)
+    result = ReplicaResult(RegretLedger(cfg.n, cfg.k, alpha))
+    play = _policy_round(cfg, score_cfg, rngs, adv.core_strategy(rngs["strategy"]),
+                         result)
+    records = map(play, adv.rounds(cfg.T, rngs["adversary"]))
+    if out_dir is None:
+        for r in records:
+            result.ledger.add(r)
     else:
-        if pol.eta is None:
-            score_cfg = PricedPolicy.tuned_config(cfg.n, cfg.k, cfg.T, G, pol.cost,
-                                                  alpha=alpha, M=M,
-                                                  epsilon=pol.epsilon)
-        policy = PricedPolicy(score_cfg, rngs["policy"], cost=pol.cost,
-                              epsilon=pol.epsilon, track_expected=track_expected)
-
-    strategy = adv.core_strategy(rngs["strategy"])
-    records = [policy.step(f, strategy) for f in adv.rounds(cfg.T, rngs["adversary"])]
-    return ReplicaResult(records)
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        write_replica_csv(out / f"replica_{replica}.csv", records, result.ledger)
+    return result
 
 
 def replica_summary(cfg: ExperimentConfig, replica: int,
                     out_dir: str | None = None) -> dict:
     """Run one replica, optionally write its CSV, return only the final
     numbers (cheap to ship across process boundaries)."""
-    adv = adversary_from_config(cfg.adversary, cfg.n)
-    alpha, M, G = _resolve_bounds(cfg, adv)
-    result = run_replica(cfg, replica)
-    finals = result.final_summary(alpha, cfg.k, cfg.n)
+    result = run_replica(cfg, replica, out_dir)
+    finals = result.final_summary()
     if result.sq_distances is not None:
         finals["optimistic_bound"] = optimistic_regret_bound(cfg.k, result.sq_distances)
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_replica_csv(out / f"replica_{replica}.csv", result.records,
-                          alpha, cfg.k, cfg.n)
     return finals
 
 
@@ -277,36 +304,24 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def csv_rows(records: list[RoundRecord], alpha: float, k: int, n: int) -> list[str]:
-    """Per-round cumulative accounting, one CSV line per round."""
-    rows = []
-    cum_reward = 0.0
-    cum_full = 0.0
-    cum_cost = 0.0
-    cum_dot = 0.0
-    total_g = np.zeros(n)
-    scale = k / (n * alpha)
-    for r in records:
-        cum_reward += r.reward
-        cum_full += r.full_reward
-        cum_cost += r.cost
-        total_g += r.gvec
-        cum_dot += float(r.gvec @ r.p)
-        bench = float(total_g @ lmo(-total_g, k))
-        static = bench - cum_dot
-        cum_bench = scale * cum_full
-        rows.append(",".join([
-            str(r.t), _fmt(r.reward), _fmt(r.full_reward), _fmt(cum_reward),
-            _fmt(cum_bench), _fmt(cum_bench - cum_reward), _fmt(static),
-            str(int(r.observed)), _fmt(cum_cost),
-        ]))
-    return rows
-
-
-def write_replica_csv(path: Path, records: list[RoundRecord],
-                      alpha: float, k: int, n: int) -> None:
-    lines = [CSV_HEADER] + csv_rows(records, alpha, k, n)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+def write_replica_csv(path: Path, records: Iterable[RoundRecord],
+                      ledger: RegretLedger) -> None:
+    """Fold each round into the ledger and write its row as the round ends.
+    If a round raises, the partial file is removed."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(CSV_HEADER + "\n")
+            for r in records:
+                ledger.add(r)
+                fh.write(",".join([
+                    str(r.t), _fmt(r.reward), _fmt(r.full_reward), _fmt(ledger.cum_reward),
+                    _fmt(ledger.benchmark()), _fmt(ledger.aug_regret()),
+                    _fmt(ledger.static_regret()), str(int(r.observed)),
+                    _fmt(ledger.cum_cost),
+                ]) + "\n")
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
@@ -316,9 +331,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     adv = adversary_from_config(cfg.adversary, cfg.n)
     alpha, M, G = _resolve_bounds(cfg, adv)
     out = Path(out_dir) if out_dir is not None else (Path(cfg.out) if cfg.out else None)
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-
     finals = run_replicas(cfg, workers=workers,
                           out_dir=str(out) if out is not None else None)
     opt_bounds = [f.pop("optimistic_bound") for f in finals if "optimistic_bound" in f]
@@ -407,7 +419,10 @@ def lower_bound_experiment(n: int, k: int, T: int, replicas: int,
 
     The ensemble pins the expectation at exactly zero, so the sample mean
     should land within a few standard errors of zero for any sound policy.
+    That needs a standard error, so at least two replicas.
     """
+    if replicas < 2:
+        raise ValueError(f"lower-bound needs at least 2 replicas, got {replicas}")
     cfg = ExperimentConfig(
         n=n, k=k, T=T, seed=seed, policy=PolicyBlock("score"),
         adversary={"kind": "onehot-ensemble"}, replicas=replicas,
@@ -416,7 +431,7 @@ def lower_bound_experiment(n: int, k: int, T: int, replicas: int,
         f["aug_regret"] for f in run_replicas(cfg, workers=workers)
     ])
     mean = float(finals.mean())
-    se = float(finals.std(ddof=1) / math.sqrt(replicas)) if replicas > 1 else float("inf")
+    se = float(finals.std(ddof=1) / math.sqrt(replicas))
     return {
         "n": n, "k": k, "T": T, "replicas": replicas, "seed": seed,
         "mean_aug_regret": mean, "stderr": se,
@@ -434,86 +449,8 @@ class CheckResult:
     detail: str = ""
 
 
-def enumerate_projection(y: np.ndarray, k: int) -> np.ndarray:
-    """Projection by exhaustive active-set enumeration (independent oracle)."""
-    y = np.asarray(y, dtype=float)
-    n = y.size
-    best, best_d = None, np.inf
-    for assign in itertools.product((0, 1, 2), repeat=n):
-        zero = [i for i in range(n) if assign[i] == 0]
-        free = [i for i in range(n) if assign[i] == 1]
-        one = [i for i in range(n) if assign[i] == 2]
-        p = np.zeros(n)
-        p[one] = 1.0
-        if free:
-            tau = (sum(y[i] for i in free) + len(one) - k) / len(free)
-            ok = True
-            for i in free:
-                p[i] = y[i] - tau
-                if p[i] < -1e-12 or p[i] > 1.0 + 1e-12:
-                    ok = False
-                    break
-            if not ok:
-                continue
-        elif len(one) != k:
-            continue
-        d = float(np.linalg.norm(p - y))
-        if d < best_d - 1e-13:
-            best_d, best = d, np.clip(p, 0.0, 1.0)
-    return best
-
-
-def enumerate_lmo_value(cost: np.ndarray, k: int) -> float:
-    """Minimum of <cost, vertex> over every k-subset vertex."""
-    cost = np.asarray(cost, dtype=float)
-    return min(sum(cost[list(c)]) for c in itertools.combinations(range(cost.size), k))
-
-
 def random_feasible_point(n: int, k: int, rng: np.random.Generator) -> HypersimplexPoint:
     return euclidean_project(rng.random(n) * 2.0 - 0.5, k)
-
-
-def random_monotone_function(n: int, rng: np.random.Generator) -> SetFunction:
-    """Random normalized strictly monotone function (values built along the
-    lattice by nonnegative increments)."""
-
-    class _Tab(SetFunction):
-        def __init__(self, vals):
-            self._vals = vals
-            super().__init__(n, value_bound=float(vals.max()), monotone=True)
-
-        def value_mask(self, mask: int) -> float:
-            return float(self._vals[mask])
-
-    vals = np.zeros(1 << n)
-    for mask in range(1, 1 << n):
-        parents = [mask & ~(1 << i) for i in range(n) if mask >> i & 1]
-        base = max(vals[p] for p in parents)
-        vals[mask] = base + 0.05 + rng.random()
-    vals /= vals[-1]
-    return _Tab(vals)
-
-
-def _three_player_games() -> tuple[SetFunction, SetFunction]:
-    class _First(SetFunction):
-        def __init__(self):
-            super().__init__(3, value_bound=1.0, monotone=True)
-
-        def value_mask(self, mask):
-            return 1.0 if mask & 0b011 else 0.0
-
-    class _Second(SetFunction):
-        def __init__(self):
-            super().__init__(3, value_bound=2.0, monotone=True)
-
-        def value_mask(self, mask):
-            if mask & 0b001:
-                return 2.0
-            if mask & 0b010:
-                return 1.0
-            return 0.0
-
-    return _First(), _Second()
 
 
 def _check_projection(rng, max_n, projection_fn) -> CheckResult:
@@ -594,8 +531,6 @@ def _check_afw(rng, max_n) -> CheckResult:
 
 
 def _random_submodular_instances(rng, max_n):
-    from .adversary import random_coverage
-
     out = []
     for n in (4, 6, min(10, max_n), min(12, max_n)):
         if n < 2:
@@ -653,7 +588,7 @@ def _check_dictator(rng, max_n) -> CheckResult:
 
 
 def _check_three_player_games(rng=None, max_n=None) -> CheckResult:
-    first, second = _three_player_games()
+    first, second = indicator_game(), second_game()
     for t in (0.0, 0.25, 0.5, 0.75, 1.0):
         g = np.array([t, 1.0 - t, 0.0])
         if not core_membership(g, first, 1.0):
@@ -699,9 +634,7 @@ def _check_matching_duals(rng, max_n) -> CheckResult:
             return CheckResult("matching-dual-membership", False,
                                "matched pair not tight")
         if m <= 4:
-            brute = min(sum(w[i, pi[i]] for i in range(m))
-                        for pi in itertools.permutations(range(m)))
-            if abs(value - brute) > 1e-9:
+            if abs(value - enumerate_matching_value(w)) > 1e-9:
                 return CheckResult("matching-dual-membership", False,
                                    "matching value differs from enumeration")
         f = MatchingRewardFunction(w)
@@ -713,7 +646,7 @@ def _check_matching_duals(rng, max_n) -> CheckResult:
 
 
 def _check_shapley(rng, max_n) -> CheckResult:
-    first, _ = _three_player_games()
+    first = indicator_game()
     sh = shapley_exact(first)
     if not np.allclose(sh, [0.5, 0.5, 0.0], atol=1e-12):
         return CheckResult("shapley-core-membership", False, f"exact Shapley {sh} wrong")
@@ -730,8 +663,6 @@ def _check_shapley(rng, max_n) -> CheckResult:
 
 
 def _check_norm_bounds(rng, max_n) -> CheckResult:
-    from .adversary import random_coverage
-
     for trial in range(10):
         n = int(rng.integers(3, min(10, max_n) + 1))
         f = random_coverage(n, 2 * n, rng, density=0.4)
@@ -757,8 +688,6 @@ def _check_norm_bounds(rng, max_n) -> CheckResult:
 
 
 def _check_hint_inequality(rng, max_n) -> CheckResult:
-    from .adversary import random_coverage
-
     for trial in range(1000):
         n = int(rng.integers(2, min(8, max_n) + 1))
         f = random_coverage(n, 2 * n, rng, density=0.5)

@@ -1,18 +1,20 @@
 """Online subset-selection policies and their regret accounting.
 
-All policies share the same round shape: propose inclusion probabilities,
-sample a k-set, reveal the reward, feed a linear proxy vector back into the
-learner.  They differ in the proposal solver (entropic update vs. optimistic
-quadratic step) and in what gets fed (the admissible vector itself, an
-inverse-propensity estimate, or a Bernoulli-gated estimate with a per-peek
-price).
+Every policy plays the same round (``_Policy._play``): draw a Madow sample
+from the proposed inclusion probabilities, reveal the reward, ask the core
+strategy for its proxy vector, feed the learner, and log a ``RoundRecord``.
+The policies differ only in the proposal (entropic argmax of the cumulative
+score, or an optimistic quadratic step against a hint) and in the feed and
+update (the admissible vector itself, an inverse-propensity estimate, or a
+Bernoulli-gated estimate with a per-peek price).  ``RegretLedger`` keeps the
+regret accounting as running sums, one round at a time.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,8 +108,14 @@ def _expected_reward(f: SetFunction, point: HypersimplexPoint) -> float:
     return expected_set_value(point, f.value)
 
 
-class ScorePolicy:
-    """Entropic follow-the-regularized-leader on cumulative core vectors."""
+class _Policy:
+    """The round every policy plays, given its proposal.
+
+    ``theta`` sums what the learner was fed.  Subclasses supply
+    ``_propose`` (the marginals, and optionally an exact reference for them),
+    ``_feed`` (what is fed, and whether and at what price the reward was
+    observed) and ``_update`` (any state beyond ``theta``).
+    """
 
     def __init__(self, config: ScoreConfig, rng: np.random.Generator,
                  track_expected: bool = True):
@@ -117,26 +125,28 @@ class ScorePolicy:
         self.theta = np.zeros(config.n)
         self.t = 0
 
-    def propose(self) -> HypersimplexPoint:
-        cfg = self.config
-        if cfg.k == cfg.n:
-            return HypersimplexPoint(cfg.n, cfg.k, np.ones(cfg.n))
-        return entropic_ftrl_argmax(self.theta, cfg.eta, cfg.k)
+    def _propose(self, hint: np.ndarray | None
+                 ) -> tuple[HypersimplexPoint, np.ndarray | None]:
+        raise NotImplementedError
 
     def _feed(self, gvec: np.ndarray, point: HypersimplexPoint,
               selected: tuple[int, ...]) -> tuple[np.ndarray, bool, float]:
-        """What enters the cumulative score; subclasses override."""
         return gvec, True, 0.0
 
-    def step(self, f: SetFunction, core_strategy) -> RoundRecord:
-        """Run one full round against the revealed reward f."""
+    def _update(self, fed: np.ndarray, point: HypersimplexPoint,
+                hint: np.ndarray | None) -> None:
+        pass
+
+    def _play(self, f: SetFunction, core_strategy,
+              hint: np.ndarray | None = None) -> RoundRecord:
+        """Propose, sample, reveal f, feed its core vector, log the round."""
         cfg = self.config
         self.t += 1
-        point = self.propose()
         if cfg.k == cfg.n:
-            selected = tuple(range(cfg.n))
-            u = None
+            point, p_ref = HypersimplexPoint(cfg.n, cfg.k, np.ones(cfg.n)), None
+            selected, u = tuple(range(cfg.n)), None
         else:
+            point, p_ref = self._propose(hint)
             selected, u = draw(point, self.rng)
         try:
             gvec = _as_vector(core_strategy(f))
@@ -144,13 +154,25 @@ class ScorePolicy:
             raise RuntimeError(f"core strategy failed on round {self.t}: {exc}") from exc
         fed, observed, cost = self._feed(gvec, point, selected)
         self.theta += fed
+        self._update(fed, point, hint)
         reward = f.value(selected)
         expected = _expected_reward(f, point) if self.track_expected else float("nan")
         return RoundRecord(
             t=self.t, p=point.p, u=u, selected=selected,
             reward=reward, full_reward=f.full_value(), expected_reward=expected,
-            gvec=gvec, fed=fed, observed=observed, cost=cost,
+            gvec=gvec, fed=fed, observed=observed, cost=cost, p_ref=p_ref,
         )
+
+
+class ScorePolicy(_Policy):
+    """Entropic follow-the-regularized-leader on cumulative core vectors."""
+
+    def _propose(self, hint):
+        return entropic_ftrl_argmax(self.theta, self.config.eta, self.config.k), None
+
+    def step(self, f: SetFunction, core_strategy) -> RoundRecord:
+        """Run one full round against the revealed reward f."""
+        return self._play(f, core_strategy)
 
 
 class SemiBanditPolicy(ScorePolicy):
@@ -227,16 +249,14 @@ class PricedPolicy(ScorePolicy):
 class OftrlState:
     """Mutable optimistic-learner state, kept separate for inspection."""
 
-    theta: np.ndarray
+    weighted_center: np.ndarray
     sigma_sum: float = 0.0
-    weighted_center: np.ndarray | None = None
     delta_sum: float = 0.0
-    history: list = field(default_factory=list)
     eps: float | None = None
     first_delta: float | None = None  # earliest positive hint error
 
 
-class OftrlPolicy:
+class OftrlPolicy(_Policy):
     """Optimistic follow-the-regularized-leader with modular hints.
 
     The proposal maximizes the hinted linear score minus adaptive quadratic
@@ -253,24 +273,18 @@ class OftrlPolicy:
                  track_exact_reference: bool = False):
         if mode not in ("exact", "afw"):
             raise ValueError("mode must be 'exact' or 'afw'")
-        self.config = config
-        self.rng = rng
+        super().__init__(config, rng, track_expected)
         self.mode = mode
         self.sigma_scale = 1.0 / config.k if sigma_scale is None else float(sigma_scale)
         self.afw_budget = default_afw_budget(config.T) if afw_budget is None else afw_budget
-        self.track_expected = track_expected
         self.track_exact_reference = track_exact_reference
-        self.state = OftrlState(theta=np.zeros(config.n),
-                                weighted_center=np.zeros(config.n))
+        self.state = OftrlState(weighted_center=np.zeros(config.n))
         self._afw_active: dict | None = None
-        self.t = 0
 
     def _propose(self, hvec: np.ndarray) -> tuple[HypersimplexPoint, np.ndarray | None]:
         cfg = self.config
         st = self.state
-        drift = st.theta + hvec
-        if cfg.k == cfg.n:
-            return HypersimplexPoint(cfg.n, cfg.k, np.ones(cfg.n)), None
+        drift = self.theta + hvec
         if st.sigma_sum <= 0.0:
             v = lmo(-drift, cfg.k)
             self._afw_active = None
@@ -288,72 +302,92 @@ class OftrlPolicy:
         ref = obj.exact_minimizer().p if self.track_exact_reference else None
         return res.point, ref
 
-    def step(self, f: SetFunction, hvec: np.ndarray, fvec_strategy) -> RoundRecord:
+    def _update(self, fvec, point, hvec):
         cfg = self.config
         st = self.state
-        self.t += 1
-        hvec = np.asarray(hvec, dtype=float)
-        point, ref = self._propose(hvec)
-        if cfg.k == cfg.n:
-            selected, u = tuple(range(cfg.n)), None
-        else:
-            selected, u = draw(point, self.rng)
-        try:
-            fvec = _as_vector(fvec_strategy(f))
-        except Exception as exc:
-            raise RuntimeError(f"core strategy failed on round {self.t}: {exc}") from exc
-
-        st.theta += fvec
         delta = float(np.sum((fvec - hvec) ** 2))
         new_sum = st.delta_sum + delta
         sigma_t = self.sigma_scale * (math.sqrt(new_sum) - math.sqrt(st.delta_sum))
         st.delta_sum = new_sum
         st.sigma_sum += sigma_t
         st.weighted_center += sigma_t * point.p
-        st.history.append((sigma_t, point.p))
         if st.eps is None and delta > 0.0:
             st.first_delta = delta
             st.eps = self.sigma_scale * math.sqrt(delta) / (200.0 * cfg.G**2 * cfg.T**2)
 
-        reward = f.value(selected)
-        expected = _expected_reward(f, point) if self.track_expected else float("nan")
-        return RoundRecord(
-            t=self.t, p=point.p, u=u, selected=selected,
-            reward=reward, full_reward=f.full_value(), expected_reward=expected,
-            gvec=fvec, fed=fvec, observed=True, cost=0.0, p_ref=ref,
-        )
+    def step(self, f: SetFunction, hvec: np.ndarray, fvec_strategy) -> RoundRecord:
+        """Run one full round: propose against the hint, play against f."""
+        return self._play(f, fvec_strategy, hint=np.asarray(hvec, dtype=float))
 
 
 # ---------------------------------------------------------------------------
-# Regret accounting over logged traces.
+# Regret accounting.
+
+class RegretLedger:
+    """Regret accounting of one run, folded in one round at a time.
+
+    It keeps running sums only: realized, expected and full-set reward, the
+    price paid, the summed proxy vectors and their summed inner products
+    with the proposals.  The regrets can be read after any round.
+    """
+
+    def __init__(self, n: int, k: int, alpha: float = 1.0):
+        self.k = k
+        self.scale = k / (n * alpha)
+        self.rounds = 0
+        self.cum_reward = 0.0
+        self.cum_full = 0.0
+        self.cum_expected = 0.0
+        self.cum_cost = 0.0
+        self.cum_dot = 0.0
+        self.total_g = np.zeros(n)
+
+    def add_rewards(self, r: RoundRecord) -> None:
+        """Fold in the reward columns only, which the augmented regret reads."""
+        self.rounds += 1
+        self.cum_reward += r.reward
+        self.cum_full += r.full_reward
+        self.cum_expected += r.expected_reward
+
+    def add(self, r: RoundRecord) -> None:
+        self.add_rewards(r)
+        self.cum_cost += r.cost
+        self.total_g += r.gvec
+        self.cum_dot += float(r.gvec @ r.p)
+
+    def benchmark(self) -> float:
+        """k/(n*alpha) of the cumulative full-set reward."""
+        return self.scale * self.cum_full
+
+    def aug_regret(self, expected: bool = False) -> float:
+        """The benchmark minus what the policy collected (realized rewards, or
+        exact conditional expectations when ``expected`` is set)."""
+        return self.benchmark() - (self.cum_expected if expected else self.cum_reward)
+
+    def static_regret(self) -> float:
+        """Best fixed point in hindsight against the true proxy vectors, minus
+        what the proposals earned.  The linear oracle resolves the benchmark
+        as a top-k sum of the summed vectors."""
+        return float(self.total_g @ lmo(-self.total_g, self.k)) - self.cum_dot
+
 
 def augmented_regret(records: list[RoundRecord], alpha: float, k: int, n: int,
                      expected: bool = False) -> float:
-    """Benchmark k/(n*alpha) of the cumulative full-set reward, minus what the
-    policy collected (realized rewards, or exact conditional expectations
-    when ``expected`` is set)."""
-    full = sum(r.full_reward for r in records)
-    got = sum(r.expected_reward if expected else r.reward for r in records)
-    return (k / (n * alpha)) * full - got
+    """:meth:`RegretLedger.aug_regret` over logged rounds."""
+    ledger = RegretLedger(n, k, alpha)
+    for r in records:
+        ledger.add_rewards(r)
+    return ledger.aug_regret(expected)
 
 
 def static_linear_regret(records: list[RoundRecord]) -> float:
-    """Best fixed point in hindsight against the true proxy vectors.
-
-    The benchmark maximizes the summed vectors over the polytope, which the
-    linear oracle resolves as a top-k sum.
-    """
+    """:meth:`RegretLedger.static_regret` over logged rounds."""
     if not records:
         return 0.0
-    total = np.sum([r.gvec for r in records], axis=0)
-    k = len(records[0].selected)
-    bench = float(total @ lmo(-total, k))
-    got = float(sum(r.gvec @ r.p for r in records))
-    return bench - got
-
-
-def cumulative_cost(records: list[RoundRecord]) -> float:
-    return float(sum(r.cost for r in records))
+    ledger = RegretLedger(records[0].gvec.size, len(records[0].selected))
+    for r in records:
+        ledger.add(r)
+    return ledger.static_regret()
 
 
 def static_regret_bound(n: int, k: int, T: int, G: float) -> float:

@@ -21,39 +21,19 @@ from coreselect.corevec import (
     subset_sums,
     tightest_alpha,
 )
+from coreselect.oracles import (
+    TableFunction,
+    enumerate_matching_value,
+    indicator_game,
+    second_game,
+)
 from coreselect.setfn import (
     CoverageFunction,
     MatchingRewardFunction,
     ModularFunction,
-    SetFunction,
     check_submodular,
     distance_sup,
 )
-
-
-class TableFunction(SetFunction):
-    def __init__(self, vals, monotone=True):
-        self._vals = np.asarray(vals, dtype=float)
-        n = int(np.log2(len(vals)))
-        super().__init__(n, value_bound=float(self._vals.max()), monotone=monotone)
-
-    def value_mask(self, mask):
-        return float(self._vals[mask])
-
-
-def indicator_game():
-    # worth 1 as soon as element 0 or element 1 shows up
-    return TableFunction([1.0 if m & 0b011 else 0.0 for m in range(8)])
-
-
-def second_game():
-    vals = [0.0] * 8
-    for m in range(8):
-        if m & 1:
-            vals[m] = 2.0
-        elif m & 2:
-            vals[m] = 1.0
-    return TableFunction(vals)
 
 
 def shapley_by_permutations(f):
@@ -283,9 +263,7 @@ def test_hungarian_matches_enumeration():
         m = 3
         w = rng.random((m, m)) * 4
         u, v, matching, value = hungarian_duals(w)
-        brute = min(sum(w[i, perm[i]] for i in range(m))
-                    for perm in itertools.permutations(range(m)))
-        assert abs(value - brute) < 1e-9
+        assert abs(value - enumerate_matching_value(w)) < 1e-9
         assert abs(u.sum() + v.sum() - value) < 1e-6
         assert np.all(u[:, None] + v[None, :] <= w + 1e-7)
         for i, j in matching:

@@ -13,50 +13,32 @@ import pytest
 from coreselect.bench import ExperimentConfig, run_experiment
 
 GOLDEN = Path(__file__).parent / "golden"
-ADVERSARIES = ("onehot-ensemble", "modular-random", "modular-drift",
-               "coverage-drift", "matching-random")
-HINTS = ({"mode": "perfect"},
-         {"mode": "additive-noise", "noise_l2": 0.5},
-         {"mode": "adversarial-flip"})
+BASE = {"schema": 1, "n": 6, "k": 2, "T": 20, "seed": 7, "replicas": 2}
+NOISY = {"mode": "additive-noise", "noise_l2": 0.5}
+CONFIGS = {
+    **{f"{kind}-{adv}": {**BASE, "policy": {"kind": kind}, "adversary": {"kind": adv}}
+       for kind in ("score", "semibandit", "priced")
+       for adv in ("onehot-ensemble", "modular-random", "modular-drift",
+                   "coverage-drift", "matching-random")},
+    **{f"oftrl-exact-{hints['mode']}": {
+        **BASE, "policy": {"kind": "oftrl", "mode": "exact"},
+        "adversary": {"kind": "coverage-drift"}, "hints": hints}
+       for hints in ({"mode": "perfect"}, NOISY, {"mode": "adversarial-flip"})},
+    "oftrl-afw-coverage-drift": {
+        **BASE, "policy": {"kind": "oftrl", "mode": "afw"},
+        "adversary": {"kind": "coverage-drift"}, "hints": NOISY},
+}
 
 
-def golden_configs() -> dict[str, dict]:
-    base = {"schema": 1, "n": 6, "k": 2, "T": 20, "seed": 7, "replicas": 2}
-    configs = {}
-    for kind in ("score", "semibandit", "priced"):
-        for adv in ADVERSARIES:
-            configs[f"{kind}-{adv}"] = {
-                **base, "policy": {"kind": kind}, "adversary": {"kind": adv}}
-    for hints in HINTS:
-        configs[f"oftrl-exact-{hints['mode']}"] = {
-            **base, "policy": {"kind": "oftrl", "mode": "exact"},
-            "adversary": {"kind": "coverage-drift"}, "hints": hints}
-    configs["oftrl-afw-coverage-drift"] = {
-        **base, "policy": {"kind": "oftrl", "mode": "afw"},
-        "adversary": {"kind": "coverage-drift"}, "hints": HINTS[1]}
-    return configs
-
-
-CONFIGS = golden_configs()
-
-
-def assert_matches_golden(out: Path, name: str) -> None:
+@pytest.mark.parametrize("name, workers", [(name, 1) for name in sorted(CONFIGS)]
+                         + [("oftrl-afw-coverage-drift", 2)])
+def test_outputs_match_golden(name, workers, tmp_path):
+    run_experiment(ExperimentConfig.from_dict(CONFIGS[name]), out_dir=tmp_path,
+                   workers=workers)
     want = GOLDEN / name
-    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in want.iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in want.iterdir())
     for path in want.iterdir():
-        assert (out / path.name).read_bytes() == path.read_bytes(), f"{name}/{path.name}"
-
-
-@pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_outputs_match_golden(name, tmp_path):
-    run_experiment(ExperimentConfig.from_dict(CONFIGS[name]), out_dir=tmp_path, workers=1)
-    assert_matches_golden(tmp_path, name)
-
-
-def test_parallel_workers_match_golden(tmp_path):
-    name = "oftrl-afw-coverage-drift"
-    run_experiment(ExperimentConfig.from_dict(CONFIGS[name]), out_dir=tmp_path, workers=2)
-    assert_matches_golden(tmp_path, name)
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), f"{name}/{path.name}"
 
 
 if __name__ == "__main__":

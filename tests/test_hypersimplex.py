@@ -1,7 +1,5 @@
 """Solver tests against independent brute-force oracles."""
 
-import itertools
-
 import numpy as np
 import pytest
 
@@ -13,6 +11,7 @@ from coreselect.hypersimplex import (
     euclidean_project,
     lmo,
 )
+from coreselect.oracles import enumerate_lmo_value, enumerate_projection
 
 RNG = np.random.default_rng(7)
 
@@ -60,32 +59,6 @@ def entropic_argmax_scalar_bisect(theta, eta, k, iters=200):
         else:
             hi = c
     return np.minimum(1.0, 0.5 * (lo + hi) * e)
-
-
-def project_enum(y, k):
-    """Projection by exhaustive enumeration of active sets."""
-    n = len(y)
-    best, best_d = None, np.inf
-    for assign in itertools.product((0, 1, 2), repeat=n):
-        zero = [i for i in range(n) if assign[i] == 0]
-        free = [i for i in range(n) if assign[i] == 1]
-        one = [i for i in range(n) if assign[i] == 2]
-        p = np.zeros(n)
-        p[one] = 1.0
-        if free:
-            tau = (sum(y[i] for i in free) + len(one) - k) / len(free)
-            ok = True
-            for i in free:
-                p[i] = y[i] - tau
-                ok = ok and -1e-12 <= p[i] <= 1 + 1e-12
-            if not ok:
-                continue
-        elif len(one) != k:
-            continue
-        d = np.linalg.norm(p - y)
-        if d < best_d - 1e-13:
-            best_d, best = d, np.clip(p, 0, 1)
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +164,7 @@ def test_project_matches_enumeration():
         k = int(rng.integers(1, n + 1))
         y = rng.standard_normal(n) * 2.5
         got = euclidean_project(y, k).p
-        want = project_enum(y, k)
+        want = enumerate_projection(y, k)
         assert np.linalg.norm(got - want) < 1e-8
 
 
@@ -230,7 +203,7 @@ def test_lmo_minimizes_over_all_vertices():
         k = int(rng.integers(1, n + 1))
         cost = rng.standard_normal(n)
         got = float(cost @ lmo(cost, k))
-        want = min(sum(cost[list(c)]) for c in itertools.combinations(range(n), k))
+        want = enumerate_lmo_value(cost, k)
         assert abs(got - want) < 1e-12
 
 

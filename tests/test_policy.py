@@ -269,11 +269,11 @@ def run_oftrl(n, k, T, spec, seed, mode="exact", **kwargs):
     pol = OftrlPolicy(cfg, np.random.default_rng(seed + 3), mode=mode, **kwargs)
     recs = [pol.step(f, h.w, lambda _f, fv=fv: fv)
             for f, h, fv in zip(fs, hints, fvecs)]
-    return pol, recs, fvecs
+    return pol, recs, (fs, hints)
 
 
 def test_perfect_hints_route_through_vertices_with_no_regret():
-    pol, recs, fvecs = run_oftrl(8, 3, 400, HintSpec("perfect"), 0)
+    pol, recs, _ = run_oftrl(8, 3, 400, HintSpec("perfect"), 0)
     assert pol.state.sigma_sum == 0.0  # no hint error ever observed
     for r in recs:
         assert np.all((r.p < 1e-12) | (r.p > 1 - 1e-12))  # vertex proposals
@@ -281,11 +281,16 @@ def test_perfect_hints_route_through_vertices_with_no_regret():
 
 
 def test_sigma_schedule_telescopes():
-    pol, recs, _ = run_oftrl(8, 3, 300, HintSpec("additive-noise", 0.3), 1)
+    adv, fs, fvecs, hints = make_oftrl_inputs(8, 300, HintSpec("additive-noise", 0.3), 1)
+    pol = OftrlPolicy(ScoreConfig(n=8, k=3, T=300, M=adv.M, G=adv.G),
+                      np.random.default_rng(4))
     st = pol.state
+    sigma_sums = [st.sigma_sum]
+    for f, h, fv in zip(fs, hints, fvecs):
+        pol.step(f, h.w, lambda _f, fv=fv: fv)
+        sigma_sums.append(st.sigma_sum)
     assert st.sigma_sum == pytest.approx((1 / 3) * math.sqrt(st.delta_sum), abs=1e-9)
-    assert len(st.history) == 300
-    assert all(s >= 0 for s, _ in st.history)
+    assert len(sigma_sums) == 301 and sigma_sums == sorted(sigma_sums)  # sigma_t >= 0
 
 
 def test_adversarial_flip_delta_is_four_norms():
@@ -318,12 +323,7 @@ def test_oftrl_augmented_regret_within_hint_bound():
     from coreselect.setfn import distance_sup
 
     n, k, T = 8, 3, 400
-    spec = HintSpec("additive-noise", 0.3)
-    adv, fs, fvecs, hints = make_oftrl_inputs(n, T, spec, 8)
-    cfg = ScoreConfig(n=n, k=k, T=T, M=adv.M, G=adv.G)
-    pol = OftrlPolicy(cfg, np.random.default_rng(11))
-    recs = [pol.step(f, h.w, lambda _f, fv=fv: fv)
-            for f, h, fv in zip(fs, hints, fvecs)]
+    _, recs, (fs, hints) = run_oftrl(n, k, T, HintSpec("additive-noise", 0.3), 8)
     sq = [distance_sup(f, h) ** 2 for f, h in zip(fs, hints)]
     aug = augmented_regret(recs, 1.0, k, n, expected=True)
     assert aug <= 12 * k * math.sqrt(sum(sq)) + 1e-9

@@ -1,10 +1,9 @@
 """Reward-family evaluation and structural diagnostics."""
 
-import itertools
-
 import numpy as np
 import pytest
 
+from coreselect.oracles import TableFunction, enumerate_matching_value, second_game
 from coreselect.setfn import (
     CoverageFunction,
     EnumerationTooLargeError,
@@ -19,29 +18,6 @@ from coreselect.setfn import (
     mask_of,
     oracle_from_config,
 )
-
-
-class TableFunction(SetFunction):
-    """Test helper: set function backed by an explicit value table."""
-
-    def __init__(self, vals, monotone=True):
-        self._vals = np.asarray(vals, dtype=float)
-        n = int(np.log2(len(vals)))
-        super().__init__(n, value_bound=float(self._vals.max()), monotone=monotone)
-
-    def value_mask(self, mask):
-        return float(self._vals[mask])
-
-
-def second_three_player_game():
-    # value 2 with element 0 present, 1 with only element 1, else 0
-    vals = [0.0] * 8
-    for mask in range(8):
-        if mask & 1:
-            vals[mask] = 2.0
-        elif mask & 2:
-            vals[mask] = 1.0
-    return TableFunction(vals)
 
 
 def brute_distance(f, h):
@@ -195,7 +171,7 @@ def test_check_submodular_matches_brute_force():
 
 
 def test_second_game_is_monotone():
-    assert check_monotone(second_three_player_game())
+    assert check_monotone(second_game())
 
 
 def test_rho_is_one_for_submodular_and_modular():
@@ -246,10 +222,7 @@ def test_matching_reward_against_permutation_enumeration():
         rows = sorted(rng.permutation(m)[: rng.integers(1, m + 1)].tolist())
         cols = sorted(rng.permutation(m)[: len(rows)].tolist())
         s = rows + [m + c for c in cols]
-        want = min(
-            sum(w[r, cols[j]] for r, j in zip(rows, perm))
-            for perm in itertools.permutations(range(len(cols)))
-        )
+        want = enumerate_matching_value(w[np.ix_(rows, cols)])
         assert abs(f.value(s) - want) < 1e-12
 
 
