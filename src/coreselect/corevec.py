@@ -325,9 +325,24 @@ def marginal_strategy(rng: np.random.Generator | None = None, submodular: bool =
 
 
 def matching_dual_strategy():
+    """Optimal assignment duals of each matching reward.
+
+    Adversaries repeat one reward object across a phase, so the vector of the
+    last object seen is kept (a strong reference, never an ``id``) and solved
+    again only when a different object arrives.  The cached vector is
+    read-only, so no consumer can corrupt it for later rounds.
+    """
+    last_f: SetFunction | None = None
+    last: AdmissibleVector | None = None
+
     def strategy(f: SetFunction) -> AdmissibleVector:
-        if not isinstance(f, MatchingRewardFunction):
-            raise TypeError("matching_dual_strategy needs MatchingRewardFunction rewards")
-        return matching_core_vector(f.w)
+        nonlocal last_f, last
+        if f is not last_f:
+            if not isinstance(f, MatchingRewardFunction):
+                raise TypeError("matching_dual_strategy needs MatchingRewardFunction rewards")
+            av = matching_core_vector(f.w)
+            av.g.setflags(write=False)
+            last_f, last = f, av
+        return last
 
     return strategy

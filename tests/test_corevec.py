@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from coreselect import corevec
 from coreselect.corevec import (
     avg_submodular_shapley_check,
     core_membership,
@@ -15,6 +16,7 @@ from coreselect.corevec import (
     marginal_strategy,
     marginal_vector,
     matching_core_vector,
+    matching_dual_strategy,
     modular_strategy,
     shapley_exact,
     shapley_mc,
@@ -396,3 +398,28 @@ def test_marginal_strategy_identity_vs_random():
     rng = np.random.default_rng(13)
     seen = {tuple(np.round(marginal_strategy(rng)(f).g, 9)) for _ in range(20)}
     assert len(seen) > 1  # fresh permutations actually vary
+
+
+def test_matching_dual_strategy_solves_once_per_reward_object(monkeypatch):
+    calls = []
+    solve = corevec.hungarian_duals
+
+    def counting(w, *args, **kwargs):
+        calls.append(w)
+        return solve(w, *args, **kwargs)
+
+    monkeypatch.setattr(corevec, "hungarian_duals", counting)
+    strategy = matching_dual_strategy()
+    w = np.array([[1.0, 2.0], [3.0, 4.0]])
+    f = MatchingRewardFunction(w)
+    first = strategy(f)
+    assert strategy(f) is first and strategy(f) is first
+    assert len(calls) == 1
+    twin = strategy(MatchingRewardFunction(w.copy()))  # equal weights, new object
+    assert len(calls) == 2
+    np.testing.assert_array_equal(twin.g, first.g)
+    assert not first.g.flags.writeable
+    with pytest.raises(ValueError):
+        first.g[0] = 99.0
+    with pytest.raises(TypeError):
+        strategy(ModularFunction(np.ones(4)))
