@@ -615,9 +615,12 @@ def _check_three_player_games(rng=None, max_n=None) -> CheckResult:
 
 
 def _check_matching_duals(rng, max_n) -> CheckResult:
-    for trial in range(8):
-        m = int(rng.integers(1, 5))
-        if trial % 2:
+    for trial in range(9):
+        m = 4 if trial == 8 else int(rng.integers(1, 5))
+        if trial == 8:
+            # integer costs in {0, 1, 2}: ties make the dual polytope most degenerate
+            w = rng.integers(0, 3, (m, m)).astype(float)
+        elif trial % 2:
             # separable costs admit nonnegative optimal prices
             w = rng.random(m)[:, None] + rng.random(m)[None, :]
         else:
@@ -642,7 +645,8 @@ def _check_matching_duals(rng, max_n) -> CheckResult:
         if not core_membership(av.g, f, 1.0, masks=np.array(f.balanced_masks())):
             return CheckResult("matching-dual-membership", False,
                                "dual vector violates a balanced-subset constraint")
-    return CheckResult("matching-dual-membership", True, "8 random bipartite instances")
+    return CheckResult("matching-dual-membership", True,
+                       "8 random bipartite instances and 1 tie-heavy one")
 
 
 def _check_shapley(rng, max_n) -> CheckResult:

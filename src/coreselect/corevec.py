@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
+from scipy.optimize import linear_sum_assignment
 
 from .setfn import (
     ENUM_MAX,
@@ -191,17 +191,26 @@ def tightest_alpha(g: np.ndarray, f: SetFunction, tol: float = DEFAULT_TOL) -> f
 def hungarian_duals(
     w: np.ndarray, tol: float = 1e-6
 ) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]], float]:
-    """Minimum-cost perfect matching with optimal dual prices.
+    """Minimum-cost perfect matching with optimal dual prices, without an LP.
 
     Returns (u, v, matching, value) with u_i + v_j <= w_ij everywhere,
     equality on matched pairs, and sum(u) + sum(v) = value (strong duality
-    of the assignment program).  Prices are shifted along the objective-
-    neutral direction (u + c, v - c): all the way to nonnegativity whenever
-    some nonnegative optimal pair exists, otherwise to the shift balancing
-    the most negative entries.  Nonnegative optimal prices do not exist for
-    every cost matrix: when a cheap star covers the vertices for less than
-    any perfect matching costs, every nonnegative feasible pair sums below
-    the matching value.
+    of the assignment program).  The prices are shortest-path potentials
+    read off the optimal assignment sigma (Jonker & Volgenant 1987): with an
+    arc i' -> i of length w[i, sigma(i')] - w[i', sigma(i')] for every pair
+    of rows and a zero-length arc from a virtual source to every row, u is
+    the vector of shortest distances from that source and v[sigma(i)] =
+    w[i, sigma(i)] - u[i].  The distances exist because an optimal
+    assignment leaves no negative cycle; a vectorized Bellman-Ford settles
+    them in at most m rounds, and a relaxation still moving after m rounds
+    raises ``RuntimeError``.
+
+    Prices are then shifted along the objective-neutral direction
+    (u + c, v - c): all the way to nonnegativity whenever some nonnegative
+    optimal pair exists, otherwise to the shift balancing the most negative
+    entries.  Nonnegative optimal prices do not exist for every cost matrix:
+    when a cheap star covers the vertices for less than any perfect matching
+    costs, every nonnegative feasible pair sums below the matching value.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1] or w.size == 0:
@@ -209,25 +218,28 @@ def hungarian_duals(
     if not np.all(np.isfinite(w)) or np.any(w < 0):
         raise ValueError("weights must be finite and nonnegative")
     m = w.shape[0]
-    rows, cols = linear_sum_assignment(w)
-    value = float(w[rows, cols].sum())
+    rows, cols = linear_sum_assignment(w)  # rows == arange(m) for square w
+    matched = w[rows, cols]
+    value = float(matched.sum())
 
-    # assignment LP: min <w, x> with every row and column matched exactly once
-    a_eq = np.zeros((2 * m, m * m))
-    for i in range(m):
-        a_eq[i, i * m: (i + 1) * m] = 1.0
-    for j in range(m):
-        a_eq[m + j, j::m] = 1.0
-    res = linprog(
-        c=w.reshape(-1),
-        A_eq=a_eq,
-        b_eq=np.ones(2 * m),
-        bounds=(0, None),
-        method="highs",
-    )
-    if not res.success:
-        raise RuntimeError(f"dual price solve failed: {res.message}")
-    u, v = res.eqlin.marginals[:m].copy(), res.eqlin.marginals[m:].copy()
+    # arc[i', i] = w[i, sigma(i')] - w[i', sigma(i')]; the diagonal is 0, so
+    # one relaxation round keeps every distance that is already shortest
+    arc = w[:, cols].T - matched[:, None]
+    # improvements below rounding noise are not moves, so float ties that
+    # sum to a cycle of length -ulp cannot keep the relaxation going
+    slack = 4.0 * m * np.finfo(float).eps * float(w.max())
+    u = np.zeros(m)
+    for _ in range(m):
+        relaxed = (u[:, None] + arc).min(axis=0)
+        if not np.any(relaxed < u - slack):
+            break
+        u = relaxed
+    else:
+        raise RuntimeError(
+            f"shortest-path potentials did not settle in {m} rounds: "
+            "negative cycle, the assignment is not optimal")
+    v = np.empty(m)
+    v[cols] = matched - u
 
     u_min, v_min = float(u.min()), float(v.min())
     if u_min < 0.0 and v_min >= -u_min:

@@ -292,6 +292,51 @@ def test_hungarian_rejects_bad_input():
         hungarian_duals(np.array([[-1.0]]))
 
 
+
+def _repeated_rows_and_columns():
+    base = np.random.default_rng(31).random((3, 3))
+    w = np.vstack([base, base[:2]])        # rows 3, 4 repeat rows 0, 1
+    return w[:, [0, 1, 1, 2, 0]]           # columns repeat too
+
+
+DEGENERATE_COSTS = {
+    "zero": np.zeros((4, 4)),
+    "constant": np.full((5, 5), 2.5),
+    "repeated-rows-and-columns": _repeated_rows_and_columns(),
+    "binary-ties": np.random.default_rng(32).integers(0, 2, (6, 6)).astype(float),
+    "one-by-one": np.array([[0.75]]),
+    "random-30": np.random.default_rng(33).random((30, 30)),
+    "scaled-1e6": np.random.default_rng(34).random((4, 4)) * 1e6,
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE_COSTS))
+def test_hungarian_duals_on_degenerate_costs(name):
+    w = DEGENERATE_COSTS[name]
+    m = w.shape[0]
+    u, v, matching, value = hungarian_duals(w)
+    tol = 1e-9 * max(1.0, float(w.max()))
+    assert np.all(u[:, None] + v[None, :] <= w + tol)
+    for i, j in matching:
+        assert abs(u[i] + v[j] - w[i, j]) <= tol
+    assert abs(u.sum() + v.sum() - value) <= m * tol
+    if m <= 6:
+        assert abs(value - enumerate_matching_value(w)) <= m * tol
+    if m <= 4:
+        f = MatchingRewardFunction(w)
+        assert core_membership(np.concatenate([u, v]), f, 1.0, tol=m * tol,
+                               masks=np.array(f.balanced_masks()))
+
+
+def test_hungarian_duals_reject_a_non_optimal_assignment(monkeypatch):
+    # the anti-diagonal costs 2 where the diagonal costs 0: the arcs of the
+    # anti-diagonal assignment close a negative cycle
+    w = np.array([[0.0, 1.0], [1.0, 0.0]])
+    monkeypatch.setattr(corevec, "linear_sum_assignment",
+                        lambda _w: (np.arange(2), np.array([1, 0])))
+    with pytest.raises(RuntimeError, match="negative cycle"):
+        hungarian_duals(w)
+
 def test_matching_core_vector_membership_on_balanced_subsets():
     w = np.array([[1.0, 2.0], [3.0, 4.0]])
     f = MatchingRewardFunction(w)
