@@ -101,6 +101,14 @@ def _as_vector(g: AdmissibleVector | np.ndarray) -> np.ndarray:
     return np.asarray(g, dtype=float)
 
 
+def _core_vector(core_strategy, f: SetFunction, t: int) -> np.ndarray:
+    """The strategy's proxy vector for f; a failure names round t."""
+    try:
+        return _as_vector(core_strategy(f))
+    except Exception as exc:
+        raise RuntimeError(f"core strategy failed on round {t}: {exc}") from exc
+
+
 def _expected_reward(f: SetFunction, point: HypersimplexPoint) -> float:
     """Exact conditional expected reward E[f(S) | p] under the sampler."""
     if isinstance(f, ModularFunction):
@@ -148,10 +156,7 @@ class _Policy:
         else:
             point, p_ref = self._propose(hint)
             selected, u = draw(point, self.rng)
-        try:
-            gvec = _as_vector(core_strategy(f))
-        except Exception as exc:
-            raise RuntimeError(f"core strategy failed on round {self.t}: {exc}") from exc
+        gvec = _core_vector(core_strategy, f, self.t)
         fed, observed, cost = self._feed(gvec, point, selected)
         self.theta += fed
         self._update(fed, point, hint)

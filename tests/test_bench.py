@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from coreselect.adversary import Adversary
 from coreselect.bench import (
     CheckResult,
     ExperimentConfig,
@@ -87,6 +88,17 @@ def test_semibandit_config_runs():
     res = run_replica(cfg, 0)
     assert res.ledger.rounds == cfg.T
 
+
+
+@pytest.mark.parametrize("policy", [{"kind": "score"}, {"kind": "oftrl", "mode": "exact"}])
+def test_failing_core_strategy_names_the_round(policy, monkeypatch):
+    def failing(f):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(Adversary, "core_strategy", lambda self, rng: failing)
+    cfg = ExperimentConfig.from_dict(base_config(policy=policy))
+    with pytest.raises(RuntimeError, match="core strategy failed on round 1: 'boom'"):
+        run_replica(cfg, 0)
 
 def test_sweep_rows_and_file(tmp_path):
     cfg = ExperimentConfig.from_dict(base_config(replicas=1, T=20))
