@@ -20,6 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 TAU_FEAS = 1e-9
+# exp(-690) ~ 3e-300 is still a normal double: below this spread of scores the
+# exponentials and their tail sums keep full precision, and k / e cannot overflow
+EXP_SAFE_SPREAD = 690.0
 
 
 class InfeasiblePointError(ValueError):
@@ -88,7 +91,10 @@ def entropic_ftrl_argmax(theta: np.ndarray, eta: float, k: int) -> HypersimplexP
     scalar c > 0 fixed by sum(p) = k.  Exactly j coordinates are capped at 1
     for some j in {0, ..., k-1}; the solver sorts the scores once and scans
     for the consistent j, so the cost is O(n log n).  Exponentials are
-    stabilized by subtracting the maximum score first.
+    stabilized by subtracting the maximum score first.  When the scores
+    spread wider than ``EXP_SAFE_SPREAD``, where those exponentials would
+    underflow, each candidate j's tail sum is taken in log space relative to
+    the tail's own largest score, so no tail sum can vanish.
     """
     theta = _check_finite(theta, "theta")
     n = theta.size
@@ -101,14 +107,24 @@ def entropic_ftrl_argmax(theta: np.ndarray, eta: float, k: int) -> HypersimplexP
 
     s = eta * theta
     order = np.argsort(-s, kind="stable")
-    e = np.exp(s[order] - s[order[0]])  # descending, stabilized
-    # rev_cumsum[j] = sum of exp scores with sorted index >= j
-    rev = np.cumsum(e[::-1])
-    c = (k - np.arange(k)) / rev[n - 1 - np.arange(k)]
-    # j capped coordinates are consistent iff the largest uncapped one stays <= 1
-    j = int(np.argmax(c * e[:k] <= 1.0 + 1e-12))  # smallest consistent j
-    p_sorted = c[j] * e
-    p_sorted[:j] = 1.0
+    d = s[order] - s[order[0]]  # descending, stabilized
+    if d[-1] >= -EXP_SAFE_SPREAD:
+        e = np.exp(d)
+        # rev_cumsum[j] = sum of exp scores with sorted index >= j
+        rev = np.cumsum(e[::-1])
+        c = (k - np.arange(k)) / rev[n - 1 - np.arange(k)]
+        # j capped coordinates are consistent iff the largest uncapped one stays <= 1
+        j = int(np.argmax(c * e[:k] <= 1.0 + 1e-12))  # smallest consistent j
+        p_sorted = c[j] * e
+        p_sorted[:j] = 1.0
+    else:
+        # log of sum_{i >= j} exp(d_i - d_j), the tail sum at its own maximum (>= 0)
+        log_tail = np.logaddexp.accumulate(d[::-1])[::-1][:k] - d[:k]
+        # with j capped, the largest uncapped coordinate is (k - j) / tail_j
+        j = int(np.argmax((k - np.arange(k)) * np.exp(-log_tail) <= 1.0 + 1e-12))
+        e = np.exp(d[j:] - d[j])
+        p_sorted = np.ones(n)
+        p_sorted[j:] = (k - j) / float(e.sum()) * e
     p = np.empty(n)
     p[order] = p_sorted
     p = _refeasibilize(p, k)

@@ -1,5 +1,7 @@
 """Solver tests against independent brute-force oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,42 @@ def test_entropic_feasibility_and_kkt():
             c = np.log(pt.p[free]) - eta * theta[free]
             assert c.max() - c.min() < 1e-7
 
+
+
+def test_entropic_wide_score_spread_does_not_underflow():
+    # exp(-800) underflows at the top score's scale: the tail sums of the
+    # uncapped coordinates vanished and the solve raised
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pt = entropic_ftrl_argmax(np.array([800.0, 0.0, 0.0, 0.0, 0.0, 0.0]), 1.0, 3)
+    np.testing.assert_allclose(pt.p, [1.0, 0.4, 0.4, 0.4, 0.4, 0.4], rtol=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6])
+def test_entropic_kkt_form_at_every_score_scale(scale):
+    rng = np.random.default_rng(int(np.log10(scale)) + 300)
+    for _ in range(20):
+        n = int(rng.integers(2, 40))
+        k = int(rng.integers(1, n))
+        eta = float(rng.uniform(0.1, 3.0))
+        theta = rng.standard_normal(n) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pt = entropic_ftrl_argmax(theta, eta, k)
+        pt.validate(tol=1e-9)
+        # p = min(1, c * exp(eta * theta)), with c read off the largest
+        # uncapped coordinate j: p_j = c * exp(s_j)
+        p, s = pt.p, eta * theta
+        free = p < 1.0
+        j = int(np.argmax(np.where(free, s, -np.inf)))
+        assert np.all(s[~free] >= s[j])
+        np.testing.assert_allclose(p[free], p[j] * np.exp(s[free] - s[j]),
+                                   rtol=1e-9, atol=1e-12)
+        # capped coordinates have c * exp(s_i) >= 1 (unreadable once p_j
+        # itself is below the smallest double)
+        if p[j] > 0.0:
+            capped = p[j] * np.exp(np.minimum(s[~free] - s[j], 700.0))
+            assert np.all(capped >= 1.0 - 1e-9)
 
 def test_entropic_monotone_in_scores():
     rng = np.random.default_rng(5)
