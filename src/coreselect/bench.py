@@ -221,7 +221,7 @@ def _policy_round(cfg: ExperimentConfig, score_cfg: ScoreConfig, rngs: dict,
         result.sq_distances = [] if cfg.n <= 16 else None
 
         def play(f: SetFunction) -> RoundRecord:
-            fv = _core_vector(strategy, f, policy.t + 1)  # before step counts the round
+            fv = _core_vector(strategy, f, policy.t + 1)  # step has not counted it yet
             h = generate_hints([fv], spec, rngs["hints"])[0]
             record = policy.step(f, h.w, lambda _f: fv)
             if result.sq_distances is not None:

@@ -89,7 +89,6 @@ def test_semibandit_config_runs():
     assert res.ledger.rounds == cfg.T
 
 
-
 @pytest.mark.parametrize("policy", [{"kind": "score"}, {"kind": "oftrl", "mode": "exact"}])
 def test_failing_core_strategy_names_the_round(policy, monkeypatch):
     def failing(f):
@@ -99,6 +98,7 @@ def test_failing_core_strategy_names_the_round(policy, monkeypatch):
     cfg = ExperimentConfig.from_dict(base_config(policy=policy))
     with pytest.raises(RuntimeError, match="core strategy failed on round 1: 'boom'"):
         run_replica(cfg, 0)
+
 
 def test_sweep_rows_and_file(tmp_path):
     cfg = ExperimentConfig.from_dict(base_config(replicas=1, T=20))

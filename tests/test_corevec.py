@@ -292,7 +292,6 @@ def test_hungarian_rejects_bad_input():
         hungarian_duals(np.array([[-1.0]]))
 
 
-
 def _repeated_rows_and_columns():
     base = np.random.default_rng(31).random((3, 3))
     w = np.vstack([base, base[:2]])        # rows 3, 4 repeat rows 0, 1

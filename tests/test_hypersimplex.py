@@ -120,7 +120,6 @@ def test_entropic_feasibility_and_kkt():
             assert c.max() - c.min() < 1e-7
 
 
-
 def test_entropic_wide_score_spread_does_not_underflow():
     # exp(-800) underflows at the top score's scale: the tail sums of the
     # uncapped coordinates vanished and the solve raised
