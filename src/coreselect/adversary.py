@@ -8,6 +8,7 @@ was actually emitted.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -180,39 +181,24 @@ _FACTORIES = {
 def adversary_from_config(cfg: dict, n: int) -> Adversary:
     """Build an adversary from its JSON block.
 
-    Recognized kinds and parameters::
-
-        {"kind": "onehot-ensemble"}
-        {"kind": "modular-random", "G": 1.0}
-        {"kind": "modular-drift",  "G": 1.0, "phases": 10, "jitter": 0.25}
-        {"kind": "coverage-drift", "universe": 2n, "phases": 10, "density": 0.3}
-        {"kind": "matching-random", "w_max": 1.0, "phases": 10}  (n must be 2m)
+    ``kind`` names one of the ``make_*_adversary`` factories in
+    ``_FACTORIES``; every other key is passed to it as a keyword, so the
+    accepted keys and their defaults are the factory's own parameters after
+    the ground-set size.  ``matching-random`` needs an even n = 2m and gets m.
     """
     cfg = dict(cfg)
     kind = cfg.pop("kind", None)
-    if kind not in _FACTORIES:
+    factory = _FACTORIES.get(kind)
+    if factory is None:
         raise ValueError(f"unknown adversary kind: {kind!r}")
-    if kind == "onehot-ensemble":
-        adv = make_onehot_adversary(n)
-    elif kind == "modular-random":
-        adv = make_modular_random_adversary(n, G=cfg.pop("G", 1.0))
-    elif kind == "modular-drift":
-        adv = make_modular_drift_adversary(
-            n, G=cfg.pop("G", 1.0), phases=cfg.pop("phases", DEFAULT_PHASES),
-            jitter=cfg.pop("jitter", 0.25))
-    elif kind == "coverage-drift":
-        adv = make_coverage_drift_adversary(
-            n, universe=cfg.pop("universe", None),
-            phases=cfg.pop("phases", DEFAULT_PHASES),
-            density=cfg.pop("density", 0.3))
-    else:
+    if kind == "matching-random":
         if n % 2:
             raise ValueError("matching-random needs an even ground set")
-        adv = make_matching_random_adversary(
-            n // 2, w_max=cfg.pop("w_max", 1.0), phases=cfg.pop("phases", DEFAULT_PHASES))
-    if cfg:
-        raise ValueError(f"unknown adversary keys: {sorted(cfg)}")
-    return adv
+        n //= 2
+    unknown = set(cfg) - set(list(inspect.signature(factory).parameters)[1:])
+    if unknown:
+        raise ValueError(f"unknown adversary keys: {sorted(unknown)}")
+    return factory(n, **cfg)
 
 
 @dataclass

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
 
@@ -106,6 +106,10 @@ class PolicyBlock:
             raise ValueError(f"unknown policy kind: {self.kind!r}")
         if self.mode not in ("exact", "afw"):
             raise ValueError(f"unknown oftrl mode: {self.mode!r}")
+        if not (math.isfinite(self.cost) and self.cost > 0.0):
+            raise ValueError(f"cost must be finite and positive, got {self.cost!r}")
+        if self.sigma is not None and not (math.isfinite(self.sigma) and self.sigma > 0.0):
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma!r}")
 
 
 @dataclass
@@ -379,21 +383,13 @@ def sweep(cfg: ExperimentConfig, axis: str, values: list[float],
         raise ValueError(f"axis must be one of {SWEEP_AXES}")
     rows = []
     for v in values:
-        patched = ExperimentConfig(
-            n=cfg.n, k=cfg.k, T=cfg.T, seed=cfg.seed, policy=PolicyBlock(**vars(cfg.policy)),
-            adversary=dict(cfg.adversary), hints=cfg.hints, alpha=cfg.alpha,
-            M=cfg.M, G=cfg.G, replicas=cfg.replicas, out=None,
-        )
-        if axis == "T":
-            patched.T = int(v)
-        elif axis == "k":
-            patched.k = int(v)
+        if axis in ("T", "k"):
+            patched = replace(cfg, **{axis: int(v)}, out=None)
         elif axis == "noise_l2":
-            patched.hints = HintSpec("additive-noise", noise_l2=float(v))
-        elif axis == "epsilon":
-            patched.policy.epsilon = float(v)
+            patched = replace(cfg, hints=HintSpec("additive-noise", noise_l2=float(v)), out=None)
         else:
-            patched.policy.cost = float(v)
+            key = "epsilon" if axis == "epsilon" else "cost"
+            patched = replace(cfg, policy=replace(cfg.policy, **{key: float(v)}), out=None)
         s = run_experiment(patched, out_dir=None)
         rows.append({
             "axis": axis, "value": v,
@@ -454,16 +450,23 @@ def random_feasible_point(n: int, k: int, rng: np.random.Generator) -> Hypersimp
 
 
 def _check_projection(rng, max_n, projection_fn) -> CheckResult:
-    for _ in range(60):
+    for trial in range(66):
         n = int(rng.integers(2, min(7, max_n) + 1))
         k = int(rng.integers(1, n + 1))
-        y = rng.standard_normal(n) * 2.0
+        if trial < 60:
+            y = rng.standard_normal(n) * 2.0
+        elif trial < 64:
+            # integer scores: breakpoints y_i and y_j - 1 coincide
+            y = rng.integers(-1, 3, n).astype(float)
+        else:
+            y = np.full(n, rng.standard_normal())
         got = projection_fn(y, k).p
         want = enumerate_projection(y, k)
         if float(np.linalg.norm(got - want)) > 1e-7:
             return CheckResult("projection-vs-active-set-enumeration", False,
                                f"mismatch at n={n}, k={k}: {got} vs {want}")
-    return CheckResult("projection-vs-active-set-enumeration", True, "60 random instances")
+    return CheckResult("projection-vs-active-set-enumeration", True,
+                       "60 random instances and 6 tie-heavy ones")
 
 
 def _check_lmo(rng, max_n) -> CheckResult:

@@ -18,6 +18,7 @@ import sys
 import time
 
 from .bench import (
+    SWEEP_AXES,
     ExperimentConfig,
     lower_bound_experiment,
     run_experiment,
@@ -87,8 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="re-run an experiment along one axis")
     p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--axis", required=True,
-                         choices=["T", "k", "noise_l2", "epsilon", "C"])
+    p_sweep.add_argument("--axis", required=True, choices=SWEEP_AXES)
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated list, e.g. 1000,4000,16000")
     p_sweep.add_argument("--out", default=None)

@@ -6,7 +6,8 @@ four solvers the online policies need:
 
 * ``entropic_ftrl_argmax`` - exact maximizer of a linear score minus a scaled
   negative entropy (the follow-the-regularized-leader update),
-* ``euclidean_project``   - exact Euclidean projection,
+* ``euclidean_project``   - exact Euclidean projection, from cumulative sums
+  over the sorted breakpoints of its threshold equation,
 * ``lmo``                 - linear minimization oracle (a top-k selection),
 * ``afw_minimize``        - away-steps Frank-Wolfe for quadratic objectives.
 
@@ -135,10 +136,12 @@ def euclidean_project(y: np.ndarray, k: int) -> HypersimplexPoint:
     """Exact Euclidean projection of y onto the capped simplex.
 
     The projection is p_i = clamp(y_i - tau, 0, 1) where tau solves
-    sum_i clamp(y_i - tau, 0, 1) = k.  The map tau -> sum is piecewise linear
-    with breakpoints {y_i} and {y_i - 1}; a single sorted sweep over the 2n
-    breakpoints locates the segment containing the root, so the cost is
-    O(n log n).
+    sum_i clamp(y_i - tau, 0, 1) = k.  The map tau -> sum falls piecewise
+    linearly from n to 0 with breakpoints {y_i - 1} and {y_i}.  After one
+    stable sort of the 2n breakpoints, exclusive cumulative sums give the sum
+    at every breakpoint at once; the first breakpoint where it reaches k ends
+    the segment holding the root (Wang & Lu 2015, arXiv:1503.01002).  The
+    cost is O(n log n).
     """
     y = _check_finite(y, "y")
     n = y.size
@@ -147,39 +150,27 @@ def euclidean_project(y: np.ndarray, k: int) -> HypersimplexPoint:
     if k == n:
         return HypersimplexPoint(n, k, np.ones(n))
 
-    # Events while tau increases: at y_i - 1 coordinate i leaves the cap and
-    # becomes active; at y_i it hits zero and dies.
+    # While tau increases, coordinate i leaves its cap at y_i - 1 and becomes
+    # active (p_i = y_i - tau); at y_i it hits zero and dies.  Just before
+    # each sorted breakpoint: `entered` coordinates have left the cap, n_act
+    # are active and act_sum is their sum of y, added left to right.
     bps = np.concatenate([y - 1.0, y])
-    kinds = np.concatenate([np.zeros(n, dtype=int), np.ones(n, dtype=int)])
-    vals = np.concatenate([y, y])
     order = np.argsort(bps, kind="stable")
-    bps, kinds, vals = bps[order], kinds[order], vals[order]
-
-    n_cap = n          # coordinates still at their cap (tau below y_i - 1)
-    n_act = 0          # active coordinates: p_i = y_i - tau
-    act_sum = 0.0
-    tau = None
-    for m in range(2 * n):
-        b = bps[m]
-        # value of the sum just as tau reaches this breakpoint
-        s_here = n_cap + act_sum - n_act * b
-        if s_here <= k + 1e-15:
-            # root lies in the previous segment (or exactly here)
-            if n_act > 0:
-                tau = (n_cap + act_sum - k) / n_act
-            else:
-                tau = b
-            break
-        if kinds[m] == 0:
-            n_cap -= 1
-            n_act += 1
-            act_sum += vals[m]
-        else:
-            n_act -= 1
-            act_sum -= vals[m]
-    if tau is None:
-        # root beyond the last breakpoint: sum is 0 there, only k=0 would match
-        tau = bps[-1]
+    bps = bps[order]
+    enters = order < n
+    entered = np.cumsum(enters) - enters
+    n_act = 2 * entered - np.arange(2 * n)
+    act_sum = np.zeros(2 * n)
+    np.cumsum(np.concatenate([y, -y])[order[:-1]], out=act_sum[1:])
+    # the sum just as tau reaches each breakpoint; the first one at or below k
+    # ends the root's segment.  s[0] = n > k, so m = 0 only when rounding of
+    # huge |y| hides the root; then p is all ones and _refeasibilize raises.
+    s = (n - entered) + act_sum - n_act * bps
+    m = int(np.argmax(s <= k + 1e-15))
+    if n_act[m] > 0:
+        tau = (n - entered[m] + act_sum[m] - k) / n_act[m]
+    else:
+        tau = bps[m]
     p = _refeasibilize(np.clip(y - tau, 0.0, 1.0), k)
     return HypersimplexPoint(n, k, p)
 
@@ -227,9 +218,6 @@ class QuadraticObjective:
                 raise ValueError("center has wrong length")
             self.sigma_total += float(sigma)
             self.weighted_center = self.weighted_center + sigma * c
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.sigma_total * x - self.weighted_center - self.linear
 
     def value(self, x: np.ndarray) -> float:
         """Objective up to an additive constant (enough for gaps and line search)."""

@@ -93,11 +93,15 @@ def test_adversary_from_config_round_trip_and_strictness():
     assert adv.kind == "modular-random" and adv.G == 2.0
     adv2 = adversary_from_config({"kind": "matching-random"}, 6)
     assert adv2.n == 6
-    with pytest.raises(ValueError):
-        adversary_from_config({"kind": "matching-random"}, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="even ground set"):
+        adversary_from_config({"kind": "matching-random", "bogus": 1}, 5)
+    with pytest.raises(ValueError, match=r"unknown adversary keys: \['bogus'\]"):
         adversary_from_config({"kind": "modular-random", "bogus": 1}, 5)
-    with pytest.raises(ValueError):
+    # the ground-set size comes from the config's n, never from the block
+    for kind, size in (("onehot-ensemble", "n"), ("matching-random", "m")):
+        with pytest.raises(ValueError, match="unknown adversary keys"):
+            adversary_from_config({"kind": kind, size: 3}, 6)
+    with pytest.raises(ValueError, match="unknown adversary kind: 'unknown'"):
         adversary_from_config({"kind": "unknown"}, 5)
 
 

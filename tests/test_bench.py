@@ -109,6 +109,9 @@ def test_sweep_rows_and_file(tmp_path):
     assert len(text.strip().split("\n")) == 3
     with pytest.raises(ValueError):
         sweep(cfg, "bogus", [1])
+    # axis values pass the same validation as the config file
+    with pytest.raises(ValueError, match="cost must be finite and positive"):
+        sweep(cfg, "C", [0.0])
 
 
 def test_sweep_noise_axis_uses_hints():
@@ -192,6 +195,29 @@ def test_cli_run_and_sweep(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg_path), "--axis", "T",
                  "--values", "10,20", "--out", str(tmp_path / "sweep.csv")]) == 0
     assert (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("policy", [
+    {"kind": "priced", "cost": 0},
+    {"kind": "priced", "cost": -1},
+    {"kind": "priced", "cost": float("inf")},
+    {"kind": "oftrl", "sigma": -1},
+    {"kind": "oftrl", "sigma": 0},
+    {"kind": "oftrl", "sigma": float("nan")},
+])
+def test_config_rejects_nonpositive_cost_and_sigma(policy):
+    with pytest.raises(ValueError, match="must be finite and positive"):
+        ExperimentConfig.from_dict(base_config(policy=policy))
+
+
+def test_cli_rejects_zero_cost(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(T=15, replicas=1, policy={"kind": "priced"})))
+    assert main(["sweep", "--config", str(cfg_path), "--axis", "C", "--values", "0"]) == 2
+    cfg_path.write_text(json.dumps(base_config(T=15, replicas=1,
+                                               policy={"kind": "priced", "cost": 0})))
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert "cost must be finite and positive" in capsys.readouterr().err
 
 
 def test_check_result_shape():

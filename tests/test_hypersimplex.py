@@ -196,13 +196,34 @@ def test_project_constant_vector_gives_uniform():
 
 def test_project_matches_enumeration():
     rng = np.random.default_rng(11)
+    cases = []
     for _ in range(120):
         n = int(rng.integers(2, 7))
         k = int(rng.integers(1, n + 1))
-        y = rng.standard_normal(n) * 2.5
+        cases.append((rng.standard_normal(n) * 2.5, k))
+    for n in range(2, 8):
+        for k in range(1, n + 1):
+            # integer scores tie with each other and with each other's y - 1
+            cases.append((rng.integers(-1, 3, n).astype(float), k))
+            cases.append((np.full(n, rng.standard_normal()), k))
+            cases.append((rng.standard_normal(n) * 1e6, k))
+    for y, k in cases:
         got = euclidean_project(y, k).p
         want = enumerate_projection(y, k)
-        assert np.linalg.norm(got - want) < 1e-8
+        assert np.linalg.norm(got - want) < 1e-8, (y, k)
+
+
+@pytest.mark.parametrize("n", [200, 2000])
+def test_project_is_one_threshold_at_large_n(n):
+    rng = np.random.default_rng(n)
+    ys = [rng.standard_normal(n), rng.integers(-1, 3, n).astype(float), np.full(n, -0.7)]
+    for y in ys:
+        for k in (1, n // 7, n // 2, n - 1):
+            p = euclidean_project(y, k).p
+            # every one of these inputs has coordinates strictly inside (0, 1)
+            tau = float(np.mean((y - p)[(p > 0.0) & (p < 1.0)]))
+            np.testing.assert_allclose(p, np.clip(y - tau, 0.0, 1.0), rtol=0, atol=1e-12)
+            assert abs(float(p.sum()) - k) <= 1e-9
 
 
 def test_project_idempotent_and_nonexpansive():
