@@ -9,6 +9,8 @@ was actually emitted.
 from __future__ import annotations
 
 import inspect
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -153,6 +155,9 @@ def make_coverage_drift_adversary(n: int, universe: int | None = None,
 def make_matching_random_adversary(m: int, w_max: float = 1.0,
                                    phases: int = DEFAULT_PHASES) -> Adversary:
     """Piecewise-stationary bipartite matching rewards on m + m vertices."""
+    # load the assignment solver while the run is set up, not in its first round
+    import scipy.optimize  # noqa: F401
+
     n = 2 * m
 
     def rounds(T, rng):
@@ -211,8 +216,10 @@ class HintSpec:
     def __post_init__(self) -> None:
         if self.mode not in ("perfect", "additive-noise", "adversarial-flip"):
             raise ValueError(f"unknown hint mode: {self.mode!r}")
-        if self.noise_l2 < 0.0:
-            raise ValueError("noise_l2 must be nonnegative")
+        x = self.noise_l2
+        if (isinstance(x, bool) or not isinstance(x, numbers.Real)
+                or not (math.isfinite(x) and x >= 0.0)):
+            raise ValueError(f"noise_l2 must be a finite nonnegative number, got {x!r}")
 
 
 def generate_hints(fvecs: list[np.ndarray], spec: HintSpec,

@@ -17,12 +17,16 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
+# numpy loads numpy.random on first use; every replica draws from it, so load
+# it with the harness instead of inside the first replica's run
+import numpy.random  # noqa: F401
 
 from .adversary import (
     Adversary,
@@ -92,6 +96,21 @@ POLICY_KINDS = ("score", "oftrl", "semibandit", "priced")
 SWEEP_AXES = ("T", "k", "noise_l2", "epsilon", "C")
 
 
+def _check_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_real(name: str, value, rule: str = "", holds=lambda x: True) -> None:
+    """Raise ValueError naming the field unless ``value`` is a real number
+    (a bool is not) that is finite and ``holds``; ``rule`` says what holds."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not (math.isfinite(value) and holds(value)):
+        raise ValueError(f"{name} must be finite{' and ' + rule if rule else ''}, "
+                         f"got {value!r}")
+
+
 @dataclass
 class PolicyBlock:
     kind: str
@@ -106,10 +125,13 @@ class PolicyBlock:
             raise ValueError(f"unknown policy kind: {self.kind!r}")
         if self.mode not in ("exact", "afw"):
             raise ValueError(f"unknown oftrl mode: {self.mode!r}")
-        if not (math.isfinite(self.cost) and self.cost > 0.0):
-            raise ValueError(f"cost must be finite and positive, got {self.cost!r}")
-        if self.sigma is not None and not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ValueError(f"sigma must be finite and positive, got {self.sigma!r}")
+        _check_real("cost", self.cost, "positive", lambda x: x > 0.0)
+        if self.sigma is not None:
+            _check_real("sigma", self.sigma, "positive", lambda x: x > 0.0)
+        if self.epsilon is not None:
+            _check_real("epsilon", self.epsilon, "in (0, 1]", lambda x: 0.0 < x <= 1.0)
+        if self.eta is not None:
+            _check_real("eta", self.eta)
 
 
 @dataclass
@@ -126,6 +148,20 @@ class ExperimentConfig:
     G: float | None = None
     replicas: int = 1
     out: str | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("n", "k", "T", "seed", "replicas"):
+            _check_int(name, getattr(self, name))
+        if self.alpha is not None:
+            _check_real("alpha", self.alpha, ">= 1", lambda x: x >= 1.0)
+        if self.M is not None:
+            _check_real("M", self.M, ">= 0", lambda x: x >= 0.0)
+        if self.G is not None:
+            _check_real("G", self.G, "positive", lambda x: x > 0.0)
+        if self.replicas < 1:
+            raise ValueError("replicas must be positive")
+        if not (1 <= self.k <= self.n):
+            raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
@@ -154,12 +190,7 @@ class ExperimentConfig:
             hints = HintSpec(**hints_raw)
         else:
             raw.pop("hints", None)
-        cfg = ExperimentConfig(policy=policy, hints=hints, **raw)
-        if cfg.replicas < 1:
-            raise ValueError("replicas must be positive")
-        if not (1 <= cfg.k <= cfg.n):
-            raise ValueError(f"need 1 <= k <= n, got k={cfg.k}, n={cfg.n}")
-        return cfg
+        return ExperimentConfig(policy=policy, hints=hints, **raw)
 
     @staticmethod
     def from_json(path: str | Path) -> "ExperimentConfig":

@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 
 from .bench import (
     SWEEP_AXES,
@@ -29,10 +30,11 @@ from .bench import (
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = ExperimentConfig.from_json(args.config)
+    # replace() runs the config's checks on the overrides too
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg = replace(cfg, seed=args.seed)
     if args.replicas is not None:
-        cfg.replicas = args.replicas
+        cfg = replace(cfg, replicas=args.replicas)
     summary = run_experiment(cfg, out_dir=args.out, workers=args.workers)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0

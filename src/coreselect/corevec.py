@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .setfn import (
     ENUM_MAX,
@@ -22,6 +21,7 @@ from .setfn import (
     MatchingRewardFunction,
     ModularFunction,
     SetFunction,
+    linear_sum_assignment,
 )
 
 DEFAULT_TOL = 1e-7
@@ -231,7 +231,7 @@ def hungarian_duals(
     u = np.zeros(m)
     for _ in range(m):
         relaxed = (u[:, None] + arc).min(axis=0)
-        if not np.any(relaxed < u - slack):
+        if not (relaxed < u - slack).any():
             break
         u = relaxed
     else:
@@ -257,7 +257,7 @@ def hungarian_duals(
         raise RuntimeError(
             f"duality gap: prices total {u.sum() + v.sum():.9g}, matching {value:.9g}"
         )
-    if np.any(u[:, None] + v[None, :] > w + tol):
+    if (u[:, None] + v[None, :] > w + tol).any():
         raise RuntimeError("dual prices violate feasibility")
     matching = sorted(zip(rows.tolist(), cols.tolist()))
     return u, v, matching, value

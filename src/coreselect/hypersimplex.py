@@ -16,6 +16,7 @@ All functions are pure; none touch global state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +35,7 @@ def _check_finite(x: np.ndarray, name: str) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"{name} must be a 1-d vector, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError(f"{name} contains non-finite entries")
     return x
 
@@ -52,12 +53,12 @@ class HypersimplexPoint:
             raise InfeasiblePointError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
         if self.p.shape != (self.n,):
             raise InfeasiblePointError("p has wrong length")
-        if np.any(self.p < -tol) or np.any(self.p > 1.0 + tol):
-            raise InfeasiblePointError("coordinate outside [0, 1]")
-        if abs(float(self.p.sum()) - self.k) > max(tol, tol * self.n):
-            raise InfeasiblePointError(
-                f"sum(p) = {self.p.sum():.12g} != k = {self.k}"
-            )
+        # written so that a NaN coordinate fails both checks
+        if not (self.p.min() >= -tol and self.p.max() <= 1.0 + tol):
+            raise InfeasiblePointError("NaN or coordinate outside [0, 1]")
+        total = float(self.p.sum())
+        if not abs(total - self.k) <= max(tol, tol * self.n):
+            raise InfeasiblePointError(f"sum(p) = {total:.12g} != k = {self.k}")
 
 
 def _refeasibilize(p: np.ndarray, k: int) -> np.ndarray:
@@ -67,22 +68,28 @@ def _refeasibilize(p: np.ndarray, k: int) -> np.ndarray:
     exactly feasible vector, so the residual k - sum(p) is distributed over
     coordinates strictly inside (0, 1) proportionally to their mass.
     """
-    p = np.clip(p, 0.0, 1.0)
+    p = p.clip(0.0, 1.0)
     resid = k - float(p.sum())
     if resid == 0.0:
         return p
-    interior = (p > 0.0) & (p < 1.0)
-    if not interior.any():
+    interior = p > 0.0
+    interior &= p < 1.0
+    w = p[interior]
+    if not w.size:
         if abs(resid) > 1e-7:
             raise InfeasiblePointError("cannot repair infeasible integral vector")
         return p
-    w = p[interior]
-    total = float(w.sum())
-    if total <= 0.0:
-        p[interior] += resid / int(interior.sum())
+    # w + resid * (w / total), in place.  Every w is > 0, so total > 0, and
+    # each w moves toward the one bound resid points to: clamping to that
+    # bound is the clip to [0, 1]
+    q = w / float(w.sum())
+    q *= resid
+    q += w
+    if resid > 0.0:
+        p[interior] = np.minimum(q, 1.0, out=q)
     else:
-        p[interior] = w + resid * (w / total)
-    return np.clip(p, 0.0, 1.0)
+        p[interior] = np.maximum(q, 0.0, out=q)
+    return p
 
 
 def entropic_ftrl_argmax(theta: np.ndarray, eta: float, k: int) -> HypersimplexPoint:
@@ -99,23 +106,23 @@ def entropic_ftrl_argmax(theta: np.ndarray, eta: float, k: int) -> HypersimplexP
     """
     theta = _check_finite(theta, "theta")
     n = theta.size
-    if eta <= 0.0:
-        raise ValueError("eta must be positive")
+    if not (0.0 < eta < math.inf):
+        raise ValueError(f"eta must be positive and finite, got {eta!r}")
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if k == n:
         return HypersimplexPoint(n, k, np.ones(n))
 
     s = eta * theta
-    order = np.argsort(-s, kind="stable")
+    order = (-s).argsort(kind="stable")
     d = s[order] - s[order[0]]  # descending, stabilized
     if d[-1] >= -EXP_SAFE_SPREAD:
         e = np.exp(d)
-        # rev_cumsum[j] = sum of exp scores with sorted index >= j
-        rev = np.cumsum(e[::-1])
-        c = (k - np.arange(k)) / rev[n - 1 - np.arange(k)]
+        # rev[n - 1 - j] = sum of exp scores with sorted index >= j
+        rev = e[::-1].cumsum()
+        c = np.arange(k, 0, -1) / rev[n - k:][::-1]
         # j capped coordinates are consistent iff the largest uncapped one stays <= 1
-        j = int(np.argmax(c * e[:k] <= 1.0 + 1e-12))  # smallest consistent j
+        j = int((c * e[:k] <= 1.0 + 1e-12).argmax())  # smallest consistent j
         p_sorted = c[j] * e
         p_sorted[:j] = 1.0
     else:
@@ -155,23 +162,23 @@ def euclidean_project(y: np.ndarray, k: int) -> HypersimplexPoint:
     # each sorted breakpoint: `entered` coordinates have left the cap, n_act
     # are active and act_sum is their sum of y, added left to right.
     bps = np.concatenate([y - 1.0, y])
-    order = np.argsort(bps, kind="stable")
+    order = bps.argsort(kind="stable")
     bps = bps[order]
     enters = order < n
-    entered = np.cumsum(enters) - enters
+    entered = enters.cumsum() - enters
     n_act = 2 * entered - np.arange(2 * n)
     act_sum = np.zeros(2 * n)
-    np.cumsum(np.concatenate([y, -y])[order[:-1]], out=act_sum[1:])
+    np.concatenate([y, -y])[order[:-1]].cumsum(out=act_sum[1:])
     # the sum just as tau reaches each breakpoint; the first one at or below k
     # ends the root's segment.  s[0] = n > k, so m = 0 only when rounding of
     # huge |y| hides the root; then p is all ones and _refeasibilize raises.
     s = (n - entered) + act_sum - n_act * bps
-    m = int(np.argmax(s <= k + 1e-15))
+    m = int((s <= k + 1e-15).argmax())
     if n_act[m] > 0:
         tau = (n - entered[m] + act_sum[m] - k) / n_act[m]
     else:
         tau = bps[m]
-    p = _refeasibilize(np.clip(y - tau, 0.0, 1.0), k)
+    p = _refeasibilize((y - tau).clip(0.0, 1.0), k)
     return HypersimplexPoint(n, k, p)
 
 
@@ -189,8 +196,7 @@ def lmo(cost: np.ndarray, k: int) -> np.ndarray:
     if k == n:
         v[:] = 1.0
         return v
-    idx = np.argsort(cost, kind="stable")[:k]
-    v[idx] = 1.0
+    v[cost.argsort(kind="stable")[:k]] = 1.0
     return v
 
 
@@ -291,7 +297,7 @@ def afw_minimize(
     else:
         if start is None:
             start = lmo(-drift, k)
-        key = tuple(np.flatnonzero(start > 0.5).tolist())
+        key = tuple((start > 0.5).nonzero()[0].tolist())
         if len(key) != k:
             raise ValueError("start must be a vertex with exactly k ones")
         weights = {key: 1.0}
@@ -315,7 +321,7 @@ def afw_minimize(
         if gap >= away_gap:
             d = d_fw
             gamma_max = 1.0
-            step_key = tuple(np.flatnonzero(s > 0.5).tolist())
+            step_key = tuple((s > 0.5).nonzero()[0].tolist())
             is_fw = True
         else:
             d = d_away

@@ -60,9 +60,9 @@ class ScoreConfig:
             raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
         if self.T < 1:
             raise ValueError("horizon T must be positive")
-        if self.alpha < 1.0:
+        if not self.alpha >= 1.0:  # NaN fails too
             raise ValueError("alpha must be >= 1")
-        if self.M < 0.0:
+        if not self.M >= 0.0:
             raise ValueError("value bound M must be nonnegative")
         if self.G is None:
             self.G = norm_bound(self.alpha, self.M)
@@ -73,6 +73,8 @@ class ScoreConfig:
                 self.eta = math.sqrt(
                     self.k * math.log(self.n / self.k) / (2.0 * self.G**2 * self.T)
                 )
+        if not math.isfinite(self.eta):
+            raise ValueError(f"eta must be finite, got {self.eta!r}")
         if self.k < self.n and self.eta <= 0.0:
             raise ValueError("eta must be positive when k < n")
 
@@ -188,7 +190,7 @@ class SemiBanditPolicy(ScorePolicy):
         fed = np.zeros(self.config.n)
         idx = list(selected)
         probs = point.p[idx]
-        if np.any(probs <= 0.0):
+        if (probs <= 0.0).any():
             raise RuntimeError("selected an element with zero inclusion probability")
         fed[idx] = gvec[idx] / probs
         return fed, True, 0.0
@@ -310,7 +312,7 @@ class OftrlPolicy(_Policy):
     def _update(self, fvec, point, hvec):
         cfg = self.config
         st = self.state
-        delta = float(np.sum((fvec - hvec) ** 2))
+        delta = float(((fvec - hvec) ** 2).sum())
         new_sum = st.delta_sum + delta
         sigma_t = self.sigma_scale * (math.sqrt(new_sum) - math.sqrt(st.delta_sum))
         st.delta_sum = new_sum

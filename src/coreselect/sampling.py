@@ -23,10 +23,11 @@ def _prefix_sums(p: np.ndarray, k: int) -> np.ndarray:
     """
     prefix = np.empty(p.size + 1)
     prefix[0] = 0.0
-    np.cumsum(p, out=prefix[1:])
-    if abs(prefix[-1] - k) > PREFIX_SUM_TOL:
+    p.cumsum(out=prefix[1:])
+    total = float(prefix[-1])
+    if not abs(total - k) <= PREFIX_SUM_TOL:  # NaN fails too
         raise InfeasiblePointError(
-            f"sum(p) = {prefix[-1]:.9g} is not within {PREFIX_SUM_TOL} of k = {k}"
+            f"sum(p) = {total:.9g} is not within {PREFIX_SUM_TOL} of k = {k}"
         )
     prefix[-1] = float(k)
     np.minimum(prefix, float(k), out=prefix)
@@ -46,12 +47,12 @@ def madow_sample(point: HypersimplexPoint, u: float) -> tuple[int, ...]:
     if not (0.0 <= u < 1.0):
         raise ValueError(f"u must lie in [0, 1), got {u}")
     p = np.asarray(point.p, dtype=float)
-    if np.any(p < -PREFIX_SUM_TOL) or np.any(p > 1.0 + PREFIX_SUM_TOL):
-        raise InfeasiblePointError("p has a coordinate outside [0, 1]")
+    if not (p.min() >= -PREFIX_SUM_TOL and p.max() <= 1.0 + PREFIX_SUM_TOL):
+        raise InfeasiblePointError("p has a NaN or a coordinate outside [0, 1]")
     k = point.k
-    prefix = _prefix_sums(np.clip(p, 0.0, 1.0), k)
-    counts = np.diff(np.ceil(prefix - u))
-    selected = np.flatnonzero(counts > 0)
+    grid = _prefix_sums(p.clip(0.0, 1.0), k) - u
+    np.ceil(grid, out=grid)
+    selected = (grid[1:] > grid[:-1]).nonzero()[0]
     if selected.size < k:
         # an interval boundary landed within one ulp of a grid point; hand the
         # dropped slots to the heaviest unselected elements, deterministically
@@ -59,7 +60,7 @@ def madow_sample(point: HypersimplexPoint, u: float) -> tuple[int, ...]:
         chosen[selected] = True
         pool = [j for j in np.argsort(-p, kind="stable") if not chosen[j]]
         chosen[pool[: k - selected.size]] = True
-        selected = np.flatnonzero(chosen)
+        selected = chosen.nonzero()[0]
     if selected.size != k:
         raise InfeasiblePointError(
             f"selected {selected.size} elements instead of k = {k}"

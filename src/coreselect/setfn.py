@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import Iterable
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 ENUM_MAX = 20          # hard guard for 2^n enumerations
 STRUCT_CHECK_MAX = 14  # guard for pairwise structural checks
@@ -19,6 +18,18 @@ RHO_MAX = 12           # guard for the subset-lattice rho scan
 
 class EnumerationTooLargeError(ValueError):
     """Ground set too large for an exhaustive enumeration path."""
+
+
+def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``scipy.optimize.linear_sum_assignment``, imported on first use.
+
+    Loading ``scipy.optimize`` takes longer and more memory than numpy and
+    scipy together, and only matching rewards and ``verify`` solve
+    assignments, so runs on other rewards never load it.
+    """
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost)
 
 
 def mask_of(indices: Iterable[int]) -> int:
@@ -97,12 +108,14 @@ class ModularFunction(SetFunction):
 
     def __init__(self, w: np.ndarray):
         w = np.asarray(w, dtype=float)
-        if w.ndim != 1 or not np.all(np.isfinite(w)):
+        if w.ndim != 1 or not np.isfinite(w).all():
             raise ValueError("coefficients must be a finite 1-d vector")
         self.w = w
         self.total = float(w.sum())
-        super().__init__(w.size, value_bound=float(np.maximum(w, 0.0).sum()),
-                         monotone=bool(np.all(w >= 0.0)))
+        monotone = not w.size or bool(w.min() >= 0.0)
+        # a monotone w equals max(w, 0), so its total is the same sum
+        super().__init__(w.size, value_bound=self.total if monotone
+                         else float(np.maximum(w, 0.0).sum()), monotone=monotone)
 
     def value_mask(self, mask: int) -> float:
         return float(self.w[list(indices_of(mask))].sum())

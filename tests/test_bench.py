@@ -1,10 +1,16 @@
 """Harness tests: config parsing, CSV stability, verify suite, CLI."""
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import coreselect
 from coreselect.adversary import Adversary
 from coreselect.bench import (
     CheckResult,
@@ -197,6 +203,10 @@ def test_cli_run_and_sweep(tmp_path, capsys):
     assert (tmp_path / "sweep.csv").exists()
 
 
+POLICY_FIELD_RULES = {"cost": "finite and positive", "sigma": "finite and positive",
+                      "epsilon": "finite and in (0, 1]", "eta": "finite"}
+
+
 @pytest.mark.parametrize("policy", [
     {"kind": "priced", "cost": 0},
     {"kind": "priced", "cost": -1},
@@ -204,10 +214,47 @@ def test_cli_run_and_sweep(tmp_path, capsys):
     {"kind": "oftrl", "sigma": -1},
     {"kind": "oftrl", "sigma": 0},
     {"kind": "oftrl", "sigma": float("nan")},
+    {"kind": "priced", "epsilon": -1},
+    {"kind": "priced", "epsilon": 0},
+    {"kind": "priced", "epsilon": 1.5},
+    {"kind": "priced", "epsilon": float("nan")},
+    {"kind": "priced", "cost": "x"},
+    {"kind": "priced", "cost": True},
+    {"kind": "score", "eta": "x"},
+    {"kind": "score", "eta": float("nan")},
+    {"kind": "score", "eta": float("inf")},
 ])
 def test_config_rejects_nonpositive_cost_and_sigma(policy):
-    with pytest.raises(ValueError, match="must be finite and positive"):
+    (field, value), = [(key, v) for key, v in policy.items() if key != "kind"]
+    rule = "a number" if isinstance(value, (str, bool)) else POLICY_FIELD_RULES[field]
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be {rule}")):
         ExperimentConfig.from_dict(base_config(policy=policy))
+
+
+@pytest.mark.parametrize("overrides, message", [
+    pytest.param({"M": float("nan")}, "M must be finite and >= 0", id="M-nan"),
+    pytest.param({"M": -1}, "M must be finite and >= 0", id="M-negative"),
+    pytest.param({"M": "1"}, "M must be a number", id="M-string"),
+    pytest.param({"G": -1}, "G must be finite and positive", id="G-negative"),
+    pytest.param({"G": 0}, "G must be finite and positive", id="G-zero"),
+    pytest.param({"G": float("inf")}, "G must be finite and positive", id="G-inf"),
+    pytest.param({"G": True}, "G must be a number", id="G-bool"),
+    pytest.param({"alpha": 0.5}, "alpha must be finite and >= 1", id="alpha-half"),
+    pytest.param({"alpha": float("nan")}, "alpha must be finite and >= 1", id="alpha-nan"),
+    pytest.param({"T": 2.5}, "T must be an integer", id="T-float"),
+    pytest.param({"replicas": "2"}, "replicas must be an integer", id="replicas-string"),
+    pytest.param({"n": True}, "n must be an integer", id="n-bool"),
+    pytest.param({"seed": 1.0}, "seed must be an integer", id="seed-float"),
+    pytest.param({"policy": {"kind": "oftrl"},
+                  "hints": {"mode": "additive-noise", "noise_l2": "x"}},
+                 "noise_l2 must be a finite nonnegative number", id="noise_l2-string"),
+    pytest.param({"policy": {"kind": "oftrl"},
+                  "hints": {"mode": "additive-noise", "noise_l2": float("nan")}},
+                 "noise_l2 must be a finite nonnegative number", id="noise_l2-nan"),
+])
+def test_config_rejects_bad_top_level_fields(overrides, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentConfig.from_dict(base_config(**overrides))
 
 
 def test_cli_rejects_zero_cost(tmp_path, capsys):
@@ -218,6 +265,17 @@ def test_cli_rejects_zero_cost(tmp_path, capsys):
                                                policy={"kind": "priced", "cost": 0})))
     assert main(["run", "--config", str(cfg_path)]) == 2
     assert "cost must be finite and positive" in capsys.readouterr().err
+    cfg_path.write_text(json.dumps(base_config(T=15, replicas=1,
+                                               policy={"kind": "priced", "cost": "x"})))
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert "cost must be a number" in capsys.readouterr().err
+
+
+def test_cli_run_checks_its_overrides(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(T=15, replicas=1)))
+    assert main(["run", "--config", str(cfg_path), "--replicas", "0"]) == 2
+    assert "replicas must be positive" in capsys.readouterr().err
 
 
 def test_check_result_shape():
@@ -228,3 +286,21 @@ def test_check_result_shape():
 def test_policy_block_validation():
     with pytest.raises(ValueError):
         PolicyBlock("score", mode="bogus")
+
+
+def test_scipy_optimize_loads_only_for_matching_rewards():
+    # a fresh interpreter: this one may have loaded scipy.optimize already
+    code = "\n".join([
+        "import sys",
+        "import coreselect, coreselect.cli",
+        "print('scipy.optimize' in sys.modules)",
+        "from coreselect.adversary import adversary_from_config",
+        "adversary_from_config({'kind': 'matching-random'}, 4)",
+        "print('scipy.optimize' in sys.modules)",
+    ])
+    src = str(Path(coreselect.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True).stdout.split()
+    assert out == ["False", "True"]

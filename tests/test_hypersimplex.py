@@ -7,7 +7,9 @@ import pytest
 
 from coreselect.hypersimplex import (
     HypersimplexPoint,
+    InfeasiblePointError,
     QuadraticObjective,
+    _refeasibilize,
     afw_minimize,
     entropic_ftrl_argmax,
     euclidean_project,
@@ -167,11 +169,51 @@ def test_entropic_monotone_in_scores():
         assert entropic_ftrl_argmax(bumped, 1.2, k).p[i] >= base[i] - 1e-12
 
 
+def refeasibilize_reference(p, k):
+    """The repair written out: clip, spread the residual over the interior
+    in proportion to mass, clip again."""
+    p = np.clip(p, 0.0, 1.0)
+    resid = k - float(p.sum())
+    if resid == 0.0:
+        return p
+    interior = (p > 0.0) & (p < 1.0)
+    if not interior.any():
+        if abs(resid) > 1e-7:
+            raise InfeasiblePointError("cannot repair infeasible integral vector")
+        return p
+    w = p[interior]
+    p[interior] = w + resid * (w / float(w.sum()))
+    return np.clip(p, 0.0, 1.0)
+
+
+def test_refeasibilize_matches_the_written_out_repair_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for _ in range(2000):
+        n = int(rng.integers(1, 40))
+        k = int(rng.integers(1, n + 1))
+        p = rng.random(n) * (k / n) * 2.0
+        p[rng.random(n) < 0.2] = 1.0
+        p[rng.random(n) < 0.2] = rng.choice([0.0, -0.0, -0.3, 1.4])
+        # residuals from rounding noise up to ones large enough to push
+        # interior coordinates past a bound
+        p *= k / max(float(p.sum()), 1e-300) * (1.0 + rng.choice([0.0, 1e-15, -1e-13, 0.3, -0.3]))
+        try:
+            want = refeasibilize_reference(p.copy(), k)
+        except InfeasiblePointError:
+            with pytest.raises(InfeasiblePointError):
+                _refeasibilize(p.copy(), k)
+            continue
+        assert _refeasibilize(p.copy(), k).tobytes() == want.tobytes()
+
+
 def test_entropic_rejects_bad_input():
     with pytest.raises(ValueError):
         entropic_ftrl_argmax(np.array([np.nan, 0.0]), 1.0, 1)
     with pytest.raises(ValueError):
         entropic_ftrl_argmax(np.zeros(3), -1.0, 1)
+    for eta in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="eta must be positive and finite"):
+            entropic_ftrl_argmax(np.zeros(3), eta, 1)
     with pytest.raises(ValueError):
         entropic_ftrl_argmax(np.zeros(3), 1.0, 4)
 
@@ -342,3 +384,6 @@ def test_hypersimplex_point_validation():
     with pytest.raises(Exception):
         HypersimplexPoint(3, 2, np.array([0.5, 0.5, 0.5])).validate()
     HypersimplexPoint(3, 2, np.array([0.7, 0.8, 0.5])).validate()
+    for p in ([0.5, np.nan, 1.0], [np.nan] * 3):
+        with pytest.raises(InfeasiblePointError):
+            HypersimplexPoint(3, 2, np.array(p)).validate()

@@ -60,6 +60,13 @@ def test_config_validation():
         ScoreConfig(n=3, k=4, T=10)
     with pytest.raises(ValueError):
         ScoreConfig(n=3, k=2, T=10, alpha=0.5)
+    for eta in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="eta must be finite"):
+            ScoreConfig(n=3, k=2, T=10, eta=eta)
+    with pytest.raises(ValueError, match="eta must be finite"):
+        ScoreConfig(n=3, k=2, T=10, G=math.nan)
+    with pytest.raises(ValueError, match="M must be nonnegative"):
+        ScoreConfig(n=3, k=2, T=10, M=math.nan)
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,11 @@ def test_rejects_bad_u_and_infeasible_p():
         madow_sample(pt, -0.1)
     with pytest.raises(InfeasiblePointError):
         madow_sample(_point([0.9, 0.9, 0.9, 0.9], 2), 0.5)
+    # NaN fails both the range check and the sum check
+    with pytest.raises(InfeasiblePointError):
+        madow_sample(_point([0.5, np.nan, 0.5, 1.0], 2), 0.3)
+    with pytest.raises(InfeasiblePointError):
+        madow_sample(_point([np.nan] * 4, 2), 0.3)
 
 
 def test_exact_cardinality_property():
