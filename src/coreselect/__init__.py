@@ -19,7 +19,6 @@ from .corevec import (
     matching_core_vector,
     modular_strategy,
     shapley_exact,
-    shapley_mc,
     tightest_alpha,
 )
 from .hypersimplex import (
@@ -57,7 +56,6 @@ from .setfn import (
     check_submodular,
     distance_sup,
     estimate_rho,
-    oracle_from_config,
 )
 
 __version__ = "0.1.0"

@@ -26,6 +26,23 @@ from .setfn import CoverageFunction, MatchingRewardFunction, ModularFunction, Se
 DEFAULT_PHASES = 10
 
 
+def _check_int(name: str, value, least: int | None = None) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
+
+
+def _check_real(name: str, value, rule: str = "", holds=lambda x: True) -> None:
+    """Raise ValueError naming the field unless ``value`` is a real number
+    (a bool is not) that is finite and ``holds``; ``rule`` says what holds."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not (math.isfinite(value) and holds(value)):
+        raise ValueError(f"{name} must be finite{' and ' + rule if rule else ''}, "
+                         f"got {value!r}")
+
+
 @dataclass
 class Adversary:
     """A reward stream plus the matching core-vector strategy and bounds."""
@@ -111,10 +128,10 @@ def make_modular_drift_adversary(n: int, G: float = 1.0,
 
 
 def random_coverage(n: int, universe: int, rng: np.random.Generator,
-                    density: float = 0.3, normalize: bool = True) -> CoverageFunction:
-    """Random coverage instance; every element covers at least one item and
-    the full ground set covers everything, so f(full set) = 1 when
-    normalized."""
+                    density: float = 0.3) -> CoverageFunction:
+    """Random coverage instance normalized by the universe size; every
+    element covers at least one item and the full ground set covers
+    everything, so f(full set) = 1."""
     family = []
     for i in range(n):
         picks = np.flatnonzero(rng.random(universe) < density)
@@ -125,8 +142,7 @@ def random_coverage(n: int, universe: int, rng: np.random.Generator,
     uncovered = sorted(set(range(universe)) - {e for s in family for e in s})
     for e in uncovered:
         family[int(rng.integers(0, n))].append(e)
-    scale = 1.0 / universe if normalize else 1.0
-    return CoverageFunction(family, universe, scale=scale)
+    return CoverageFunction(family, universe, scale=1.0 / universe)
 
 
 def make_coverage_drift_adversary(n: int, universe: int | None = None,
@@ -149,7 +165,7 @@ def make_coverage_drift_adversary(n: int, universe: int | None = None,
 
     return Adversary("coverage-drift", n, alpha=1.0, M=1.0, G=1.0,
                      _make_rounds=rounds,
-                     _make_strategy=lambda rng: marginal_strategy(rng, submodular=True))
+                     _make_strategy=marginal_strategy)
 
 
 def make_matching_random_adversary(m: int, w_max: float = 1.0,
@@ -173,6 +189,15 @@ def make_matching_random_adversary(m: int, w_max: float = 1.0,
                      _make_rounds=rounds,
                      _make_strategy=lambda rng: matching_dual_strategy())
 
+
+# the rule a config value of each real factory parameter must meet; the other
+# parameters (phases, universe) are counts, integers >= 1
+_REAL_RULES = {
+    "G": ("positive", lambda x: x > 0.0),
+    "w_max": ("positive", lambda x: x > 0.0),
+    "jitter": (">= 0", lambda x: x >= 0.0),
+    "density": ("in (0, 1]", lambda x: 0.0 < x <= 1.0),
+}
 
 _FACTORIES = {
     "onehot-ensemble": make_onehot_adversary,
@@ -203,6 +228,11 @@ def adversary_from_config(cfg: dict, n: int) -> Adversary:
     unknown = set(cfg) - set(list(inspect.signature(factory).parameters)[1:])
     if unknown:
         raise ValueError(f"unknown adversary keys: {sorted(unknown)}")
+    for name, value in cfg.items():
+        if name in _REAL_RULES:
+            _check_real(name, value, *_REAL_RULES[name])
+        else:
+            _check_int(name, value, least=1)
     return factory(n, **cfg)
 
 

@@ -24,8 +24,8 @@ from .bench import (
     lower_bound_experiment,
     run_experiment,
     sweep,
-    verify_all,
 )
+from .verify import verify_all
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

@@ -31,13 +31,11 @@ DEFAULT_TOL = 1e-7
 class AdmissibleVector:
     """A candidate core vector with its claimed admissibility level.
 
-    ``alpha`` is None when the construction makes no claim; ``provenance``
-    records which construction produced it.
+    ``alpha`` is None when the construction makes no claim.
     """
 
     g: np.ndarray
     alpha: float | None
-    provenance: str
 
 
 def marginal_vector(
@@ -70,20 +68,7 @@ def marginal_vector(
         alpha = 1.0 / rho
     else:
         alpha = None
-    return AdmissibleVector(g, alpha, "marginal")
-
-
-def shapley_mc(
-    f: SetFunction, num_perms: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Monte-Carlo Shapley value: average marginal vector over random
-    permutations.  Each sample sums to f(full set), hence so does the mean."""
-    if num_perms < 1:
-        raise ValueError("num_perms must be positive")
-    acc = np.zeros(f.n)
-    for _ in range(num_perms):
-        acc += marginal_vector(f, rng.permutation(f.n)).g
-    return acc / num_perms
+    return AdmissibleVector(g, alpha)
 
 
 def shapley_exact(f: SetFunction) -> np.ndarray:
@@ -131,7 +116,7 @@ def dictator_vector(f: SetFunction, i_star: int, m: float | None = None) -> Admi
         raise ValueError("dictator level m must be positive")
     g = np.zeros(f.n)
     g[i_star] = big_m
-    return AdmissibleVector(g, big_m / m, "dictator")
+    return AdmissibleVector(g, big_m / m)
 
 
 def subset_sums(g: np.ndarray) -> np.ndarray:
@@ -267,7 +252,7 @@ def matching_core_vector(w: np.ndarray) -> AdmissibleVector:
     """1-admissible vector for a matching reward: optimal duals (u, v) laid
     out over the ground set U followed by V."""
     u, v, _, _ = hungarian_duals(w)
-    return AdmissibleVector(np.concatenate([u, v]), 1.0, "matching-dual")
+    return AdmissibleVector(np.concatenate([u, v]), 1.0)
 
 
 def avg_submodular_shapley_check(f: SetFunction, tol: float = DEFAULT_TOL) -> bool:
@@ -317,12 +302,12 @@ def modular_strategy():
     def strategy(f: SetFunction) -> AdmissibleVector:
         if not isinstance(f, ModularFunction):
             raise TypeError("modular_strategy needs ModularFunction rewards")
-        return AdmissibleVector(f.w, 1.0, "marginal")
+        return AdmissibleVector(f.w, 1.0)
 
     return strategy
 
 
-def marginal_strategy(rng: np.random.Generator | None = None, submodular: bool = True):
+def marginal_strategy(rng: np.random.Generator | None = None):
     """Greedy marginal vector along a fresh random permutation per round.
 
     A fixed permutation would let an adversary align against it; the identity
@@ -331,7 +316,7 @@ def marginal_strategy(rng: np.random.Generator | None = None, submodular: bool =
 
     def strategy(f: SetFunction) -> AdmissibleVector:
         perm = None if rng is None else rng.permutation(f.n)
-        return marginal_vector(f, perm, submodular=submodular)
+        return marginal_vector(f, perm, submodular=True)
 
     return strategy
 

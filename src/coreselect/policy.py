@@ -276,14 +276,14 @@ class OftrlPolicy(_Policy):
 
     def __init__(self, config: ScoreConfig, rng: np.random.Generator,
                  mode: str = "exact", sigma_scale: float | None = None,
-                 afw_budget: int | None = None, track_expected: bool = True,
+                 track_expected: bool = True,
                  track_exact_reference: bool = False):
         if mode not in ("exact", "afw"):
             raise ValueError("mode must be 'exact' or 'afw'")
         super().__init__(config, rng, track_expected)
         self.mode = mode
         self.sigma_scale = 1.0 / config.k if sigma_scale is None else float(sigma_scale)
-        self.afw_budget = default_afw_budget(config.T) if afw_budget is None else afw_budget
+        self.afw_budget = default_afw_budget(config.T)
         self.track_exact_reference = track_exact_reference
         self.state = OftrlState(weighted_center=np.zeros(config.n))
         self._afw_active: dict | None = None

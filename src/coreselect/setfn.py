@@ -141,15 +141,15 @@ class ModularFunction(SetFunction):
 
 
 class CoverageFunction(SetFunction):
-    """f(S) = weight of the union of the covering sets chosen by S.
+    """f(S) = ``scale`` times the size of the union of the covering sets
+    chosen by S.
 
-    ``family[i]`` lists the universe items element i covers.  Weights default
-    to 1 per universe item; ``scale`` multiplies the whole function, which is
+    ``family[i]`` lists the universe items element i covers; ``scale`` is
     how the benchmark normalizes instances to value bound 1.
     """
 
     def __init__(self, family: list[Iterable[int]], universe_size: int,
-                 weights: np.ndarray | None = None, scale: float = 1.0):
+                 scale: float = 1.0):
         if universe_size < 1 or universe_size > 63:
             raise ValueError("universe size must be in [1, 63]")
         self.universe_size = universe_size
@@ -158,22 +158,13 @@ class CoverageFunction(SetFunction):
         )
         if np.any(self.family_bits >> np.uint64(universe_size)):
             raise ValueError("family covers items outside the universe")
-        if weights is None:
-            self.weights = None
-        else:
-            self.weights = np.asarray(weights, dtype=float)
-            if self.weights.shape != (universe_size,) or np.any(self.weights < 0):
-                raise ValueError("weights must be nonnegative, one per universe item")
         self.scale = float(scale)
         n = len(family)
         full = self._cover_weight(np.bitwise_or.reduce(self.family_bits)) if n else 0.0
         super().__init__(n, value_bound=full, monotone=True)
 
     def _cover_weight(self, bits: np.uint64) -> float:
-        if self.weights is None:
-            return self.scale * int(np.bitwise_count(bits))
-        b = int(bits)
-        return self.scale * float(sum(self.weights[e] for e in range(self.universe_size) if b >> e & 1))
+        return self.scale * int(np.bitwise_count(bits))
 
     def value_mask(self, mask: int) -> float:
         bits = np.uint64(0)
@@ -189,13 +180,7 @@ class CoverageFunction(SetFunction):
         bits = np.zeros(1, dtype=np.uint64)
         for i in range(self.n):
             bits = np.concatenate([bits, bits | self.family_bits[i]])
-        if self.weights is None:
-            return self.scale * np.bitwise_count(bits).astype(float)
-        vals = np.zeros(bits.size)
-        for e in range(self.universe_size):
-            on = (bits >> np.uint64(e)) & np.uint64(1)
-            vals += self.weights[e] * on.astype(float)
-        return self.scale * vals
+        return self.scale * np.bitwise_count(bits).astype(float)
 
     def prefix_values(self, perm: np.ndarray) -> np.ndarray:
         # one incremental union per step instead of rebuilding each prefix
@@ -257,22 +242,19 @@ class MatchingRewardFunction(SetFunction):
         return out
 
 
-def distance_sup(f: SetFunction, h: ModularFunction, n_enum_max: int = ENUM_MAX) -> float:
+def distance_sup(f: SetFunction, h: ModularFunction) -> float:
     """max over all subsets of |f(S) - h(S)|.
 
     Modular-vs-modular has the O(n) closed form max(sum of positive gaps,
     -sum of negative gaps); anything else is enumerated exactly, guarded by
-    ``n_enum_max``.
+    ``ENUM_MAX``.
     """
     if f.n != h.n:
         raise ValueError("mismatched ground sets")
     if isinstance(f, ModularFunction):
         nu = f.w - h.w
         return float(max(np.maximum(nu, 0.0).sum(), -np.minimum(nu, 0.0).sum()))
-    if f.n > n_enum_max:
-        raise EnumerationTooLargeError(
-            f"n = {f.n} > {n_enum_max} for a non-modular distance"
-        )
+    _guard(f.n, ENUM_MAX, "a non-modular distance")
     return float(np.abs(f.values_all() - h.values_all()).max())
 
 
@@ -354,32 +336,3 @@ def estimate_rho(f: SetFunction, tol: float = 1e-12) -> float:
         rho = min(rho, float((num / den[pos]).min()))
     return min(rho, 1.0)
 
-
-def oracle_from_config(cfg: dict) -> SetFunction:
-    """Build a reward oracle from its JSON description.
-
-    Recognized kinds::
-
-        {"kind": "modular",  "w": [..]}
-        {"kind": "coverage", "family": [[..], ..], "universe_size": int,
-         "weights": [..] (optional), "scale": float (optional)}
-        {"kind": "matching", "w": [[..], ..]}
-    """
-    cfg = dict(cfg)
-    kind = cfg.pop("kind", None)
-    if kind == "modular":
-        fn = ModularFunction(np.asarray(cfg.pop("w"), dtype=float))
-    elif kind == "coverage":
-        fn = CoverageFunction(
-            cfg.pop("family"),
-            cfg.pop("universe_size"),
-            weights=None if "weights" not in cfg else np.asarray(cfg.pop("weights"), dtype=float),
-            scale=cfg.pop("scale", 1.0),
-        )
-    elif kind == "matching":
-        fn = MatchingRewardFunction(np.asarray(cfg.pop("w"), dtype=float))
-    else:
-        raise ValueError(f"unknown set-function kind: {kind!r}")
-    if cfg:
-        raise ValueError(f"unknown set-function keys: {sorted(cfg)}")
-    return fn

@@ -20,7 +20,6 @@ from coreselect.bench import (
     PolicyBlock,
     lower_bound_experiment,
     run_replicas,
-    verify_all,
 )
 from coreselect.hypersimplex import entropic_ftrl_argmax, euclidean_project
 from coreselect.policy import (
@@ -33,6 +32,7 @@ from coreselect.policy import (
 )
 from coreselect.sampling import madow_marginal_measure
 from coreselect.setfn import distance_sup
+from coreselect.verify import verify_all
 
 WORKERS = 2
 

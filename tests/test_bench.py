@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,17 +14,18 @@ import pytest
 import coreselect
 from coreselect.adversary import Adversary
 from coreselect.bench import (
-    CheckResult,
     ExperimentConfig,
     PolicyBlock,
     lower_bound_experiment,
     run_experiment,
     run_replica,
     sweep,
-    verify_all,
 )
 from coreselect.cli import main
 from coreselect.hypersimplex import HypersimplexPoint, euclidean_project
+from coreselect.verify import CheckResult, verify_all
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def base_config(**overrides):
@@ -245,6 +247,7 @@ def test_config_rejects_nonpositive_cost_and_sigma(policy):
     pytest.param({"replicas": "2"}, "replicas must be an integer", id="replicas-string"),
     pytest.param({"n": True}, "n must be an integer", id="n-bool"),
     pytest.param({"seed": 1.0}, "seed must be an integer", id="seed-float"),
+    pytest.param({"seed": -1}, "seed must be >= 0", id="seed-negative"),
     pytest.param({"policy": {"kind": "oftrl"},
                   "hints": {"mode": "additive-noise", "noise_l2": "x"}},
                  "noise_l2 must be a finite nonnegative number", id="noise_l2-string"),
@@ -278,6 +281,47 @@ def test_cli_run_checks_its_overrides(tmp_path, capsys):
     assert "replicas must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("adversary, message", [
+    pytest.param({"kind": "modular-random", "G": "x"}, "G must be a number",
+                 id="G-string"),
+    pytest.param({"kind": "coverage-drift", "universe": "x"},
+                 "universe must be an integer", id="universe-string"),
+    pytest.param({"kind": "coverage-drift", "phases": "x"},
+                 "phases must be an integer", id="phases-string"),
+    pytest.param({"kind": "modular-random", "G": 0}, "G must be finite and positive",
+                 id="G-zero"),
+    pytest.param({"kind": "matching-random", "w_max": 0},
+                 "w_max must be finite and positive", id="w_max-zero"),
+    pytest.param({"kind": "modular-drift", "phases": 0}, "phases must be >= 1",
+                 id="phases-zero"),
+    pytest.param({"kind": "modular-random", "G": -1}, "G must be finite and positive",
+                 id="G-negative"),
+    pytest.param({"kind": "matching-random", "w_max": -1},
+                 "w_max must be finite and positive", id="w_max-negative"),
+    pytest.param({"kind": "coverage-drift", "density": -1},
+                 "density must be finite and in (0, 1]", id="density-negative"),
+    pytest.param({"kind": "coverage-drift", "density": 0},
+                 "density must be finite and in (0, 1]", id="density-zero"),
+    pytest.param({"kind": "modular-drift", "jitter": float("nan")},
+                 "jitter must be finite and >= 0", id="jitter-nan"),
+])
+def test_cli_run_names_bad_adversary_values(adversary, message, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(T=5, replicas=1, adversary=adversary)))
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_priced_rate_clamp_warns_once_per_replica():
+    cfg = ExperimentConfig.from_dict(base_config(
+        T=10, replicas=2, policy={"kind": "priced", "cost": 0.1}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_experiment(cfg)
+    clamps = [w for w in caught if "priced observation rate" in str(w.message)]
+    assert len(clamps) == cfg.replicas
+
+
 def test_check_result_shape():
     r = CheckResult("x", True, "ok")
     assert r.name == "x" and r.passed and r.detail == "ok"
@@ -286,6 +330,15 @@ def test_check_result_shape():
 def test_policy_block_validation():
     with pytest.raises(ValueError):
         PolicyBlock("score", mode="bogus")
+
+
+def _run_fresh(code: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter on this package."""
+    src = str(Path(coreselect.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True).stdout
 
 
 def test_scipy_optimize_loads_only_for_matching_rewards():
@@ -298,9 +351,33 @@ def test_scipy_optimize_loads_only_for_matching_rewards():
         "adversary_from_config({'kind': 'matching-random'}, 4)",
         "print('scipy.optimize' in sys.modules)",
     ])
-    src = str(Path(coreselect.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env, check=True).stdout.split()
-    assert out == ["False", "True"]
+    assert _run_fresh(code).split() == ["False", "True"]
+
+
+def test_traced_benchmark_reaches_every_layer(tmp_path):
+    # perfbench/spans.py wraps module attributes of the package; a layer
+    # that a refactor moves out from under its wrapper reads zero calls
+    noisy = {"mode": "additive-noise", "noise_l2": 0.3}
+    configs = [
+        base_config(T=10, replicas=1, policy={"kind": "score"},
+                    adversary={"kind": "matching-random"}),
+        base_config(T=10, replicas=1, policy={"kind": "oftrl", "mode": "afw"},
+                    adversary={"kind": "coverage-drift"}, hints=noisy),
+        base_config(T=10, replicas=1, policy={"kind": "oftrl", "mode": "exact"},
+                    adversary={"kind": "modular-drift"}, hints=noisy),
+        base_config(T=10, replicas=1, policy={"kind": "priced"}),
+    ]
+    code = "\n".join([
+        "import json, sys",
+        f"sys.path.insert(0, {str(PERFBENCH)!r})",
+        "import spans",
+        "rec = spans.SpanRecorder()",
+        "spans.instrument(rec)",
+        "from coreselect.bench import ExperimentConfig, run_experiment",
+        f"for i, raw in enumerate({configs!r}):",
+        f"    run_experiment(ExperimentConfig.from_dict(raw), out_dir={str(tmp_path)!r} + f'/{{i}}')",
+        "metrics = rec.layer_metrics()",
+        "print(json.dumps({name: metrics[name + '.calls'] for name in spans.LAYERS}))",
+    ])
+    calls = json.loads(_run_fresh(code))
+    assert [name for name, count in calls.items() if count == 0] == []

@@ -19,7 +19,6 @@ from coreselect.corevec import (
     matching_dual_strategy,
     modular_strategy,
     shapley_exact,
-    shapley_mc,
     subset_sums,
     tightest_alpha,
 )
@@ -112,13 +111,6 @@ def test_submodular_marginals_live_in_the_core():
 # ---------------------------------------------------------------------------
 # Shapley values.
 
-def test_shapley_mc_modular_has_zero_variance():
-    w = np.array([0.3, -1.0, 2.5])
-    f = ModularFunction(w)
-    rng = np.random.default_rng(3)
-    np.testing.assert_allclose(shapley_mc(f, 7, rng), w, atol=1e-12)
-
-
 def test_shapley_exact_indicator_game():
     np.testing.assert_allclose(shapley_exact(indicator_game()), [0.5, 0.5, 0.0], atol=1e-12)
 
@@ -130,26 +122,6 @@ def test_shapley_exact_matches_permutation_enumeration():
         np.testing.assert_allclose(
             shapley_exact(f), shapley_by_permutations(f), atol=1e-10
         )
-
-
-def test_shapley_mc_within_confidence_interval():
-    f = indicator_game()
-    exact = np.array([0.5, 0.5, 0.0])
-    rng = np.random.default_rng(5)
-    m = 4000
-    est = shapley_mc(f, m, rng)
-    # each sampled coordinate lies in [0, 1]; a generous envelope is 4 * 0.5 / sqrt(m)
-    assert np.all(np.abs(est - exact) <= 4 * 0.5 / math.sqrt(m))
-    assert abs(est.sum() - f.full_value()) < 1e-12
-
-
-def test_shapley_mc_coverage_against_full_enumeration():
-    rng = np.random.default_rng(6)
-    f = random_coverage(6, rng)
-    exact = shapley_by_permutations(f)
-    est = shapley_mc(f, 3000, rng)
-    spread = f.full_value()
-    assert np.all(np.abs(est - exact) <= 4 * spread / math.sqrt(3000))
 
 
 # ---------------------------------------------------------------------------

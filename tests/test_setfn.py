@@ -16,7 +16,6 @@ from coreselect.setfn import (
     estimate_rho,
     indices_of,
     mask_of,
-    oracle_from_config,
 )
 
 
@@ -99,13 +98,6 @@ def test_coverage_against_union_counting():
             f.values_all(),
             [f.value_mask(m) for m in range(1 << n)],
         )
-
-
-def test_weighted_coverage():
-    w = np.array([2.0, 5.0, 1.0])
-    f = CoverageFunction([[0], [1], [0, 2]], 3, weights=w)
-    assert f.value([0, 2]) == 3.0
-    assert f.full_value() == 8.0
 
 
 def test_distance_sup_modular_closed_form():
@@ -240,21 +232,3 @@ def test_matching_rejects_bad_matrices():
         MatchingRewardFunction(np.array([[1.0, 2.0]]))
     with pytest.raises(ValueError):
         MatchingRewardFunction(np.array([[-1.0]]))
-
-
-def test_oracle_from_config_round_trip():
-    f = oracle_from_config({"kind": "modular", "w": [1, 2, 3]})
-    assert isinstance(f, ModularFunction)
-    g = oracle_from_config(
-        {"kind": "coverage", "family": [[0], [0, 1]], "universe_size": 2}
-    )
-    assert g.value([0, 1]) == 2.0
-    h = oracle_from_config({"kind": "matching", "w": [[5.0]]})
-    assert h.value([0, 1]) == 5.0
-
-
-def test_oracle_from_config_rejects_unknown():
-    with pytest.raises(ValueError):
-        oracle_from_config({"kind": "modular", "w": [1], "extra": 1})
-    with pytest.raises(ValueError):
-        oracle_from_config({"kind": "nope"})
