@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable
 
@@ -58,11 +58,24 @@ POLICY_KINDS = ("score", "oftrl", "semibandit", "priced")
 SWEEP_AXES = ("T", "k", "noise_l2", "epsilon", "C")
 
 
-def _known_keys(cls, raw: dict, what: str) -> dict:
-    """A copy of ``raw``, after rejecting every key that is not a field of ``cls``."""
+def _object(raw, name: str) -> dict:
+    """``raw`` itself, after checking that the JSON value ``name`` is an object."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{name} must be a JSON object, got {raw!r}")
+    return raw
+
+
+def _known_keys(cls, raw, name: str) -> dict:
+    """A copy of the JSON object ``name``, after rejecting every key that is
+    not a field of ``cls`` and every field without a default that it lacks."""
+    _object(raw, name)
     unknown = set(raw) - {f.name for f in fields(cls)}
     if unknown:
-        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+        raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
+    missing = [f.name for f in fields(cls) if f.name not in raw
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"{name} is missing required keys: {missing}")
     return dict(raw)
 
 
@@ -121,15 +134,17 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
-        """Strict parse: unknown keys anywhere are an error."""
-        raw = dict(raw)
+        """Strict parse: unknown or missing keys anywhere, and blocks that are
+        not JSON objects, are an error naming the block."""
+        raw = dict(_object(raw, "config"))
         schema = raw.pop("schema", None)
         if schema != SCHEMA_VERSION:
             raise ValueError(f"config schema must be {SCHEMA_VERSION}, got {schema!r}")
         raw = _known_keys(ExperimentConfig, raw, "config")
         raw["policy"] = PolicyBlock(**_known_keys(PolicyBlock, raw["policy"], "policy"))
+        _object(raw["adversary"], "adversary")
         if raw.get("hints") is not None:
-            raw["hints"] = HintSpec(**_known_keys(HintSpec, raw["hints"], "hint"))
+            raw["hints"] = HintSpec(**_known_keys(HintSpec, raw["hints"], "hints"))
         return ExperimentConfig(**raw)
 
     @staticmethod

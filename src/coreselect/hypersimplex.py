@@ -144,11 +144,17 @@ def euclidean_project(y: np.ndarray, k: int) -> HypersimplexPoint:
 
     The projection is p_i = clamp(y_i - tau, 0, 1) where tau solves
     sum_i clamp(y_i - tau, 0, 1) = k.  The map tau -> sum falls piecewise
-    linearly from n to 0 with breakpoints {y_i - 1} and {y_i}.  After one
-    stable sort of the 2n breakpoints, exclusive cumulative sums give the sum
-    at every breakpoint at once; the first breakpoint where it reaches k ends
-    the segment holding the root (Wang & Lu 2015, arXiv:1503.01002).  The
-    cost is O(n log n).
+    linearly from n to 0 with breakpoints {y_i - 1} and {y_i}.  After a sort
+    of the 2n breakpoints, exclusive cumulative sums give the sum at every
+    breakpoint at once; the first breakpoint where it reaches k ends the
+    segment holding the root (Wang & Lu 2015, arXiv:1503.01002).  The cost is
+    O(n log n).
+
+    The order of equal breakpoints sets the order in which the cumulative
+    sums add their terms, and so the last bits of tau.  Without ties exactly
+    one permutation sorts them, so numpy's default (unstable, and above about
+    a thousand elements much faster) sort gives it; with a tie the solver
+    sorts again stably, keeping equal breakpoints in index order.
     """
     y = _check_finite(y, "y")
     n = y.size
@@ -161,9 +167,14 @@ def euclidean_project(y: np.ndarray, k: int) -> HypersimplexPoint:
     # active (p_i = y_i - tau); at y_i it hits zero and dies.  Just before
     # each sorted breakpoint: `entered` coordinates have left the cap, n_act
     # are active and act_sum is their sum of y, added left to right.
-    bps = np.concatenate([y - 1.0, y])
-    order = bps.argsort(kind="stable")
-    bps = bps[order]
+    unsorted = np.concatenate([y - 1.0, y])
+    order = unsorted.argsort()
+    bps = unsorted[order]
+    if (bps[1:] == bps[:-1]).any():
+        # index order among equal breakpoints, gathered again because equal
+        # values may differ in the sign of zero
+        order = unsorted.argsort(kind="stable")
+        bps = unsorted[order]
     enters = order < n
     entered = enters.cumsum() - enters
     n_act = 2 * entered - np.arange(2 * n)
@@ -178,7 +189,7 @@ def euclidean_project(y: np.ndarray, k: int) -> HypersimplexPoint:
         tau = (n - entered[m] + act_sum[m] - k) / n_act[m]
     else:
         tau = bps[m]
-    p = _refeasibilize((y - tau).clip(0.0, 1.0), k)
+    p = _refeasibilize(y - tau, k)  # clamps to [0, 1] first
     return HypersimplexPoint(n, k, p)
 
 
@@ -186,7 +197,9 @@ def lmo(cost: np.ndarray, k: int) -> np.ndarray:
     """Vertex of the capped simplex minimizing <cost, .>.
 
     Returns the 0/1 indicator of the k smallest costs; ties break toward the
-    lowest index so repeated runs give identical traces.
+    lowest index so repeated runs give identical traces.  Only a tie between
+    the k-th and (k+1)-th smallest costs leaves the set open, so the default
+    sort decides it unless those two are equal, and then a stable sort does.
     """
     cost = _check_finite(cost, "cost")
     n = cost.size
@@ -196,7 +209,10 @@ def lmo(cost: np.ndarray, k: int) -> np.ndarray:
     if k == n:
         v[:] = 1.0
         return v
-    v[cost.argsort(kind="stable")[:k]] = 1.0
+    order = cost.argsort()
+    if cost[order[k - 1]] == cost[order[k]]:
+        order = cost.argsort(kind="stable")
+    v[order[:k]] = 1.0
     return v
 
 

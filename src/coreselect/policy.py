@@ -216,7 +216,8 @@ class PricedPolicy(ScorePolicy):
     Each round it plays a sample from the current probabilities; with
     probability epsilon it pays the peek cost, observes the core vector, and
     feeds it scaled by 1/epsilon, otherwise it feeds zero (a pure
-    regularizer step).
+    regularizer step).  A zero feed leaves ``theta`` where it was, so the
+    proposal is computed again only after an observed round.
     """
 
     def __init__(self, config: ScoreConfig, rng: np.random.Generator,
@@ -228,6 +229,7 @@ class PricedPolicy(ScorePolicy):
             raise ValueError("epsilon must lie in (0, 1]")
         self.epsilon = epsilon
         self.cost = float(cost)
+        self._point: HypersimplexPoint | None = None  # the proposal for theta
         super().__init__(config, rng, track_expected=track_expected)
 
     @staticmethod
@@ -246,8 +248,14 @@ class PricedPolicy(ScorePolicy):
             eta = math.sqrt(eps * k * math.log(n / k) / (2.0 * T * G * G))
         return ScoreConfig(n=n, k=k, T=T, alpha=alpha, M=M, G=G, eta=eta)
 
+    def _propose(self, hint):
+        if self._point is None:
+            self._point = super()._propose(hint)[0]
+        return self._point, None
+
     def _feed(self, gvec, point, selected):
         if self.rng.random() < self.epsilon:
+            self._point = None  # theta moves
             return gvec / self.epsilon, True, self.cost
         return np.zeros(self.config.n), False, 0.0
 

@@ -52,7 +52,7 @@ def test_config_parses_and_rejects_unknown_keys():
         ExperimentConfig.from_dict(base_config(bogus=1))
     with pytest.raises(ValueError, match="unknown policy keys"):
         ExperimentConfig.from_dict(base_config(policy={"kind": "score", "x": 1}))
-    with pytest.raises(ValueError, match="unknown hint keys"):
+    with pytest.raises(ValueError, match="unknown hints keys"):
         ExperimentConfig.from_dict(base_config(hints={"mode": "perfect", "y": 2}))
     with pytest.raises(ValueError, match="policy kind"):
         ExperimentConfig.from_dict(base_config(policy={"kind": "hedge"}))
@@ -308,6 +308,32 @@ def test_cli_run_checks_its_overrides(tmp_path, capsys):
 def test_cli_run_names_bad_adversary_values(adversary, message, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(base_config(T=5, replicas=1, adversary=adversary)))
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def _without(key):
+    raw = base_config(T=5, replicas=1)
+    del raw[key]
+    return raw
+
+
+@pytest.mark.parametrize("raw, message", [
+    pytest.param(base_config(T=5, replicas=1, policy=5), "policy must be a JSON object",
+                 id="policy-number"),
+    pytest.param(base_config(T=5, replicas=1, adversary=5),
+                 "adversary must be a JSON object", id="adversary-number"),
+    pytest.param(base_config(T=5, replicas=1, hints=5), "hints must be a JSON object",
+                 id="hints-number"),
+    pytest.param(_without("policy"), "config is missing required keys: ['policy']",
+                 id="policy-missing"),
+    pytest.param(_without("adversary"), "config is missing required keys: ['adversary']",
+                 id="adversary-missing"),
+    pytest.param([1, 2], "config must be a JSON object", id="top-level-list"),
+])
+def test_cli_run_names_bad_config_blocks(raw, message, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
     assert main(["run", "--config", str(cfg_path)]) == 2
     assert message in capsys.readouterr().err
 

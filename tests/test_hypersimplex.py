@@ -308,6 +308,74 @@ def test_lmo_minimizes_over_all_vertices():
 
 
 # ---------------------------------------------------------------------------
+# The default sort with a stable fallback on ties, against one stable sort.
+
+def project_stable_reference(y, k):
+    """The projection with one stable sort of its 2n breakpoints, written out."""
+    n = y.size
+    bps = np.concatenate([y - 1.0, y])
+    order = np.argsort(bps, kind="stable")
+    bps = bps[order]
+    enters = order < n
+    entered = np.cumsum(enters) - enters
+    n_act = 2 * entered - np.arange(2 * n)
+    act_sum = np.zeros(2 * n)
+    act_sum[1:] = np.cumsum(np.concatenate([y, -y])[order[:-1]])
+    s = (n - entered) + act_sum - n_act * bps
+    m = int(np.argmax(s <= k + 1e-15))
+    if n_act[m] > 0:
+        tau = (n - entered[m] + act_sum[m] - k) / n_act[m]
+    else:
+        tau = bps[m]
+    return _refeasibilize(np.clip(y - tau, 0.0, 1.0), k)
+
+
+def lmo_stable_reference(cost, k):
+    v = np.zeros(cost.size)
+    v[np.argsort(cost, kind="stable")[:k]] = 1.0
+    return v
+
+
+def sort_inputs(n, rng):
+    """Named inputs: no ties, and each way a tie can arise."""
+    y = rng.standard_normal(n)
+    collide = rng.standard_normal(n)
+    collide[1::2] = collide[: n // 2 * 2: 2] - 1.0  # y_i - 1 == y_j exactly
+    return {
+        "random": y,
+        "random-wide": y * 1e3,
+        "integer-ties": rng.integers(-3, 4, n).astype(float),
+        "constant": np.full(n, 0.7),
+        "signed-zero": rng.choice([0.0, -0.0, 1.0, -1.0, 0.5], n),
+        "collide": collide,
+        "huge": y * 1e17,  # y - 1 rounds back to y
+    }
+
+
+@pytest.mark.parametrize("n", [20, 1000, 1025, 2000])
+def test_default_sort_matches_the_stable_sort_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for name, y in sort_inputs(n, rng).items():
+        bps = np.sort(np.concatenate([y - 1.0, y]))
+        assert (bps[1:] == bps[:-1]).any() == (name not in ("random", "random-wide"))
+        for k in (1, 5, n // 3, n - 1):
+            try:
+                want = project_stable_reference(y, k)
+            except InfeasiblePointError:
+                with pytest.raises(InfeasiblePointError):
+                    euclidean_project(y, k)
+            else:
+                assert euclidean_project(y, k).p.tobytes() == want.tobytes(), (name, k)
+            assert lmo(y, k).tobytes() == lmo_stable_reference(y, k).tobytes(), (name, k)
+    # four signed zeros at ranks k-2..k+1: only the stable order decides the set
+    cost = rng.standard_normal(n)
+    k = n // 2
+    cost -= np.sort(cost)[k]
+    cost[cost.argsort()[k - 2:k + 2]] = [0.0, -0.0, -0.0, 0.0]
+    assert lmo(cost, k).tobytes() == lmo_stable_reference(cost, k).tobytes()
+
+
+# ---------------------------------------------------------------------------
 # Away-steps Frank-Wolfe.
 
 def _random_point(n, k, rng):

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import coreselect.policy as policy_module
 from coreselect.adversary import (
     HintSpec,
     generate_hints,
@@ -239,12 +240,28 @@ def test_priced_always_observing_costs_every_round():
         np.testing.assert_allclose(r.fed, r.gvec, atol=1e-12)
 
 
-def test_priced_unobserved_round_feeds_zero():
+def test_priced_unobserved_round_feeds_zero(monkeypatch):
+    argmax = policy_module.entropic_ftrl_argmax
+    calls = []
+
+    def counted(theta, eta, k):
+        calls.append(1)
+        return argmax(theta, eta, k)
+
+    monkeypatch.setattr(policy_module, "entropic_ftrl_argmax", counted)
     adv = make_modular_drift_adversary(6, G=1.0)
     cfg = PricedPolicy.tuned_config(6, 2, 400, 1.0, cost=1.0)
     pol = PricedPolicy(cfg, np.random.default_rng(5), cost=1.0, epsilon=0.2)
     strategy = adv.core_strategy(np.random.default_rng(6))
-    recs = [pol.step(f, strategy) for f in adv.rounds(400, np.random.default_rng(7))]
+    recs = []
+    for f in adv.rounds(400, np.random.default_rng(7)):
+        theta = pol.theta.copy()
+        before = len(calls)
+        r = pol.step(f, strategy)
+        # an unobserved round leaves theta alone, so the next one makes no argmax
+        assert len(calls) - before == (0 if recs and not recs[-1].observed else 1)
+        assert r.p.tobytes() == argmax(theta, cfg.eta, 2).p.tobytes()
+        recs.append(r)
     unobserved = [r for r in recs if not r.observed]
     observed = [r for r in recs if r.observed]
     assert unobserved and observed
