@@ -246,10 +246,7 @@ class HintSpec:
     def __post_init__(self) -> None:
         if self.mode not in ("perfect", "additive-noise", "adversarial-flip"):
             raise ValueError(f"unknown hint mode: {self.mode!r}")
-        x = self.noise_l2
-        if (isinstance(x, bool) or not isinstance(x, numbers.Real)
-                or not (math.isfinite(x) and x >= 0.0)):
-            raise ValueError(f"noise_l2 must be a finite nonnegative number, got {x!r}")
+        _check_real("noise_l2", self.noise_l2, ">= 0", lambda x: x >= 0.0)
 
 
 def generate_hints(fvecs: list[np.ndarray], spec: HintSpec,

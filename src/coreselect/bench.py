@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 # numpy loads numpy.random on first use; every replica draws from it, so load
@@ -41,7 +41,6 @@ from .policy import (
     ScoreConfig,
     ScorePolicy,
     SemiBanditPolicy,
-    _core_vector,
     augmented_regret_bound,
     norm_bound,
     optimistic_regret_bound,
@@ -195,48 +194,61 @@ def _resolve_bounds(cfg: ExperimentConfig, adv: Adversary) -> tuple[float, float
     return float(alpha), float(M), float(G)
 
 
-def _policy_round(cfg: ExperimentConfig, score_cfg: ScoreConfig, rngs: dict,
-                  strategy, result: ReplicaResult):
-    """The configured policy's round, as a function of the revealed reward.
-
-    The optimistic policy's hint is made from this round's proxy vector
-    before it proposes; rewards on at most 16 elements also log the hint's
-    squared sup-distance for the optimistic bound.
-    """
+def _make_policy(cfg: ExperimentConfig, score_cfg: ScoreConfig,
+                 rng: np.random.Generator) -> ScorePolicy | OftrlPolicy:
+    """The policy of the configured kind."""
     pol = cfg.policy
     if pol.kind == "oftrl":
-        policy = OftrlPolicy(score_cfg, rngs["policy"], mode=pol.mode,
-                             sigma_scale=pol.sigma, track_expected=False)
+        return OftrlPolicy(score_cfg, rng, mode=pol.mode, sigma_scale=pol.sigma)
+    if pol.kind == "score":
+        return ScorePolicy(score_cfg, rng)
+    if pol.kind == "semibandit":
+        return SemiBanditPolicy(score_cfg, rng)
+    eps = pol.epsilon
+    if eps is None:  # once: a clamped rate warns each time it is computed
+        eps = priced_epsilon(cfg.n, cfg.k, cfg.T, score_cfg.G, pol.cost)
+    if pol.eta is None:
+        score_cfg = PricedPolicy.tuned_config(
+            cfg.n, cfg.k, cfg.T, score_cfg.G, pol.cost, alpha=score_cfg.alpha,
+            M=score_cfg.M, epsilon=eps)
+    return PricedPolicy(score_cfg, rng, cost=pol.cost, epsilon=eps)
+
+
+def _core_vector(core_strategy, f: SetFunction, t: int) -> np.ndarray:
+    """The strategy's proxy vector for f; a failure names round t."""
+    try:
+        return core_strategy(f).g
+    except Exception as exc:
+        raise RuntimeError(f"core strategy failed on round {t}: {exc}") from exc
+
+
+def _replica_rounds(cfg: ExperimentConfig, policy: ScorePolicy | OftrlPolicy,
+                    adv: Adversary, rngs: dict,
+                    result: ReplicaResult) -> Iterator[RoundRecord]:
+    """Each round's record, played as its reward is revealed.
+
+    The round's proxy vector comes from the adversary's core strategy.  The
+    optimistic policy also gets a hint made from that vector; rewards on at
+    most 16 elements then log the hint's squared sup-distance for the
+    optimistic bound.
+    """
+    strategy = adv.core_strategy(rngs["strategy"])
+    spec = None
+    if cfg.policy.kind == "oftrl":
         spec = cfg.hints if cfg.hints is not None else HintSpec("perfect")
         result.sq_distances = [] if cfg.n <= 16 else None
-
-        def play(f: SetFunction) -> RoundRecord:
-            fv = _core_vector(strategy, f, policy.t + 1)  # step has not counted it yet
-            h = generate_hints([fv], spec, rngs["hints"])[0]
-            record = policy.step(f, h.w, lambda _f: fv)
+    for t, f in enumerate(adv.rounds(cfg.T, rngs["adversary"]), 1):
+        g = _core_vector(strategy, f, t)
+        hint = None
+        if spec is not None:
+            h = generate_hints([g], spec, rngs["hints"])[0]
+            hint = h.w
             if result.sq_distances is not None:
                 if isinstance(f, (ModularFunction, CoverageFunction)):
                     result.sq_distances.append(distance_sup(f, h) ** 2)
                 else:
                     result.sq_distances = None
-            return record
-
-        return play
-    if pol.kind == "score":
-        policy = ScorePolicy(score_cfg, rngs["policy"], track_expected=False)
-    elif pol.kind == "semibandit":
-        policy = SemiBanditPolicy(score_cfg, rngs["policy"], track_expected=False)
-    else:
-        eps = pol.epsilon
-        if eps is None:  # once: a clamped rate warns each time it is computed
-            eps = priced_epsilon(cfg.n, cfg.k, cfg.T, score_cfg.G, pol.cost)
-        if pol.eta is None:
-            score_cfg = PricedPolicy.tuned_config(
-                cfg.n, cfg.k, cfg.T, score_cfg.G, pol.cost, alpha=score_cfg.alpha,
-                M=score_cfg.M, epsilon=eps)
-        policy = PricedPolicy(score_cfg, rngs["policy"], cost=pol.cost,
-                              epsilon=eps, track_expected=False)
-    return lambda f: policy.step(f, strategy)
+        yield policy.step(f, g, hint)
 
 
 def run_replica(cfg: ExperimentConfig, replica: int,
@@ -252,9 +264,8 @@ def run_replica(cfg: ExperimentConfig, replica: int,
     score_cfg = ScoreConfig(n=cfg.n, k=cfg.k, T=cfg.T, alpha=alpha, M=M, G=G,
                             eta=cfg.policy.eta)
     result = ReplicaResult(RegretLedger(cfg.n, cfg.k, alpha))
-    play = _policy_round(cfg, score_cfg, rngs, adv.core_strategy(rngs["strategy"]),
-                         result)
-    records = map(play, adv.rounds(cfg.T, rngs["adversary"]))
+    policy = _make_policy(cfg, score_cfg, rngs["policy"])
+    records = _replica_rounds(cfg, policy, adv, rngs, result)
     if out_dir is None:
         for r in records:
             result.ledger.add(r)

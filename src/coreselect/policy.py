@@ -1,13 +1,14 @@
 """Online subset-selection policies and their regret accounting.
 
-Every policy plays the same round (``_Policy._play``): draw a Madow sample
-from the proposed inclusion probabilities, reveal the reward, ask the core
-strategy for its proxy vector, feed the learner, and log a ``RoundRecord``.
-The policies differ only in the proposal (entropic argmax of the cumulative
-score, or an optimistic quadratic step against a hint) and in the feed and
-update (the admissible vector itself, an inverse-propensity estimate, or a
-Bernoulli-gated estimate with a per-peek price).  ``RegretLedger`` keeps the
-regret accounting as running sums, one round at a time.
+Every policy plays the same round (``_Policy.step``): draw a Madow sample
+from the proposed inclusion probabilities, reveal the reward, feed the learner
+the reward's proxy vector, which the caller passes in with the reward, and
+log a ``RoundRecord``.  The policies differ only in the proposal (entropic
+argmax of the cumulative score, or an optimistic quadratic step against a
+hint) and in the feed and update (the admissible vector itself, an
+inverse-propensity estimate, or a Bernoulli-gated estimate with a per-peek
+price).  ``RegretLedger`` keeps the regret accounting as running sums, one
+round at a time.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corevec import AdmissibleVector
 from .hypersimplex import (
     HypersimplexPoint,
     QuadraticObjective,
@@ -27,8 +27,8 @@ from .hypersimplex import (
     entropic_ftrl_argmax,
     lmo,
 )
-from .sampling import draw, expected_set_value
-from .setfn import ModularFunction, SetFunction
+from .sampling import draw
+from .setfn import SetFunction
 
 
 def norm_bound(alpha: float, value_bound: float) -> float:
@@ -89,33 +89,11 @@ class RoundRecord:
     selected: tuple[int, ...]
     reward: float
     full_reward: float
-    expected_reward: float
     gvec: np.ndarray
     fed: np.ndarray
     observed: bool
     cost: float
     p_ref: np.ndarray | None = None
-
-
-def _as_vector(g: AdmissibleVector | np.ndarray) -> np.ndarray:
-    if isinstance(g, AdmissibleVector):
-        return g.g
-    return np.asarray(g, dtype=float)
-
-
-def _core_vector(core_strategy, f: SetFunction, t: int) -> np.ndarray:
-    """The strategy's proxy vector for f; a failure names round t."""
-    try:
-        return _as_vector(core_strategy(f))
-    except Exception as exc:
-        raise RuntimeError(f"core strategy failed on round {t}: {exc}") from exc
-
-
-def _expected_reward(f: SetFunction, point: HypersimplexPoint) -> float:
-    """Exact conditional expected reward E[f(S) | p] under the sampler."""
-    if isinstance(f, ModularFunction):
-        return float(f.w @ point.p)
-    return expected_set_value(point, f.value)
 
 
 class _Policy:
@@ -127,11 +105,9 @@ class _Policy:
     observed) and ``_update`` (any state beyond ``theta``).
     """
 
-    def __init__(self, config: ScoreConfig, rng: np.random.Generator,
-                 track_expected: bool = True):
+    def __init__(self, config: ScoreConfig, rng: np.random.Generator):
         self.config = config
         self.rng = rng
-        self.track_expected = track_expected
         self.theta = np.zeros(config.n)
         self.t = 0
 
@@ -147,9 +123,11 @@ class _Policy:
                 hint: np.ndarray | None) -> None:
         pass
 
-    def _play(self, f: SetFunction, core_strategy,
-              hint: np.ndarray | None = None) -> RoundRecord:
-        """Propose, sample, reveal f, feed its core vector, log the round."""
+    def step(self, f: SetFunction, gvec: np.ndarray,
+             hint: np.ndarray | None = None) -> RoundRecord:
+        """Play one round: propose (against ``hint``, which the optimistic
+        policy needs every round), sample, reveal f, feed ``gvec``, the proxy
+        vector of f, and log the round."""
         cfg = self.config
         self.t += 1
         if cfg.k == cfg.n:
@@ -158,15 +136,12 @@ class _Policy:
         else:
             point, p_ref = self._propose(hint)
             selected, u = draw(point, self.rng)
-        gvec = _core_vector(core_strategy, f, self.t)
         fed, observed, cost = self._feed(gvec, point, selected)
         self.theta += fed
         self._update(fed, point, hint)
-        reward = f.value(selected)
-        expected = _expected_reward(f, point) if self.track_expected else float("nan")
         return RoundRecord(
             t=self.t, p=point.p, u=u, selected=selected,
-            reward=reward, full_reward=f.full_value(), expected_reward=expected,
+            reward=f.value(selected), full_reward=f.full_value(),
             gvec=gvec, fed=fed, observed=observed, cost=cost, p_ref=p_ref,
         )
 
@@ -176,10 +151,6 @@ class ScorePolicy(_Policy):
 
     def _propose(self, hint):
         return entropic_ftrl_argmax(self.theta, self.config.eta, self.config.k), None
-
-    def step(self, f: SetFunction, core_strategy) -> RoundRecord:
-        """Run one full round against the revealed reward f."""
-        return self._play(f, core_strategy)
 
 
 class SemiBanditPolicy(ScorePolicy):
@@ -221,16 +192,13 @@ class PricedPolicy(ScorePolicy):
     """
 
     def __init__(self, config: ScoreConfig, rng: np.random.Generator,
-                 cost: float = 1.0, epsilon: float | None = None,
-                 track_expected: bool = True):
-        if epsilon is None:
-            epsilon = priced_epsilon(config.n, config.k, config.T, config.G, cost)
+                 cost: float, epsilon: float):
         if not (0.0 < epsilon <= 1.0):
             raise ValueError("epsilon must lie in (0, 1]")
         self.epsilon = epsilon
         self.cost = float(cost)
         self._point: HypersimplexPoint | None = None  # the proposal for theta
-        super().__init__(config, rng, track_expected=track_expected)
+        super().__init__(config, rng)
 
     @staticmethod
     def tuned_config(n: int, k: int, T: int, G: float, cost: float,
@@ -284,11 +252,10 @@ class OftrlPolicy(_Policy):
 
     def __init__(self, config: ScoreConfig, rng: np.random.Generator,
                  mode: str = "exact", sigma_scale: float | None = None,
-                 track_expected: bool = True,
                  track_exact_reference: bool = False):
         if mode not in ("exact", "afw"):
             raise ValueError("mode must be 'exact' or 'afw'")
-        super().__init__(config, rng, track_expected)
+        super().__init__(config, rng)
         self.mode = mode
         self.sigma_scale = 1.0 / config.k if sigma_scale is None else float(sigma_scale)
         self.afw_budget = default_afw_budget(config.T)
@@ -296,7 +263,10 @@ class OftrlPolicy(_Policy):
         self.state = OftrlState(weighted_center=np.zeros(config.n))
         self._afw_active: dict | None = None
 
-    def _propose(self, hvec: np.ndarray) -> tuple[HypersimplexPoint, np.ndarray | None]:
+    def _propose(self, hvec: np.ndarray | None
+                 ) -> tuple[HypersimplexPoint, np.ndarray | None]:
+        if hvec is None:
+            raise ValueError("the optimistic policy needs a hint every round")
         cfg = self.config
         st = self.state
         drift = self.theta + hvec
@@ -330,10 +300,6 @@ class OftrlPolicy(_Policy):
             st.first_delta = delta
             st.eps = self.sigma_scale * math.sqrt(delta) / (200.0 * cfg.G**2 * cfg.T**2)
 
-    def step(self, f: SetFunction, hvec: np.ndarray, fvec_strategy) -> RoundRecord:
-        """Run one full round: propose against the hint, play against f."""
-        return self._play(f, fvec_strategy, hint=np.asarray(hvec, dtype=float))
-
 
 # ---------------------------------------------------------------------------
 # Regret accounting.
@@ -341,9 +307,9 @@ class OftrlPolicy(_Policy):
 class RegretLedger:
     """Regret accounting of one run, folded in one round at a time.
 
-    It keeps running sums only: realized, expected and full-set reward, the
-    price paid, the summed proxy vectors and their summed inner products
-    with the proposals.  The regrets can be read after any round.
+    It keeps running sums only: realized and full-set reward, the price
+    paid, the summed proxy vectors and their summed inner products with the
+    proposals.  The regrets can be read after any round.
     """
 
     def __init__(self, n: int, k: int, alpha: float = 1.0):
@@ -352,7 +318,6 @@ class RegretLedger:
         self.rounds = 0
         self.cum_reward = 0.0
         self.cum_full = 0.0
-        self.cum_expected = 0.0
         self.cum_cost = 0.0
         self.cum_dot = 0.0
         self.total_g = np.zeros(n)
@@ -362,7 +327,6 @@ class RegretLedger:
         self.rounds += 1
         self.cum_reward += r.reward
         self.cum_full += r.full_reward
-        self.cum_expected += r.expected_reward
 
     def add(self, r: RoundRecord) -> None:
         self.add_rewards(r)
@@ -374,10 +338,9 @@ class RegretLedger:
         """k/(n*alpha) of the cumulative full-set reward."""
         return self.scale * self.cum_full
 
-    def aug_regret(self, expected: bool = False) -> float:
-        """The benchmark minus what the policy collected (realized rewards, or
-        exact conditional expectations when ``expected`` is set)."""
-        return self.benchmark() - (self.cum_expected if expected else self.cum_reward)
+    def aug_regret(self) -> float:
+        """The benchmark minus the rewards the policy collected."""
+        return self.benchmark() - self.cum_reward
 
     def static_regret(self) -> float:
         """Best fixed point in hindsight against the true proxy vectors, minus
@@ -386,13 +349,12 @@ class RegretLedger:
         return float(self.total_g @ lmo(-self.total_g, self.k)) - self.cum_dot
 
 
-def augmented_regret(records: list[RoundRecord], alpha: float, k: int, n: int,
-                     expected: bool = False) -> float:
+def augmented_regret(records: list[RoundRecord], alpha: float, k: int, n: int) -> float:
     """:meth:`RegretLedger.aug_regret` over logged rounds."""
     ledger = RegretLedger(n, k, alpha)
     for r in records:
         ledger.add_rewards(r)
-    return ledger.aug_regret(expected)
+    return ledger.aug_regret()
 
 
 def static_linear_regret(records: list[RoundRecord]) -> float:

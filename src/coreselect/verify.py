@@ -205,7 +205,7 @@ def _check_dictator(rng, max_n) -> CheckResult:
     return CheckResult("dictator-membership", True, "10 random monotone instances")
 
 
-def _check_three_player_games(rng=None, max_n=None) -> CheckResult:
+def _check_games(rng=None, max_n=None) -> CheckResult:
     first, second = indicator_game(), second_game()
     for t in (0.0, 0.25, 0.5, 0.75, 1.0):
         g = np.array([t, 1.0 - t, 0.0])
@@ -338,7 +338,7 @@ def verify_all(max_n: int = 12, projection_fn=None) -> list[CheckResult]:
         ("marginal", _check_marginal_membership, False),
         ("rho", _check_rho, False),
         ("dictator", _check_dictator, False),
-        ("games", _check_three_player_games, False),
+        ("games", _check_games, False),
         ("matching", _check_matching_duals, False),
         ("shapley", _check_shapley, False),
         ("norms", _check_norm_bounds, False),

@@ -21,16 +21,20 @@ from coreselect.bench import (
     lower_bound_experiment,
     run_replicas,
 )
-from coreselect.hypersimplex import entropic_ftrl_argmax, euclidean_project
+from coreselect.hypersimplex import (
+    HypersimplexPoint,
+    entropic_ftrl_argmax,
+    euclidean_project,
+)
 from coreselect.policy import (
     OftrlPolicy,
+    RegretLedger,
     ScoreConfig,
-    augmented_regret,
     augmented_regret_bound,
     static_linear_regret,
     static_regret_bound,
 )
-from coreselect.sampling import madow_marginal_measure
+from coreselect.sampling import expected_set_value, madow_marginal_measure
 from coreselect.setfn import distance_sup
 from coreselect.verify import verify_all
 
@@ -108,10 +112,15 @@ def test_criterion_4_optimistic_hint_bound():
                                np.random.default_rng(406))
         cfg = ScoreConfig(n=n, k=k, T=T, alpha=1.0, M=adv.M)
         pol = OftrlPolicy(cfg, np.random.default_rng(407))
-        recs = [pol.step(f, h.w, lambda _f, fv=fv: fv)
-                for f, h, fv in zip(fs, hints, fvecs)]
+        recs = [pol.step(f, fv, h.w) for f, h, fv in zip(fs, hints, fvecs)]
         sq = [distance_sup(f, h) ** 2 for f, h in zip(fs, hints)]
-        aug = augmented_regret(recs, 1.0, k, n, expected=True)
+        # against E[f(S) | p], summed in round order as the ledger sums rewards
+        ledger = RegretLedger(n, k)
+        expected = 0.0
+        for r, f in zip(recs, fs):
+            ledger.add_rewards(r)
+            expected += expected_set_value(HypersimplexPoint(n, k, r.p), f.value)
+        aug = ledger.benchmark() - expected
         rhs = 12.0 * k * math.sqrt(sum(sq))
         ok = aug <= rhs + 1e-9
         if noise == 0.0:
@@ -140,10 +149,8 @@ def test_criterion_5_afw_matches_exact():
     for mode in ("afw", "exact"):
         cfg = ScoreConfig(n=n, k=k, T=T, M=adv.M, G=G)
         pol = OftrlPolicy(cfg, np.random.default_rng(508), mode=mode,
-                          track_expected=False,
                           track_exact_reference=(mode == "afw"))
-        recs = [pol.step(f, h.w, lambda _f, fv=fv: fv)
-                for f, h, fv in zip(fs, hints, fvecs)]
+        recs = [pol.step(f, fv, h.w) for f, h, fv in zip(fs, hints, fvecs)]
         runs[mode] = (pol, recs)
 
     pol_afw, recs_afw = runs["afw"]

@@ -1,6 +1,8 @@
 """Harness tests: config parsing, CSV stability, verify suite, CLI."""
 
+import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -25,7 +27,8 @@ from coreselect.cli import main
 from coreselect.hypersimplex import HypersimplexPoint, euclidean_project
 from coreselect.verify import CheckResult, verify_all
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def base_config(**overrides):
@@ -97,15 +100,32 @@ def test_semibandit_config_runs():
     assert res.ledger.rounds == cfg.T
 
 
-@pytest.mark.parametrize("policy", [{"kind": "score"}, {"kind": "oftrl", "mode": "exact"}])
+@pytest.mark.parametrize("policy", [
+    {"kind": "score"}, {"kind": "oftrl", "mode": "exact"}, {"kind": "semibandit"},
+    {"kind": "priced"}, {"kind": "oftrl", "mode": "afw"},
+])
 def test_failing_core_strategy_names_the_round(policy, monkeypatch):
-    def failing(f):
-        raise KeyError("boom")
+    real = Adversary.core_strategy
 
-    monkeypatch.setattr(Adversary, "core_strategy", lambda self, rng: failing)
+    def failing_on_call(fail_at):
+        def core_strategy(self, rng):
+            strategy, calls = real(self, rng), itertools.count(1)
+
+            def flaky(f):
+                if next(calls) == fail_at:
+                    raise KeyError("boom")
+                return strategy(f)
+
+            return flaky
+
+        return core_strategy
+
     cfg = ExperimentConfig.from_dict(base_config(policy=policy))
-    with pytest.raises(RuntimeError, match="core strategy failed on round 1: 'boom'"):
-        run_replica(cfg, 0)
+    for fail_at in (1, 3):
+        monkeypatch.setattr(Adversary, "core_strategy", failing_on_call(fail_at))
+        with pytest.raises(RuntimeError,
+                           match=f"core strategy failed on round {fail_at}: 'boom'"):
+            run_replica(cfg, 0)
 
 
 def test_sweep_rows_and_file(tmp_path):
@@ -250,10 +270,10 @@ def test_config_rejects_nonpositive_cost_and_sigma(policy):
     pytest.param({"seed": -1}, "seed must be >= 0", id="seed-negative"),
     pytest.param({"policy": {"kind": "oftrl"},
                   "hints": {"mode": "additive-noise", "noise_l2": "x"}},
-                 "noise_l2 must be a finite nonnegative number", id="noise_l2-string"),
+                 "noise_l2 must be a number", id="noise_l2-string"),
     pytest.param({"policy": {"kind": "oftrl"},
                   "hints": {"mode": "additive-noise", "noise_l2": float("nan")}},
-                 "noise_l2 must be a finite nonnegative number", id="noise_l2-nan"),
+                 "noise_l2 must be finite and >= 0", id="noise_l2-nan"),
 ])
 def test_config_rejects_bad_top_level_fields(overrides, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -407,3 +427,13 @@ def test_traced_benchmark_reaches_every_layer(tmp_path):
     ])
     calls = json.loads(_run_fresh(code))
     assert [name for name, count in calls.items() if count == 0] == []
+    # one span per round: 4 configs of T=10, one replica each
+    assert calls["policy.step"] == calls["corevec.core_vector"] == 40
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert math.isfinite(float(capsys.readouterr().out))

@@ -14,10 +14,11 @@ from coreselect.adversary import (
     make_modular_drift_adversary,
 )
 from coreselect.corevec import marginal_strategy, modular_strategy
-from coreselect.hypersimplex import lmo
+from coreselect.hypersimplex import HypersimplexPoint, lmo
 from coreselect.policy import (
     OftrlPolicy,
     PricedPolicy,
+    RegretLedger,
     ScoreConfig,
     ScorePolicy,
     SemiBanditPolicy,
@@ -28,7 +29,7 @@ from coreselect.policy import (
     static_linear_regret,
     static_regret_bound,
 )
-from coreselect.sampling import madow_marginal_measure, madow_support
+from coreselect.sampling import expected_set_value, madow_marginal_measure
 from coreselect.setfn import ModularFunction
 
 
@@ -37,7 +38,7 @@ def run_score(n, k, T, seed, adversary, G=None, policy_cls=ScorePolicy):
     policy = policy_cls(cfg, np.random.default_rng(seed))
     strategy = adversary.core_strategy(np.random.default_rng(seed + 1))
     rng = np.random.default_rng(seed + 2)
-    return [policy.step(f, strategy) for f in adversary.rounds(T, rng)]
+    return [policy.step(f, strategy(f).g) for f in adversary.rounds(T, rng)]
 
 
 # ---------------------------------------------------------------------------
@@ -111,26 +112,11 @@ def test_constant_adversary_converges_to_top_k():
     cfg = ScoreConfig(n=5, k=2, T=3000, M=float(w.sum()), G=float(np.linalg.norm(w)))
     pol = ScorePolicy(cfg, np.random.default_rng(0))
     strategy = modular_strategy()
-    recs = [pol.step(f, strategy) for _ in range(3000)]
+    recs = [pol.step(f, strategy(f).g) for _ in range(3000)]
     # late-round selection probability concentrates on the two best elements
     late = np.mean([r.p[:2].sum() for r in recs[-100:]])
     assert late > 1.8
     assert static_linear_regret(recs) <= static_regret_bound(5, 2, 3000, cfg.G)
-
-
-def test_expected_reward_identity_for_modular():
-    adv = make_modular_drift_adversary(8, G=1.0)
-    recs = run_score(8, 3, 60, 5, adv)
-    for r in recs:
-        assert r.expected_reward == pytest.approx(float(r.gvec @ r.p), abs=1e-12)
-        # agreement with the support-enumeration oracle
-        from coreselect.hypersimplex import HypersimplexPoint
-
-        pt = HypersimplexPoint(8, 3, r.p)
-        direct = sum(
-            weight * float(r.gvec[list(s)].sum()) for weight, s in madow_support(pt)
-        )
-        assert r.expected_reward == pytest.approx(direct, abs=1e-9)
 
 
 def test_reward_never_exceeds_full_reward_for_monotone():
@@ -147,19 +133,6 @@ def test_benchmark_inequality_on_traces():
     total = np.sum([r.gvec for r in recs], axis=0)
     bench = float(total @ lmo(-total, 3))
     assert sum(r.full_reward for r in recs) <= (8 / 3) * bench + 1e-6
-
-
-def test_core_strategy_failure_is_reported():
-    adv = make_modular_drift_adversary(4, G=1.0)
-    cfg = ScoreConfig(n=4, k=2, T=5, M=adv.M, G=1.0)
-    pol = ScorePolicy(cfg, np.random.default_rng(0))
-    f = ModularFunction(np.ones(4))
-
-    def broken(_f):
-        raise KeyError("nope")
-
-    with pytest.raises(RuntimeError, match="core strategy failed"):
-        pol.step(f, broken)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +206,7 @@ def test_priced_always_observing_costs_every_round():
     cfg = PricedPolicy.tuned_config(6, 2, 30, 1.0, cost=2.0)
     pol = PricedPolicy(cfg, np.random.default_rng(0), cost=2.0, epsilon=1.0)
     strategy = adv.core_strategy(np.random.default_rng(1))
-    recs = [pol.step(f, strategy) for f in adv.rounds(30, np.random.default_rng(2))]
+    recs = [pol.step(f, strategy(f).g) for f in adv.rounds(30, np.random.default_rng(2))]
     assert all(r.observed for r in recs)
     assert sum(r.cost for r in recs) == pytest.approx(60.0)
     for r in recs:
@@ -257,7 +230,7 @@ def test_priced_unobserved_round_feeds_zero(monkeypatch):
     for f in adv.rounds(400, np.random.default_rng(7)):
         theta = pol.theta.copy()
         before = len(calls)
-        r = pol.step(f, strategy)
+        r = pol.step(f, strategy(f).g)
         # an unobserved round leaves theta alone, so the next one makes no argmax
         assert len(calls) - before == (0 if recs and not recs[-1].observed else 1)
         assert r.p.tobytes() == argmax(theta, cfg.eta, 2).p.tobytes()
@@ -291,9 +264,16 @@ def run_oftrl(n, k, T, spec, seed, mode="exact", **kwargs):
     adv, fs, fvecs, hints = make_oftrl_inputs(n, T, spec, seed)
     cfg = ScoreConfig(n=n, k=k, T=T, M=adv.M, G=adv.G)
     pol = OftrlPolicy(cfg, np.random.default_rng(seed + 3), mode=mode, **kwargs)
-    recs = [pol.step(f, h.w, lambda _f, fv=fv: fv)
-            for f, h, fv in zip(fs, hints, fvecs)]
+    recs = [pol.step(f, fv, h.w) for f, h, fv in zip(fs, hints, fvecs)]
     return pol, recs, (fs, hints)
+
+
+def test_oftrl_step_without_hint_is_an_error():
+    adv, fs, fvecs, _ = make_oftrl_inputs(6, 1, HintSpec("perfect"), 0)
+    pol = OftrlPolicy(ScoreConfig(n=6, k=2, T=1, M=adv.M, G=adv.G),
+                      np.random.default_rng(3))
+    with pytest.raises(ValueError, match="needs a hint every round"):
+        pol.step(fs[0], fvecs[0])
 
 
 def test_perfect_hints_route_through_vertices_with_no_regret():
@@ -311,7 +291,7 @@ def test_sigma_schedule_telescopes():
     st = pol.state
     sigma_sums = [st.sigma_sum]
     for f, h, fv in zip(fs, hints, fvecs):
-        pol.step(f, h.w, lambda _f, fv=fv: fv)
+        pol.step(f, fv, h.w)
         sigma_sums.append(st.sigma_sum)
     assert st.sigma_sum == pytest.approx((1 / 3) * math.sqrt(st.delta_sum), abs=1e-9)
     assert len(sigma_sums) == 301 and sigma_sums == sorted(sigma_sums)  # sigma_t >= 0
@@ -349,7 +329,13 @@ def test_oftrl_augmented_regret_within_hint_bound():
     n, k, T = 8, 3, 400
     _, recs, (fs, hints) = run_oftrl(n, k, T, HintSpec("additive-noise", 0.3), 8)
     sq = [distance_sup(f, h) ** 2 for f, h in zip(fs, hints)]
-    aug = augmented_regret(recs, 1.0, k, n, expected=True)
+    # against E[f(S) | p], summed in round order as the ledger sums rewards
+    ledger = RegretLedger(n, k)
+    expected = 0.0
+    for r, f in zip(recs, fs):
+        ledger.add_rewards(r)
+        expected += expected_set_value(HypersimplexPoint(n, k, r.p), f.value)
+    aug = ledger.benchmark() - expected
     assert aug <= 12 * k * math.sqrt(sum(sq)) + 1e-9
 
 
@@ -381,7 +367,6 @@ def test_augmented_regret_three_round_hand_trace():
         def __init__(self, reward, full):
             self.reward = reward
             self.full_reward = full
-            self.expected_reward = reward
 
     recs = [R(1.0, 2.0), R(0.5, 3.0), R(2.0, 2.0)]
     # (k / (n alpha)) * (2 + 3 + 2) - (1 + 0.5 + 2) with k=2, n=4, alpha=1
