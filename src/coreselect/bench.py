@@ -2,7 +2,10 @@
 
 Every policy kind runs through one replica loop: rounds stream through a
 ``RegretLedger`` and, when an output directory is set, into the replica's CSV
-as they end, so no per-round record is kept.  The CSV layout per replica is
+as they end, so no per-round record is kept.  The loop reveals rewards and
+their proxy vectors a block at a time, as many rounds as the policy can plan
+at once (one for semi-bandit and optimistic), so that score and priced
+compute a block's proposals and draws in one pass.  The CSV layout per replica is
 one row per round::
 
     round,reward,full_reward,cum_reward,cum_benchmark,aug_regret,static_regret,observed,cum_cost
@@ -13,6 +16,7 @@ config produce byte-identical files.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import MISSING, dataclass, fields, replace
@@ -225,10 +229,15 @@ def _core_vector(core_strategy, f: SetFunction, t: int) -> np.ndarray:
 def _replica_rounds(cfg: ExperimentConfig, policy: ScorePolicy | OftrlPolicy,
                     adv: Adversary, rngs: dict,
                     result: ReplicaResult) -> Iterator[RoundRecord]:
-    """Each round's record, played as its reward is revealed.
+    """Each round's record, played after its reward is revealed.
 
-    The round's proxy vector comes from the adversary's core strategy.  The
-    optimistic policy also gets a hint made from that vector; rewards on at
+    The round's proxy vector comes from the adversary's core strategy.  A
+    policy that plans takes its rounds in blocks of ``policy.plan_rounds``:
+    the block's rewards and vectors are revealed, the policy plans the
+    block, and then plays it one ``step`` per round; a core strategy that
+    fails on round t ends the run after the rounds before t are played.
+    Any other policy plays each round as its reward is revealed.  The
+    optimistic policy also gets a hint made from each vector; rewards on at
     most 16 elements then log the hint's squared sup-distance for the
     optimistic bound.
     """
@@ -237,8 +246,8 @@ def _replica_rounds(cfg: ExperimentConfig, policy: ScorePolicy | OftrlPolicy,
     if cfg.policy.kind == "oftrl":
         spec = cfg.hints if cfg.hints is not None else HintSpec("perfect")
         result.sq_distances = [] if cfg.n <= 16 else None
-    for t, f in enumerate(adv.rounds(cfg.T, rngs["adversary"]), 1):
-        g = _core_vector(strategy, f, t)
+
+    def play(f: SetFunction, g: np.ndarray) -> RoundRecord:
         hint = None
         if spec is not None:
             h = generate_hints([g], spec, rngs["hints"])[0]
@@ -248,7 +257,30 @@ def _replica_rounds(cfg: ExperimentConfig, policy: ScorePolicy | OftrlPolicy,
                     result.sq_distances.append(distance_sup(f, h) ** 2)
                 else:
                     result.sq_distances = None
-        yield policy.step(f, g, hint)
+        return policy.step(f, g, hint)
+
+    rounds = enumerate(adv.rounds(cfg.T, rngs["adversary"]), 1)
+    block = policy.plan_rounds
+    if block == 1:
+        for t, f in rounds:
+            yield play(f, _core_vector(strategy, f, t))
+        return
+    while True:
+        fs, gs, failure = [], [], None
+        for t, f in itertools.islice(rounds, block):
+            try:
+                gs.append(_core_vector(strategy, f, t))
+            except RuntimeError as exc:
+                failure = exc
+                break
+            fs.append(f)
+        policy.plan(gs)
+        for f, g in zip(fs, gs):
+            yield play(f, g)
+        if failure is not None:
+            raise failure
+        if len(fs) < block:
+            return
 
 
 def run_replica(cfg: ExperimentConfig, replica: int,

@@ -31,9 +31,11 @@ class InfeasiblePointError(ValueError):
     """A vector violates the capped-simplex constraints beyond tolerance."""
 
 
-def _check_finite(x: np.ndarray, name: str) -> np.ndarray:
+def _check_finite(x: np.ndarray, name: str, rows: bool = False) -> np.ndarray:
+    """``x`` as floats, after checking that it is one vector (or, with
+    ``rows``, a block of vectors as rows) with finite entries only."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
+    if x.ndim != 1 and not (rows and x.ndim == 2):
         raise ValueError(f"{name} must be a 1-d vector, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError(f"{name} contains non-finite entries")
@@ -42,7 +44,12 @@ def _check_finite(x: np.ndarray, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HypersimplexPoint:
-    """A marginal inclusion probability vector: p in [0,1]^n with sum(p) = k."""
+    """A marginal inclusion probability vector: p in [0,1]^n with sum(p) = k.
+
+    ``p`` may also hold a block of B such vectors as the rows of a (B, n)
+    array, as the entropic argmax returns it for a block of scores and the
+    sampler takes it; ``validate`` checks a single vector.
+    """
 
     n: int
     k: int
@@ -66,19 +73,32 @@ def _refeasibilize(p: np.ndarray, k: int) -> np.ndarray:
 
     Solvers are exact up to floating point; downstream sampling wants an
     exactly feasible vector, so the residual k - sum(p) is distributed over
-    coordinates strictly inside (0, 1) proportionally to their mass.
+    coordinates strictly inside (0, 1) proportionally to their mass.  Each
+    row of a (B, n) block is repaired on its own, and only if its residual
+    is not zero.
     """
     p = p.clip(0.0, 1.0)
-    resid = k - float(p.sum())
-    if resid == 0.0:
-        return p
+    if p.ndim == 1:
+        resid = k - float(p.sum())
+        if resid != 0.0:
+            _spread_residual(p, resid)
+    else:
+        resid = k - p.sum(axis=1)
+        for r in resid.nonzero()[0].tolist():
+            _spread_residual(p[r], float(resid[r]))
+    return p
+
+
+def _spread_residual(p: np.ndarray, resid: float) -> None:
+    """Add ``resid`` to the vector ``p`` in place, over its interior
+    coordinates in proportion to their mass."""
     interior = p > 0.0
     interior &= p < 1.0
     w = p[interior]
     if not w.size:
         if abs(resid) > 1e-7:
             raise InfeasiblePointError("cannot repair infeasible integral vector")
-        return p
+        return
     # w + resid * (w / total), in place.  Every w is > 0, so total > 0, and
     # each w moves toward the one bound resid points to: clamping to that
     # bound is the clip to [0, 1]
@@ -89,7 +109,6 @@ def _refeasibilize(p: np.ndarray, k: int) -> np.ndarray:
         p[interior] = np.minimum(q, 1.0, out=q)
     else:
         p[interior] = np.maximum(q, 0.0, out=q)
-    return p
 
 
 def entropic_ftrl_argmax(theta: np.ndarray, eta: float, k: int) -> HypersimplexPoint:
@@ -103,19 +122,37 @@ def entropic_ftrl_argmax(theta: np.ndarray, eta: float, k: int) -> HypersimplexP
     spread wider than ``EXP_SAFE_SPREAD``, where those exponentials would
     underflow, each candidate j's tail sum is taken in log space relative to
     the tail's own largest score, so no tail sum can vanish.
+
+    Equal scores get equal exponentials (a zero score's sign does not reach
+    its exponential either), so the sorted exponentials, the tail sums and
+    j come out the same whatever order a sort leaves ties in.  That order
+    reaches p only where equal scores fall on both sides of the j capped
+    coordinates, which exact arithmetic rules out; there the scores are
+    sorted again stably, so equal ones keep index order as one stable sort
+    would leave them.  Everywhere else numpy's default sort (unstable, and
+    above about a thousand elements much faster) gives the same p.
+
+    ``theta`` may also be a (B, n) block of score vectors; the point then
+    holds the B maximizers as rows, each bit for bit what its row alone
+    gives.  A block goes through :func:`_entropic_rows`, the same steps on
+    every row at once; a single vector keeps this 1-d path, which at n = 20
+    makes fewer numpy calls.
     """
-    theta = _check_finite(theta, "theta")
-    n = theta.size
+    theta = _check_finite(theta, "theta", rows=True)
+    n = theta.shape[-1]
     if not (0.0 < eta < math.inf):
         raise ValueError(f"eta must be positive and finite, got {eta!r}")
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if k == n:
-        return HypersimplexPoint(n, k, np.ones(n))
+        return HypersimplexPoint(n, k, np.ones(theta.shape))
+    if theta.ndim == 2:
+        return HypersimplexPoint(n, k, _entropic_rows(theta, eta, k))
 
-    s = eta * theta
-    order = (-s).argsort(kind="stable")
-    d = s[order] - s[order[0]]  # descending, stabilized
+    neg = theta * -eta  # -(eta * theta): ascending order is descending score
+    order = neg.argsort()
+    srt = neg[order]
+    d = srt[0] - srt  # descending, stabilized: s[order] - s[order[0]]
     if d[-1] >= -EXP_SAFE_SPREAD:
         e = np.exp(d)
         # rev[n - 1 - j] = sum of exp scores with sorted index >= j
@@ -126,17 +163,63 @@ def entropic_ftrl_argmax(theta: np.ndarray, eta: float, k: int) -> HypersimplexP
         p_sorted = c[j] * e
         p_sorted[:j] = 1.0
     else:
-        # log of sum_{i >= j} exp(d_i - d_j), the tail sum at its own maximum (>= 0)
-        log_tail = np.logaddexp.accumulate(d[::-1])[::-1][:k] - d[:k]
-        # with j capped, the largest uncapped coordinate is (k - j) / tail_j
-        j = int(np.argmax((k - np.arange(k)) * np.exp(-log_tail) <= 1.0 + 1e-12))
-        e = np.exp(d[j:] - d[j])
-        p_sorted = np.ones(n)
-        p_sorted[j:] = (k - j) / float(e.sum()) * e
+        p_sorted, j = _capped_exponentials_in_log_space(d, k)
+    if j and srt[j - 1] == srt[j]:  # equal scores on both sides of the caps
+        order = neg.argsort(kind="stable")
     p = np.empty(n)
     p[order] = p_sorted
-    p = _refeasibilize(p, k)
-    return HypersimplexPoint(n, k, p)
+    return HypersimplexPoint(n, k, _refeasibilize(p, k))
+
+
+def _entropic_rows(theta: np.ndarray, eta: float, k: int) -> np.ndarray:
+    """:func:`entropic_ftrl_argmax` of every row of a (B, n) block, k < n:
+    the same sort, exponentials, tie rule and repair, row-wise."""
+    B, n = theta.shape
+    neg = theta * -eta
+    # indices into the flattened block, so one take and one put move all rows
+    order = neg.argsort()
+    order += np.arange(0, neg.size, n)[:, None]
+    srt = neg.take(order)
+    d = srt[:, :1] - srt
+    p_sorted = np.empty((B, n))
+    j = np.empty(B, dtype=int)
+    narrow = d[:, -1] >= -EXP_SAFE_SPREAD  # fails on NaN too
+    rows = narrow.nonzero()[0]
+    if rows.size:
+        dn = d if rows.size == B else d[rows]
+        e = np.exp(dn)
+        rev = e[:, ::-1].cumsum(axis=1)
+        c = np.arange(k, 0, -1) / rev[:, :n - k - 1:-1]
+        jn = (c * e[:, :k] <= 1.0 + 1e-12).argmax(axis=1)
+        e *= c[np.arange(len(c)), jn][:, None]
+        e[np.arange(n) < jn[:, None]] = 1.0
+        p_sorted[rows] = e
+        j[rows] = jn
+    for r in (~narrow).nonzero()[0].tolist():
+        p_sorted[r], j[r] = _capped_exponentials_in_log_space(d[r], k)
+    every = np.arange(B)
+    split = ((j > 0) & (srt[every, j - 1] == srt[every, j])).nonzero()[0]
+    if split.size:  # rows with equal scores on both sides of the caps
+        order[split] = neg[split].argsort(kind="stable") + split[:, None] * n
+    p = np.empty((B, n))
+    p.put(order, p_sorted)
+    return _refeasibilize(p, k)
+
+
+def _capped_exponentials_in_log_space(d: np.ndarray, k: int
+                                      ) -> tuple[np.ndarray, int]:
+    """The maximizer, in sorted order, for stabilized scores ``d`` sorted in
+    descending order and spread wider than ``EXP_SAFE_SPREAD``, and the
+    number j of its coordinates capped at 1."""
+    n = d.size
+    # log of sum_{i >= j} exp(d_i - d_j), the tail sum at its own maximum (>= 0)
+    log_tail = np.logaddexp.accumulate(d[::-1])[::-1][:k] - d[:k]
+    # with j capped, the largest uncapped coordinate is (k - j) / tail_j
+    j = int(np.argmax((k - np.arange(k)) * np.exp(-log_tail) <= 1.0 + 1e-12))
+    e = np.exp(d[j:] - d[j])
+    p_sorted = np.ones(n)
+    p_sorted[j:] = (k - j) / float(e.sum()) * e
+    return p_sorted, j
 
 
 def euclidean_project(y: np.ndarray, k: int) -> HypersimplexPoint:

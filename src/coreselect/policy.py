@@ -9,6 +9,15 @@ hint) and in the feed and update (the admissible vector itself, an
 inverse-propensity estimate, or a Bernoulli-gated estimate with a per-peek
 price).  ``RegretLedger`` keeps the regret accounting as running sums, one
 round at a time.
+
+The full-information and priced feeds do not depend on the set a round
+draws, so once a block of proxy vectors is known, ``ScorePolicy.plan`` and
+``PricedPolicy.plan`` compute every round of the block in one pass over
+(B, n) arrays: the score before each round is one cumulative sum, then one
+row-wise entropic argmax and one row-wise Madow draw.  ``step`` still plays
+one round per call and takes its planned row, bit for bit what the unplanned
+round gives.  The semi-bandit feed depends on the drawn set and the
+optimistic proposal on past proposals, so those policies plan nothing.
 """
 
 from __future__ import annotations
@@ -29,6 +38,10 @@ from .hypersimplex import (
 )
 from .sampling import draw
 from .setfn import SetFunction
+
+# A plan holds a few (B, n) arrays; B * n stays at most this many entries, so
+# a block covers PLAN_CELLS // n rounds (204 at n = 20).
+PLAN_CELLS = 4096
 
 
 def norm_bound(alpha: float, value_bound: float) -> float:
@@ -96,6 +109,22 @@ class RoundRecord:
     p_ref: np.ndarray | None = None
 
 
+@dataclass
+class _Plan:
+    """Rounds computed ahead for known proxy vectors, played in order."""
+
+    gvecs: list[np.ndarray]
+    theta: np.ndarray  # (B + 1, n): theta before each round and after the last
+    p: np.ndarray  # (B, n)
+    selected: list[tuple[int, ...]]
+    u: list[float]
+    fed: list[np.ndarray] | np.ndarray
+    observed: list[bool]
+    cost: list[float]
+    rng_state: dict  # the generator before the block drew
+    next: int = 0
+
+
 class _Policy:
     """The round every policy plays, given its proposal.
 
@@ -105,11 +134,33 @@ class _Policy:
     observed) and ``_update`` (any state beyond ``theta``).
     """
 
+    # the optimistic proposal is made against the round's hint
+    needs_hint = False
+    # rounds that plan() takes at once; 1 where nothing can be planned
+    plan_rounds = 1
+    # uniforms a planned round draws from the generator: its Madow draw
+    _draws = 1
+
     def __init__(self, config: ScoreConfig, rng: np.random.Generator):
         self.config = config
         self.rng = rng
         self.theta = np.zeros(config.n)
         self.t = 0
+        self._plan: _Plan | None = None
+
+    def plan(self, gvecs: list[np.ndarray]) -> None:
+        """Compute the next ``len(gvecs)`` rounds ahead, to be fed these
+        proxy vectors in order.  This policy's rounds cannot be planned, so
+        it only drops a pending plan."""
+        self._drop_plan()
+
+    def _drop_plan(self) -> None:
+        """Forget the planned rounds not yet played, and put the generator
+        where the first of them would have started drawing."""
+        plan, self._plan = self._plan, None
+        if plan is not None:
+            self.rng.bit_generator.state = plan.rng_state
+            self.rng.random(plan.next * self._draws)
 
     def _propose(self, hint: np.ndarray | None
                  ) -> tuple[HypersimplexPoint, np.ndarray | None]:
@@ -127,9 +178,28 @@ class _Policy:
              hint: np.ndarray | None = None) -> RoundRecord:
         """Play one round: propose (against ``hint``, which the optimistic
         policy needs every round), sample, reveal f, feed ``gvec``, the proxy
-        vector of f, and log the round."""
+        vector of f, and log the round.  A planned round is taken from the
+        plan; a ``gvec`` other than the planned one drops the plan."""
+        if hint is None and self.needs_hint:
+            raise ValueError("the optimistic policy needs a hint every round")
+        plan = self._plan
+        if plan is not None and gvec is not plan.gvecs[plan.next]:
+            self._drop_plan()
+            plan = None
         cfg = self.config
         self.t += 1
+        if plan is not None:
+            i = plan.next
+            plan.next += 1
+            if plan.next == len(plan.gvecs):
+                self._plan = None
+            self.theta = plan.theta[i + 1]
+            return RoundRecord(
+                t=self.t, p=plan.p[i], u=plan.u[i], selected=plan.selected[i],
+                reward=f.value(plan.selected[i]), full_reward=f.full_value(),
+                gvec=gvec, fed=plan.fed[i], observed=plan.observed[i],
+                cost=plan.cost[i],
+            )
         if cfg.k == cfg.n:
             point, p_ref = HypersimplexPoint(cfg.n, cfg.k, np.ones(cfg.n)), None
             selected, u = tuple(range(cfg.n)), None
@@ -149,13 +219,52 @@ class _Policy:
 class ScorePolicy(_Policy):
     """Entropic follow-the-regularized-leader on cumulative core vectors."""
 
+    @property
+    def plan_rounds(self) -> int:
+        return max(1, PLAN_CELLS // self.config.n)
+
     def _propose(self, hint):
         return entropic_ftrl_argmax(self.theta, self.config.eta, self.config.k), None
+
+    def plan(self, gvecs):
+        """Compute the next ``len(gvecs)`` rounds (at most ``plan_rounds``)
+        ahead, to be fed these proxy vectors in order: theta before each
+        round, every proposal, every draw and every feed, row by row.
+        ``step`` then plays them one at a time.  The generator draws in the
+        order the rounds would; a plan that is dropped puts it back."""
+        self._drop_plan()
+        cfg = self.config
+        if cfg.k == cfg.n or not gvecs:
+            return
+        if len(gvecs) > self.plan_rounds:
+            raise ValueError(f"a plan takes at most {self.plan_rounds} rounds, "
+                             f"got {len(gvecs)}")
+        state = self.rng.bit_generator.state
+        fed, observed, cost, u = self._feed_block(gvecs)
+        theta = np.empty((len(gvecs) + 1, cfg.n))
+        theta[0] = self.theta
+        theta[1:] = fed
+        theta.cumsum(axis=0, out=theta)
+        point = entropic_ftrl_argmax(theta[:-1], cfg.eta, cfg.k)
+        selected, u = draw(point, self.rng, u)
+        self._plan = _Plan(gvecs, theta, point.p, selected, u.tolist(), fed,
+                           observed, cost, state)
+
+    def _feed_block(self, gvecs):
+        """(fed, observed, cost, u) of a block of rounds: what each round
+        feeds, observes and pays, and the uniforms of its Madow draws if
+        the feeds had to draw first (else None)."""
+        B = len(gvecs)
+        return gvecs, [True] * B, [0.0] * B, None
 
 
 class SemiBanditPolicy(ScorePolicy):
     """Score variant that only sees the selected coordinates of the core
-    vector and feeds inverse-propensity estimates for the rest."""
+    vector and feeds inverse-propensity estimates for the rest.  The feed
+    depends on the drawn set, so no round can be planned."""
+
+    plan_rounds = 1
+    plan = _Policy.plan
 
     def _feed(self, gvec, point, selected):
         fed = np.zeros(self.config.n)
@@ -190,6 +299,8 @@ class PricedPolicy(ScorePolicy):
     regularizer step).  A zero feed leaves ``theta`` where it was, so the
     proposal is computed again only after an observed round.
     """
+
+    _draws = 2  # its Madow draw, then its observation coin
 
     def __init__(self, config: ScoreConfig, rng: np.random.Generator,
                  cost: float, epsilon: float):
@@ -227,6 +338,19 @@ class PricedPolicy(ScorePolicy):
             return gvec / self.epsilon, True, self.cost
         return np.zeros(self.config.n), False, 0.0
 
+    def plan(self, gvecs):
+        self._point = None  # theta moves with the plan
+        super().plan(gvecs)
+
+    def _feed_block(self, gvecs):
+        draws = self.rng.random(self._draws * len(gvecs))
+        seen = draws[1::2] < self.epsilon
+        fed = np.array(gvecs) / self.epsilon
+        fed[~seen] = 0.0
+        observed = seen.tolist()
+        cost = [self.cost if o else 0.0 for o in observed]
+        return fed, observed, cost, draws[0::2]
+
 
 @dataclass
 class OftrlState:
@@ -250,6 +374,8 @@ class OftrlPolicy(_Policy):
     linear and the proposal is the plain top-k vertex.
     """
 
+    needs_hint = True
+
     def __init__(self, config: ScoreConfig, rng: np.random.Generator,
                  mode: str = "exact", sigma_scale: float | None = None,
                  track_exact_reference: bool = False):
@@ -265,8 +391,6 @@ class OftrlPolicy(_Policy):
 
     def _propose(self, hvec: np.ndarray | None
                  ) -> tuple[HypersimplexPoint, np.ndarray | None]:
-        if hvec is None:
-            raise ValueError("the optimistic policy needs a hint every round")
         cfg = self.config
         st = self.state
         drift = self.theta + hvec

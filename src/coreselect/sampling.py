@@ -24,17 +24,21 @@ def _prefix_sums(p: np.ndarray, k: int) -> np.ndarray:
     prefix = np.empty(p.size + 1)
     prefix[0] = 0.0
     p.cumsum(out=prefix[1:])
-    total = float(prefix[-1])
-    if not abs(total - k) <= PREFIX_SUM_TOL:  # NaN fails too
-        raise InfeasiblePointError(
-            f"sum(p) = {total:.9g} is not within {PREFIX_SUM_TOL} of k = {k}"
-        )
+    _check_total(float(prefix[-1]), k)
     prefix[-1] = float(k)
     np.minimum(prefix, float(k), out=prefix)
     return prefix
 
 
-def madow_sample(point: HypersimplexPoint, u: float) -> tuple[int, ...]:
+def _check_total(total: float, k: int) -> None:
+    if not abs(total - k) <= PREFIX_SUM_TOL:  # NaN fails too
+        raise InfeasiblePointError(
+            f"sum(p) = {total:.9g} is not within {PREFIX_SUM_TOL} of k = {k}"
+        )
+
+
+def madow_sample(point: HypersimplexPoint, u: float | np.ndarray
+                 ) -> tuple[int, ...] | list[tuple[int, ...]]:
     """Deterministic systematic sample for a given uniform draw u in [0, 1).
 
     Element j is selected iff some grid point u + i falls inside its prefix
@@ -43,23 +47,24 @@ def madow_sample(point: HypersimplexPoint, u: float) -> tuple[int, ...]:
     exactly k, which keeps the cardinality guarantee immune to the rounding
     of u + i near interval boundaries.  One vectorized sweep, O(n + k).
     Returns the selected indices (0-based, strictly increasing).
+
+    For a (B, n) block of points, ``u`` holds one draw per row and the
+    result is the list of the B sets, each the one its row alone gives
+    (:func:`_madow_rows`).
     """
+    p = np.asarray(point.p, dtype=float)
+    if p.ndim == 2:
+        return _madow_rows(p, point.k, np.asarray(u, dtype=float))
     if not (0.0 <= u < 1.0):
         raise ValueError(f"u must lie in [0, 1), got {u}")
-    p = np.asarray(point.p, dtype=float)
-    if not (p.min() >= -PREFIX_SUM_TOL and p.max() <= 1.0 + PREFIX_SUM_TOL):
-        raise InfeasiblePointError("p has a NaN or a coordinate outside [0, 1]")
+    _check_range(p)
     k = point.k
     grid = _prefix_sums(p.clip(0.0, 1.0), k) - u
     np.ceil(grid, out=grid)
-    selected = (grid[1:] > grid[:-1]).nonzero()[0]
+    chosen = grid[1:] > grid[:-1]
+    selected = chosen.nonzero()[0]
     if selected.size < k:
-        # an interval boundary landed within one ulp of a grid point; hand the
-        # dropped slots to the heaviest unselected elements, deterministically
-        chosen = np.zeros(point.n, dtype=bool)
-        chosen[selected] = True
-        pool = [j for j in np.argsort(-p, kind="stable") if not chosen[j]]
-        chosen[pool[: k - selected.size]] = True
+        _fill_dropped_slots(chosen, p, k)
         selected = chosen.nonzero()[0]
     if selected.size != k:
         raise InfeasiblePointError(
@@ -68,10 +73,61 @@ def madow_sample(point: HypersimplexPoint, u: float) -> tuple[int, ...]:
     return tuple(selected.tolist())
 
 
-def draw(point: HypersimplexPoint, rng: np.random.Generator) -> tuple[tuple[int, ...], float]:
-    """Draw u from the caller's generator and sample; returns (set, u) so the
-    trace can be replayed exactly."""
-    u = float(rng.random())
+def _check_range(p: np.ndarray) -> None:
+    # written so that a NaN fails too
+    if not (p.min() >= -PREFIX_SUM_TOL and p.max() <= 1.0 + PREFIX_SUM_TOL):
+        raise InfeasiblePointError("p has a NaN or a coordinate outside [0, 1]")
+
+
+def _fill_dropped_slots(chosen: np.ndarray, p: np.ndarray, k: int) -> None:
+    """An interval boundary landed within one ulp of a grid point, so fewer
+    than k elements were chosen: hand the dropped slots to the heaviest
+    unchosen elements, deterministically."""
+    pool = [j for j in np.argsort(-p, kind="stable") if not chosen[j]]
+    chosen[pool[: k - np.count_nonzero(chosen)]] = True
+
+
+def _madow_rows(p: np.ndarray, k: int, u: np.ndarray) -> list[tuple[int, ...]]:
+    """:func:`madow_sample` of each row of a (B, n) block with its own draw:
+    the same checks, prefix sums and ceilings, row-wise."""
+    if u.shape != (len(p),):
+        raise ValueError(f"{len(p)} points need {len(p)} draws, got shape {u.shape}")
+    if not (u.min() >= 0.0 and u.max() < 1.0):
+        raise ValueError(f"u must lie in [0, 1), got {u}")
+    _check_range(p)
+    B, n = p.shape
+    grid = np.empty((B, n + 1))
+    grid[:, 0] = 0.0
+    p.clip(0.0, 1.0).cumsum(axis=1, out=grid[:, 1:])
+    off = ~(abs(grid[:, -1] - k) <= PREFIX_SUM_TOL)
+    if off.any():
+        _check_total(float(grid[off.argmax(), -1]), k)
+    grid[:, -1] = float(k)
+    np.minimum(grid, float(k), out=grid)
+    grid -= u[:, None]
+    np.ceil(grid, out=grid)
+    chosen = grid[:, 1:] > grid[:, :-1]
+    counts = np.count_nonzero(chosen, axis=1)
+    for r in (counts < k).nonzero()[0].tolist():
+        _fill_dropped_slots(chosen[r], p[r], k)
+    selected = chosen.nonzero()[1]
+    if selected.size != B * k:
+        counts = np.count_nonzero(chosen, axis=1)
+        raise InfeasiblePointError(
+            f"selected {counts[(counts != k).argmax()]} elements instead of k = {k}"
+        )
+    return [tuple(s) for s in selected.reshape(B, k).tolist()]
+
+
+def draw(point: HypersimplexPoint, rng: np.random.Generator,
+         u: np.ndarray | None = None
+         ) -> tuple[tuple[int, ...] | list[tuple[int, ...]], float | np.ndarray]:
+    """Sample with uniforms from the caller's generator, one for each point
+    (or row of a block of points), or with ``u`` when the caller drew them
+    already; returns (set, u), or (sets, u) for a block, so the trace can be
+    replayed exactly."""
+    if u is None:
+        u = float(rng.random()) if point.p.ndim == 1 else rng.random(len(point.p))
     return madow_sample(point, u), u
 
 

@@ -25,6 +25,7 @@ from coreselect.bench import (
 )
 from coreselect.cli import main
 from coreselect.hypersimplex import HypersimplexPoint, euclidean_project
+from coreselect.policy import PLAN_CELLS, ScorePolicy
 from coreselect.verify import CheckResult, verify_all
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -126,6 +127,38 @@ def test_failing_core_strategy_names_the_round(policy, monkeypatch):
         with pytest.raises(RuntimeError,
                            match=f"core strategy failed on round {fail_at}: 'boom'"):
             run_replica(cfg, 0)
+
+
+@pytest.mark.parametrize("policy", [{"kind": "score"}, {"kind": "priced"}])
+def test_core_strategy_failing_mid_block_plays_the_rounds_before_it(
+        policy, monkeypatch, tmp_path):
+    real_core_strategy, real_step = Adversary.core_strategy, ScorePolicy.step
+    played = []
+
+    def core_strategy(self, rng):
+        strategy, calls = real_core_strategy(self, rng), itertools.count(1)
+
+        def flaky(f):
+            if next(calls) == 7:
+                raise KeyError("boom")
+            return strategy(f)
+
+        return flaky
+
+    def step(self, f, gvec, hint=None):
+        record = real_step(self, f, gvec, hint)
+        played.append((record.t, self._plan is not None))
+        return record
+
+    monkeypatch.setattr(Adversary, "core_strategy", core_strategy)
+    monkeypatch.setattr(ScorePolicy, "step", step)
+    cfg = ExperimentConfig.from_dict(base_config(policy=policy, replicas=1))
+    assert cfg.T <= PLAN_CELLS // cfg.n  # round 7 lies inside the first block
+    with pytest.raises(RuntimeError, match="core strategy failed on round 7: 'boom'"):
+        run_experiment(cfg, out_dir=tmp_path)
+    # rounds 1-6 were planned together and played before the error
+    assert played == [(t, t < 6) for t in range(1, 7)]
+    assert not (tmp_path / "replica_0.csv").exists()
 
 
 def test_sweep_rows_and_file(tmp_path):

@@ -204,6 +204,10 @@ def test_refeasibilize_matches_the_written_out_repair_bit_for_bit():
                 _refeasibilize(p.copy(), k)
             continue
         assert _refeasibilize(p.copy(), k).tobytes() == want.tobytes()
+        # a block repairs each row as the row alone
+        block = np.array([p, p[::-1], p])
+        rows = [want, refeasibilize_reference(p[::-1].copy(), k), want]
+        assert _refeasibilize(block, k).tobytes() == np.array(rows).tobytes()
 
 
 def test_entropic_rejects_bad_input():
@@ -373,6 +377,52 @@ def test_default_sort_matches_the_stable_sort_bit_for_bit(n):
     cost -= np.sort(cost)[k]
     cost[cost.argsort()[k - 2:k + 2]] = [0.0, -0.0, -0.0, 0.0]
     assert lmo(cost, k).tobytes() == lmo_stable_reference(cost, k).tobytes()
+
+
+def entropic_stable_reference(theta, eta, k):
+    """The entropic argmax of one score vector with one stable sort, written out."""
+    n = theta.size
+    if k == n:
+        return np.ones(n)
+    s = eta * theta
+    order = np.argsort(-s, kind="stable")
+    d = s[order] - s[order[0]]
+    if d[-1] >= -690.0:
+        e = np.exp(d)
+        rev = np.cumsum(e[::-1])
+        c = np.arange(k, 0, -1) / rev[n - k:][::-1]
+        j = int(np.argmax(c * e[:k] <= 1.0 + 1e-12))
+        p_sorted = c[j] * e
+        p_sorted[:j] = 1.0
+    else:
+        log_tail = np.logaddexp.accumulate(d[::-1])[::-1][:k] - d[:k]
+        j = int(np.argmax((k - np.arange(k)) * np.exp(-log_tail) <= 1.0 + 1e-12))
+        e = np.exp(d[j:] - d[j])
+        p_sorted = np.ones(n)
+        p_sorted[j:] = (k - j) / float(np.sum(e)) * e
+    p = np.empty(n)
+    p[order] = p_sorted
+    return _refeasibilize(p, k)
+
+
+@pytest.mark.parametrize("n", [20, 1000, 1025, 2000])
+def test_entropic_default_sort_matches_the_stable_sort_bit_for_bit(n):
+    rng = np.random.default_rng(n + 1)
+    inputs = sort_inputs(n, rng)
+    inputs["signed-zero-only"] = rng.choice([0.0, -0.0], n)
+    for k in (1, 5, n // 3, n - 1, n):
+        for eta in (0.3, 40.0):
+            rows = []
+            for name, theta in inputs.items():
+                want = entropic_stable_reference(theta, eta, k)
+                got = entropic_ftrl_argmax(theta, eta, k).p
+                assert got.tobytes() == want.tobytes(), (name, k, eta)
+                rows.append(want)
+            # a block of score vectors gives each row's maximizer, bit for bit;
+            # the block mixes tied, untied and underflowing ("huge") rows
+            block = entropic_ftrl_argmax(np.array(list(inputs.values())), eta, k).p
+            assert block.shape == (len(rows), n)
+            assert block.tobytes() == np.array(rows).tobytes(), (k, eta)
 
 
 # ---------------------------------------------------------------------------

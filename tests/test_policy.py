@@ -9,6 +9,7 @@ import pytest
 import coreselect.policy as policy_module
 from coreselect.adversary import (
     HintSpec,
+    adversary_from_config,
     generate_hints,
     make_coverage_drift_adversary,
     make_modular_drift_adversary,
@@ -29,7 +30,7 @@ from coreselect.policy import (
     static_linear_regret,
     static_regret_bound,
 )
-from coreselect.sampling import expected_set_value, madow_marginal_measure
+from coreselect.sampling import _prefix_sums, expected_set_value, madow_marginal_measure
 from coreselect.setfn import ModularFunction
 
 
@@ -249,6 +250,163 @@ def test_priced_unobserved_round_feeds_zero(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# Planned blocks of rounds.
+
+ADVERSARY_KINDS = ("onehot-ensemble", "modular-random", "modular-drift",
+                   "coverage-drift", "matching-random")
+
+
+class ScriptedGenerator:
+    """Uniforms from a fixed list, in order, behind the part of the
+    ``Generator`` interface the policies use, state included."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+        self.pos = 0
+        self.bit_generator = self
+
+    @property
+    def state(self):
+        return {"pos": self.pos}
+
+    @state.setter
+    def state(self, state):
+        self.pos = state["pos"]
+
+    def random(self, size=None):
+        start = self.pos
+        self.pos += 1 if size is None else size
+        if size is None:
+            return float(self.values[start])
+        return self.values[start:self.pos].copy()
+
+
+def make_planner(kind, cfg, rng):
+    if kind == "score":
+        return ScorePolicy(cfg, rng)
+    return PricedPolicy(cfg, rng, cost=1.5, epsilon=0.4)
+
+
+def play(pol, fs, gs, block=None):
+    """Each round's record and theta after it, planned in blocks of ``block``
+    rounds (unplanned without one)."""
+    out = []
+    size = block or len(fs)
+    for start in range(0, len(fs), size):
+        if block:
+            pol.plan(gs[start:start + size])
+            assert (pol._plan is None) == (pol.config.k == pol.config.n)
+        for f, g in zip(fs[start:start + size], gs[start:start + size]):
+            out.append((pol.step(f, g), pol.theta.copy()))
+    return out
+
+
+def assert_same_rounds(got, want):
+    assert len(got) == len(want)
+    for (a, theta_a), (b, theta_b) in zip(got, want):
+        assert a.t == b.t
+        assert a.p.tobytes() == b.p.tobytes(), a.t
+        assert a.u == b.u and type(a.u) is type(b.u)
+        assert a.selected == b.selected
+        assert a.fed.tobytes() == b.fed.tobytes()
+        assert a.observed is b.observed
+        assert a.cost == b.cost and type(a.cost) is type(b.cost)
+        assert (a.reward, a.full_reward) == (b.reward, b.full_reward)
+        assert theta_a.tobytes() == theta_b.tobytes()
+
+
+def madow_falls_back(p, k, u):
+    """Whether the sampler's ulp fallback fills the set drawn at (p, u)."""
+    grid = np.ceil(_prefix_sums(p.clip(0.0, 1.0), k) - u)
+    return int((grid[1:] > grid[:-1]).sum()) < k
+
+
+def forced_fallback(pol_factory, fs, gs, k, draws):
+    """Uniforms under which some round of the unplanned run falls back, and
+    that round's index."""
+    for seed in range(20):
+        values = np.random.default_rng(seed).random(draws * len(fs))
+        ps = [r.p for r, _ in play(pol_factory(ScriptedGenerator(values)), fs, gs)]
+        for t, p in enumerate(ps):
+            # the proposals do not depend on the Madow uniforms: try the few
+            # doubles around each boundary's fractional part
+            for a in _prefix_sums(p, k)[1:-1]:
+                frac = a - math.floor(a)
+                for u in frac + np.arange(-4, 5) * np.spacing(frac):
+                    if 0.0 <= u < 1.0 and madow_falls_back(p, k, u):
+                        values[draws * t] = u
+                        return values, t
+    raise AssertionError("no round can be forced to fall back")
+
+
+@pytest.mark.parametrize("adversary", ADVERSARY_KINDS)
+@pytest.mark.parametrize("kind", ["score", "priced"])
+@pytest.mark.parametrize("case", ["blocks", "full-selection", "underflow", "ulp-fallback"])
+def test_planned_rounds_equal_unplanned_steps(kind, adversary, case):
+    n, T = 12, 11
+    k = n if case == "full-selection" else 6
+    adv = adversary_from_config({"kind": adversary}, n)
+    fs = list(adv.rounds(T, np.random.default_rng(1)))
+    strategy = adv.core_strategy(np.random.default_rng(2))
+    gs = [strategy(f).g for f in fs]
+    # eta 3 caps several coordinates; 1e4 spreads the scores past exp underflow
+    cfg = ScoreConfig(n=n, k=k, T=T, M=adv.M, G=adv.G,
+                      eta=1e4 if case == "underflow" else 3.0)
+    draws = 1 if kind == "score" else 2
+
+    def factory(rng):
+        return make_planner(kind, cfg, rng)
+
+    if case == "ulp-fallback":
+        values, t = forced_fallback(factory, fs, gs, k, draws)
+        runs = [play(factory(ScriptedGenerator(values)), fs, gs, block)
+                for block in (None, 4, T)]
+        r = runs[0][t][0]
+        assert madow_falls_back(r.p, k, r.u)
+    else:
+        runs = [play(factory(np.random.default_rng(3)), fs, gs, block)
+                for block in (None, 4, T)]
+    if case == "underflow":
+        # some round's scores spread past exp underflow, so its row goes
+        # through the log-space branch
+        spread = [cfg.eta * (theta.max() - theta.min()) for _, theta in runs[0]]
+        assert max(spread) > 690.0
+    # the first round's scores are all tied (theta = 0)
+    assert_same_rounds(runs[1], runs[0])  # T = 11 is not a multiple of 4
+    assert_same_rounds(runs[2], runs[0])
+
+
+@pytest.mark.parametrize("kind", ["score", "priced"])
+def test_step_with_another_vector_drops_the_plan(kind):
+    adv = make_modular_drift_adversary(8, G=1.0)
+    fs = list(adv.rounds(9, np.random.default_rng(4)))
+    strategy = adv.core_strategy(np.random.default_rng(5))
+    gs = [strategy(f).g for f in fs]
+    cfg = ScoreConfig(n=8, k=3, T=9, M=adv.M, G=adv.G)
+    unplanned = make_planner(kind, cfg, np.random.default_rng(6))
+    want = play(unplanned, fs, gs)
+    pol = make_planner(kind, cfg, np.random.default_rng(6))
+    pol.plan(gs[:6])
+    got = [(pol.step(f, g), pol.theta.copy()) for f, g in zip(fs[:2], gs[:2])]
+    # an equal vector that is not the planned object drops the plan; the
+    # generator goes back to where round 3 draws
+    got.append((pol.step(fs[2], gs[2].copy()), pol.theta.copy()))
+    assert pol._plan is None
+    got += [(pol.step(f, g), pol.theta.copy()) for f, g in zip(fs[3:], gs[3:])]
+    assert_same_rounds(got, want)
+    assert pol.rng.random() == unplanned.rng.random()
+
+
+def test_plan_takes_at_most_plan_rounds():
+    pol = ScorePolicy(ScoreConfig(n=2000, k=5, T=10), np.random.default_rng(0))
+    assert pol.plan_rounds == policy_module.PLAN_CELLS // 2000 == 2
+    with pytest.raises(ValueError, match="at most 2 rounds"):
+        pol.plan([np.zeros(2000)] * 3)
+    assert ScorePolicy(ScoreConfig(n=5000, k=5, T=10), None).plan_rounds == 1
+    assert SemiBanditPolicy(ScoreConfig(n=20, k=5, T=10), None).plan_rounds == 1
+
+
+# ---------------------------------------------------------------------------
 # Optimistic policy.
 
 def make_oftrl_inputs(n, T, spec, seed, adversary=None):
@@ -274,6 +432,17 @@ def test_oftrl_step_without_hint_is_an_error():
                       np.random.default_rng(3))
     with pytest.raises(ValueError, match="needs a hint every round"):
         pol.step(fs[0], fvecs[0])
+
+
+def test_oftrl_step_without_hint_at_full_selection_fails_before_the_round():
+    # k == n plays the full set without a proposal; the hint is still required
+    adv, fs, fvecs, _ = make_oftrl_inputs(4, 1, HintSpec("perfect"), 0)
+    pol = OftrlPolicy(ScoreConfig(n=4, k=4, T=1, M=adv.M, G=adv.G),
+                      np.random.default_rng(3))
+    with pytest.raises(ValueError, match="needs a hint every round"):
+        pol.step(fs[0], fvecs[0])
+    assert pol.t == 0
+    np.testing.assert_array_equal(pol.theta, np.zeros(4))
 
 
 def test_perfect_hints_route_through_vertices_with_no_regret():

@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
-from coreselect.hypersimplex import HypersimplexPoint, InfeasiblePointError, euclidean_project
+from coreselect.hypersimplex import (
+    HypersimplexPoint,
+    InfeasiblePointError,
+    entropic_ftrl_argmax,
+    euclidean_project,
+)
 from coreselect.sampling import (
+    _prefix_sums,
     draw,
     expected_set_value,
     madow_marginal_measure,
@@ -143,3 +149,63 @@ def test_uniform_p_selects_everyone_equally():
         for j in madow_sample(pt, float(rng.random())):
             counts[j] += 1
     np.testing.assert_allclose(counts / m, 0.5, atol=4 * np.sqrt(0.25 / m))
+
+
+def falls_back(p, k, u):
+    """Whether the prefix-sum sweep alone chooses fewer than k elements."""
+    grid = np.ceil(_prefix_sums(p.clip(0.0, 1.0), k) - u)
+    return int((grid[1:] > grid[:-1]).sum()) < k
+
+
+def fallback_cases(n, k, count, rng):
+    """(p, u) pairs where an interval boundary lands within a few ulps of a
+    grid point, so the sampler's fallback fills the set."""
+    cases = []
+    while len(cases) < count:
+        p = entropic_ftrl_argmax(rng.standard_normal(n), 3.0, k).p  # some caps
+        for a in _prefix_sums(p, k)[1:-1]:
+            frac = a - np.floor(a)
+            hits = [u for u in frac + np.arange(-4, 5) * np.spacing(frac)
+                    if 0.0 <= u < 1.0 and falls_back(p, k, u)]
+            if hits:
+                cases.append((p, float(hits[0])))
+                break
+    return cases
+
+
+def test_block_of_points_samples_each_row_as_alone():
+    rng = np.random.default_rng(8)
+    n, k = 12, 6
+    rows = [_random_point(n, k, rng).p for _ in range(20)]
+    us = list(rng.random(20))
+    rows += [np.r_[np.ones(k), np.zeros(n - k)], np.full(n, k / n)]
+    us += [0.0, 0.999]
+    for p, u in fallback_cases(n, k, 3, rng):
+        rows.append(p)
+        us.append(u)
+    block = HypersimplexPoint(n, k, np.array(rows))
+    want = [madow_sample(_point(p, k), u) for p, u in zip(rows, us)]
+    assert madow_sample(block, np.array(us)) == want
+    sets, u = draw(block, np.random.default_rng(9))
+    assert u.shape == (len(rows),)
+    assert sets == [madow_sample(_point(p, k), float(x)) for p, x in zip(rows, u)]
+    # the draws a block takes are the ones its rows would take one by one
+    single = np.random.default_rng(9)
+    assert u.tolist() == [single.random() for _ in rows]
+
+
+def test_block_rejects_what_a_row_rejects():
+    good = [0.5] * 4
+
+    def block(*rows):
+        return HypersimplexPoint(4, 2, np.array(rows, dtype=float))
+
+    with pytest.raises(ValueError, match="need 2 draws"):
+        madow_sample(block(good, good), np.array([0.3]))
+    with pytest.raises(ValueError, match="u must lie"):
+        madow_sample(block(good, good), np.array([0.3, 1.0]))
+    for bad in ([0.5, np.nan, 0.5, 0.5], [0.9, 0.9, 0.9, 0.9], [1.5, 0.5, 0.0, 0.0]):
+        with pytest.raises(InfeasiblePointError):
+            madow_sample(_point(bad, 2), 0.3)
+        with pytest.raises(InfeasiblePointError):
+            madow_sample(block(good, bad), np.array([0.3, 0.3]))
