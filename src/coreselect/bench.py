@@ -231,12 +231,12 @@ def _replica_rounds(cfg: ExperimentConfig, policy: ScorePolicy | OftrlPolicy,
                     result: ReplicaResult) -> Iterator[RoundRecord]:
     """Each round's record, played after its reward is revealed.
 
-    The round's proxy vector comes from the adversary's core strategy.  A
-    policy that plans takes its rounds in blocks of ``policy.plan_rounds``:
-    the block's rewards and vectors are revealed, the policy plans the
-    block, and then plays it one ``step`` per round; a core strategy that
-    fails on round t ends the run after the rounds before t are played.
-    Any other policy plays each round as its reward is revealed.  The
+    The round's proxy vector comes from the adversary's core strategy.
+    Rounds come in blocks of ``policy.plan_rounds``: the block's rewards and
+    vectors are revealed, the policy plans the block, and then plays it one
+    ``step`` per round; a core strategy that fails on round t ends the run
+    after the rounds before t are played.  A policy that plans nothing takes
+    blocks of one round, each played as its reward is revealed.  The
     optimistic policy also gets a hint made from each vector; rewards on at
     most 16 elements then log the hint's squared sup-distance for the
     optimistic bound.
@@ -261,10 +261,6 @@ def _replica_rounds(cfg: ExperimentConfig, policy: ScorePolicy | OftrlPolicy,
 
     rounds = enumerate(adv.rounds(cfg.T, rngs["adversary"]), 1)
     block = policy.plan_rounds
-    if block == 1:
-        for t, f in rounds:
-            yield play(f, _core_vector(strategy, f, t))
-        return
     while True:
         fs, gs, failure = [], [], None
         for t, f in itertools.islice(rounds, block):

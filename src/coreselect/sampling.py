@@ -50,7 +50,8 @@ def madow_sample(point: HypersimplexPoint, u: float | np.ndarray
 
     For a (B, n) block of points, ``u`` holds one draw per row and the
     result is the list of the B sets, each the one its row alone gives
-    (:func:`_madow_rows`).
+    (:func:`_madow_rows`).  A single point keeps this 1-d path, which at
+    n = 20 takes about half the time of the row code run on one row.
     """
     p = np.asarray(point.p, dtype=float)
     if p.ndim == 2:
@@ -99,18 +100,21 @@ def _madow_rows(p: np.ndarray, k: int, u: np.ndarray) -> list[tuple[int, ...]]:
     grid = np.empty((B, n + 1))
     grid[:, 0] = 0.0
     p.clip(0.0, 1.0).cumsum(axis=1, out=grid[:, 1:])
-    off = ~(abs(grid[:, -1] - k) <= PREFIX_SUM_TOL)
-    if off.any():
+    off = abs(grid[:, -1] - k)
+    if not off.max() <= PREFIX_SUM_TOL:  # NaN fails too
         _check_total(float(grid[off.argmax(), -1]), k)
     grid[:, -1] = float(k)
     np.minimum(grid, float(k), out=grid)
     grid -= u[:, None]
     np.ceil(grid, out=grid)
     chosen = grid[:, 1:] > grid[:, :-1]
-    counts = np.count_nonzero(chosen, axis=1)
-    for r in (counts < k).nonzero()[0].tolist():
-        _fill_dropped_slots(chosen[r], p[r], k)
+    # the ceilings telescope, so no row chooses more than k elements
     selected = chosen.nonzero()[1]
+    if selected.size < B * k:
+        counts = np.count_nonzero(chosen, axis=1)
+        for r in (counts < k).nonzero()[0].tolist():
+            _fill_dropped_slots(chosen[r], p[r], k)
+        selected = chosen.nonzero()[1]
     if selected.size != B * k:
         counts = np.count_nonzero(chosen, axis=1)
         raise InfeasiblePointError(

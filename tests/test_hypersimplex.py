@@ -1,5 +1,6 @@
 """Solver tests against independent brute-force oracles."""
 
+import math
 import warnings
 
 import numpy as np
@@ -405,6 +406,24 @@ def entropic_stable_reference(theta, eta, k):
     return _refeasibilize(p, k)
 
 
+def straddling_ties(n, rng):
+    """Scores for k = n - 1 where rounding caps one of two equal scores and
+    not the other.  One top score, n - 3 equal ones at -a for a in [1e5, 1e7]
+    and two lower ones whose exponentials add up to exp(-a): in exact
+    arithmetic every equal score's cap test reads 1, below the 1 + 1e-12
+    bound, but the log-space tail sums at -a carry rounding errors of 1e-11
+    to 1e-9 (the spacing of doubles near a)."""
+    for _ in range(1000):
+        a = rng.uniform(1e5, 1e7)
+        r = rng.uniform(0.2, 2.0)
+        lower = [-a - r, -a + math.log1p(-math.exp(-r))]
+        theta = np.array([0.0] + [-a] * (n - 3) + lower)[rng.permutation(n)]
+        tied = entropic_stable_reference(theta, 1.0, n - 1)[theta == -a]
+        if tied.min() < tied.max():
+            return theta
+    raise AssertionError("no scores with equal ones on both sides of the caps")
+
+
 @pytest.mark.parametrize("n", [20, 1000, 1025, 2000])
 def test_entropic_default_sort_matches_the_stable_sort_bit_for_bit(n):
     rng = np.random.default_rng(n + 1)
@@ -423,6 +442,14 @@ def test_entropic_default_sort_matches_the_stable_sort_bit_for_bit(n):
             block = entropic_ftrl_argmax(np.array(list(inputs.values())), eta, k).p
             assert block.shape == (len(rows), n)
             assert block.tobytes() == np.array(rows).tobytes(), (k, eta)
+    # equal scores on both sides of the caps: only the stable order decides
+    # which of them is capped
+    block = np.array([inputs["random"], straddling_ties(n, rng),
+                      straddling_ties(n, rng)])
+    rows = [entropic_stable_reference(theta, 1.0, n - 1) for theta in block]
+    for theta, want in zip(block, rows):
+        assert entropic_ftrl_argmax(theta, 1.0, n - 1).p.tobytes() == want.tobytes()
+    assert entropic_ftrl_argmax(block, 1.0, n - 1).p.tobytes() == np.array(rows).tobytes()
 
 
 # ---------------------------------------------------------------------------
