@@ -16,6 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .blocks import block_rounds, row_dots
 from .corevec import (
     marginal_strategy,
     matching_dual_strategy,
@@ -80,10 +81,33 @@ def onehot_ensemble(n: int, T: int, rng: np.random.Generator) -> list[ModularFun
     return [indicators[i] for i in hot]
 
 
-def _modular_vec(n: int, G: float, rng: np.random.Generator) -> np.ndarray:
-    w = rng.random(n)
-    norm = float(np.linalg.norm(w))
-    return (G / norm) * w if norm > 0 else w
+def _modular_rows(b: int, n: int, G: float, rng: np.random.Generator) -> np.ndarray:
+    """b nonnegative coefficient vectors as rows, each of norm G unless it
+    is 0, from one ``rng.random((b, n))``: the stream of b draws of
+    ``rng.random(n)``."""
+    w = rng.random((b, n))
+    return _rescaled_rows(w, G, w)
+
+
+def _rescaled_rows(w: np.ndarray, G: float, fallback: np.ndarray) -> np.ndarray:
+    """Each row of the (B, n) block ``w`` rescaled to l2 norm G, as
+    ``(G / norm) * row`` with the norm ``np.linalg.norm`` gives the row; a
+    row of norm 0 is replaced by the same row of ``fallback`` (or by
+    ``fallback`` itself, one vector)."""
+    norms = np.sqrt(row_dots(w, w))
+    positive = norms > 0
+    out = (G / np.where(positive, norms, 1.0))[:, None] * w
+    if not positive.all():
+        out = np.where(positive[:, None], out, fallback)
+    return out
+
+
+def _blocks(start: int, stop: int, n: int) -> Iterator[int]:
+    """The lengths of consecutive blocks of at most ``block_rounds(n)`` rounds
+    covering rounds start..stop-1."""
+    size = block_rounds(n)
+    for first in range(start, stop, size):
+        yield min(size, stop - first)
 
 
 def make_onehot_adversary(n: int) -> Adversary:
@@ -96,11 +120,12 @@ def make_onehot_adversary(n: int) -> Adversary:
 
 
 def make_modular_random_adversary(n: int, G: float = 1.0) -> Adversary:
-    """Fresh nonnegative coefficient vector of norm exactly G every round."""
+    """Fresh nonnegative coefficient vector of norm exactly G every round,
+    drawn a block of rounds at a time."""
 
     def rounds(T, rng):
-        for _ in range(T):
-            yield ModularFunction(_modular_vec(n, G, rng))
+        for b in _blocks(0, T, n):
+            yield from ModularFunction.from_rows(_modular_rows(b, n, G, rng))
 
     # each coordinate is at most G, and the sum is at most sqrt(n) * G
     return Adversary("modular-random", n, alpha=1.0, M=float(np.sqrt(n)) * G, G=G,
@@ -111,17 +136,22 @@ def make_modular_drift_adversary(n: int, G: float = 1.0,
                                  phases: int = DEFAULT_PHASES,
                                  jitter: float = 0.25) -> Adversary:
     """Piecewise-stationary coefficients: a fresh base direction per phase,
-    jittered every round, rescaled to norm exactly G."""
+    jittered every round, rescaled to norm exactly G; a round whose jittered
+    coefficients clamp to norm 0 plays the base.
+
+    The base is drawn at the start of its phase, so blocks of rounds end at
+    phase boundaries; a block draws its jitter with one
+    ``rng.standard_normal((B, n))``, the stream of B draws of
+    ``rng.standard_normal(n)``."""
 
     def rounds(T, rng):
         plen = _phase_length(T, phases)
-        base = _modular_vec(n, G, rng)
-        for t in range(T):
-            if t > 0 and t % plen == 0:
-                base = _modular_vec(n, G, rng)
-            w = np.maximum(base + jitter * G * rng.standard_normal(n) / np.sqrt(n), 0.0)
-            norm = float(np.linalg.norm(w))
-            yield ModularFunction((G / norm) * w if norm > 0 else base)
+        for start in range(0, T, plen):
+            base = _modular_rows(1, n, G, rng)[0]
+            for b in _blocks(start, min(start + plen, T), n):
+                w = np.maximum(base + jitter * G * rng.standard_normal((b, n)) / np.sqrt(n),
+                               0.0)
+                yield from ModularFunction.from_rows(_rescaled_rows(w, G, base))
 
     return Adversary("modular-drift", n, alpha=1.0, M=float(np.sqrt(n)) * G, G=G,
                      _make_rounds=rounds, _make_strategy=lambda rng: modular_strategy())
@@ -254,21 +284,26 @@ def generate_hints(fvecs: list[np.ndarray], spec: HintSpec,
     """Hint stream for a known proxy-vector stream.
 
     additive-noise perturbs each vector by a random direction of l2 length
-    exactly noise_l2; adversarial-flip negates it outright.
+    exactly noise_l2; adversarial-flip negates it outright.  The B vectors
+    are worked on as rows of one (B, n) block: their directions come from
+    one ``rng.standard_normal((B, n))``, the stream of B draws of
+    ``rng.standard_normal(n)``, and a direction of norm 0 is dropped for
+    the next one drawn.
     """
-    out = []
-    for fv in fvecs:
-        fv = np.asarray(fv, dtype=float)
-        if spec.mode == "perfect" or spec.noise_l2 == 0.0 and spec.mode == "additive-noise":
-            h = fv.copy()
-        elif spec.mode == "additive-noise":
-            z = rng.standard_normal(fv.size)
-            norm = float(np.linalg.norm(z))
-            while norm == 0.0:
-                z = rng.standard_normal(fv.size)
-                norm = float(np.linalg.norm(z))
-            h = fv + (spec.noise_l2 / norm) * z
-        else:
-            h = -fv
-        out.append(ModularFunction(h))
-    return out
+    if not len(fvecs):
+        return []
+    fv = np.array(fvecs, dtype=float)
+    if spec.mode == "perfect" or spec.noise_l2 == 0.0 and spec.mode == "additive-noise":
+        h = fv
+    elif spec.mode == "additive-noise":
+        z = rng.standard_normal(fv.shape)
+        norms = np.sqrt(row_dots(z, z))
+        while not norms.all():
+            keep = norms != 0.0
+            more = rng.standard_normal((len(z) - int(keep.sum()), z.shape[1]))
+            z = np.concatenate([z[keep], more])
+            norms = np.concatenate([norms[keep], np.sqrt(row_dots(more, more))])
+        h = fv + (spec.noise_l2 / norms)[:, None] * z
+    else:
+        h = -fv
+    return ModularFunction.from_rows(h)

@@ -1,12 +1,11 @@
 """Experiment harness: config parsing, replicated runs, CSV output and sweeps.
 
-Every policy kind runs through one replica loop: rounds stream through a
-``RegretLedger`` and, when an output directory is set, into the replica's CSV
-as they end, so no per-round record is kept.  The loop reveals rewards and
-their proxy vectors a block at a time, as many rounds as the policy can plan
-at once (one for semi-bandit and optimistic), so that score and priced
-compute a block's proposals and draws in one pass.  The CSV layout per replica is
-one row per round::
+Every policy kind runs through one replica loop.  It reveals rewards and
+their proxy vectors a block of up to ``block_rounds(n)`` rounds at a time,
+so that score and priced compute a block's proposals and draws in one pass,
+plays the block, and folds its records into a ``RegretLedger`` and, when an
+output directory is set, into the replica's CSV, so no record outlives its
+block.  The CSV layout per replica is one row per round::
 
     round,reward,full_reward,cum_reward,cum_benchmark,aug_regret,static_regret,observed,cum_cost
 
@@ -36,6 +35,7 @@ from .adversary import (
     adversary_from_config,
     generate_hints,
 )
+from .blocks import block_rounds
 from .hypersimplex import lmo  # noqa: F401  unused here, but perfbench/spans.py wraps bench.lmo
 from .policy import (
     OftrlPolicy,
@@ -168,7 +168,7 @@ class ReplicaResult:
         ledger = self.ledger
         return {
             "aug_regret": float(ledger.aug_regret()),
-            "static_regret": ledger.static_regret(),
+            "static_regret": float(ledger.static_regret()),
             "cost": float(ledger.cum_cost),
             "cum_reward": float(ledger.cum_reward),
         }
@@ -226,18 +226,19 @@ def _core_vector(core_strategy, f: SetFunction, t: int) -> np.ndarray:
         raise RuntimeError(f"core strategy failed on round {t}: {exc}") from exc
 
 
-def _replica_rounds(cfg: ExperimentConfig, policy: ScorePolicy | OftrlPolicy,
+def _replica_blocks(cfg: ExperimentConfig, policy: ScorePolicy | OftrlPolicy,
                     adv: Adversary, rngs: dict,
-                    result: ReplicaResult) -> Iterator[RoundRecord]:
-    """Each round's record, played after its reward is revealed.
+                    result: ReplicaResult) -> Iterator[list[RoundRecord]]:
+    """The records of each block of rounds, each round played after its
+    reward is revealed.
 
     The round's proxy vector comes from the adversary's core strategy.
-    Rounds come in blocks of ``policy.plan_rounds``: the block's rewards and
-    vectors are revealed, the policy plans the block, and then plays it one
-    ``step`` per round; a core strategy that fails on round t ends the run
-    after the rounds before t are played.  A policy that plans nothing takes
-    blocks of one round, each played as its reward is revealed.  The
-    optimistic policy also gets a hint made from each vector; rewards on at
+    Rounds come in blocks of up to ``block_rounds(n)``: the block's rewards
+    and vectors are revealed, the policy plans the block (score and priced
+    compute it in one pass; the others plan nothing), and then plays it one
+    ``step`` per round.  A core strategy that fails on round t ends the run
+    after the rounds before t are played.  The optimistic policy also gets a
+    hint made from each vector, a block's hints in one call; rewards on at
     most 16 elements then log the hint's squared sup-distance for the
     optimistic bound.
     """
@@ -247,20 +248,16 @@ def _replica_rounds(cfg: ExperimentConfig, policy: ScorePolicy | OftrlPolicy,
         spec = cfg.hints if cfg.hints is not None else HintSpec("perfect")
         result.sq_distances = [] if cfg.n <= 16 else None
 
-    def play(f: SetFunction, g: np.ndarray) -> RoundRecord:
-        hint = None
-        if spec is not None:
-            h = generate_hints([g], spec, rngs["hints"])[0]
-            hint = h.w
-            if result.sq_distances is not None:
-                if isinstance(f, (ModularFunction, CoverageFunction)):
-                    result.sq_distances.append(distance_sup(f, h) ** 2)
-                else:
-                    result.sq_distances = None
-        return policy.step(f, g, hint)
+    def play(f: SetFunction, g: np.ndarray, h: ModularFunction | None) -> RoundRecord:
+        if h is not None and result.sq_distances is not None:
+            if isinstance(f, (ModularFunction, CoverageFunction)):
+                result.sq_distances.append(distance_sup(f, h) ** 2)
+            else:
+                result.sq_distances = None
+        return policy.step(f, g, None if h is None else h.w)
 
     rounds = enumerate(adv.rounds(cfg.T, rngs["adversary"]), 1)
-    block = policy.plan_rounds
+    block = block_rounds(cfg.n)
     while True:
         fs, gs, failure = [], [], None
         for t, f in itertools.islice(rounds, block):
@@ -271,11 +268,16 @@ def _replica_rounds(cfg: ExperimentConfig, policy: ScorePolicy | OftrlPolicy,
                 break
             fs.append(f)
         policy.plan(gs)
-        for f, g in zip(fs, gs):
-            yield play(f, g)
+        if fs:
+            hints = [None] * len(gs) if spec is None else generate_hints(gs, spec, rngs["hints"])
+            # each reward and hint is let go once its round is played, with
+            # any table of its 2^n values that the round computed
+            fs.reverse()
+            hints.reverse()
+            yield [play(fs.pop(), g, hints.pop()) for g in gs]
         if failure is not None:
             raise failure
-        if len(fs) < block:
+        if len(gs) < block:
             return
 
 
@@ -283,8 +285,8 @@ def run_replica(cfg: ExperimentConfig, replica: int,
                 out_dir: str | Path | None = None) -> ReplicaResult:
     """One independent seeded run; deterministic in (config, replica index).
 
-    With ``out_dir`` set, each round's row of ``replica_<i>.csv`` is written
-    as the round ends.
+    With ``out_dir`` set, the rows of ``replica_<i>.csv`` are written a
+    block of rounds at a time, as each block ends.
     """
     adv = adversary_from_config(cfg.adversary, cfg.n)
     alpha, M, G = _resolve_bounds(cfg, adv)
@@ -293,14 +295,14 @@ def run_replica(cfg: ExperimentConfig, replica: int,
                             eta=cfg.policy.eta)
     result = ReplicaResult(RegretLedger(cfg.n, cfg.k, alpha))
     policy = _make_policy(cfg, score_cfg, rngs["policy"])
-    records = _replica_rounds(cfg, policy, adv, rngs, result)
+    blocks = _replica_blocks(cfg, policy, adv, rngs, result)
     if out_dir is None:
-        for r in records:
-            result.ledger.add(r)
+        for records in blocks:
+            result.ledger.fold(records)
     else:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        write_replica_csv(out / f"replica_{replica}.csv", records, result.ledger)
+        write_replica_csv(out / f"replica_{replica}.csv", blocks, result.ledger)
     return result
 
 
@@ -336,21 +338,27 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def write_replica_csv(path: Path, records: Iterable[RoundRecord],
+# one CSV row: %r of a float is its shortest round-trip repr, %d of a bool 0 or 1
+_CSV_ROW = "%d,%r,%r,%r,%r,%r,%r,%d,%r\n"
+
+
+def write_replica_csv(path: Path, blocks: Iterable[list[RoundRecord]],
                       ledger: RegretLedger) -> None:
-    """Fold each round into the ledger and write its row as the round ends.
-    If a round raises, the partial file is removed."""
+    """Fold each block of rounds into the ledger and write its rows, with
+    one ``write``, as the block ends.  Every float is the ``repr`` of a
+    Python float from ``tolist``, which is what ``_fmt`` writes.  If a round
+    raises, the partial file is removed."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(CSV_HEADER + "\n")
-            for r in records:
-                ledger.add(r)
-                fh.write(",".join([
-                    str(r.t), _fmt(r.reward), _fmt(r.full_reward), _fmt(ledger.cum_reward),
-                    _fmt(ledger.benchmark()), _fmt(ledger.aug_regret()),
-                    _fmt(ledger.static_regret()), str(int(r.observed)),
-                    _fmt(ledger.cum_cost),
-                ]) + "\n")
+            for records in blocks:
+                rows = ledger.fold(records)
+                fh.write("".join([_CSV_ROW % row for row in zip(
+                    [r.t for r in records], rows.reward.tolist(),
+                    rows.full_reward.tolist(), rows.cum_reward.tolist(),
+                    rows.benchmark().tolist(), rows.aug_regret().tolist(),
+                    rows.static_regret().tolist(), [r.observed for r in records],
+                    rows.cum_cost.tolist())]))
     except BaseException:
         path.unlink(missing_ok=True)
         raise

@@ -7,8 +7,8 @@ log a ``RoundRecord``.  The policies differ only in the proposal (entropic
 argmax of the cumulative score, or an optimistic quadratic step against a
 hint) and in the feed and update (the admissible vector itself, an
 inverse-propensity estimate, or a Bernoulli-gated estimate with a per-peek
-price).  ``RegretLedger`` keeps the regret accounting as running sums, one
-round at a time.
+price).  ``RegretLedger`` keeps the regret accounting as running sums, folded
+in a block of rounds at a time with the bits of one round at a time.
 
 The full-information and priced feeds do not depend on the set a round
 draws, so once a block of proxy vectors is known, ``ScorePolicy.plan`` and
@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import PLAN_CELLS  # noqa: F401  re-exported: callers read policy.PLAN_CELLS
+from .blocks import block_rounds, row_dots, running_sums
 from .hypersimplex import (
     HypersimplexPoint,
     QuadraticObjective,
@@ -38,10 +40,6 @@ from .hypersimplex import (
 )
 from .sampling import draw
 from .setfn import SetFunction
-
-# A plan holds a few (B, n) arrays; B * n stays at most this many entries, so
-# a block covers PLAN_CELLS // n rounds (204 at n = 20).
-PLAN_CELLS = 4096
 
 
 def norm_bound(alpha: float, value_bound: float) -> float:
@@ -221,7 +219,7 @@ class ScorePolicy(_Policy):
 
     @property
     def plan_rounds(self) -> int:
-        return max(1, PLAN_CELLS // self.config.n)
+        return block_rounds(self.config.n)
 
     def _propose(self, hint):
         return entropic_ftrl_argmax(self.theta, self.config.eta, self.config.k), None
@@ -244,7 +242,7 @@ class ScorePolicy(_Policy):
         theta = np.empty((len(gvecs) + 1, cfg.n))
         theta[0] = self.theta
         theta[1:] = fed
-        theta.cumsum(axis=0, out=theta)
+        running_sums(theta)
         point = entropic_ftrl_argmax(theta[:-1], cfg.eta, cfg.k)
         selected, u = draw(point, self.rng, u)
         self._plan = _Plan(gvecs, theta, point.p, selected, u.tolist(), fed,
@@ -428,12 +426,51 @@ class OftrlPolicy(_Policy):
 # ---------------------------------------------------------------------------
 # Regret accounting.
 
-class RegretLedger:
-    """Regret accounting of one run, folded in one round at a time.
+class _Regrets:
+    """The regrets, read off the running sums ``cum_reward``, ``cum_full``,
+    ``cum_dot`` and ``total_g`` with ``k`` and ``scale``.  A ledger's sums are
+    numbers and one vector; those of a folded block hold one entry, and one
+    row of ``total_g``, per round, and then so does each regret."""
+
+    def benchmark(self):
+        """k/(n*alpha) of the cumulative full-set reward."""
+        return self.scale * self.cum_full
+
+    def aug_regret(self):
+        """The benchmark minus the rewards the policy collected."""
+        return self.benchmark() - self.cum_reward
+
+    def static_regret(self):
+        """Best fixed point in hindsight against the true proxy vectors, minus
+        what the proposals earned.  The linear oracle resolves the benchmark
+        as a top-k sum of the summed vectors."""
+        total = self.total_g
+        return row_dots(total, lmo(-total, self.k)) - self.cum_dot
+
+
+@dataclass
+class LedgerRows(_Regrets):
+    """A ledger's sums after each round of a folded block, one entry per
+    round, with each round's own reward and full-set reward."""
+
+    k: int
+    scale: float
+    reward: np.ndarray
+    full_reward: np.ndarray
+    cum_reward: np.ndarray
+    cum_full: np.ndarray
+    cum_cost: np.ndarray
+    cum_dot: np.ndarray
+    total_g: np.ndarray  # (B, n)
+
+
+class RegretLedger(_Regrets):
+    """Regret accounting of one run, folded in a block of rounds at a time.
 
     It keeps running sums only: realized and full-set reward, the price
     paid, the summed proxy vectors and their summed inner products with the
-    proposals.  The regrets can be read after any round.
+    proposals.  The regrets can be read after any block, and
+    :meth:`fold` gives them after each round of the block.
     """
 
     def __init__(self, n: int, k: int, alpha: float = 1.0):
@@ -452,25 +489,29 @@ class RegretLedger:
         self.cum_reward += r.reward
         self.cum_full += r.full_reward
 
-    def add(self, r: RoundRecord) -> None:
-        self.add_rewards(r)
-        self.cum_cost += r.cost
-        self.total_g += r.gvec
-        self.cum_dot += float(r.gvec @ r.p)
-
-    def benchmark(self) -> float:
-        """k/(n*alpha) of the cumulative full-set reward."""
-        return self.scale * self.cum_full
-
-    def aug_regret(self) -> float:
-        """The benchmark minus the rewards the policy collected."""
-        return self.benchmark() - self.cum_reward
-
-    def static_regret(self) -> float:
-        """Best fixed point in hindsight against the true proxy vectors, minus
-        what the proposals earned.  The linear oracle resolves the benchmark
-        as a top-k sum of the summed vectors."""
-        return float(self.total_g @ lmo(-self.total_g, self.k)) - self.cum_dot
+    def fold(self, records: list[RoundRecord]) -> LedgerRows:
+        """Fold in a block of rounds, in order, with the bits of adding them
+        one at a time: every sum after every round is a cumulative sum
+        seeded with its value before the block, and each round's
+        ``gvec @ p`` comes from :func:`row_dots`.  Returns the sums after
+        each round."""
+        B = len(records)
+        sums = np.empty((4, B + 1))
+        sums[:, 0] = self.cum_reward, self.cum_full, self.cum_cost, self.cum_dot
+        sums[0, 1:] = [r.reward for r in records]
+        sums[1, 1:] = [r.full_reward for r in records]
+        sums[2, 1:] = [r.cost for r in records]
+        total = np.empty((B + 1, self.total_g.size))
+        total[0] = self.total_g
+        total[1:] = [r.gvec for r in records]
+        sums[3, 1:] = row_dots(total[1:], np.array([r.p for r in records]))
+        cum = sums.cumsum(axis=1)
+        running_sums(total)
+        self.rounds += B
+        self.cum_reward, self.cum_full, self.cum_cost, self.cum_dot = cum[:, -1].tolist()
+        self.total_g = total[-1]
+        return LedgerRows(self.k, self.scale, sums[0, 1:], sums[1, 1:], *cum[:, 1:],
+                          total[1:])
 
 
 def augmented_regret(records: list[RoundRecord], alpha: float, k: int, n: int) -> float:
@@ -486,9 +527,8 @@ def static_linear_regret(records: list[RoundRecord]) -> float:
     if not records:
         return 0.0
     ledger = RegretLedger(records[0].gvec.size, len(records[0].selected))
-    for r in records:
-        ledger.add(r)
-    return ledger.static_regret()
+    ledger.fold(records)
+    return float(ledger.static_regret())
 
 
 def static_regret_bound(n: int, k: int, T: int, G: float) -> float:

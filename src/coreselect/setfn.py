@@ -110,12 +110,41 @@ class ModularFunction(SetFunction):
         w = np.asarray(w, dtype=float)
         if w.ndim != 1 or not np.isfinite(w).all():
             raise ValueError("coefficients must be a finite 1-d vector")
-        self.w = w
-        self.total = float(w.sum())
+        total = float(w.sum())
         monotone = not w.size or bool(w.min() >= 0.0)
         # a monotone w equals max(w, 0), so its total is the same sum
-        super().__init__(w.size, value_bound=self.total if monotone
-                         else float(np.maximum(w, 0.0).sum()), monotone=monotone)
+        self._set(w, total, total if monotone else float(np.maximum(w, 0.0).sum()),
+                  monotone)
+
+    def _set(self, w: np.ndarray, total: float, value_bound: float,
+             monotone: bool) -> None:
+        """Every field of a function on the checked vector ``w``."""
+        self.w = w
+        self.total = total
+        super().__init__(w.size, value_bound=value_bound, monotone=monotone)
+
+    @classmethod
+    def from_rows(cls, w: np.ndarray) -> list["ModularFunction"]:
+        """One function per row of the (B, n) block ``w``, each equal to
+        ``ModularFunction(w[i])`` and holding the row itself as its ``w``.
+        The block is checked once, and its totals and signs are computed
+        once, row by row: ``sum(axis=1)`` gives each row's ``w.sum()``."""
+        w = np.asarray(w, dtype=float)
+        if w.ndim != 2:
+            raise ValueError(f"a block of coefficients must be 2-d, got shape {w.shape}")
+        if not np.isfinite(w).all():
+            raise ValueError("coefficients must be a finite 1-d vector")
+        totals = w.sum(axis=1)
+        monotone = (w >= 0.0).all(axis=1)
+        bounds = totals if monotone.all() else np.where(
+            monotone, totals, np.maximum(w, 0.0).sum(axis=1))
+        out = []
+        for row, total, bound, mono in zip(w, totals.tolist(), bounds.tolist(),
+                                           monotone.tolist()):
+            f = cls.__new__(cls)
+            f._set(row, total, bound, mono)
+            out.append(f)
+        return out
 
     def value_mask(self, mask: int) -> float:
         return float(self.w[list(indices_of(mask))].sum())

@@ -5,6 +5,7 @@ import pytest
 
 from coreselect.adversary import (
     HintSpec,
+    _rescaled_rows,
     adversary_from_config,
     generate_hints,
     make_coverage_drift_adversary,
@@ -14,6 +15,8 @@ from coreselect.adversary import (
     make_onehot_adversary,
     onehot_ensemble,
 )
+from coreselect.blocks import PLAN_CELLS
+from coreselect.setfn import ModularFunction
 
 
 def test_onehot_rounds_are_indicators():
@@ -88,6 +91,89 @@ def test_drift_actually_changes_phases():
     assert max(gaps) > 0.05
 
 
+def _rescaled_reference(w, G, fallback):
+    norm = float(np.linalg.norm(w))
+    return (G / norm) * w if norm > 0 else fallback
+
+
+def modular_random_reference(n, G, T, rng):
+    """The modular-random stream written out, one round at a time."""
+    for _ in range(T):
+        w = rng.random(n)
+        yield ModularFunction(_rescaled_reference(w, G, w))
+
+
+def modular_drift_reference(n, G, phases, jitter, T, rng, fallbacks):
+    """The modular-drift stream written out, one round at a time; appends
+    each round that plays its base to ``fallbacks``."""
+    plen = max(1, int(np.ceil(T / phases)))
+    for t in range(T):
+        if t % plen == 0:
+            w = rng.random(n)
+            base = _rescaled_reference(w, G, w)
+        w = np.maximum(base + jitter * G * rng.standard_normal(n) / np.sqrt(n), 0.0)
+        if not np.linalg.norm(w) > 0:
+            fallbacks.append(t)
+        yield ModularFunction(_rescaled_reference(w, G, base))
+
+
+def assert_same_rewards(got, want):
+    assert len(got) == len(want)
+    for f, g in zip(got, want):
+        assert f.w.tobytes() == g.w.tobytes()
+        assert (f.n, f.total, f.value_bound, f.monotone) == (g.n, g.total, g.value_bound,
+                                                             g.monotone)
+        assert type(f.total) is type(f.value_bound) is float
+        # a block of rewards holds at most PLAN_CELLS coefficients
+        assert f.w.base is None or f.w.base.size <= PLAN_CELLS
+
+
+@pytest.mark.parametrize("n, T, phases, jitter", [
+    (1, 4100, 3, 0.25),  # blocks of 4096 rounds; phases of 1367
+    (1, 300, 7, 1e6),  # about half the rounds clamp to norm 0 and play the base
+    (20, 450, 7, 0.25),  # blocks of 204 rounds; phases of 65
+    (20, 450, 1, 0.25),
+    (1000, 11, 4, 0.25),  # blocks of 4 rounds; phases of 3
+])
+def test_modular_blocks_match_the_rounds_written_out(n, T, phases, jitter):
+    got = list(make_modular_random_adversary(n, G=1.3).rounds(
+        T, np.random.default_rng(n + T)))
+    assert_same_rewards(got, list(modular_random_reference(n, 1.3, T,
+                                                           np.random.default_rng(n + T))))
+    fallbacks = []
+    got = list(make_modular_drift_adversary(n, G=0.7, phases=phases, jitter=jitter).rounds(
+        T, np.random.default_rng(n + T)))
+    want = list(modular_drift_reference(n, 0.7, phases, jitter, T,
+                                        np.random.default_rng(n + T), fallbacks))
+    assert_same_rewards(got, want)
+    assert bool(fallbacks) == (jitter > 1.0)
+
+
+def test_rescaled_rows_keep_a_row_of_norm_zero():
+    # the last row's squares underflow, so its norm is 0 although it is not
+    w = np.array([[0.3, 0.4, 0.0], [0.0, 0.0, 0.0], [1e-170, 0.0, 1e-200]])
+    base = np.array([0.6, 0.0, 0.8])
+    for fallback, rows in ((w, w), (base, [base] * 3)):
+        want = np.array([_rescaled_reference(row, 1.3, b) for row, b in zip(w, rows)])
+        assert _rescaled_rows(w, 1.3, fallback).tobytes() == want.tobytes()
+
+
+def test_modular_from_rows_equals_one_function_per_row():
+    rng = np.random.default_rng(12)
+    w = rng.standard_normal((9, 7))
+    w[::2] = np.abs(w[::2])
+    w[1, 3] = -0.0
+    assert_same_rewards(ModularFunction.from_rows(w), [ModularFunction(row) for row in w])
+    assert ModularFunction.from_rows(np.zeros((0, 4))) == []
+    w[4, 2] = np.nan
+    with pytest.raises(ValueError, match="coefficients must be a finite 1-d vector"):
+        ModularFunction.from_rows(w)
+    with pytest.raises(ValueError, match="must be 2-d"):
+        ModularFunction.from_rows(w[0])
+    with pytest.raises(ValueError, match="ground set must be nonempty"):
+        ModularFunction.from_rows(np.zeros((2, 0)))
+
+
 def test_adversary_from_config_round_trip_and_strictness():
     adv = adversary_from_config({"kind": "modular-random", "G": 2.0}, 5)
     assert adv.kind == "modular-random" and adv.G == 2.0
@@ -118,6 +204,59 @@ def test_hints_perfect_and_noise_and_flip():
     flipped = generate_hints(fvecs, HintSpec("adversarial-flip"), np.random.default_rng(2))
     for fv, h in zip(fvecs, flipped):
         np.testing.assert_array_equal(h.w, -fv)
+
+
+def hints_reference(fvecs, spec, rng):
+    """The hint stream written out, one vector at a time."""
+    out = []
+    for fv in fvecs:
+        if spec.mode == "perfect" or spec.noise_l2 == 0.0 and spec.mode == "additive-noise":
+            h = fv.copy()
+        elif spec.mode == "additive-noise":
+            z = rng.standard_normal(fv.size)
+            while not np.linalg.norm(z) > 0:
+                z = rng.standard_normal(fv.size)
+            h = fv + (spec.noise_l2 / float(np.linalg.norm(z))) * z
+        else:
+            h = -fv
+        out.append(ModularFunction(h))
+    return out
+
+
+class ZeroedNormals:
+    """Standard normals in chunks of n, with the chunks numbered in ``zero``
+    set to 0, whether they are drawn one chunk or many per call."""
+
+    def __init__(self, seed, n, zero):
+        self.rng, self.n, self.zero, self.drawn = np.random.default_rng(seed), n, zero, 0
+
+    def standard_normal(self, shape):
+        z = self.rng.standard_normal(shape).reshape(-1, self.n)
+        for i in range(len(z)):
+            if self.drawn + i in self.zero:
+                z[i] = 0.0
+        self.drawn += len(z)
+        return z.reshape(shape)
+
+
+@pytest.mark.parametrize("n, B, zero", [
+    (1, 40, ()),
+    (6, 20, (0,)),
+    (6, 20, (2, 3)),  # two directions of norm 0 in a row
+    (6, 20, (19, 20)),  # the last direction and the one drawn for it
+    (6, 20, (4, 20)),  # the direction drawn for the 5th hint is dropped as well
+    (1000, 4, (1,)),
+])
+def test_hints_match_the_vectors_worked_out_one_at_a_time(n, B, zero):
+    fvecs = [row for row in np.random.default_rng(n + B).standard_normal((B, n))]
+    for spec in (HintSpec("perfect"), HintSpec("additive-noise", 0.37),
+                 HintSpec("additive-noise", 0.0), HintSpec("adversarial-flip")):
+        got = generate_hints(fvecs, spec, ZeroedNormals(B, n, zero))
+        want_rng = ZeroedNormals(B, n, zero)
+        assert_same_rewards(got, hints_reference(fvecs, spec, want_rng))
+        if spec.noise_l2 > 0.0:
+            assert want_rng.drawn == B + len(zero)
+    assert generate_hints([], HintSpec("additive-noise", 0.37), None) == []
 
 
 def test_hint_spec_validation():

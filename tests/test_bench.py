@@ -8,12 +8,14 @@ import re
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import coreselect
+import coreselect.bench as bench_module
 from coreselect.adversary import Adversary
 from coreselect.bench import (
     ExperimentConfig,
@@ -159,6 +161,24 @@ def test_core_strategy_failing_mid_block_plays_the_rounds_before_it(
     # rounds 1-6 were planned together and played before the error
     assert played == [(t, t < 6) for t in range(1, 7)]
     assert not (tmp_path / "replica_0.csv").exists()
+
+
+def test_a_round_lets_go_of_its_hint_once_played(monkeypatch):
+    # the sup-distance puts a table of 2^n values on each hint, so a block of
+    # rounds that kept its hints to the end would hold a block's worth of them
+    real_distance_sup, seen = bench_module.distance_sup, []
+
+    def distance_sup(f, h):
+        assert all(ref() is None for ref in seen)
+        seen.append(weakref.ref(h))
+        return real_distance_sup(f, h)
+
+    monkeypatch.setattr(bench_module, "distance_sup", distance_sup)
+    cfg = ExperimentConfig.from_dict(base_config(
+        policy={"kind": "oftrl"}, adversary={"kind": "coverage-drift"}, replicas=1,
+        hints={"mode": "additive-noise", "noise_l2": 0.3}))
+    result = run_replica(cfg, 0)
+    assert len(seen) == cfg.T == len(result.sq_distances)
 
 
 def test_sweep_rows_and_file(tmp_path):

@@ -27,6 +27,12 @@ CONFIGS = {
     "oftrl-afw-coverage-drift": {
         **BASE, "policy": {"kind": "oftrl", "mode": "afw"},
         "adversary": {"kind": "coverage-drift"}, "hints": NOISY},
+    # n=20 and T=450 cross blocks of 204 rounds, and drift phases of 45
+    # rounds that fall inside blocks
+    **{f"{kind}-{adv}-n20": {**BASE, "n": 20, "k": 5, "T": 450, "replicas": 1,
+                             "policy": {"kind": kind}, "adversary": {"kind": adv}}
+       for kind, adv in (("score", "modular-drift"), ("priced", "modular-random"),
+                         ("semibandit", "modular-random"))},
 }
 
 

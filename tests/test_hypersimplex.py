@@ -205,9 +205,15 @@ def test_refeasibilize_matches_the_written_out_repair_bit_for_bit():
                 _refeasibilize(p.copy(), k)
             continue
         assert _refeasibilize(p.copy(), k).tobytes() == want.tobytes()
-        # a block repairs each row as the row alone
-        block = np.array([p, p[::-1], p])
-        rows = [want, refeasibilize_reference(p[::-1].copy(), k), want]
+        # a block repairs each row as the row alone, rows with a coordinate
+        # at 0 or 1 one at a time and rows inside (0, 1) all together
+        inside = rng.uniform(1e-3, 1.0 - 1e-3, n)
+        inside *= k / float(inside.sum()) * (1.0 + rng.choice([0.0, 1e-15, -1e-13, 0.3, -0.3]))
+        inside = np.minimum(inside, 1.0 - 1e-3)
+        block = np.array([p, inside, p[::-1], inside[::-1], p])
+        rows = [want, refeasibilize_reference(inside.copy(), k),
+                refeasibilize_reference(p[::-1].copy(), k),
+                refeasibilize_reference(inside[::-1].copy(), k), want]
         assert _refeasibilize(block, k).tobytes() == np.array(rows).tobytes()
 
 
@@ -378,6 +384,22 @@ def test_default_sort_matches_the_stable_sort_bit_for_bit(n):
     cost -= np.sort(cost)[k]
     cost[cost.argsort()[k - 2:k + 2]] = [0.0, -0.0, -0.0, 0.0]
     assert lmo(cost, k).tobytes() == lmo_stable_reference(cost, k).tobytes()
+
+
+@pytest.mark.parametrize("n", [20, 1000])
+def test_lmo_of_a_block_is_each_row_alone(n):
+    rng = np.random.default_rng(n + 2)
+    # the last row has four signed zeros at ranks n/2-2..n/2+1
+    cost = rng.standard_normal(n)
+    cost -= np.sort(cost)[n // 2]
+    cost[cost.argsort()[n // 2 - 2:n // 2 + 2]] = [0.0, -0.0, -0.0, 0.0]
+    block = np.array(list(sort_inputs(n, rng).values()) + [cost])
+    for k in (1, 5, n // 3, n // 2, n - 1, n):
+        want = np.array([lmo_stable_reference(row, k) for row in block])
+        assert lmo(block, k).tobytes() == want.tobytes(), k
+    block[2, 3] = np.inf
+    with pytest.raises(ValueError, match="cost contains non-finite entries"):
+        lmo(block, 2)
 
 
 def entropic_stable_reference(theta, eta, k):

@@ -14,12 +14,14 @@ from coreselect.adversary import (
     make_coverage_drift_adversary,
     make_modular_drift_adversary,
 )
+from coreselect.blocks import running_sums
 from coreselect.corevec import marginal_strategy, modular_strategy
 from coreselect.hypersimplex import HypersimplexPoint, lmo
 from coreselect.policy import (
     OftrlPolicy,
     PricedPolicy,
     RegretLedger,
+    RoundRecord,
     ScoreConfig,
     ScorePolicy,
     SemiBanditPolicy,
@@ -527,6 +529,110 @@ def test_static_regret_matches_replay():
     bench = float(np.sort(total)[-3:].sum())
     replay = bench - sum(float(r.gvec @ r.p) for r in recs)
     assert static_linear_regret(recs) == pytest.approx(replay, abs=1e-9)
+
+
+def ledger_rows_reference(records, n, k, alpha):
+    """Each round's CSV columns from the sums folded in one round at a time:
+    cum_reward, benchmark, aug_regret, static_regret and cum_cost, with the
+    top-k from one stable sort.  A non-finite total ends the list with the
+    error the linear oracle raises."""
+    scale = k / (n * alpha)
+    cum_reward = cum_full = cum_cost = cum_dot = 0.0
+    total = np.zeros(n)
+    rows = []
+    for r in records:
+        cum_reward += r.reward
+        cum_full += r.full_reward
+        cum_cost += r.cost
+        total += r.gvec
+        cum_dot += float(r.gvec @ r.p)
+        if not np.isfinite(total).all():
+            return rows, ValueError("cost contains non-finite entries")
+        best = np.zeros(n)
+        best[np.argsort(-total, kind="stable")[:k]] = 1.0
+        rows.append((cum_reward, scale * cum_full, scale * cum_full - cum_reward,
+                     float(total @ best) - cum_dot, cum_cost))
+    return rows, None
+
+
+def ledger_records(n, k, T, rng, tie=False):
+    """Records with random proposals; with ``tie``, integer vectors with
+    signed zeros, so totals tie at the top-k boundary, and a zero total."""
+    records = []
+    for t in range(1, T + 1):
+        if tie:
+            g = rng.choice([0.0, -0.0, 1.0, -1.0], n)
+            if t <= 2:
+                g = np.full(n, [0.0, -0.0][t - 1])
+        else:
+            g = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
+        p = rng.random(n)
+        observed = bool(rng.random() < 0.5)
+        records.append(RoundRecord(
+            t=t, p=p * (k / p.sum()), u=None, selected=tuple(range(k)),
+            reward=float(rng.random()), full_reward=float(rng.random() * 3), gvec=g,
+            fed=g, observed=observed, cost=0.4 if observed else 0.0))
+    return records
+
+
+@pytest.mark.parametrize("n, k, sizes, tie", [
+    (20, 5, [204, 204, 42], False),  # blocks
+    (20, 5, [1, 3, 204, 7], True),  # short blocks, then a full one
+    (20, 10, [50, 50], True),
+    (1000, 50, [4, 4, 3], False),  # a few long rows, summed by row adds
+    (1000, 50, [40], False),
+    (1, 1, [5, 30], True),
+])
+def test_ledger_fold_matches_rounds_added_one_at_a_time(n, k, sizes, tie):
+    rng = np.random.default_rng(n + sum(sizes))
+    records = ledger_records(n, k, sum(sizes), rng, tie)
+    want, error = ledger_rows_reference(records, n, k, 1.5)
+    assert error is None
+    ledger = RegretLedger(n, k, 1.5)
+    got = []
+    start = 0
+    for size in sizes:
+        rows = ledger.fold(records[start:start + size])
+        start += size
+        got += zip(rows.cum_reward.tolist(), rows.benchmark().tolist(),
+                   rows.aug_regret().tolist(), rows.static_regret().tolist(),
+                   rows.cum_cost.tolist())
+        assert rows.reward.tolist() == [r.reward for r in records[start - size:start]]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert ledger.rounds == len(records)
+    assert (ledger.cum_reward, ledger.aug_regret(), float(ledger.static_regret()),
+            ledger.cum_cost) == (want[-1][0], want[-1][2], want[-1][3], want[-1][4])
+    total = np.zeros(n)
+    for r in records:
+        total += r.gvec
+    assert ledger.total_g.tobytes() == total.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_ledger_fold_with_a_non_finite_total_raises_as_each_round_did():
+    rng = np.random.default_rng(3)
+    records = ledger_records(20, 5, 30, rng)
+    for r in records[17:19]:
+        r.gvec[3] = 1e308
+    want, error = ledger_rows_reference(records, 20, 5, 1.0)
+    assert len(want) == 18 and str(error) == "cost contains non-finite entries"
+    ledger = RegretLedger(20, 5)
+    rows = ledger.fold(records[:10])
+    rows.static_regret()
+    rows = ledger.fold(records[10:])
+    with pytest.raises(ValueError, match="cost contains non-finite entries"):
+        rows.static_regret()
+    with pytest.raises(ValueError, match="cost contains non-finite entries"):
+        ledger.static_regret()
+
+
+@pytest.mark.parametrize("shape", [(2, 20), (13, 20), (205, 20), (5, 1000), (21, 200)])
+def test_running_sums_add_the_rows_in_order(shape):
+    a = np.random.default_rng(shape[0]).standard_normal(shape)
+    want = a.copy()
+    for i in range(1, len(want)):
+        want[i] = want[i - 1] + want[i]
+    assert running_sums(a).tobytes() == want.tobytes()
 
 
 def test_augmented_regret_three_round_hand_trace():
