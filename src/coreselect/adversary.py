@@ -4,6 +4,11 @@ Every generator is deterministic given its numpy Generator; it reports the
 value bound M, the proxy-vector norm bound G, and the admissibility level
 alpha it promises, so the harness can check the theory bounds against what
 was actually emitted.
+
+The modular generators yield one reward per block of up to
+``block_rounds(n)`` rounds: a ``ModularFunction`` whose (B, n) coefficient
+rows are the rounds' rewards, drawn with one generator call, the stream and
+bits of one round at a time.  The others yield one reward per round.
 """
 
 from __future__ import annotations
@@ -57,6 +62,8 @@ class Adversary:
     _make_strategy: object
 
     def rounds(self, T: int, rng: np.random.Generator) -> Iterator[SetFunction]:
+        """The T rounds' rewards in order: one per round, or for the modular
+        kinds one ``ModularFunction`` per block of rounds, its rows."""
         return self._make_rounds(T, rng)
 
     def core_strategy(self, rng: np.random.Generator):
@@ -121,11 +128,11 @@ def make_onehot_adversary(n: int) -> Adversary:
 
 def make_modular_random_adversary(n: int, G: float = 1.0) -> Adversary:
     """Fresh nonnegative coefficient vector of norm exactly G every round,
-    drawn a block of rounds at a time."""
+    drawn a block of rounds at a time; one reward per block."""
 
     def rounds(T, rng):
         for b in _blocks(0, T, n):
-            yield from ModularFunction.from_rows(_modular_rows(b, n, G, rng))
+            yield ModularFunction(_modular_rows(b, n, G, rng))
 
     # each coordinate is at most G, and the sum is at most sqrt(n) * G
     return Adversary("modular-random", n, alpha=1.0, M=float(np.sqrt(n)) * G, G=G,
@@ -142,7 +149,7 @@ def make_modular_drift_adversary(n: int, G: float = 1.0,
     The base is drawn at the start of its phase, so blocks of rounds end at
     phase boundaries; a block draws its jitter with one
     ``rng.standard_normal((B, n))``, the stream of B draws of
-    ``rng.standard_normal(n)``."""
+    ``rng.standard_normal(n)``, and is one reward."""
 
     def rounds(T, rng):
         plen = _phase_length(T, phases)
@@ -151,7 +158,7 @@ def make_modular_drift_adversary(n: int, G: float = 1.0,
             for b in _blocks(start, min(start + plen, T), n):
                 w = np.maximum(base + jitter * G * rng.standard_normal((b, n)) / np.sqrt(n),
                                0.0)
-                yield from ModularFunction.from_rows(_rescaled_rows(w, G, base))
+                yield ModularFunction(_rescaled_rows(w, G, base))
 
     return Adversary("modular-drift", n, alpha=1.0, M=float(np.sqrt(n)) * G, G=G,
                      _make_rounds=rounds, _make_strategy=lambda rng: modular_strategy())
@@ -279,20 +286,20 @@ class HintSpec:
         _check_real("noise_l2", self.noise_l2, ">= 0", lambda x: x >= 0.0)
 
 
-def generate_hints(fvecs: list[np.ndarray], spec: HintSpec,
-                   rng: np.random.Generator) -> list[ModularFunction]:
-    """Hint stream for a known proxy-vector stream.
+def generate_hints(fvecs: np.ndarray, spec: HintSpec,
+                   rng: np.random.Generator) -> np.ndarray:
+    """Hint vectors, as the rows of a new (B, n) array, for the B proxy
+    vectors that are the rows of ``fvecs``.
 
     additive-noise perturbs each vector by a random direction of l2 length
-    exactly noise_l2; adversarial-flip negates it outright.  The B vectors
-    are worked on as rows of one (B, n) block: their directions come from
-    one ``rng.standard_normal((B, n))``, the stream of B draws of
+    exactly noise_l2; adversarial-flip negates it outright.  The directions
+    come from one ``rng.standard_normal((B, n))``, the stream of B draws of
     ``rng.standard_normal(n)``, and a direction of norm 0 is dropped for
     the next one drawn.
     """
-    if not len(fvecs):
-        return []
     fv = np.array(fvecs, dtype=float)
+    if not fv.size:
+        return fv
     if spec.mode == "perfect" or spec.noise_l2 == 0.0 and spec.mode == "additive-noise":
         h = fv
     elif spec.mode == "additive-noise":
@@ -306,4 +313,4 @@ def generate_hints(fvecs: list[np.ndarray], spec: HintSpec,
         h = fv + (spec.noise_l2 / norms)[:, None] * z
     else:
         h = -fv
-    return ModularFunction.from_rows(h)
+    return h

@@ -1,11 +1,12 @@
 """Experiment harness: config parsing, replicated runs, CSV output and sweeps.
 
 Every policy kind runs through one replica loop.  It reveals rewards and
-their proxy vectors a block of up to ``block_rounds(n)`` rounds at a time,
-so that score and priced compute a block's proposals and draws in one pass,
-plays the block, and folds its records into a ``RegretLedger`` and, when an
-output directory is set, into the replica's CSV, so no record outlives its
-block.  The CSV layout per replica is one row per round::
+their proxy vectors a block of up to ``block_rounds(n)`` rounds at a time
+(a modular adversary's block reward, or that many rewards of one round
+each), plays the block with one ``step``, and folds the block's columns
+into a ``RegretLedger`` and, when an output directory is set, into the
+replica's CSV, so no block outlives its rows.  The CSV layout per replica
+is one row per round::
 
     round,reward,full_reward,cum_reward,cum_benchmark,aug_regret,static_regret,observed,cum_cost
 
@@ -218,67 +219,83 @@ def _make_policy(cfg: ExperimentConfig, score_cfg: ScoreConfig,
     return PricedPolicy(score_cfg, rng, cost=pol.cost, epsilon=eps)
 
 
-def _core_vector(core_strategy, f: SetFunction, t: int) -> np.ndarray:
-    """The strategy's proxy vector for f; a failure names round t."""
+def _core_vectors(core_strategy, f: SetFunction, first: int, last: int) -> np.ndarray:
+    """The strategy's proxy vector for f, which is the reward of rounds
+    first..last (a modular block reward's vectors are its rows); a failure
+    names the rounds."""
     try:
         return core_strategy(f).g
     except Exception as exc:
-        raise RuntimeError(f"core strategy failed on round {t}: {exc}") from exc
+        where = f"round {first}" if first == last else f"rounds {first}-{last}"
+        raise RuntimeError(f"core strategy failed on {where}: {exc}") from exc
+
+
+def _reward_blocks(rounds: Iterator[SetFunction], size: int
+                   ) -> Iterator[SetFunction | list[SetFunction]]:
+    """The rewards a block at a time: a modular block reward as it comes,
+    and rewards of one round each in lists of up to ``size``."""
+    for f in rounds:
+        if isinstance(f, ModularFunction) and f.w.ndim == 2:
+            yield f
+        else:
+            yield [f, *itertools.islice(rounds, size - 1)]
 
 
 def _replica_blocks(cfg: ExperimentConfig, policy: ScorePolicy | OftrlPolicy,
                     adv: Adversary, rngs: dict,
-                    result: ReplicaResult) -> Iterator[list[RoundRecord]]:
-    """The records of each block of rounds, each round played after its
-    reward is revealed.
+                    result: ReplicaResult) -> Iterator[RoundRecord]:
+    """The record of each block of rounds, played after its rewards are
+    revealed.
 
-    The round's proxy vector comes from the adversary's core strategy.
-    Rounds come in blocks of up to ``block_rounds(n)``: the block's rewards
-    and vectors are revealed, the policy plans the block (score and priced
-    compute it in one pass; the others plan nothing), and then plays it one
-    ``step`` per round.  A core strategy that fails on round t ends the run
-    after the rounds before t are played.  The optimistic policy also gets a
-    hint made from each vector, a block's hints in one call; rewards on at
-    most 16 elements then log the hint's squared sup-distance for the
-    optimistic bound.
+    A block is a modular block reward, or up to ``block_rounds(n)`` rewards
+    of one round each.  Its proxy vectors come from the adversary's core
+    strategy, one call for a block reward and one per round otherwise, and
+    the policy plays the block with one ``step``.  A core strategy that
+    fails on a reward ends the run after the rounds before that reward's
+    are played.  The optimistic policy also gets a hint made from each
+    vector, a block's hints in one call; rewards on at most 16 elements then
+    log the hint's squared sup-distance for the optimistic bound.
     """
     strategy = adv.core_strategy(rngs["strategy"])
     spec = None
     if cfg.policy.kind == "oftrl":
         spec = cfg.hints if cfg.hints is not None else HintSpec("perfect")
         result.sq_distances = [] if cfg.n <= 16 else None
-
-    def play(f: SetFunction, g: np.ndarray, h: ModularFunction | None) -> RoundRecord:
-        if h is not None and result.sq_distances is not None:
-            if isinstance(f, (ModularFunction, CoverageFunction)):
-                result.sq_distances.append(distance_sup(f, h) ** 2)
-            else:
-                result.sq_distances = None
-        return policy.step(f, g, None if h is None else h.w)
-
-    rounds = enumerate(adv.rounds(cfg.T, rngs["adversary"]), 1)
-    block = block_rounds(cfg.n)
-    while True:
-        fs, gs, failure = [], [], None
-        for t, f in itertools.islice(rounds, block):
-            try:
-                gs.append(_core_vector(strategy, f, t))
-            except RuntimeError as exc:
-                failure = exc
-                break
-            fs.append(f)
-        policy.plan(gs)
-        if fs:
-            hints = [None] * len(gs) if spec is None else generate_hints(gs, spec, rngs["hints"])
-            # each reward and hint is let go once its round is played, with
-            # any table of its 2^n values that the round computed
-            fs.reverse()
-            hints.reverse()
-            yield [play(fs.pop(), g, hints.pop()) for g in gs]
+    t = 0
+    for f in _reward_blocks(adv.rounds(cfg.T, rngs["adversary"]), block_rounds(cfg.n)):
+        failure = None
+        if isinstance(f, list):
+            G = np.empty((len(f), cfg.n))
+            for i, fi in enumerate(f):
+                try:
+                    G[i] = _core_vectors(strategy, fi, t + i + 1, t + i + 1)
+                except RuntimeError as exc:
+                    failure = exc
+                    del f[i:]
+                    G = G[:i]
+                    break
+        else:
+            G = _core_vectors(strategy, f, t + 1, t + len(f.w))
+        if len(G):
+            hints = None if spec is None else generate_hints(G, spec, rngs["hints"])
+            if result.sq_distances is not None:
+                _log_sq_distances(result, f, hints)
+            t += len(G)
+            yield policy.step(f, G, hints)
         if failure is not None:
             raise failure
-        if len(gs) < block:
-            return
+
+
+def _log_sq_distances(result: ReplicaResult, f, hints: np.ndarray) -> None:
+    """Append each round's squared sup-distance from its reward to its hint
+    (each hint a function of its own, let go once measured), or stop
+    logging for rewards that have no such distance."""
+    fs = [ModularFunction(w) for w in f.w] if isinstance(f, ModularFunction) else f
+    if not all(isinstance(fi, (ModularFunction, CoverageFunction)) for fi in fs):
+        result.sq_distances = None
+        return
+    result.sq_distances += [distance_sup(fi, ModularFunction(h)) ** 2
+                            for fi, h in zip(fs, hints)]
 
 
 def run_replica(cfg: ExperimentConfig, replica: int,
@@ -297,8 +314,8 @@ def run_replica(cfg: ExperimentConfig, replica: int,
     policy = _make_policy(cfg, score_cfg, rngs["policy"])
     blocks = _replica_blocks(cfg, policy, adv, rngs, result)
     if out_dir is None:
-        for records in blocks:
-            result.ledger.fold(records)
+        for block in blocks:
+            result.ledger.fold(block)
     else:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -342,23 +359,23 @@ def _fmt(x: float) -> str:
 _CSV_ROW = "%d,%r,%r,%r,%r,%r,%r,%d,%r\n"
 
 
-def write_replica_csv(path: Path, blocks: Iterable[list[RoundRecord]],
+def write_replica_csv(path: Path, blocks: Iterable[RoundRecord],
                       ledger: RegretLedger) -> None:
     """Fold each block of rounds into the ledger and write its rows, with
-    one ``write``, as the block ends.  Every float is the ``repr`` of a
-    Python float from ``tolist``, which is what ``_fmt`` writes.  If a round
-    raises, the partial file is removed."""
+    one ``write``, as the block ends, reading the block's columns as they
+    are.  Every float is the ``repr`` of a Python float from ``tolist``,
+    which is what ``_fmt`` writes.  If a round raises, the partial file is
+    removed."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(CSV_HEADER + "\n")
-            for records in blocks:
-                rows = ledger.fold(records)
+            for block in blocks:
+                rows = ledger.fold(block)
                 fh.write("".join([_CSV_ROW % row for row in zip(
-                    [r.t for r in records], rows.reward.tolist(),
-                    rows.full_reward.tolist(), rows.cum_reward.tolist(),
-                    rows.benchmark().tolist(), rows.aug_regret().tolist(),
-                    rows.static_regret().tolist(), [r.observed for r in records],
-                    rows.cum_cost.tolist())]))
+                    block.t, block.reward.tolist(), block.full_reward.tolist(),
+                    rows.cum_reward.tolist(), rows.benchmark().tolist(),
+                    rows.aug_regret().tolist(), rows.static_regret().tolist(),
+                    block.observed, rows.cum_cost.tolist())]))
     except BaseException:
         path.unlink(missing_ok=True)
         raise

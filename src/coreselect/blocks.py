@@ -1,7 +1,7 @@
 """Blocks of rounds: their size, and the row-wise sums and dots that work on
 them with the bits of one round at a time.
 
-The modular adversaries draw, the policies plan and the harness reveals and
+The modular adversaries draw, the policies play and the harness reveals and
 accounts rounds a block at a time; every block has at most
 ``block_rounds(n)`` rounds, so its (B, n) arrays hold at most ``PLAN_CELLS``
 entries.

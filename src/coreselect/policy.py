@@ -1,23 +1,25 @@
 """Online subset-selection policies and their regret accounting.
 
-Every policy plays the same round (``_Policy.step``): draw a Madow sample
-from the proposed inclusion probabilities, reveal the reward, feed the learner
-the reward's proxy vector, which the caller passes in with the reward, and
-log a ``RoundRecord``.  The policies differ only in the proposal (entropic
-argmax of the cumulative score, or an optimistic quadratic step against a
-hint) and in the feed and update (the admissible vector itself, an
-inverse-propensity estimate, or a Bernoulli-gated estimate with a per-peek
-price).  ``RegretLedger`` keeps the regret accounting as running sums, folded
-in a block of rounds at a time with the bits of one round at a time.
+Every policy plays a block of rounds per ``step``: draw a Madow sample from
+each round's proposed inclusion probabilities, feed the learner the
+round's proxy vector, which the caller passes in with the reward, and
+return the block's columns as one ``RoundRecord``: the proposals, the
+(B, k) drawn sets, the rewards (one gather-sum for a modular block reward),
+what was observed and paid.  One round is the block of one.  The policies
+differ only in the proposal (entropic argmax of the cumulative score, or an
+optimistic quadratic step against a hint) and in the feed (the admissible
+vector itself, an inverse-propensity estimate, or a Bernoulli-gated
+estimate with a per-peek price).
 
 The full-information and priced feeds do not depend on the set a round
-draws, so once a block of proxy vectors is known, ``ScorePolicy.plan`` and
-``PricedPolicy.plan`` compute every round of the block in one pass over
+draws, so ``ScorePolicy`` and ``PricedPolicy`` play a block in one pass over
 (B, n) arrays: the score before each round is one cumulative sum, then one
-row-wise entropic argmax and one row-wise Madow draw.  ``step`` still plays
-one round per call and takes its planned row, bit for bit what the unplanned
-round gives.  The semi-bandit feed depends on the drawn set and the
-optimistic proposal on past proposals, so those policies plan nothing.
+row-wise entropic argmax and one row-wise Madow draw, each row bit for bit
+what the round alone gives.  The semi-bandit feed depends on the drawn set
+and the optimistic proposal on past proposals, so those policies play a
+block one row at a time.  ``RegretLedger`` keeps the regret accounting as
+running sums, folded in from a block's columns with the bits of one round
+at a time.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import PLAN_CELLS  # noqa: F401  re-exported: callers read policy.PLAN_CELLS
-from .blocks import block_rounds, row_dots, running_sums
+from .blocks import row_dots, running_sums
 from .hypersimplex import (
     HypersimplexPoint,
     QuadraticObjective,
@@ -92,186 +93,159 @@ class ScoreConfig:
 
 @dataclass
 class RoundRecord:
-    """One logged round: what was proposed, played, revealed, and fed."""
+    """One played round, or the columns of a played block of B rounds.
 
-    t: int
+    A round holds its number ``t``, its proposal ``p``, the drawn set as a
+    tuple, its reward and full-set reward as floats, its proxy vector
+    ``gvec``, whether its reward was observed and the price paid.  A block
+    holds ``t`` as the range of its round numbers, ``p`` and ``gvec`` as
+    (B, n) rows, ``selected`` as a (B, k) index array, ``reward``,
+    ``full_reward`` and ``cost`` as (B,) arrays and ``observed`` as a list.
+    """
+
+    t: int | range
     p: np.ndarray
-    u: float | None
-    selected: tuple[int, ...]
-    reward: float
-    full_reward: float
+    selected: tuple[int, ...] | np.ndarray
+    reward: float | np.ndarray
+    full_reward: float | np.ndarray
     gvec: np.ndarray
-    fed: np.ndarray
-    observed: bool
-    cost: float
-    p_ref: np.ndarray | None = None
-
-
-@dataclass
-class _Plan:
-    """Rounds computed ahead for known proxy vectors, played in order."""
-
-    gvecs: list[np.ndarray]
-    theta: np.ndarray  # (B + 1, n): theta before each round and after the last
-    p: np.ndarray  # (B, n)
-    selected: list[tuple[int, ...]]
-    u: list[float]
-    fed: list[np.ndarray] | np.ndarray
-    observed: list[bool]
-    cost: list[float]
-    rng_state: dict  # the generator before the block drew
-    next: int = 0
+    observed: bool | list[bool]
+    cost: float | np.ndarray
 
 
 class _Policy:
-    """The round every policy plays, given its proposal.
+    """The rounds every policy plays, given its proposal.
 
-    ``theta`` sums what the learner was fed.  Subclasses supply
-    ``_propose`` (the marginals, and optionally an exact reference for them),
-    ``_feed`` (what is fed, and whether and at what price the reward was
-    observed) and ``_update`` (any state beyond ``theta``).
+    ``theta`` sums what the learner was fed.  A policy whose feed depends on
+    the drawn set or whose proposal depends on the last one plays a block
+    one row at a time, and supplies ``_propose`` (the marginals),
+    ``_feed`` (adding what is fed to ``theta``) and ``_update`` (any state
+    beyond ``theta``).
     """
 
     # the optimistic proposal is made against the round's hint
     needs_hint = False
-    # rounds that plan() takes at once; 1 where nothing can be planned
-    plan_rounds = 1
-    # uniforms a planned round draws from the generator: its Madow draw
-    _draws = 1
 
     def __init__(self, config: ScoreConfig, rng: np.random.Generator):
         self.config = config
         self.rng = rng
         self.theta = np.zeros(config.n)
         self.t = 0
-        self._plan: _Plan | None = None
 
-    def plan(self, gvecs: list[np.ndarray]) -> None:
-        """Compute the next ``len(gvecs)`` rounds ahead, to be fed these
-        proxy vectors in order.  This policy's rounds cannot be planned, so
-        it only drops a pending plan."""
-        self._drop_plan()
+    def step(self, f, gvec: np.ndarray, hint: np.ndarray | None = None) -> RoundRecord:
+        """Play a block of rounds, or one round, and log it.
 
-    def _drop_plan(self) -> None:
-        """Forget the planned rounds not yet played, and put the generator
-        where the first of them would have started drawing."""
-        plan, self._plan = self._plan, None
-        if plan is not None:
-            self.rng.bit_generator.state = plan.rng_state
-            self.rng.random(plan.next * self._draws)
+        A block: ``gvec`` holds the B rounds' proxy vectors as rows and
+        ``hint`` their hints (which the optimistic policy needs) as rows;
+        ``f`` is one reward for the whole block, whose ``value`` takes the
+        (B, k) sets (a ``ModularFunction`` of B rows), or the sequence of
+        the B rounds' rewards.  Returns the block's columns.  One round is
+        the block of one: ``f`` is its reward, ``gvec`` and ``hint`` are
+        vectors, and the record holds the round's own values.
+        """
+        if hint is None and self.needs_hint:
+            raise ValueError("the optimistic policy needs a hint every round")
+        gvec = np.asarray(gvec)
+        if gvec.ndim == 2:
+            return self._play(f, gvec, hint)
+        r = self._play([f], gvec[None], None if hint is None else np.asarray(hint)[None])
+        return RoundRecord(r.t[0], r.p[0], tuple(r.selected[0].tolist()),
+                           float(r.reward[0]), float(r.full_reward[0]), gvec,
+                           r.observed[0], float(r.cost[0]))
 
-    def _propose(self, hint: np.ndarray | None
-                 ) -> tuple[HypersimplexPoint, np.ndarray | None]:
+    def _play(self, f, G: np.ndarray, H: np.ndarray | None) -> RoundRecord:
+        """The block, one row at a time: propose (against the row's hint),
+        sample, feed the row and update."""
+        cfg = self.config
+        p = np.ones(G.shape)
+        selected = np.empty((len(G), cfg.k), dtype=np.intp)
+        for i, g in enumerate(G):
+            h = None if H is None else H[i]
+            if cfg.k == cfg.n:
+                point, sel = HypersimplexPoint(cfg.n, cfg.k, p[i]), range(cfg.n)
+            else:
+                point = self._propose(h)
+                sel, _ = draw(point, self.rng)
+                p[i] = point.p
+            selected[i] = sel
+            self._feed(g, point, selected[i])
+            self._update(g, point, h)
+        return self._record(f, G, p, selected, [True] * len(G), np.zeros(len(G)))
+
+    def _propose(self, hint: np.ndarray | None) -> HypersimplexPoint:
         raise NotImplementedError
 
     def _feed(self, gvec: np.ndarray, point: HypersimplexPoint,
-              selected: tuple[int, ...]) -> tuple[np.ndarray, bool, float]:
-        return gvec, True, 0.0
+              selected: np.ndarray) -> None:
+        self.theta += gvec
 
     def _update(self, fed: np.ndarray, point: HypersimplexPoint,
                 hint: np.ndarray | None) -> None:
         pass
 
-    def step(self, f: SetFunction, gvec: np.ndarray,
-             hint: np.ndarray | None = None) -> RoundRecord:
-        """Play one round: propose (against ``hint``, which the optimistic
-        policy needs every round), sample, reveal f, feed ``gvec``, the proxy
-        vector of f, and log the round.  A planned round is taken from the
-        plan; a ``gvec`` other than the planned one drops the plan."""
-        if hint is None and self.needs_hint:
-            raise ValueError("the optimistic policy needs a hint every round")
-        plan = self._plan
-        if plan is not None and gvec is not plan.gvecs[plan.next]:
-            self._drop_plan()
-            plan = None
-        cfg = self.config
-        self.t += 1
-        if plan is not None:
-            i = plan.next
-            plan.next += 1
-            if plan.next == len(plan.gvecs):
-                self._plan = None
-            self.theta = plan.theta[i + 1]
-            return RoundRecord(
-                t=self.t, p=plan.p[i], u=plan.u[i], selected=plan.selected[i],
-                reward=f.value(plan.selected[i]), full_reward=f.full_value(),
-                gvec=gvec, fed=plan.fed[i], observed=plan.observed[i],
-                cost=plan.cost[i],
-            )
-        if cfg.k == cfg.n:
-            point, p_ref = HypersimplexPoint(cfg.n, cfg.k, np.ones(cfg.n)), None
-            selected, u = tuple(range(cfg.n)), None
+    def _record(self, f, G, p, selected, observed, cost) -> RoundRecord:
+        """The block's columns, with its rewards: one gather-sum for a block
+        reward, else one ``value`` call per round."""
+        t = range(self.t + 1, self.t + len(G) + 1)
+        self.t += len(G)
+        if isinstance(f, SetFunction):
+            reward, full = f.value(selected), f.full_value()
         else:
-            point, p_ref = self._propose(hint)
-            selected, u = draw(point, self.rng)
-        fed, observed, cost = self._feed(gvec, point, selected)
-        self.theta += fed
-        self._update(fed, point, hint)
-        return RoundRecord(
-            t=self.t, p=point.p, u=u, selected=selected,
-            reward=f.value(selected), full_reward=f.full_value(),
-            gvec=gvec, fed=fed, observed=observed, cost=cost, p_ref=p_ref,
-        )
+            reward = np.array([fi.value(s) for fi, s in zip(f, selected.tolist())])
+            full = np.array([fi.full_value() for fi in f])
+        return RoundRecord(t, p, selected, reward, full, G, observed, cost)
 
 
 class ScorePolicy(_Policy):
-    """Entropic follow-the-regularized-leader on cumulative core vectors."""
+    """Entropic follow-the-regularized-leader on cumulative core vectors.
 
-    @property
-    def plan_rounds(self) -> int:
-        return block_rounds(self.config.n)
+    The feed does not depend on the drawn set, so a block is played in one
+    pass: theta before every round is one cumulative sum over a (B + 1, n)
+    array, then one row-wise entropic argmax gives every proposal and one
+    row-wise Madow draw every set, each row bit for bit what one round
+    alone gives.
+    """
 
     def _propose(self, hint):
-        return entropic_ftrl_argmax(self.theta, self.config.eta, self.config.k), None
+        return entropic_ftrl_argmax(self.theta, self.config.eta, self.config.k)
 
-    def plan(self, gvecs):
-        """Compute the next ``len(gvecs)`` rounds (at most ``plan_rounds``)
-        ahead, to be fed these proxy vectors in order: theta before each
-        round, every proposal, every draw and every feed, row by row.
-        ``step`` then plays them one at a time.  The generator draws in the
-        order the rounds would; a plan that is dropped puts it back."""
-        self._drop_plan()
+    def _play(self, f, G, H):
         cfg = self.config
-        if cfg.k == cfg.n or not gvecs:
-            return
-        if len(gvecs) > self.plan_rounds:
-            raise ValueError(f"a plan takes at most {self.plan_rounds} rounds, "
-                             f"got {len(gvecs)}")
-        state = self.rng.bit_generator.state
-        fed, observed, cost, u = self._feed_block(gvecs)
-        theta = np.empty((len(gvecs) + 1, cfg.n))
+        fed, observed, cost, u = self._feed_block(G)
+        theta = np.empty((len(G) + 1, cfg.n))
         theta[0] = self.theta
         theta[1:] = fed
         running_sums(theta)
-        point = entropic_ftrl_argmax(theta[:-1], cfg.eta, cfg.k)
-        selected, u = draw(point, self.rng, u)
-        self._plan = _Plan(gvecs, theta, point.p, selected, u.tolist(), fed,
-                           observed, cost, state)
+        if cfg.k == cfg.n:
+            p, selected = np.ones(G.shape), np.broadcast_to(np.arange(cfg.n), G.shape)
+        else:
+            point = entropic_ftrl_argmax(theta[:-1], cfg.eta, cfg.k)
+            selected, _ = draw(point, self.rng, u)
+            p = point.p
+        self.theta = theta[-1]
+        return self._record(f, G, p, selected, observed, cost)
 
-    def _feed_block(self, gvecs):
+    def _feed_block(self, G):
         """(fed, observed, cost, u) of a block of rounds: what each round
         feeds, observes and pays, and the uniforms of its Madow draws if
         the feeds had to draw first (else None)."""
-        B = len(gvecs)
-        return gvecs, [True] * B, [0.0] * B, None
+        return G, [True] * len(G), np.zeros(len(G)), None
 
 
 class SemiBanditPolicy(ScorePolicy):
     """Score variant that only sees the selected coordinates of the core
-    vector and feeds inverse-propensity estimates for the rest.  The feed
-    depends on the drawn set, so no round can be planned."""
+    vector and feeds inverse-propensity estimates for them.  The feed
+    depends on the drawn set, so a block is played one row at a time."""
 
-    plan_rounds = 1
-    plan = _Policy.plan
+    _play = _Policy._play
 
     def _feed(self, gvec, point, selected):
-        fed = np.zeros(self.config.n)
-        idx = list(selected)
-        probs = point.p[idx]
+        probs = point.p[selected]
         if (probs <= 0.0).any():
             raise RuntimeError("selected an element with zero inclusion probability")
-        fed[idx] = gvec[idx] / probs
-        return fed, True, 0.0
+        # theta starts at +0.0 and a sum is -0.0 only if both terms are, so
+        # adding 0.0 off the selected coordinates would change no bit
+        self.theta[selected] += gvec[selected] / probs
 
 
 def priced_epsilon(n: int, k: int, T: int, G: float, cost: float) -> float:
@@ -294,11 +268,9 @@ class PricedPolicy(ScorePolicy):
     Each round it plays a sample from the current probabilities; with
     probability epsilon it pays the peek cost, observes the core vector, and
     feeds it scaled by 1/epsilon, otherwise it feeds zero (a pure
-    regularizer step).  A zero feed leaves ``theta`` where it was, so the
-    proposal is computed again only after an observed round.
+    regularizer step).  The coins do not depend on the drawn set, so a block
+    is played in one pass as the score policy plays it.
     """
-
-    _draws = 2  # its Madow draw, then its observation coin
 
     def __init__(self, config: ScoreConfig, rng: np.random.Generator,
                  cost: float, epsilon: float):
@@ -306,7 +278,6 @@ class PricedPolicy(ScorePolicy):
             raise ValueError("epsilon must lie in (0, 1]")
         self.epsilon = epsilon
         self.cost = float(cost)
-        self._point: HypersimplexPoint | None = None  # the proposal for theta
         super().__init__(config, rng)
 
     @staticmethod
@@ -325,29 +296,14 @@ class PricedPolicy(ScorePolicy):
             eta = math.sqrt(eps * k * math.log(n / k) / (2.0 * T * G * G))
         return ScoreConfig(n=n, k=k, T=T, alpha=alpha, M=M, G=G, eta=eta)
 
-    def _propose(self, hint):
-        if self._point is None:
-            self._point = super()._propose(hint)[0]
-        return self._point, None
-
-    def _feed(self, gvec, point, selected):
-        if self.rng.random() < self.epsilon:
-            self._point = None  # theta moves
-            return gvec / self.epsilon, True, self.cost
-        return np.zeros(self.config.n), False, 0.0
-
-    def plan(self, gvecs):
-        self._point = None  # theta moves with the plan
-        super().plan(gvecs)
-
-    def _feed_block(self, gvecs):
-        draws = self.rng.random(self._draws * len(gvecs))
-        seen = draws[1::2] < self.epsilon
-        fed = np.array(gvecs) / self.epsilon
+    def _feed_block(self, G):
+        # a round draws its Madow uniform, then its coin; k == n draws no set
+        full = self.config.k == self.config.n
+        draws = self.rng.random(len(G) if full else 2 * len(G))
+        seen = (draws if full else draws[1::2]) < self.epsilon
+        fed = G / self.epsilon
         fed[~seen] = 0.0
-        observed = seen.tolist()
-        cost = [self.cost if o else 0.0 for o in observed]
-        return fed, observed, cost, draws[0::2]
+        return fed, seen.tolist(), np.where(seen, self.cost, 0.0), None if full else draws[::2]
 
 
 @dataclass
@@ -375,39 +331,40 @@ class OftrlPolicy(_Policy):
     needs_hint = True
 
     def __init__(self, config: ScoreConfig, rng: np.random.Generator,
-                 mode: str = "exact", sigma_scale: float | None = None,
-                 track_exact_reference: bool = False):
+                 mode: str = "exact", sigma_scale: float | None = None):
         if mode not in ("exact", "afw"):
             raise ValueError("mode must be 'exact' or 'afw'")
         super().__init__(config, rng)
         self.mode = mode
         self.sigma_scale = 1.0 / config.k if sigma_scale is None else float(sigma_scale)
         self.afw_budget = default_afw_budget(config.T)
-        self.track_exact_reference = track_exact_reference
         self.state = OftrlState(weighted_center=np.zeros(config.n))
         self._afw_active: dict | None = None
 
-    def _propose(self, hvec: np.ndarray | None
-                 ) -> tuple[HypersimplexPoint, np.ndarray | None]:
-        cfg = self.config
+    def _objective(self, hvec: np.ndarray) -> QuadraticObjective | None:
+        """What the proposal against the hint ``hvec`` minimizes, or None
+        while no hint error has been seen and the objective is linear."""
         st = self.state
-        drift = self.theta + hvec
         if st.sigma_sum <= 0.0:
-            v = lmo(-drift, cfg.k)
-            self._afw_active = None
-            return HypersimplexPoint(cfg.n, cfg.k, v), None
-        obj = QuadraticObjective(
-            cfg.n, cfg.k,
+            return None
+        return QuadraticObjective(
+            self.config.n, self.config.k,
             centers=[(st.sigma_sum, st.weighted_center / st.sigma_sum)],
-            linear=drift,
+            linear=self.theta + hvec,
         )
+
+    def _propose(self, hvec: np.ndarray | None) -> HypersimplexPoint:
+        cfg = self.config
+        obj = self._objective(hvec)
+        if obj is None:
+            self._afw_active = None
+            return HypersimplexPoint(cfg.n, cfg.k, lmo(-(self.theta + hvec), cfg.k))
         if self.mode == "exact":
-            return obj.exact_minimizer(), None
-        res = afw_minimize(obj, eps=st.eps, max_iters=self.afw_budget,
+            return obj.exact_minimizer()
+        res = afw_minimize(obj, eps=self.state.eps, max_iters=self.afw_budget,
                            active=self._afw_active)
         self._afw_active = res.active
-        ref = obj.exact_minimizer().p if self.track_exact_reference else None
-        return res.point, ref
+        return res.point
 
     def _update(self, fvec, point, hvec):
         cfg = self.config
@@ -451,12 +408,10 @@ class _Regrets:
 @dataclass
 class LedgerRows(_Regrets):
     """A ledger's sums after each round of a folded block, one entry per
-    round, with each round's own reward and full-set reward."""
+    round."""
 
     k: int
     scale: float
-    reward: np.ndarray
-    full_reward: np.ndarray
     cum_reward: np.ndarray
     cum_full: np.ndarray
     cum_cost: np.ndarray
@@ -489,29 +444,30 @@ class RegretLedger(_Regrets):
         self.cum_reward += r.reward
         self.cum_full += r.full_reward
 
-    def fold(self, records: list[RoundRecord]) -> LedgerRows:
-        """Fold in a block of rounds, in order, with the bits of adding them
-        one at a time: every sum after every round is a cumulative sum
-        seeded with its value before the block, and each round's
-        ``gvec @ p`` comes from :func:`row_dots`.  Returns the sums after
-        each round."""
-        B = len(records)
-        sums = np.empty((4, B + 1))
-        sums[:, 0] = self.cum_reward, self.cum_full, self.cum_cost, self.cum_dot
-        sums[0, 1:] = [r.reward for r in records]
-        sums[1, 1:] = [r.full_reward for r in records]
-        sums[2, 1:] = [r.cost for r in records]
-        total = np.empty((B + 1, self.total_g.size))
+    def fold(self, r: RoundRecord) -> LedgerRows:
+        """Fold in a block of rounds (or one round, a block of one) from its
+        columns, with the bits of adding the rounds one at a time: every sum
+        after every round is a cumulative sum seeded with its value before
+        the block, and each round's ``gvec @ p`` comes from
+        :func:`row_dots`.  Returns the sums after each round."""
+        n = self.total_g.size
+        G = r.gvec.reshape(-1, n)
+        sums = np.empty((len(G) + 1, 4))
+        sums[0] = self.cum_reward, self.cum_full, self.cum_cost, self.cum_dot
+        sums[1:, 0] = r.reward
+        sums[1:, 1] = r.full_reward
+        sums[1:, 2] = r.cost
+        sums[1:, 3] = row_dots(G, r.p.reshape(-1, n))
+        np.add.accumulate(sums, axis=0, out=sums)  # cumsum, with less overhead
+        total = np.empty((len(G) + 1, n))
         total[0] = self.total_g
-        total[1:] = [r.gvec for r in records]
-        sums[3, 1:] = row_dots(total[1:], np.array([r.p for r in records]))
-        cum = sums.cumsum(axis=1)
+        total[1:] = G
         running_sums(total)
-        self.rounds += B
-        self.cum_reward, self.cum_full, self.cum_cost, self.cum_dot = cum[:, -1].tolist()
+        self.rounds += len(G)
+        self.cum_reward, self.cum_full, self.cum_cost, self.cum_dot = sums[-1].tolist()
         self.total_g = total[-1]
-        return LedgerRows(self.k, self.scale, sums[0, 1:], sums[1, 1:], *cum[:, 1:],
-                          total[1:])
+        return LedgerRows(self.k, self.scale, sums[1:, 0], sums[1:, 1], sums[1:, 2],
+                          sums[1:, 3], total[1:])
 
 
 def augmented_regret(records: list[RoundRecord], alpha: float, k: int, n: int) -> float:
@@ -523,11 +479,12 @@ def augmented_regret(records: list[RoundRecord], alpha: float, k: int, n: int) -
 
 
 def static_linear_regret(records: list[RoundRecord]) -> float:
-    """:meth:`RegretLedger.static_regret` over logged rounds."""
+    """:meth:`RegretLedger.static_regret` over logged rounds or blocks."""
     if not records:
         return 0.0
-    ledger = RegretLedger(records[0].gvec.size, len(records[0].selected))
-    ledger.fold(records)
+    ledger = RegretLedger(records[0].gvec.shape[-1], np.shape(records[0].selected)[-1])
+    for r in records:
+        ledger.fold(r)
     return float(ledger.static_regret())
 
 

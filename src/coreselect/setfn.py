@@ -104,52 +104,42 @@ class SetFunction:
 
 
 class ModularFunction(SetFunction):
-    """f(S) = sum of per-element coefficients over S."""
+    """f(S) = sum of per-element coefficients over S.
+
+    ``w`` may also be a (B, n) block of coefficient vectors, the rewards of
+    B rounds as rows: ``value`` then takes a (B, k) index array, one set per
+    row, and returns the B rewards, and ``total`` and ``full_value`` hold
+    the B row totals, each with the bits of its row alone.  The block is
+    monotone if every row is, and bounded by the largest row bound.
+    """
 
     def __init__(self, w: np.ndarray):
         w = np.asarray(w, dtype=float)
-        if w.ndim != 1 or not np.isfinite(w).all():
-            raise ValueError("coefficients must be a finite 1-d vector")
-        total = float(w.sum())
+        if w.ndim not in (1, 2) or not np.isfinite(w).all():
+            raise ValueError("coefficients must be a finite 1-d vector or rows of them")
+        self.w = w
+        # sum(axis=-1) gives each row of a block its 1-d w.sum()
+        self.total = w.sum(axis=-1) if w.ndim == 2 else float(w.sum())
         monotone = not w.size or bool(w.min() >= 0.0)
         # a monotone w equals max(w, 0), so its total is the same sum
-        self._set(w, total, total if monotone else float(np.maximum(w, 0.0).sum()),
-                  monotone)
+        bound = self.total if monotone else np.maximum(w, 0.0).sum(axis=-1)
+        if w.ndim == 2:  # a block is bounded by its largest row bound
+            bound = np.max(bound, initial=0.0)
+        super().__init__(w.shape[-1], value_bound=bound, monotone=monotone)
 
-    def _set(self, w: np.ndarray, total: float, value_bound: float,
-             monotone: bool) -> None:
-        """Every field of a function on the checked vector ``w``."""
-        self.w = w
-        self.total = total
-        super().__init__(w.size, value_bound=value_bound, monotone=monotone)
-
-    @classmethod
-    def from_rows(cls, w: np.ndarray) -> list["ModularFunction"]:
-        """One function per row of the (B, n) block ``w``, each equal to
-        ``ModularFunction(w[i])`` and holding the row itself as its ``w``.
-        The block is checked once, and its totals and signs are computed
-        once, row by row: ``sum(axis=1)`` gives each row's ``w.sum()``."""
-        w = np.asarray(w, dtype=float)
-        if w.ndim != 2:
-            raise ValueError(f"a block of coefficients must be 2-d, got shape {w.shape}")
-        if not np.isfinite(w).all():
-            raise ValueError("coefficients must be a finite 1-d vector")
-        totals = w.sum(axis=1)
-        monotone = (w >= 0.0).all(axis=1)
-        bounds = totals if monotone.all() else np.where(
-            monotone, totals, np.maximum(w, 0.0).sum(axis=1))
-        out = []
-        for row, total, bound, mono in zip(w, totals.tolist(), bounds.tolist(),
-                                           monotone.tolist()):
-            f = cls.__new__(cls)
-            f._set(row, total, bound, mono)
-            out.append(f)
-        return out
+    def _vector(self) -> np.ndarray:
+        """``w`` of one round's reward: a block has no value on one set."""
+        if self.w.ndim == 2:
+            raise ValueError("a block of rewards takes one set per row; "
+                             "ModularFunction(w[i]) is round i's reward")
+        return self.w
 
     def value_mask(self, mask: int) -> float:
-        return float(self.w[list(indices_of(mask))].sum())
+        return float(self._vector()[list(indices_of(mask))].sum())
 
-    def value(self, indices: Iterable[int]) -> float:
+    def value(self, indices: Iterable[int] | np.ndarray) -> float | np.ndarray:
+        if self.w.ndim == 2:  # one gather-sum: row i sums w[i] over indices[i]
+            return np.take_along_axis(self.w, indices, axis=1).sum(axis=1)
         idx = list(indices)
         return float(self.w[idx].sum()) if idx else 0.0
 
@@ -157,15 +147,16 @@ class ModularFunction(SetFunction):
         return self.total
 
     def _enumerate_values(self) -> np.ndarray:
+        w = self._vector()
         out = np.zeros(1)
         for i in range(self.n):
-            out = np.concatenate([out, out + self.w[i]])
+            out = np.concatenate([out, out + w[i]])
         return out
 
     def prefix_values(self, perm: np.ndarray) -> np.ndarray:
         vals = np.empty(self.n + 1)
         vals[0] = 0.0
-        np.cumsum(self.w[np.asarray(perm, dtype=int)], out=vals[1:])
+        np.cumsum(self._vector()[np.asarray(perm, dtype=int)], out=vals[1:])
         return vals
 
 
@@ -281,7 +272,7 @@ def distance_sup(f: SetFunction, h: ModularFunction) -> float:
     if f.n != h.n:
         raise ValueError("mismatched ground sets")
     if isinstance(f, ModularFunction):
-        nu = f.w - h.w
+        nu = f._vector() - h._vector()
         return float(max(np.maximum(nu, 0.0).sum(), -np.minimum(nu, 0.0).sum()))
     _guard(f.n, ENUM_MAX, "a non-modular distance")
     return float(np.abs(f.values_all() - h.values_all()).max())

@@ -35,7 +35,7 @@ from coreselect.policy import (
     static_regret_bound,
 )
 from coreselect.sampling import expected_set_value, madow_marginal_measure
-from coreselect.setfn import distance_sup
+from coreselect.setfn import ModularFunction, distance_sup
 from coreselect.verify import verify_all
 
 WORKERS = 2
@@ -112,8 +112,8 @@ def test_criterion_4_optimistic_hint_bound():
                                np.random.default_rng(406))
         cfg = ScoreConfig(n=n, k=k, T=T, alpha=1.0, M=adv.M)
         pol = OftrlPolicy(cfg, np.random.default_rng(407))
-        recs = [pol.step(f, fv, h.w) for f, h, fv in zip(fs, hints, fvecs)]
-        sq = [distance_sup(f, h) ** 2 for f, h in zip(fs, hints)]
+        recs = [pol.step(f, fv, h) for f, h, fv in zip(fs, hints, fvecs)]
+        sq = [distance_sup(f, ModularFunction(h)) ** 2 for f, h in zip(fs, hints)]
         # against E[f(S) | p], summed in round order as the ledger sums rewards
         ledger = RegretLedger(n, k)
         expected = 0.0
@@ -140,7 +140,9 @@ def test_criterion_5_afw_matches_exact():
     tolerance every round, and end-to-end regret matches across modes."""
     n, k, T, G, noise = 12, 4, 10_000, 1.0, 0.5
     adv = make_modular_random_adversary(n, G=G)
-    fs = list(adv.rounds(T, np.random.default_rng(505)))
+    # one reward per round: the rows of the adversary's block rewards
+    fs = [ModularFunction(w) for block in adv.rounds(T, np.random.default_rng(505))
+          for w in block.w]
     strategy = adv.core_strategy(np.random.default_rng(506))
     fvecs = [strategy(f).g for f in fs]
     hints = generate_hints(fvecs, HintSpec("additive-noise", noise),
@@ -148,18 +150,22 @@ def test_criterion_5_afw_matches_exact():
     runs = {}
     for mode in ("afw", "exact"):
         cfg = ScoreConfig(n=n, k=k, T=T, M=adv.M, G=G)
-        pol = OftrlPolicy(cfg, np.random.default_rng(508), mode=mode,
-                          track_exact_reference=(mode == "afw"))
-        recs = [pol.step(f, fv, h.w) for f, h, fv in zip(fs, hints, fvecs)]
-        runs[mode] = (pol, recs)
+        pol = OftrlPolicy(cfg, np.random.default_rng(508), mode=mode)
+        recs, refs = [], []
+        for f, h, fv in zip(fs, hints, fvecs):
+            # the exact minimizer of the objective the proposal solves
+            obj = pol._objective(h) if mode == "afw" else None
+            refs.append(None if obj is None else obj.exact_minimizer().p)
+            recs.append(pol.step(f, fv, h))
+        runs[mode] = (pol, recs, refs)
 
-    pol_afw, recs_afw = runs["afw"]
+    pol_afw, recs_afw, refs_afw = runs["afw"]
     eps = pol_afw.state.eps
     sigma_root = pol_afw.sigma_scale * math.sqrt(pol_afw.state.first_delta)
     assert eps == sigma_root / (200.0 * G**2 * T**2)
     per_round_bound = math.sqrt(2.0 * eps / sigma_root)
-    diffs = [float(np.linalg.norm(r.p - r.p_ref))
-             for r in recs_afw if r.p_ref is not None]
+    diffs = [float(np.linalg.norm(r.p - ref))
+             for r, ref in zip(recs_afw, refs_afw) if ref is not None]
     reg_afw = static_linear_regret(recs_afw)
     reg_exact = static_linear_regret(runs["exact"][1])
     regret_gap_bound = G * T * per_round_bound

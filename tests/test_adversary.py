@@ -16,7 +16,19 @@ from coreselect.adversary import (
     onehot_ensemble,
 )
 from coreselect.blocks import PLAN_CELLS
-from coreselect.setfn import ModularFunction
+from coreselect.setfn import ModularFunction, distance_sup
+
+
+def one_per_round(rewards):
+    """The rewards one per round: each row of a modular block reward as a
+    function of its own."""
+    out = []
+    for f in rewards:
+        if isinstance(f, ModularFunction) and f.w.ndim == 2:
+            out += [ModularFunction(row) for row in f.w]
+        else:
+            out.append(f)
+    return out
 
 
 def test_onehot_rounds_are_indicators():
@@ -50,8 +62,9 @@ def test_onehot_frequencies_uniform():
 ])
 def test_seed_determinism_all_kinds(factory):
     adv = factory()
-    a = [f.values_all() for f in adv.rounds(30, np.random.default_rng(5))]
-    b = [f.values_all() for f in adv.rounds(30, np.random.default_rng(5))]
+    a = [f.values_all() for f in one_per_round(adv.rounds(30, np.random.default_rng(5)))]
+    b = [f.values_all() for f in one_per_round(adv.rounds(30, np.random.default_rng(5)))]
+    assert len(a) == len(b) == 30
     for fa, fb in zip(a, b):
         np.testing.assert_array_equal(fa, fb)
 
@@ -63,7 +76,7 @@ def test_seed_determinism_all_kinds(factory):
 def test_modular_kinds_respect_declared_bounds(factory):
     adv = factory()
     rng = np.random.default_rng(6)
-    for f in adv.rounds(200, rng):
+    for f in one_per_round(adv.rounds(200, rng)):
         assert np.linalg.norm(f.w) <= adv.G + 1e-9
         assert f.full_value() <= adv.M + 1e-9
         assert np.all(f.w >= 0)
@@ -83,7 +96,7 @@ def test_coverage_kind_respects_declared_bounds():
 
 def test_drift_actually_changes_phases():
     adv = make_modular_drift_adversary(6, G=1.0, phases=5)
-    fs = list(adv.rounds(100, np.random.default_rng(9)))
+    fs = one_per_round(adv.rounds(100, np.random.default_rng(9)))
     # compare phase medians: drift means some phases differ materially
     phase_means = [np.mean([f.w for f in fs[i * 20:(i + 1) * 20]], axis=0)
                    for i in range(5)]
@@ -117,15 +130,22 @@ def modular_drift_reference(n, G, phases, jitter, T, rng, fallbacks):
         yield ModularFunction(_rescaled_reference(w, G, base))
 
 
-def assert_same_rewards(got, want):
-    assert len(got) == len(want)
-    for f, g in zip(got, want):
-        assert f.w.tobytes() == g.w.tobytes()
-        assert (f.n, f.total, f.value_bound, f.monotone) == (g.n, g.total, g.value_bound,
-                                                             g.monotone)
-        assert type(f.total) is type(f.value_bound) is float
+def assert_rows_are_rewards(blocks, want):
+    """Each block reward holds, as rows, the rewards ``want`` of one round
+    each, in order, with their bits, totals and bounds."""
+    assert sum(len(f.w) for f in blocks) == len(want)
+    start = 0
+    for f in blocks:
         # a block of rewards holds at most PLAN_CELLS coefficients
-        assert f.w.base is None or f.w.base.size <= PLAN_CELLS
+        assert f.w.ndim == 2 and 0 < f.w.size <= PLAN_CELLS
+        rows = want[start:start + len(f.w)]
+        start += len(f.w)
+        assert f.w.tobytes() == np.array([g.w for g in rows]).tobytes()
+        assert f.total.tobytes() == np.array([g.total for g in rows]).tobytes()
+        assert f.full_value() is f.total
+        assert f.n == rows[0].n
+        assert f.monotone == all(g.monotone for g in rows)
+        assert f.value_bound == max(g.value_bound for g in rows)
 
 
 @pytest.mark.parametrize("n, T, phases, jitter", [
@@ -138,14 +158,14 @@ def assert_same_rewards(got, want):
 def test_modular_blocks_match_the_rounds_written_out(n, T, phases, jitter):
     got = list(make_modular_random_adversary(n, G=1.3).rounds(
         T, np.random.default_rng(n + T)))
-    assert_same_rewards(got, list(modular_random_reference(n, 1.3, T,
-                                                           np.random.default_rng(n + T))))
+    assert_rows_are_rewards(got, list(modular_random_reference(
+        n, 1.3, T, np.random.default_rng(n + T))))
     fallbacks = []
     got = list(make_modular_drift_adversary(n, G=0.7, phases=phases, jitter=jitter).rounds(
         T, np.random.default_rng(n + T)))
     want = list(modular_drift_reference(n, 0.7, phases, jitter, T,
                                         np.random.default_rng(n + T), fallbacks))
-    assert_same_rewards(got, want)
+    assert_rows_are_rewards(got, want)
     assert bool(fallbacks) == (jitter > 1.0)
 
 
@@ -158,20 +178,32 @@ def test_rescaled_rows_keep_a_row_of_norm_zero():
         assert _rescaled_rows(w, 1.3, fallback).tobytes() == want.tobytes()
 
 
-def test_modular_from_rows_equals_one_function_per_row():
+def test_modular_block_reward_is_its_rows_one_at_a_time():
     rng = np.random.default_rng(12)
     w = rng.standard_normal((9, 7))
     w[::2] = np.abs(w[::2])
     w[1, 3] = -0.0
-    assert_same_rewards(ModularFunction.from_rows(w), [ModularFunction(row) for row in w])
-    assert ModularFunction.from_rows(np.zeros((0, 4))) == []
+    rows = [ModularFunction(row) for row in w]
+    assert_rows_are_rewards([ModularFunction(w)], rows)
+    assert ModularFunction(w).monotone is False
+    assert_rows_are_rewards([ModularFunction(w[::2])], rows[::2])
+    assert ModularFunction(w[::2]).monotone is True
+    sets = np.sort(rng.permuted(np.tile(np.arange(7), (9, 1)), axis=1)[:, :3], axis=1)
+    want = [g.value(s) for g, s in zip(rows, sets.tolist())]
+    assert ModularFunction(w).value(sets).tobytes() == np.array(want).tobytes()
+    # a block has no value on one set
+    for single in (lambda f: f.value_mask(3), lambda f: f.values_all(),
+                   lambda f: f.prefix_values(np.arange(7)),
+                   lambda f: distance_sup(f, ModularFunction(np.zeros(7)))):
+        with pytest.raises(ValueError, match="a block of rewards takes one set per row"):
+            single(ModularFunction(w))
     w[4, 2] = np.nan
-    with pytest.raises(ValueError, match="coefficients must be a finite 1-d vector"):
-        ModularFunction.from_rows(w)
-    with pytest.raises(ValueError, match="must be 2-d"):
-        ModularFunction.from_rows(w[0])
+    with pytest.raises(ValueError, match="coefficients must be a finite 1-d vector or rows"):
+        ModularFunction(w)
+    with pytest.raises(ValueError, match="coefficients must be a finite 1-d vector or rows"):
+        ModularFunction(np.zeros((2, 2, 2)))
     with pytest.raises(ValueError, match="ground set must be nonempty"):
-        ModularFunction.from_rows(np.zeros((2, 0)))
+        ModularFunction(np.zeros((2, 0)))
 
 
 def test_adversary_from_config_round_trip_and_strictness():
@@ -195,15 +227,16 @@ def test_hints_perfect_and_noise_and_flip():
     rng = np.random.default_rng(10)
     fvecs = [rng.random(6) for _ in range(20)]
     perfect = generate_hints(fvecs, HintSpec("perfect"), np.random.default_rng(0))
+    assert perfect.shape == (20, 6)
     for fv, h in zip(fvecs, perfect):
-        np.testing.assert_array_equal(h.w, fv)
+        np.testing.assert_array_equal(h, fv)
     noisy = generate_hints(fvecs, HintSpec("additive-noise", 0.37),
                            np.random.default_rng(1))
     for fv, h in zip(fvecs, noisy):
-        assert np.linalg.norm(fv - h.w) == pytest.approx(0.37, abs=1e-12)
+        assert np.linalg.norm(fv - h) == pytest.approx(0.37, abs=1e-12)
     flipped = generate_hints(fvecs, HintSpec("adversarial-flip"), np.random.default_rng(2))
     for fv, h in zip(fvecs, flipped):
-        np.testing.assert_array_equal(h.w, -fv)
+        np.testing.assert_array_equal(h, -fv)
 
 
 def hints_reference(fvecs, spec, rng):
@@ -219,8 +252,8 @@ def hints_reference(fvecs, spec, rng):
             h = fv + (spec.noise_l2 / float(np.linalg.norm(z))) * z
         else:
             h = -fv
-        out.append(ModularFunction(h))
-    return out
+        out.append(h)
+    return np.array(out)
 
 
 class ZeroedNormals:
@@ -251,12 +284,12 @@ def test_hints_match_the_vectors_worked_out_one_at_a_time(n, B, zero):
     fvecs = [row for row in np.random.default_rng(n + B).standard_normal((B, n))]
     for spec in (HintSpec("perfect"), HintSpec("additive-noise", 0.37),
                  HintSpec("additive-noise", 0.0), HintSpec("adversarial-flip")):
-        got = generate_hints(fvecs, spec, ZeroedNormals(B, n, zero))
+        got = generate_hints(np.array(fvecs), spec, ZeroedNormals(B, n, zero))
         want_rng = ZeroedNormals(B, n, zero)
-        assert_same_rewards(got, hints_reference(fvecs, spec, want_rng))
+        assert got.tobytes() == hints_reference(fvecs, spec, want_rng).tobytes()
         if spec.noise_l2 > 0.0:
             assert want_rng.drawn == B + len(zero)
-    assert generate_hints([], HintSpec("additive-noise", 0.37), None) == []
+    assert generate_hints([], HintSpec("additive-noise", 0.37), None).size == 0
 
 
 def test_hint_spec_validation():

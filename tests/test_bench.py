@@ -27,7 +27,8 @@ from coreselect.bench import (
 )
 from coreselect.cli import main
 from coreselect.hypersimplex import HypersimplexPoint, euclidean_project
-from coreselect.policy import PLAN_CELLS, ScorePolicy
+from coreselect.blocks import PLAN_CELLS
+from coreselect.policy import ScorePolicy
 from coreselect.verify import CheckResult, verify_all
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -123,11 +124,15 @@ def test_failing_core_strategy_names_the_round(policy, monkeypatch):
 
         return core_strategy
 
-    cfg = ExperimentConfig.from_dict(base_config(policy=policy))
-    for fail_at in (1, 3):
+    # a reward of one round per call, and a modular block reward of two
+    # rounds (n = 2000) per call
+    cases = [("coverage-drift", 6, fail_at, f"round {fail_at}") for fail_at in (1, 3)]
+    cases += [("modular-random", 2000, 1, "rounds 1-2"), ("modular-random", 2000, 3, "rounds 5-6")]
+    for adversary, n, fail_at, where in cases:
+        cfg = ExperimentConfig.from_dict(base_config(policy=policy, n=n,
+                                                     adversary={"kind": adversary}))
         monkeypatch.setattr(Adversary, "core_strategy", failing_on_call(fail_at))
-        with pytest.raises(RuntimeError,
-                           match=f"core strategy failed on round {fail_at}: 'boom'"):
+        with pytest.raises(RuntimeError, match=f"core strategy failed on {where}: 'boom'"):
             run_replica(cfg, 0)
 
 
@@ -149,17 +154,19 @@ def test_core_strategy_failing_mid_block_plays_the_rounds_before_it(
 
     def step(self, f, gvec, hint=None):
         record = real_step(self, f, gvec, hint)
-        played.append((record.t, self._plan is not None))
+        played.append(list(record.t))
         return record
 
     monkeypatch.setattr(Adversary, "core_strategy", core_strategy)
     monkeypatch.setattr(ScorePolicy, "step", step)
-    cfg = ExperimentConfig.from_dict(base_config(policy=policy, replicas=1))
+    # coverage rewards come one per round, so a block can fail midway
+    cfg = ExperimentConfig.from_dict(base_config(
+        policy=policy, replicas=1, adversary={"kind": "coverage-drift"}))
     assert cfg.T <= PLAN_CELLS // cfg.n  # round 7 lies inside the first block
     with pytest.raises(RuntimeError, match="core strategy failed on round 7: 'boom'"):
         run_experiment(cfg, out_dir=tmp_path)
-    # rounds 1-6 were planned together and played before the error
-    assert played == [(t, t < 6) for t in range(1, 7)]
+    # rounds 1-6 were played together, as one block, before the error
+    assert played == [list(range(1, 7))]
     assert not (tmp_path / "replica_0.csv").exists()
 
 
@@ -480,8 +487,13 @@ def test_traced_benchmark_reaches_every_layer(tmp_path):
     ])
     calls = json.loads(_run_fresh(code))
     assert [name for name, count in calls.items() if count == 0] == []
-    # one span per round: 4 configs of T=10, one replica each
-    assert calls["policy.step"] == calls["corevec.core_vector"] == 40
+    # 4 configs of T=10, one replica each, and one step per block: matching,
+    # coverage and modular-random rewards fill one block each, while
+    # modular-drift's 10 phases of one round make 10 blocks of one.  One
+    # core vector per round of matching and coverage rewards, and one per
+    # modular block reward
+    assert calls["policy.step"] == 1 + 1 + 10 + 1
+    assert calls["corevec.core_vector"] == 10 + 10 + 10 + 1
 
 
 def test_readme_library_example_runs(capsys):

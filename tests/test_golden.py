@@ -33,6 +33,15 @@ CONFIGS = {
                              "policy": {"kind": kind}, "adversary": {"kind": adv}}
        for kind, adv in (("score", "modular-drift"), ("priced", "modular-random"),
                          ("semibandit", "modular-random"))},
+    # blocks of 4, 4 and 1 rounds at n=1000
+    "oftrl-exact-modular-random-n1000": {
+        **BASE, "n": 1000, "k": 50, "T": 9, "replicas": 1,
+        "policy": {"kind": "oftrl", "mode": "exact"},
+        "adversary": {"kind": "modular-random"}, "hints": NOISY},
+    # matching phases of 45 rounds inside blocks of 204
+    "score-matching-random-n20": {
+        **BASE, "n": 20, "k": 10, "T": 450, "replicas": 1,
+        "policy": {"kind": "score"}, "adversary": {"kind": "matching-random"}},
 }
 
 

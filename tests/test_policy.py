@@ -14,7 +14,7 @@ from coreselect.adversary import (
     make_coverage_drift_adversary,
     make_modular_drift_adversary,
 )
-from coreselect.blocks import running_sums
+from coreselect.blocks import PLAN_CELLS, block_rounds, running_sums
 from coreselect.corevec import marginal_strategy, modular_strategy
 from coreselect.hypersimplex import HypersimplexPoint, lmo
 from coreselect.policy import (
@@ -32,16 +32,52 @@ from coreselect.policy import (
     static_linear_regret,
     static_regret_bound,
 )
-from coreselect.sampling import _prefix_sums, expected_set_value, madow_marginal_measure
+from coreselect.sampling import (
+    _prefix_sums,
+    expected_set_value,
+    madow_marginal_measure,
+    madow_sample,
+)
 from coreselect.setfn import ModularFunction
 
 
+def rounds_of(record):
+    """The rounds of a step's record, each as the record of one round."""
+    if record.gvec.ndim == 1:
+        return [record]
+    return [RoundRecord(*row) for row in zip(
+        record.t, record.p, map(tuple, record.selected.tolist()), record.reward.tolist(),
+        record.full_reward.tolist(), record.gvec, record.observed, record.cost.tolist())]
+
+
+def one_per_round(rewards):
+    """The rewards one per round: each row of a modular block reward as a
+    function of its own."""
+    out = []
+    for f in rewards:
+        if isinstance(f, ModularFunction) and f.w.ndim == 2:
+            out += [ModularFunction(row) for row in f.w]
+        else:
+            out.append(f)
+    return out
+
+
+def block_reward(fs):
+    """Rewards of one round each as what a step of their block takes: one
+    modular block reward of their rows, or the list itself."""
+    if all(isinstance(f, ModularFunction) for f in fs):
+        return ModularFunction(np.array([f.w for f in fs]))
+    return fs
+
+
 def run_score(n, k, T, seed, adversary, G=None, policy_cls=ScorePolicy):
+    """Each round's record, with one step per reward the adversary yields:
+    a block of rounds for a modular block reward."""
     cfg = ScoreConfig(n=n, k=k, T=T, M=adversary.M, G=G if G is not None else adversary.G)
     policy = policy_cls(cfg, np.random.default_rng(seed))
     strategy = adversary.core_strategy(np.random.default_rng(seed + 1))
     rng = np.random.default_rng(seed + 2)
-    return [policy.step(f, strategy(f).g) for f in adversary.rounds(T, rng)]
+    return [r for f in adversary.rounds(T, rng) for r in rounds_of(policy.step(f, strategy(f).g))]
 
 
 # ---------------------------------------------------------------------------
@@ -87,9 +123,12 @@ def test_traces_are_deterministic():
     adv = make_modular_drift_adversary(6, G=1.0)
     a = run_score(6, 2, 50, 7, adv)
     b = run_score(6, 2, 50, 7, adv)
-    for ra, rb in zip(a, b):
-        assert ra.selected == rb.selected
-        assert ra.u == rb.u
+    # each round's set is the Madow sample at its uniform, replayed from a
+    # generator in the policy's starting state
+    u = np.random.default_rng(7).random(50)
+    assert len(a) == len(b) == 50
+    for ra, rb, ut in zip(a, b, u.tolist()):
+        assert ra.selected == rb.selected == madow_sample(HypersimplexPoint(6, 2, ra.p), ut)
         np.testing.assert_array_equal(ra.p, rb.p)
         np.testing.assert_array_equal(ra.gvec, rb.gvec)
 
@@ -141,23 +180,32 @@ def test_benchmark_inequality_on_traces():
 # ---------------------------------------------------------------------------
 # Semi-bandit estimates.
 
+def semibandit_feeds(n, k, T, seed):
+    """Each round's record and what it added to theta, one step per round."""
+    adv = make_modular_drift_adversary(n, G=1.0)
+    pol = SemiBanditPolicy(ScoreConfig(n=n, k=k, T=T, M=adv.M, G=adv.G),
+                           np.random.default_rng(seed))
+    out = []
+    for f in one_per_round(adv.rounds(T, np.random.default_rng(seed + 2))):
+        before = pol.theta.copy()
+        r = pol.step(f, f.w)
+        out.append((r, pol.theta - before))
+    return out
+
+
 def test_semibandit_feeds_ips_on_selected_only():
-    adv = make_modular_drift_adversary(6, G=1.0)
-    recs = run_score(6, 2, 40, 9, adv, policy_cls=SemiBanditPolicy)
-    for r in recs:
+    for r, fed in semibandit_feeds(6, 2, 40, 9):
         sel = set(r.selected)
         for i in range(6):
             if i in sel:
-                assert r.fed[i] == pytest.approx(r.gvec[i] / r.p[i])
+                assert fed[i] == pytest.approx(r.gvec[i] / r.p[i])
             else:
-                assert r.fed[i] == 0.0
+                assert fed[i] == 0.0
 
 
 def test_semibandit_k_equals_n_is_exact():
-    adv = make_modular_drift_adversary(4, G=1.0)
-    recs = run_score(4, 4, 10, 9, adv, policy_cls=SemiBanditPolicy)
-    for r in recs:
-        np.testing.assert_allclose(r.fed, r.gvec, atol=1e-12)
+    for r, fed in semibandit_feeds(4, 4, 10, 9):
+        np.testing.assert_allclose(fed, r.gvec, atol=1e-12)
 
 
 def test_ips_estimate_is_exactly_unbiased_by_marginal_law():
@@ -209,11 +257,15 @@ def test_priced_always_observing_costs_every_round():
     cfg = PricedPolicy.tuned_config(6, 2, 30, 1.0, cost=2.0)
     pol = PricedPolicy(cfg, np.random.default_rng(0), cost=2.0, epsilon=1.0)
     strategy = adv.core_strategy(np.random.default_rng(1))
-    recs = [pol.step(f, strategy(f).g) for f in adv.rounds(30, np.random.default_rng(2))]
-    assert all(r.observed for r in recs)
+    recs = [r for f in adv.rounds(30, np.random.default_rng(2))
+            for r in rounds_of(pol.step(f, strategy(f).g))]
+    assert len(recs) == 30 and all(r.observed for r in recs)
     assert sum(r.cost for r in recs) == pytest.approx(60.0)
+    # every round fed its vector: theta is their sum, added one at a time
+    total = np.zeros(6)
     for r in recs:
-        np.testing.assert_allclose(r.fed, r.gvec, atol=1e-12)
+        total += r.gvec
+    assert pol.theta.tobytes() == total.tobytes()
 
 
 def test_priced_unobserved_round_feeds_zero(monkeypatch):
@@ -230,23 +282,26 @@ def test_priced_unobserved_round_feeds_zero(monkeypatch):
     pol = PricedPolicy(cfg, np.random.default_rng(5), cost=1.0, epsilon=0.2)
     strategy = adv.core_strategy(np.random.default_rng(6))
     recs = []
-    for f in adv.rounds(400, np.random.default_rng(7)):
+    feds = []
+    for f in one_per_round(adv.rounds(400, np.random.default_rng(7))):
         theta = pol.theta.copy()
         before = len(calls)
         r = pol.step(f, strategy(f).g)
-        # an unobserved round leaves theta alone, so the next one makes no argmax
-        assert len(calls) - before == (0 if recs and not recs[-1].observed else 1)
+        # one round is a block of one: one row-wise argmax, bit for bit the
+        # 1-d argmax of theta
+        assert len(calls) - before == 1
         assert r.p.tobytes() == argmax(theta, cfg.eta, 2).p.tobytes()
         recs.append(r)
-    unobserved = [r for r in recs if not r.observed]
-    observed = [r for r in recs if r.observed]
+        feds.append(pol.theta - theta)
+    unobserved = [(r, fed) for r, fed in zip(recs, feds) if not r.observed]
+    observed = [(r, fed) for r, fed in zip(recs, feds) if r.observed]
     assert unobserved and observed
-    for r in unobserved:
+    for r, fed in unobserved:
         assert r.cost == 0.0
-        np.testing.assert_array_equal(r.fed, np.zeros(6))
-    for r in observed:
+        np.testing.assert_array_equal(fed, np.zeros(6))
+    for r, fed in observed:
         assert r.cost == 1.0
-        np.testing.assert_allclose(r.fed, r.gvec / 0.2, atol=1e-12)
+        np.testing.assert_allclose(fed, r.gvec / 0.2, atol=1e-12)
     # observation frequency near epsilon
     assert abs(len(observed) / 400 - 0.2) < 4 * math.sqrt(0.2 * 0.8 / 400)
 
@@ -286,35 +341,44 @@ class ScriptedGenerator:
 def make_planner(kind, cfg, rng):
     if kind == "score":
         return ScorePolicy(cfg, rng)
+    if kind == "semibandit":
+        return SemiBanditPolicy(cfg, rng)
     return PricedPolicy(cfg, rng, cost=1.5, epsilon=0.4)
 
 
-def play(pol, fs, gs, block=None):
-    """Each round's record and theta after it, planned in blocks of ``block``
-    rounds (unplanned without one)."""
+def play(pol, fs, gs, blocks=()):
+    """Each round's record, with theta after it where a step ended there,
+    and the generator's state at the end: the rounds start..stop-1 of each
+    (start, stop) in ``blocks`` played as one block, the others one step
+    per round."""
     out = []
-    size = block or len(fs)
-    for start in range(0, len(fs), size):
-        if block:
-            pol.plan(gs[start:start + size])
-            assert (pol._plan is None) == (pol.config.k == pol.config.n)
-        for f, g in zip(fs[start:start + size], gs[start:start + size]):
-            out.append((pol.step(f, g), pol.theta.copy()))
-    return out
+    start, stops = 0, dict(blocks)
+    while start < len(fs):
+        stop = stops.get(start, start + 1)
+        if start in stops:
+            record = pol.step(block_reward(fs[start:stop]), np.array(gs[start:stop]))
+        else:
+            record = pol.step(fs[start], gs[start])
+        out += [(r, None) for r in rounds_of(record)]
+        out[-1] = (out[-1][0], pol.theta.copy())
+        start = stop
+    return out, pol.rng.bit_generator.state
 
 
 def assert_same_rounds(got, want):
+    (got, got_state), (want, want_state) = got, want
     assert len(got) == len(want)
     for (a, theta_a), (b, theta_b) in zip(got, want):
         assert a.t == b.t
         assert a.p.tobytes() == b.p.tobytes(), a.t
-        assert a.u == b.u and type(a.u) is type(b.u)
         assert a.selected == b.selected
-        assert a.fed.tobytes() == b.fed.tobytes()
         assert a.observed is b.observed
         assert a.cost == b.cost and type(a.cost) is type(b.cost)
         assert (a.reward, a.full_reward) == (b.reward, b.full_reward)
-        assert theta_a.tobytes() == theta_b.tobytes()
+        assert type(a.reward) is type(a.full_reward) is float
+        if theta_a is not None:
+            assert theta_a.tobytes() == theta_b.tobytes()
+    assert got_state == want_state
 
 
 def madow_falls_back(p, k, u):
@@ -324,14 +388,14 @@ def madow_falls_back(p, k, u):
 
 
 def forced_fallback(pol_factory, fs, gs, k, draws):
-    """Uniforms under which some round of the unplanned run falls back, and
-    that round's index."""
+    """Uniforms under which some round of the one-step-per-round run falls
+    back, and that round's index."""
     for seed in range(20):
         values = np.random.default_rng(seed).random(draws * len(fs))
-        ps = [r.p for r, _ in play(pol_factory(ScriptedGenerator(values)), fs, gs)]
+        ps = [r.p for r, _ in play(pol_factory(ScriptedGenerator(values)), fs, gs)[0]]
         for t, p in enumerate(ps):
-            # the proposals do not depend on the Madow uniforms: try the few
-            # doubles around each boundary's fractional part
+            # a round's proposal does not depend on its own Madow uniform:
+            # try the few doubles around each boundary's fractional part
             for a in _prefix_sums(p, k)[1:-1]:
                 frac = a - math.floor(a)
                 for u in frac + np.arange(-4, 5) * np.spacing(frac):
@@ -342,36 +406,37 @@ def forced_fallback(pol_factory, fs, gs, k, draws):
 
 
 @pytest.mark.parametrize("adversary", ADVERSARY_KINDS)
-@pytest.mark.parametrize("kind", ["score", "priced"])
+@pytest.mark.parametrize("kind", ["score", "priced", "semibandit"])
 @pytest.mark.parametrize("case", ["blocks", "full-selection", "underflow", "ulp-fallback"])
 def test_planned_rounds_equal_unplanned_steps(kind, adversary, case):
+    # a block played by one step equals its rounds played one step each
     n, T = 12, 11
     k = n if case == "full-selection" else 6
     adv = adversary_from_config({"kind": adversary}, n)
-    fs = list(adv.rounds(T, np.random.default_rng(1)))
+    fs = one_per_round(adv.rounds(T, np.random.default_rng(1)))
     strategy = adv.core_strategy(np.random.default_rng(2))
     gs = [strategy(f).g for f in fs]
     # eta 3 caps several coordinates; 1e4 spreads the scores past exp underflow
     cfg = ScoreConfig(n=n, k=k, T=T, M=adv.M, G=adv.G,
                       eta=1e4 if case == "underflow" else 3.0)
-    draws = 1 if kind == "score" else 2
+    draws = 2 if kind == "priced" else 1
 
     def factory(rng):
         return make_planner(kind, cfg, rng)
 
     if case == "ulp-fallback":
         values, t = forced_fallback(factory, fs, gs, k, draws)
-        runs = [play(factory(ScriptedGenerator(values)), fs, gs, block)
-                for block in (None, 4, T)]
-        r = runs[0][t][0]
-        assert madow_falls_back(r.p, k, r.u)
+        runs = [play(factory(ScriptedGenerator(values)), fs, gs, blocks)
+                for blocks in ((), ((0, 4), (4, 8), (8, T)), ((0, T),))]
+        r = runs[0][0][t][0]
+        assert madow_falls_back(r.p, k, values[draws * t])
     else:
-        runs = [play(factory(np.random.default_rng(3)), fs, gs, block)
-                for block in (None, 4, T)]
+        runs = [play(factory(np.random.default_rng(3)), fs, gs, blocks)
+                for blocks in ((), ((0, 4), (4, 8), (8, T)), ((0, T),))]
     if case == "underflow":
         # some round's scores spread past exp underflow, so its row goes
         # through the log-space branch
-        spread = [cfg.eta * (theta.max() - theta.min()) for _, theta in runs[0]]
+        spread = [cfg.eta * (theta.max() - theta.min()) for _, theta in runs[0][0]]
         assert max(spread) > 690.0
     # the first round's scores are all tied (theta = 0)
     assert_same_rounds(runs[1], runs[0])  # T = 11 is not a multiple of 4
@@ -379,33 +444,22 @@ def test_planned_rounds_equal_unplanned_steps(kind, adversary, case):
 
 
 @pytest.mark.parametrize("kind", ["score", "priced"])
-def test_step_with_another_vector_drops_the_plan(kind):
+def test_single_rounds_and_blocks_play_one_stream(kind):
     adv = make_modular_drift_adversary(8, G=1.0)
-    fs = list(adv.rounds(9, np.random.default_rng(4)))
+    fs = one_per_round(adv.rounds(9, np.random.default_rng(4)))
     strategy = adv.core_strategy(np.random.default_rng(5))
     gs = [strategy(f).g for f in fs]
     cfg = ScoreConfig(n=8, k=3, T=9, M=adv.M, G=adv.G)
-    unplanned = make_planner(kind, cfg, np.random.default_rng(6))
-    want = play(unplanned, fs, gs)
-    pol = make_planner(kind, cfg, np.random.default_rng(6))
-    pol.plan(gs[:6])
-    got = [(pol.step(f, g), pol.theta.copy()) for f, g in zip(fs[:2], gs[:2])]
-    # an equal vector that is not the planned object drops the plan; the
-    # generator goes back to where round 3 draws
-    got.append((pol.step(fs[2], gs[2].copy()), pol.theta.copy()))
-    assert pol._plan is None
-    got += [(pol.step(f, g), pol.theta.copy()) for f, g in zip(fs[3:], gs[3:])]
+    want = play(make_planner(kind, cfg, np.random.default_rng(6)), fs, gs)
+    # rounds 1-2 one at a time, 3-6 as a block, 7 alone, 8-9 as a block
+    got = play(make_planner(kind, cfg, np.random.default_rng(6)), fs, gs, ((2, 6), (7, 9)))
     assert_same_rounds(got, want)
-    assert pol.rng.random() == unplanned.rng.random()
 
 
-def test_plan_takes_at_most_plan_rounds():
-    pol = ScorePolicy(ScoreConfig(n=2000, k=5, T=10), np.random.default_rng(0))
-    assert pol.plan_rounds == policy_module.PLAN_CELLS // 2000 == 2
-    with pytest.raises(ValueError, match="at most 2 rounds"):
-        pol.plan([np.zeros(2000)] * 3)
-    assert ScorePolicy(ScoreConfig(n=5000, k=5, T=10), None).plan_rounds == 1
-    assert SemiBanditPolicy(ScoreConfig(n=20, k=5, T=10), None).plan_rounds == 1
+def test_block_rounds_hold_at_most_plan_cells():
+    assert block_rounds(2000) == PLAN_CELLS // 2000 == 2
+    assert block_rounds(20) == 204
+    assert block_rounds(5000) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +478,13 @@ def run_oftrl(n, k, T, spec, seed, mode="exact", **kwargs):
     adv, fs, fvecs, hints = make_oftrl_inputs(n, T, spec, seed)
     cfg = ScoreConfig(n=n, k=k, T=T, M=adv.M, G=adv.G)
     pol = OftrlPolicy(cfg, np.random.default_rng(seed + 3), mode=mode, **kwargs)
-    recs = [pol.step(f, fv, h.w) for f, h, fv in zip(fs, hints, fvecs)]
-    return pol, recs, (fs, hints)
+    recs = []
+    refs = []  # the exact minimizer of each round's objective, if not linear
+    for f, h, fv in zip(fs, hints, fvecs):
+        obj = pol._objective(h)
+        refs.append(None if obj is None else obj.exact_minimizer().p)
+        recs.append(pol.step(f, fv, h))
+    return pol, recs, (fs, hints, refs)
 
 
 def test_oftrl_step_without_hint_is_an_error():
@@ -462,7 +521,7 @@ def test_sigma_schedule_telescopes():
     st = pol.state
     sigma_sums = [st.sigma_sum]
     for f, h, fv in zip(fs, hints, fvecs):
-        pol.step(f, fv, h.w)
+        pol.step(f, fv, h)
         sigma_sums.append(st.sigma_sum)
     assert st.sigma_sum == pytest.approx((1 / 3) * math.sqrt(st.delta_sum), abs=1e-9)
     assert len(sigma_sums) == 301 and sigma_sums == sorted(sigma_sums)  # sigma_t >= 0
@@ -474,32 +533,60 @@ def test_adversarial_flip_delta_is_four_norms():
     fvecs = [rng.random(5) for _ in range(10)]
     hints = generate_hints(fvecs, spec, rng)
     for fv, h in zip(fvecs, hints):
-        delta = float(np.sum((fv - h.w) ** 2))
+        delta = float(np.sum((fv - h) ** 2))
         assert delta == pytest.approx(4 * float(fv @ fv))
 
 
 def test_exact_and_afw_modes_agree_per_round():
     spec = HintSpec("additive-noise", 0.4)
-    pol, recs, _ = run_oftrl(8, 3, 150, spec, 4, mode="afw",
-                             track_exact_reference=True)
+    pol, recs, (_, _, refs) = run_oftrl(8, 3, 150, spec, 4, mode="afw")
     assert pol.state.eps is not None
     bound = math.sqrt(
         2 * pol.state.eps / (pol.sigma_scale * math.sqrt(pol.state.first_delta))
     )
     checked = 0
-    for r in recs:
-        if r.p_ref is not None:
-            assert np.linalg.norm(r.p - r.p_ref) <= bound
+    for r, ref in zip(recs, refs):
+        if ref is not None:
+            assert np.linalg.norm(r.p - ref) <= bound
             checked += 1
     assert checked > 100
+
+
+@pytest.mark.parametrize("mode", ["exact", "afw"])
+@pytest.mark.parametrize("adversary", ["modular-random", "coverage-drift"])
+def test_optimistic_block_equals_its_rounds_one_step_each(mode, adversary):
+    n, k, T = 8, 3, 30
+    adv = adversary_from_config({"kind": adversary}, n)
+    fs = one_per_round(adv.rounds(T, np.random.default_rng(1)))
+    strategy = adv.core_strategy(np.random.default_rng(2))
+    G = np.array([strategy(f).g for f in fs])
+    H = generate_hints(G, HintSpec("additive-noise", 0.3), np.random.default_rng(3))
+    cfg = ScoreConfig(n=n, k=k, T=T, M=adv.M, G=adv.G)
+    one = OftrlPolicy(cfg, np.random.default_rng(4), mode=mode)
+    want = [one.step(f, g, h) for f, g, h in zip(fs, G, H)]
+    pol = OftrlPolicy(cfg, np.random.default_rng(4), mode=mode)
+    got = []
+    for start, stop in ((0, 12), (12, 13), (13, T)):
+        got += rounds_of(pol.step(block_reward(fs[start:stop]), G[start:stop],
+                                  H[start:stop]))
+    assert len(got) == T and one.state.sigma_sum > 0.0
+    for a, b in zip(got, want):
+        assert (a.t, a.selected, a.reward, a.full_reward) == (b.t, b.selected, b.reward,
+                                                             b.full_reward)
+        assert a.p.tobytes() == b.p.tobytes()
+    assert pol.theta.tobytes() == one.theta.tobytes()
+    assert pol.state.weighted_center.tobytes() == one.state.weighted_center.tobytes()
+    assert (pol.state.sigma_sum, pol.state.delta_sum) == (one.state.sigma_sum,
+                                                          one.state.delta_sum)
+    assert pol.rng.bit_generator.state == one.rng.bit_generator.state
 
 
 def test_oftrl_augmented_regret_within_hint_bound():
     from coreselect.setfn import distance_sup
 
     n, k, T = 8, 3, 400
-    _, recs, (fs, hints) = run_oftrl(n, k, T, HintSpec("additive-noise", 0.3), 8)
-    sq = [distance_sup(f, h) ** 2 for f, h in zip(fs, hints)]
+    _, recs, (fs, hints, _) = run_oftrl(n, k, T, HintSpec("additive-noise", 0.3), 8)
+    sq = [distance_sup(f, ModularFunction(h)) ** 2 for f, h in zip(fs, hints)]
     # against E[f(S) | p], summed in round order as the ledger sums rewards
     ledger = RegretLedger(n, k)
     expected = 0.0
@@ -569,10 +656,19 @@ def ledger_records(n, k, T, rng, tie=False):
         p = rng.random(n)
         observed = bool(rng.random() < 0.5)
         records.append(RoundRecord(
-            t=t, p=p * (k / p.sum()), u=None, selected=tuple(range(k)),
+            t=t, p=p * (k / p.sum()), selected=tuple(range(k)),
             reward=float(rng.random()), full_reward=float(rng.random() * 3), gvec=g,
-            fed=g, observed=observed, cost=0.4 if observed else 0.0))
+            observed=observed, cost=0.4 if observed else 0.0))
     return records
+
+
+def block_of(records):
+    """Records of one round each as the columns of one block."""
+    return RoundRecord(
+        range(records[0].t, records[-1].t + 1), np.array([r.p for r in records]),
+        np.array([r.selected for r in records]), np.array([r.reward for r in records]),
+        np.array([r.full_reward for r in records]), np.array([r.gvec for r in records]),
+        [r.observed for r in records], np.array([r.cost for r in records]))
 
 
 @pytest.mark.parametrize("n, k, sizes, tie", [
@@ -592,12 +688,11 @@ def test_ledger_fold_matches_rounds_added_one_at_a_time(n, k, sizes, tie):
     got = []
     start = 0
     for size in sizes:
-        rows = ledger.fold(records[start:start + size])
+        rows = ledger.fold(block_of(records[start:start + size]))
         start += size
         got += zip(rows.cum_reward.tolist(), rows.benchmark().tolist(),
                    rows.aug_regret().tolist(), rows.static_regret().tolist(),
                    rows.cum_cost.tolist())
-        assert rows.reward.tolist() == [r.reward for r in records[start - size:start]]
     assert np.array(got).tobytes() == np.array(want).tobytes()
     assert ledger.rounds == len(records)
     assert (ledger.cum_reward, ledger.aug_regret(), float(ledger.static_regret()),
@@ -617,9 +712,9 @@ def test_ledger_fold_with_a_non_finite_total_raises_as_each_round_did():
     want, error = ledger_rows_reference(records, 20, 5, 1.0)
     assert len(want) == 18 and str(error) == "cost contains non-finite entries"
     ledger = RegretLedger(20, 5)
-    rows = ledger.fold(records[:10])
+    rows = ledger.fold(block_of(records[:10]))
     rows.static_regret()
-    rows = ledger.fold(records[10:])
+    rows = ledger.fold(block_of(records[10:]))
     with pytest.raises(ValueError, match="cost contains non-finite entries"):
         rows.static_regret()
     with pytest.raises(ValueError, match="cost contains non-finite entries"):

@@ -185,10 +185,13 @@ def test_block_of_points_samples_each_row_as_alone():
         us.append(u)
     block = HypersimplexPoint(n, k, np.array(rows))
     want = [madow_sample(_point(p, k), u) for p, u in zip(rows, us)]
-    assert madow_sample(block, np.array(us)) == want
+    got = madow_sample(block, np.array(us))
+    assert got.shape == (len(rows), k) and got.dtype.kind == "i"
+    assert [tuple(s) for s in got.tolist()] == want
     sets, u = draw(block, np.random.default_rng(9))
     assert u.shape == (len(rows),)
-    assert sets == [madow_sample(_point(p, k), float(x)) for p, x in zip(rows, u)]
+    assert [tuple(s) for s in sets.tolist()] == [
+        madow_sample(_point(p, k), float(x)) for p, x in zip(rows, u)]
     # the draws a block takes are the ones its rows would take one by one
     single = np.random.default_rng(9)
     assert u.tolist() == [single.random() for _ in rows]

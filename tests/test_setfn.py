@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from coreselect.blocks import block_rounds
 from coreselect.oracles import TableFunction, enumerate_matching_value, second_game
 from coreselect.setfn import (
     CoverageFunction,
@@ -81,6 +82,21 @@ def test_modular_evaluation_and_bounds():
     np.testing.assert_allclose(
         f.values_all(), [0, 1, -2, -1, 3, 4, 1, 2], atol=1e-12
     )
+
+
+@pytest.mark.parametrize("n", [1, 20, 1000, 2000])
+def test_block_gather_sum_matches_each_row_alone(n):
+    # numpy's pairwise sum adds fewer than 8 terms in a loop, unrolls by 8
+    # and splits past 128, so k covers each case; rows span 1e-5 to 1e5
+    rng = np.random.default_rng(n)
+    B = block_rounds(n)
+    for k in sorted({min(k, n) for k in (1, 5, 7, 8, 9, 16, 128, 129, n)}):
+        scale = 10.0 ** rng.uniform(-5.0, 5.0, (B, 1))
+        for w in (rng.random((B, n)) * scale, rng.standard_normal((B, n)) * scale):
+            sets = np.sort(rng.random((B, n)).argsort(axis=1)[:, :k], axis=1)
+            want = [float(row[idx].sum()) for row, idx in zip(w, sets.tolist())]
+            assert w[np.arange(B)[:, None], sets].sum(axis=1).tolist() == want
+            assert ModularFunction(w).value(sets).tobytes() == np.array(want).tobytes()
 
 
 def test_coverage_against_union_counting():
