@@ -5,7 +5,6 @@ from .adversary import (
     HintSpec,
     adversary_from_config,
     generate_hints,
-    onehot_ensemble,
 )
 from .corevec import (
     AdmissibleVector,

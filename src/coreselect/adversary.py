@@ -5,10 +5,11 @@ value bound M, the proxy-vector norm bound G, and the admissibility level
 alpha it promises, so the harness can check the theory bounds against what
 was actually emitted.
 
-The modular generators yield one reward per block of up to
-``block_rounds(n)`` rounds: a ``ModularFunction`` whose (B, n) coefficient
-rows are the rounds' rewards, drawn with one generator call, the stream and
-bits of one round at a time.  The others yield one reward per round.
+The modular generators, one-hot included, yield one reward per block of up
+to ``block_rounds(n)`` rounds: a ``ModularFunction`` whose (B, n)
+coefficient rows are the rounds' rewards, drawn with one generator call, the
+stream and bits of one round at a time.  Coverage and matching yield one
+reward per round.
 """
 
 from __future__ import annotations
@@ -74,20 +75,6 @@ def _phase_length(T: int, phases: int) -> int:
     return max(1, int(np.ceil(T / phases)))
 
 
-def onehot_ensemble(n: int, T: int, rng: np.random.Generator) -> list[ModularFunction]:
-    """Each round rewards exactly one uniformly random element with value 1.
-
-    Only n distinct functions exist, so they are built once and shared.
-    """
-    indicators = []
-    for i in range(n):
-        w = np.zeros(n)
-        w[i] = 1.0
-        indicators.append(ModularFunction(w))
-    hot = rng.integers(0, n, size=T)
-    return [indicators[i] for i in hot]
-
-
 def _modular_rows(b: int, n: int, G: float, rng: np.random.Generator) -> np.ndarray:
     """b nonnegative coefficient vectors as rows, each of norm G unless it
     is 0, from one ``rng.random((b, n))``: the stream of b draws of
@@ -118,9 +105,19 @@ def _blocks(start: int, stop: int, n: int) -> Iterator[int]:
 
 
 def make_onehot_adversary(n: int) -> Adversary:
+    """Each round rewards exactly one uniformly random element with value 1.
+
+    The hot elements of all T rounds come from one ``rng.integers(0, n,
+    size=T)``; a block of rounds is one reward, its indicator rows."""
+
     def rounds(T, rng):
-        for f in onehot_ensemble(n, T, rng):
-            yield f
+        hot = rng.integers(0, n, size=T)
+        first = 0
+        for b in _blocks(0, T, n):
+            w = np.zeros((b, n))
+            w[np.arange(b), hot[first:first + b]] = 1.0
+            first += b
+            yield ModularFunction(w)
 
     return Adversary("onehot-ensemble", n, alpha=1.0, M=1.0, G=1.0,
                      _make_rounds=rounds, _make_strategy=lambda rng: modular_strategy())

@@ -251,10 +251,11 @@ def _replica_blocks(cfg: ExperimentConfig, policy: ScorePolicy | OftrlPolicy,
     of one round each.  Its proxy vectors come from the adversary's core
     strategy, one call for a block reward and one per round otherwise, and
     the policy plays the block with one ``step``.  A core strategy that
-    fails on a reward ends the run after the rounds before that reward's
-    are played.  The optimistic policy also gets a hint made from each
-    vector, a block's hints in one call; rewards on at most 16 elements then
-    log the hint's squared sup-distance for the optimistic bound.
+    fails on a reward ends the run with an error naming its rounds, before
+    any round of its block is played.  The optimistic policy also gets a
+    hint made from each vector, a block's hints in one call; rewards on at
+    most 16 elements then log the hint's squared sup-distance for the
+    optimistic bound.
     """
     strategy = adv.core_strategy(rngs["strategy"])
     spec = None
@@ -263,27 +264,17 @@ def _replica_blocks(cfg: ExperimentConfig, policy: ScorePolicy | OftrlPolicy,
         result.sq_distances = [] if cfg.n <= 16 else None
     t = 0
     for f in _reward_blocks(adv.rounds(cfg.T, rngs["adversary"]), block_rounds(cfg.n)):
-        failure = None
         if isinstance(f, list):
             G = np.empty((len(f), cfg.n))
             for i, fi in enumerate(f):
-                try:
-                    G[i] = _core_vectors(strategy, fi, t + i + 1, t + i + 1)
-                except RuntimeError as exc:
-                    failure = exc
-                    del f[i:]
-                    G = G[:i]
-                    break
+                G[i] = _core_vectors(strategy, fi, t + i + 1, t + i + 1)
         else:
             G = _core_vectors(strategy, f, t + 1, t + len(f.w))
-        if len(G):
-            hints = None if spec is None else generate_hints(G, spec, rngs["hints"])
-            if result.sq_distances is not None:
-                _log_sq_distances(result, f, hints)
-            t += len(G)
-            yield policy.step(f, G, hints)
-        if failure is not None:
-            raise failure
+        hints = None if spec is None else generate_hints(G, spec, rngs["hints"])
+        if result.sq_distances is not None:
+            _log_sq_distances(result, f, hints)
+        t += len(G)
+        yield policy.step(f, G, hints)
 
 
 def _log_sq_distances(result: ReplicaResult, f, hints: np.ndarray) -> None:

@@ -7,6 +7,9 @@ for the n <= 20 instances the diagnostics are meant for.
 
 from __future__ import annotations
 
+import operator
+from functools import reduce
+from itertools import accumulate
 from typing import Iterable
 
 import numpy as np
@@ -41,12 +44,10 @@ def mask_of(indices: Iterable[int]) -> int:
 
 def indices_of(mask: int) -> tuple[int, ...]:
     out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+    while mask:  # one step per set bit, lowest first
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)
 
 
@@ -164,53 +165,46 @@ class CoverageFunction(SetFunction):
     """f(S) = ``scale`` times the size of the union of the covering sets
     chosen by S.
 
-    ``family[i]`` lists the universe items element i covers; ``scale`` is
-    how the benchmark normalizes instances to value bound 1.
+    ``family[i]`` lists the universe items element i covers, kept as a
+    Python int bitset (item j <-> bit j), so a universe of any size works;
+    ``scale`` is how the benchmark normalizes instances to value bound 1.
     """
 
     def __init__(self, family: list[Iterable[int]], universe_size: int,
                  scale: float = 1.0):
-        if universe_size < 1 or universe_size > 63:
-            raise ValueError("universe size must be in [1, 63]")
+        if universe_size < 1:
+            raise ValueError("universe must be nonempty")
         self.universe_size = universe_size
-        self.family_bits = np.array(
-            [np.uint64(mask_of(s)) for s in family], dtype=np.uint64
-        )
-        if np.any(self.family_bits >> np.uint64(universe_size)):
+        self.family_bits = [mask_of(s) for s in family]
+        if any(bits >> universe_size for bits in self.family_bits):
             raise ValueError("family covers items outside the universe")
         self.scale = float(scale)
-        n = len(family)
-        full = self._cover_weight(np.bitwise_or.reduce(self.family_bits)) if n else 0.0
-        super().__init__(n, value_bound=full, monotone=True)
-
-    def _cover_weight(self, bits: np.uint64) -> float:
-        return self.scale * int(np.bitwise_count(bits))
+        full = self.scale * reduce(operator.or_, self.family_bits, 0).bit_count()
+        super().__init__(len(family), value_bound=full, monotone=True)
 
     def value_mask(self, mask: int) -> float:
-        bits = np.uint64(0)
-        i = 0
-        while mask:
-            if mask & 1:
-                bits |= self.family_bits[i]
-            mask >>= 1
-            i += 1
-        return self._cover_weight(bits)
+        bits = 0
+        for i in indices_of(mask):
+            bits |= self.family_bits[i]
+        return self.scale * bits.bit_count()
 
     def _enumerate_values(self) -> np.ndarray:
-        bits = np.zeros(1, dtype=np.uint64)
-        for i in range(self.n):
-            bits = np.concatenate([bits, bits | self.family_bits[i]])
-        return self.scale * np.bitwise_count(bits).astype(float)
+        # the bitsets as rows of little-endian uint64 words
+        size = 8 * -(-self.universe_size // 64)
+        words = np.frombuffer(b"".join(bits.to_bytes(size, "little")
+                                       for bits in self.family_bits),
+                              dtype="<u8").reshape(self.n, -1)
+        bits = np.zeros((1, words.shape[1]), dtype=np.uint64)
+        for row in words:
+            bits = np.concatenate([bits, bits | row])
+        return self.scale * np.bitwise_count(bits).sum(axis=1).astype(float)
 
     def prefix_values(self, perm: np.ndarray) -> np.ndarray:
         # one incremental union per step instead of rebuilding each prefix
-        vals = np.empty(self.n + 1)
-        vals[0] = 0.0
-        bits = np.uint64(0)
-        for i, idx in enumerate(perm):
-            bits |= self.family_bits[int(idx)]
-            vals[i + 1] = self._cover_weight(bits)
-        return vals
+        items = [self.family_bits[i] for i in np.asarray(perm).tolist()]
+        unions = accumulate(items, operator.or_)
+        counts = [0] + [bits.bit_count() for bits in unions]
+        return self.scale * np.array(counts, dtype=float)
 
 
 class MatchingRewardFunction(SetFunction):

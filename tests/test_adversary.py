@@ -13,9 +13,8 @@ from coreselect.adversary import (
     make_modular_drift_adversary,
     make_modular_random_adversary,
     make_onehot_adversary,
-    onehot_ensemble,
 )
-from coreselect.blocks import PLAN_CELLS
+from coreselect.blocks import PLAN_CELLS, block_rounds
 from coreselect.setfn import ModularFunction, distance_sup
 
 
@@ -31,8 +30,21 @@ def one_per_round(rewards):
     return out
 
 
+def onehot_rounds(n, T, rng):
+    """The one-hot rewards one per round, after checking that each reward
+    the adversary yields is a block of at most ``block_rounds(n)``
+    indicator rows."""
+    rewards = list(make_onehot_adversary(n).rounds(T, rng))
+    for f in rewards:
+        assert isinstance(f, ModularFunction) and f.w.ndim == 2
+        assert 1 <= len(f.w) <= block_rounds(n)
+        assert np.isin(f.w, (0.0, 1.0)).all() and (f.w.sum(axis=1) == 1.0).all()
+    return one_per_round(rewards)
+
+
 def test_onehot_rounds_are_indicators():
-    fs = onehot_ensemble(5, 50, np.random.default_rng(0))
+    fs = onehot_rounds(5, 50, np.random.default_rng(0))
+    assert len(fs) == 50
     for f in fs:
         assert np.sum(f.w == 1.0) == 1
         assert np.sum(f.w == 0.0) == 4
@@ -40,13 +52,13 @@ def test_onehot_rounds_are_indicators():
 
 
 def test_onehot_single_element_universe():
-    fs = onehot_ensemble(1, 10, np.random.default_rng(1))
+    fs = onehot_rounds(1, 10, np.random.default_rng(1))
     assert all(f.w[0] == 1.0 for f in fs)
 
 
 def test_onehot_frequencies_uniform():
     n, T = 5, 40_000
-    fs = onehot_ensemble(n, T, np.random.default_rng(2))
+    fs = onehot_rounds(n, T, np.random.default_rng(2))
     counts = np.sum([f.w for f in fs], axis=0)
     freq = counts / T
     sd = np.sqrt((1 / n) * (1 - 1 / n) / T)

@@ -137,7 +137,7 @@ def test_failing_core_strategy_names_the_round(policy, monkeypatch):
 
 
 @pytest.mark.parametrize("policy", [{"kind": "score"}, {"kind": "priced"}])
-def test_core_strategy_failing_mid_block_plays_the_rounds_before_it(
+def test_core_strategy_failing_mid_block_plays_none_of_it(
         policy, monkeypatch, tmp_path):
     real_core_strategy, real_step = Adversary.core_strategy, ScorePolicy.step
     played = []
@@ -165,8 +165,8 @@ def test_core_strategy_failing_mid_block_plays_the_rounds_before_it(
     assert cfg.T <= PLAN_CELLS // cfg.n  # round 7 lies inside the first block
     with pytest.raises(RuntimeError, match="core strategy failed on round 7: 'boom'"):
         run_experiment(cfg, out_dir=tmp_path)
-    # rounds 1-6 were played together, as one block, before the error
-    assert played == [list(range(1, 7))]
+    # the error ends the run before rounds 1-6, its block's, are played
+    assert played == []
     assert not (tmp_path / "replica_0.csv").exists()
 
 
@@ -283,6 +283,23 @@ def test_cli_run_and_sweep(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg_path), "--axis", "T",
                  "--values", "10,20", "--out", str(tmp_path / "sweep.csv")]) == 0
     assert (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("policy, n, T, phases", [
+    ("score", 32, 40, None), ("semibandit", 64, 40, None),
+    ("score", 2000, 20, 1), ("semibandit", 2000, 20, 1),
+])
+def test_cli_runs_coverage_past_63_items(policy, n, T, phases, tmp_path):
+    # coverage-drift's universe is 2n: 64, 128 and 4000 items
+    adversary = {"kind": "coverage-drift"}
+    if phases is not None:
+        adversary["phases"] = phases
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(
+        n=n, k=5, T=T, replicas=1, policy={"kind": policy}, adversary=adversary)))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    rows = (tmp_path / "out" / "replica_0.csv").read_text().splitlines()
+    assert len(rows) == T + 1
 
 
 POLICY_FIELD_RULES = {"cost": "finite and positive", "sigma": "finite and positive",

@@ -116,6 +116,47 @@ def test_coverage_against_union_counting():
         )
 
 
+def union_reward(family, chosen, scale):
+    """``scale`` times the size of the union of the chosen items, from plain
+    Python sets: the product ``CoverageFunction`` computes."""
+    return scale * len(set().union(*[set(family[i]) for i in chosen]))
+
+
+@pytest.mark.parametrize("universe", [1, 63, 64, 65, 128, 129, 4000])
+def test_coverage_of_any_universe_is_the_union_size(universe):
+    rng = np.random.default_rng(universe)
+    n, scale = 12, 1.0 / universe
+    family = [np.flatnonzero(rng.random(universe) < 0.3).tolist() for _ in range(n)]
+    family[0].append(universe - 1)  # the top item is covered
+    f = CoverageFunction(family, universe, scale=scale)
+    assert f.full_value() == f.value_bound == union_reward(family, range(n), scale)
+    for _ in range(20):
+        chosen = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False).tolist()
+        assert f.value(chosen) == union_reward(family, chosen, scale)
+        perm = rng.permutation(n)
+        want = [union_reward(family, perm[:i].tolist(), scale) for i in range(n + 1)]
+        assert f.prefix_values(perm).tolist() == want
+
+
+@pytest.mark.parametrize("universe", [63, 64, 65, 130])
+def test_coverage_values_all_of_any_universe(universe):
+    rng = np.random.default_rng(universe)
+    for n in (1, 4, 10):
+        family = [np.flatnonzero(rng.random(universe) < 0.2).tolist() for _ in range(n)]
+        family[-1].append(universe - 1)
+        f = CoverageFunction(family, universe, scale=1.0 / universe)
+        want = [union_reward(family, indices_of(m), 1.0 / universe) for m in range(1 << n)]
+        assert f.values_all().tolist() == want
+
+
+def test_coverage_rejects_items_outside_the_universe():
+    for universe in (1, 63, 64, 65, 4000):
+        with pytest.raises(ValueError, match="outside the universe"):
+            CoverageFunction([[0], [universe]], universe)
+    with pytest.raises(ValueError):
+        CoverageFunction([[0]], 0)
+
+
 def test_distance_sup_modular_closed_form():
     f = ModularFunction(np.array([1.0, 2.0]))
     h = ModularFunction(np.array([2.0, 1.0]))
