@@ -31,13 +31,12 @@ from .hypersimplex import (
 from .policy import (
     OftrlPolicy,
     PricedPolicy,
+    RegretLedger,
     RoundRecord,
     ScoreConfig,
     ScorePolicy,
     SemiBanditPolicy,
-    augmented_regret,
     augmented_regret_bound,
-    static_linear_regret,
     static_regret_bound,
 )
 from .sampling import (

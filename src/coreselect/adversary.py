@@ -87,8 +87,12 @@ def _rescaled_rows(w: np.ndarray, G: float, fallback: np.ndarray) -> np.ndarray:
     """Each row of the (B, n) block ``w`` rescaled to l2 norm G, as
     ``(G / norm) * row`` with the norm ``np.linalg.norm`` gives the row; a
     row of norm 0 is replaced by the same row of ``fallback`` (or by
-    ``fallback`` itself, one vector)."""
+    ``fallback`` itself, one vector).  A norm past the float range is an
+    error: such a row would be rescaled to 0."""
     norms = np.sqrt(row_dots(w, w))
+    if not np.isfinite(norms).all():
+        raise ValueError("coefficient rows too large to rescale to norm G: "
+                         "their squares overflow (modular-drift jitter * G too large)")
     positive = norms > 0
     out = (G / np.where(positive, norms, 1.0))[:, None] * w
     if not positive.all():
@@ -166,17 +170,16 @@ def random_coverage(n: int, universe: int, rng: np.random.Generator,
     """Random coverage instance normalized by the universe size; every
     element covers at least one item and the full ground set covers
     everything, so f(full set) = 1."""
-    family = []
-    for i in range(n):
-        picks = np.flatnonzero(rng.random(universe) < density)
-        if picks.size == 0:
-            picks = rng.integers(0, universe, size=1)
-        family.append(picks.tolist())
+    covers = np.empty((n, universe), dtype=bool)
+    for row in covers:
+        row[:] = rng.random(universe) < density
+        if not row.any():
+            row[rng.integers(0, universe, size=1)] = True
     # guarantee full coverage so the normalized full value is exactly 1
-    uncovered = sorted(set(range(universe)) - {e for s in family for e in s})
-    for e in uncovered:
-        family[int(rng.integers(0, n))].append(e)
-    return CoverageFunction(family, universe, scale=1.0 / universe)
+    for e in np.flatnonzero(~covers.any(axis=0)).tolist():
+        covers[int(rng.integers(0, n)), e] = True
+    return CoverageFunction([np.flatnonzero(row) for row in covers], universe,
+                            scale=1.0 / universe)
 
 
 def make_coverage_drift_adversary(n: int, universe: int | None = None,
@@ -257,7 +260,7 @@ def adversary_from_config(cfg: dict, n: int) -> Adversary:
         raise ValueError(f"unknown adversary kind: {kind!r}")
     if kind == "matching-random":
         if n % 2:
-            raise ValueError("matching-random needs an even ground set")
+            raise ValueError(f"matching-random needs an even ground set, got n = {n}")
         n //= 2
     unknown = set(cfg) - set(list(inspect.signature(factory).parameters)[1:])
     if unknown:
@@ -280,7 +283,9 @@ class HintSpec:
     def __post_init__(self) -> None:
         if self.mode not in ("perfect", "additive-noise", "adversarial-flip"):
             raise ValueError(f"unknown hint mode: {self.mode!r}")
-        _check_real("noise_l2", self.noise_l2, ">= 0", lambda x: x >= 0.0)
+        # a hint's squared distance from its vector is noise_l2**2
+        _check_real("noise_l2", self.noise_l2, ">= 0 with a finite square",
+                    lambda x: x >= 0.0 and x * x < math.inf)
 
 
 def generate_hints(fvecs: np.ndarray, spec: HintSpec,

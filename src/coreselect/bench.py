@@ -97,7 +97,9 @@ class PolicyBlock:
             raise ValueError(f"unknown policy kind: {self.kind!r}")
         if self.mode not in ("exact", "afw"):
             raise ValueError(f"unknown oftrl mode: {self.mode!r}")
-        _check_real("cost", self.cost, "positive", lambda x: x > 0.0)
+        # the tuned observation rate divides by cost**2
+        _check_real("cost", self.cost, "positive with a positive square",
+                    lambda x: x > 0.0 and x * x > 0.0)
         if self.sigma is not None:
             _check_real("sigma", self.sigma, "positive", lambda x: x > 0.0)
         if self.epsilon is not None:
@@ -187,15 +189,22 @@ def _replica_rngs(seed: int, replica: int) -> dict:
 
 
 def _resolve_bounds(cfg: ExperimentConfig, adv: Adversary) -> tuple[float, float, float]:
-    """(alpha, M, G): explicit config values win over what the adversary reports."""
+    """(alpha, M, G): explicit config values win over what the adversary
+    reports.  The tuned learning rate divides by 2 G^2 T, so that and its
+    reciprocal must be positive and finite; an error names the fields G was
+    made from."""
     alpha = cfg.alpha if cfg.alpha is not None else adv.alpha
     M = cfg.M if cfg.M is not None else adv.M
     if cfg.G is not None:
-        G = cfg.G
+        G, source = cfg.G, "G"
     elif cfg.alpha is None and cfg.M is None:
-        G = adv.G
+        G, source = adv.G, f"the adversary block {cfg.adversary}"
     else:
-        G = norm_bound(alpha, M)
+        G, source = norm_bound(alpha, M), "alpha * M * sqrt(2)"
+    denominator = 2.0 * G * G * cfg.T
+    if not (0.0 < denominator < math.inf and 1.0 / denominator < math.inf):
+        raise ValueError(f"G = {G!r}, from {source}, and T = {cfg.T} must make "
+                         f"2 * G**2 * T and its reciprocal positive and finite")
     return float(alpha), float(M), float(G)
 
 

@@ -224,7 +224,11 @@ def _capped_exponentials_in_log_space(d: np.ndarray, k: int
                                       ) -> tuple[np.ndarray, int]:
     """The maximizer, in sorted order, for stabilized scores ``d`` sorted in
     descending order and spread wider than ``EXP_SAFE_SPREAD``, and the
-    number j of its coordinates capped at 1."""
+    number j of its coordinates capped at 1.  ``d[0]`` is NaN only where
+    eta * theta overflowed at the top score, which is an error."""
+    if math.isnan(d[0]):
+        raise ValueError("eta * theta overflows the float range: eta too large "
+                         "for the scores")
     n = d.size
     # log of sum_{i >= j} exp(d_i - d_j), the tail sum at its own maximum (>= 0)
     log_tail = np.logaddexp.accumulate(d[::-1])[::-1][:k] - d[:k]

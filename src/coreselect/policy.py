@@ -1,25 +1,20 @@
 """Online subset-selection policies and their regret accounting.
 
-Every policy plays a block of rounds per ``step``: draw a Madow sample from
-each round's proposed inclusion probabilities, feed the learner the
-round's proxy vector, which the caller passes in with the reward, and
-return the block's columns as one ``RoundRecord``: the proposals, the
-(B, k) drawn sets, the rewards (one gather-sum for a modular block reward),
-what was observed and paid.  One round is the block of one.  The policies
-differ only in the proposal (entropic argmax of the cumulative score, or an
-optimistic quadratic step against a hint) and in the feed (the admissible
-vector itself, an inverse-propensity estimate, or a Bernoulli-gated
-estimate with a per-peek price).
+Every policy plays a block of B rounds per ``step``: draw a Madow sample
+from each round's proposed inclusion probabilities, feed the learner the
+round's proxy vector, which the caller passes in as a row with the
+block's reward, and return the block's columns as one ``RoundRecord``: the
+proposals, the (B, k) drawn sets, the rewards (one gather-sum for a modular
+block reward), what was observed and paid.  The policies differ only in
+the proposal (entropic argmax of the cumulative score, or an optimistic
+quadratic step against a hint) and in the feed (the admissible vector
+itself, an inverse-propensity estimate, or a Bernoulli-gated estimate with
+a per-peek price).
 
-The full-information and priced feeds do not depend on the set a round
-draws, so ``ScorePolicy`` and ``PricedPolicy`` play a block in one pass over
-(B, n) arrays: the score before each round is one cumulative sum, then one
-row-wise entropic argmax and one row-wise Madow draw, each row bit for bit
-what the round alone gives.  The semi-bandit feed depends on the drawn set
-and the optimistic proposal on past proposals, so those policies play a
-block one row at a time.  ``RegretLedger`` keeps the regret accounting as
-running sums, folded in from a block's columns with the bits of one round
-at a time.
+``ScorePolicy`` and ``PricedPolicy`` play a block in one pass over (B, n)
+arrays; the semi-bandit and optimistic policies, whose feed or proposal
+depends on the rounds before, play it one row at a time.  ``RegretLedger``
+keeps the regret accounting as running sums, folded in a block at a time.
 """
 
 from __future__ import annotations
@@ -93,24 +88,22 @@ class ScoreConfig:
 
 @dataclass
 class RoundRecord:
-    """One played round, or the columns of a played block of B rounds.
+    """The columns of a played block of B rounds.
 
-    A round holds its number ``t``, its proposal ``p``, the drawn set as a
-    tuple, its reward and full-set reward as floats, its proxy vector
-    ``gvec``, whether its reward was observed and the price paid.  A block
-    holds ``t`` as the range of its round numbers, ``p`` and ``gvec`` as
-    (B, n) rows, ``selected`` as a (B, k) index array, ``reward``,
-    ``full_reward`` and ``cost`` as (B,) arrays and ``observed`` as a list.
+    ``t`` is the range of the rounds' numbers, ``p`` the proposals and
+    ``gvec`` the proxy vectors as (B, n) rows, ``selected`` the drawn sets
+    as a (B, k) index array, ``reward``, ``full_reward`` and ``cost`` (B,)
+    arrays, and ``observed`` a list of B flags.
     """
 
-    t: int | range
+    t: range
     p: np.ndarray
-    selected: tuple[int, ...] | np.ndarray
-    reward: float | np.ndarray
-    full_reward: float | np.ndarray
+    selected: np.ndarray
+    reward: np.ndarray
+    full_reward: np.ndarray
     gvec: np.ndarray
-    observed: bool | list[bool]
-    cost: float | np.ndarray
+    observed: list[bool]
+    cost: np.ndarray
 
 
 class _Policy:
@@ -132,26 +125,25 @@ class _Policy:
         self.theta = np.zeros(config.n)
         self.t = 0
 
-    def step(self, f, gvec: np.ndarray, hint: np.ndarray | None = None) -> RoundRecord:
-        """Play a block of rounds, or one round, and log it.
+    def step(self, f, G: np.ndarray, H: np.ndarray | None = None) -> RoundRecord:
+        """Play a block of B rounds and log it.
 
-        A block: ``gvec`` holds the B rounds' proxy vectors as rows and
-        ``hint`` their hints (which the optimistic policy needs) as rows;
+        ``G`` holds the rounds' proxy vectors as (B, n) rows and ``H`` their
+        hints (which the optimistic policy needs) as rows of the same shape.
         ``f`` is one reward for the whole block, whose ``value`` takes the
-        (B, k) sets (a ``ModularFunction`` of B rows), or the sequence of
-        the B rounds' rewards.  Returns the block's columns.  One round is
-        the block of one: ``f`` is its reward, ``gvec`` and ``hint`` are
-        vectors, and the record holds the round's own values.
+        (B, k) sets (a ``ModularFunction`` of B rows), or the sequence of the
+        B rounds' rewards.  Returns the block's columns.
         """
-        if hint is None and self.needs_hint:
+        if H is None and self.needs_hint:
             raise ValueError("the optimistic policy needs a hint every round")
-        gvec = np.asarray(gvec)
-        if gvec.ndim == 2:
-            return self._play(f, gvec, hint)
-        r = self._play([f], gvec[None], None if hint is None else np.asarray(hint)[None])
-        return RoundRecord(r.t[0], r.p[0], tuple(r.selected[0].tolist()),
-                           float(r.reward[0]), float(r.full_reward[0]), gvec,
-                           r.observed[0], float(r.cost[0]))
+        G, n = np.asarray(G), self.config.n
+        if G.ndim != 2 or G.shape[1] != n:
+            raise ValueError(f"proxy vectors must be (B, {n}) rows, got shape {G.shape}")
+        if H is not None and np.shape(H) != G.shape:
+            raise ValueError(f"hints must be of shape {G.shape}, got {np.shape(H)}")
+        if not isinstance(f, SetFunction) and len(f) != len(G):
+            raise ValueError(f"{len(G)} rounds need {len(G)} rewards, got {len(f)}")
+        return self._play(f, G, H)
 
     def _play(self, f, G: np.ndarray, H: np.ndarray | None) -> RoundRecord:
         """The block, one row at a time: propose (against the row's hint),
@@ -432,34 +424,24 @@ class RegretLedger(_Regrets):
         self.k = k
         self.scale = k / (n * alpha)
         self.rounds = 0
-        self.cum_reward = 0.0
-        self.cum_full = 0.0
-        self.cum_cost = 0.0
-        self.cum_dot = 0.0
+        self.cum_reward = self.cum_full = self.cum_cost = self.cum_dot = 0.0
         self.total_g = np.zeros(n)
 
-    def add_rewards(self, r: RoundRecord) -> None:
-        """Fold in the reward columns only, which the augmented regret reads."""
-        self.rounds += 1
-        self.cum_reward += r.reward
-        self.cum_full += r.full_reward
-
     def fold(self, r: RoundRecord) -> LedgerRows:
-        """Fold in a block of rounds (or one round, a block of one) from its
-        columns, with the bits of adding the rounds one at a time: every sum
-        after every round is a cumulative sum seeded with its value before
-        the block, and each round's ``gvec @ p`` comes from
-        :func:`row_dots`.  Returns the sums after each round."""
-        n = self.total_g.size
-        G = r.gvec.reshape(-1, n)
+        """Fold in a block of rounds from its columns, with the bits of
+        adding the rounds one at a time: every sum after every round is a
+        cumulative sum seeded with its value before the block, and each
+        round's ``gvec @ p`` comes from :func:`row_dots`.  Returns the sums
+        after each round."""
+        G = r.gvec
         sums = np.empty((len(G) + 1, 4))
         sums[0] = self.cum_reward, self.cum_full, self.cum_cost, self.cum_dot
         sums[1:, 0] = r.reward
         sums[1:, 1] = r.full_reward
         sums[1:, 2] = r.cost
-        sums[1:, 3] = row_dots(G, r.p.reshape(-1, n))
+        sums[1:, 3] = row_dots(G, r.p)
         np.add.accumulate(sums, axis=0, out=sums)  # cumsum, with less overhead
-        total = np.empty((len(G) + 1, n))
+        total = np.empty((len(G) + 1, G.shape[1]))
         total[0] = self.total_g
         total[1:] = G
         running_sums(total)
@@ -468,24 +450,6 @@ class RegretLedger(_Regrets):
         self.total_g = total[-1]
         return LedgerRows(self.k, self.scale, sums[1:, 0], sums[1:, 1], sums[1:, 2],
                           sums[1:, 3], total[1:])
-
-
-def augmented_regret(records: list[RoundRecord], alpha: float, k: int, n: int) -> float:
-    """:meth:`RegretLedger.aug_regret` over logged rounds."""
-    ledger = RegretLedger(n, k, alpha)
-    for r in records:
-        ledger.add_rewards(r)
-    return ledger.aug_regret()
-
-
-def static_linear_regret(records: list[RoundRecord]) -> float:
-    """:meth:`RegretLedger.static_regret` over logged rounds or blocks."""
-    if not records:
-        return 0.0
-    ledger = RegretLedger(records[0].gvec.shape[-1], np.shape(records[0].selected)[-1])
-    for r in records:
-        ledger.fold(r)
-    return float(ledger.static_regret())
 
 
 def static_regret_bound(n: int, k: int, T: int, G: float) -> float:

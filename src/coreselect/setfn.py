@@ -167,7 +167,9 @@ class CoverageFunction(SetFunction):
 
     ``family[i]`` lists the universe items element i covers, kept as a
     Python int bitset (item j <-> bit j), so a universe of any size works;
-    ``scale`` is how the benchmark normalizes instances to value bound 1.
+    each bitset is read off a packed boolean row of the universe, in time
+    linear in its size.  ``scale`` is how the benchmark normalizes
+    instances to value bound 1.
     """
 
     def __init__(self, family: list[Iterable[int]], universe_size: int,
@@ -175,9 +177,15 @@ class CoverageFunction(SetFunction):
         if universe_size < 1:
             raise ValueError("universe must be nonempty")
         self.universe_size = universe_size
-        self.family_bits = [mask_of(s) for s in family]
-        if any(bits >> universe_size for bits in self.family_bits):
-            raise ValueError("family covers items outside the universe")
+        covers = np.zeros((len(family), universe_size), dtype=bool)
+        for row, items in zip(covers, family):
+            items = np.asarray(items if isinstance(items, np.ndarray) else list(items),
+                               dtype=np.intp)
+            if ((items < 0) | (items >= universe_size)).any():
+                raise ValueError("family covers items outside the universe")
+            row[items] = True
+        self.family_bits = [int.from_bytes(row.tobytes(), "little")
+                            for row in np.packbits(covers, axis=1, bitorder="little")]
         self.scale = float(scale)
         full = self.scale * reduce(operator.or_, self.family_bits, 0).bit_count()
         super().__init__(len(family), value_bound=full, monotone=True)

@@ -31,7 +31,6 @@ from coreselect.policy import (
     RegretLedger,
     ScoreConfig,
     augmented_regret_bound,
-    static_linear_regret,
     static_regret_bound,
 )
 from coreselect.sampling import expected_set_value, madow_marginal_measure
@@ -45,6 +44,14 @@ def report(criterion, passed, detail):
     line = f"{'PASS' if passed else 'FAIL'} criterion {criterion}: {detail}"
     print(line, flush=True)
     assert passed, line
+
+
+def static_regret(n, k, records):
+    """The static regret of the rounds of the records, folded in order."""
+    ledger = RegretLedger(n, k)
+    for r in records:
+        ledger.fold(r)
+    return float(ledger.static_regret())
 
 
 # ---------------------------------------------------------------------------
@@ -112,14 +119,14 @@ def test_criterion_4_optimistic_hint_bound():
                                np.random.default_rng(406))
         cfg = ScoreConfig(n=n, k=k, T=T, alpha=1.0, M=adv.M)
         pol = OftrlPolicy(cfg, np.random.default_rng(407))
-        recs = [pol.step(f, fv, h) for f, h, fv in zip(fs, hints, fvecs)]
+        recs = [pol.step([f], fv[None], h[None]) for f, h, fv in zip(fs, hints, fvecs)]
         sq = [distance_sup(f, ModularFunction(h)) ** 2 for f, h in zip(fs, hints)]
         # against E[f(S) | p], summed in round order as the ledger sums rewards
         ledger = RegretLedger(n, k)
         expected = 0.0
         for r, f in zip(recs, fs):
-            ledger.add_rewards(r)
-            expected += expected_set_value(HypersimplexPoint(n, k, r.p), f.value)
+            ledger.fold(r)
+            expected += expected_set_value(HypersimplexPoint(n, k, r.p[0]), f.value)
         aug = ledger.benchmark() - expected
         rhs = 12.0 * k * math.sqrt(sum(sq))
         ok = aug <= rhs + 1e-9
@@ -156,7 +163,7 @@ def test_criterion_5_afw_matches_exact():
             # the exact minimizer of the objective the proposal solves
             obj = pol._objective(h) if mode == "afw" else None
             refs.append(None if obj is None else obj.exact_minimizer().p)
-            recs.append(pol.step(f, fv, h))
+            recs.append(pol.step([f], fv[None], h[None]))
         runs[mode] = (pol, recs, refs)
 
     pol_afw, recs_afw, refs_afw = runs["afw"]
@@ -164,10 +171,9 @@ def test_criterion_5_afw_matches_exact():
     sigma_root = pol_afw.sigma_scale * math.sqrt(pol_afw.state.first_delta)
     assert eps == sigma_root / (200.0 * G**2 * T**2)
     per_round_bound = math.sqrt(2.0 * eps / sigma_root)
-    diffs = [float(np.linalg.norm(r.p - ref))
+    diffs = [float(np.linalg.norm(r.p[0] - ref))
              for r, ref in zip(recs_afw, refs_afw) if ref is not None]
-    reg_afw = static_linear_regret(recs_afw)
-    reg_exact = static_linear_regret(runs["exact"][1])
+    reg_afw, reg_exact = (static_regret(n, k, recs) for recs in (recs_afw, runs["exact"][1]))
     regret_gap_bound = G * T * per_round_bound
     ok = (len(diffs) >= T - 2
           and max(diffs) <= per_round_bound

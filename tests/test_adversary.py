@@ -188,6 +188,9 @@ def test_rescaled_rows_keep_a_row_of_norm_zero():
     for fallback, rows in ((w, w), (base, [base] * 3)):
         want = np.array([_rescaled_reference(row, 1.3, b) for row, b in zip(w, rows)])
         assert _rescaled_rows(w, 1.3, fallback).tobytes() == want.tobytes()
+    # a row whose squares overflow would be rescaled to 0
+    with pytest.raises(ValueError, match="jitter \\* G too large"), np.errstate(over="ignore"):
+        _rescaled_rows(np.array([[1e200, 0.0, 0.0]]), 1.0, base)
 
 
 def test_modular_block_reward_is_its_rows_one_at_a_time():

@@ -310,6 +310,7 @@ POLICY_FIELD_RULES = {"cost": "finite and positive", "sigma": "finite and positi
     {"kind": "priced", "cost": 0},
     {"kind": "priced", "cost": -1},
     {"kind": "priced", "cost": float("inf")},
+    {"kind": "priced", "cost": 1e-300},  # its square underflows to 0
     {"kind": "oftrl", "sigma": -1},
     {"kind": "oftrl", "sigma": 0},
     {"kind": "oftrl", "sigma": float("nan")},
@@ -433,6 +434,60 @@ def test_cli_run_names_bad_config_blocks(raw, message, tmp_path, capsys):
     cfg_path.write_text(json.dumps(raw))
     assert main(["run", "--config", str(cfg_path)]) == 2
     assert message in capsys.readouterr().err
+
+
+BOUNDARY_POLICIES = ({"kind": "score"}, {"kind": "semibandit"}, {"kind": "priced"},
+                     {"kind": "oftrl", "mode": "exact"}, {"kind": "oftrl", "mode": "afw"})
+BOUNDARY_ADVERSARIES = ("onehot-ensemble", "modular-random", "modular-drift",
+                        "coverage-drift", "matching-random")
+# every numeric field of a config, by the block that holds it
+NUMERIC_FIELDS = {None: ("n", "k", "T", "seed", "replicas", "alpha", "M", "G"),
+                  "policy": ("eta", "sigma", "epsilon", "cost"),
+                  "hints": ("noise_l2",),
+                  "adversary": ("G", "w_max", "jitter", "density", "phases", "universe")}
+CORRUPT_VALUES = ("x", True, float("nan"), -1, 0, 1e308)
+
+
+def boundary_cases():
+    """(config, the fields the case sets) for every policy kind and mode
+    crossed with every adversary kind: n in {1, 2, 31, 32, 2000} with k in
+    {1, n - 1, n} and T = 1, eta left out or (at n <= 32) 1e-300 or 1e300;
+    then, at n = 6, k = 2 and T = 3, each numeric field set to each of
+    ``CORRUPT_VALUES``."""
+    for policy, kind in itertools.product(BOUNDARY_POLICIES, BOUNDARY_ADVERSARIES):
+        for n in (1, 2, 31, 32, 2000):
+            for k, eta in itertools.product(sorted({1, n - 1, n} - {0}),
+                                            (None, 1e-300, 1e300) if n <= 32 else (None,)):
+                pol = policy if eta is None else {**policy, "eta": eta}
+                yield base_config(n=n, k=k, T=1, replicas=1, policy=pol,
+                                  adversary={"kind": kind}), {"n", "k", "eta"}
+        for (block, names), value in itertools.product(NUMERIC_FIELDS.items(), CORRUPT_VALUES):
+            for name in names:
+                raw = base_config(T=3, replicas=1, policy=dict(policy),
+                                  adversary={"kind": kind},
+                                  hints={"mode": "additive-noise", "noise_l2": 0.5})
+                (raw if block is None else raw[block])[name] = value
+                yield raw, {name}
+
+
+def test_every_reachable_config_runs_or_exits_2_naming_its_field(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    failures = []
+    for raw, names in boundary_cases():
+        cfg_path.write_text(json.dumps(raw))
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                code = main(["run", "--config", str(cfg_path)])
+        except Exception as exc:  # a traceback, not an exit status
+            capsys.readouterr()
+            failures.append((raw, f"{type(exc).__name__}: {exc}"))
+            continue
+        err = capsys.readouterr().err
+        named = any(re.search(rf"\b{name}\b", err) for name in names)
+        if not (code == 0 or code == 2 and named):
+            failures.append((raw, f"exit {code}: {err.strip()}"))
+    assert not failures, f"{len(failures)} cases, the first: {failures[:5]}"
 
 
 def test_priced_rate_clamp_warns_once_per_replica():

@@ -42,6 +42,12 @@ CONFIGS = {
     "score-matching-random-n20": {
         **BASE, "n": 20, "k": 10, "T": 450, "replicas": 1,
         "policy": {"kind": "score"}, "adversary": {"kind": "matching-random"}},
+    # a universe of 80 items, past one 64-bit word; blocks of 102 rounds
+    # cross drift phases of 25
+    **{f"{kind}-coverage-drift-n40": {**BASE, "n": 40, "k": 8, "T": 250, "replicas": 1,
+                                      "policy": {"kind": kind},
+                                      "adversary": {"kind": "coverage-drift"}}
+       for kind in ("score", "semibandit")},
 }
 
 

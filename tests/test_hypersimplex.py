@@ -227,6 +227,12 @@ def test_entropic_rejects_bad_input():
             entropic_ftrl_argmax(np.zeros(3), eta, 1)
     with pytest.raises(ValueError):
         entropic_ftrl_argmax(np.zeros(3), 1.0, 4)
+    # eta * theta overflows at the top score, in one vector and in a block row
+    theta = np.array([2.0, 2.0, 0.0, 1.0])
+    for scores in (theta, np.array([np.zeros(4), theta])):
+        with pytest.raises(ValueError, match="eta \\* theta overflows"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            entropic_ftrl_argmax(scores, 1e308, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -25,11 +26,9 @@ from coreselect.policy import (
     ScoreConfig,
     ScorePolicy,
     SemiBanditPolicy,
-    augmented_regret,
     augmented_regret_bound,
     norm_bound,
     priced_epsilon,
-    static_linear_regret,
     static_regret_bound,
 )
 from coreselect.sampling import (
@@ -41,13 +40,23 @@ from coreselect.sampling import (
 from coreselect.setfn import ModularFunction
 
 
-def rounds_of(record):
-    """The rounds of a step's record, each as the record of one round."""
-    if record.gvec.ndim == 1:
-        return [record]
-    return [RoundRecord(*row) for row in zip(
-        record.t, record.p, map(tuple, record.selected.tolist()), record.reward.tolist(),
-        record.full_reward.tolist(), record.gvec, record.observed, record.cost.tolist())]
+def joined(records):
+    """The records of consecutive steps as the columns of one block."""
+    def column(name):
+        return np.concatenate([getattr(r, name) for r in records])
+
+    return RoundRecord(range(records[0].t.start, records[-1].t.stop), column("p"),
+                       column("selected"), column("reward"), column("full_reward"),
+                       column("gvec"), [o for r in records for o in r.observed],
+                       column("cost"))
+
+
+def folded(n, k, *records, alpha=1.0):
+    """A ledger with the records folded in."""
+    ledger = RegretLedger(n, k, alpha)
+    for r in records:
+        ledger.fold(r)
+    return ledger
 
 
 def one_per_round(rewards):
@@ -71,13 +80,19 @@ def block_reward(fs):
 
 
 def run_score(n, k, T, seed, adversary, G=None, policy_cls=ScorePolicy):
-    """Each round's record, with one step per reward the adversary yields:
-    a block of rounds for a modular block reward."""
+    """The record of all T rounds, played with one step per reward the
+    adversary yields: a block of rounds for a modular block reward, a block
+    of one round for any other."""
     cfg = ScoreConfig(n=n, k=k, T=T, M=adversary.M, G=G if G is not None else adversary.G)
     policy = policy_cls(cfg, np.random.default_rng(seed))
     strategy = adversary.core_strategy(np.random.default_rng(seed + 1))
     rng = np.random.default_rng(seed + 2)
-    return [r for f in adversary.rounds(T, rng) for r in rounds_of(policy.step(f, strategy(f).g))]
+    records = []
+    for f in adversary.rounds(T, rng):
+        g = strategy(f).g
+        block = isinstance(f, ModularFunction) and f.w.ndim == 2
+        records.append(policy.step(f, g) if block else policy.step([f], g[None]))
+    return joined(records)
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +130,8 @@ def test_config_validation():
 
 def test_first_round_is_uniform():
     adv = make_modular_drift_adversary(6, G=1.0)
-    recs = run_score(6, 2, 3, 0, adv)
-    np.testing.assert_allclose(recs[0].p, 2 / 6, atol=1e-12)
+    rec = run_score(6, 2, 3, 0, adv)
+    np.testing.assert_allclose(rec.p[0], 2 / 6, atol=1e-12)
 
 
 def test_traces_are_deterministic():
@@ -126,26 +141,25 @@ def test_traces_are_deterministic():
     # each round's set is the Madow sample at its uniform, replayed from a
     # generator in the policy's starting state
     u = np.random.default_rng(7).random(50)
-    assert len(a) == len(b) == 50
-    for ra, rb, ut in zip(a, b, u.tolist()):
-        assert ra.selected == rb.selected == madow_sample(HypersimplexPoint(6, 2, ra.p), ut)
-        np.testing.assert_array_equal(ra.p, rb.p)
-        np.testing.assert_array_equal(ra.gvec, rb.gvec)
+    assert len(a.t) == len(b.t) == 50
+    for sa, sb, p, ut in zip(a.selected.tolist(), b.selected.tolist(), a.p, u.tolist()):
+        assert tuple(sa) == tuple(sb) == madow_sample(HypersimplexPoint(6, 2, p), ut)
+    np.testing.assert_array_equal(a.p, b.p)
+    np.testing.assert_array_equal(a.gvec, b.gvec)
 
 
 def test_full_selection_when_k_equals_n():
     adv = make_modular_drift_adversary(5, G=1.0)
-    recs = run_score(5, 5, 20, 3, adv)
-    for r in recs:
-        assert r.selected == (0, 1, 2, 3, 4)
-        assert r.reward == pytest.approx(r.full_reward)
-    assert augmented_regret(recs, 1.0, 5, 5) == pytest.approx(0.0, abs=1e-9)
+    rec = run_score(5, 5, 20, 3, adv)
+    assert (rec.selected == np.arange(5)).all()
+    assert rec.reward == pytest.approx(rec.full_reward)
+    assert folded(5, 5, rec).aug_regret() == pytest.approx(0.0, abs=1e-9)
 
 
 def test_static_regret_under_published_bound_on_drift():
     adv = make_modular_drift_adversary(10, G=1.0)
-    recs = run_score(10, 3, 2000, 11, adv, G=1.0)
-    assert static_linear_regret(recs) <= static_regret_bound(10, 3, 2000, 1.0)
+    rec = run_score(10, 3, 2000, 11, adv, G=1.0)
+    assert folded(10, 3, rec).static_regret() <= static_regret_bound(10, 3, 2000, 1.0)
 
 
 def test_constant_adversary_converges_to_top_k():
@@ -154,27 +168,26 @@ def test_constant_adversary_converges_to_top_k():
     cfg = ScoreConfig(n=5, k=2, T=3000, M=float(w.sum()), G=float(np.linalg.norm(w)))
     pol = ScorePolicy(cfg, np.random.default_rng(0))
     strategy = modular_strategy()
-    recs = [pol.step(f, strategy(f).g) for _ in range(3000)]
+    recs = [pol.step([f], strategy(f).g[None]) for _ in range(3000)]
     # late-round selection probability concentrates on the two best elements
-    late = np.mean([r.p[:2].sum() for r in recs[-100:]])
+    late = np.mean([r.p[0, :2].sum() for r in recs[-100:]])
     assert late > 1.8
-    assert static_linear_regret(recs) <= static_regret_bound(5, 2, 3000, cfg.G)
+    assert folded(5, 2, *recs).static_regret() <= static_regret_bound(5, 2, 3000, cfg.G)
 
 
 def test_reward_never_exceeds_full_reward_for_monotone():
     adv = make_coverage_drift_adversary(8)
-    recs = run_score(8, 3, 200, 1, adv)
-    for r in recs:
-        assert r.reward <= r.full_reward + 1e-12
+    rec = run_score(8, 3, 200, 1, adv)
+    assert (rec.reward <= rec.full_reward + 1e-12).all()
 
 
 def test_benchmark_inequality_on_traces():
     # sum of full rewards is at most (n/k) * best fixed linear benchmark
     adv = make_coverage_drift_adversary(8)
-    recs = run_score(8, 3, 300, 2, adv)
-    total = np.sum([r.gvec for r in recs], axis=0)
+    rec = run_score(8, 3, 300, 2, adv)
+    total = np.sum(rec.gvec, axis=0)
     bench = float(total @ lmo(-total, 3))
-    assert sum(r.full_reward for r in recs) <= (8 / 3) * bench + 1e-6
+    assert sum(rec.full_reward.tolist()) <= (8 / 3) * bench + 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -188,24 +201,24 @@ def semibandit_feeds(n, k, T, seed):
     out = []
     for f in one_per_round(adv.rounds(T, np.random.default_rng(seed + 2))):
         before = pol.theta.copy()
-        r = pol.step(f, f.w)
+        r = pol.step([f], f.w[None])
         out.append((r, pol.theta - before))
     return out
 
 
 def test_semibandit_feeds_ips_on_selected_only():
     for r, fed in semibandit_feeds(6, 2, 40, 9):
-        sel = set(r.selected)
+        sel = set(r.selected[0].tolist())
         for i in range(6):
             if i in sel:
-                assert fed[i] == pytest.approx(r.gvec[i] / r.p[i])
+                assert fed[i] == pytest.approx(r.gvec[0, i] / r.p[0, i])
             else:
                 assert fed[i] == 0.0
 
 
 def test_semibandit_k_equals_n_is_exact():
     for r, fed in semibandit_feeds(4, 4, 10, 9):
-        np.testing.assert_allclose(fed, r.gvec, atol=1e-12)
+        np.testing.assert_allclose(fed, r.gvec[0], atol=1e-12)
 
 
 def test_ips_estimate_is_exactly_unbiased_by_marginal_law():
@@ -257,14 +270,13 @@ def test_priced_always_observing_costs_every_round():
     cfg = PricedPolicy.tuned_config(6, 2, 30, 1.0, cost=2.0)
     pol = PricedPolicy(cfg, np.random.default_rng(0), cost=2.0, epsilon=1.0)
     strategy = adv.core_strategy(np.random.default_rng(1))
-    recs = [r for f in adv.rounds(30, np.random.default_rng(2))
-            for r in rounds_of(pol.step(f, strategy(f).g))]
-    assert len(recs) == 30 and all(r.observed for r in recs)
-    assert sum(r.cost for r in recs) == pytest.approx(60.0)
+    rec = joined([pol.step(f, strategy(f).g) for f in adv.rounds(30, np.random.default_rng(2))])
+    assert len(rec.t) == 30 and all(rec.observed)
+    assert sum(rec.cost.tolist()) == pytest.approx(60.0)
     # every round fed its vector: theta is their sum, added one at a time
     total = np.zeros(6)
-    for r in recs:
-        total += r.gvec
+    for g in rec.gvec:
+        total += g
     assert pol.theta.tobytes() == total.tobytes()
 
 
@@ -286,22 +298,22 @@ def test_priced_unobserved_round_feeds_zero(monkeypatch):
     for f in one_per_round(adv.rounds(400, np.random.default_rng(7))):
         theta = pol.theta.copy()
         before = len(calls)
-        r = pol.step(f, strategy(f).g)
-        # one round is a block of one: one row-wise argmax, bit for bit the
-        # 1-d argmax of theta
+        r = pol.step([f], strategy(f).g[None])
+        # a block of one: one row-wise argmax, bit for bit the 1-d argmax of
+        # theta
         assert len(calls) - before == 1
-        assert r.p.tobytes() == argmax(theta, cfg.eta, 2).p.tobytes()
+        assert r.p[0].tobytes() == argmax(theta, cfg.eta, 2).p.tobytes()
         recs.append(r)
         feds.append(pol.theta - theta)
-    unobserved = [(r, fed) for r, fed in zip(recs, feds) if not r.observed]
-    observed = [(r, fed) for r, fed in zip(recs, feds) if r.observed]
+    unobserved = [(r, fed) for r, fed in zip(recs, feds) if not r.observed[0]]
+    observed = [(r, fed) for r, fed in zip(recs, feds) if r.observed[0]]
     assert unobserved and observed
     for r, fed in unobserved:
-        assert r.cost == 0.0
+        assert r.cost[0] == 0.0
         np.testing.assert_array_equal(fed, np.zeros(6))
     for r, fed in observed:
-        assert r.cost == 1.0
-        np.testing.assert_allclose(fed, r.gvec / 0.2, atol=1e-12)
+        assert r.cost[0] == 1.0
+        np.testing.assert_allclose(fed, r.gvec[0] / 0.2, atol=1e-12)
     # observation frequency near epsilon
     assert abs(len(observed) / 400 - 0.2) < 4 * math.sqrt(0.2 * 0.8 / 400)
 
@@ -347,37 +359,35 @@ def make_planner(kind, cfg, rng):
 
 
 def play(pol, fs, gs, blocks=()):
-    """Each round's record, with theta after it where a step ended there,
-    and the generator's state at the end: the rounds start..stop-1 of each
-    (start, stop) in ``blocks`` played as one block, the others one step
-    per round."""
-    out = []
+    """The record of every round, theta after each step by the index of its
+    last round, and the generator's state at the end: the rounds
+    start..stop-1 of each (start, stop) in ``blocks`` played as one block
+    with one block reward, the others one step per round, each a block of
+    one."""
+    records, thetas = [], {}
     start, stops = 0, dict(blocks)
     while start < len(fs):
         stop = stops.get(start, start + 1)
         if start in stops:
-            record = pol.step(block_reward(fs[start:stop]), np.array(gs[start:stop]))
+            records.append(pol.step(block_reward(fs[start:stop]), np.array(gs[start:stop])))
         else:
-            record = pol.step(fs[start], gs[start])
-        out += [(r, None) for r in rounds_of(record)]
-        out[-1] = (out[-1][0], pol.theta.copy())
+            records.append(pol.step([fs[start]], gs[start][None]))
+        thetas[stop - 1] = pol.theta.copy()
         start = stop
-    return out, pol.rng.bit_generator.state
+    return joined(records), thetas, pol.rng.bit_generator.state
 
 
 def assert_same_rounds(got, want):
-    (got, got_state), (want, want_state) = got, want
-    assert len(got) == len(want)
-    for (a, theta_a), (b, theta_b) in zip(got, want):
-        assert a.t == b.t
-        assert a.p.tobytes() == b.p.tobytes(), a.t
-        assert a.selected == b.selected
-        assert a.observed is b.observed
-        assert a.cost == b.cost and type(a.cost) is type(b.cost)
-        assert (a.reward, a.full_reward) == (b.reward, b.full_reward)
-        assert type(a.reward) is type(a.full_reward) is float
-        if theta_a is not None:
-            assert theta_a.tobytes() == theta_b.tobytes()
+    (got, got_thetas, got_state), (want, want_thetas, want_state) = got, want
+    assert got.t == want.t
+    assert got.p.tobytes() == want.p.tobytes()
+    assert np.array_equal(got.selected, want.selected)
+    assert got.observed == want.observed and {type(o) for o in got.observed} == {bool}
+    for name in ("cost", "reward", "full_reward"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype == np.float64 and a.tobytes() == b.tobytes(), name
+    for t, theta in got_thetas.items():
+        assert theta.tobytes() == want_thetas[t].tobytes(), t
     assert got_state == want_state
 
 
@@ -392,7 +402,7 @@ def forced_fallback(pol_factory, fs, gs, k, draws):
     back, and that round's index."""
     for seed in range(20):
         values = np.random.default_rng(seed).random(draws * len(fs))
-        ps = [r.p for r, _ in play(pol_factory(ScriptedGenerator(values)), fs, gs)[0]]
+        ps = play(pol_factory(ScriptedGenerator(values)), fs, gs)[0].p
         for t, p in enumerate(ps):
             # a round's proposal does not depend on its own Madow uniform:
             # try the few doubles around each boundary's fractional part
@@ -428,15 +438,14 @@ def test_planned_rounds_equal_unplanned_steps(kind, adversary, case):
         values, t = forced_fallback(factory, fs, gs, k, draws)
         runs = [play(factory(ScriptedGenerator(values)), fs, gs, blocks)
                 for blocks in ((), ((0, 4), (4, 8), (8, T)), ((0, T),))]
-        r = runs[0][0][t][0]
-        assert madow_falls_back(r.p, k, values[draws * t])
+        assert madow_falls_back(runs[0][0].p[t], k, values[draws * t])
     else:
         runs = [play(factory(np.random.default_rng(3)), fs, gs, blocks)
                 for blocks in ((), ((0, 4), (4, 8), (8, T)), ((0, T),))]
     if case == "underflow":
         # some round's scores spread past exp underflow, so its row goes
         # through the log-space branch
-        spread = [cfg.eta * (theta.max() - theta.min()) for _, theta in runs[0][0]]
+        spread = [cfg.eta * (theta.max() - theta.min()) for theta in runs[0][1].values()]
         assert max(spread) > 690.0
     # the first round's scores are all tied (theta = 0)
     assert_same_rounds(runs[1], runs[0])  # T = 11 is not a multiple of 4
@@ -454,6 +463,30 @@ def test_single_rounds_and_blocks_play_one_stream(kind):
     # rounds 1-2 one at a time, 3-6 as a block, 7 alone, 8-9 as a block
     got = play(make_planner(kind, cfg, np.random.default_rng(6)), fs, gs, ((2, 6), (7, 9)))
     assert_same_rounds(got, want)
+
+
+@pytest.mark.parametrize("kind", ["score", "priced", "semibandit", "oftrl"])
+def test_step_rejects_what_is_not_a_block(kind):
+    n, k = 6, 2
+    adv = adversary_from_config({"kind": "modular-random"}, n)
+    f, = adv.rounds(3, np.random.default_rng(0))  # one block reward of 3 rows
+    G = modular_strategy()(f).g
+    cfg = ScoreConfig(n=n, k=k, T=3, M=adv.M, G=adv.G)
+    pol = (OftrlPolicy(cfg, np.random.default_rng(1)) if kind == "oftrl"
+           else make_planner(kind, cfg, np.random.default_rng(1)))
+    rows = [ModularFunction(w) for w in f.w]
+    with pytest.raises(ValueError, match=r"proxy vectors must be \(B, 6\) rows"):
+        # one round's reward and vector, which would play as n rounds
+        pol.step(ModularFunction(G[0]), G[0], G[0])
+    with pytest.raises(ValueError, match=r"proxy vectors must be \(B, 6\) rows"):
+        pol.step(f, G[:, :5], G[:, :5])
+    with pytest.raises(ValueError, match=r"hints must be of shape \(3, 6\)"):
+        pol.step(f, G, G[:2])
+    with pytest.raises(ValueError, match="3 rounds need 3 rewards, got 2"):
+        pol.step(rows[:2], G, G)
+    assert pol.t == 0 and not pol.theta.any()
+    record = pol.step(rows, G, G)
+    assert record.t == range(1, 4) and record.selected.shape == (3, k)
 
 
 def test_block_rounds_hold_at_most_plan_cells():
@@ -483,8 +516,8 @@ def run_oftrl(n, k, T, spec, seed, mode="exact", **kwargs):
     for f, h, fv in zip(fs, hints, fvecs):
         obj = pol._objective(h)
         refs.append(None if obj is None else obj.exact_minimizer().p)
-        recs.append(pol.step(f, fv, h))
-    return pol, recs, (fs, hints, refs)
+        recs.append(pol.step([f], fv[None], h[None]))
+    return pol, joined(recs), (fs, hints, refs)
 
 
 def test_oftrl_step_without_hint_is_an_error():
@@ -492,7 +525,7 @@ def test_oftrl_step_without_hint_is_an_error():
     pol = OftrlPolicy(ScoreConfig(n=6, k=2, T=1, M=adv.M, G=adv.G),
                       np.random.default_rng(3))
     with pytest.raises(ValueError, match="needs a hint every round"):
-        pol.step(fs[0], fvecs[0])
+        pol.step([fs[0]], fvecs[0][None])
 
 
 def test_oftrl_step_without_hint_at_full_selection_fails_before_the_round():
@@ -501,17 +534,16 @@ def test_oftrl_step_without_hint_at_full_selection_fails_before_the_round():
     pol = OftrlPolicy(ScoreConfig(n=4, k=4, T=1, M=adv.M, G=adv.G),
                       np.random.default_rng(3))
     with pytest.raises(ValueError, match="needs a hint every round"):
-        pol.step(fs[0], fvecs[0])
+        pol.step([fs[0]], fvecs[0][None])
     assert pol.t == 0
     np.testing.assert_array_equal(pol.theta, np.zeros(4))
 
 
 def test_perfect_hints_route_through_vertices_with_no_regret():
-    pol, recs, _ = run_oftrl(8, 3, 400, HintSpec("perfect"), 0)
+    pol, rec, _ = run_oftrl(8, 3, 400, HintSpec("perfect"), 0)
     assert pol.state.sigma_sum == 0.0  # no hint error ever observed
-    for r in recs:
-        assert np.all((r.p < 1e-12) | (r.p > 1 - 1e-12))  # vertex proposals
-    assert static_linear_regret(recs) <= 1e-6 * 400
+    assert np.all((rec.p < 1e-12) | (rec.p > 1 - 1e-12))  # vertex proposals
+    assert folded(8, 3, rec).static_regret() <= 1e-6 * 400
 
 
 def test_sigma_schedule_telescopes():
@@ -521,7 +553,7 @@ def test_sigma_schedule_telescopes():
     st = pol.state
     sigma_sums = [st.sigma_sum]
     for f, h, fv in zip(fs, hints, fvecs):
-        pol.step(f, fv, h)
+        pol.step([f], fv[None], h[None])
         sigma_sums.append(st.sigma_sum)
     assert st.sigma_sum == pytest.approx((1 / 3) * math.sqrt(st.delta_sum), abs=1e-9)
     assert len(sigma_sums) == 301 and sigma_sums == sorted(sigma_sums)  # sigma_t >= 0
@@ -539,15 +571,15 @@ def test_adversarial_flip_delta_is_four_norms():
 
 def test_exact_and_afw_modes_agree_per_round():
     spec = HintSpec("additive-noise", 0.4)
-    pol, recs, (_, _, refs) = run_oftrl(8, 3, 150, spec, 4, mode="afw")
+    pol, rec, (_, _, refs) = run_oftrl(8, 3, 150, spec, 4, mode="afw")
     assert pol.state.eps is not None
     bound = math.sqrt(
         2 * pol.state.eps / (pol.sigma_scale * math.sqrt(pol.state.first_delta))
     )
     checked = 0
-    for r, ref in zip(recs, refs):
+    for p, ref in zip(rec.p, refs):
         if ref is not None:
-            assert np.linalg.norm(r.p - ref) <= bound
+            assert np.linalg.norm(p - ref) <= bound
             checked += 1
     assert checked > 100
 
@@ -563,17 +595,14 @@ def test_optimistic_block_equals_its_rounds_one_step_each(mode, adversary):
     H = generate_hints(G, HintSpec("additive-noise", 0.3), np.random.default_rng(3))
     cfg = ScoreConfig(n=n, k=k, T=T, M=adv.M, G=adv.G)
     one = OftrlPolicy(cfg, np.random.default_rng(4), mode=mode)
-    want = [one.step(f, g, h) for f, g, h in zip(fs, G, H)]
+    want = joined([one.step([f], g[None], h[None]) for f, g, h in zip(fs, G, H)])
     pol = OftrlPolicy(cfg, np.random.default_rng(4), mode=mode)
-    got = []
-    for start, stop in ((0, 12), (12, 13), (13, T)):
-        got += rounds_of(pol.step(block_reward(fs[start:stop]), G[start:stop],
-                                  H[start:stop]))
-    assert len(got) == T and one.state.sigma_sum > 0.0
-    for a, b in zip(got, want):
-        assert (a.t, a.selected, a.reward, a.full_reward) == (b.t, b.selected, b.reward,
-                                                             b.full_reward)
-        assert a.p.tobytes() == b.p.tobytes()
+    got = joined([pol.step(block_reward(fs[start:stop]), G[start:stop], H[start:stop])
+                  for start, stop in ((0, 12), (12, 13), (13, T))])
+    assert got.t == want.t == range(1, T + 1) and one.state.sigma_sum > 0.0
+    assert np.array_equal(got.selected, want.selected)
+    for name in ("reward", "full_reward", "p"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     assert pol.theta.tobytes() == one.theta.tobytes()
     assert pol.state.weighted_center.tobytes() == one.state.weighted_center.tobytes()
     assert (pol.state.sigma_sum, pol.state.delta_sum) == (one.state.sigma_sum,
@@ -585,15 +614,13 @@ def test_oftrl_augmented_regret_within_hint_bound():
     from coreselect.setfn import distance_sup
 
     n, k, T = 8, 3, 400
-    _, recs, (fs, hints, _) = run_oftrl(n, k, T, HintSpec("additive-noise", 0.3), 8)
+    _, rec, (fs, hints, _) = run_oftrl(n, k, T, HintSpec("additive-noise", 0.3), 8)
     sq = [distance_sup(f, ModularFunction(h)) ** 2 for f, h in zip(fs, hints)]
     # against E[f(S) | p], summed in round order as the ledger sums rewards
-    ledger = RegretLedger(n, k)
     expected = 0.0
-    for r, f in zip(recs, fs):
-        ledger.add_rewards(r)
-        expected += expected_set_value(HypersimplexPoint(n, k, r.p), f.value)
-    aug = ledger.benchmark() - expected
+    for p, f in zip(rec.p, fs):
+        expected += expected_set_value(HypersimplexPoint(n, k, p), f.value)
+    aug = folded(n, k, rec).benchmark() - expected
     assert aug <= 12 * k * math.sqrt(sum(sq)) + 1e-9
 
 
@@ -602,23 +629,23 @@ def test_oftrl_augmented_regret_within_hint_bound():
 
 def test_static_regret_single_round_formula():
     adv = make_modular_drift_adversary(6, G=1.0)
-    recs = run_score(6, 2, 1, 13, adv)
-    g = recs[0].gvec
+    rec = run_score(6, 2, 1, 13, adv)
+    g = rec.gvec[0]
     top2 = float(np.sort(g)[-2:].sum())
     want = top2 - (2 / 6) * float(g.sum())
-    assert static_linear_regret(recs) == pytest.approx(want, abs=1e-12)
+    assert folded(6, 2, rec).static_regret() == pytest.approx(want, abs=1e-12)
 
 
 def test_static_regret_matches_replay():
     adv = make_modular_drift_adversary(7, G=1.0)
-    recs = run_score(7, 3, 120, 17, adv)
-    total = np.sum([r.gvec for r in recs], axis=0)
+    rec = run_score(7, 3, 120, 17, adv)
+    total = np.sum(rec.gvec, axis=0)
     bench = float(np.sort(total)[-3:].sum())
-    replay = bench - sum(float(r.gvec @ r.p) for r in recs)
-    assert static_linear_regret(recs) == pytest.approx(replay, abs=1e-9)
+    replay = bench - sum(float(g @ p) for g, p in zip(rec.gvec, rec.p))
+    assert folded(7, 3, rec).static_regret() == pytest.approx(replay, abs=1e-9)
 
 
-def ledger_rows_reference(records, n, k, alpha):
+def ledger_rows_reference(record, n, k, alpha):
     """Each round's CSV columns from the sums folded in one round at a time:
     cum_reward, benchmark, aug_regret, static_regret and cum_cost, with the
     top-k from one stable sort.  A non-finite total ends the list with the
@@ -627,12 +654,13 @@ def ledger_rows_reference(records, n, k, alpha):
     cum_reward = cum_full = cum_cost = cum_dot = 0.0
     total = np.zeros(n)
     rows = []
-    for r in records:
-        cum_reward += r.reward
-        cum_full += r.full_reward
-        cum_cost += r.cost
-        total += r.gvec
-        cum_dot += float(r.gvec @ r.p)
+    for reward, full, cost, g, p in zip(record.reward.tolist(), record.full_reward.tolist(),
+                                        record.cost.tolist(), record.gvec, record.p):
+        cum_reward += reward
+        cum_full += full
+        cum_cost += cost
+        total += g
+        cum_dot += float(g @ p)
         if not np.isfinite(total).all():
             return rows, ValueError("cost contains non-finite entries")
         best = np.zeros(n)
@@ -643,32 +671,30 @@ def ledger_rows_reference(records, n, k, alpha):
 
 
 def ledger_records(n, k, T, rng, tie=False):
-    """Records with random proposals; with ``tie``, integer vectors with
-    signed zeros, so totals tie at the top-k boundary, and a zero total."""
-    records = []
-    for t in range(1, T + 1):
+    """The record of a block of T rounds with random proposals; with
+    ``tie``, integer vectors with signed zeros, so totals tie at the top-k
+    boundary, and a zero total."""
+    G, P = np.empty((T, n)), np.empty((T, n))
+    reward, full, observed = np.empty(T), np.empty(T), []
+    for i in range(T):
         if tie:
-            g = rng.choice([0.0, -0.0, 1.0, -1.0], n)
-            if t <= 2:
-                g = np.full(n, [0.0, -0.0][t - 1])
+            G[i] = rng.choice([0.0, -0.0, 1.0, -1.0], n)
+            if i < 2:
+                G[i] = [0.0, -0.0][i]
         else:
-            g = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
+            G[i] = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
         p = rng.random(n)
-        observed = bool(rng.random() < 0.5)
-        records.append(RoundRecord(
-            t=t, p=p * (k / p.sum()), selected=tuple(range(k)),
-            reward=float(rng.random()), full_reward=float(rng.random() * 3), gvec=g,
-            observed=observed, cost=0.4 if observed else 0.0))
-    return records
+        P[i] = p * (k / p.sum())
+        observed.append(bool(rng.random() < 0.5))
+        reward[i] = rng.random()
+        full[i] = rng.random() * 3
+    return RoundRecord(range(1, T + 1), P, np.tile(np.arange(k), (T, 1)), reward, full,
+                       G, observed, np.where(observed, 0.4, 0.0))
 
 
-def block_of(records):
-    """Records of one round each as the columns of one block."""
-    return RoundRecord(
-        range(records[0].t, records[-1].t + 1), np.array([r.p for r in records]),
-        np.array([r.selected for r in records]), np.array([r.reward for r in records]),
-        np.array([r.full_reward for r in records]), np.array([r.gvec for r in records]),
-        [r.observed for r in records], np.array([r.cost for r in records]))
+def block_of(record, start, stop):
+    """Rounds start..stop-1 of a block's record as a block of their own."""
+    return RoundRecord(*(getattr(record, f.name)[start:stop] for f in fields(RoundRecord)))
 
 
 @pytest.mark.parametrize("n, k, sizes, tie", [
@@ -681,40 +707,39 @@ def block_of(records):
 ])
 def test_ledger_fold_matches_rounds_added_one_at_a_time(n, k, sizes, tie):
     rng = np.random.default_rng(n + sum(sizes))
-    records = ledger_records(n, k, sum(sizes), rng, tie)
-    want, error = ledger_rows_reference(records, n, k, 1.5)
+    record = ledger_records(n, k, sum(sizes), rng, tie)
+    want, error = ledger_rows_reference(record, n, k, 1.5)
     assert error is None
     ledger = RegretLedger(n, k, 1.5)
     got = []
     start = 0
     for size in sizes:
-        rows = ledger.fold(block_of(records[start:start + size]))
+        rows = ledger.fold(block_of(record, start, start + size))
         start += size
         got += zip(rows.cum_reward.tolist(), rows.benchmark().tolist(),
                    rows.aug_regret().tolist(), rows.static_regret().tolist(),
                    rows.cum_cost.tolist())
     assert np.array(got).tobytes() == np.array(want).tobytes()
-    assert ledger.rounds == len(records)
+    assert ledger.rounds == len(record.t)
     assert (ledger.cum_reward, ledger.aug_regret(), float(ledger.static_regret()),
             ledger.cum_cost) == (want[-1][0], want[-1][2], want[-1][3], want[-1][4])
     total = np.zeros(n)
-    for r in records:
-        total += r.gvec
+    for g in record.gvec:
+        total += g
     assert ledger.total_g.tobytes() == total.tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_ledger_fold_with_a_non_finite_total_raises_as_each_round_did():
     rng = np.random.default_rng(3)
-    records = ledger_records(20, 5, 30, rng)
-    for r in records[17:19]:
-        r.gvec[3] = 1e308
-    want, error = ledger_rows_reference(records, 20, 5, 1.0)
+    record = ledger_records(20, 5, 30, rng)
+    record.gvec[17:19, 3] = 1e308
+    want, error = ledger_rows_reference(record, 20, 5, 1.0)
     assert len(want) == 18 and str(error) == "cost contains non-finite entries"
     ledger = RegretLedger(20, 5)
-    rows = ledger.fold(block_of(records[:10]))
+    rows = ledger.fold(block_of(record, 0, 10))
     rows.static_regret()
-    rows = ledger.fold(block_of(records[10:]))
+    rows = ledger.fold(block_of(record, 10, 30))
     with pytest.raises(ValueError, match="cost contains non-finite entries"):
         rows.static_regret()
     with pytest.raises(ValueError, match="cost contains non-finite entries"):
@@ -731,16 +756,11 @@ def test_running_sums_add_the_rows_in_order(shape):
 
 
 def test_augmented_regret_three_round_hand_trace():
-    recs = []
-
-    class R:
-        def __init__(self, reward, full):
-            self.reward = reward
-            self.full_reward = full
-
-    recs = [R(1.0, 2.0), R(0.5, 3.0), R(2.0, 2.0)]
+    record = RoundRecord(range(1, 4), np.full((3, 4), 0.5), np.tile([0, 1], (3, 1)),
+                         np.array([1.0, 0.5, 2.0]), np.array([2.0, 3.0, 2.0]),
+                         np.zeros((3, 4)), [True] * 3, np.zeros(3))
     # (k / (n alpha)) * (2 + 3 + 2) - (1 + 0.5 + 2) with k=2, n=4, alpha=1
-    assert augmented_regret(recs, 1.0, 2, 4) == pytest.approx(0.5 * 7 - 3.5)
+    assert folded(4, 2, record).aug_regret() == pytest.approx(0.5 * 7 - 3.5)
 
 
 def test_bound_helpers():

@@ -151,8 +151,9 @@ def test_coverage_values_all_of_any_universe(universe):
 
 def test_coverage_rejects_items_outside_the_universe():
     for universe in (1, 63, 64, 65, 4000):
-        with pytest.raises(ValueError, match="outside the universe"):
-            CoverageFunction([[0], [universe]], universe)
+        for item in (universe, -1):
+            with pytest.raises(ValueError, match="outside the universe"):
+                CoverageFunction([[0], [item]], universe)
     with pytest.raises(ValueError):
         CoverageFunction([[0]], 0)
 
