@@ -48,6 +48,13 @@ CONFIGS = {
                                       "policy": {"kind": kind},
                                       "adversary": {"kind": "coverage-drift"}}
        for kind in ("score", "semibandit")},
+    # k == n: the full selection, played a row at a time
+    "semibandit-modular-random-kn": {
+        **BASE, "k": 6, "policy": {"kind": "semibandit"},
+        "adversary": {"kind": "modular-random"}},
+    "oftrl-exact-coverage-drift-kn": {
+        **BASE, "k": 6, "policy": {"kind": "oftrl", "mode": "exact"},
+        "adversary": {"kind": "coverage-drift"}, "hints": NOISY},
 }
 
 
