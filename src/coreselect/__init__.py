@@ -21,7 +21,6 @@ from .corevec import (
     tightest_alpha,
 )
 from .hypersimplex import (
-    HypersimplexPoint,
     QuadraticObjective,
     afw_minimize,
     entropic_ftrl_argmax,

@@ -36,16 +36,22 @@ DEFAULT_PHASES = 10
 def _check_int(name: str, value, least: int | None = None) -> None:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    _check_real(name, value)  # within the float range
     if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}, got {value!r}")
 
 
 def _check_real(name: str, value, rule: str = "", holds=lambda x: True) -> None:
     """Raise ValueError naming the field unless ``value`` is a real number
-    (a bool is not) that is finite and ``holds``; ``rule`` says what holds."""
+    (a bool is not) that is finite as a float and ``holds``; ``rule`` says
+    what holds."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    if not (math.isfinite(value) and holds(value)):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer past the float range
+        finite = False
+    if not (finite and holds(value)):
         raise ValueError(f"{name} must be finite{' and ' + rule if rule else ''}, "
                          f"got {value!r}")
 

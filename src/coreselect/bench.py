@@ -271,8 +271,8 @@ def _replica_blocks(cfg: ExperimentConfig, policy: ScorePolicy | OftrlPolicy,
     if cfg.policy.kind == "oftrl":
         spec = cfg.hints if cfg.hints is not None else HintSpec("perfect")
         result.sq_distances = [] if cfg.n <= 16 else None
-    t = 0
     for f in _reward_blocks(adv.rounds(cfg.T, rngs["adversary"]), block_rounds(cfg.n)):
+        t = policy.t  # the rounds played so far
         if isinstance(f, list):
             G = np.empty((len(f), cfg.n))
             for i, fi in enumerate(f):
@@ -281,21 +281,27 @@ def _replica_blocks(cfg: ExperimentConfig, policy: ScorePolicy | OftrlPolicy,
             G = _core_vectors(strategy, f, t + 1, t + len(f.w))
         hints = None if spec is None else generate_hints(G, spec, rngs["hints"])
         if result.sq_distances is not None:
-            _log_sq_distances(result, f, hints)
-        t += len(G)
+            _log_sq_distances(result, f, hints, t)
         yield policy.step(f, G, hints)
 
 
-def _log_sq_distances(result: ReplicaResult, f, hints: np.ndarray) -> None:
+def _log_sq_distances(result: ReplicaResult, f, hints: np.ndarray, t: int) -> None:
     """Append each round's squared sup-distance from its reward to its hint
     (each hint a function of its own, let go once measured), or stop
-    logging for rewards that have no such distance."""
+    logging for rewards that have no such distance.  ``t`` rounds came
+    before the block; a square past the float range is an error naming its
+    round."""
     fs = [ModularFunction(w) for w in f.w] if isinstance(f, ModularFunction) else f
     if not all(isinstance(fi, (ModularFunction, CoverageFunction)) for fi in fs):
         result.sq_distances = None
         return
-    result.sq_distances += [distance_sup(fi, ModularFunction(h)) ** 2
-                            for fi, h in zip(fs, hints)]
+    for t, (fi, h) in enumerate(zip(fs, hints), t + 1):
+        try:
+            result.sq_distances.append(distance_sup(fi, ModularFunction(h)) ** 2)
+        except OverflowError:
+            raise ValueError(f"round {t}: the squared sup-distance of the hint from "
+                             "the reward overflows the float range (hints noise_l2 "
+                             "too large)") from None
 
 
 def run_replica(cfg: ExperimentConfig, replica: int,

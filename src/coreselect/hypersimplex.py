@@ -1,8 +1,9 @@
 """Geometry of the capped simplex {p in [0,1]^n : sum(p) = k}.
 
 This polytope is exactly the set of feasible marginal inclusion probabilities
-for sampling k of n elements without replacement.  The module provides the
-four solvers the online policies need:
+for sampling k of n elements without replacement.  A point of it is a plain
+float vector p, with k passed beside it; ``validate_point`` checks one.  The
+module provides the four solvers the online policies need:
 
 * ``entropic_ftrl_argmax`` - exact maximizer of a linear score minus a scaled
   negative entropy (the follow-the-regularized-leader update),
@@ -42,30 +43,20 @@ def _check_finite(x: np.ndarray, name: str, rows: bool = False) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
-class HypersimplexPoint:
-    """A marginal inclusion probability vector: p in [0,1]^n with sum(p) = k.
-
-    ``p`` may also hold a block of B such vectors as the rows of a (B, n)
-    array, as the entropic argmax returns it for a block of scores and the
-    sampler takes it; ``validate`` checks a single vector.
-    """
-
-    n: int
-    k: int
-    p: np.ndarray
-
-    def validate(self, tol: float = TAU_FEAS) -> None:
-        if not (1 <= self.k <= self.n):
-            raise InfeasiblePointError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
-        if self.p.shape != (self.n,):
-            raise InfeasiblePointError("p has wrong length")
-        # written so that a NaN coordinate fails both checks
-        if not (self.p.min() >= -tol and self.p.max() <= 1.0 + tol):
-            raise InfeasiblePointError("NaN or coordinate outside [0, 1]")
-        total = float(self.p.sum())
-        if not abs(total - self.k) <= max(tol, tol * self.n):
-            raise InfeasiblePointError(f"sum(p) = {total:.12g} != k = {self.k}")
+def validate_point(p: np.ndarray, k: int, tol: float = TAU_FEAS) -> None:
+    """Raise ``InfeasiblePointError`` unless the vector p lies in [0,1]^n
+    with sum(p) = k, to within ``tol`` (``tol * n`` for the sum)."""
+    if p.ndim != 1:
+        raise InfeasiblePointError(f"p must be one vector, got shape {p.shape}")
+    n = p.size
+    if not (1 <= k <= n):
+        raise InfeasiblePointError(f"need 1 <= k <= n, got k={k}, n={n}")
+    # written so that a NaN coordinate fails both checks
+    if not (p.min() >= -tol and p.max() <= 1.0 + tol):
+        raise InfeasiblePointError("NaN or coordinate outside [0, 1]")
+    total = float(p.sum())
+    if not abs(total - k) <= max(tol, tol * n):
+        raise InfeasiblePointError(f"sum(p) = {total:.12g} != k = {k}")
 
 
 def _refeasibilize(p: np.ndarray, k: int) -> np.ndarray:
@@ -127,7 +118,7 @@ def _spread_residual(p: np.ndarray, resid: float) -> None:
         p[interior] = np.maximum(q, 0.0, out=q)
 
 
-def entropic_ftrl_argmax(theta: np.ndarray, eta: float, k: int) -> HypersimplexPoint:
+def entropic_ftrl_argmax(theta: np.ndarray, eta: float, k: int) -> np.ndarray:
     """Maximize <theta, p> - (1/eta) * sum(p_i log p_i) over the capped simplex.
 
     The KKT conditions give p_i = min(1, c * exp(eta * theta_i)) with the
@@ -150,7 +141,7 @@ def entropic_ftrl_argmax(theta: np.ndarray, eta: float, k: int) -> HypersimplexP
     Everywhere else numpy's default sort (unstable, and above about a
     thousand elements much faster) gives the same p.
 
-    ``theta`` may also be a (B, n) block of score vectors; the point then
+    ``theta`` may also be a (B, n) block of score vectors; the result then
     holds the B maximizers as rows, each bit for bit what its row alone
     gives.  A block goes through :func:`_entropic_rows`, the same steps on
     every row at once.  A single vector keeps this 1-d path, which at
@@ -163,9 +154,9 @@ def entropic_ftrl_argmax(theta: np.ndarray, eta: float, k: int) -> HypersimplexP
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if k == n:
-        return HypersimplexPoint(n, k, np.ones(theta.shape))
+        return np.ones(theta.shape)
     if theta.ndim == 2:
-        return HypersimplexPoint(n, k, _entropic_rows(theta, eta, k))
+        return _entropic_rows(theta, eta, k)
 
     neg = theta * -eta  # -(eta * theta): ascending order is descending score
     order = neg.argsort()
@@ -186,7 +177,7 @@ def entropic_ftrl_argmax(theta: np.ndarray, eta: float, k: int) -> HypersimplexP
         order = neg.argsort(kind="stable")
     p = np.empty(n)
     p[order] = p_sorted
-    return HypersimplexPoint(n, k, _refeasibilize(p, k))
+    return _refeasibilize(p, k)
 
 
 def _entropic_rows(theta: np.ndarray, eta: float, k: int) -> np.ndarray:
@@ -240,7 +231,7 @@ def _capped_exponentials_in_log_space(d: np.ndarray, k: int
     return p_sorted, j
 
 
-def euclidean_project(y: np.ndarray, k: int) -> HypersimplexPoint:
+def euclidean_project(y: np.ndarray, k: int) -> np.ndarray:
     """Exact Euclidean projection of y onto the capped simplex.
 
     The projection is p_i = clamp(y_i - tau, 0, 1) where tau solves
@@ -262,7 +253,7 @@ def euclidean_project(y: np.ndarray, k: int) -> HypersimplexPoint:
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if k == n:
-        return HypersimplexPoint(n, k, np.ones(n))
+        return np.ones(n)
 
     # While tau increases, coordinate i leaves its cap at y_i - 1 and becomes
     # active (p_i = y_i - tau); at y_i it hits zero and dies.  Just before
@@ -290,8 +281,7 @@ def euclidean_project(y: np.ndarray, k: int) -> HypersimplexPoint:
         tau = (n - entered[m] + act_sum[m] - k) / n_act[m]
     else:
         tau = bps[m]
-    p = _refeasibilize(y - tau, k)  # clamps to [0, 1] first
-    return HypersimplexPoint(n, k, p)
+    return _refeasibilize(y - tau, k)  # clamps to [0, 1] first
 
 
 def lmo(cost: np.ndarray, k: int) -> np.ndarray:
@@ -364,7 +354,7 @@ class QuadraticObjective:
             x @ (self.weighted_center + self.linear)
         )
 
-    def exact_minimizer(self) -> HypersimplexPoint:
+    def exact_minimizer(self) -> np.ndarray:
         """Closed-form route: the minimizer is the projection of the weighted mean."""
         if self.sigma_total <= 0.0:
             raise ValueError("exact route needs a strictly convex objective")
@@ -374,7 +364,11 @@ class QuadraticObjective:
 
 @dataclass
 class AfwResult:
-    point: HypersimplexPoint
+    """An away-steps Frank-Wolfe solve: the iterate ``p``, its Frank-Wolfe
+    ``gap``, the ``iterations`` taken, whether the gap reached the tolerance
+    (``converged``), and the ``active`` vertex weights for a warm start."""
+
+    p: np.ndarray
     gap: float
     iterations: int
     converged: bool
@@ -385,7 +379,6 @@ def afw_minimize(
     obj: QuadraticObjective,
     eps: float,
     max_iters: int,
-    start: np.ndarray | None = None,
     active: dict | None = None,
 ) -> AfwResult:
     """Away-steps Frank-Wolfe over the capped simplex.
@@ -398,7 +391,8 @@ def afw_minimize(
     rather than raised.
 
     ``active`` may carry the vertex weights of a previous solve for warm
-    starting; keys are index tuples of the k selected elements.
+    starting; keys are index tuples of the k selected elements.  Without
+    it the solve starts at the vertex minimizing the linear part.
     """
     if obj.sigma_total <= 0.0:
         raise ValueError("afw_minimize needs sum of center weights > 0; use lmo for the linear case")
@@ -428,11 +422,7 @@ def afw_minimize(
         for key, w in weights.items():
             x[list(key)] += w
     else:
-        if start is None:
-            start = lmo(-drift, k)
-        key = tuple((start > 0.5).nonzero()[0].tolist())
-        if len(key) != k:
-            raise ValueError("start must be a vertex with exactly k ones")
+        key = tuple(lmo(-drift, k).nonzero()[0].tolist())
         weights = {key: 1.0}
         x = vert(key)
 
@@ -444,7 +434,7 @@ def afw_minimize(
         d_fw = s - x
         gap = float(-g @ d_fw)
         if gap <= eps:
-            return AfwResult(HypersimplexPoint(n, k, _refeasibilize(x, k)), gap, it - 1, True, weights)
+            return AfwResult(_refeasibilize(x, k), gap, it - 1, True, weights)
 
         away_key = max(weights, key=lambda key: float(g[list(key)].sum()))
         v_away = vert(away_key)
@@ -484,9 +474,7 @@ def afw_minimize(
     g = grad(x)
     s = lmo(g, k)
     gap = float(-g @ (s - x))
-    return AfwResult(
-        HypersimplexPoint(n, k, _refeasibilize(x, k)), gap, it, gap <= eps, weights
-    )
+    return AfwResult(_refeasibilize(x, k), gap, it, gap <= eps, weights)
 
 
 def default_afw_budget(horizon: int) -> int:

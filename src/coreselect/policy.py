@@ -27,7 +27,6 @@ import numpy as np
 
 from .blocks import row_dots, running_sums
 from .hypersimplex import (
-    HypersimplexPoint,
     QuadraticObjective,
     afw_minimize,
     default_afw_budget,
@@ -111,9 +110,11 @@ class _Policy:
 
     ``theta`` sums what the learner was fed.  A policy whose feed depends on
     the drawn set or whose proposal depends on the last one plays a block
-    one row at a time, and supplies ``_propose`` (the marginals),
-    ``_feed`` (adding what is fed to ``theta``) and ``_update`` (any state
-    beyond ``theta``).
+    one row at a time, and supplies ``_propose`` (the round's marginals p,
+    a vector on the capped simplex), ``_feed`` (adding what is fed to
+    ``theta``) and ``_update`` (any state beyond ``theta``, in round t); the
+    last two get the round's p.  At k == n every round plays the full set
+    with p all ones, and nothing is proposed or drawn.
     """
 
     # the optimistic proposal is made against the round's hint
@@ -154,25 +155,22 @@ class _Policy:
         for i, g in enumerate(G):
             h = None if H is None else H[i]
             if cfg.k == cfg.n:
-                point, sel = HypersimplexPoint(cfg.n, cfg.k, p[i]), range(cfg.n)
+                selected[i] = range(cfg.n)
             else:
-                point = self._propose(h)
-                sel, _ = draw(point, self.rng)
-                p[i] = point.p
-            selected[i] = sel
-            self._feed(g, point, selected[i])
-            self._update(g, point, h)
+                p[i] = self._propose(h)
+                selected[i] = draw(p[i], cfg.k, self.rng)
+            self._feed(g, p[i], selected[i])
+            self._update(g, p[i], h, self.t + i + 1)
         return self._record(f, G, p, selected, [True] * len(G), np.zeros(len(G)))
 
-    def _propose(self, hint: np.ndarray | None) -> HypersimplexPoint:
+    def _propose(self, hint: np.ndarray | None) -> np.ndarray:
         raise NotImplementedError
 
-    def _feed(self, gvec: np.ndarray, point: HypersimplexPoint,
-              selected: np.ndarray) -> None:
+    def _feed(self, gvec: np.ndarray, p: np.ndarray, selected: np.ndarray) -> None:
         self.theta += gvec
 
-    def _update(self, fed: np.ndarray, point: HypersimplexPoint,
-                hint: np.ndarray | None) -> None:
+    def _update(self, fed: np.ndarray, p: np.ndarray, hint: np.ndarray | None,
+                t: int) -> None:
         pass
 
     def _record(self, f, G, p, selected, observed, cost) -> RoundRecord:
@@ -211,9 +209,8 @@ class ScorePolicy(_Policy):
         if cfg.k == cfg.n:
             p, selected = np.ones(G.shape), np.broadcast_to(np.arange(cfg.n), G.shape)
         else:
-            point = entropic_ftrl_argmax(theta[:-1], cfg.eta, cfg.k)
-            selected, _ = draw(point, self.rng, u)
-            p = point.p
+            p = entropic_ftrl_argmax(theta[:-1], cfg.eta, cfg.k)
+            selected = draw(p, cfg.k, self.rng, u)
         self.theta = theta[-1]
         return self._record(f, G, p, selected, observed, cost)
 
@@ -231,8 +228,8 @@ class SemiBanditPolicy(ScorePolicy):
 
     _play = _Policy._play
 
-    def _feed(self, gvec, point, selected):
-        probs = point.p[selected]
+    def _feed(self, gvec, p, selected):
+        probs = p[selected]
         if (probs <= 0.0).any():
             raise RuntimeError("selected an element with zero inclusion probability")
         # theta starts at +0.0 and a sum is -0.0 only if both terms are, so
@@ -345,28 +342,30 @@ class OftrlPolicy(_Policy):
             linear=self.theta + hvec,
         )
 
-    def _propose(self, hvec: np.ndarray | None) -> HypersimplexPoint:
-        cfg = self.config
+    def _propose(self, hvec: np.ndarray | None) -> np.ndarray:
         obj = self._objective(hvec)
         if obj is None:
             self._afw_active = None
-            return HypersimplexPoint(cfg.n, cfg.k, lmo(-(self.theta + hvec), cfg.k))
+            return lmo(-(self.theta + hvec), self.config.k)
         if self.mode == "exact":
             return obj.exact_minimizer()
         res = afw_minimize(obj, eps=self.state.eps, max_iters=self.afw_budget,
                            active=self._afw_active)
         self._afw_active = res.active
-        return res.point
+        return res.p
 
-    def _update(self, fvec, point, hvec):
+    def _update(self, fvec, p, hvec, t):
         cfg = self.config
         st = self.state
         delta = float(((fvec - hvec) ** 2).sum())
         new_sum = st.delta_sum + delta
+        if not new_sum < math.inf:
+            raise ValueError(f"round {t}: the summed squared hint errors "
+                             "overflow the float range (hints noise_l2 too large)")
         sigma_t = self.sigma_scale * (math.sqrt(new_sum) - math.sqrt(st.delta_sum))
         st.delta_sum = new_sum
         st.sigma_sum += sigma_t
-        st.weighted_center += sigma_t * point.p
+        st.weighted_center += sigma_t * p
         if st.eps is None and delta > 0.0:
             st.first_delta = delta
             st.eps = self.sigma_scale * math.sqrt(delta) / (200.0 * cfg.G**2 * cfg.T**2)
@@ -423,7 +422,6 @@ class RegretLedger(_Regrets):
     def __init__(self, n: int, k: int, alpha: float = 1.0):
         self.k = k
         self.scale = k / (n * alpha)
-        self.rounds = 0
         self.cum_reward = self.cum_full = self.cum_cost = self.cum_dot = 0.0
         self.total_g = np.zeros(n)
 
@@ -445,7 +443,6 @@ class RegretLedger(_Regrets):
         total[0] = self.total_g
         total[1:] = G
         running_sums(total)
-        self.rounds += len(G)
         self.cum_reward, self.cum_full, self.cum_cost, self.cum_dot = sums[-1].tolist()
         self.total_g = total[-1]
         return LedgerRows(self.k, self.scale, sums[1:, 0], sums[1:, 1], sums[1:, 2],

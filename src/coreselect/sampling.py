@@ -3,14 +3,16 @@
 Given a feasible inclusion-probability vector p (entries in [0,1], summing
 to k), one uniform draw u picks the k-set whose prefix-sum intervals contain
 the grid points u, u+1, ..., u+k-1.  Element i then lands in the sample with
-probability exactly p_i.
+probability exactly p_i.  The sampler takes (p, k) of one point or of each
+row of a block, and returns the selected indices as a (k,) array, or a
+(B, k) array for a block.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .hypersimplex import HypersimplexPoint, InfeasiblePointError
+from .hypersimplex import InfeasiblePointError
 
 PREFIX_SUM_TOL = 1e-6
 
@@ -37,8 +39,7 @@ def _check_total(total: float, k: int) -> None:
         )
 
 
-def madow_sample(point: HypersimplexPoint, u: float | np.ndarray
-                 ) -> tuple[int, ...] | np.ndarray:
+def madow_sample(p: np.ndarray, k: int, u: float | np.ndarray) -> np.ndarray:
     """Deterministic systematic sample for a given uniform draw u in [0, 1).
 
     Element j is selected iff some grid point u + i falls inside its prefix
@@ -46,20 +47,20 @@ def madow_sample(point: HypersimplexPoint, u: float | np.ndarray
     ceil(prefix_{j+1} - u) - ceil(prefix_j - u).  These counts telescope to
     exactly k, which keeps the cardinality guarantee immune to the rounding
     of u + i near interval boundaries.  One vectorized sweep, O(n + k).
-    Returns the selected indices (0-based, strictly increasing).
+    Returns the selected indices (0-based, strictly increasing) as a (k,)
+    array.
 
     For a (B, n) block of points, ``u`` holds one draw per row and the
     result is a (B, k) index array whose row i is the set row i alone
     gives (:func:`_madow_rows`).  A single point keeps this 1-d path, which at
     n = 20 takes about half the time of the row code run on one row.
     """
-    p = np.asarray(point.p, dtype=float)
+    p = np.asarray(p, dtype=float)
     if p.ndim == 2:
-        return _madow_rows(p, point.k, np.asarray(u, dtype=float))
+        return _madow_rows(p, k, np.asarray(u, dtype=float))
     if not (0.0 <= u < 1.0):
         raise ValueError(f"u must lie in [0, 1), got {u}")
     _check_range(p)
-    k = point.k
     grid = _prefix_sums(p.clip(0.0, 1.0), k) - u
     np.ceil(grid, out=grid)
     chosen = grid[1:] > grid[:-1]
@@ -71,7 +72,7 @@ def madow_sample(point: HypersimplexPoint, u: float | np.ndarray
         raise InfeasiblePointError(
             f"selected {selected.size} elements instead of k = {k}"
         )
-    return tuple(selected.tolist())
+    return selected
 
 
 def _check_range(p: np.ndarray) -> None:
@@ -123,61 +124,51 @@ def _madow_rows(p: np.ndarray, k: int, u: np.ndarray) -> np.ndarray:
     return selected.reshape(B, k)
 
 
-def draw(point: HypersimplexPoint, rng: np.random.Generator,
-         u: np.ndarray | None = None
-         ) -> tuple[tuple[int, ...] | np.ndarray, float | np.ndarray]:
-    """Sample with uniforms from the caller's generator, one for each point
-    (or row of a block of points), or with ``u`` when the caller drew them
-    already; returns (set, u), or ((B, k) sets, u) for a block, so the trace
-    can be replayed exactly."""
+def draw(p: np.ndarray, k: int, rng: np.random.Generator,
+         u: np.ndarray | None = None) -> np.ndarray:
+    """The Madow sample of p, with one uniform from the caller's generator
+    for the point (or for each row of a block), or with ``u`` when the
+    caller drew them already."""
     if u is None:
-        u = float(rng.random()) if point.p.ndim == 1 else rng.random(len(point.p))
-    return madow_sample(point, u), u
+        u = float(rng.random()) if p.ndim == 1 else rng.random(len(p))
+    return madow_sample(p, k, u)
 
 
-def selection_breakpoints(point: HypersimplexPoint) -> np.ndarray:
-    """Sorted u-values in [0, 1] where the sampled set changes.
-
-    The set is piecewise constant in u; it can only change when some grid
-    point u + i crosses a prefix sum, i.e. at u = frac(prefix_j).
-    """
-    prefix = _prefix_sums(np.asarray(point.p, dtype=float), point.k)
-    frac = np.mod(prefix, 1.0)
-    pts = np.unique(np.concatenate([[0.0, 1.0], frac]))
-    return pts[(pts >= 0.0) & (pts <= 1.0)]
-
-
-def madow_support(point: HypersimplexPoint) -> list[tuple[float, tuple[int, ...]]]:
+def madow_support(p: np.ndarray, k: int) -> list[tuple[float, np.ndarray]]:
     """All (probability, set) pairs of the sampling distribution, exactly.
 
-    There are at most n + 1 distinct sets; each carries the Lebesgue measure
-    of its u-interval.  Useful both for exact marginal-law checks and for
+    The set is piecewise constant in u; it can only change when some grid
+    point u + i crosses a prefix sum, i.e. at u = frac(prefix_j).  So there
+    are at most n + 1 distinct sets; each carries the Lebesgue measure of
+    its u-interval.  Useful both for exact marginal-law checks and for
     exact conditional expectations of set functions.
     """
-    pts = selection_breakpoints(point)
+    p = np.asarray(p, dtype=float)
+    frac = np.mod(_prefix_sums(p, k), 1.0)
+    pts = np.unique(np.concatenate([[0.0, 1.0], frac]))
+    pts = pts[(pts >= 0.0) & (pts <= 1.0)]
     support = []
     top = np.nextafter(1.0, 0.0)  # midpoints of sub-ulp segments can round to 1
     for lo, hi in zip(pts[:-1], pts[1:]):
         if hi - lo <= 0.0:
             continue
         mid = min(0.5 * (lo + hi), top)
-        support.append((float(hi - lo), madow_sample(point, mid)))
+        support.append((float(hi - lo), madow_sample(p, k, mid)))
     return support
 
 
-def madow_marginal_measure(point: HypersimplexPoint) -> np.ndarray:
+def madow_marginal_measure(p: np.ndarray, k: int) -> np.ndarray:
     """Exact measure of {u : element i is selected} for every i.
 
     Sums interval lengths over the breakpoint decomposition; no sampling
     involved, so the result should match p to floating-point accuracy.
     """
-    measure = np.zeros(point.n)
-    for length, sel in madow_support(point):
-        for j in sel:
-            measure[j] += length
+    measure = np.zeros(len(p))
+    for length, sel in madow_support(p, k):
+        measure[sel] += length
     return measure
 
 
-def expected_set_value(point: HypersimplexPoint, value_fn) -> float:
+def expected_set_value(p: np.ndarray, k: int, value_fn) -> float:
     """Exact E[f(S)] under Madow sampling at p, via the support enumeration."""
-    return float(sum(length * value_fn(sel) for length, sel in madow_support(point)))
+    return float(sum(length * value_fn(sel) for length, sel in madow_support(p, k)))

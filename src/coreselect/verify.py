@@ -24,12 +24,12 @@ from .corevec import (
     tightest_alpha,
 )
 from .hypersimplex import (
-    HypersimplexPoint,
     QuadraticObjective,
     afw_minimize,
     entropic_ftrl_argmax,
     euclidean_project,
     lmo,
+    validate_point,
 )
 from .oracles import (
     enumerate_lmo_value,
@@ -60,7 +60,7 @@ class CheckResult:
     detail: str = ""
 
 
-def random_feasible_point(n: int, k: int, rng: np.random.Generator) -> HypersimplexPoint:
+def random_feasible_point(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     return euclidean_project(rng.random(n) * 2.0 - 0.5, k)
 
 
@@ -75,7 +75,7 @@ def _check_projection(rng, max_n, projection_fn) -> CheckResult:
             y = rng.integers(-1, 3, n).astype(float)
         else:
             y = np.full(n, rng.standard_normal())
-        got = projection_fn(y, k).p
+        got = projection_fn(y, k)
         want = enumerate_projection(y, k)
         if float(np.linalg.norm(got - want)) > 1e-7:
             return CheckResult("projection-vs-active-set-enumeration", False,
@@ -101,12 +101,12 @@ def _check_madow(rng, max_n) -> CheckResult:
     for _ in range(50):
         n = int(rng.integers(2, min(20, max_n) + 1))
         k = int(rng.integers(1, n + 1))
-        point = random_feasible_point(n, k, rng)
-        measure = madow_marginal_measure(point)
-        if float(np.abs(measure - point.p).max()) > 1e-10:
+        p = random_feasible_point(n, k, rng)
+        measure = madow_marginal_measure(p, k)
+        if float(np.abs(measure - p).max()) > 1e-10:
             return CheckResult("madow-exact-marginal-law", False,
                                f"measure mismatch at n={n}, k={k}")
-        sel = madow_sample(point, float(rng.random()))
+        sel = madow_sample(p, k, float(rng.random()))
         if len(sel) != k:
             return CheckResult("madow-exact-marginal-law", False, "cardinality violated")
     return CheckResult("madow-exact-marginal-law", True, "50 random instances")
@@ -118,11 +118,11 @@ def _check_entropic_kkt(rng, max_n) -> CheckResult:
         k = int(rng.integers(1, n))
         eta = float(rng.uniform(0.1, 3.0))
         theta = rng.standard_normal(n) * 2.0
-        pt = entropic_ftrl_argmax(theta, eta, k)
-        pt.validate()
-        free = pt.p < 1.0 - 1e-9
+        p = entropic_ftrl_argmax(theta, eta, k)
+        validate_point(p, k)
+        free = p < 1.0 - 1e-9
         if free.sum() >= 2:
-            c = np.log(pt.p[free]) - eta * theta[free]
+            c = np.log(p[free]) - eta * theta[free]
             if float(c.max() - c.min()) > 1e-7:
                 return CheckResult("entropic-argmax-kkt", False,
                                    f"complementarity spread {c.max() - c.min():.2e}")
@@ -133,13 +133,13 @@ def _check_afw(rng, max_n) -> CheckResult:
     for _ in range(25):
         n = int(rng.integers(3, min(10, max_n) + 1))
         k = int(rng.integers(1, n))
-        centers = [(float(rng.uniform(0.2, 2.0)), random_feasible_point(n, k, rng).p)
+        centers = [(float(rng.uniform(0.2, 2.0)), random_feasible_point(n, k, rng))
                    for _ in range(int(rng.integers(1, 4)))]
         obj = QuadraticObjective(n, k, centers, rng.standard_normal(n))
         eps = 1e-8
         res = afw_minimize(obj, eps=eps, max_iters=4000)
         exact = obj.exact_minimizer()
-        fgap = obj.value(res.point.p) - obj.value(exact.p)
+        fgap = obj.value(res.p) - obj.value(exact)
         if res.converged and res.gap > eps * (1 + 1e-9):
             return CheckResult("afw-gap-certificate", False, "certified gap above eps")
         if fgap > eps + 1e-10:

@@ -21,11 +21,7 @@ from coreselect.bench import (
     lower_bound_experiment,
     run_replicas,
 )
-from coreselect.hypersimplex import (
-    HypersimplexPoint,
-    entropic_ftrl_argmax,
-    euclidean_project,
-)
+from coreselect.hypersimplex import entropic_ftrl_argmax, euclidean_project
 from coreselect.policy import (
     OftrlPolicy,
     RegretLedger,
@@ -126,7 +122,7 @@ def test_criterion_4_optimistic_hint_bound():
         expected = 0.0
         for r, f in zip(recs, fs):
             ledger.fold(r)
-            expected += expected_set_value(HypersimplexPoint(n, k, r.p[0]), f.value)
+            expected += expected_set_value(r.p[0], k, f.value)
         aug = ledger.benchmark() - expected
         rhs = 12.0 * k * math.sqrt(sum(sq))
         ok = aug <= rhs + 1e-9
@@ -162,7 +158,7 @@ def test_criterion_5_afw_matches_exact():
         for f, h, fv in zip(fs, hints, fvecs):
             # the exact minimizer of the objective the proposal solves
             obj = pol._objective(h) if mode == "afw" else None
-            refs.append(None if obj is None else obj.exact_minimizer().p)
+            refs.append(None if obj is None else obj.exact_minimizer())
             recs.append(pol.step([f], fv[None], h[None]))
         runs[mode] = (pol, recs, refs)
 
@@ -200,15 +196,15 @@ def test_criterion_6_semibandit():
     # probability vector (entropic proposals never hit zero)
     rng = np.random.default_rng(607)
     g = rng.random(n)
-    point = entropic_ftrl_argmax(rng.standard_normal(n), 1.0, k)
+    p = entropic_ftrl_argmax(rng.standard_normal(n), 1.0, k)
     m = 100_000
-    prefix = np.concatenate([[0.0], np.cumsum(point.p)])
+    prefix = np.concatenate([[0.0], np.cumsum(p)])
     prefix[-1] = k
     hits = np.searchsorted(prefix, rng.random(m)[:, None] + np.arange(k)[None, :],
                            side="right") - 1
     counts = np.bincount(hits.ravel(), minlength=n)
-    est = g * (counts / m) / point.p
-    sd = np.abs(g) * np.sqrt((1.0 - point.p) / (point.p * m))
+    est = g * (counts / m) / p
+    sd = np.abs(g) * np.sqrt((1.0 - p) / (p * m))
     ips_ok = bool(np.all(np.abs(est - g) <= 4.0 * sd))
 
     ok = mean_regret <= bound and ips_ok
@@ -260,8 +256,8 @@ def test_criterion_9_madow_exact_marginal_law():
     for _ in range(1_000):
         n = int(rng.integers(2, 51))
         k = int(rng.integers(1, n + 1))
-        point = euclidean_project(rng.random(n) * 1.4 - 0.2, k)
-        measure = madow_marginal_measure(point)
-        worst = max(worst, float(np.abs(measure - point.p).max()))
+        p = euclidean_project(rng.random(n) * 1.4 - 0.2, k)
+        measure = madow_marginal_measure(p, k)
+        worst = max(worst, float(np.abs(measure - p).max()))
     ok = worst <= 1e-12
     report(9, ok, f"max |measure - p| = {worst:.2e} <= 1e-12 over 1000 vectors")

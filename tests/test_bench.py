@@ -26,7 +26,7 @@ from coreselect.bench import (
     sweep,
 )
 from coreselect.cli import main
-from coreselect.hypersimplex import HypersimplexPoint, euclidean_project
+from coreselect.hypersimplex import euclidean_project
 from coreselect.blocks import PLAN_CELLS
 from coreselect.policy import ScorePolicy
 from coreselect.verify import CheckResult, verify_all
@@ -98,10 +98,11 @@ def test_csv_columns_are_consistent(tmp_path):
     assert cum_cost == 0.0
 
 
-def test_semibandit_config_runs():
+def test_semibandit_config_runs(tmp_path):
     cfg = ExperimentConfig.from_dict(base_config(policy={"kind": "semibandit"}))
-    res = run_replica(cfg, 0)
-    assert res.ledger.rounds == cfg.T
+    run_replica(cfg, 0, tmp_path)
+    rows = (tmp_path / "replica_0.csv").read_text().splitlines()[1:]
+    assert [int(row.split(",")[0]) for row in rows] == list(range(1, cfg.T + 1))
 
 
 @pytest.mark.parametrize("policy", [
@@ -255,11 +256,10 @@ def test_verify_all_passes_and_detects_injected_fault():
     assert all(r.passed for r in results)
 
     def broken_projection(y, k):
-        pt = euclidean_project(y, k)
-        p = pt.p.copy()
+        p = euclidean_project(y, k)
         if p.size >= 2:
             p[0], p[1] = p[1], p[0]  # wrong but still feasible
-        return HypersimplexPoint(pt.n, pt.k, p)
+        return p
 
     results = verify_all(max_n=6, projection_fn=broken_projection)
     by_name = {r.name: r for r in results}
@@ -445,7 +445,8 @@ NUMERIC_FIELDS = {None: ("n", "k", "T", "seed", "replicas", "alpha", "M", "G"),
                   "policy": ("eta", "sigma", "epsilon", "cost"),
                   "hints": ("noise_l2",),
                   "adversary": ("G", "w_max", "jitter", "density", "phases", "universe")}
-CORRUPT_VALUES = ("x", True, float("nan"), -1, 0, 1e308)
+# 1e154 squares to a finite float; 10**400 is an integer no float holds
+CORRUPT_VALUES = ("x", True, float("nan"), -1, 0, 1e308, 1e154, 10**400)
 
 
 def boundary_cases():

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from coreselect.hypersimplex import (
-    HypersimplexPoint,
     InfeasiblePointError,
     QuadraticObjective,
     _refeasibilize,
@@ -15,6 +14,7 @@ from coreselect.hypersimplex import (
     entropic_ftrl_argmax,
     euclidean_project,
     lmo,
+    validate_point,
 )
 from coreselect.oracles import enumerate_lmo_value, enumerate_projection
 
@@ -70,26 +70,26 @@ def entropic_argmax_scalar_bisect(theta, eta, k, iters=200):
 # Entropic argmax.
 
 def test_entropic_zero_scores_gives_uniform():
-    pt = entropic_ftrl_argmax(np.zeros(4), 1.0, 2)
-    np.testing.assert_allclose(pt.p, 0.5)
+    p = entropic_ftrl_argmax(np.zeros(4), 1.0, 2)
+    np.testing.assert_allclose(p, 0.5)
 
 
 def test_entropic_k_equals_n_is_all_ones():
-    pt = entropic_ftrl_argmax(np.array([3.0, -1.0, 0.2]), 2.0, 3)
-    np.testing.assert_allclose(pt.p, 1.0)
+    p = entropic_ftrl_argmax(np.array([3.0, -1.0, 0.2]), 2.0, 3)
+    np.testing.assert_allclose(p, 1.0)
 
 
 def test_entropic_known_value():
     # frozen from a projected-gradient solve iterated to ||dp|| < 1e-10
-    pt = entropic_ftrl_argmax(np.array([1.0, 0.0, 0.0, 0.0]), 1.0, 2)
+    p = entropic_ftrl_argmax(np.array([1.0, 0.0, 0.0, 0.0]), 1.0, 2)
     np.testing.assert_allclose(
-        pt.p, [0.95073377, 0.34975541, 0.34975541, 0.34975541], atol=1e-6
+        p, [0.95073377, 0.34975541, 0.34975541, 0.34975541], atol=1e-6
     )
 
 
 def test_entropic_matches_projected_gradient():
     theta = np.array([1.0, 0.0, 0.0, 0.0])
-    got = entropic_ftrl_argmax(theta, 1.0, 2).p
+    got = entropic_ftrl_argmax(theta, 1.0, 2)
     want = entropic_argmax_pgd(theta, 1.0, 2, step=0.05)
     np.testing.assert_allclose(got, want, atol=1e-6)
 
@@ -101,7 +101,7 @@ def test_entropic_matches_scalar_bisection(trial):
     k = int(rng.integers(1, n))
     eta = float(rng.uniform(0.1, 3.0))
     theta = rng.standard_normal(n) * 2.0
-    got = entropic_ftrl_argmax(theta, eta, k).p
+    got = entropic_ftrl_argmax(theta, eta, k)
     want = entropic_argmax_scalar_bisect(theta, eta, k)
     np.testing.assert_allclose(got, want, atol=1e-9)
 
@@ -112,14 +112,14 @@ def test_entropic_feasibility_and_kkt():
         n = int(rng.integers(2, 30))
         k = int(rng.integers(1, n + 1))
         theta = rng.standard_normal(n) * float(rng.uniform(0.1, 20))
-        pt = entropic_ftrl_argmax(theta, float(rng.uniform(0.05, 5.0)), k)
-        pt.validate(tol=1e-9)
+        p = entropic_ftrl_argmax(theta, float(rng.uniform(0.05, 5.0)), k)
+        validate_point(p, k, tol=1e-9)
         eta = 1.0  # recompute with the eta actually used
         # complementarity: log p - eta * theta constant on uncapped coordinates
-        pt = entropic_ftrl_argmax(theta, eta, k)
-        free = pt.p < 1.0 - 1e-9
+        p = entropic_ftrl_argmax(theta, eta, k)
+        free = p < 1.0 - 1e-9
         if free.sum() >= 2:
-            c = np.log(pt.p[free]) - eta * theta[free]
+            c = np.log(p[free]) - eta * theta[free]
             assert c.max() - c.min() < 1e-7
 
 
@@ -128,8 +128,8 @@ def test_entropic_wide_score_spread_does_not_underflow():
     # uncapped coordinates vanished and the solve raised
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        pt = entropic_ftrl_argmax(np.array([800.0, 0.0, 0.0, 0.0, 0.0, 0.0]), 1.0, 3)
-    np.testing.assert_allclose(pt.p, [1.0, 0.4, 0.4, 0.4, 0.4, 0.4], rtol=1e-12)
+        p = entropic_ftrl_argmax(np.array([800.0, 0.0, 0.0, 0.0, 0.0, 0.0]), 1.0, 3)
+    np.testing.assert_allclose(p, [1.0, 0.4, 0.4, 0.4, 0.4, 0.4], rtol=1e-12)
 
 
 @pytest.mark.parametrize("scale", [1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6])
@@ -142,11 +142,11 @@ def test_entropic_kkt_form_at_every_score_scale(scale):
         theta = rng.standard_normal(n) * scale
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            pt = entropic_ftrl_argmax(theta, eta, k)
-        pt.validate(tol=1e-9)
+            p = entropic_ftrl_argmax(theta, eta, k)
+        validate_point(p, k, tol=1e-9)
         # p = min(1, c * exp(eta * theta)), with c read off the largest
         # uncapped coordinate j: p_j = c * exp(s_j)
-        p, s = pt.p, eta * theta
+        s = eta * theta
         free = p < 1.0
         j = int(np.argmax(np.where(free, s, -np.inf)))
         assert np.all(s[~free] >= s[j])
@@ -163,11 +163,11 @@ def test_entropic_monotone_in_scores():
     for _ in range(30):
         n, k = 8, 3
         theta = rng.standard_normal(n)
-        base = entropic_ftrl_argmax(theta, 1.2, k).p
+        base = entropic_ftrl_argmax(theta, 1.2, k)
         i = int(rng.integers(n))
         bumped = theta.copy()
         bumped[i] += float(rng.uniform(0.01, 2.0))
-        assert entropic_ftrl_argmax(bumped, 1.2, k).p[i] >= base[i] - 1e-12
+        assert entropic_ftrl_argmax(bumped, 1.2, k)[i] >= base[i] - 1e-12
 
 
 def refeasibilize_reference(p, k):
@@ -240,17 +240,17 @@ def test_entropic_rejects_bad_input():
 
 def test_project_feasible_point_is_fixed():
     p = np.array([0.4, 0.8, 0.3, 0.5])
-    np.testing.assert_allclose(euclidean_project(p, 2).p, p, atol=1e-12)
+    np.testing.assert_allclose(euclidean_project(p, 2), p, atol=1e-12)
 
 
 def test_project_known_value():
-    pt = euclidean_project(np.array([2.0, 0.5, 0.5, -1.0]), 2)
-    np.testing.assert_allclose(pt.p, [1.0, 0.5, 0.5, 0.0], atol=1e-12)
+    p = euclidean_project(np.array([2.0, 0.5, 0.5, -1.0]), 2)
+    np.testing.assert_allclose(p, [1.0, 0.5, 0.5, 0.0], atol=1e-12)
 
 
 def test_project_constant_vector_gives_uniform():
-    pt = euclidean_project(np.full(5, 3.7), 2)
-    np.testing.assert_allclose(pt.p, 0.4, atol=1e-12)
+    p = euclidean_project(np.full(5, 3.7), 2)
+    np.testing.assert_allclose(p, 0.4, atol=1e-12)
 
 
 def test_project_matches_enumeration():
@@ -267,7 +267,7 @@ def test_project_matches_enumeration():
             cases.append((np.full(n, rng.standard_normal()), k))
             cases.append((rng.standard_normal(n) * 1e6, k))
     for y, k in cases:
-        got = euclidean_project(y, k).p
+        got = euclidean_project(y, k)
         want = enumerate_projection(y, k)
         assert np.linalg.norm(got - want) < 1e-8, (y, k)
 
@@ -278,7 +278,7 @@ def test_project_is_one_threshold_at_large_n(n):
     ys = [rng.standard_normal(n), rng.integers(-1, 3, n).astype(float), np.full(n, -0.7)]
     for y in ys:
         for k in (1, n // 7, n // 2, n - 1):
-            p = euclidean_project(y, k).p
+            p = euclidean_project(y, k)
             # every one of these inputs has coordinates strictly inside (0, 1)
             tau = float(np.mean((y - p)[(p > 0.0) & (p < 1.0)]))
             np.testing.assert_allclose(p, np.clip(y - tau, 0.0, 1.0), rtol=0, atol=1e-12)
@@ -292,10 +292,10 @@ def test_project_idempotent_and_nonexpansive():
         k = int(rng.integers(1, n + 1))
         y = rng.standard_normal(n) * 3
         z = rng.standard_normal(n) * 3
-        py, pz = euclidean_project(y, k).p, euclidean_project(z, k).p
-        np.testing.assert_allclose(euclidean_project(py, k).p, py, atol=1e-9)
+        py, pz = euclidean_project(y, k), euclidean_project(z, k)
+        np.testing.assert_allclose(euclidean_project(py, k), py, atol=1e-9)
         assert np.linalg.norm(py - pz) <= np.linalg.norm(y - z) + 1e-9
-        euclidean_project(y, k).validate(1e-9)
+        validate_point(euclidean_project(y, k), k, 1e-9)
 
 
 def test_project_rejects_nonfinite():
@@ -382,7 +382,7 @@ def test_default_sort_matches_the_stable_sort_bit_for_bit(n):
                 with pytest.raises(InfeasiblePointError):
                     euclidean_project(y, k)
             else:
-                assert euclidean_project(y, k).p.tobytes() == want.tobytes(), (name, k)
+                assert euclidean_project(y, k).tobytes() == want.tobytes(), (name, k)
             assert lmo(y, k).tobytes() == lmo_stable_reference(y, k).tobytes(), (name, k)
     # four signed zeros at ranks k-2..k+1: only the stable order decides the set
     cost = rng.standard_normal(n)
@@ -462,12 +462,12 @@ def test_entropic_default_sort_matches_the_stable_sort_bit_for_bit(n):
             rows = []
             for name, theta in inputs.items():
                 want = entropic_stable_reference(theta, eta, k)
-                got = entropic_ftrl_argmax(theta, eta, k).p
+                got = entropic_ftrl_argmax(theta, eta, k)
                 assert got.tobytes() == want.tobytes(), (name, k, eta)
                 rows.append(want)
             # a block of score vectors gives each row's maximizer, bit for bit;
             # the block mixes tied, untied and underflowing ("huge") rows
-            block = entropic_ftrl_argmax(np.array(list(inputs.values())), eta, k).p
+            block = entropic_ftrl_argmax(np.array(list(inputs.values())), eta, k)
             assert block.shape == (len(rows), n)
             assert block.tobytes() == np.array(rows).tobytes(), (k, eta)
     # equal scores on both sides of the caps: only the stable order decides
@@ -476,8 +476,8 @@ def test_entropic_default_sort_matches_the_stable_sort_bit_for_bit(n):
                       straddling_ties(n, rng)])
     rows = [entropic_stable_reference(theta, 1.0, n - 1) for theta in block]
     for theta, want in zip(block, rows):
-        assert entropic_ftrl_argmax(theta, 1.0, n - 1).p.tobytes() == want.tobytes()
-    assert entropic_ftrl_argmax(block, 1.0, n - 1).p.tobytes() == np.array(rows).tobytes()
+        assert entropic_ftrl_argmax(theta, 1.0, n - 1).tobytes() == want.tobytes()
+    assert entropic_ftrl_argmax(block, 1.0, n - 1).tobytes() == np.array(rows).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -490,17 +490,18 @@ def _random_point(n, k, rng):
 def test_afw_single_center_returns_center():
     rng = np.random.default_rng(31)
     center = _random_point(6, 2, rng)
-    obj = QuadraticObjective(6, 2, [(1.0, center.p)], np.zeros(6))
+    obj = QuadraticObjective(6, 2, [(1.0, center)], np.zeros(6))
     res = afw_minimize(obj, eps=1e-10, max_iters=3000)
     assert res.converged
-    assert np.linalg.norm(res.point.p - center.p) < 1e-4
+    assert np.linalg.norm(res.p - center) < 1e-4
 
 
 def test_afw_vertex_center_recovered_immediately():
     v = np.array([1.0, 0, 1, 0])
     obj = QuadraticObjective(4, 2, [(1.0, v)], np.zeros(4))
-    res = afw_minimize(obj, eps=1e-12, max_iters=50, start=v)
-    np.testing.assert_allclose(res.point.p, v, atol=1e-12)
+    # the default start, the vertex minimizing the linear part, is v
+    res = afw_minimize(obj, eps=1e-12, max_iters=50)
+    np.testing.assert_allclose(res.p, v, atol=1e-12)
     assert res.iterations == 0
 
 
@@ -508,13 +509,13 @@ def test_afw_matches_exact_projection_route():
     rng = np.random.default_rng(33)
     for _ in range(10):
         n, k = 10, 3
-        centers = [(float(rng.uniform(0.2, 2.0)), _random_point(n, k, rng).p)
+        centers = [(float(rng.uniform(0.2, 2.0)), _random_point(n, k, rng))
                    for _ in range(int(rng.integers(1, 4)))]
         obj = QuadraticObjective(n, k, centers, rng.standard_normal(n))
         eps = 1e-9
         res = afw_minimize(obj, eps=eps, max_iters=5000)
         exact = obj.exact_minimizer()
-        assert obj.value(res.point.p) - obj.value(exact.p) <= eps + 1e-12
+        assert obj.value(res.p) - obj.value(exact) <= eps + 1e-12
         if res.converged:
             assert res.gap <= eps * (1 + 1e-9)
 
@@ -522,10 +523,9 @@ def test_afw_matches_exact_projection_route():
 def test_afw_progress_is_monotone_in_budget():
     rng = np.random.default_rng(35)
     n, k = 8, 3
-    centers = [(1.3, _random_point(n, k, rng).p), (0.7, _random_point(n, k, rng).p)]
+    centers = [(1.3, _random_point(n, k, rng)), (0.7, _random_point(n, k, rng))]
     obj = QuadraticObjective(n, k, centers, rng.standard_normal(n))
-    start = lmo(rng.standard_normal(n), k)
-    vals = [obj.value(afw_minimize(obj, 1e-14, budget, start=start).point.p)
+    vals = [obj.value(afw_minimize(obj, 1e-14, budget).p)
             for budget in (1, 2, 4, 8, 16, 32)]
     assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
@@ -541,11 +541,11 @@ def test_afw_iteration_cap_flags_not_raises():
     n, k = 12, 4
     # interior optimum, so two iterations cannot certify a 1e-16 gap
     obj = QuadraticObjective(
-        n, k, [(1.0, _random_point(n, k, rng).p)], 0.01 * rng.standard_normal(n)
+        n, k, [(1.0, _random_point(n, k, rng))], 0.01 * rng.standard_normal(n)
     )
     res = afw_minimize(obj, eps=1e-16, max_iters=2)
     assert not res.converged
-    res.point.validate(1e-9)
+    validate_point(res.p, k, 1e-9)
 
 
 def test_quadratic_objective_rejects_negative_weights():
@@ -553,10 +553,14 @@ def test_quadratic_objective_rejects_negative_weights():
         QuadraticObjective(3, 1, [(-0.5, np.zeros(3))], np.zeros(3))
 
 
-def test_hypersimplex_point_validation():
+def test_validate_point():
     with pytest.raises(Exception):
-        HypersimplexPoint(3, 2, np.array([0.5, 0.5, 0.5])).validate()
-    HypersimplexPoint(3, 2, np.array([0.7, 0.8, 0.5])).validate()
+        validate_point(np.array([0.5, 0.5, 0.5]), 2)
+    validate_point(np.array([0.7, 0.8, 0.5]), 2)
     for p in ([0.5, np.nan, 1.0], [np.nan] * 3):
         with pytest.raises(InfeasiblePointError):
-            HypersimplexPoint(3, 2, np.array(p)).validate()
+            validate_point(np.array(p), 2)
+    # one vector only, and 1 <= k <= n
+    for p, k in ((np.full((2, 3), 2 / 3), 2), (np.ones(3), 4)):
+        with pytest.raises(InfeasiblePointError):
+            validate_point(p, k)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from coreselect.hypersimplex import (
-    HypersimplexPoint,
     InfeasiblePointError,
     entropic_ftrl_argmax,
     euclidean_project,
@@ -17,11 +16,6 @@ from coreselect.sampling import (
     madow_sample,
     madow_support,
 )
-
-
-def _point(p, k):
-    p = np.asarray(p, dtype=float)
-    return HypersimplexPoint(p.size, k, p)
 
 
 def _random_point(n, k, rng):
@@ -38,28 +32,29 @@ def searchsorted_oracle(p, u_values, k):
 
 
 def test_integral_p_selects_its_support():
-    assert madow_sample(_point([1.0, 1.0, 0.0, 0.0], 2), 0.0) == (0, 1)
-    assert madow_sample(_point([1.0, 1.0, 0.0, 0.0], 2), 0.99) == (0, 1)
+    assert madow_sample([1.0, 1.0, 0.0, 0.0], 2, 0.0).tolist() == [0, 1]
+    assert madow_sample([1.0, 1.0, 0.0, 0.0], 2, 0.99).tolist() == [0, 1]
 
 
 def test_hand_traced_selection():
     # prefix sums (0.5, 1.0, 1.5, 2.0) with u = 0.3 pick grid points 0.3, 1.3
-    assert madow_sample(_point([0.5, 0.5, 0.5, 0.5], 2), 0.3) == (0, 2)
+    sel = madow_sample(np.array([0.5, 0.5, 0.5, 0.5]), 2, 0.3)
+    assert sel.shape == (2,) and sel.dtype.kind == "i" and sel.tolist() == [0, 2]
 
 
 def test_rejects_bad_u_and_infeasible_p():
-    pt = _point([0.5, 0.5, 0.5, 0.5], 2)
+    p = [0.5, 0.5, 0.5, 0.5]
     with pytest.raises(ValueError):
-        madow_sample(pt, 1.0)
+        madow_sample(p, 2, 1.0)
     with pytest.raises(ValueError):
-        madow_sample(pt, -0.1)
+        madow_sample(p, 2, -0.1)
     with pytest.raises(InfeasiblePointError):
-        madow_sample(_point([0.9, 0.9, 0.9, 0.9], 2), 0.5)
+        madow_sample([0.9, 0.9, 0.9, 0.9], 2, 0.5)
     # NaN fails both the range check and the sum check
     with pytest.raises(InfeasiblePointError):
-        madow_sample(_point([0.5, np.nan, 0.5, 1.0], 2), 0.3)
+        madow_sample([0.5, np.nan, 0.5, 1.0], 2, 0.3)
     with pytest.raises(InfeasiblePointError):
-        madow_sample(_point([np.nan] * 4, 2), 0.3)
+        madow_sample([np.nan] * 4, 2, 0.3)
 
 
 def test_exact_cardinality_property():
@@ -67,24 +62,24 @@ def test_exact_cardinality_property():
     for _ in range(300):
         n = int(rng.integers(1, 40))
         k = int(rng.integers(1, n + 1))
-        pt = _random_point(n, k, rng)
-        sel = madow_sample(pt, float(rng.random()))
+        p = _random_point(n, k, rng)
+        sel = madow_sample(p, k, float(rng.random())).tolist()
         assert len(sel) == k
         assert len(set(sel)) == k
         assert all(0 <= j < n for j in sel)
 
 
-def test_draw_is_reproducible_and_returns_u():
-    pt = _point([0.9, 0.7, 0.3, 0.1], 2)
-    s1, u1 = draw(pt, np.random.default_rng(42))
-    s2, u2 = draw(pt, np.random.default_rng(42))
-    assert s1 == s2 and u1 == u2
-    assert madow_sample(pt, u1) == s1
+def test_draw_is_reproducible_and_uses_one_uniform():
+    p = np.array([0.9, 0.7, 0.3, 0.1])
+    s1 = draw(p, 2, np.random.default_rng(42))
+    s2 = draw(p, 2, np.random.default_rng(42))
+    assert s1.tolist() == s2.tolist()
+    u = np.random.default_rng(42).random()
+    assert madow_sample(p, 2, u).tolist() == s1.tolist()
 
 
 def test_k_equals_n_gives_full_set():
-    pt = _point([1.0, 1.0, 1.0], 3)
-    assert madow_sample(pt, 0.37) == (0, 1, 2)
+    assert madow_sample(np.array([1.0, 1.0, 1.0]), 3, 0.37).tolist() == [0, 1, 2]
 
 
 def test_marginal_law_exact():
@@ -92,15 +87,15 @@ def test_marginal_law_exact():
     for _ in range(50):
         n = int(rng.integers(2, 30))
         k = int(rng.integers(1, n + 1))
-        pt = _random_point(n, k, rng)
-        measure = madow_marginal_measure(pt)
-        np.testing.assert_allclose(measure, pt.p, atol=1e-12)
+        p = _random_point(n, k, rng)
+        measure = madow_marginal_measure(p, k)
+        np.testing.assert_allclose(measure, p, atol=1e-12)
 
 
 def test_support_probabilities_sum_to_one():
     rng = np.random.default_rng(2)
-    pt = _random_point(12, 5, rng)
-    support = madow_support(pt)
+    p = _random_point(12, 5, rng)
+    support = madow_support(p, 5)
     assert abs(sum(w for w, _ in support) - 1.0) < 1e-12
     assert all(len(s) == 5 for _, s in support)
 
@@ -108,20 +103,19 @@ def test_support_probabilities_sum_to_one():
 def test_expected_set_value_matches_direct_sum():
     rng = np.random.default_rng(3)
     w = rng.random(8)
-    pt = _random_point(8, 3, rng)
-    got = expected_set_value(pt, lambda s: float(sum(w[list(s)])))
-    np.testing.assert_allclose(got, float(w @ pt.p), atol=1e-12)
+    p = _random_point(8, 3, rng)
+    got = expected_set_value(p, 3, lambda s: float(sum(w[list(s)])))
+    np.testing.assert_allclose(got, float(w @ p), atol=1e-12)
 
 
 def test_monte_carlo_inclusion_frequencies():
     # frequencies over many draws stay within a 4-sigma binomial envelope
     p = np.array([0.9, 0.7, 0.3, 0.1])
-    pt = _point(p, 2)
     rng = np.random.default_rng(4)
     m = 200_000
     counts = np.zeros(4)
     for _ in range(m):
-        for j in madow_sample(pt, float(rng.random())):
+        for j in madow_sample(p, 2, float(rng.random())):
             counts[j] += 1
     freq = counts / m
     sigma = np.sqrt(p * (1 - p) / m)
@@ -133,20 +127,20 @@ def test_agrees_with_searchsorted_oracle():
     for _ in range(20):
         n = int(rng.integers(2, 25))
         k = int(rng.integers(1, n + 1))
-        pt = _random_point(n, k, rng)
+        p = _random_point(n, k, rng)
         us = rng.random(50)
-        oracle = searchsorted_oracle(pt.p, us, k)
+        oracle = searchsorted_oracle(p, us, k)
         for row, u in zip(oracle, us):
-            assert madow_sample(pt, float(u)) == tuple(sorted(int(x) for x in row))
+            assert madow_sample(p, k, float(u)).tolist() == sorted(int(x) for x in row)
 
 
 def test_uniform_p_selects_everyone_equally():
-    pt = _point([0.5] * 4, 2)
+    p = np.array([0.5] * 4)
     rng = np.random.default_rng(6)
     counts = np.zeros(4)
     m = 20_000
     for _ in range(m):
-        for j in madow_sample(pt, float(rng.random())):
+        for j in madow_sample(p, 2, float(rng.random())):
             counts[j] += 1
     np.testing.assert_allclose(counts / m, 0.5, atol=4 * np.sqrt(0.25 / m))
 
@@ -162,7 +156,7 @@ def fallback_cases(n, k, count, rng):
     grid point, so the sampler's fallback fills the set."""
     cases = []
     while len(cases) < count:
-        p = entropic_ftrl_argmax(rng.standard_normal(n), 3.0, k).p  # some caps
+        p = entropic_ftrl_argmax(rng.standard_normal(n), 3.0, k)  # some caps
         for a in _prefix_sums(p, k)[1:-1]:
             frac = a - np.floor(a)
             hits = [u for u in frac + np.arange(-4, 5) * np.spacing(frac)
@@ -176,39 +170,32 @@ def fallback_cases(n, k, count, rng):
 def test_block_of_points_samples_each_row_as_alone():
     rng = np.random.default_rng(8)
     n, k = 12, 6
-    rows = [_random_point(n, k, rng).p for _ in range(20)]
+    rows = [_random_point(n, k, rng) for _ in range(20)]
     us = list(rng.random(20))
     rows += [np.r_[np.ones(k), np.zeros(n - k)], np.full(n, k / n)]
     us += [0.0, 0.999]
     for p, u in fallback_cases(n, k, 3, rng):
         rows.append(p)
         us.append(u)
-    block = HypersimplexPoint(n, k, np.array(rows))
-    want = [madow_sample(_point(p, k), u) for p, u in zip(rows, us)]
-    got = madow_sample(block, np.array(us))
+    block = np.array(rows)
+    want = [madow_sample(p, k, u).tolist() for p, u in zip(rows, us)]
+    got = madow_sample(block, k, np.array(us))
     assert got.shape == (len(rows), k) and got.dtype.kind == "i"
-    assert [tuple(s) for s in got.tolist()] == want
-    sets, u = draw(block, np.random.default_rng(9))
-    assert u.shape == (len(rows),)
-    assert [tuple(s) for s in sets.tolist()] == [
-        madow_sample(_point(p, k), float(x)) for p, x in zip(rows, u)]
+    assert got.tolist() == want
     # the draws a block takes are the ones its rows would take one by one
     single = np.random.default_rng(9)
-    assert u.tolist() == [single.random() for _ in rows]
+    assert draw(block, k, np.random.default_rng(9)).tolist() == [
+        draw(p, k, single).tolist() for p in rows]
 
 
 def test_block_rejects_what_a_row_rejects():
     good = [0.5] * 4
-
-    def block(*rows):
-        return HypersimplexPoint(4, 2, np.array(rows, dtype=float))
-
     with pytest.raises(ValueError, match="need 2 draws"):
-        madow_sample(block(good, good), np.array([0.3]))
+        madow_sample(np.array([good, good]), 2, np.array([0.3]))
     with pytest.raises(ValueError, match="u must lie"):
-        madow_sample(block(good, good), np.array([0.3, 1.0]))
+        madow_sample(np.array([good, good]), 2, np.array([0.3, 1.0]))
     for bad in ([0.5, np.nan, 0.5, 0.5], [0.9, 0.9, 0.9, 0.9], [1.5, 0.5, 0.0, 0.0]):
         with pytest.raises(InfeasiblePointError):
-            madow_sample(_point(bad, 2), 0.3)
+            madow_sample(bad, 2, 0.3)
         with pytest.raises(InfeasiblePointError):
-            madow_sample(block(good, bad), np.array([0.3, 0.3]))
+            madow_sample(np.array([good, bad]), 2, np.array([0.3, 0.3]))
