@@ -28,17 +28,28 @@ from .corevec import (
     matching_dual_strategy,
     modular_strategy,
 )
-from .setfn import CoverageFunction, MatchingRewardFunction, ModularFunction, SetFunction
+from .setfn import (
+    CoverageFunction,
+    MatchingRewardFunction,
+    ModularFunction,
+    SetFunction,
+    assignment_solver,
+)
 
 DEFAULT_PHASES = 10
+# the largest length numpy gives an array axis
+ARRAY_MAX = int(np.iinfo(np.intp).max)
 
 
-def _check_int(name: str, value, least: int | None = None) -> None:
+def _check_int(name: str, value, least: int | None = None,
+               most: int | None = None) -> None:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     _check_real(name, value)  # within the float range
     if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}, got {value!r}")
+    if most is not None and value > most:
+        raise ValueError(f"{name} must be <= {most}, got {value!r}")
 
 
 def _check_real(name: str, value, rule: str = "", holds=lambda x: True) -> None:
@@ -214,8 +225,10 @@ def make_coverage_drift_adversary(n: int, universe: int | None = None,
 def make_matching_random_adversary(m: int, w_max: float = 1.0,
                                    phases: int = DEFAULT_PHASES) -> Adversary:
     """Piecewise-stationary bipartite matching rewards on m + m vertices."""
-    # load the assignment solver while the run is set up, not in its first round
-    import scipy.optimize  # noqa: F401
+    # load scipy's compiled assignment solver (the extension module
+    # scipy.optimize._lsap, not all of scipy.optimize) while the run is set
+    # up, not in its first round
+    assignment_solver()
 
     n = 2 * m
 
@@ -234,7 +247,8 @@ def make_matching_random_adversary(m: int, w_max: float = 1.0,
 
 
 # the rule a config value of each real factory parameter must meet; the other
-# parameters (phases, universe) are counts, integers >= 1
+# parameters (phases, universe) are counts, integers from 1 to ARRAY_MAX, since
+# universe is an array length
 _REAL_RULES = {
     "G": ("positive", lambda x: x > 0.0),
     "w_max": ("positive", lambda x: x > 0.0),
@@ -275,7 +289,7 @@ def adversary_from_config(cfg: dict, n: int) -> Adversary:
         if name in _REAL_RULES:
             _check_real(name, value, *_REAL_RULES[name])
         else:
-            _check_int(name, value, least=1)
+            _check_int(name, value, least=1, most=ARRAY_MAX)
     return factory(n, **cfg)
 
 

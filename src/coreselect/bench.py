@@ -29,6 +29,7 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from .adversary import (
+    ARRAY_MAX,
     Adversary,
     HintSpec,
     _check_int,
@@ -124,7 +125,8 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self) -> None:
-        for name in ("n", "k", "T", "replicas"):
+        _check_int("n", self.n, most=ARRAY_MAX)  # the length of every vector
+        for name in ("k", "T", "replicas"):
             _check_int(name, getattr(self, name))
         _check_int("seed", self.seed, least=0)
         if self.alpha is not None:

@@ -110,8 +110,8 @@ class _Policy:
 
     ``theta`` sums what the learner was fed.  A policy whose feed depends on
     the drawn set or whose proposal depends on the last one plays a block
-    one row at a time, and supplies ``_propose`` (the round's marginals p,
-    a vector on the capped simplex), ``_feed`` (adding what is fed to
+    one row at a time, and supplies ``_propose`` (round t's marginals p, a
+    vector on the capped simplex), ``_feed`` (adding what is fed to
     ``theta``) and ``_update`` (any state beyond ``theta``, in round t); the
     last two get the round's p.  At k == n every round plays the full set
     with p all ones, and nothing is proposed or drawn.
@@ -154,16 +154,17 @@ class _Policy:
         selected = np.empty((len(G), cfg.k), dtype=np.intp)
         for i, g in enumerate(G):
             h = None if H is None else H[i]
+            t = self.t + i + 1
             if cfg.k == cfg.n:
                 selected[i] = range(cfg.n)
             else:
-                p[i] = self._propose(h)
+                p[i] = self._propose(h, t)
                 selected[i] = draw(p[i], cfg.k, self.rng)
             self._feed(g, p[i], selected[i])
-            self._update(g, p[i], h, self.t + i + 1)
+            self._update(g, p[i], h, t)
         return self._record(f, G, p, selected, [True] * len(G), np.zeros(len(G)))
 
-    def _propose(self, hint: np.ndarray | None) -> np.ndarray:
+    def _propose(self, hint: np.ndarray | None, t: int) -> np.ndarray:
         raise NotImplementedError
 
     def _feed(self, gvec: np.ndarray, p: np.ndarray, selected: np.ndarray) -> None:
@@ -196,7 +197,7 @@ class ScorePolicy(_Policy):
     alone gives.
     """
 
-    def _propose(self, hint):
+    def _propose(self, hint, t):
         return entropic_ftrl_argmax(self.theta, self.config.eta, self.config.k)
 
     def _play(self, f, G, H):
@@ -342,13 +343,21 @@ class OftrlPolicy(_Policy):
             linear=self.theta + hvec,
         )
 
-    def _propose(self, hvec: np.ndarray | None) -> np.ndarray:
+    def _propose(self, hvec: np.ndarray | None, t: int) -> np.ndarray:
         obj = self._objective(hvec)
         if obj is None:
             self._afw_active = None
             return lmo(-(self.theta + hvec), self.config.k)
         if self.mode == "exact":
-            return obj.exact_minimizer()
+            try:
+                return obj.exact_minimizer()
+            except ValueError as exc:
+                # the point projected is the scores over the weight; at a weight
+                # near 1e-160 rounding leaves the projection no feasible point
+                raise ValueError(
+                    f"round {t}: the exact proposal failed at regularizer weight "
+                    f"{obj.sigma_total:.3g} (policy sigma {self.sigma_scale:g} times "
+                    f"the hint errors, which hints noise_l2 sets): {exc}") from exc
         res = afw_minimize(obj, eps=self.state.eps, max_iters=self.afw_budget,
                            active=self._afw_active)
         self._afw_active = res.active

@@ -7,9 +7,13 @@ for the n <= 20 instances the diagnostics are meant for.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import operator
+import os
+import sys
 from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, product
 from typing import Iterable
 
 import numpy as np
@@ -23,16 +27,53 @@ class EnumerationTooLargeError(ValueError):
     """Ground set too large for an exhaustive enumeration path."""
 
 
-def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``scipy.optimize.linear_sum_assignment``, imported on first use.
+_LSAP = "scipy.optimize._lsap"
+_solver = None
 
-    Loading ``scipy.optimize`` takes longer and more memory than numpy and
-    scipy together, and only matching rewards and ``verify`` solve
-    assignments, so runs on other rewards never load it.
+
+def _load_lsap():
+    """The extension module ``scipy.optimize._lsap`` loaded from its file
+    and registered in ``sys.modules``, or None if there is no such file."""
+    spec = importlib.util.find_spec("scipy")
+    folders = spec.submodule_search_locations if spec else None
+    for folder, suffix in product(folders or (), importlib.machinery.EXTENSION_SUFFIXES):
+        path = os.path.join(folder, "optimize", "_lsap" + suffix)
+        if os.path.isfile(path):
+            loader = importlib.machinery.ExtensionFileLoader(_LSAP, path)
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_loader(_LSAP, loader, origin=path))
+            loader.exec_module(module)
+            sys.modules[_LSAP] = module
+            return module
+    return None
+
+
+def assignment_solver():
+    """``scipy.optimize.linear_sum_assignment``, the compiled function
+    itself, loaded once from ``scipy.optimize._lsap`` without running
+    ``scipy/optimize/__init__.py``.
+
+    That package imports some 320 modules (about 40 MB and half a second),
+    none of which the solver needs, and only matching rewards and
+    ``verify`` solve assignments, so runs on other rewards never load even
+    the extension.  The extension is registered under its own name, so a
+    later ``import scipy.optimize`` reuses it and exports this very
+    function.  A scipy laid out otherwise (no such file, or no such function
+    in it) gets the solver through ``scipy.optimize``; ``pyproject.toml``
+    admits every scipy from 1.10 on.
     """
-    from scipy.optimize import linear_sum_assignment as solve
+    global _solver
+    if _solver is None:
+        module = sys.modules.get(_LSAP) or _load_lsap()
+        _solver = getattr(module, "linear_sum_assignment", None)
+        if _solver is None:
+            from scipy.optimize import linear_sum_assignment as _solver
+    return _solver
 
-    return solve(cost)
+
+def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An optimal assignment of ``cost`` from ``assignment_solver()``."""
+    return assignment_solver()(cost)
 
 
 def mask_of(indices: Iterable[int]) -> int:
@@ -248,7 +289,7 @@ class MatchingRewardFunction(SetFunction):
         rows, cols = self.split(indices)
         if len(rows) != len(cols) or not rows:
             return 0.0
-        sub = self.w[np.ix_(rows, cols)]
+        sub = self.w[np.array(rows)[:, None], cols]
         r, c = linear_sum_assignment(sub)
         return float(sub[r, c].sum())
 

@@ -410,6 +410,52 @@ def test_cli_run_names_bad_adversary_values(adversary, message, tmp_path, capsys
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config, message", [
+    pytest.param(base_config(n=10**22, T=3, replicas=1),
+                 "n must be <= 9223372036854775807", id="n-modular-random"),
+    pytest.param(base_config(n=10**19, T=3, replicas=1,
+                             adversary={"kind": "onehot-ensemble"}),
+                 "n must be <= 9223372036854775807", id="n-onehot"),
+    pytest.param(base_config(n=2**63, T=3, replicas=1),
+                 "n must be <= 9223372036854775807", id="n-past-intp"),
+    pytest.param(base_config(T=3, replicas=1,
+                             adversary={"kind": "coverage-drift", "universe": 10**22}),
+                 "universe must be <= 9223372036854775807", id="universe"),
+])
+def test_cli_run_names_sizes_no_array_can_hold(config, message, tmp_path, capsys):
+    # sizes an array can hold but memory cannot (n = 10**11 asks for about
+    # 745 GiB) are out of reach of a test
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("adversary, policy, noise_l2", [
+    pytest.param("modular-random", {"sigma": 1e-160}, 0.5, id="sigma-1e-160"),
+    pytest.param("modular-random", {"sigma": 1e-300}, 0.5, id="sigma-1e-300"),
+    pytest.param("onehot-ensemble", {}, 1e-160, id="noise_l2-1e-160"),
+])
+def test_cli_run_names_a_tiny_regularizer_weight(adversary, policy, noise_l2,
+                                                 tmp_path, capsys):
+    # the exact optimistic proposal projects the scores over the weight,
+    # sigma times the hint errors; near 1e-160 no feasible point survives
+    # the rounding (the same configs run in AFW mode)
+    raw = base_config(T=3, replicas=1, seed=0,
+                      policy={"kind": "oftrl", "mode": "exact", **policy},
+                      adversary={"kind": adversary},
+                      hints={"mode": "additive-noise", "noise_l2": noise_l2})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"round \d+: the exact proposal failed", err), err
+    assert "sigma" in err and "noise_l2" in err
+    raw["policy"]["mode"] = "afw"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(cfg_path)]) == 0
+
+
 def _without(key):
     raw = base_config(T=5, replicas=1)
     del raw[key]
@@ -445,8 +491,9 @@ NUMERIC_FIELDS = {None: ("n", "k", "T", "seed", "replicas", "alpha", "M", "G"),
                   "policy": ("eta", "sigma", "epsilon", "cost"),
                   "hints": ("noise_l2",),
                   "adversary": ("G", "w_max", "jitter", "density", "phases", "universe")}
-# 1e154 squares to a finite float; 10**400 is an integer no float holds
-CORRUPT_VALUES = ("x", True, float("nan"), -1, 0, 1e308, 1e154, 10**400)
+# 1e154 squares to a finite float; 10**400 is an integer no float holds;
+# 1e-160 and 1e-300 as sigma or noise_l2 leave the exact proposal no feasible point
+CORRUPT_VALUES = ("x", True, float("nan"), -1, 0, 1e308, 1e154, 10**400, 1e-160, 1e-300)
 
 
 def boundary_cases():
@@ -520,17 +567,53 @@ def _run_fresh(code: str) -> str:
                           text=True, env=env, check=True).stdout
 
 
-def test_scipy_optimize_loads_only_for_matching_rewards():
-    # a fresh interpreter: this one may have loaded scipy.optimize already
-    code = "\n".join([
-        "import sys",
+def test_matching_loads_the_assignment_solver_without_scipy_optimize(tmp_path):
+    # fresh interpreters: this one may have loaded scipy.optimize already
+    def fresh(*lines):
+        return _run_fresh("\n".join(["import sys", *lines])).split()
+
+    # an adversary on matching rewards loads the solver while it is built
+    assert fresh(
         "import coreselect, coreselect.cli",
-        "print('scipy.optimize' in sys.modules)",
+        "from coreselect import setfn",
+        "print(setfn._solver is None, 'scipy.optimize._lsap' in sys.modules)",
         "from coreselect.adversary import adversary_from_config",
         "adversary_from_config({'kind': 'matching-random'}, 4)",
+        "print(setfn._solver is None, 'scipy.optimize._lsap' in sys.modules)",
         "print('scipy.optimize' in sys.modules)",
-    ])
-    assert _run_fresh(code).split() == ["False", "True"]
+    ) == ["True", "False", "False", "True", "False"]
+    # neither a run on matching rewards nor the verify suite loads scipy.optimize
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(
+        T=5, replicas=1, adversary={"kind": "matching-random"})))
+    assert fresh(
+        "import contextlib, io",
+        "from coreselect.cli import main",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        f"    run = main(['run', '--config', {str(cfg_path)!r}, '--out', {str(tmp_path)!r}])",
+        "    after_run = 'scipy.optimize' in sys.modules",
+        "    verify = main(['verify'])",
+        "print(run, after_run, verify, 'scipy.optimize' in sys.modules)",
+    ) == ["0", "False", "0", "False"]
+    # scipy.optimize, imported later, exports the same function
+    assert fresh(
+        "from coreselect import setfn",
+        "solve = setfn.assignment_solver()",
+        "import scipy.optimize",
+        "print(scipy.optimize.linear_sum_assignment is solve)",
+    ) == ["True"]
+    # with no extension file to be found, scipy.optimize supplies the solver
+    assert fresh(
+        "import importlib.machinery",
+        "importlib.machinery.EXTENSION_SUFFIXES = []",
+        "import numpy as np",
+        "from coreselect import setfn",
+        "print('scipy.optimize' in sys.modules)",
+        "rows, cols = setfn.linear_sum_assignment(np.array([[4., 1., 3.], [2., 0., 5.], [3., 2., 2.]]))",
+        "print(rows.tolist(), cols.tolist(), 'scipy.optimize' in sys.modules)",
+        "import scipy.optimize",
+        "print(setfn.assignment_solver() is scipy.optimize.linear_sum_assignment)",
+    ) == ["False", "[0,", "1,", "2]", "[1,", "0,", "2]", "True", "True"]
 
 
 def test_traced_benchmark_reaches_every_layer(tmp_path):
