@@ -38,6 +38,16 @@ CONFIGS = {
         **BASE, "n": 1000, "k": 50, "T": 9, "replicas": 1,
         "policy": {"kind": "oftrl", "mode": "exact"},
         "adversary": {"kind": "modular-random"}, "hints": NOISY},
+    # ten blocks of 4 rounds at PLAN_CELLS = 4096; 16, 16 and 8 at 16384
+    "oftrl-exact-modular-random-n1000-T40": {
+        **BASE, "n": 1000, "k": 50, "T": 40, "replicas": 1,
+        "policy": {"kind": "oftrl", "mode": "exact"},
+        "adversary": {"kind": "modular-random"}, "hints": NOISY},
+    # long Frank-Wolfe runs, each warm-started from the last round's active set
+    "oftrl-afw-modular-random-T200": {
+        **BASE, "n": 12, "k": 4, "T": 200,
+        "policy": {"kind": "oftrl", "mode": "afw"},
+        "adversary": {"kind": "modular-random"}, "hints": NOISY},
     # matching phases of 45 rounds inside blocks of 204
     "score-matching-random-n20": {
         **BASE, "n": 20, "k": 10, "T": 450, "replicas": 1,
