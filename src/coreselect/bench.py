@@ -125,9 +125,9 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self) -> None:
-        _check_int("n", self.n, most=ARRAY_MAX)  # the length of every vector
-        for name in ("k", "T", "replicas"):
-            _check_int(name, getattr(self, name))
+        # each is the length of arrays or lists a run holds
+        for name in ("n", "k", "T", "replicas"):
+            _check_int(name, getattr(self, name), most=ARRAY_MAX)
         _check_int("seed", self.seed, least=0)
         if self.alpha is not None:
             _check_real("alpha", self.alpha, ">= 1", lambda x: x >= 1.0)

@@ -4,20 +4,21 @@ them with the bits of one round at a time.
 The modular adversaries draw, the policies play and the harness reveals and
 accounts rounds a block at a time; every block has at most
 ``block_rounds(n)`` rounds, so its (B, n) arrays hold at most ``PLAN_CELLS``
-entries.
+entries.  The output bytes do not depend on the block size.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# B * n stays at most this many entries: 204 rounds at n = 20.
-PLAN_CELLS = 4096
+# B * n stays at most this many entries: 16 rounds at n = 1000, where each
+# block pays the harness's per-block costs once; B stays at most 204 rounds
+PLAN_CELLS = 16384
 
 
 def block_rounds(n: int) -> int:
     """The most rounds in one block of rewards on n elements."""
-    return max(1, PLAN_CELLS // n)
+    return max(1, min(204, PLAN_CELLS // n))
 
 
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -35,7 +36,7 @@ def _few_long_rows(rows: int, n: int) -> bool:
     """Whether a block of ``rows`` rows of length n is summed faster one row
     add at a time than by one ``cumsum(axis=0)``.  That ``cumsum`` steps
     through the columns one at a time, which costs about 20 µs plus 0.02 µs
-    per column, while one row add costs about 1.7 µs: so yes for 5 rows of
+    per column, while one row add costs about 1.7 µs: so yes for 17 rows of
     1000, no for 205 rows of 20."""
     return rows <= 12 + n // 64
 

@@ -366,20 +366,22 @@ class QuadraticObjective:
 class AfwResult:
     """An away-steps Frank-Wolfe solve: the iterate ``p``, its Frank-Wolfe
     ``gap``, the ``iterations`` taken, whether the gap reached the tolerance
-    (``converged``), and the ``active`` vertex weights for a warm start."""
+    (``converged``), and the ``active`` set for a warm start: the (m, k)
+    index array of its vertices, in the order they entered, and their (m,)
+    weights."""
 
     p: np.ndarray
     gap: float
     iterations: int
     converged: bool
-    active: dict = field(default_factory=dict)
+    active: tuple[np.ndarray, np.ndarray]
 
 
 def afw_minimize(
     obj: QuadraticObjective,
     eps: float,
     max_iters: int,
-    active: dict | None = None,
+    active: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> AfwResult:
     """Away-steps Frank-Wolfe over the capped simplex.
 
@@ -390,9 +392,12 @@ def afw_minimize(
     ``max_iters`` iterations; hitting the cap is reported via ``converged``
     rather than raised.
 
-    ``active`` may carry the vertex weights of a previous solve for warm
-    starting; keys are index tuples of the k selected elements.  Without
-    it the solve starts at the vertex minimizing the linear part.
+    The active set is an (m, k) array of vertices (the increasing indices
+    of their k elements) in the order they entered, and their weights.  The
+    away vertex is the first of largest gradient sum, from one gather-sum.
+    ``active`` may carry the (vertices, weights) of a previous solve for
+    warm starting; without it the solve starts at the vertex minimizing the
+    linear part.
     """
     if obj.sigma_total <= 0.0:
         raise ValueError("afw_minimize needs sum of center weights > 0; use lmo for the linear case")
@@ -409,22 +414,18 @@ def afw_minimize(
     def grad(x: np.ndarray) -> np.ndarray:
         return obj.sigma_total * x - drift
 
-    def vert(key: tuple) -> np.ndarray:
-        v = np.zeros(n)
-        v[list(key)] = 1.0
-        return v
-
-    if active:
-        weights = {key: float(w) for key, w in active.items() if w > 0.0}
-        total = sum(weights.values())
-        weights = {key: w / total for key, w in weights.items()}
-        x = np.zeros(n)
-        for key, w in weights.items():
-            x[list(key)] += w
+    x = np.zeros(n)
+    if active is not None and len(active[0]):
+        keys, weights = active
+        keep = weights > 0.0
+        keys, weights = keys[keep], weights[keep]
+        weights = weights / sum(weights.tolist())  # left to right, as Python adds
+        # each coordinate adds its vertices' weights in their order
+        np.add.at(x, keys, weights[:, None])
     else:
-        key = tuple(lmo(-drift, k).nonzero()[0].tolist())
-        weights = {key: 1.0}
-        x = vert(key)
+        keys = lmo(-drift, k).nonzero()[0][None]
+        weights = np.ones(1)
+        x[keys[0]] = 1.0
 
     gap = np.inf
     it = 0
@@ -434,23 +435,20 @@ def afw_minimize(
         d_fw = s - x
         gap = float(-g @ d_fw)
         if gap <= eps:
-            return AfwResult(_refeasibilize(x, k), gap, it - 1, True, weights)
+            return AfwResult(_refeasibilize(x, k), gap, it - 1, True, (keys, weights))
 
-        away_key = max(weights, key=lambda key: float(g[list(key)].sum()))
-        v_away = vert(away_key)
-        d_away = x - v_away
+        away = int(g[keys].sum(axis=1).argmax())
+        d_away = x.copy()
+        d_away[keys[away]] -= 1.0
         away_gap = float(-g @ d_away)
 
         if gap >= away_gap:
             d = d_fw
             gamma_max = 1.0
-            step_key = tuple((s > 0.5).nonzero()[0].tolist())
-            is_fw = True
         else:
             d = d_away
-            a = weights[away_key]
+            a = float(weights[away])
             gamma_max = a / (1.0 - a) if a < 1.0 else np.inf
-            is_fw = False
 
         dd = float(d @ d)
         if dd <= 0.0:
@@ -461,20 +459,25 @@ def afw_minimize(
             break  # stalled at numerical precision
 
         x = x + gamma * d
-        if is_fw:
-            for key in list(weights):
-                weights[key] *= 1.0 - gamma
-            weights[step_key] = weights.get(step_key, 0.0) + gamma
+        if d is d_fw:
+            weights *= 1.0 - gamma
+            step = s.nonzero()[0]
+            hit = (keys == step).all(axis=1)
+            if hit.any():
+                weights[hit] += gamma
+            else:
+                keys = np.vstack([keys, step])
+                weights = np.append(weights, gamma)
         else:
-            for key in list(weights):
-                weights[key] *= 1.0 + gamma
-            weights[away_key] -= gamma
-        weights = {key: w for key, w in weights.items() if w > 1e-15}
+            weights *= 1.0 + gamma
+            weights[away] -= gamma
+        keep = weights > 1e-15
+        keys, weights = keys[keep], weights[keep]
 
     g = grad(x)
     s = lmo(g, k)
     gap = float(-g @ (s - x))
-    return AfwResult(_refeasibilize(x, k), gap, it, gap <= eps, weights)
+    return AfwResult(_refeasibilize(x, k), gap, it, gap <= eps, (keys, weights))
 
 
 def default_afw_budget(horizon: int) -> int:

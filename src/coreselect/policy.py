@@ -11,10 +11,11 @@ quadratic step against a hint) and in the feed (the admissible vector
 itself, an inverse-propensity estimate, or a Bernoulli-gated estimate with
 a per-peek price).
 
-``ScorePolicy`` and ``PricedPolicy`` play a block in one pass over (B, n)
-arrays; the semi-bandit and optimistic policies, whose feed or proposal
-depends on the rounds before, play it one row at a time.  ``RegretLedger``
-keeps the regret accounting as running sums, folded in a block at a time.
+The policies play a block in one pass over (B, n) arrays, except the
+semi-bandit one, whose feed depends on the drawn set and which plays it one
+row at a time; the optimistic proposals, each centered at those before it,
+are the one step made row by row.  ``RegretLedger`` keeps the regret
+accounting as running sums, folded in a block at a time.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import hypersimplex
 from .blocks import row_dots, running_sums
 from .hypersimplex import (
     QuadraticObjective,
@@ -106,16 +108,9 @@ class RoundRecord:
 
 
 class _Policy:
-    """The rounds every policy plays, given its proposal.
-
-    ``theta`` sums what the learner was fed.  A policy whose feed depends on
-    the drawn set or whose proposal depends on the last one plays a block
-    one row at a time, and supplies ``_propose`` (round t's marginals p, a
-    vector on the capped simplex), ``_feed`` (adding what is fed to
-    ``theta``) and ``_update`` (any state beyond ``theta``, in round t); the
-    last two get the round's p.  At k == n every round plays the full set
-    with p all ones, and nothing is proposed or drawn.
-    """
+    """A policy: ``step`` checks a block of rounds and ``_play`` plays it.
+    ``theta`` sums what the learner was fed.  At k == n every round plays
+    the full set with p all ones, and nothing is proposed or drawn."""
 
     # the optimistic proposal is made against the round's hint
     needs_hint = False
@@ -146,38 +141,31 @@ class _Policy:
             raise ValueError(f"{len(G)} rounds need {len(G)} rewards, got {len(f)}")
         return self._play(f, G, H)
 
-    def _play(self, f, G: np.ndarray, H: np.ndarray | None) -> RoundRecord:
-        """The block, one row at a time: propose (against the row's hint),
-        sample, feed the row and update."""
+    def _thetas(self, fed: np.ndarray) -> np.ndarray:
+        """theta before each round of a block and, becoming ``theta``, after
+        it: the (B + 1, n) rows of one running sum of the block's feeds."""
+        theta = np.empty((len(fed) + 1, self.config.n))
+        theta[0] = self.theta
+        theta[1:] = fed
+        running_sums(theta)
+        self.theta = theta[-1]
+        return theta
+
+    def _draw(self, p: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
+        """The (B, k) sets drawn at the proposals ``p`` (with the uniforms
+        ``u`` if drawn already), or the full set in every row at k == n."""
         cfg = self.config
-        p = np.ones(G.shape)
-        selected = np.empty((len(G), cfg.k), dtype=np.intp)
-        for i, g in enumerate(G):
-            h = None if H is None else H[i]
-            t = self.t + i + 1
-            if cfg.k == cfg.n:
-                selected[i] = range(cfg.n)
-            else:
-                p[i] = self._propose(h, t)
-                selected[i] = draw(p[i], cfg.k, self.rng)
-            self._feed(g, p[i], selected[i])
-            self._update(g, p[i], h, t)
-        return self._record(f, G, p, selected, [True] * len(G), np.zeros(len(G)))
+        if cfg.k == cfg.n:
+            return np.broadcast_to(np.arange(cfg.n), p.shape)
+        return draw(p, cfg.k, self.rng, u)
 
-    def _propose(self, hint: np.ndarray | None, t: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def _feed(self, gvec: np.ndarray, p: np.ndarray, selected: np.ndarray) -> None:
-        self.theta += gvec
-
-    def _update(self, fed: np.ndarray, p: np.ndarray, hint: np.ndarray | None,
-                t: int) -> None:
-        pass
-
-    def _record(self, f, G, p, selected, observed, cost) -> RoundRecord:
+    def _record(self, f, G, p, selected, observed=None, cost=None) -> RoundRecord:
         """The block's columns, with its rewards: one gather-sum for a block
-        reward, else one ``value`` call per round."""
+        reward, else one ``value`` call per round.  Every round is observed
+        and free unless ``observed`` and ``cost`` say otherwise."""
         t = range(self.t + 1, self.t + len(G) + 1)
+        if observed is None:
+            observed, cost = [True] * len(G), np.zeros(len(G))
         self.t += len(G)
         if isinstance(f, SetFunction):
             reward, full = f.value(selected), f.full_value()
@@ -197,45 +185,47 @@ class ScorePolicy(_Policy):
     alone gives.
     """
 
-    def _propose(self, hint, t):
-        return entropic_ftrl_argmax(self.theta, self.config.eta, self.config.k)
-
     def _play(self, f, G, H):
         cfg = self.config
         fed, observed, cost, u = self._feed_block(G)
-        theta = np.empty((len(G) + 1, cfg.n))
-        theta[0] = self.theta
-        theta[1:] = fed
-        running_sums(theta)
+        theta = self._thetas(fed)
         if cfg.k == cfg.n:
-            p, selected = np.ones(G.shape), np.broadcast_to(np.arange(cfg.n), G.shape)
+            p = np.ones(G.shape)
         else:
             p = entropic_ftrl_argmax(theta[:-1], cfg.eta, cfg.k)
-            selected = draw(p, cfg.k, self.rng, u)
-        self.theta = theta[-1]
-        return self._record(f, G, p, selected, observed, cost)
+        return self._record(f, G, p, self._draw(p, u), observed, cost)
 
     def _feed_block(self, G):
         """(fed, observed, cost, u) of a block of rounds: what each round
-        feeds, observes and pays, and the uniforms of its Madow draws if
-        the feeds had to draw first (else None)."""
-        return G, [True] * len(G), np.zeros(len(G)), None
+        feeds, observes and pays (None: all, nothing), and the uniforms of
+        its Madow draws if the feeds had to draw first (else None)."""
+        return G, None, None, None
 
 
 class SemiBanditPolicy(ScorePolicy):
     """Score variant that only sees the selected coordinates of the core
     vector and feeds inverse-propensity estimates for them.  The feed
-    depends on the drawn set, so a block is played one row at a time."""
+    depends on the drawn set, so a block is played one row at a time:
+    propose from theta, draw, and feed the row."""
 
-    _play = _Policy._play
-
-    def _feed(self, gvec, p, selected):
-        probs = p[selected]
-        if (probs <= 0.0).any():
-            raise RuntimeError("selected an element with zero inclusion probability")
-        # theta starts at +0.0 and a sum is -0.0 only if both terms are, so
-        # adding 0.0 off the selected coordinates would change no bit
-        self.theta[selected] += gvec[selected] / probs
+    def _play(self, f, G, H):
+        cfg = self.config
+        p = np.ones(G.shape)
+        selected = np.empty((len(G), cfg.k), dtype=np.intp)
+        for i, g in enumerate(G):
+            if cfg.k == cfg.n:
+                selected[i] = range(cfg.n)
+            else:
+                p[i] = entropic_ftrl_argmax(self.theta, cfg.eta, cfg.k)
+                selected[i] = draw(p[i], cfg.k, self.rng)
+            chosen = selected[i]
+            probs = p[i, chosen]
+            if (probs <= 0.0).any():
+                raise RuntimeError("selected an element with zero inclusion probability")
+            # theta starts at +0.0 and a sum is -0.0 only if both terms are, so
+            # adding 0.0 off the selected coordinates would change no bit
+            self.theta[chosen] += g[chosen] / probs
+        return self._record(f, G, p, selected)
 
 
 def priced_epsilon(n: int, k: int, T: int, G: float, cost: float) -> float:
@@ -316,6 +306,9 @@ class OftrlPolicy(_Policy):
     Frank-Wolfe to the tuned tolerance, warm-started from the previous
     round's active set.  While no hint error has been seen the objective is
     linear and the proposal is the plain top-k vertex.
+
+    A block is played in one pass, as the score policy plays it, except
+    that the proposals and the regularizer schedule go row by row.
     """
 
     needs_hint = True
@@ -329,7 +322,7 @@ class OftrlPolicy(_Policy):
         self.sigma_scale = 1.0 / config.k if sigma_scale is None else float(sigma_scale)
         self.afw_budget = default_afw_budget(config.T)
         self.state = OftrlState(weighted_center=np.zeros(config.n))
-        self._afw_active: dict | None = None
+        self._afw_active: tuple[np.ndarray, np.ndarray] | None = None
 
     def _objective(self, hvec: np.ndarray) -> QuadraticObjective | None:
         """What the proposal against the hint ``hvec`` minimizes, or None
@@ -343,30 +336,50 @@ class OftrlPolicy(_Policy):
             linear=self.theta + hvec,
         )
 
-    def _propose(self, hvec: np.ndarray | None, t: int) -> np.ndarray:
-        obj = self._objective(hvec)
-        if obj is None:
-            self._afw_active = None
-            return lmo(-(self.theta + hvec), self.config.k)
-        if self.mode == "exact":
-            try:
-                return obj.exact_minimizer()
-            except ValueError as exc:
-                # the point projected is the scores over the weight; at a weight
-                # near 1e-160 rounding leaves the projection no feasible point
-                raise ValueError(
-                    f"round {t}: the exact proposal failed at regularizer weight "
-                    f"{obj.sigma_total:.3g} (policy sigma {self.sigma_scale:g} times "
-                    f"the hint errors, which hints noise_l2 sets): {exc}") from exc
-        res = afw_minimize(obj, eps=self.state.eps, max_iters=self.afw_budget,
-                           active=self._afw_active)
-        self._afw_active = res.active
-        return res.p
+    def _play(self, f, G, H):
+        cfg = self.config
+        theta = self._thetas(G)
+        # one round's ((g - h) ** 2).sum() is its row's sum here, bit for bit
+        deltas = ((G - H) ** 2).sum(axis=1).tolist()
+        p = np.ones(G.shape)
+        for i, delta in enumerate(deltas):
+            t = self.t + i + 1
+            if cfg.k < cfg.n:
+                self.theta = theta[i]
+                p[i] = self._propose(H[i], t)
+            self._update(delta, p[i], t)
+        self.theta = theta[-1]
+        return self._record(f, G, p, self._draw(p))
 
-    def _update(self, fvec, p, hvec, t):
+    def _propose(self, hvec: np.ndarray, t: int) -> np.ndarray:
+        """Round t's proposal against the hint ``hvec``."""
+        st, k = self.state, self.config.k
+        if st.sigma_sum <= 0.0:
+            self._afw_active = None
+            return lmo(-(self.theta + hvec), k)
+        if self.mode == "afw":
+            res = afw_minimize(self._objective(hvec), eps=st.eps,
+                               max_iters=self.afw_budget, active=self._afw_active)
+            self._afw_active = res.active
+            return res.p
+        # _objective(hvec).exact_minimizer(), with its bits and no objective
+        s = st.sigma_sum
+        y = (self.theta + hvec + (0.0 + s * (st.weighted_center / s))) / s
+        try:  # looked up on the module, where perfbench/spans.py wraps it
+            return hypersimplex.euclidean_project(y, k)
+        except ValueError as exc:
+            # the point projected is the scores over the weight; at a weight
+            # near 1e-160 rounding leaves the projection no feasible point
+            raise ValueError(
+                f"round {t}: the exact proposal failed at regularizer weight "
+                f"{s:.3g} (policy sigma {self.sigma_scale:g} times "
+                f"the hint errors, which hints noise_l2 sets): {exc}") from exc
+
+    def _update(self, delta: float, p: np.ndarray, t: int) -> None:
+        """The regularizer schedule after round t, whose proposal was p and
+        whose squared hint error was ``delta``."""
         cfg = self.config
         st = self.state
-        delta = float(((fvec - hvec) ** 2).sum())
         new_sum = st.delta_sum + delta
         if not new_sum < math.inf:
             raise ValueError(f"round {t}: the summed squared hint errors "

@@ -161,11 +161,12 @@ def assert_rows_are_rewards(blocks, want):
 
 
 @pytest.mark.parametrize("n, T, phases, jitter", [
-    (1, 4100, 3, 0.25),  # blocks of 4096 rounds; phases of 1367
+    (1, 4100, 3, 0.25),  # blocks of 204 rounds; phases of 1367
     (1, 300, 7, 1e6),  # about half the rounds clamp to norm 0 and play the base
     (20, 450, 7, 0.25),  # blocks of 204 rounds; phases of 65
     (20, 450, 1, 0.25),
-    (1000, 11, 4, 0.25),  # blocks of 4 rounds; phases of 3
+    (1000, 11, 4, 0.25),  # one block of 11 rounds; phases of 3
+    (1000, 40, 3, 0.25),  # blocks of 16, 16 and 8 rounds; phases of 14
 ])
 def test_modular_blocks_match_the_rounds_written_out(n, T, phases, jitter):
     got = list(make_modular_random_adversary(n, G=1.3).rounds(

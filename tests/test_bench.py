@@ -27,7 +27,7 @@ from coreselect.bench import (
 )
 from coreselect.cli import main
 from coreselect.hypersimplex import euclidean_project
-from coreselect.blocks import PLAN_CELLS
+from coreselect.blocks import block_rounds
 from coreselect.policy import ScorePolicy
 from coreselect.verify import CheckResult, verify_all
 
@@ -125,10 +125,12 @@ def test_failing_core_strategy_names_the_round(policy, monkeypatch):
 
         return core_strategy
 
-    # a reward of one round per call, and a modular block reward of two
+    # a reward of one round per call, and a modular block reward of B
     # rounds (n = 2000) per call
+    B = block_rounds(2000)
     cases = [("coverage-drift", 6, fail_at, f"round {fail_at}") for fail_at in (1, 3)]
-    cases += [("modular-random", 2000, 1, "rounds 1-2"), ("modular-random", 2000, 3, "rounds 5-6")]
+    cases += [("modular-random", 2000, fail_at,
+               f"rounds {(fail_at - 1) * B + 1}-{fail_at * B}") for fail_at in (1, 3)]
     for adversary, n, fail_at, where in cases:
         cfg = ExperimentConfig.from_dict(base_config(policy=policy, n=n,
                                                      adversary={"kind": adversary}))
@@ -163,7 +165,7 @@ def test_core_strategy_failing_mid_block_plays_none_of_it(
     # coverage rewards come one per round, so a block can fail midway
     cfg = ExperimentConfig.from_dict(base_config(
         policy=policy, replicas=1, adversary={"kind": "coverage-drift"}))
-    assert cfg.T <= PLAN_CELLS // cfg.n  # round 7 lies inside the first block
+    assert cfg.T <= block_rounds(cfg.n)  # round 7 lies inside the first block
     with pytest.raises(RuntimeError, match="core strategy failed on round 7: 'boom'"):
         run_experiment(cfg, out_dir=tmp_path)
     # the error ends the run before rounds 1-6, its block's, are played
@@ -421,6 +423,10 @@ def test_cli_run_names_bad_adversary_values(adversary, message, tmp_path, capsys
     pytest.param(base_config(T=3, replicas=1,
                              adversary={"kind": "coverage-drift", "universe": 10**22}),
                  "universe must be <= 9223372036854775807", id="universe"),
+    pytest.param(base_config(T=10**19, replicas=1, adversary={"kind": "onehot-ensemble"}),
+                 "T must be <= 9223372036854775807", id="T-onehot"),
+    pytest.param(base_config(T=3, replicas=10**22),
+                 "replicas must be <= 9223372036854775807", id="replicas"),
 ])
 def test_cli_run_names_sizes_no_array_can_hold(config, message, tmp_path, capsys):
     # sizes an array can hold but memory cannot (n = 10**11 asks for about

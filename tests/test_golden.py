@@ -33,12 +33,13 @@ CONFIGS = {
                              "policy": {"kind": kind}, "adversary": {"kind": adv}}
        for kind, adv in (("score", "modular-drift"), ("priced", "modular-random"),
                          ("semibandit", "modular-random"))},
-    # blocks of 4, 4 and 1 rounds at n=1000
+    # one block of 9 rounds at n=1000
     "oftrl-exact-modular-random-n1000": {
         **BASE, "n": 1000, "k": 50, "T": 9, "replicas": 1,
         "policy": {"kind": "oftrl", "mode": "exact"},
         "adversary": {"kind": "modular-random"}, "hints": NOISY},
-    # ten blocks of 4 rounds at PLAN_CELLS = 4096; 16, 16 and 8 at 16384
+    # blocks of 16, 16 and 8 rounds at n=1000 (ten of 4 when blocks held
+    # at most 4096 cells)
     "oftrl-exact-modular-random-n1000-T40": {
         **BASE, "n": 1000, "k": 50, "T": 40, "replicas": 1,
         "policy": {"kind": "oftrl", "mode": "exact"},
@@ -52,7 +53,7 @@ CONFIGS = {
     "score-matching-random-n20": {
         **BASE, "n": 20, "k": 10, "T": 450, "replicas": 1,
         "policy": {"kind": "score"}, "adversary": {"kind": "matching-random"}},
-    # a universe of 80 items, past one 64-bit word; blocks of 102 rounds
+    # a universe of 80 items, past one 64-bit word; blocks of 204 rounds
     # cross drift phases of 25
     **{f"{kind}-coverage-drift-n40": {**BASE, "n": 40, "k": 8, "T": 250, "replicas": 1,
                                       "policy": {"kind": kind},

@@ -548,6 +548,129 @@ def test_afw_iteration_cap_flags_not_raises():
     validate_point(res.p, k, 1e-9)
 
 
+def afw_dict_reference(obj, eps, max_iters, active=None):
+    """Away-steps Frank-Wolfe written out with the active set as a dict from
+    index tuples to weights, scored through a Python ``max``: returns
+    (p, gap, iterations, converged, weights)."""
+    n, k = obj.n, obj.k
+    shift = float(np.mean(obj.weighted_center + obj.linear))
+    drift = obj.weighted_center + obj.linear - shift
+
+    def grad(x):
+        return obj.sigma_total * x - drift
+
+    def vert(key):
+        v = np.zeros(n)
+        v[list(key)] = 1.0
+        return v
+
+    if active:
+        weights = {key: float(w) for key, w in active.items() if w > 0.0}
+        total = sum(weights.values())
+        weights = {key: w / total for key, w in weights.items()}
+        x = np.zeros(n)
+        for key, w in weights.items():
+            x[list(key)] += w
+    else:
+        key = tuple(lmo(-drift, k).nonzero()[0].tolist())
+        weights = {key: 1.0}
+        x = vert(key)
+
+    gap = np.inf
+    it = 0
+    for it in range(1, max_iters + 1):
+        g = grad(x)
+        s = lmo(g, k)
+        d_fw = s - x
+        gap = float(-g @ d_fw)
+        if gap <= eps:
+            return _refeasibilize(x, k), gap, it - 1, True, weights
+
+        away_key = max(weights, key=lambda key: float(g[list(key)].sum()))
+        v_away = vert(away_key)
+        d_away = x - v_away
+        away_gap = float(-g @ d_away)
+
+        if gap >= away_gap:
+            d = d_fw
+            gamma_max = 1.0
+            step_key = tuple((s > 0.5).nonzero()[0].tolist())
+            is_fw = True
+        else:
+            d = d_away
+            a = weights[away_key]
+            gamma_max = a / (1.0 - a) if a < 1.0 else np.inf
+            is_fw = False
+
+        dd = float(d @ d)
+        if dd <= 0.0:
+            break
+        gamma = float(-(g @ d) / (obj.sigma_total * dd))
+        gamma = min(max(gamma, 0.0), gamma_max)
+        if gamma <= 0.0 or not np.isfinite(gamma):
+            break
+
+        x = x + gamma * d
+        if is_fw:
+            for key in list(weights):
+                weights[key] *= 1.0 - gamma
+            weights[step_key] = weights.get(step_key, 0.0) + gamma
+        else:
+            for key in list(weights):
+                weights[key] *= 1.0 + gamma
+            weights[away_key] -= gamma
+        weights = {key: w for key, w in weights.items() if w > 1e-15}
+
+    g = grad(x)
+    s = lmo(g, k)
+    gap = float(-g @ (s - x))
+    return _refeasibilize(x, k), gap, it, gap <= eps, weights
+
+
+@pytest.mark.parametrize("n, k", [(12, 4), (20, 9), (30, 12)])
+def test_afw_matches_the_dict_active_set_bit_for_bit(n, k):
+    # a run of warm-started solves, as the optimistic policy makes them: the
+    # regularizer weight grows and its center moves with each solution.
+    # The optima lie inside the polytope, so the active sets grow past 20
+    # vertices; k >= 9 sums the away scores pairwise
+    def solve(obj, eps, max_iters, active, ref_active):
+        res = afw_minimize(obj, eps, max_iters, active)
+        p, gap, iterations, converged, weights = afw_dict_reference(
+            obj, eps, max_iters, ref_active)
+        assert res.p.tobytes() == p.tobytes()
+        assert (res.gap, res.iterations, res.converged) == (gap, iterations, converged)
+        keys, w = res.active
+        assert [tuple(key) for key in keys.tolist()] == list(weights)
+        assert w.tolist() == list(weights.values())
+        return res, weights
+
+    rng = np.random.default_rng(n)
+    sigma, center = 0.5, _random_point(n, k, rng)
+    linear = rng.standard_normal(n)
+    active = ref_active = None
+    grown = capped = 0
+    for i in range(70):
+        if i % 10 == 0:  # a cold start, so that no active set grows past hundreds
+            active = ref_active = None
+        obj = QuadraticObjective(n, k, [(sigma, center)], linear)
+        # every tenth tolerance is out of reach, so the solve hits its cap
+        eps = 1e-300 if i % 10 == 9 else 10.0 ** -rng.integers(4, 12)
+        max_iters = int(rng.choice([5, 40, 120]))
+        res, ref_active = solve(obj, eps, max_iters, active, ref_active)
+        active = res.active
+        grown += len(ref_active) > 20
+        capped += res.iterations == max_iters and not res.converged
+        sigma += float(rng.uniform(0.0, 0.3))
+        center = (center + res.p) / 2.0
+        linear = 0.3 * rng.standard_normal(n)  # small: optima stay inside
+    assert capped and grown
+    # at a weight near the float limit sigma * ||d||^2 overflows, the step
+    # rounds to 0 and the solve stalls in its first iteration
+    obj = QuadraticObjective(n, k, [(1e308 / k, np.full(n, k / n))], linear)
+    res, _ = solve(obj, 1e-9, 50, None, None)
+    assert res.iterations == 1 and not res.converged
+
+
 def test_quadratic_objective_rejects_negative_weights():
     with pytest.raises(ValueError):
         QuadraticObjective(3, 1, [(-0.5, np.zeros(3))], np.zeros(3))

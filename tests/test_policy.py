@@ -490,9 +490,15 @@ def test_step_rejects_what_is_not_a_block(kind):
 
 
 def test_block_rounds_hold_at_most_plan_cells():
-    assert block_rounds(2000) == PLAN_CELLS // 2000 == 2
-    assert block_rounds(20) == 204
-    assert block_rounds(5000) == 1
+    assert block_rounds(1000) == PLAN_CELLS // 1000 == 16
+    assert block_rounds(2000) == PLAN_CELLS // 2000 == 8
+    assert block_rounds(20000) == 1
+    # and at most 204 rounds, which n = 80 reaches
+    assert block_rounds(80) == PLAN_CELLS // 80 == 204
+    assert block_rounds(81) == PLAN_CELLS // 81 == 202
+    assert block_rounds(20) == block_rounds(1) == 204
+    assert all(1 <= block_rounds(n) and block_rounds(n) * n <= max(n, PLAN_CELLS)
+               for n in range(1, 40000, 7))
 
 
 # ---------------------------------------------------------------------------
