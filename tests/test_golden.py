@@ -66,6 +66,21 @@ CONFIGS = {
     "oftrl-exact-coverage-drift-kn": {
         **BASE, "k": 6, "policy": {"kind": "oftrl", "mode": "exact"},
         "adversary": {"kind": "coverage-drift"}, "hints": NOISY},
+    # one phase of 450 rounds, longer than a block of 204: its reward is
+    # revealed in runs of 204, 204 and 42 rounds
+    "score-matching-random-long-phase": {
+        **BASE, "n": 20, "k": 10, "T": 450, "replicas": 1,
+        "policy": {"kind": "score"},
+        "adversary": {"kind": "matching-random", "phases": 1}},
+    "semibandit-coverage-drift-long-phase": {
+        **BASE, "n": 20, "k": 5, "T": 450, "replicas": 1,
+        "policy": {"kind": "semibandit"},
+        "adversary": {"kind": "coverage-drift", "phases": 1}},
+    # and the hints' squared sup-distances, logged across the runs
+    "oftrl-exact-coverage-drift-long-phase": {
+        **BASE, "n": 12, "k": 4, "T": 450, "replicas": 1,
+        "policy": {"kind": "oftrl", "mode": "exact"},
+        "adversary": {"kind": "coverage-drift", "phases": 1}, "hints": NOISY},
 }
 
 
