@@ -5,11 +5,11 @@ value bound M, the proxy-vector norm bound G, and the admissibility level
 alpha it promises, so the harness can check the theory bounds against what
 was actually emitted.
 
-The modular generators, one-hot included, yield one reward per block of up
-to ``block_rounds(n)`` rounds: a ``ModularFunction`` whose (B, n)
-coefficient rows are the rounds' rewards, drawn with one generator call, the
-stream and bits of one round at a time.  Coverage and matching yield one
-reward per round.
+Every generator yields ``(f, b)`` runs: one reward f for the next b rounds,
+b at most ``block_rounds(n)``, never crossing a phase.  A modular run's f is
+a ``ModularFunction`` of (b, n) coefficient rows, drawn with one generator
+call, the stream and bits of one round at a time; a coverage or matching
+phase's reward comes once per run of it.
 """
 
 from __future__ import annotations
@@ -79,17 +79,17 @@ class Adversary:
     _make_rounds: object
     _make_strategy: object
 
-    def rounds(self, T: int, rng: np.random.Generator) -> Iterator[SetFunction]:
-        """The T rounds' rewards in order: one per round, or for the modular
-        kinds one ``ModularFunction`` per block of rounds, its rows."""
+    def rounds(self, T: int, rng: np.random.Generator
+               ) -> Iterator[tuple[SetFunction, int]]:
+        """The T rounds' rewards in order, as ``(f, b)`` runs: f is the
+        reward of the next b rounds, whose ``value`` takes their (b, k)
+        sets."""
         return self._make_rounds(T, rng)
 
     def core_strategy(self, rng: np.random.Generator):
+        """The callable ``(f, b) -> G`` that gives a run's proxy vectors
+        as (b, n) rows."""
         return self._make_strategy(rng)
-
-
-def _phase_length(T: int, phases: int) -> int:
-    return max(1, int(np.ceil(T / phases)))
 
 
 def _modular_rows(b: int, n: int, G: float, rng: np.random.Generator) -> np.ndarray:
@@ -117,12 +117,15 @@ def _rescaled_rows(w: np.ndarray, G: float, fallback: np.ndarray) -> np.ndarray:
     return out
 
 
-def _blocks(start: int, stop: int, n: int) -> Iterator[int]:
-    """The lengths of consecutive blocks of at most ``block_rounds(n)`` rounds
-    covering rounds start..stop-1."""
-    size = block_rounds(n)
-    for first in range(start, stop, size):
-        yield min(size, stop - first)
+def _blocks(T: int, n: int, phases: int = 1) -> Iterator[tuple[int, bool]]:
+    """(b, new) for consecutive blocks of b rounds covering T rounds: at
+    most ``block_rounds(n)`` rounds each, cut where each of the phases of
+    ceil(T / phases) rounds starts; ``new`` says a phase starts with it."""
+    plen, size = max(1, int(np.ceil(T / phases))), block_rounds(n)
+    for start in range(0, T, plen):
+        stop = min(start + plen, T)
+        for first in range(start, stop, size):
+            yield min(size, stop - first), first == start
 
 
 def make_onehot_adversary(n: int) -> Adversary:
@@ -134,11 +137,11 @@ def make_onehot_adversary(n: int) -> Adversary:
     def rounds(T, rng):
         hot = rng.integers(0, n, size=T)
         first = 0
-        for b in _blocks(0, T, n):
+        for b, _ in _blocks(T, n):
             w = np.zeros((b, n))
             w[np.arange(b), hot[first:first + b]] = 1.0
             first += b
-            yield ModularFunction(w)
+            yield ModularFunction(w), b
 
     return Adversary("onehot-ensemble", n, alpha=1.0, M=1.0, G=1.0,
                      _make_rounds=rounds, _make_strategy=lambda rng: modular_strategy())
@@ -149,8 +152,8 @@ def make_modular_random_adversary(n: int, G: float = 1.0) -> Adversary:
     drawn a block of rounds at a time; one reward per block."""
 
     def rounds(T, rng):
-        for b in _blocks(0, T, n):
-            yield ModularFunction(_modular_rows(b, n, G, rng))
+        for b, _ in _blocks(T, n):
+            yield ModularFunction(_modular_rows(b, n, G, rng)), b
 
     # each coordinate is at most G, and the sum is at most sqrt(n) * G
     return Adversary("modular-random", n, alpha=1.0, M=float(np.sqrt(n)) * G, G=G,
@@ -170,13 +173,12 @@ def make_modular_drift_adversary(n: int, G: float = 1.0,
     ``rng.standard_normal(n)``, and is one reward."""
 
     def rounds(T, rng):
-        plen = _phase_length(T, phases)
-        for start in range(0, T, plen):
-            base = _modular_rows(1, n, G, rng)[0]
-            for b in _blocks(start, min(start + plen, T), n):
-                w = np.maximum(base + jitter * G * rng.standard_normal((b, n)) / np.sqrt(n),
-                               0.0)
-                yield ModularFunction(_rescaled_rows(w, G, base))
+        for b, new in _blocks(T, n, phases):
+            if new:
+                base = _modular_rows(1, n, G, rng)[0]
+            w = np.maximum(base + jitter * G * rng.standard_normal((b, n)) / np.sqrt(n),
+                           0.0)
+            yield ModularFunction(_rescaled_rows(w, G, base)), b
 
     return Adversary("modular-drift", n, alpha=1.0, M=float(np.sqrt(n)) * G, G=G,
                      _make_rounds=rounds, _make_strategy=lambda rng: modular_strategy())
@@ -210,12 +212,10 @@ def make_coverage_drift_adversary(n: int, universe: int | None = None,
     universe = 2 * n if universe is None else universe
 
     def rounds(T, rng):
-        plen = _phase_length(T, phases)
-        cur = random_coverage(n, universe, rng, density)
-        for t in range(T):
-            if t > 0 and t % plen == 0:
-                cur = random_coverage(n, universe, rng, density)
-            yield cur
+        for b, new in _blocks(T, n, phases):
+            if new:
+                f = random_coverage(n, universe, rng, density)
+            yield f, b
 
     return Adversary("coverage-drift", n, alpha=1.0, M=1.0, G=1.0,
                      _make_rounds=rounds,
@@ -233,12 +233,10 @@ def make_matching_random_adversary(m: int, w_max: float = 1.0,
     n = 2 * m
 
     def rounds(T, rng):
-        plen = _phase_length(T, phases)
-        cur = MatchingRewardFunction(w_max * rng.random((m, m)))
-        for t in range(T):
-            if t > 0 and t % plen == 0:
-                cur = MatchingRewardFunction(w_max * rng.random((m, m)))
-            yield cur
+        for b, new in _blocks(T, n, phases):
+            if new:
+                f = MatchingRewardFunction(w_max * rng.random((m, m)))
+            yield f, b
 
     return Adversary("matching-random", n, alpha=1.0, M=float(m) * w_max,
                      G=float(n) * w_max / float(np.sqrt(2.0)),

@@ -1,12 +1,12 @@
 """Experiment harness: config parsing, replicated runs, CSV output and sweeps.
 
-Every policy kind runs through one replica loop.  It reveals rewards and
-their proxy vectors a block of up to ``block_rounds(n)`` rounds at a time
-(a modular adversary's block reward, or that many rewards of one round
-each), plays the block with one ``step``, and folds the block's columns
-into a ``RegretLedger`` and, when an output directory is set, into the
-replica's CSV, so no block outlives its rows.  The CSV layout per replica
-is one row per round::
+Every policy kind runs through one replica loop.  It packs the adversary's
+``(reward, rounds)`` runs into blocks of up to ``block_rounds(n)`` rounds,
+plays each block with one ``step``, which sees only the runs' proxy vectors
+(and hints), values the drawn sets of each run with one ``value`` call, and
+folds the block into a ``RegretLedger`` and, when an output directory is
+set, into the replica's CSV, so no block outlives its rows.  The CSV layout
+per replica is one row per round::
 
     round,reward,full_reward,cum_reward,cum_benchmark,aug_regret,static_regret,observed,cum_cost
 
@@ -230,71 +230,75 @@ def _make_policy(cfg: ExperimentConfig, score_cfg: ScoreConfig,
     return PricedPolicy(score_cfg, rng, cost=pol.cost, epsilon=eps)
 
 
-def _core_vectors(core_strategy, f: SetFunction, first: int, last: int) -> np.ndarray:
-    """The strategy's proxy vector for f, which is the reward of rounds
-    first..last (a modular block reward's vectors are its rows); a failure
-    names the rounds."""
-    try:
-        return core_strategy(f).g
-    except Exception as exc:
-        where = f"round {first}" if first == last else f"rounds {first}-{last}"
-        raise RuntimeError(f"core strategy failed on {where}: {exc}") from exc
-
-
-def _reward_blocks(rounds: Iterator[SetFunction], size: int
-                   ) -> Iterator[SetFunction | list[SetFunction]]:
-    """The rewards a block at a time: a modular block reward as it comes,
-    and rewards of one round each in lists of up to ``size``."""
-    for f in rounds:
-        if isinstance(f, ModularFunction) and f.w.ndim == 2:
-            yield f
-        else:
-            yield [f, *itertools.islice(rounds, size - 1)]
+def _reward_blocks(runs: Iterator[tuple[SetFunction, int]], size: int
+                   ) -> Iterator[list[tuple[SetFunction, slice]]]:
+    """Consecutive ``(f, b)`` runs packed into blocks of at most ``size``
+    rounds: each block a list of ``(f, rows)``, where ``rows`` is the slice
+    of the block's rounds that are f's."""
+    block, stop = [], 0
+    for f, b in runs:
+        if block and stop + b > size:
+            yield block
+            block, stop = [], 0
+        block.append((f, slice(stop, stop + b)))
+        stop += b
+    if block:
+        yield block
 
 
 def _replica_blocks(cfg: ExperimentConfig, policy: ScorePolicy | OftrlPolicy,
-                    adv: Adversary, rngs: dict,
-                    result: ReplicaResult) -> Iterator[RoundRecord]:
-    """The record of each block of rounds, played after its rewards are
-    revealed.
+                    adv: Adversary, rngs: dict, result: ReplicaResult
+                    ) -> Iterator[tuple[RoundRecord, np.ndarray, np.ndarray]]:
+    """Each block of the adversary's runs, played after its rewards are
+    revealed: its record, and each round's reward and full-set reward.
 
-    A block is a modular block reward, or up to ``block_rounds(n)`` rewards
-    of one round each.  Its proxy vectors come from the adversary's core
-    strategy, one call for a block reward and one per round otherwise, and
-    the policy plays the block with one ``step``.  A core strategy that
-    fails on a reward ends the run with an error naming its rounds, before
-    any round of its block is played.  The optimistic policy also gets a
-    hint made from each vector, a block's hints in one call; rewards on at
-    most 16 elements then log the hint's squared sup-distance for the
-    optimistic bound.
+    A run's proxy vectors come from one core-strategy call (a failing one
+    ends the replica, naming the run's rounds, before its block is played),
+    and its rewards from one ``value`` call on its (b, k) sets after the
+    block's ``step``.  The optimistic policy also gets a block's hints in one
+    call; rewards on at most 16 elements then log their squared
+    sup-distances for the optimistic bound.
     """
     strategy = adv.core_strategy(rngs["strategy"])
     spec = None
     if cfg.policy.kind == "oftrl":
         spec = cfg.hints if cfg.hints is not None else HintSpec("perfect")
         result.sq_distances = [] if cfg.n <= 16 else None
-    for f in _reward_blocks(adv.rounds(cfg.T, rngs["adversary"]), block_rounds(cfg.n)):
+    for block in _reward_blocks(adv.rounds(cfg.T, rngs["adversary"]), block_rounds(cfg.n)):
         t = policy.t  # the rounds played so far
-        if isinstance(f, list):
-            G = np.empty((len(f), cfg.n))
-            for i, fi in enumerate(f):
-                G[i] = _core_vectors(strategy, fi, t + i + 1, t + i + 1)
-        else:
-            G = _core_vectors(strategy, f, t + 1, t + len(f.w))
+        B = block[-1][1].stop
+        G = np.empty((B, cfg.n))
+        for f, rows in block:
+            try:
+                G[rows] = strategy(f, rows.stop - rows.start)
+            except Exception as exc:
+                first, last = t + rows.start + 1, t + rows.stop
+                where = f"round {first}" if first == last else f"rounds {first}-{last}"
+                raise RuntimeError(f"core strategy failed on {where}: {exc}") from exc
         hints = None if spec is None else generate_hints(G, spec, rngs["hints"])
-        if result.sq_distances is not None:
-            _log_sq_distances(result, f, hints, t)
-        yield policy.step(f, G, hints)
+        for f, rows in block:
+            if result.sq_distances is not None:
+                _log_sq_distances(result, f, hints[rows], t + rows.start)
+        record = policy.step(G, hints)
+        reward, full = np.empty(B), np.empty(B)
+        for f, rows in block:
+            reward[rows] = f.value(record.selected[rows])
+            full[rows] = f.full_value()
+        yield record, reward, full
 
 
-def _log_sq_distances(result: ReplicaResult, f, hints: np.ndarray, t: int) -> None:
-    """Append each round's squared sup-distance from its reward to its hint
-    (each hint a function of its own, let go once measured), or stop
-    logging for rewards that have no such distance.  ``t`` rounds came
-    before the block; a square past the float range is an error naming its
-    round."""
-    fs = [ModularFunction(w) for w in f.w] if isinstance(f, ModularFunction) else f
-    if not all(isinstance(fi, (ModularFunction, CoverageFunction)) for fi in fs):
+def _log_sq_distances(result: ReplicaResult, f: SetFunction, hints: np.ndarray,
+                      t: int) -> None:
+    """Append the squared sup-distance of each round of a run from its
+    reward f to its hint, a row of ``hints`` (each hint a function of its
+    own, let go once measured), or stop logging for rewards that have no
+    such distance.  ``t`` rounds came before the run; a square past the
+    float range is an error naming its round."""
+    if isinstance(f, ModularFunction):  # a run's rewards are its rows
+        fs = [ModularFunction(w) for w in f.w]
+    elif isinstance(f, CoverageFunction):
+        fs = itertools.repeat(f)
+    else:
         result.sq_distances = None
         return
     for t, (fi, h) in enumerate(zip(fs, hints), t + 1):
@@ -323,7 +327,7 @@ def run_replica(cfg: ExperimentConfig, replica: int,
     blocks = _replica_blocks(cfg, policy, adv, rngs, result)
     if out_dir is None:
         for block in blocks:
-            result.ledger.fold(block)
+            result.ledger.fold(*block)
     else:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -367,20 +371,21 @@ def _fmt(x: float) -> str:
 _CSV_ROW = "%d,%r,%r,%r,%r,%r,%r,%d,%r\n"
 
 
-def write_replica_csv(path: Path, blocks: Iterable[RoundRecord],
+def write_replica_csv(path: Path, blocks: Iterable[tuple[RoundRecord, np.ndarray, np.ndarray]],
                       ledger: RegretLedger) -> None:
-    """Fold each block of rounds into the ledger and write its rows, with
-    one ``write``, as the block ends, reading the block's columns as they
-    are.  Every float is the ``repr`` of a Python float from ``tolist``,
-    which is what ``_fmt`` writes.  If a round raises, the partial file is
+    """Fold each block of rounds, its record with its rounds' rewards and
+    full-set rewards, into the ledger and write its rows, with one
+    ``write``, as the block ends, reading the block's columns as they are.
+    Every float is the ``repr`` of a Python float from ``tolist``, which is
+    what ``_fmt`` writes.  If a round raises, the partial file is
     removed."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(CSV_HEADER + "\n")
-            for block in blocks:
-                rows = ledger.fold(block)
+            for block, reward, full in blocks:
+                rows = ledger.fold(block, reward, full)
                 fh.write("".join([_CSV_ROW % row for row in zip(
-                    block.t, block.reward.tolist(), block.full_reward.tolist(),
+                    block.t, reward.tolist(), full.tolist(),
                     rows.cum_reward.tolist(), rows.benchmark().tolist(),
                     rows.aug_regret().tolist(), rows.static_regret().tolist(),
                     block.observed, rows.cum_cost.tolist())]))

@@ -1,8 +1,8 @@
 """Blocks of rounds: their size, and the row-wise sums and dots that work on
 them with the bits of one round at a time.
 
-The modular adversaries draw, the policies play and the harness reveals and
-accounts rounds a block at a time; every block has at most
+The adversaries yield runs, the policies play and the harness reveals and
+accounts rounds a block at a time; every run and block has at most
 ``block_rounds(n)`` rounds, so its (B, n) arrays hold at most ``PLAN_CELLS``
 entries.  The output bytes do not depend on the block size.
 """

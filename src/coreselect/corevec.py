@@ -294,52 +294,46 @@ def avg_submodular_shapley_check(f: SetFunction, tol: float = DEFAULT_TOL) -> bo
 
 
 # ---------------------------------------------------------------------------
-# Strategies: callables f -> AdmissibleVector for the online policies.
+# Strategies: callables (f, b) -> the (b, n) proxy vectors of a run of b
+# rounds whose reward is f, for the online policies.
 
 def modular_strategy():
-    """For modular rewards the coefficient vector is the exact 1-core choice."""
+    """For modular rewards the coefficient vector is the exact 1-core
+    choice: a run's vectors are its reward's (b, n) coefficient rows."""
 
-    def strategy(f: SetFunction) -> AdmissibleVector:
+    def strategy(f: SetFunction, b: int) -> np.ndarray:
         if not isinstance(f, ModularFunction):
             raise TypeError("modular_strategy needs ModularFunction rewards")
-        return AdmissibleVector(f.w, 1.0)
+        return f.w
 
     return strategy
 
 
 def marginal_strategy(rng: np.random.Generator | None = None):
-    """Greedy marginal vector along a fresh random permutation per round.
+    """Greedy marginal vectors, each along a fresh random permutation: b
+    rows from b ``rng.permutation(n)`` calls, one per round.
 
     A fixed permutation would let an adversary align against it; the identity
     permutation remains available by passing rng=None.
     """
 
-    def strategy(f: SetFunction) -> AdmissibleVector:
-        perm = None if rng is None else rng.permutation(f.n)
-        return marginal_vector(f, perm, submodular=True)
+    def strategy(f: SetFunction, b: int) -> np.ndarray:
+        G = np.empty((b, f.n))
+        for row in G:
+            perm = None if rng is None else rng.permutation(f.n)
+            row[:] = marginal_vector(f, perm, submodular=True).g
+        return G
 
     return strategy
 
 
 def matching_dual_strategy():
-    """Optimal assignment duals of each matching reward.
+    """Optimal assignment duals of a matching reward, solved once per run
+    and repeated as its b rows."""
 
-    Adversaries repeat one reward object across a phase, so the vector of the
-    last object seen is kept (a strong reference, never an ``id``) and solved
-    again only when a different object arrives.  The cached vector is
-    read-only, so no consumer can corrupt it for later rounds.
-    """
-    last_f: SetFunction | None = None
-    last: AdmissibleVector | None = None
-
-    def strategy(f: SetFunction) -> AdmissibleVector:
-        nonlocal last_f, last
-        if f is not last_f:
-            if not isinstance(f, MatchingRewardFunction):
-                raise TypeError("matching_dual_strategy needs MatchingRewardFunction rewards")
-            av = matching_core_vector(f.w)
-            av.g.setflags(write=False)
-            last_f, last = f, av
-        return last
+    def strategy(f: SetFunction, b: int) -> np.ndarray:
+        if not isinstance(f, MatchingRewardFunction):
+            raise TypeError("matching_dual_strategy needs MatchingRewardFunction rewards")
+        return matching_core_vector(f.w).g[None].repeat(b, axis=0)
 
     return strategy

@@ -2,10 +2,10 @@
 
 Every policy plays a block of B rounds per ``step``: draw a Madow sample
 from each round's proposed inclusion probabilities, feed the learner the
-round's proxy vector, which the caller passes in as a row with the
-block's reward, and return the block's columns as one ``RoundRecord``: the
-proposals, the (B, k) drawn sets, the rewards (one gather-sum for a modular
-block reward), what was observed and paid.  The policies differ only in
+round's proxy vector, which the caller passes in as a row, and return the
+block's columns as one ``RoundRecord``: the proposals, the (B, k) drawn
+sets, what was observed and paid.  A policy sees only these vectors, never
+the rewards: the caller values the drawn sets.  The policies differ only in
 the proposal (entropic argmax of the cumulative score, or an optimistic
 quadratic step against a hint) and in the feed (the admissible vector
 itself, an inverse-propensity estimate, or a Bernoulli-gated estimate with
@@ -36,7 +36,6 @@ from .hypersimplex import (
     lmo,
 )
 from .sampling import draw
-from .setfn import SetFunction
 
 
 def norm_bound(alpha: float, value_bound: float) -> float:
@@ -93,15 +92,13 @@ class RoundRecord:
 
     ``t`` is the range of the rounds' numbers, ``p`` the proposals and
     ``gvec`` the proxy vectors as (B, n) rows, ``selected`` the drawn sets
-    as a (B, k) index array, ``reward``, ``full_reward`` and ``cost`` (B,)
-    arrays, and ``observed`` a list of B flags.
+    as a (B, k) index array, ``cost`` a (B,) array, and ``observed`` a list
+    of B flags.
     """
 
     t: range
     p: np.ndarray
     selected: np.ndarray
-    reward: np.ndarray
-    full_reward: np.ndarray
     gvec: np.ndarray
     observed: list[bool]
     cost: np.ndarray
@@ -121,14 +118,12 @@ class _Policy:
         self.theta = np.zeros(config.n)
         self.t = 0
 
-    def step(self, f, G: np.ndarray, H: np.ndarray | None = None) -> RoundRecord:
+    def step(self, G: np.ndarray, H: np.ndarray | None = None) -> RoundRecord:
         """Play a block of B rounds and log it.
 
         ``G`` holds the rounds' proxy vectors as (B, n) rows and ``H`` their
         hints (which the optimistic policy needs) as rows of the same shape.
-        ``f`` is one reward for the whole block, whose ``value`` takes the
-        (B, k) sets (a ``ModularFunction`` of B rows), or the sequence of the
-        B rounds' rewards.  Returns the block's columns.
+        Returns the block's columns.
         """
         if H is None and self.needs_hint:
             raise ValueError("the optimistic policy needs a hint every round")
@@ -137,9 +132,7 @@ class _Policy:
             raise ValueError(f"proxy vectors must be (B, {n}) rows, got shape {G.shape}")
         if H is not None and np.shape(H) != G.shape:
             raise ValueError(f"hints must be of shape {G.shape}, got {np.shape(H)}")
-        if not isinstance(f, SetFunction) and len(f) != len(G):
-            raise ValueError(f"{len(G)} rounds need {len(G)} rewards, got {len(f)}")
-        return self._play(f, G, H)
+        return self._play(G, H)
 
     def _thetas(self, fed: np.ndarray) -> np.ndarray:
         """theta before each round of a block and, becoming ``theta``, after
@@ -159,20 +152,14 @@ class _Policy:
             return np.broadcast_to(np.arange(cfg.n), p.shape)
         return draw(p, cfg.k, self.rng, u)
 
-    def _record(self, f, G, p, selected, observed=None, cost=None) -> RoundRecord:
-        """The block's columns, with its rewards: one gather-sum for a block
-        reward, else one ``value`` call per round.  Every round is observed
-        and free unless ``observed`` and ``cost`` say otherwise."""
+    def _record(self, G, p, selected, observed=None, cost=None) -> RoundRecord:
+        """The block's columns.  Every round is observed and free unless
+        ``observed`` and ``cost`` say otherwise."""
         t = range(self.t + 1, self.t + len(G) + 1)
         if observed is None:
             observed, cost = [True] * len(G), np.zeros(len(G))
         self.t += len(G)
-        if isinstance(f, SetFunction):
-            reward, full = f.value(selected), f.full_value()
-        else:
-            reward = np.array([fi.value(s) for fi, s in zip(f, selected.tolist())])
-            full = np.array([fi.full_value() for fi in f])
-        return RoundRecord(t, p, selected, reward, full, G, observed, cost)
+        return RoundRecord(t, p, selected, G, observed, cost)
 
 
 class ScorePolicy(_Policy):
@@ -185,7 +172,7 @@ class ScorePolicy(_Policy):
     alone gives.
     """
 
-    def _play(self, f, G, H):
+    def _play(self, G, H):
         cfg = self.config
         fed, observed, cost, u = self._feed_block(G)
         theta = self._thetas(fed)
@@ -193,7 +180,7 @@ class ScorePolicy(_Policy):
             p = np.ones(G.shape)
         else:
             p = entropic_ftrl_argmax(theta[:-1], cfg.eta, cfg.k)
-        return self._record(f, G, p, self._draw(p, u), observed, cost)
+        return self._record(G, p, self._draw(p, u), observed, cost)
 
     def _feed_block(self, G):
         """(fed, observed, cost, u) of a block of rounds: what each round
@@ -208,7 +195,7 @@ class SemiBanditPolicy(ScorePolicy):
     depends on the drawn set, so a block is played one row at a time:
     propose from theta, draw, and feed the row."""
 
-    def _play(self, f, G, H):
+    def _play(self, G, H):
         cfg = self.config
         p = np.ones(G.shape)
         selected = np.empty((len(G), cfg.k), dtype=np.intp)
@@ -225,7 +212,7 @@ class SemiBanditPolicy(ScorePolicy):
             # theta starts at +0.0 and a sum is -0.0 only if both terms are, so
             # adding 0.0 off the selected coordinates would change no bit
             self.theta[chosen] += g[chosen] / probs
-        return self._record(f, G, p, selected)
+        return self._record(G, p, selected)
 
 
 def priced_epsilon(n: int, k: int, T: int, G: float, cost: float) -> float:
@@ -336,7 +323,7 @@ class OftrlPolicy(_Policy):
             linear=self.theta + hvec,
         )
 
-    def _play(self, f, G, H):
+    def _play(self, G, H):
         cfg = self.config
         theta = self._thetas(G)
         # one round's ((g - h) ** 2).sum() is its row's sum here, bit for bit
@@ -349,7 +336,7 @@ class OftrlPolicy(_Policy):
                 p[i] = self._propose(H[i], t)
             self._update(delta, p[i], t)
         self.theta = theta[-1]
-        return self._record(f, G, p, self._draw(p))
+        return self._record(G, p, self._draw(p))
 
     def _propose(self, hvec: np.ndarray, t: int) -> np.ndarray:
         """Round t's proposal against the hint ``hvec``."""
@@ -438,7 +425,9 @@ class RegretLedger(_Regrets):
     It keeps running sums only: realized and full-set reward, the price
     paid, the summed proxy vectors and their summed inner products with the
     proposals.  The regrets can be read after any block, and
-    :meth:`fold` gives them after each round of the block.
+    :meth:`fold` gives them after each round of the block.  The rewards
+    come from the caller, who values the drawn sets; the policies never
+    see them.
     """
 
     def __init__(self, n: int, k: int, alpha: float = 1.0):
@@ -447,17 +436,18 @@ class RegretLedger(_Regrets):
         self.cum_reward = self.cum_full = self.cum_cost = self.cum_dot = 0.0
         self.total_g = np.zeros(n)
 
-    def fold(self, r: RoundRecord) -> LedgerRows:
-        """Fold in a block of rounds from its columns, with the bits of
-        adding the rounds one at a time: every sum after every round is a
-        cumulative sum seeded with its value before the block, and each
-        round's ``gvec @ p`` comes from :func:`row_dots`.  Returns the sums
-        after each round."""
+    def fold(self, r: RoundRecord, reward: np.ndarray,
+             full_reward: np.ndarray) -> LedgerRows:
+        """Fold in a block of rounds from its columns and each round's
+        reward and full-set reward, with the bits of adding the rounds one
+        at a time: every sum after every round is a cumulative sum seeded
+        with its value before the block, and each round's ``gvec @ p`` comes
+        from :func:`row_dots`.  Returns the sums after each round."""
         G = r.gvec
         sums = np.empty((len(G) + 1, 4))
         sums[0] = self.cum_reward, self.cum_full, self.cum_cost, self.cum_dot
-        sums[1:, 0] = r.reward
-        sums[1:, 1] = r.full_reward
+        sums[1:, 0] = reward
+        sums[1:, 1] = full_reward
         sums[1:, 2] = r.cost
         sums[1:, 3] = row_dots(G, r.p)
         np.add.accumulate(sums, axis=0, out=sums)  # cumsum, with less overhead

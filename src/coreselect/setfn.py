@@ -1,8 +1,8 @@
 """Set-function oracles: reward families and small-n structural diagnostics.
 
-Public evaluation works on index iterables; the enumeration paths use integer
-bitmasks internally (element i <-> bit i), which keeps exhaustive checks cheap
-for the n <= 20 instances the diagnostics are meant for.
+Public evaluation works on index iterables, or on the (b, k) sets of a run of
+b rounds; the enumeration paths use integer bitmasks internally (element i
+<-> bit i), which keeps exhaustive checks cheap for the diagnostics' n <= 20.
 """
 
 from __future__ import annotations
@@ -111,7 +111,11 @@ class SetFunction:
     def value_mask(self, mask: int) -> float:
         raise NotImplementedError
 
-    def value(self, indices: Iterable[int]) -> float:
+    def value(self, indices: Iterable[int] | np.ndarray) -> float | np.ndarray:
+        """f of one set of indices, or, for a (B, k) index array, the B
+        values of its rows: the rounds of a run of this reward."""
+        if isinstance(indices, np.ndarray) and indices.ndim == 2:
+            return np.array([self.value_mask(mask_of(row)) for row in indices.tolist()])
         return self.value_mask(mask_of(indices))
 
     def full_value(self) -> float:
@@ -285,7 +289,13 @@ class MatchingRewardFunction(SetFunction):
         rows, cols = self.split(indices)
         return len(rows) == len(cols) and len(rows) > 0
 
-    def value(self, indices: Iterable[int]) -> float:
+    def value(self, indices: Iterable[int] | np.ndarray) -> float | np.ndarray:
+        """The value of one set, or of each row of a (B, k) index array."""
+        if isinstance(indices, np.ndarray) and indices.ndim == 2:
+            return np.array([self._value(row) for row in indices.tolist()])
+        return self._value(indices)
+
+    def _value(self, indices: Iterable[int]) -> float:
         rows, cols = self.split(indices)
         if len(rows) != len(cols) or not rows:
             return 0.0
@@ -294,7 +304,7 @@ class MatchingRewardFunction(SetFunction):
         return float(sub[r, c].sum())
 
     def value_mask(self, mask: int) -> float:
-        return self.value(indices_of(mask))
+        return self._value(indices_of(mask))
 
     def balanced_masks(self) -> list[int]:
         """All nonempty balanced subsets, as bitmasks."""

@@ -43,10 +43,11 @@ def report(criterion, passed, detail):
 
 
 def static_regret(n, k, records):
-    """The static regret of the rounds of the records, folded in order."""
+    """The static regret of the rounds of the records, folded in order; it
+    reads no rewards, so they are folded in as zeros."""
     ledger = RegretLedger(n, k)
     for r in records:
-        ledger.fold(r)
+        ledger.fold(r, np.zeros(len(r.t)), np.zeros(len(r.t)))
     return float(ledger.static_regret())
 
 
@@ -108,21 +109,28 @@ def test_criterion_4_optimistic_hint_bound():
     adv = make_coverage_drift_adversary(n)
     results = []
     for noise in (0.0, 0.1, 0.5, 1.0):
-        fs = list(adv.rounds(T, np.random.default_rng(404)))
+        runs = list(adv.rounds(T, np.random.default_rng(404)))
         strategy = adv.core_strategy(np.random.default_rng(405))
-        fvecs = [strategy(f).g for f in fs]
+        fvecs = np.concatenate([strategy(f, b) for f, b in runs])
         hints = generate_hints(fvecs, HintSpec("additive-noise", noise),
                                np.random.default_rng(406))
         cfg = ScoreConfig(n=n, k=k, T=T, alpha=1.0, M=adv.M)
         pol = OftrlPolicy(cfg, np.random.default_rng(407))
-        recs = [pol.step([f], fv[None], h[None]) for f, h, fv in zip(fs, hints, fvecs)]
-        sq = [distance_sup(f, ModularFunction(h)) ** 2 for f, h in zip(fs, hints)]
-        # against E[f(S) | p], summed in round order as the ledger sums rewards
+        # one step per run of rounds that share a reward
         ledger = RegretLedger(n, k)
         expected = 0.0
-        for r, f in zip(recs, fs):
-            ledger.fold(r)
-            expected += expected_set_value(r.p[0], k, f.value)
+        sq = []
+        start = 0
+        for f, b in runs:
+            rows = slice(start, start + b)
+            start += b
+            r = pol.step(fvecs[rows], hints[rows])
+            ledger.fold(r, f.value(r.selected), np.full(b, f.full_value()))
+            sq += [distance_sup(f, ModularFunction(h)) ** 2 for h in hints[rows]]
+            # against E[f(S) | p], summed in round order as the ledger sums
+            # rewards
+            for p in r.p:
+                expected += expected_set_value(p, k, f.value)
         aug = ledger.benchmark() - expected
         rhs = 12.0 * k * math.sqrt(sum(sq))
         ok = aug <= rhs + 1e-9
@@ -143,11 +151,9 @@ def test_criterion_5_afw_matches_exact():
     tolerance every round, and end-to-end regret matches across modes."""
     n, k, T, G, noise = 12, 4, 10_000, 1.0, 0.5
     adv = make_modular_random_adversary(n, G=G)
-    # one reward per round: the rows of the adversary's block rewards
-    fs = [ModularFunction(w) for block in adv.rounds(T, np.random.default_rng(505))
-          for w in block.w]
     strategy = adv.core_strategy(np.random.default_rng(506))
-    fvecs = [strategy(f).g for f in fs]
+    fvecs = np.concatenate([strategy(f, b)
+                            for f, b in adv.rounds(T, np.random.default_rng(505))])
     hints = generate_hints(fvecs, HintSpec("additive-noise", noise),
                            np.random.default_rng(507))
     runs = {}
@@ -155,11 +161,11 @@ def test_criterion_5_afw_matches_exact():
         cfg = ScoreConfig(n=n, k=k, T=T, M=adv.M, G=G)
         pol = OftrlPolicy(cfg, np.random.default_rng(508), mode=mode)
         recs, refs = [], []
-        for f, h, fv in zip(fs, hints, fvecs):
+        for h, fv in zip(hints, fvecs):
             # the exact minimizer of the objective the proposal solves
             obj = pol._objective(h) if mode == "afw" else None
             refs.append(None if obj is None else obj.exact_minimizer())
-            recs.append(pol.step([f], fv[None], h[None]))
+            recs.append(pol.step(fv[None], h[None]))
         runs[mode] = (pol, recs, refs)
 
     pol_afw, recs_afw, refs_afw = runs["afw"]

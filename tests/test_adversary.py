@@ -18,28 +18,28 @@ from coreselect.blocks import PLAN_CELLS, block_rounds
 from coreselect.setfn import ModularFunction, distance_sup
 
 
-def one_per_round(rewards):
-    """The rewards one per round: each row of a modular block reward as a
-    function of its own."""
+def one_per_round(runs):
+    """The rewards one per round: each row of a modular run's reward as a
+    function of its own, and a run of any other reward b times."""
     out = []
-    for f in rewards:
-        if isinstance(f, ModularFunction) and f.w.ndim == 2:
+    for f, b in runs:
+        if isinstance(f, ModularFunction):
             out += [ModularFunction(row) for row in f.w]
         else:
-            out.append(f)
+            out += [f] * b
     return out
 
 
 def onehot_rounds(n, T, rng):
-    """The one-hot rewards one per round, after checking that each reward
-    the adversary yields is a block of at most ``block_rounds(n)``
-    indicator rows."""
-    rewards = list(make_onehot_adversary(n).rounds(T, rng))
-    for f in rewards:
-        assert isinstance(f, ModularFunction) and f.w.ndim == 2
-        assert 1 <= len(f.w) <= block_rounds(n)
+    """The one-hot rewards one per round, after checking that each run the
+    adversary yields is a block of at most ``block_rounds(n)`` indicator
+    rows."""
+    runs = list(make_onehot_adversary(n).rounds(T, rng))
+    for f, b in runs:
+        assert isinstance(f, ModularFunction) and f.w.shape == (b, n)
+        assert 1 <= b <= block_rounds(n)
         assert np.isin(f.w, (0.0, 1.0)).all() and (f.w.sum(axis=1) == 1.0).all()
-    return one_per_round(rewards)
+    return one_per_round(runs)
 
 
 def test_onehot_rounds_are_indicators():
@@ -99,7 +99,7 @@ def test_coverage_kind_respects_declared_bounds():
     adv = make_coverage_drift_adversary(6)
     rng = np.random.default_rng(7)
     check = np.random.default_rng(8)
-    for f in adv.rounds(100, rng):
+    for f, _ in adv.rounds(100, rng):
         assert f.full_value() == pytest.approx(1.0)
         s = [int(i) for i in check.integers(0, 6, size=3)]
         assert 0.0 <= f.value(set(s)) <= adv.M + 1e-12
@@ -114,6 +114,39 @@ def test_drift_actually_changes_phases():
                    for i in range(5)]
     gaps = [np.linalg.norm(phase_means[i] - phase_means[i + 1]) for i in range(4)]
     assert max(gaps) > 0.05
+
+
+@pytest.mark.parametrize("kind, n, T, phases", [
+    ("onehot-ensemble", 20, 450, None),  # blocks of 204 rounds
+    ("modular-random", 1000, 40, None),  # blocks of 16 rounds
+    ("modular-drift", 20, 450, 7),  # phases of 65 rounds
+    ("modular-drift", 20, 450, 1),  # one phase, longer than a block
+    ("coverage-drift", 20, 450, 7),
+    ("coverage-drift", 20, 450, 1),
+    ("coverage-drift", 12, 10, 10),  # phases of one round
+    ("coverage-drift", 1000, 40, 3),  # phases of 14, blocks of 16
+    ("matching-random", 20, 450, 7),
+    ("matching-random", 20, 450, 1),
+    ("matching-random", 1000, 40, 3),
+])
+def test_runs_tile_the_rounds_within_blocks_and_phases(kind, n, T, phases):
+    cfg = {"kind": kind} if phases is None else {"kind": kind, "phases": phases}
+    adv = adversary_from_config(cfg, n)
+    plen = max(1, -(-T // phases)) if phases is not None else T
+    start, phase_rewards = 0, {}
+    for f, b in adv.rounds(T, np.random.default_rng(n + T)):
+        # rounds start+1..start+b, in order, inside one block and one phase
+        assert isinstance(b, int) and 1 <= b <= block_rounds(n)
+        assert start // plen == (start + b - 1) // plen
+        assert f.n == n
+        if isinstance(f, ModularFunction):
+            assert f.w.shape == (b, n)
+        else:  # one reward object per phase
+            assert phase_rewards.setdefault(start // plen, f) is f
+        start += b
+    assert start == T
+    if phases is not None and kind != "modular-drift":
+        assert len({id(f) for f in phase_rewards.values()}) == -(-T // plen)
 
 
 def _rescaled_reference(w, G, fallback):
@@ -142,12 +175,13 @@ def modular_drift_reference(n, G, phases, jitter, T, rng, fallbacks):
         yield ModularFunction(_rescaled_reference(w, G, base))
 
 
-def assert_rows_are_rewards(blocks, want):
-    """Each block reward holds, as rows, the rewards ``want`` of one round
-    each, in order, with their bits, totals and bounds."""
-    assert sum(len(f.w) for f in blocks) == len(want)
+def assert_rows_are_rewards(runs, want):
+    """Each run's reward holds, as its b rows, the rewards ``want`` of one
+    round each, in order, with their bits, totals and bounds."""
+    assert sum(b for _, b in runs) == len(want)
     start = 0
-    for f in blocks:
+    for f, b in runs:
+        assert len(f.w) == b
         # a block of rewards holds at most PLAN_CELLS coefficients
         assert f.w.ndim == 2 and 0 < f.w.size <= PLAN_CELLS
         rows = want[start:start + len(f.w)]
@@ -200,9 +234,9 @@ def test_modular_block_reward_is_its_rows_one_at_a_time():
     w[::2] = np.abs(w[::2])
     w[1, 3] = -0.0
     rows = [ModularFunction(row) for row in w]
-    assert_rows_are_rewards([ModularFunction(w)], rows)
+    assert_rows_are_rewards([(ModularFunction(w), 9)], rows)
     assert ModularFunction(w).monotone is False
-    assert_rows_are_rewards([ModularFunction(w[::2])], rows[::2])
+    assert_rows_are_rewards([(ModularFunction(w[::2]), 5)], rows[::2])
     assert ModularFunction(w[::2]).monotone is True
     sets = np.sort(rng.permuted(np.tile(np.arange(7), (9, 1)), axis=1)[:, :3], axis=1)
     want = [g.value(s) for g, s in zip(rows, sets.tolist())]

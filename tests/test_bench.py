@@ -116,24 +116,29 @@ def test_failing_core_strategy_names_the_round(policy, monkeypatch):
         def core_strategy(self, rng):
             strategy, calls = real(self, rng), itertools.count(1)
 
-            def flaky(f):
+            def flaky(f, b):
                 if next(calls) == fail_at:
                     raise KeyError("boom")
-                return strategy(f)
+                return strategy(f, b)
 
             return flaky
 
         return core_strategy
 
-    # a reward of one round per call, and a modular block reward of B
-    # rounds (n = 2000) per call
+    # one call per run: coverage phases of 4 rounds (T = 40), and modular
+    # runs of B rounds (n = 2000), one round of a one-round run
     B = block_rounds(2000)
-    cases = [("coverage-drift", 6, fail_at, f"round {fail_at}") for fail_at in (1, 3)]
+    cases = [("coverage-drift", 6, fail_at, f"rounds {4 * fail_at - 3}-{4 * fail_at}")
+             for fail_at in (1, 3)]
+    cases += [("coverage-drift", 6, 2, "round 2")]
     cases += [("modular-random", 2000, fail_at,
                f"rounds {(fail_at - 1) * B + 1}-{fail_at * B}") for fail_at in (1, 3)]
     for adversary, n, fail_at, where in cases:
+        adversary = {"kind": adversary}
+        if where == "round 2":
+            adversary["phases"] = 40
         cfg = ExperimentConfig.from_dict(base_config(policy=policy, n=n,
-                                                     adversary={"kind": adversary}))
+                                                     adversary=adversary))
         monkeypatch.setattr(Adversary, "core_strategy", failing_on_call(fail_at))
         with pytest.raises(RuntimeError, match=f"core strategy failed on {where}: 'boom'"):
             run_replica(cfg, 0)
@@ -148,27 +153,28 @@ def test_core_strategy_failing_mid_block_plays_none_of_it(
     def core_strategy(self, rng):
         strategy, calls = real_core_strategy(self, rng), itertools.count(1)
 
-        def flaky(f):
+        def flaky(f, b):
             if next(calls) == 7:
                 raise KeyError("boom")
-            return strategy(f)
+            return strategy(f, b)
 
         return flaky
 
-    def step(self, f, gvec, hint=None):
-        record = real_step(self, f, gvec, hint)
+    def step(self, gvec, hint=None):
+        record = real_step(self, gvec, hint)
         played.append(list(record.t))
         return record
 
     monkeypatch.setattr(Adversary, "core_strategy", core_strategy)
     monkeypatch.setattr(ScorePolicy, "step", step)
-    # coverage rewards come one per round, so a block can fail midway
+    # coverage phases of 4 rounds are runs of their own, and one block holds
+    # them all, so a block can fail midway
     cfg = ExperimentConfig.from_dict(base_config(
         policy=policy, replicas=1, adversary={"kind": "coverage-drift"}))
-    assert cfg.T <= block_rounds(cfg.n)  # round 7 lies inside the first block
-    with pytest.raises(RuntimeError, match="core strategy failed on round 7: 'boom'"):
+    assert cfg.T <= block_rounds(cfg.n)  # rounds 25-28 lie inside the first block
+    with pytest.raises(RuntimeError, match="core strategy failed on rounds 25-28: 'boom'"):
         run_experiment(cfg, out_dir=tmp_path)
-    # the error ends the run before rounds 1-6, its block's, are played
+    # the error ends the run before rounds 1-24, its block's, are played
     assert played == []
     assert not (tmp_path / "replica_0.csv").exists()
 
@@ -649,12 +655,11 @@ def test_traced_benchmark_reaches_every_layer(tmp_path):
     ])
     calls = json.loads(_run_fresh(code))
     assert [name for name, count in calls.items() if count == 0] == []
-    # 4 configs of T=10, one replica each, and one step per block: matching,
-    # coverage and modular-random rewards fill one block each, while
-    # modular-drift's 10 phases of one round make 10 blocks of one.  One
-    # core vector per round of matching and coverage rewards, and one per
-    # modular block reward
-    assert calls["policy.step"] == 1 + 1 + 10 + 1
+    # 4 configs of T=10, one replica each, and one step per block: each
+    # config's runs fill one block, modular-drift's 10 phases of one round
+    # as well.  One core-strategy call per run: matching, coverage and
+    # modular-drift have 10 phases of one round, modular-random one run
+    assert calls["policy.step"] == 1 + 1 + 1 + 1
     assert calls["corevec.core_vector"] == 10 + 10 + 10 + 1
 
 

@@ -400,23 +400,34 @@ def test_hint_inequality_l1_vs_sup_distance():
 # Strategies.
 
 def test_modular_strategy_returns_coefficients():
-    f = ModularFunction(np.array([1.0, 2.0]))
-    av = modular_strategy()(f)
-    np.testing.assert_array_equal(av.g, f.w)
+    f = ModularFunction(np.array([[1.0, 2.0], [3.0, 4.0]]))  # a run of 2 rounds
+    assert modular_strategy()(f, 2) is f.w
     with pytest.raises(TypeError):
-        modular_strategy()(indicator_game())
+        modular_strategy()(indicator_game(), 1)
 
 
 def test_marginal_strategy_identity_vs_random():
     f = CoverageFunction([[0, 1], [1, 2], [2]], 3)
-    fixed = marginal_strategy(None)(f)
-    np.testing.assert_allclose(fixed.g, [2.0, 1.0, 0.0])
-    rng = np.random.default_rng(13)
-    seen = {tuple(np.round(marginal_strategy(rng)(f).g, 9)) for _ in range(20)}
-    assert len(seen) > 1  # fresh permutations actually vary
+    np.testing.assert_allclose(marginal_strategy(None)(f, 2), [[2.0, 1.0, 0.0]] * 2)
+    rows = marginal_strategy(np.random.default_rng(13))(f, 20)
+    assert rows.shape == (20, 3)
+    assert len({tuple(np.round(g, 9)) for g in rows}) > 1  # fresh permutations vary
 
 
-def test_matching_dual_strategy_solves_once_per_reward_object(monkeypatch):
+@pytest.mark.parametrize("n, universe, b", [(6, 12, 1), (20, 40, 204), (40, 80, 30)])
+def test_marginal_strategy_run_is_its_rounds_one_at_a_time(n, universe, b):
+    from coreselect.adversary import random_coverage
+
+    f = random_coverage(n, universe, np.random.default_rng(n))
+    got_rng, want_rng = np.random.default_rng(b), np.random.default_rng(b)
+    got = marginal_strategy(got_rng)(f, b)
+    want = np.array([marginal_vector(f, want_rng.permutation(n), submodular=True).g
+                     for _ in range(b)])
+    assert got.shape == (b, n) and got.tobytes() == want.tobytes()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_matching_dual_strategy_solves_once_per_run(monkeypatch):
     calls = []
     solve = corevec.hungarian_duals
 
@@ -424,18 +435,19 @@ def test_matching_dual_strategy_solves_once_per_reward_object(monkeypatch):
         calls.append(w)
         return solve(w, *args, **kwargs)
 
+    w = np.array([[1.0, 2.0], [3.0, 4.0]])
+    duals = matching_core_vector(w).g
     monkeypatch.setattr(corevec, "hungarian_duals", counting)
     strategy = matching_dual_strategy()
-    w = np.array([[1.0, 2.0], [3.0, 4.0]])
     f = MatchingRewardFunction(w)
-    first = strategy(f)
-    assert strategy(f) is first and strategy(f) is first
-    assert len(calls) == 1
-    twin = strategy(MatchingRewardFunction(w.copy()))  # equal weights, new object
+    rows = strategy(f, 5)
+    assert len(calls) == 1 and rows.shape == (5, 4)
+    # every round of the run gets the duals of its reward
+    np.testing.assert_array_equal(rows, np.tile(duals, (5, 1)))
+    # each run is solved on its own, into rows of its own: writing one
+    # run's rows changes no other run's
+    rows[0, 0] = 99.0
+    assert strategy(f, 3).tobytes() == np.tile(duals, (3, 1)).tobytes()
     assert len(calls) == 2
-    np.testing.assert_array_equal(twin.g, first.g)
-    assert not first.g.flags.writeable
-    with pytest.raises(ValueError):
-        first.g[0] = 99.0
     with pytest.raises(TypeError):
-        strategy(ModularFunction(np.ones(4)))
+        strategy(ModularFunction(np.ones((1, 4))), 1)

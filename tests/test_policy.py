@@ -46,53 +46,49 @@ def joined(records):
         return np.concatenate([getattr(r, name) for r in records])
 
     return RoundRecord(range(records[0].t.start, records[-1].t.stop), column("p"),
-                       column("selected"), column("reward"), column("full_reward"),
-                       column("gvec"), [o for r in records for o in r.observed],
-                       column("cost"))
+                       column("selected"), column("gvec"),
+                       [o for r in records for o in r.observed], column("cost"))
 
 
-def folded(n, k, *records, alpha=1.0):
-    """A ledger with the records folded in."""
+def valued(runs, record):
+    """Each round's reward and full-set reward: the (f, b) runs, in order,
+    valued on the sets ``record`` drew for their rounds."""
+    reward, full, start = [], [], 0
+    for f, b in runs:
+        reward.append(f.value(record.selected[start:start + b]))
+        full.append(np.broadcast_to(f.full_value(), b))
+        start += b
+    return np.concatenate(reward), np.concatenate(full)
+
+
+def folded(n, k, played, alpha=1.0):
+    """A ledger with a played (record, reward, full-set reward) folded in."""
     ledger = RegretLedger(n, k, alpha)
-    for r in records:
-        ledger.fold(r)
+    ledger.fold(*played)
     return ledger
 
 
-def one_per_round(rewards):
-    """The rewards one per round: each row of a modular block reward as a
-    function of its own."""
+def one_per_round(runs):
+    """The rewards one per round: each row of a modular run's reward as a
+    function of its own, and a run of any other reward b times."""
     out = []
-    for f in rewards:
-        if isinstance(f, ModularFunction) and f.w.ndim == 2:
+    for f, b in runs:
+        if isinstance(f, ModularFunction):
             out += [ModularFunction(row) for row in f.w]
         else:
-            out.append(f)
+            out += [f] * b
     return out
 
 
-def block_reward(fs):
-    """Rewards of one round each as what a step of their block takes: one
-    modular block reward of their rows, or the list itself."""
-    if all(isinstance(f, ModularFunction) for f in fs):
-        return ModularFunction(np.array([f.w for f in fs]))
-    return fs
-
-
 def run_score(n, k, T, seed, adversary, G=None, policy_cls=ScorePolicy):
-    """The record of all T rounds, played with one step per reward the
-    adversary yields: a block of rounds for a modular block reward, a block
-    of one round for any other."""
+    """(record, reward, full-set reward) of all T rounds, played with one
+    step per run the adversary yields."""
     cfg = ScoreConfig(n=n, k=k, T=T, M=adversary.M, G=G if G is not None else adversary.G)
     policy = policy_cls(cfg, np.random.default_rng(seed))
     strategy = adversary.core_strategy(np.random.default_rng(seed + 1))
-    rng = np.random.default_rng(seed + 2)
-    records = []
-    for f in adversary.rounds(T, rng):
-        g = strategy(f).g
-        block = isinstance(f, ModularFunction) and f.w.ndim == 2
-        records.append(policy.step(f, g) if block else policy.step([f], g[None]))
-    return joined(records)
+    runs = list(adversary.rounds(T, np.random.default_rng(seed + 2)))
+    record = joined([policy.step(strategy(f, b)) for f, b in runs])
+    return (record, *valued(runs, record))
 
 
 # ---------------------------------------------------------------------------
@@ -130,14 +126,14 @@ def test_config_validation():
 
 def test_first_round_is_uniform():
     adv = make_modular_drift_adversary(6, G=1.0)
-    rec = run_score(6, 2, 3, 0, adv)
+    rec, _, _ = run_score(6, 2, 3, 0, adv)
     np.testing.assert_allclose(rec.p[0], 2 / 6, atol=1e-12)
 
 
 def test_traces_are_deterministic():
     adv = make_modular_drift_adversary(6, G=1.0)
-    a = run_score(6, 2, 50, 7, adv)
-    b = run_score(6, 2, 50, 7, adv)
+    a, _, _ = run_score(6, 2, 50, 7, adv)
+    b, _, _ = run_score(6, 2, 50, 7, adv)
     # each round's set is the Madow sample at its uniform, replayed from a
     # generator in the policy's starting state
     u = np.random.default_rng(7).random(50)
@@ -150,44 +146,46 @@ def test_traces_are_deterministic():
 
 def test_full_selection_when_k_equals_n():
     adv = make_modular_drift_adversary(5, G=1.0)
-    rec = run_score(5, 5, 20, 3, adv)
+    played = run_score(5, 5, 20, 3, adv)
+    rec, reward, full = played
     assert (rec.selected == np.arange(5)).all()
-    assert rec.reward == pytest.approx(rec.full_reward)
-    assert folded(5, 5, rec).aug_regret() == pytest.approx(0.0, abs=1e-9)
+    assert reward == pytest.approx(full)
+    assert folded(5, 5, played).aug_regret() == pytest.approx(0.0, abs=1e-9)
 
 
 def test_static_regret_under_published_bound_on_drift():
     adv = make_modular_drift_adversary(10, G=1.0)
-    rec = run_score(10, 3, 2000, 11, adv, G=1.0)
-    assert folded(10, 3, rec).static_regret() <= static_regret_bound(10, 3, 2000, 1.0)
+    played = run_score(10, 3, 2000, 11, adv, G=1.0)
+    assert folded(10, 3, played).static_regret() <= static_regret_bound(10, 3, 2000, 1.0)
 
 
 def test_constant_adversary_converges_to_top_k():
     w = np.array([1.0, 0.8, 0.6, 0.1, 0.05])
-    f = ModularFunction(w)
+    f = ModularFunction(w[None])  # one round's reward, as a run of 1
     cfg = ScoreConfig(n=5, k=2, T=3000, M=float(w.sum()), G=float(np.linalg.norm(w)))
     pol = ScorePolicy(cfg, np.random.default_rng(0))
     strategy = modular_strategy()
-    recs = [pol.step([f], strategy(f).g[None]) for _ in range(3000)]
+    rec = joined([pol.step(strategy(f, 1)) for _ in range(3000)])
     # late-round selection probability concentrates on the two best elements
-    late = np.mean([r.p[0, :2].sum() for r in recs[-100:]])
+    late = np.mean([p[:2].sum() for p in rec.p[-100:]])
     assert late > 1.8
-    assert folded(5, 2, *recs).static_regret() <= static_regret_bound(5, 2, 3000, cfg.G)
+    played = (rec, *valued([(f, 1)] * 3000, rec))
+    assert folded(5, 2, played).static_regret() <= static_regret_bound(5, 2, 3000, cfg.G)
 
 
 def test_reward_never_exceeds_full_reward_for_monotone():
     adv = make_coverage_drift_adversary(8)
-    rec = run_score(8, 3, 200, 1, adv)
-    assert (rec.reward <= rec.full_reward + 1e-12).all()
+    _, reward, full = run_score(8, 3, 200, 1, adv)
+    assert (reward <= full + 1e-12).all()
 
 
 def test_benchmark_inequality_on_traces():
     # sum of full rewards is at most (n/k) * best fixed linear benchmark
     adv = make_coverage_drift_adversary(8)
-    rec = run_score(8, 3, 300, 2, adv)
+    rec, _, full = run_score(8, 3, 300, 2, adv)
     total = np.sum(rec.gvec, axis=0)
     bench = float(total @ lmo(-total, 3))
-    assert sum(rec.full_reward.tolist()) <= (8 / 3) * bench + 1e-6
+    assert sum(full.tolist()) <= (8 / 3) * bench + 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +199,7 @@ def semibandit_feeds(n, k, T, seed):
     out = []
     for f in one_per_round(adv.rounds(T, np.random.default_rng(seed + 2))):
         before = pol.theta.copy()
-        r = pol.step([f], f.w[None])
+        r = pol.step(f.w[None])
         out.append((r, pol.theta - before))
     return out
 
@@ -270,7 +268,8 @@ def test_priced_always_observing_costs_every_round():
     cfg = PricedPolicy.tuned_config(6, 2, 30, 1.0, cost=2.0)
     pol = PricedPolicy(cfg, np.random.default_rng(0), cost=2.0, epsilon=1.0)
     strategy = adv.core_strategy(np.random.default_rng(1))
-    rec = joined([pol.step(f, strategy(f).g) for f in adv.rounds(30, np.random.default_rng(2))])
+    rec = joined([pol.step(strategy(f, b))
+                  for f, b in adv.rounds(30, np.random.default_rng(2))])
     assert len(rec.t) == 30 and all(rec.observed)
     assert sum(rec.cost.tolist()) == pytest.approx(60.0)
     # every round fed its vector: theta is their sum, added one at a time
@@ -293,12 +292,13 @@ def test_priced_unobserved_round_feeds_zero(monkeypatch):
     cfg = PricedPolicy.tuned_config(6, 2, 400, 1.0, cost=1.0)
     pol = PricedPolicy(cfg, np.random.default_rng(5), cost=1.0, epsilon=0.2)
     strategy = adv.core_strategy(np.random.default_rng(6))
+    G = np.concatenate([strategy(f, b) for f, b in adv.rounds(400, np.random.default_rng(7))])
     recs = []
     feds = []
-    for f in one_per_round(adv.rounds(400, np.random.default_rng(7))):
+    for g in G:
         theta = pol.theta.copy()
         before = len(calls)
-        r = pol.step([f], strategy(f).g[None])
+        r = pol.step(g[None])
         # a block of one: one row-wise argmax, bit for bit the 1-d argmax of
         # theta
         assert len(calls) - before == 1
@@ -358,20 +358,16 @@ def make_planner(kind, cfg, rng):
     return PricedPolicy(cfg, rng, cost=1.5, epsilon=0.4)
 
 
-def play(pol, fs, gs, blocks=()):
+def play(pol, gs, blocks=()):
     """The record of every round, theta after each step by the index of its
     last round, and the generator's state at the end: the rounds
-    start..stop-1 of each (start, stop) in ``blocks`` played as one block
-    with one block reward, the others one step per round, each a block of
-    one."""
+    start..stop-1 of each (start, stop) in ``blocks`` played as one block,
+    the others one step per round, each a block of one."""
     records, thetas = [], {}
     start, stops = 0, dict(blocks)
-    while start < len(fs):
+    while start < len(gs):
         stop = stops.get(start, start + 1)
-        if start in stops:
-            records.append(pol.step(block_reward(fs[start:stop]), np.array(gs[start:stop])))
-        else:
-            records.append(pol.step([fs[start]], gs[start][None]))
+        records.append(pol.step(gs[start:stop]))
         thetas[stop - 1] = pol.theta.copy()
         start = stop
     return joined(records), thetas, pol.rng.bit_generator.state
@@ -383,9 +379,8 @@ def assert_same_rounds(got, want):
     assert got.p.tobytes() == want.p.tobytes()
     assert np.array_equal(got.selected, want.selected)
     assert got.observed == want.observed and {type(o) for o in got.observed} == {bool}
-    for name in ("cost", "reward", "full_reward"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype == np.float64 and a.tobytes() == b.tobytes(), name
+    assert got.cost.dtype == want.cost.dtype == np.float64
+    assert got.cost.tobytes() == want.cost.tobytes()
     for t, theta in got_thetas.items():
         assert theta.tobytes() == want_thetas[t].tobytes(), t
     assert got_state == want_state
@@ -397,12 +392,12 @@ def madow_falls_back(p, k, u):
     return int((grid[1:] > grid[:-1]).sum()) < k
 
 
-def forced_fallback(pol_factory, fs, gs, k, draws):
+def forced_fallback(pol_factory, gs, k, draws):
     """Uniforms under which some round of the one-step-per-round run falls
     back, and that round's index."""
     for seed in range(20):
-        values = np.random.default_rng(seed).random(draws * len(fs))
-        ps = play(pol_factory(ScriptedGenerator(values)), fs, gs)[0].p
+        values = np.random.default_rng(seed).random(draws * len(gs))
+        ps = play(pol_factory(ScriptedGenerator(values)), gs)[0].p
         for t, p in enumerate(ps):
             # a round's proposal does not depend on its own Madow uniform:
             # try the few doubles around each boundary's fractional part
@@ -423,9 +418,8 @@ def test_planned_rounds_equal_unplanned_steps(kind, adversary, case):
     n, T = 12, 11
     k = n if case == "full-selection" else 6
     adv = adversary_from_config({"kind": adversary}, n)
-    fs = one_per_round(adv.rounds(T, np.random.default_rng(1)))
     strategy = adv.core_strategy(np.random.default_rng(2))
-    gs = [strategy(f).g for f in fs]
+    gs = np.concatenate([strategy(f, b) for f, b in adv.rounds(T, np.random.default_rng(1))])
     # eta 3 caps several coordinates; 1e4 spreads the scores past exp underflow
     cfg = ScoreConfig(n=n, k=k, T=T, M=adv.M, G=adv.G,
                       eta=1e4 if case == "underflow" else 3.0)
@@ -435,12 +429,12 @@ def test_planned_rounds_equal_unplanned_steps(kind, adversary, case):
         return make_planner(kind, cfg, rng)
 
     if case == "ulp-fallback":
-        values, t = forced_fallback(factory, fs, gs, k, draws)
-        runs = [play(factory(ScriptedGenerator(values)), fs, gs, blocks)
+        values, t = forced_fallback(factory, gs, k, draws)
+        runs = [play(factory(ScriptedGenerator(values)), gs, blocks)
                 for blocks in ((), ((0, 4), (4, 8), (8, T)), ((0, T),))]
         assert madow_falls_back(runs[0][0].p[t], k, values[draws * t])
     else:
-        runs = [play(factory(np.random.default_rng(3)), fs, gs, blocks)
+        runs = [play(factory(np.random.default_rng(3)), gs, blocks)
                 for blocks in ((), ((0, 4), (4, 8), (8, T)), ((0, T),))]
     if case == "underflow":
         # some round's scores spread past exp underflow, so its row goes
@@ -455,13 +449,12 @@ def test_planned_rounds_equal_unplanned_steps(kind, adversary, case):
 @pytest.mark.parametrize("kind", ["score", "priced"])
 def test_single_rounds_and_blocks_play_one_stream(kind):
     adv = make_modular_drift_adversary(8, G=1.0)
-    fs = one_per_round(adv.rounds(9, np.random.default_rng(4)))
     strategy = adv.core_strategy(np.random.default_rng(5))
-    gs = [strategy(f).g for f in fs]
+    gs = np.concatenate([strategy(f, b) for f, b in adv.rounds(9, np.random.default_rng(4))])
     cfg = ScoreConfig(n=8, k=3, T=9, M=adv.M, G=adv.G)
-    want = play(make_planner(kind, cfg, np.random.default_rng(6)), fs, gs)
+    want = play(make_planner(kind, cfg, np.random.default_rng(6)), gs)
     # rounds 1-2 one at a time, 3-6 as a block, 7 alone, 8-9 as a block
-    got = play(make_planner(kind, cfg, np.random.default_rng(6)), fs, gs, ((2, 6), (7, 9)))
+    got = play(make_planner(kind, cfg, np.random.default_rng(6)), gs, ((2, 6), (7, 9)))
     assert_same_rounds(got, want)
 
 
@@ -469,23 +462,20 @@ def test_single_rounds_and_blocks_play_one_stream(kind):
 def test_step_rejects_what_is_not_a_block(kind):
     n, k = 6, 2
     adv = adversary_from_config({"kind": "modular-random"}, n)
-    f, = adv.rounds(3, np.random.default_rng(0))  # one block reward of 3 rows
-    G = modular_strategy()(f).g
+    (f, b), = adv.rounds(3, np.random.default_rng(0))  # one run of 3 rounds
+    G = modular_strategy()(f, b)
     cfg = ScoreConfig(n=n, k=k, T=3, M=adv.M, G=adv.G)
     pol = (OftrlPolicy(cfg, np.random.default_rng(1)) if kind == "oftrl"
            else make_planner(kind, cfg, np.random.default_rng(1)))
-    rows = [ModularFunction(w) for w in f.w]
     with pytest.raises(ValueError, match=r"proxy vectors must be \(B, 6\) rows"):
-        # one round's reward and vector, which would play as n rounds
-        pol.step(ModularFunction(G[0]), G[0], G[0])
+        # one round's vector, which would play as n rounds
+        pol.step(G[0], G[0])
     with pytest.raises(ValueError, match=r"proxy vectors must be \(B, 6\) rows"):
-        pol.step(f, G[:, :5], G[:, :5])
+        pol.step(G[:, :5], G[:, :5])
     with pytest.raises(ValueError, match=r"hints must be of shape \(3, 6\)"):
-        pol.step(f, G, G[:2])
-    with pytest.raises(ValueError, match="3 rounds need 3 rewards, got 2"):
-        pol.step(rows[:2], G, G)
+        pol.step(G, G[:2])
     assert pol.t == 0 and not pol.theta.any()
-    record = pol.step(rows, G, G)
+    record = pol.step(G, G)
     assert record.t == range(1, 4) and record.selected.shape == (3, k)
 
 
@@ -505,12 +495,13 @@ def test_block_rounds_hold_at_most_plan_cells():
 # Optimistic policy.
 
 def make_oftrl_inputs(n, T, spec, seed, adversary=None):
+    """The adversary, each round's reward, proxy vector and hint."""
     adv = adversary if adversary is not None else make_coverage_drift_adversary(n)
-    fs = list(adv.rounds(T, np.random.default_rng(seed)))
+    runs = list(adv.rounds(T, np.random.default_rng(seed)))
     strategy = adv.core_strategy(np.random.default_rng(seed + 1))
-    fvecs = [strategy(f).g for f in fs]
+    fvecs = np.concatenate([strategy(f, b) for f, b in runs])
     hints = generate_hints(fvecs, spec, np.random.default_rng(seed + 2))
-    return adv, fs, fvecs, hints
+    return adv, one_per_round(runs), fvecs, hints
 
 
 def run_oftrl(n, k, T, spec, seed, mode="exact", **kwargs):
@@ -522,8 +513,10 @@ def run_oftrl(n, k, T, spec, seed, mode="exact", **kwargs):
     for f, h, fv in zip(fs, hints, fvecs):
         obj = pol._objective(h)
         refs.append(None if obj is None else obj.exact_minimizer())
-        recs.append(pol.step([f], fv[None], h[None]))
-    return pol, joined(recs), (fs, hints, refs)
+        recs.append(pol.step(fv[None], h[None]))
+    rec = joined(recs)
+    reward, full = valued([(f, 1) for f in fs], rec)
+    return pol, (rec, reward, full), (fs, hints, refs)
 
 
 def test_oftrl_step_without_hint_is_an_error():
@@ -531,7 +524,7 @@ def test_oftrl_step_without_hint_is_an_error():
     pol = OftrlPolicy(ScoreConfig(n=6, k=2, T=1, M=adv.M, G=adv.G),
                       np.random.default_rng(3))
     with pytest.raises(ValueError, match="needs a hint every round"):
-        pol.step([fs[0]], fvecs[0][None])
+        pol.step(fvecs[:1])
 
 
 def test_oftrl_step_without_hint_at_full_selection_fails_before_the_round():
@@ -540,16 +533,17 @@ def test_oftrl_step_without_hint_at_full_selection_fails_before_the_round():
     pol = OftrlPolicy(ScoreConfig(n=4, k=4, T=1, M=adv.M, G=adv.G),
                       np.random.default_rng(3))
     with pytest.raises(ValueError, match="needs a hint every round"):
-        pol.step([fs[0]], fvecs[0][None])
+        pol.step(fvecs[:1])
     assert pol.t == 0
     np.testing.assert_array_equal(pol.theta, np.zeros(4))
 
 
 def test_perfect_hints_route_through_vertices_with_no_regret():
-    pol, rec, _ = run_oftrl(8, 3, 400, HintSpec("perfect"), 0)
+    pol, played, _ = run_oftrl(8, 3, 400, HintSpec("perfect"), 0)
+    rec = played[0]
     assert pol.state.sigma_sum == 0.0  # no hint error ever observed
     assert np.all((rec.p < 1e-12) | (rec.p > 1 - 1e-12))  # vertex proposals
-    assert folded(8, 3, rec).static_regret() <= 1e-6 * 400
+    assert folded(8, 3, played).static_regret() <= 1e-6 * 400
 
 
 def test_sigma_schedule_telescopes():
@@ -558,8 +552,8 @@ def test_sigma_schedule_telescopes():
                       np.random.default_rng(4))
     st = pol.state
     sigma_sums = [st.sigma_sum]
-    for f, h, fv in zip(fs, hints, fvecs):
-        pol.step([f], fv[None], h[None])
+    for h, fv in zip(hints, fvecs):
+        pol.step(fv[None], h[None])
         sigma_sums.append(st.sigma_sum)
     assert st.sigma_sum == pytest.approx((1 / 3) * math.sqrt(st.delta_sum), abs=1e-9)
     assert len(sigma_sums) == 301 and sigma_sums == sorted(sigma_sums)  # sigma_t >= 0
@@ -577,7 +571,7 @@ def test_adversarial_flip_delta_is_four_norms():
 
 def test_exact_and_afw_modes_agree_per_round():
     spec = HintSpec("additive-noise", 0.4)
-    pol, rec, (_, _, refs) = run_oftrl(8, 3, 150, spec, 4, mode="afw")
+    pol, (rec, _, _), (_, _, refs) = run_oftrl(8, 3, 150, spec, 4, mode="afw")
     assert pol.state.eps is not None
     bound = math.sqrt(
         2 * pol.state.eps / (pol.sigma_scale * math.sqrt(pol.state.first_delta))
@@ -595,20 +589,18 @@ def test_exact_and_afw_modes_agree_per_round():
 def test_optimistic_block_equals_its_rounds_one_step_each(mode, adversary):
     n, k, T = 8, 3, 30
     adv = adversary_from_config({"kind": adversary}, n)
-    fs = one_per_round(adv.rounds(T, np.random.default_rng(1)))
     strategy = adv.core_strategy(np.random.default_rng(2))
-    G = np.array([strategy(f).g for f in fs])
+    G = np.concatenate([strategy(f, b) for f, b in adv.rounds(T, np.random.default_rng(1))])
     H = generate_hints(G, HintSpec("additive-noise", 0.3), np.random.default_rng(3))
     cfg = ScoreConfig(n=n, k=k, T=T, M=adv.M, G=adv.G)
     one = OftrlPolicy(cfg, np.random.default_rng(4), mode=mode)
-    want = joined([one.step([f], g[None], h[None]) for f, g, h in zip(fs, G, H)])
+    want = joined([one.step(g[None], h[None]) for g, h in zip(G, H)])
     pol = OftrlPolicy(cfg, np.random.default_rng(4), mode=mode)
-    got = joined([pol.step(block_reward(fs[start:stop]), G[start:stop], H[start:stop])
+    got = joined([pol.step(G[start:stop], H[start:stop])
                   for start, stop in ((0, 12), (12, 13), (13, T))])
     assert got.t == want.t == range(1, T + 1) and one.state.sigma_sum > 0.0
     assert np.array_equal(got.selected, want.selected)
-    for name in ("reward", "full_reward", "p"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.p.tobytes() == want.p.tobytes()
     assert pol.theta.tobytes() == one.theta.tobytes()
     assert pol.state.weighted_center.tobytes() == one.state.weighted_center.tobytes()
     assert (pol.state.sigma_sum, pol.state.delta_sum) == (one.state.sigma_sum,
@@ -620,13 +612,13 @@ def test_oftrl_augmented_regret_within_hint_bound():
     from coreselect.setfn import distance_sup
 
     n, k, T = 8, 3, 400
-    _, rec, (fs, hints, _) = run_oftrl(n, k, T, HintSpec("additive-noise", 0.3), 8)
+    _, played, (fs, hints, _) = run_oftrl(n, k, T, HintSpec("additive-noise", 0.3), 8)
     sq = [distance_sup(f, ModularFunction(h)) ** 2 for f, h in zip(fs, hints)]
     # against E[f(S) | p], summed in round order as the ledger sums rewards
     expected = 0.0
-    for p, f in zip(rec.p, fs):
+    for p, f in zip(played[0].p, fs):
         expected += expected_set_value(p, k, f.value)
-    aug = folded(n, k, rec).benchmark() - expected
+    aug = folded(n, k, played).benchmark() - expected
     assert aug <= 12 * k * math.sqrt(sum(sq)) + 1e-9
 
 
@@ -635,32 +627,34 @@ def test_oftrl_augmented_regret_within_hint_bound():
 
 def test_static_regret_single_round_formula():
     adv = make_modular_drift_adversary(6, G=1.0)
-    rec = run_score(6, 2, 1, 13, adv)
-    g = rec.gvec[0]
+    played = run_score(6, 2, 1, 13, adv)
+    g = played[0].gvec[0]
     top2 = float(np.sort(g)[-2:].sum())
     want = top2 - (2 / 6) * float(g.sum())
-    assert folded(6, 2, rec).static_regret() == pytest.approx(want, abs=1e-12)
+    assert folded(6, 2, played).static_regret() == pytest.approx(want, abs=1e-12)
 
 
 def test_static_regret_matches_replay():
     adv = make_modular_drift_adversary(7, G=1.0)
-    rec = run_score(7, 3, 120, 17, adv)
+    played = run_score(7, 3, 120, 17, adv)
+    rec = played[0]
     total = np.sum(rec.gvec, axis=0)
     bench = float(np.sort(total)[-3:].sum())
     replay = bench - sum(float(g @ p) for g, p in zip(rec.gvec, rec.p))
-    assert folded(7, 3, rec).static_regret() == pytest.approx(replay, abs=1e-9)
+    assert folded(7, 3, played).static_regret() == pytest.approx(replay, abs=1e-9)
 
 
-def ledger_rows_reference(record, n, k, alpha):
+def ledger_rows_reference(played, n, k, alpha):
     """Each round's CSV columns from the sums folded in one round at a time:
     cum_reward, benchmark, aug_regret, static_regret and cum_cost, with the
     top-k from one stable sort.  A non-finite total ends the list with the
     error the linear oracle raises."""
+    record, rewards, fulls = played
     scale = k / (n * alpha)
     cum_reward = cum_full = cum_cost = cum_dot = 0.0
     total = np.zeros(n)
     rows = []
-    for reward, full, cost, g, p in zip(record.reward.tolist(), record.full_reward.tolist(),
+    for reward, full, cost, g, p in zip(rewards.tolist(), fulls.tolist(),
                                         record.cost.tolist(), record.gvec, record.p):
         cum_reward += reward
         cum_full += full
@@ -677,9 +671,9 @@ def ledger_rows_reference(record, n, k, alpha):
 
 
 def ledger_records(n, k, T, rng, tie=False):
-    """The record of a block of T rounds with random proposals; with
-    ``tie``, integer vectors with signed zeros, so totals tie at the top-k
-    boundary, and a zero total."""
+    """(record, reward, full-set reward) of a block of T rounds with random
+    proposals; with ``tie``, integer vectors with signed zeros, so totals
+    tie at the top-k boundary, and a zero total."""
     G, P = np.empty((T, n)), np.empty((T, n))
     reward, full, observed = np.empty(T), np.empty(T), []
     for i in range(T):
@@ -694,13 +688,15 @@ def ledger_records(n, k, T, rng, tie=False):
         observed.append(bool(rng.random() < 0.5))
         reward[i] = rng.random()
         full[i] = rng.random() * 3
-    return RoundRecord(range(1, T + 1), P, np.tile(np.arange(k), (T, 1)), reward, full,
-                       G, observed, np.where(observed, 0.4, 0.0))
+    return (RoundRecord(range(1, T + 1), P, np.tile(np.arange(k), (T, 1)), G, observed,
+                        np.where(observed, 0.4, 0.0)), reward, full)
 
 
-def block_of(record, start, stop):
-    """Rounds start..stop-1 of a block's record as a block of their own."""
-    return RoundRecord(*(getattr(record, f.name)[start:stop] for f in fields(RoundRecord)))
+def block_of(played, start, stop):
+    """Rounds start..stop-1 of a played block as a block of their own."""
+    record, reward, full = played
+    return (RoundRecord(*(getattr(record, f.name)[start:stop] for f in fields(RoundRecord))),
+            reward[start:stop], full[start:stop])
 
 
 @pytest.mark.parametrize("n, k, sizes, tie", [
@@ -713,14 +709,15 @@ def block_of(record, start, stop):
 ])
 def test_ledger_fold_matches_rounds_added_one_at_a_time(n, k, sizes, tie):
     rng = np.random.default_rng(n + sum(sizes))
-    record = ledger_records(n, k, sum(sizes), rng, tie)
-    want, error = ledger_rows_reference(record, n, k, 1.5)
+    played = ledger_records(n, k, sum(sizes), rng, tie)
+    record = played[0]
+    want, error = ledger_rows_reference(played, n, k, 1.5)
     assert error is None
     ledger = RegretLedger(n, k, 1.5)
     got = []
     start = 0
     for size in sizes:
-        rows = ledger.fold(block_of(record, start, start + size))
+        rows = ledger.fold(*block_of(played, start, start + size))
         start += size
         got += zip(rows.cum_reward.tolist(), rows.benchmark().tolist(),
                    rows.aug_regret().tolist(), rows.static_regret().tolist(),
@@ -738,14 +735,14 @@ def test_ledger_fold_matches_rounds_added_one_at_a_time(n, k, sizes, tie):
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_ledger_fold_with_a_non_finite_total_raises_as_each_round_did():
     rng = np.random.default_rng(3)
-    record = ledger_records(20, 5, 30, rng)
-    record.gvec[17:19, 3] = 1e308
-    want, error = ledger_rows_reference(record, 20, 5, 1.0)
+    played = ledger_records(20, 5, 30, rng)
+    played[0].gvec[17:19, 3] = 1e308
+    want, error = ledger_rows_reference(played, 20, 5, 1.0)
     assert len(want) == 18 and str(error) == "cost contains non-finite entries"
     ledger = RegretLedger(20, 5)
-    rows = ledger.fold(block_of(record, 0, 10))
+    rows = ledger.fold(*block_of(played, 0, 10))
     rows.static_regret()
-    rows = ledger.fold(block_of(record, 10, 30))
+    rows = ledger.fold(*block_of(played, 10, 30))
     with pytest.raises(ValueError, match="cost contains non-finite entries"):
         rows.static_regret()
     with pytest.raises(ValueError, match="cost contains non-finite entries"):
@@ -763,10 +760,10 @@ def test_running_sums_add_the_rows_in_order(shape):
 
 def test_augmented_regret_three_round_hand_trace():
     record = RoundRecord(range(1, 4), np.full((3, 4), 0.5), np.tile([0, 1], (3, 1)),
-                         np.array([1.0, 0.5, 2.0]), np.array([2.0, 3.0, 2.0]),
                          np.zeros((3, 4)), [True] * 3, np.zeros(3))
+    played = (record, np.array([1.0, 0.5, 2.0]), np.array([2.0, 3.0, 2.0]))
     # (k / (n alpha)) * (2 + 3 + 2) - (1 + 0.5 + 2) with k=2, n=4, alpha=1
-    assert folded(4, 2, record).aug_regret() == pytest.approx(0.5 * 7 - 3.5)
+    assert folded(4, 2, played).aug_regret() == pytest.approx(0.5 * 7 - 3.5)
 
 
 def test_bound_helpers():
