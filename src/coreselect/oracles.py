@@ -8,6 +8,7 @@ the library against code that shares none of its logic.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -15,7 +16,11 @@ from .setfn import SetFunction
 
 
 def enumerate_projection(y: np.ndarray, k: int) -> np.ndarray:
-    """Projection onto the capped simplex by exhaustive active-set enumeration."""
+    """Projection onto the capped simplex by exhaustive active-set enumeration.
+
+    Candidates are ranked by their float distance to y, so once |y| is past
+    about 1e16 the ranking is rounding and the answer can be wrong; use
+    :func:`exact_projection` there."""
     y = np.asarray(y, dtype=float)
     n = y.size
     best, best_d = None, np.inf
@@ -40,6 +45,39 @@ def enumerate_projection(y: np.ndarray, k: int) -> np.ndarray:
         if d < best_d - 1e-13:
             best_d, best = d, np.clip(p, 0.0, 1.0)
     return best
+
+
+def exact_projection(y: np.ndarray, k: int) -> list[Fraction]:
+    """Projection onto the capped simplex in exact rational arithmetic.
+
+    The projection is clamp(y - tau, 0, 1), with tau the root of
+    total(tau) = sum_i clamp(y_i - tau, 0, 1) = k, which falls from n to 0
+    and is linear between the breakpoints {y_i - 1} and {y_i}.  Every float
+    is an integer over a power of two, so over the largest such denominator
+    the scores, the breakpoints and every total are integers: a bisection
+    finds the two adjacent breakpoints whose totals bracket k, and tau is
+    interpolated between them as a fraction.  Any finite scores work, at
+    any scale; the cost is O(n log n) big-integer operations.
+    """
+    scores = [Fraction(float(v)) for v in np.asarray(y, dtype=float)]
+    den = max(f.denominator for f in scores)
+    ints = [f.numerator * (den // f.denominator) for f in scores]
+    bps = sorted(set(ints) | {v - den for v in ints})
+
+    def total(tau: int) -> int:
+        return sum(min(max(v - tau, 0), den) for v in ints)
+
+    # total(bps[0]) = n * den >= k * den and total(bps[-1]) = 0 < k * den
+    lo, hi = 0, len(bps) - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if total(bps[mid]) >= k * den:
+            lo = mid
+        else:
+            hi = mid
+    at_lo, at_hi = total(bps[lo]), total(bps[hi])
+    tau = bps[lo] + Fraction((at_lo - k * den) * (bps[hi] - bps[lo]), at_lo - at_hi)
+    return [min(max(v - tau, Fraction(0)), Fraction(den)) / den for v in ints]
 
 
 def enumerate_lmo_value(cost: np.ndarray, k: int) -> float:

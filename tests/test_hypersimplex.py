@@ -16,9 +16,11 @@ from coreselect.hypersimplex import (
     lmo,
     validate_point,
 )
-from coreselect.oracles import enumerate_lmo_value, enumerate_projection
+from coreselect.oracles import enumerate_lmo_value, enumerate_projection, exact_projection
 
 RNG = np.random.default_rng(7)
+# a tolerance of a few rounding steps of a coordinate in [0, 1]
+EXACT_TOL = 8 * np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +273,18 @@ def test_project_matches_enumeration():
         want = enumerate_projection(y, k)
         assert np.linalg.norm(got - want) < 1e-8, (y, k)
 
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e8, 1e16, 1e20, 1e100, 1e300])
+def test_project_is_exact_at_every_scale(scale):
+    # spread wide, the projection is the top-2 vertex; no sum over the
+    # scores may round it away
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        y = rng.standard_normal(6) * scale
+        want = np.array([float(f) for f in exact_projection(y, 2)])
+        np.testing.assert_allclose(euclidean_project(y, 2), want, rtol=0,
+                                   atol=EXACT_TOL, err_msg=repr(y))
 
 @pytest.mark.parametrize("n", [200, 2000])
 def test_project_is_one_threshold_at_large_n(n):
