@@ -7,8 +7,8 @@ module provides the four solvers the online policies need:
 
 * ``entropic_ftrl_argmax`` - exact maximizer of a linear score minus a scaled
   negative entropy (the follow-the-regularized-leader update),
-* ``euclidean_project``   - exact Euclidean projection, from cumulative sums
-  over the sorted breakpoints of its threshold equation,
+* ``euclidean_project``   - exact Euclidean projection at any scale, solved
+  only over the scores within 1 of the k-th largest,
 * ``lmo``                 - linear minimization oracle (a top-k selection),
 * ``afw_minimize``        - away-steps Frank-Wolfe for quadratic objectives.
 
@@ -26,6 +26,8 @@ TAU_FEAS = 1e-9
 # exp(-690) ~ 3e-300 is still a normal double: below this spread of scores the
 # exponentials and their tail sums keep full precision, and k / e cannot overflow
 EXP_SAFE_SPREAD = 690.0
+# subtracted from a row of sorted candidates z, gives the rows z - 1 and z
+_CAP_AND_ZERO = np.array([[1.0], [0.0]])
 
 
 class InfeasiblePointError(ValueError):
@@ -235,18 +237,26 @@ def euclidean_project(y: np.ndarray, k: int) -> np.ndarray:
     """Exact Euclidean projection of y onto the capped simplex.
 
     The projection is p_i = clamp(y_i - tau, 0, 1) where tau solves
-    sum_i clamp(y_i - tau, 0, 1) = k.  The map tau -> sum falls piecewise
-    linearly from n to 0 with breakpoints {y_i - 1} and {y_i}.  After a sort
-    of the 2n breakpoints, exclusive cumulative sums give the sum at every
-    breakpoint at once; the first breakpoint where it reaches k ends the
-    segment holding the root (Wang & Lu 2015, arXiv:1503.01002).  The cost is
-    O(n log n).
+    S(tau) = sum_i clamp(y_i - tau, 0, 1) = k.  Let v be the k-th largest
+    score.  At most k - 1 scores exceed v, so S(v) <= k - 1, and the k
+    largest are all capped at v - 1, so S(v - 1) >= k: tau lies in
+    [v - 1, v).  In u = y - v, a score with u >= 1 is therefore capped and
+    one with u <= -1 is zero, and only the candidates u > -1, clamped to at
+    most 1, enter the solve (about 150 of 1000 on the optimistic policy's
+    inputs).  v comes from one O(n) partition, and only the m candidates
+    are sorted.
 
-    The order of equal breakpoints sets the order in which the cumulative
-    sums add their terms, and so the last bits of tau.  Without ties exactly
-    one permutation sorts them, so numpy's default (unstable, and above about
-    a thousand elements much faster) sort gives it; with a tie the solver
-    sorts again stably, keeping equal breakpoints in index order.
+    On the sorted candidates z, with breakpoints {z - 1} and {z}, the
+    numbers of coordinates still positive and still capped at a breakpoint
+    are positions in z and z - 1, found by ``searchsorted``; prefix sums of
+    z give S at every breakpoint, and the first breakpoint where S reaches
+    k ends the segment holding the root.  tau is then taken from that
+    segment's own sum, so every score the solve touches lies in (-1, 1]:
+    no scale of y can make it overflow or cancel, and spread-out scores
+    give the top-k vertex.  The cost is O(n + m log m).
+
+    Only the values of the sorted candidates enter, never the order a sort
+    leaves ties in, so no tie needs a stable sort.
     """
     y = _check_finite(y, "y")
     n = y.size
@@ -255,33 +265,43 @@ def euclidean_project(y: np.ndarray, k: int) -> np.ndarray:
     if k == n:
         return np.ones(n)
 
-    # While tau increases, coordinate i leaves its cap at y_i - 1 and becomes
-    # active (p_i = y_i - tau); at y_i it hits zero and dies.  Just before
-    # each sorted breakpoint: `entered` coordinates have left the cap, n_act
-    # are active and act_sum is their sum of y, added left to right.
-    unsorted = np.concatenate([y - 1.0, y])
-    order = unsorted.argsort()
-    bps = unsorted[order]
-    if (bps[1:] == bps[:-1]).any():
-        # index order among equal breakpoints, gathered again because equal
-        # values may differ in the sign of zero
-        order = unsorted.argsort(kind="stable")
-        bps = unsorted[order]
-    enters = order < n
-    entered = enters.cumsum() - enters
-    n_act = 2 * entered - np.arange(2 * n)
-    act_sum = np.zeros(2 * n)
-    np.concatenate([y, -y])[order[:-1]].cumsum(out=act_sum[1:])
-    # the sum just as tau reaches each breakpoint; the first one at or below k
-    # ends the root's segment.  s[0] = n > k, so m = 0 only when rounding of
-    # huge |y| hides the root; then p is all ones and _refeasibilize raises.
-    s = (n - entered) + act_sum - n_act * bps
-    m = int((s <= k + 1e-15).argmax())
-    if n_act[m] > 0:
-        tau = (n - entered[m] + act_sum[m] - k) / n_act[m]
-    else:
-        tau = bps[m]
-    return _refeasibilize(y - tau, k)  # clamps to [0, 1] first
+    # v as +0.0 when it is a zero, so that u does not depend on which zero
+    # the partition returns
+    v = float(np.partition(y, n - k)[n - k]) + 0.0
+    if abs(v) < 1e292:  # y - v cannot overflow
+        u = y - v
+    else:  # it may, to an infinity that the clamps below handle
+        with np.errstate(over="ignore"):
+            u = y - v
+    cand = (u > -1.0).nonzero()[0]
+    w = u[cand]
+    np.minimum(w, 1.0, out=w)
+    z = np.sort(w)
+    m = z.size
+    # every breakpoint b, the rows z - 1 and z; at b the candidates from
+    # z[pos] on are still positive and those from z[cap] on still capped,
+    # so z[pos:cap] are the active ones
+    rows = z - _CAP_AND_ZERO
+    bps = rows.ravel()
+    pos = z.searchsorted(bps)
+    cap = rows[0].searchsorted(bps)
+    sums = np.zeros(m + 1)
+    np.add.accumulate(z, out=sums[1:])
+    # s = S(b) - m, from S(b) = (m - cap) + sum(z[pos:cap]) - (cap - pos) * b
+    s = sums[cap]
+    s -= sums[pos]
+    s -= cap
+    s -= (cap - pos) * bps
+    i = int(np.where(s <= k - m, bps, np.inf).argmin())
+    a, c = int(pos[i]), int(cap[i])
+    # the threshold less v, on the segment that ends at bps[i]
+    if c > a:  # m - c capped, z[a:c] active
+        t = (float(np.add.reduce(z[a:c])) - (k - (m - c))) / (c - a)
+    else:  # none active: S is flat at k there
+        t = float(bps[i])
+    p = np.zeros(n)
+    p[cand] = _refeasibilize(w - t, k)  # clamps to [0, 1] first
+    return p
 
 
 def lmo(cost: np.ndarray, k: int) -> np.ndarray:

@@ -355,8 +355,9 @@ class OftrlPolicy(_Policy):
         try:  # looked up on the module, where perfbench/spans.py wraps it
             return hypersimplex.euclidean_project(y, k)
         except ValueError as exc:
-            # the point projected is the scores over the weight; at a weight
-            # near 1e-160 rounding leaves the projection no feasible point
+            # the point projected is the scores over the weight, which the
+            # projection solves at any scale; a weight so small that they
+            # overflow the float range leaves it non-finite entries
             raise ValueError(
                 f"round {t}: the exact proposal failed at regularizer weight "
                 f"{s:.3g} (policy sigma {self.sigma_scale:g} times "

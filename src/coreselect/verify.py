@@ -35,6 +35,7 @@ from .oracles import (
     enumerate_lmo_value,
     enumerate_matching_value,
     enumerate_projection,
+    exact_projection,
     indicator_game,
     random_monotone_function,
     second_game,
@@ -65,7 +66,7 @@ def random_feasible_point(n: int, k: int, rng: np.random.Generator) -> np.ndarra
 
 
 def _check_projection(rng, max_n, projection_fn) -> CheckResult:
-    for trial in range(66):
+    for trial in range(76):
         n = int(rng.integers(2, min(7, max_n) + 1))
         k = int(rng.integers(1, n + 1))
         if trial < 60:
@@ -73,15 +74,27 @@ def _check_projection(rng, max_n, projection_fn) -> CheckResult:
         elif trial < 64:
             # integer scores: breakpoints y_i and y_j - 1 coincide
             y = rng.integers(-1, 3, n).astype(float)
-        else:
+        elif trial < 66:
             y = np.full(n, rng.standard_normal())
-        got = projection_fn(y, k)
-        want = enumerate_projection(y, k)
+        else:
+            # spread so wide that y - 1 rounds to y: float distances cannot
+            # rank the candidates, so the reference is exact
+            y = rng.standard_normal(n) * (1e20 if trial < 71 else 1e300)
+        try:
+            got = projection_fn(y, k)
+        except ValueError as exc:
+            return CheckResult("projection-vs-active-set-enumeration", False,
+                               f"raised at n={n}, k={k}, y={y.tolist()}: {exc}")
+        if trial < 66:
+            want = enumerate_projection(y, k)
+        else:
+            want = np.array([float(f) for f in exact_projection(y, k)])
         if float(np.linalg.norm(got - want)) > 1e-7:
             return CheckResult("projection-vs-active-set-enumeration", False,
                                f"mismatch at n={n}, k={k}: {got} vs {want}")
     return CheckResult("projection-vs-active-set-enumeration", True,
-                       "60 random instances and 6 tie-heavy ones")
+                       "60 random instances and 6 tie-heavy ones against enumeration, "
+                       "5 at scale 1e20 and 5 at 1e300 against exact rational arithmetic")
 
 
 def _check_lmo(rng, max_n) -> CheckResult:

@@ -443,29 +443,39 @@ def test_cli_run_names_sizes_no_array_can_hold(config, message, tmp_path, capsys
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("adversary, policy, noise_l2", [
-    pytest.param("modular-random", {"sigma": 1e-160}, 0.5, id="sigma-1e-160"),
-    pytest.param("modular-random", {"sigma": 1e-300}, 0.5, id="sigma-1e-300"),
-    pytest.param("onehot-ensemble", {}, 1e-160, id="noise_l2-1e-160"),
+@pytest.mark.parametrize("adversary, policy, noise_l2, error", [
+    pytest.param("modular-random", {"sigma": 1e-160}, 0.5, None, id="sigma-1e-160"),
+    pytest.param("modular-random", {"sigma": 1e-300}, 0.5, None, id="sigma-1e-300"),
+    pytest.param("onehot-ensemble", {}, 1e-160, None, id="noise_l2-1e-160"),
+    # the weight 1e-320 is subnormal, and the scores over it overflow
+    pytest.param("modular-random", {"sigma": 1e-310}, 1e-10,
+                 "round 2: the exact proposal failed at regularizer weight 1e-320",
+                 id="sigma-1e-310"),
 ])
-def test_cli_run_names_a_tiny_regularizer_weight(adversary, policy, noise_l2,
+def test_cli_run_names_a_tiny_regularizer_weight(adversary, policy, noise_l2, error,
                                                  tmp_path, capsys):
     # the exact optimistic proposal projects the scores over the weight,
-    # sigma times the hint errors; near 1e-160 no feasible point survives
-    # the rounding (the same configs run in AFW mode)
+    # sigma times the hint errors: near 1e-160 that is the top-k vertex,
+    # which it finds at any scale, as AFW mode does; only scores past the
+    # float range fail, with an error naming the round, sigma and noise_l2
     raw = base_config(T=3, replicas=1, seed=0,
                       policy={"kind": "oftrl", "mode": "exact", **policy},
                       adversary={"kind": adversary},
                       hints={"mode": "additive-noise", "noise_l2": noise_l2})
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(raw))
-    assert main(["run", "--config", str(cfg_path)]) == 2
-    err = capsys.readouterr().err
-    assert re.search(r"round \d+: the exact proposal failed", err), err
-    assert "sigma" in err and "noise_l2" in err
-    raw["policy"]["mode"] = "afw"
-    cfg_path.write_text(json.dumps(raw))
-    assert main(["run", "--config", str(cfg_path)]) == 0
+    for mode in ("exact", "afw"):
+        raw["policy"]["mode"] = mode
+        cfg_path.write_text(json.dumps(raw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main(["run", "--config", str(cfg_path)])
+        err = capsys.readouterr().err
+        if mode == "exact" and error is not None:
+            assert code == 2, err
+            assert error in err and "y contains non-finite entries" in err, err
+            assert "sigma" in err and "noise_l2" in err
+        else:
+            assert code == 0, err
 
 
 def _without(key):
@@ -504,7 +514,8 @@ NUMERIC_FIELDS = {None: ("n", "k", "T", "seed", "replicas", "alpha", "M", "G"),
                   "hints": ("noise_l2",),
                   "adversary": ("G", "w_max", "jitter", "density", "phases", "universe")}
 # 1e154 squares to a finite float; 10**400 is an integer no float holds;
-# 1e-160 and 1e-300 as sigma or noise_l2 leave the exact proposal no feasible point
+# 1e-160 and 1e-300 as sigma or noise_l2 make the exact proposal project
+# scores near 1e160 and past
 CORRUPT_VALUES = ("x", True, float("nan"), -1, 0, 1e308, 1e154, 10**400, 1e-160, 1e-300)
 
 

@@ -2,8 +2,9 @@
 
 Every replica CSV and ``summary.json`` under ``tests/golden/<name>/`` was
 written by this module's ``__main__`` block.  A change that alters these
-bytes on purpose (a numerics fix, say) names the reason and rewrites them
-with ``PYTHONPATH=src python tests/test_golden.py``.
+bytes on purpose (a numerics fix, say) names the reason and rewrites the
+configs it moves with ``PYTHONPATH=src python tests/test_golden.py NAME...``
+(every config when no name is given).
 """
 
 from pathlib import Path
@@ -96,5 +97,12 @@ def test_outputs_match_golden(name, workers, tmp_path):
 
 
 if __name__ == "__main__":
-    for name, raw in CONFIGS.items():
-        run_experiment(ExperimentConfig.from_dict(raw), out_dir=GOLDEN / name, workers=1)
+    import sys
+
+    names = sys.argv[1:] or list(CONFIGS)
+    unknown = sorted(set(names) - set(CONFIGS))
+    if unknown:
+        sys.exit(f"unknown golden configs: {unknown}")
+    for name in names:
+        run_experiment(ExperimentConfig.from_dict(CONFIGS[name]), out_dir=GOLDEN / name,
+                       workers=1)
