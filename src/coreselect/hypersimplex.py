@@ -26,8 +26,6 @@ TAU_FEAS = 1e-9
 # exp(-690) ~ 3e-300 is still a normal double: below this spread of scores the
 # exponentials and their tail sums keep full precision, and k / e cannot overflow
 EXP_SAFE_SPREAD = 690.0
-# subtracted from a row of sorted candidates z, gives the rows z - 1 and z
-_CAP_AND_ZERO = np.array([[1.0], [0.0]])
 
 
 class InfeasiblePointError(ValueError):
@@ -278,13 +276,11 @@ def euclidean_project(y: np.ndarray, k: int) -> np.ndarray:
     np.minimum(w, 1.0, out=w)
     z = np.sort(w)
     m = z.size
-    # every breakpoint b, the rows z - 1 and z; at b the candidates from
-    # z[pos] on are still positive and those from z[cap] on still capped,
-    # so z[pos:cap] are the active ones
-    rows = z - _CAP_AND_ZERO
-    bps = rows.ravel()
+    # at breakpoint b the candidates from z[pos] on are still positive and
+    # those from z[cap] on still capped, so z[pos:cap] are the active ones
+    bps = np.concatenate([z - 1.0, z])
     pos = z.searchsorted(bps)
-    cap = rows[0].searchsorted(bps)
+    cap = bps[:m].searchsorted(bps)
     sums = np.zeros(m + 1)
     np.add.accumulate(z, out=sums[1:])
     # s = S(b) - m, from S(b) = (m - cap) + sum(z[pos:cap]) - (cap - pos) * b

@@ -26,7 +26,7 @@ from coreselect.bench import (
     sweep,
 )
 from coreselect.cli import main
-from coreselect.hypersimplex import euclidean_project
+from coreselect.hypersimplex import InfeasiblePointError, euclidean_project
 from coreselect.blocks import block_rounds
 from coreselect.policy import ScorePolicy
 from coreselect.verify import CheckResult, verify_all
@@ -269,10 +269,14 @@ def test_verify_all_passes_and_detects_injected_fault():
             p[0], p[1] = p[1], p[0]  # wrong but still feasible
         return p
 
-    results = verify_all(max_n=6, projection_fn=broken_projection)
-    by_name = {r.name: r for r in results}
-    assert not by_name["projection-vs-active-set-enumeration"].passed
-    assert "mismatch" in by_name["projection-vs-active-set-enumeration"].detail
+    def raising_projection(y, k):
+        raise InfeasiblePointError("cannot repair infeasible integral vector")
+
+    for fault, detail in ((broken_projection, "mismatch"), (raising_projection, "raised")):
+        results = verify_all(max_n=6, projection_fn=fault)
+        by_name = {r.name: r for r in results}
+        assert not by_name["projection-vs-active-set-enumeration"].passed
+        assert detail in by_name["projection-vs-active-set-enumeration"].detail
 
 
 def test_cli_verify_and_lower_bound(capsys):
