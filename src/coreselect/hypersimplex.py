@@ -266,7 +266,7 @@ def euclidean_project(y: np.ndarray, k: int) -> np.ndarray:
     # v as +0.0 when it is a zero, so that u does not depend on which zero
     # the partition returns
     v = float(np.partition(y, n - k)[n - k]) + 0.0
-    if abs(v) < 1e292:  # y - v cannot overflow
+    if abs(v) < 1e291:  # under half an ulp of the largest float: no overflow
         u = y - v
     else:  # it may, to an infinity that the clamps below handle
         with np.errstate(over="ignore"):

@@ -274,7 +274,6 @@ def test_project_matches_enumeration():
         assert np.linalg.norm(got - want) < 1e-8, (y, k)
 
 
-
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("scale", [1.0, 1e8, 1e16, 1e20, 1e100, 1e300, 5e307])
 def test_project_is_exact_at_every_scale(scale):
@@ -286,6 +285,7 @@ def test_project_is_exact_at_every_scale(scale):
         want = np.array([float(f) for f in exact_projection(y, 2)])
         np.testing.assert_allclose(euclidean_project(y, 2), want, rtol=0,
                                    atol=EXACT_TOL, err_msg=repr(y))
+
 
 @pytest.mark.parametrize("n", [200, 2000])
 def test_project_is_one_threshold_at_large_n(n):
@@ -340,7 +340,8 @@ def test_lmo_minimizes_over_all_vertices():
 
 
 # ---------------------------------------------------------------------------
-# The default sort with a stable fallback on ties, against one stable sort.
+# Ties: lmo's default sort with a stable fallback against one stable sort,
+# and the projection against exact arithmetic.
 
 def project_breakpoint_sums_reference(y, k):
     """The projection as it was once solved, written out: one stable sort of
@@ -408,7 +409,6 @@ def test_default_sort_matches_the_stable_sort_bit_for_bit(n):
     assert lmo(cost, k).tobytes() == lmo_stable_reference(cost, k).tobytes()
 
 
-
 @pytest.mark.parametrize("n", [1000, 2000])
 def test_project_moves_only_by_rounding_from_the_breakpoint_sums(n):
     # solving over the candidates changed the numerics, not the answer: at
@@ -420,6 +420,7 @@ def test_project_moves_only_by_rounding_from_the_breakpoint_sums(n):
             np.testing.assert_allclose(euclidean_project(y, k),
                                        project_breakpoint_sums_reference(y, k),
                                        rtol=0, atol=1e-11, err_msg=f"{scale}, k={k}")
+
 
 @pytest.mark.parametrize("n", [20, 1000])
 def test_lmo_of_a_block_is_each_row_alone(n):
