@@ -6,10 +6,12 @@ alpha it promises, so the harness can check the theory bounds against what
 was actually emitted.
 
 Every generator yields ``(f, b)`` runs: one reward f for the next b rounds,
-b at most ``block_rounds(n)``, never crossing a phase.  A modular run's f is
-a ``ModularFunction`` of (b, n) coefficient rows, drawn with one generator
-call, the stream and bits of one round at a time; a coverage or matching
-phase's reward comes once per run of it.
+b at most ``block_rounds(n)``.  A modular run's f is a ``ModularFunction``
+of (b, n) coefficient rows, drawn with one generator call, the stream and
+bits of one round at a time; a coverage phase's reward comes once per run
+of it, and runs of these never cross a phase.  A matching run is a block
+that may span phases, its f a ``MatchingRewardFunction`` stack of the
+block's phase matrices with each round's phase index.
 """
 
 from __future__ import annotations
@@ -88,7 +90,8 @@ class Adversary:
 
     def core_strategy(self, rng: np.random.Generator):
         """The callable ``(f, b) -> G`` that gives a run's proxy vectors
-        as (b, n) rows."""
+        as (b, n) rows; an error it raises may carry ``rows``, the range
+        of the run's rows it is about."""
         return self._make_strategy(rng)
 
 
@@ -224,7 +227,13 @@ def make_coverage_drift_adversary(n: int, universe: int | None = None,
 
 def make_matching_random_adversary(m: int, w_max: float = 1.0,
                                    phases: int = DEFAULT_PHASES) -> Adversary:
-    """Piecewise-stationary bipartite matching rewards on m + m vertices."""
+    """Piecewise-stationary bipartite matching rewards on m + m vertices.
+
+    One reward per block of up to ``block_rounds(n)`` rounds, which may
+    span phases: a stack of the block's phase matrices with each round's
+    phase index.  Each phase's ``rng.random((m, m))`` is drawn at its first
+    round, in round order, and a phase that runs on into the next block
+    keeps its matrix there."""
     # load scipy's compiled assignment solver (the extension module
     # scipy.optimize._lsap, not all of scipy.optimize) while the run is set
     # up, not in its first round
@@ -233,10 +242,16 @@ def make_matching_random_adversary(m: int, w_max: float = 1.0,
     n = 2 * m
 
     def rounds(T, rng):
-        for b, new in _blocks(T, n, phases):
-            if new:
-                f = MatchingRewardFunction(w_max * rng.random((m, m)))
-            yield f, b
+        plen, start, stack = max(1, int(np.ceil(T / phases))), 0, []
+        for b, _ in _blocks(T, n):
+            phase = np.arange(start, start + b) // plen
+            first = int(phase[0])
+            # the last phase of the block before, unless this block starts one
+            stack = stack[-1:] if start % plen else []
+            for _ in range(first + len(stack), int(phase[-1]) + 1):
+                stack.append(w_max * rng.random((m, m)))
+            yield MatchingRewardFunction(np.stack(stack), phase - first), b
+            start += b
 
     return Adversary("matching-random", n, alpha=1.0, M=float(m) * w_max,
                      G=float(n) * w_max / float(np.sqrt(2.0)),

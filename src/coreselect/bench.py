@@ -253,7 +253,8 @@ def _replica_blocks(cfg: ExperimentConfig, policy: ScorePolicy | OftrlPolicy,
     revealed: its record, and each round's reward and full-set reward.
 
     A run's proxy vectors come from one core-strategy call (a failing one
-    ends the replica, naming the run's rounds, before its block is played),
+    ends the replica before its block is played, naming the run's rounds,
+    or the part of them that its error's ``rows`` gives),
     and its rewards from one ``value`` call on its (b, k) sets after the
     block's ``step``.  The optimistic policy also gets a block's hints in one
     call; rewards on at most 16 elements then log their squared
@@ -272,7 +273,9 @@ def _replica_blocks(cfg: ExperimentConfig, policy: ScorePolicy | OftrlPolicy,
             try:
                 G[rows] = strategy(f, rows.stop - rows.start)
             except Exception as exc:
-                first, last = t + rows.start + 1, t + rows.stop
+                # an error may name the rows of the run it is about
+                part = getattr(exc, "rows", range(rows.stop - rows.start))
+                first, last = t + rows.start + part[0] + 1, t + rows.start + part[-1] + 1
                 where = f"round {first}" if first == last else f"rounds {first}-{last}"
                 raise RuntimeError(f"core strategy failed on {where}: {exc}") from exc
         hints = None if spec is None else generate_hints(G, spec, rngs["hints"])

@@ -173,9 +173,16 @@ def tightest_alpha(g: np.ndarray, f: SetFunction, tol: float = DEFAULT_TOL) -> f
     return float(max(1.0, ratios.max())) if ratios.size else 1.0
 
 
-def hungarian_duals(
-    w: np.ndarray, tol: float = 1e-6
-) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]], float]:
+class DualsError(RuntimeError):
+    """``hungarian_duals`` failed on ``index``, the matrix of its stack
+    (0 for one matrix) whose error this is."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
+def hungarian_duals(w: np.ndarray, tol: float = 1e-6) -> tuple:
     """Minimum-cost perfect matching with optimal dual prices, without an LP.
 
     Returns (u, v, matching, value) with u_i + v_j <= w_ij everywhere,
@@ -188,7 +195,7 @@ def hungarian_duals(
     w[i, sigma(i)] - u[i].  The distances exist because an optimal
     assignment leaves no negative cycle; a vectorized Bellman-Ford settles
     them in at most m rounds, and a relaxation still moving after m rounds
-    raises ``RuntimeError``.
+    raises ``DualsError``, a ``RuntimeError``.
 
     Prices are then shifted along the objective-neutral direction
     (u + c, v - c): all the way to nonnegativity whenever some nonnegative
@@ -196,56 +203,75 @@ def hungarian_duals(
     entries.  Nonnegative optimal prices do not exist for every cost matrix:
     when a cheap star covers the vertices for less than any perfect matching
     costs, every nonnegative feasible pair sums below the matching value.
+
+    ``w`` may also be a (P, m, m) stack: then u and v are (P, m) rows, the
+    matching a list of P matchings and the value a (P,) array, each with
+    the bits of its matrix alone.  One Bellman-Ford relaxes the whole stack,
+    and a matrix that has settled is never relaxed again.  An error from a
+    stack names the first matrix that failed.
     """
     w = np.asarray(w, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1] or w.size == 0:
-        raise ValueError("weight matrix must be square and nonempty")
+    stack = w if w.ndim == 3 else w[None]
+    if w.ndim not in (2, 3) or stack.shape[1] != stack.shape[2] or stack.size == 0:
+        raise ValueError("weight matrix must be square and nonempty, "
+                         "or a stack of such matrices")
     if not np.all(np.isfinite(w)) or np.any(w < 0):
         raise ValueError("weights must be finite and nonnegative")
-    m = w.shape[0]
-    rows, cols = linear_sum_assignment(w)  # rows == arange(m) for square w
-    matched = w[rows, cols]
-    value = float(matched.sum())
+    P, m = stack.shape[:2]
 
-    # arc[i', i] = w[i, sigma(i')] - w[i', sigma(i')]; the diagonal is 0, so
-    # one relaxation round keeps every distance that is already shortest
-    arc = w[:, cols].T - matched[:, None]
+    def fail(failed: np.ndarray, message: str) -> DualsError:
+        index = int(np.flatnonzero(failed)[0])
+        where = f"matrix {index} of the stack: " if w.ndim == 3 else ""
+        return DualsError(index, where + message)
+
+    # rows == arange(m) for a square matrix
+    cols = np.array([linear_sum_assignment(matrix)[1] for matrix in stack])
+    each, rows = np.arange(P)[:, None], np.arange(m)
+    matched = stack[each, rows, cols]
+    value = matched.sum(axis=1)
+
+    # arc[p, i', i] = w[p, i, sigma_p(i')] - w[p, i', sigma_p(i')]; the
+    # diagonal is 0, so one relaxation round keeps every distance that is
+    # already shortest
+    arc = stack[each[:, :, None], rows, cols[:, :, None]] - matched[:, :, None]
     # improvements below rounding noise are not moves, so float ties that
     # sum to a cycle of length -ulp cannot keep the relaxation going
-    slack = 4.0 * m * np.finfo(float).eps * float(w.max())
-    u = np.zeros(m)
+    slack = (4.0 * m * np.finfo(float).eps * stack.max(axis=(1, 2)))[:, None]
+    u = np.zeros((P, m))
+    moving = np.ones(P, dtype=bool)
     for _ in range(m):
-        relaxed = (u[:, None] + arc).min(axis=0)
-        if not (relaxed < u - slack).any():
+        relaxed = (u[:, :, None] + arc).min(axis=1)
+        moving &= (relaxed < u - slack).any(axis=1)
+        if not moving.any():
             break
-        u = relaxed
+        u[moving] = relaxed[moving]
     else:
-        raise RuntimeError(
-            f"shortest-path potentials did not settle in {m} rounds: "
-            "negative cycle, the assignment is not optimal")
-    v = np.empty(m)
-    v[cols] = matched - u
+        raise fail(moving, f"shortest-path potentials did not settle in {m} rounds: "
+                           "negative cycle, the assignment is not optimal")
+    v = np.empty((P, m))
+    np.put_along_axis(v, cols, matched - u, axis=1)
 
-    u_min, v_min = float(u.min()), float(v.min())
-    if u_min < 0.0 and v_min >= -u_min:
-        shift = -u_min
-    elif v_min < 0.0 and u_min >= -v_min:
-        shift = v_min
-    elif u_min + v_min < 0.0:
-        shift = 0.5 * (v_min - u_min)  # nonnegativity unattainable; balance
-    else:
-        shift = 0.0
+    u_min, v_min = u.min(axis=1), v.min(axis=1)
+    shift = np.where(
+        (u_min < 0.0) & (v_min >= -u_min), -u_min, np.where(
+            (v_min < 0.0) & (u_min >= -v_min), v_min, np.where(
+                u_min + v_min < 0.0, 0.5 * (v_min - u_min),  # unattainable; balance
+                0.0)))[:, None]
     u += shift
     v -= shift
 
-    if abs(float(u.sum() + v.sum()) - value) > tol * max(1.0, abs(value)):
-        raise RuntimeError(
-            f"duality gap: prices total {u.sum() + v.sum():.9g}, matching {value:.9g}"
-        )
-    if (u[:, None] + v[None, :] > w + tol).any():
-        raise RuntimeError("dual prices violate feasibility")
-    matching = sorted(zip(rows.tolist(), cols.tolist()))
-    return u, v, matching, value
+    total = u.sum(axis=1) + v.sum(axis=1)
+    gap = np.abs(total - value) > tol * np.maximum(1.0, np.abs(value))
+    if gap.any():
+        p = int(np.flatnonzero(gap)[0])
+        raise fail(gap, f"duality gap: prices total {total[p]:.9g}, matching {value[p]:.9g}")
+    infeasible = (u[:, :, None] + v[:, None, :] > stack + tol).any(axis=(1, 2))
+    if infeasible.any():
+        raise fail(infeasible, "dual prices violate feasibility")
+    matching = [list(zip(range(m), c)) for c in cols.tolist()]
+    if w.ndim == 3:
+        return u, v, matching, value
+    return u[0], v[0], matching[0], float(value[0])
 
 
 def matching_core_vector(w: np.ndarray) -> AdmissibleVector:
@@ -328,12 +354,24 @@ def marginal_strategy(rng: np.random.Generator | None = None):
 
 
 def matching_dual_strategy():
-    """Optimal assignment duals of a matching reward, solved once per run
-    and repeated as its b rows."""
+    """Optimal assignment duals of a matching reward: one ``hungarian_duals``
+    call per run, on its stack of phase matrices for a block (on its one
+    matrix otherwise), and each round's row the duals of its phase.
+
+    A matrix whose duals fail names its phase's rounds: the error's
+    ``rows`` is the range of the run's rows that are that phase's."""
 
     def strategy(f: SetFunction, b: int) -> np.ndarray:
         if not isinstance(f, MatchingRewardFunction):
             raise TypeError("matching_dual_strategy needs MatchingRewardFunction rewards")
-        return matching_core_vector(f.w).g[None].repeat(b, axis=0)
+        phase = np.zeros(b, dtype=np.intp) if f.phase is None else f.phase
+        try:  # looked up on the module, where perfbench/spans.py wraps it
+            u, v, _, _ = hungarian_duals(f.w)
+        except DualsError as exc:
+            rows = np.flatnonzero(phase == exc.index)
+            if rows.size:  # a matrix no round plays names no rows
+                exc.rows = range(rows[0], rows[-1] + 1)
+            raise
+        return np.concatenate([u, v], axis=-1).reshape(-1, f.n)[phase]
 
     return strategy

@@ -351,7 +351,10 @@ class OftrlPolicy(_Policy):
             return res.p
         # _objective(hvec).exact_minimizer(), with its bits and no objective
         s = st.sigma_sum
-        y = (self.theta + hvec + (0.0 + s * (st.weighted_center / s))) / s
+        # at a subnormal weight the scores overflow; the projection's finite
+        # check names that, so numpy's warning would only repeat it
+        with np.errstate(over="ignore"):
+            y = (self.theta + hvec + (0.0 + s * (st.weighted_center / s))) / s
         try:  # looked up on the module, where perfbench/spans.py wraps it
             return hypersimplex.euclidean_project(y, k)
         except ValueError as exc:

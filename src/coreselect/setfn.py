@@ -266,18 +266,40 @@ class MatchingRewardFunction(SetFunction):
     The ground set is U (indices 0..m-1) followed by V (indices m..2m-1); a
     subset that does not pick equally many U and V vertices (or picks none)
     evaluates to 0.
+
+    ``w`` may also be a (P, m, m) stack of matrices with ``phase``, each
+    round's index into it: the rewards of a block of rounds, round i's
+    being ``w[phase[i]]``.  ``value`` then takes the block's (b, k) sets,
+    one per round, and ``full_value`` returns the b full-set values, each
+    with the bits of its round's reward alone.  A stack is bounded by its
+    largest matrix's bound.
     """
 
-    def __init__(self, w: np.ndarray):
+    def __init__(self, w: np.ndarray, phase: np.ndarray | None = None):
         w = np.asarray(w, dtype=float)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise ValueError("weight matrix must be square")
+        if w.ndim not in (2, 3) or w.shape[-2] != w.shape[-1]:
+            raise ValueError("weight matrix must be square, or a stack of square matrices")
         if not np.all(np.isfinite(w)) or np.any(w < 0):
             raise ValueError("weights must be finite and nonnegative")
-        self.w = w
-        self.m = w.shape[0]
+        if (phase is None) != (w.ndim == 2):
+            raise ValueError("a stack of weight matrices takes each round's phase index, "
+                             "and one matrix takes none")
+        if phase is not None:
+            phase = np.asarray(phase, dtype=np.intp)
+            if phase.ndim != 1 or not ((phase >= 0) & (phase < len(w))).all():
+                raise ValueError("phase indices must name matrices of the stack")
+        self.w, self.phase = w, phase
+        self._stack = w if phase is not None else w[None]
+        self.m = w.shape[-1]
         super().__init__(2 * self.m, value_bound=float(self.m * w.max()) if w.size else 0.0,
                          monotone=False)
+
+    def _matrix(self) -> np.ndarray:
+        """``w`` of one round's reward: a block has no value on one set."""
+        if self.phase is not None:
+            raise ValueError("a block of matching rewards takes one set per round; "
+                             "MatchingRewardFunction(w[phase[i]]) is round i's reward")
+        return self.w
 
     def split(self, indices: Iterable[int]) -> tuple[list[int], list[int]]:
         rows, cols = [], []
@@ -290,16 +312,50 @@ class MatchingRewardFunction(SetFunction):
         return len(rows) == len(cols) and len(rows) > 0
 
     def value(self, indices: Iterable[int] | np.ndarray) -> float | np.ndarray:
-        """The value of one set, or of each row of a (B, k) index array."""
-        if isinstance(indices, np.ndarray) and indices.ndim == 2:
-            return np.array([self._value(row) for row in indices.tolist()])
-        return self._value(indices)
+        """The value of one set, or of each row of a (b, k) index array:
+        the rounds of a block, or b sets of this one reward.
+
+        Each row's value has the bits of ``_value`` on it.  One gather takes
+        the h x h submatrix of every balanced row (h = k / 2), its U entries
+        first and then its V entries, each in the row's order, as ``split``
+        gives them; the solver takes one matrix per call, and one gather-sum
+        adds up the matched entries.
+        """
+        if not (isinstance(indices, np.ndarray) and indices.ndim == 2):
+            return self._value(indices)
+        b, k = indices.shape
+        out = np.zeros(b)
+        in_u = indices < self.m
+        h = k // 2
+        rows = np.flatnonzero(in_u.sum(axis=1) == h) if h and k == 2 * h else []
+        if not len(rows):
+            return out
+        sets = indices[rows]
+        sets = np.take_along_axis(sets, np.argsort(~in_u[rows], axis=1, kind="stable"),
+                                  axis=1)
+        phase = self.phase[rows] if self.phase is not None else np.zeros_like(rows)
+        sub = self._stack[phase[:, None, None], sets[:, :h, None], sets[:, None, h:] - self.m]
+        solve = assignment_solver()
+        cols = np.array([solve(s)[1] for s in sub])
+        out[rows] = sub[np.arange(len(rows))[:, None], np.arange(h), cols].sum(axis=1)
+        return out
+
+    def full_value(self) -> float | np.ndarray:
+        """f of the whole ground set, or a block's b per-round values: each
+        matrix's assignment is solved once, on the matrix itself."""
+        if self._full_cache is None:
+            solve = assignment_solver()
+            totals = np.array([w[solve(w)].sum() for w in self._stack])
+            self._full_cache = (totals[self.phase] if self.phase is not None
+                                else float(totals[0]))
+        return self._full_cache
 
     def _value(self, indices: Iterable[int]) -> float:
+        w = self._matrix()
         rows, cols = self.split(indices)
         if len(rows) != len(cols) or not rows:
             return 0.0
-        sub = self.w[np.array(rows)[:, None], cols]
+        sub = w[np.array(rows)[:, None], cols]
         r, c = linear_sum_assignment(sub)
         return float(sub[r, c].sum())
 

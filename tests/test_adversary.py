@@ -15,16 +15,20 @@ from coreselect.adversary import (
     make_onehot_adversary,
 )
 from coreselect.blocks import PLAN_CELLS, block_rounds
-from coreselect.setfn import ModularFunction, distance_sup
+from coreselect.setfn import MatchingRewardFunction, ModularFunction, distance_sup
 
 
 def one_per_round(runs):
     """The rewards one per round: each row of a modular run's reward as a
-    function of its own, and a run of any other reward b times."""
+    function of its own, each round of a matching block as its phase's
+    matrix, and a run of any other reward b times."""
     out = []
     for f, b in runs:
         if isinstance(f, ModularFunction):
             out += [ModularFunction(row) for row in f.w]
+        elif isinstance(f, MatchingRewardFunction):
+            assert len(f.phase) == b
+            out += [MatchingRewardFunction(f.w[p]) for p in f.phase]
         else:
             out += [f] * b
     return out
@@ -135,18 +139,43 @@ def test_runs_tile_the_rounds_within_blocks_and_phases(kind, n, T, phases):
     plen = max(1, -(-T // phases)) if phases is not None else T
     start, phase_rewards = 0, {}
     for f, b in adv.rounds(T, np.random.default_rng(n + T)):
-        # rounds start+1..start+b, in order, inside one block and one phase
+        # rounds start+1..start+b, in order, inside one block
         assert isinstance(b, int) and 1 <= b <= block_rounds(n)
-        assert start // plen == (start + b - 1) // plen
         assert f.n == n
+        phase = np.arange(start, start + b) // plen
         if isinstance(f, ModularFunction):
             assert f.w.shape == (b, n)
-        else:  # one reward object per phase
-            assert phase_rewards.setdefault(start // plen, f) is f
+        if isinstance(f, MatchingRewardFunction):
+            # a block may span phases: each row names its phase's matrix,
+            # the same matrix in every block the phase reaches
+            assert f.phase.tolist() == (phase - phase[0]).tolist()
+            assert len(f.w) == phase[-1] - phase[0] + 1
+            for p, w in zip(range(phase[0], phase[-1] + 1), f.w):
+                assert phase_rewards.setdefault(p, w).tobytes() == w.tobytes()
+        else:  # no other run crosses a phase
+            assert phase[0] == phase[-1]
+            if not isinstance(f, ModularFunction):  # one reward object per phase
+                assert phase_rewards.setdefault(phase[0], f) is f
         start += b
     assert start == T
     if phases is not None and kind != "modular-drift":
-        assert len({id(f) for f in phase_rewards.values()}) == -(-T // plen)
+        assert len(phase_rewards) == -(-T // plen)
+        if kind == "coverage-drift":
+            assert len({id(f) for f in phase_rewards.values()}) == -(-T // plen)
+
+
+def test_matching_blocks_draw_the_phase_matrices_in_round_order():
+    # each phase's matrix is rng.random((m, m)) drawn at its first round
+    m, T, phases = 10, 450, 7
+    plen = -(-T // phases)
+    runs = list(make_matching_random_adversary(m, w_max=2.0, phases=phases).rounds(
+        T, np.random.default_rng(3)))
+    assert [b for _, b in runs] == [204, 204, 42]
+    rng = np.random.default_rng(3)
+    want = [2.0 * rng.random((m, m)) for _ in range(-(-T // plen))]
+    got = one_per_round(runs)
+    for t, f in enumerate(got):
+        assert f.w.tobytes() == want[t // plen].tobytes()
 
 
 def _rescaled_reference(w, G, fallback):

@@ -16,6 +16,7 @@ import pytest
 
 import coreselect
 import coreselect.bench as bench_module
+from coreselect import corevec
 from coreselect.adversary import Adversary
 from coreselect.bench import (
     ExperimentConfig,
@@ -142,6 +143,36 @@ def test_failing_core_strategy_names_the_round(policy, monkeypatch):
         monkeypatch.setattr(Adversary, "core_strategy", failing_on_call(fail_at))
         with pytest.raises(RuntimeError, match=f"core strategy failed on {where}: 'boom'"):
             run_replica(cfg, 0)
+
+
+@pytest.mark.parametrize("phase, where, matrix", [
+    (3, "rounds 196-204", 3),  # rounds 196-260: the first block's last phase
+    (4, "rounds 261-325", 1),  # the second block's second phase
+    (6, "rounds 391-408", 3),  # rounds 391-450: fails in the block it starts in
+])
+def test_failing_matching_duals_name_their_phase_rounds(phase, where, matrix, monkeypatch):
+    # n = 20: blocks of 204 rounds span the phases of 65 rounds
+    cfg = ExperimentConfig.from_dict(base_config(
+        n=20, k=10, T=450, replicas=1,
+        adversary={"kind": "matching-random", "phases": 7}))
+    # each phase's matrix, from the stream the replica draws
+    adv = bench_module.adversary_from_config(cfg.adversary, cfg.n)
+    mats, start = {}, 0
+    for f, b in adv.rounds(cfg.T, bench_module._replica_rngs(cfg.seed, 0)["adversary"]):
+        for t, p in enumerate(f.phase.tolist(), start):
+            mats[t // 65] = f.w[p]
+        start += b
+    bad = mats[phase].tobytes()
+    solve = corevec.linear_sum_assignment
+
+    def solver(w):  # a non-optimal assignment for that phase's matrix only
+        rows, cols = solve(w)
+        return (rows, cols[::-1]) if w.tobytes() == bad else (rows, cols)
+
+    monkeypatch.setattr(corevec, "linear_sum_assignment", solver)
+    with pytest.raises(RuntimeError, match=f"core strategy failed on {where}: matrix "
+                                           f"{matrix} of the stack: shortest-path potentials"):
+        run_replica(cfg, 0)
 
 
 @pytest.mark.parametrize("policy", [{"kind": "score"}, {"kind": "priced"}])
@@ -482,6 +513,20 @@ def test_cli_run_names_a_tiny_regularizer_weight(adversary, policy, noise_l2, er
             assert code == 0, err
 
 
+def test_subnormal_regularizer_weight_fails_without_a_warning():
+    # scores over a subnormal weight overflow: the named error, and no
+    # numpy warning before it
+    cfg = ExperimentConfig.from_dict(base_config(
+        n=6, k=2, T=3, replicas=1, seed=0,
+        policy={"kind": "oftrl", "mode": "exact", "sigma": 1e-310},
+        hints={"mode": "additive-noise", "noise_l2": 1e-10}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="round 2: the exact proposal failed at "
+                                             "regularizer weight 1e-320 .* non-finite"):
+            run_replica(cfg, 0)
+
+
 def _without(key):
     raw = base_config(T=5, replicas=1)
     del raw[key]
@@ -643,6 +688,30 @@ def test_matching_loads_the_assignment_solver_without_scipy_optimize(tmp_path):
     ) == ["False", "[0,", "1,", "2]", "[1,", "0,", "2]", "True", "True"]
 
 
+def test_runs_import_no_module(tmp_path):
+    # the benchmark times a run in a fresh process, so a module that a round
+    # imports lazily (numpy.ma, say) is paid inside the timed run
+    configs = [base_config(T=30, replicas=1, policy=policy, adversary={"kind": kind},
+                           hints={"mode": "additive-noise", "noise_l2": 0.5})
+               for policy, kind in itertools.product(BOUNDARY_POLICIES, BOUNDARY_ADVERSARIES)]
+    code = "\n".join([
+        "import json, sys",
+        "from coreselect.adversary import adversary_from_config",
+        "from coreselect.bench import ExperimentConfig, run_experiment",
+        "gained = []",
+        f"for i, raw in enumerate({configs!r}):",
+        "    adversary_from_config(raw['adversary'], raw['n'])",
+        "    before = set(sys.modules)",
+        f"    run_experiment(ExperimentConfig.from_dict(raw), out_dir={str(tmp_path)!r} + f'/{{i}}')",
+        "    gained.append(sorted(set(sys.modules) - before))",
+        "print(json.dumps(gained))",
+    ])
+    gained = json.loads(_run_fresh(code))
+    assert len(gained) == 25
+    assert [(raw["policy"], raw["adversary"]["kind"], names)
+            for raw, names in zip(configs, gained) if names] == []
+
+
 def test_traced_benchmark_reaches_every_layer(tmp_path):
     # perfbench/spans.py wraps module attributes of the package; a layer
     # that a refactor moves out from under its wrapper reads zero calls
@@ -672,10 +741,12 @@ def test_traced_benchmark_reaches_every_layer(tmp_path):
     assert [name for name, count in calls.items() if count == 0] == []
     # 4 configs of T=10, one replica each, and one step per block: each
     # config's runs fill one block, modular-drift's 10 phases of one round
-    # as well.  One core-strategy call per run: matching, coverage and
-    # modular-drift have 10 phases of one round, modular-random one run
+    # as well.  One core-strategy call per run: matching yields one run per
+    # block, whose ten one-round phases it spans; coverage and modular-drift
+    # have 10 phases of one round, modular-random one run
     assert calls["policy.step"] == 1 + 1 + 1 + 1
-    assert calls["corevec.core_vector"] == 10 + 10 + 10 + 1
+    assert calls["corevec.core_vector"] == 1 + 10 + 10 + 1
+    assert calls["corevec.hungarian_duals"] == 1
 
 
 def test_readme_library_example_runs(capsys):

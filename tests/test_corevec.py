@@ -308,6 +308,49 @@ def test_hungarian_duals_reject_a_non_optimal_assignment(monkeypatch):
     with pytest.raises(RuntimeError, match="negative cycle"):
         hungarian_duals(w)
 
+@pytest.mark.parametrize("name", sorted(DEGENERATE_COSTS))
+def test_hungarian_duals_of_a_stack_equal_its_matrices_one_at_a_time(name):
+    # the degenerate matrix among random, tied, separable and scaled ones of
+    # its size, whose relaxations settle after different numbers of rounds
+    w = DEGENERATE_COSTS[name]
+    m = len(w)
+    rng = np.random.default_rng(m)
+    stack = np.stack([rng.random((m, m)), w, np.round(rng.random((m, m)) * 2),
+                      rng.random(m)[:, None] + rng.random(m)[None, :],
+                      np.ascontiguousarray(w[::-1]), rng.random((m, m)) * 1e6, w])
+    u, v, matching, value = hungarian_duals(stack)
+    assert u.shape == v.shape == (len(stack), m) and value.shape == (len(stack),)
+    for p, wp in enumerate(stack):
+        up, vp, matching_p, value_p = hungarian_duals(wp)
+        assert u[p].tobytes() == up.tobytes() and v[p].tobytes() == vp.tobytes()
+        assert matching[p] == matching_p and value[p] == value_p
+    # a stack of one is the matrix itself, as rows
+    one = hungarian_duals(w[None])
+    assert one[0].tobytes() == hungarian_duals(w)[0][None].tobytes()
+
+
+def test_hungarian_duals_of_a_stack_name_the_matrix_that_fails(monkeypatch):
+    # only the anti-diagonal matrix gets the non-optimal assignment
+    bad = np.array([[0.0, 1.0], [1.0, 0.0]])
+    solve = corevec.linear_sum_assignment
+
+    def solver(w):
+        return (np.arange(2), np.array([1, 0])) if w.tobytes() == bad.tobytes() else solve(w)
+
+    monkeypatch.setattr(corevec, "linear_sum_assignment", solver)
+    rng = np.random.default_rng(3)
+    stack = np.stack([rng.random((2, 2)), rng.random((2, 2)), bad, bad, rng.random((2, 2))])
+    with pytest.raises(corevec.DualsError,
+                       match="^matrix 2 of the stack: .*negative cycle") as info:
+        hungarian_duals(stack)
+    assert info.value.index == 2
+    # the matrices around it still solve, and one matrix alone names none
+    hungarian_duals(np.delete(stack, [2, 3], axis=0))
+    with pytest.raises(corevec.DualsError, match="^shortest-path") as info:
+        hungarian_duals(bad)
+    assert info.value.index == 0
+
+
 def test_matching_core_vector_membership_on_balanced_subsets():
     w = np.array([[1.0, 2.0], [3.0, 4.0]])
     f = MatchingRewardFunction(w)
@@ -449,5 +492,29 @@ def test_matching_dual_strategy_solves_once_per_run(monkeypatch):
     rows[0, 0] = 99.0
     assert strategy(f, 3).tobytes() == np.tile(duals, (3, 1)).tobytes()
     assert len(calls) == 2
+    # a block that spans phases: one call on its stack, and each round
+    # gets its phase's duals
+    stack = np.random.default_rng(4).random((3, 2, 2))
+    phase = np.array([0, 0, 1, 2, 2, 2])
+    rows = strategy(MatchingRewardFunction(stack, phase), 6)
+    assert len(calls) == 3 and calls[-1] is stack
+    want = np.array([matching_core_vector(stack[p]).g for p in phase])
+    assert rows.tobytes() == want.tobytes()
     with pytest.raises(TypeError):
         strategy(ModularFunction(np.ones((1, 4))), 1)
+
+
+def test_matching_dual_strategy_names_the_rows_of_the_phase_that_fails(monkeypatch):
+    def failing(w, *args, **kwargs):
+        raise corevec.DualsError(1, "matrix 1 of the stack: boom")
+
+    monkeypatch.setattr(corevec, "hungarian_duals", failing)
+    f = MatchingRewardFunction(np.ones((3, 2, 2)), np.array([0, 1, 1, 1, 2]))
+    with pytest.raises(corevec.DualsError, match="boom") as info:
+        matching_dual_strategy()(f, 5)
+    assert info.value.rows == range(1, 4)
+    # a matrix that no round plays leaves the rows to the caller
+    f = MatchingRewardFunction(np.ones((3, 2, 2)), np.array([0, 2, 2]))
+    with pytest.raises(corevec.DualsError, match="boom") as info:
+        matching_dual_strategy()(f, 3)
+    assert not hasattr(info.value, "rows")

@@ -285,6 +285,69 @@ def test_matching_reward_unbalanced_is_zero():
     assert f.is_balanced([0, 2])
 
 
+def matching_values_reference(f, sets):
+    """The values of a matching block written out: ``_value`` of each set
+    on its round's matrix, one set at a time."""
+    stack = f.w if f.phase is not None else f.w[None]
+    phase = f.phase if f.phase is not None else np.zeros(len(sets), dtype=int)
+    return np.array([MatchingRewardFunction(stack[p])._value(row)
+                     for p, row in zip(phase.tolist(), sets.tolist())])
+
+
+def random_sets(rng, b, n, k, m):
+    """b unsorted k-sets of 0..n-1, about half of them balanced (k / 2
+    entries below m) when k is even."""
+    sets = np.array([rng.permutation(n)[:k] for _ in range(b)]).reshape(b, k)
+    for row in sets[: b // 2]:
+        if k % 2 == 0 and k // 2 <= m:
+            row[:] = rng.permutation(np.concatenate([
+                rng.permutation(m)[: k // 2], m + rng.permutation(m)[: k // 2]]))
+    return sets
+
+
+@pytest.mark.parametrize("m, k, b, P", [
+    (1, 2, 1, 1), (2, 2, 7, 1), (3, 4, 1, 2), (5, 4, 30, 3), (5, 3, 20, 2),
+    (10, 10, 204, 10), (10, 9, 50, 4), (10, 20, 40, 1), (12, 16, 60, 5),
+    (20, 18, 30, 30), (10, 0, 5, 1),
+])
+@pytest.mark.parametrize("ties", [False, True])
+def test_matching_block_values_equal_the_sets_one_at_a_time(m, k, b, P, ties):
+    rng = np.random.default_rng(100 * m + k + b + P)
+    w = rng.random((P, m, m)) * 3
+    if ties:  # a few distinct weights, so assignments tie
+        w = np.round(w)
+    sets = random_sets(rng, b, 2 * m, k, m)
+    phase = np.sort(rng.integers(0, P, size=b))
+    block = MatchingRewardFunction(w, phase)
+    got = block.value(sets)
+    want = matching_values_reference(block, sets)
+    assert got.shape == (b,) and got.tobytes() == want.tobytes()
+    if k and k % 2 == 0 and k // 2 <= m and b > 1:
+        assert (want != 0).any()  # some rows are balanced
+    # one matrix: b sets of the same reward
+    one = MatchingRewardFunction(w[0])
+    assert one.value(sets).tobytes() == matching_values_reference(one, sets).tobytes()
+    # the full values, one per round, each its own matrix's
+    full = [MatchingRewardFunction(w[p]).full_value() for p in phase.tolist()]
+    assert block.full_value().tobytes() == np.array(full).tobytes()
+    assert one.full_value() == one._value(range(2 * m))
+
+
+def test_matching_block_has_no_value_on_one_set():
+    block = MatchingRewardFunction(np.ones((2, 3, 3)), np.array([0, 0, 1]))
+    assert block.n == 6 and block.value_bound == 3.0
+    for single in (lambda: block.value([0, 3]), lambda: block.value_mask(9),
+                   block.values_all):
+        with pytest.raises(ValueError, match="takes one set per round"):
+            single()
+    with pytest.raises(ValueError, match="phase index"):
+        MatchingRewardFunction(np.ones((2, 3, 3)))
+    with pytest.raises(ValueError, match="phase index"):
+        MatchingRewardFunction(np.ones((3, 3)), np.array([0]))
+    with pytest.raises(ValueError, match="name matrices of the stack"):
+        MatchingRewardFunction(np.ones((2, 3, 3)), np.array([0, 2]))
+
+
 def test_matching_rejects_bad_matrices():
     with pytest.raises(ValueError):
         MatchingRewardFunction(np.array([[1.0, 2.0]]))
