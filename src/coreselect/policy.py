@@ -30,12 +30,14 @@ from . import hypersimplex
 from .blocks import row_dots, running_sums
 from .hypersimplex import (
     QuadraticObjective,
+    _check_entropic_args,
+    _entropic_vector,
     afw_minimize,
     default_afw_budget,
     entropic_ftrl_argmax,
     lmo,
 )
-from .sampling import draw
+from .sampling import _check_uniforms, _madow_vector, draw
 
 
 def norm_bound(alpha: float, value_bound: float) -> float:
@@ -193,25 +195,36 @@ class SemiBanditPolicy(ScorePolicy):
     """Score variant that only sees the selected coordinates of the core
     vector and feeds inverse-propensity estimates for them.  The feed
     depends on the drawn set, so a block is played one row at a time:
-    propose from theta, draw, and feed the row."""
+    propose from theta, draw, and feed the row.
+
+    What is constant over a block is checked once: ``eta`` and ``k``, and
+    the block's uniforms, drawn with one ``rng.random(B)`` (the stream and
+    generator state of B single draws).  Each row then runs the bodies of
+    the 1-d :func:`entropic_ftrl_argmax` and Madow sample, which keep
+    their checks of the row's own data, on a proposal clipped already.
+    At k == n every row feeds its whole vector, as the score policy plays.
+    """
 
     def _play(self, G, H):
         cfg = self.config
-        p = np.ones(G.shape)
-        selected = np.empty((len(G), cfg.k), dtype=np.intp)
-        for i, g in enumerate(G):
-            if cfg.k == cfg.n:
-                selected[i] = range(cfg.n)
-            else:
-                p[i] = entropic_ftrl_argmax(self.theta, cfg.eta, cfg.k)
-                selected[i] = draw(p[i], cfg.k, self.rng)
-            chosen = selected[i]
-            probs = p[i, chosen]
+        if cfg.k == cfg.n:
+            return super()._play(G, H)
+        eta, k = cfg.eta, cfg.k
+        _check_entropic_args(eta, k, cfg.n)
+        u = self.rng.random(len(G))
+        _check_uniforms(u)
+        theta = self.theta
+        p = np.empty(G.shape)
+        selected = np.empty((len(G), k), dtype=np.intp)
+        for i, ui in enumerate(u.tolist()):
+            p[i] = q = _entropic_vector(theta, eta, k)
+            selected[i] = chosen = _madow_vector(q, k, ui, q)
+            probs = q[chosen]
             if (probs <= 0.0).any():
                 raise RuntimeError("selected an element with zero inclusion probability")
             # theta starts at +0.0 and a sum is -0.0 only if both terms are, so
             # adding 0.0 off the selected coordinates would change no bit
-            self.theta[chosen] += g[chosen] / probs
+            theta[chosen] += G[i, chosen] / probs
         return self._record(G, p, selected)
 
 

@@ -52,16 +52,27 @@ def madow_sample(p: np.ndarray, k: int, u: float | np.ndarray) -> np.ndarray:
 
     For a (B, n) block of points, ``u`` holds one draw per row and the
     result is a (B, k) index array whose row i is the set row i alone
-    gives (:func:`_madow_rows`).  A single point keeps this 1-d path, which at
-    n = 20 takes about half the time of the row code run on one row.
+    gives (:func:`_madow_rows`).  A single point, once ``u`` is checked,
+    goes through the 1-d body :func:`_madow_vector`, which at n = 20 takes
+    about half the time of the row code run on one row (9 against 17 µs).
+    The semi-bandit policy, which draws one row at a time, calls that body
+    directly.
     """
     p = np.asarray(p, dtype=float)
     if p.ndim == 2:
         return _madow_rows(p, k, np.asarray(u, dtype=float))
     if not (0.0 <= u < 1.0):
         raise ValueError(f"u must lie in [0, 1), got {u}")
+    return _madow_vector(p, k, u, p.clip(0.0, 1.0))
+
+
+def _madow_vector(p: np.ndarray, k: int, u: float, inside: np.ndarray
+                  ) -> np.ndarray:
+    """:func:`madow_sample` of one float vector ``p`` for a uniform ``u``
+    checked already, with ``inside`` its clip to [0, 1] (``p`` itself when
+    it lies there).  ``p`` is checked here."""
     _check_range(p)
-    grid = _prefix_sums(p.clip(0.0, 1.0), k) - u
+    grid = _prefix_sums(inside, k) - u
     np.ceil(grid, out=grid)
     chosen = grid[1:] > grid[:-1]
     selected = chosen.nonzero()[0]
@@ -81,6 +92,12 @@ def _check_range(p: np.ndarray) -> None:
         raise InfeasiblePointError("p has a NaN or a coordinate outside [0, 1]")
 
 
+def _check_uniforms(u: np.ndarray) -> None:
+    """Check the draws of a block of points (of none, too)."""
+    if u.size and not (u.min() >= 0.0 and u.max() < 1.0):  # NaN fails too
+        raise ValueError(f"u must lie in [0, 1), got {u}")
+
+
 def _fill_dropped_slots(chosen: np.ndarray, p: np.ndarray, k: int) -> None:
     """An interval boundary landed within one ulp of a grid point, so fewer
     than k elements were chosen: hand the dropped slots to the heaviest
@@ -94,8 +111,7 @@ def _madow_rows(p: np.ndarray, k: int, u: np.ndarray) -> np.ndarray:
     the same checks, prefix sums and ceilings, row-wise."""
     if u.shape != (len(p),):
         raise ValueError(f"{len(p)} points need {len(p)} draws, got shape {u.shape}")
-    if not (u.min() >= 0.0 and u.max() < 1.0):
-        raise ValueError(f"u must lie in [0, 1), got {u}")
+    _check_uniforms(u)
     _check_range(p)
     B, n = p.shape
     grid = np.empty((B, n + 1))

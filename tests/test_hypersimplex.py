@@ -9,6 +9,7 @@ import pytest
 from coreselect.hypersimplex import (
     InfeasiblePointError,
     QuadraticObjective,
+    _entropic_vector,
     _refeasibilize,
     afw_minimize,
     entropic_ftrl_argmax,
@@ -217,6 +218,47 @@ def test_refeasibilize_matches_the_written_out_repair_bit_for_bit():
                 refeasibilize_reference(p[::-1].copy(), k),
                 refeasibilize_reference(inside[::-1].copy(), k), want]
         assert _refeasibilize(block, k).tobytes() == np.array(rows).tobytes()
+    # blocks of many capped rows, grouped by interior count: rows that share
+    # a count and rows that do not, residuals of both signs, and integral
+    # rows, left as they are below a residual of 1e-7 (a target k off an
+    # integer by less) and an error above it
+    for _ in range(300):
+        n = int(rng.integers(1, 40))
+        k = int(rng.integers(1, n + 1))
+        target = k + rng.choice([0.0, 5e-8, -5e-8])
+        rows = [capped_row(n, k, rng) for _ in range(int(rng.integers(2, 30)))]
+        rows += [row[rng.permutation(n)] for row in rows[:3]]  # the same counts
+        integral = np.zeros(n)
+        integral[:k] = 1.0
+        rows += [integral, integral[::-1], np.full(n, np.nan)]
+        block = np.array(rows)[rng.permutation(len(rows))]
+        assert_repairs_rows_alone(block, target)
+        # one integral row far off its sum fails the block
+        block[int(rng.integers(len(block)))] = np.arange(n) < k - 1
+        with pytest.raises(InfeasiblePointError, match="infeasible integral vector"):
+            _refeasibilize(block, target)
+
+
+def capped_row(n, k, rng):
+    """A point of the capped simplex with coordinates at 0 and 1, off its
+    sum by rounding noise or by enough to push interior ones past a bound."""
+    p = rng.random(n) * (k / n) * 2.0
+    p[rng.random(n) < 0.3] = 1.0
+    p[rng.random(n) < 0.2] = rng.choice([0.0, -0.0, -0.3, 1.4])
+    return p * (k / max(float(p.clip(0.0, 1.0).sum()), 1e-300)
+                * (1.0 + rng.choice([0.0, 1e-15, -1e-13, 1e-3, -1e-3, 0.3, -0.3])))
+
+
+def assert_repairs_rows_alone(block, k):
+    """``_refeasibilize`` of a block is each row's written-out repair, and
+    fails where some row's does."""
+    try:
+        want = np.array([refeasibilize_reference(row.copy(), k) for row in block])
+    except InfeasiblePointError:
+        with pytest.raises(InfeasiblePointError):
+            _refeasibilize(block.copy(), k)
+        return
+    assert _refeasibilize(block.copy(), k).tobytes() == want.tobytes()
 
 
 def test_entropic_rejects_bad_input():
@@ -229,12 +271,27 @@ def test_entropic_rejects_bad_input():
             entropic_ftrl_argmax(np.zeros(3), eta, 1)
     with pytest.raises(ValueError):
         entropic_ftrl_argmax(np.zeros(3), 1.0, 4)
-    # eta * theta overflows at the top score, in one vector and in a block row
+    # non-finite scores, in one vector, in a block row and in the 1-d body,
+    # which checks them only in its branch for wide spreads; that branch
+    # names them before any infinities are subtracted, so without a warning
+    for bad in (np.inf, -np.inf, np.nan):
+        for theta in (np.array([bad, 0.0, 1.0]), np.full(3, bad)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for solve in (entropic_ftrl_argmax, _entropic_vector):
+                    with pytest.raises(ValueError, match="theta contains non-finite entries"):
+                        solve(theta, 1.0, 2)
+                with pytest.raises(ValueError, match="theta contains non-finite entries"):
+                    entropic_ftrl_argmax(np.array([np.zeros(3), theta]), 1.0, 2)
+    # eta * theta overflows at the top score, in one vector, in a block row
+    # and in the 1-d body
     theta = np.array([2.0, 2.0, 0.0, 1.0])
-    for scores in (theta, np.array([np.zeros(4), theta])):
+    for solve, scores in ((entropic_ftrl_argmax, theta),
+                          (entropic_ftrl_argmax, np.array([np.zeros(4), theta])),
+                          (_entropic_vector, theta)):
         with pytest.raises(ValueError, match="eta \\* theta overflows"), \
                 np.errstate(over="ignore", invalid="ignore"):
-            entropic_ftrl_argmax(scores, 1e308, 2)
+            solve(scores, 1e308, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from coreselect.adversary import (
 )
 from coreselect.blocks import PLAN_CELLS, block_rounds, running_sums
 from coreselect.corevec import marginal_strategy, modular_strategy
-from coreselect.hypersimplex import lmo
+from coreselect.hypersimplex import entropic_ftrl_argmax, lmo
 from coreselect.policy import (
     OftrlPolicy,
     PricedPolicy,
@@ -33,11 +33,13 @@ from coreselect.policy import (
 )
 from coreselect.sampling import (
     _prefix_sums,
+    draw,
     expected_set_value,
     madow_marginal_measure,
     madow_sample,
 )
 from coreselect.setfn import ModularFunction
+from test_hypersimplex import straddling_ties
 
 
 def joined(records):
@@ -217,6 +219,86 @@ def test_semibandit_feeds_ips_on_selected_only():
 def test_semibandit_k_equals_n_is_exact():
     for r, fed in semibandit_feeds(4, 4, 10, 9):
         np.testing.assert_allclose(fed, r.gvec[0], atol=1e-12)
+
+
+def semibandit_rows_reference(theta, G, eta, k, rng):
+    """The semi-bandit's rows written out, one at a time: the public
+    argmax, ``draw`` and the inverse-propensity feed into ``theta``."""
+    n = theta.size
+    p = np.ones(G.shape)
+    selected = np.empty((len(G), k), dtype=np.intp)
+    for i, g in enumerate(G):
+        if k == n:
+            selected[i] = range(n)
+        else:
+            p[i] = entropic_ftrl_argmax(theta, eta, k)
+            selected[i] = draw(p[i], k, rng)
+        chosen = selected[i]
+        theta[chosen] += g[chosen] / p[i, chosen]
+    return p, selected
+
+
+def semibandit_inputs(n, B, case, rng):
+    """(theta, G, eta, k): a starting theta, a block of proxy vectors, a
+    rate and a set size for one semi-bandit block of the named case."""
+    k = int(rng.integers(1, n + 1))
+    theta = np.zeros(n)
+    G = rng.normal(size=(B, n))
+    eta = float(rng.choice([0.3, 3.0]))
+    if case == "tied":  # integer G ties scores across rows
+        G = rng.integers(-2, 3, (B, n)).astype(float)
+    elif case == "log-space":  # scores spread past 690 / eta from the first row
+        theta, eta = rng.permutation(n) / (n - 1), 1e4
+    elif case == "straddling":  # equal scores on both sides of the caps
+        theta, G, eta, k = straddling_ties(n, rng), np.zeros((B, n)), 1.0, n - 1
+    return theta, G, eta, k
+
+
+@pytest.mark.parametrize("B", [1, 204])
+@pytest.mark.parametrize("case", ["normal", "tied", "log-space", "straddling"])
+def test_semibandit_block_equals_the_written_out_rows(B, case):
+    rng = np.random.default_rng([B, len(case)])
+    for _ in range(60 if B == 1 else 8):
+        n = int(rng.integers(5 if case == "straddling" else 2, 61))
+        theta, G, eta, k = semibandit_inputs(n, B, case, rng)
+        cfg = ScoreConfig(n=n, k=k, T=B, eta=eta)
+        pol = SemiBanditPolicy(cfg, np.random.default_rng(n))
+        pol.theta = theta.copy()
+        record = pol.step(G)
+        want_rng = np.random.default_rng(n)
+        p, selected = semibandit_rows_reference(theta, G, eta, k, want_rng)
+        assert record.p.tobytes() == p.tobytes(), (n, k)
+        assert np.array_equal(record.selected, selected)
+        assert pol.theta.tobytes() == theta.tobytes()
+        assert pol.rng.bit_generator.state == want_rng.bit_generator.state
+    # a block of no rows plays nothing and draws nothing
+    pol = SemiBanditPolicy(ScoreConfig(n=5, k=2, T=1), np.random.default_rng(0))
+    record = pol.step(np.zeros((0, 5)))
+    assert record.t == range(1, 1) and record.selected.shape == (0, 2)
+    assert pol.rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, "overflow"])
+def test_semibandit_non_finite_theta_fails_at_the_written_out_round(bad):
+    # the row after the one whose feed makes theta non-finite fails, naming
+    # theta, with the rows before it fed as the written-out loop feeds them
+    n, k, B = 12, 4, 9
+    rng = np.random.default_rng(5)
+    G = rng.normal(size=(B, n))
+    G[5] = 1e308 if bad == "overflow" else bad
+    cfg = ScoreConfig(n=n, k=k, T=B, eta=2.0)
+    pol = SemiBanditPolicy(cfg, np.random.default_rng(6))
+    theta = np.zeros(n)
+    match = "theta contains non-finite entries"
+    with np.errstate(over="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            semibandit_rows_reference(theta, G, cfg.eta, k, np.random.default_rng(6))
+        with pytest.raises(ValueError, match=match):
+            pol.step(G)
+    assert not np.isfinite(theta).all()
+    assert pol.theta.tobytes() == theta.tobytes()
+    assert pol.t == 0
 
 
 def test_ips_estimate_is_exactly_unbiased_by_marginal_law():
