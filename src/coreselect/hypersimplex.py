@@ -349,37 +349,52 @@ def lmo(cost: np.ndarray, k: int) -> np.ndarray:
     Returns the 0/1 indicator of the k smallest costs; ties break toward the
     lowest index so repeated runs give identical traces.  Only a tie between
     the k-th and (k+1)-th smallest costs leaves the set open, so the default
-    sort decides it unless those two are equal, and then a stable sort does.
+    sort decides it unless those two are equal, and then a stable sort does
+    (:func:`_lmo_indices`, the body that Frank-Wolfe calls).
 
     ``cost`` may also be a (B, n) block of cost vectors; the result then
     holds their vertices as rows, each the one its row alone gives.  A row
-    needs only its k smallest costs, and the k-th and (k+1)-th in place to
-    see the tie, so the block is partitioned around those two instead of
-    sorted (4 rows of 1000 in 33 µs against 56), and only rows with that
-    tie are sorted, stably.
+    needs only its k-th smallest cost v and to know whether the (k+1)-th
+    equals it.  One partition around column k puts the (k+1)-th there and
+    the k smallest before it, so v is the largest of those, and a row with
+    no tie at v has exactly k costs <= v: its vertex is that mask, which a
+    signed zero cannot split, since -0.0 == 0.0.  Only rows with the tie are
+    sorted, stably.  The partition takes one kth on purpose: numpy 2.4 sends
+    a single kth to its SIMD select, and a list of them to a branchy
+    introselect.  On (16, 1000) blocks of fresh data this takes about 25 µs
+    against 134 for ``argpartition([k - 1, k])``.  Timed on one block again
+    and again, the two read alike (about 22 µs), because the branch
+    predictor learns the data.
     """
     cost = _check_finite(cost, "cost", rows=True)
     n = cost.shape[-1]
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    v = np.zeros(cost.shape)
     if k == n:
-        v[:] = 1.0
-        return v
+        return np.ones(cost.shape)
     if cost.ndim == 1:
-        order = cost.argsort()
-        if cost[order[k - 1]] == cost[order[k]]:
-            order = cost.argsort(kind="stable")
-        v[order[:k]] = 1.0
+        v = np.zeros(n)
+        v[_lmo_indices(cost, k)] = 1.0
         return v
-    order = cost.argpartition([k - 1, k])
-    every = np.arange(len(cost))[:, None]
-    edge = cost[every, order[:, k - 1:k + 1]]
-    tie = (edge[:, 0] == edge[:, 1]).nonzero()[0]
+    part = np.partition(cost, k, axis=1)
+    kth = part[:, :k].max(axis=1)
+    v = (cost <= kth[:, None]).astype(float)
+    tie = (kth == part[:, k]).nonzero()[0]
     if tie.size:
-        order[tie] = cost[tie].argsort(kind="stable")
-    v[every, order[:, :k]] = 1.0
+        v[tie] = 0.0
+        v[tie[:, None], cost[tie].argsort(kind="stable")[:, :k]] = 1.0
     return v
+
+
+def _lmo_indices(cost: np.ndarray, k: int) -> np.ndarray:
+    """The increasing indices of the vertex :func:`lmo` gives for one finite
+    float cost vector and ``1 <= k <= n``, checked already."""
+    order = cost.argsort()
+    if k < cost.size and cost[order[k - 1]] == cost[order[k]]:
+        order = cost.argsort(kind="stable")
+    top = order[:k]
+    top.sort()
+    return top
 
 
 @dataclass
@@ -457,49 +472,72 @@ def afw_minimize(
     ``active`` may carry the (vertices, weights) of a previous solve for
     warm starting; without it the solve starts at the vertex minimizing the
     linear part.
+
+    The objective's linear part and centers are checked to be finite once
+    per solve, not per iteration: each iteration calls the LMO body
+    :func:`_lmo_indices`, whose indices are the new vertex's key as they
+    stand, and finds the vertex's row among the active ones by the key's
+    bytes.  A gradient that is not finite makes the Frank-Wolfe gap
+    non-finite too, so a finite objective whose gradient overflows is
+    named there.  The iterate is updated in place, and the active set is
+    filtered only when a weight falls to 1e-15 or below.  At n = 12, k = 4
+    an iteration takes about 8 µs against 12.5 with a checked ``lmo`` per
+    iteration (criterion 5's solves, 2-core VM).
     """
     if obj.sigma_total <= 0.0:
         raise ValueError("afw_minimize needs sum of center weights > 0; use lmo for the linear case")
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    n, k = obj.n, obj.k
+    n, k, sigma = obj.n, obj.k, obj.sigma_total
 
     # The iterate is confined to the sum(p) = k hyperplane, so shifting the
     # linear term by a constant vector changes nothing; centering it keeps the
     # gradient entries small and the gap computation well conditioned.
-    shift = float(np.mean(obj.weighted_center + obj.linear))
-    drift = obj.weighted_center + obj.linear - shift
-
-    def grad(x: np.ndarray) -> np.ndarray:
-        return obj.sigma_total * x - drift
+    lin = obj.weighted_center + obj.linear
+    if not np.isfinite(lin).all():
+        raise ValueError("the objective's linear part or centers contain "
+                         "non-finite entries")
+    shift = float(np.mean(lin))
+    drift = lin - shift
 
     x = np.zeros(n)
     if active is not None and len(active[0]):
         keys, weights = active
         keep = weights > 0.0
         keys, weights = keys[keep], weights[keep]
-        weights = weights / sum(weights.tolist())  # left to right, as Python adds
+        total = sum(weights.tolist())  # left to right, as Python adds
+        if not total < math.inf:
+            raise ValueError("the warm start's weights must be finite")
+        weights = weights / total
         # each coordinate adds its vertices' weights in their order
         np.add.at(x, keys, weights[:, None])
     else:
-        keys = lmo(-drift, k).nonzero()[0][None]
+        keys = _lmo_indices(-drift, k)[None]
         weights = np.ones(1)
         x[keys[0]] = 1.0
+    # each active vertex's key as bytes, to find a Frank-Wolfe vertex's row
+    tags = [key.tobytes() for key in keys]
 
-    gap = np.inf
-    it = 0
-    for it in range(1, max_iters + 1):
-        g = grad(x)
-        s = lmo(g, k)
-        d_fw = s - x
-        gap = float(-g @ d_fw)
-        if gap <= eps:
-            return AfwResult(_refeasibilize(x, k), gap, it - 1, True, (keys, weights))
+    steps = 0
+    while True:
+        g = sigma * x
+        g -= drift  # the gradient, sigma * x - drift
+        step = _lmo_indices(g, k)
+        d_fw = np.zeros(n)
+        d_fw[step] = 1.0
+        d_fw -= x
+        up = -g
+        gap = float(up.dot(d_fw))
+        if not math.isfinite(gap):
+            raise ValueError("the objective's gradient overflows the float range")
+        if gap <= eps or steps >= max_iters:
+            break
+        steps += 1
 
-        away = int(g[keys].sum(axis=1).argmax())
+        away = int(np.add.reduce(g[keys], axis=1).argmax())
         d_away = x.copy()
         d_away[keys[away]] -= 1.0
-        away_gap = float(-g @ d_away)
+        away_gap = float(up.dot(d_away))
 
         if gap >= away_gap:
             d = d_fw
@@ -507,36 +545,36 @@ def afw_minimize(
         else:
             d = d_away
             a = float(weights[away])
-            gamma_max = a / (1.0 - a) if a < 1.0 else np.inf
+            gamma_max = a / (1.0 - a) if a < 1.0 else math.inf
 
-        dd = float(d @ d)
+        dd = float(d.dot(d))
         if dd <= 0.0:
             break
-        gamma = float(-(g @ d) / (obj.sigma_total * dd))
+        gamma = float(-g.dot(d) / (sigma * dd))
         gamma = min(max(gamma, 0.0), gamma_max)
-        if gamma <= 0.0 or not np.isfinite(gamma):
+        if gamma <= 0.0 or not math.isfinite(gamma):
             break  # stalled at numerical precision
 
-        x = x + gamma * d
+        d *= gamma
+        x += d
         if d is d_fw:
             weights *= 1.0 - gamma
-            step = s.nonzero()[0]
-            hit = (keys == step).all(axis=1)
-            if hit.any():
-                weights[hit] += gamma
+            tag = step.tobytes()
+            if tag in tags:
+                weights[tags.index(tag)] += gamma
             else:
                 keys = np.vstack([keys, step])
                 weights = np.append(weights, gamma)
+                tags.append(tag)
         else:
             weights *= 1.0 + gamma
             weights[away] -= gamma
-        keep = weights > 1e-15
-        keys, weights = keys[keep], weights[keep]
+        if np.minimum.reduce(weights) <= 1e-15:
+            keep = weights > 1e-15
+            keys, weights = keys[keep], weights[keep]
+            tags = [tag for tag, kept in zip(tags, keep.tolist()) if kept]
 
-    g = grad(x)
-    s = lmo(g, k)
-    gap = float(-g @ (s - x))
-    return AfwResult(_refeasibilize(x, k), gap, it, gap <= eps, (keys, weights))
+    return AfwResult(_refeasibilize(x, k), gap, steps, gap <= eps, (keys, weights))
 
 
 def default_afw_budget(horizon: int) -> int:

@@ -123,8 +123,9 @@ class _Policy:
     def step(self, G: np.ndarray, H: np.ndarray | None = None) -> RoundRecord:
         """Play a block of B rounds and log it.
 
-        ``G`` holds the rounds' proxy vectors as (B, n) rows and ``H`` their
-        hints (which the optimistic policy needs) as rows of the same shape.
+        ``G`` holds the rounds' proxy vectors as (B, n) rows, B >= 1, and
+        ``H`` their hints (which the optimistic policy needs) as rows of the
+        same shape.
         Returns the block's columns.
         """
         if H is None and self.needs_hint:
@@ -132,6 +133,8 @@ class _Policy:
         G, n = np.asarray(G), self.config.n
         if G.ndim != 2 or G.shape[1] != n:
             raise ValueError(f"proxy vectors must be (B, {n}) rows, got shape {G.shape}")
+        if not len(G):
+            raise ValueError(f"a block needs at least one round, got shape {G.shape}")
         if H is not None and np.shape(H) != G.shape:
             raise ValueError(f"hints must be of shape {G.shape}, got {np.shape(H)}")
         return self._play(G, H)
@@ -327,47 +330,51 @@ class OftrlPolicy(_Policy):
     def _objective(self, hvec: np.ndarray) -> QuadraticObjective | None:
         """What the proposal against the hint ``hvec`` minimizes, or None
         while no hint error has been seen and the objective is linear."""
+        return self._quadratic(self.theta + hvec)
+
+    def _quadratic(self, linear: np.ndarray) -> QuadraticObjective | None:
+        """The objective of :meth:`_objective` from its linear part,
+        theta plus the hint."""
         st = self.state
         if st.sigma_sum <= 0.0:
             return None
         return QuadraticObjective(
             self.config.n, self.config.k,
             centers=[(st.sigma_sum, st.weighted_center / st.sigma_sum)],
-            linear=self.theta + hvec,
+            linear=linear,
         )
 
     def _play(self, G, H):
         cfg = self.config
-        theta = self._thetas(G)
+        # each round's linear part, theta before the round plus its hint
+        linear = self._thetas(G)[:-1] + H
         # one round's ((g - h) ** 2).sum() is its row's sum here, bit for bit
         deltas = ((G - H) ** 2).sum(axis=1).tolist()
         p = np.ones(G.shape)
         for i, delta in enumerate(deltas):
             t = self.t + i + 1
             if cfg.k < cfg.n:
-                self.theta = theta[i]
-                p[i] = self._propose(H[i], t)
+                p[i] = self._propose(linear[i], t)
             self._update(delta, p[i], t)
-        self.theta = theta[-1]
         return self._record(G, p, self._draw(p))
 
-    def _propose(self, hvec: np.ndarray, t: int) -> np.ndarray:
-        """Round t's proposal against the hint ``hvec``."""
+    def _propose(self, linear: np.ndarray, t: int) -> np.ndarray:
+        """Round t's proposal, from its linear part ``linear``."""
         st, k = self.state, self.config.k
         if st.sigma_sum <= 0.0:
             self._afw_active = None
-            return lmo(-(self.theta + hvec), k)
+            return lmo(-linear, k)
         if self.mode == "afw":
-            res = afw_minimize(self._objective(hvec), eps=st.eps,
+            res = afw_minimize(self._quadratic(linear), eps=st.eps,
                                max_iters=self.afw_budget, active=self._afw_active)
             self._afw_active = res.active
             return res.p
-        # _objective(hvec).exact_minimizer(), with its bits and no objective
+        # _quadratic(linear).exact_minimizer(), with its bits and no objective
         s = st.sigma_sum
         # at a subnormal weight the scores overflow; the projection's finite
         # check names that, so numpy's warning would only repeat it
         with np.errstate(over="ignore"):
-            y = (self.theta + hvec + (0.0 + s * (st.weighted_center / s))) / s
+            y = (linear + (0.0 + s * (st.weighted_center / s))) / s
         try:  # looked up on the module, where perfbench/spans.py wraps it
             return hypersimplex.euclidean_project(y, k)
         except ValueError as exc:

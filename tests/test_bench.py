@@ -591,9 +591,11 @@ def boundary_cases():
 
 
 def test_every_reachable_config_runs_or_exits_2_naming_its_field(tmp_path, capsys):
-    cfg_path = tmp_path / "cfg.json"
     failures = []
-    for raw, names in boundary_cases():
+    # each case gets a new file: rewriting one file thousands of times is
+    # slow where the file system flushes a file truncated and written again
+    for i, (raw, names) in enumerate(boundary_cases()):
+        cfg_path = tmp_path / f"cfg-{i}.json"
         cfg_path.write_text(json.dumps(raw))
         try:
             with warnings.catch_warnings():

@@ -495,6 +495,39 @@ def test_lmo_of_a_block_is_each_row_alone(n):
         lmo(block, 2)
 
 
+def lmo_tie_rows(n, k, rng):
+    """Rows of n costs with ties where the row LMO must see them: the k-th
+    and (k+1)-th smallest equal, signed zeros there in either index order,
+    and ties inside the k smallest with none at the boundary."""
+    ranks = rng.permutation(n).astype(float)  # distinct costs 0..n-1
+    boundary = np.where(ranks == k, k - 1.0, ranks)
+    low = ranks - (k - 1)  # 0.0 at rank k-1 and 1.0 at rank k
+    neg_first, pos_first = low.copy(), low.copy()
+    neg_first[ranks == k - 1], neg_first[ranks == k] = -0.0, 0.0
+    pos_first[ranks == k - 1], pos_first[ranks == k] = 0.0, -0.0
+    inside = np.where(ranks < k, -1.0, ranks)  # the k smallest all tie
+    zeros = np.where(ranks < k, rng.choice([0.0, -0.0], n), ranks)
+    rows = [boundary, neg_first, pos_first, inside, zeros, np.full(n, 0.5),
+            rng.choice([0.0, -0.0], n), rng.standard_normal(n)]
+    # again, each with its entries in another order
+    return np.array(rows + [row[rng.permutation(n)] for row in rows])
+
+
+@pytest.mark.parametrize("n", [2, 20, 1000])
+def test_row_lmo_on_ties_is_the_1d_lmo_bit_for_bit(n):
+    rng = np.random.default_rng(n + 3)
+    for k in sorted({1, n // 2, n - 1}):
+        block = lmo_tie_rows(n, k, rng)
+        got = lmo(block, k)
+        for row, v in zip(block, got):
+            assert v.tobytes() == lmo(row, k).tobytes(), (k, row)
+            assert v.tobytes() == lmo_stable_reference(row, k).tobytes(), (k, row)
+        # a block of one row, and rows of the block in another order
+        assert lmo(block[:1], k).tobytes() == got[:1].tobytes()
+        order = rng.permutation(len(block))
+        assert lmo(block[order], k).tobytes() == got[order].tobytes()
+
+
 def entropic_stable_reference(theta, eta, k):
     """The entropic argmax of one score vector with one stable sort, written out."""
     n = theta.size
@@ -633,6 +666,35 @@ def test_afw_iteration_cap_flags_not_raises():
     res = afw_minimize(obj, eps=1e-16, max_iters=2)
     assert not res.converged
     validate_point(res.p, k, 1e-9)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_afw_rejects_non_finite_objectives_once_per_solve(bad):
+    n, k = 6, 2
+    center, linear = np.full(n, k / n), np.linspace(-1.0, 1.0, n)
+    bad_linear = linear.copy()
+    bad_linear[2] = bad
+    bad_center = center.copy()
+    bad_center[4] = bad
+    match = "the objective's linear part or centers contain non-finite entries"
+    for obj in (QuadraticObjective(n, k, [(1.0, center)], bad_linear),
+                QuadraticObjective(n, k, [(1.0, center), (0.5, bad_center)], linear)):
+        for active in (None, (np.array([[0, 1]]), np.ones(1))):
+            with pytest.raises(ValueError, match=match):
+                afw_minimize(obj, 1e-9, 50, active)
+    obj = QuadraticObjective(n, k, [(1.0, center)], linear)
+    with pytest.raises(ValueError, match="the warm start's weights must be finite"):
+        afw_minimize(obj, 1e-9, 50, (np.array([[0, 1], [2, 3]]), np.array([1.0, np.inf])))
+
+
+def test_afw_names_a_gradient_that_overflows():
+    # a finite weight, center and linear part, whose mean is 0, but at the
+    # warm start's vertex sigma * x - linear is 1.5e308 + 1.2e308
+    obj = QuadraticObjective(4, 2, [(1.5e308, np.zeros(4))],
+                             np.array([-1.2e308, 1.2e308, -1.2e308, 1.2e308]))
+    with np.errstate(over="ignore"), \
+            pytest.raises(ValueError, match="gradient overflows the float range"):
+        afw_minimize(obj, 1e-9, 50, (np.array([[0, 2]]), np.ones(1)))
 
 
 def afw_dict_reference(obj, eps, max_iters, active=None):

@@ -271,11 +271,6 @@ def test_semibandit_block_equals_the_written_out_rows(B, case):
         assert np.array_equal(record.selected, selected)
         assert pol.theta.tobytes() == theta.tobytes()
         assert pol.rng.bit_generator.state == want_rng.bit_generator.state
-    # a block of no rows plays nothing and draws nothing
-    pol = SemiBanditPolicy(ScoreConfig(n=5, k=2, T=1), np.random.default_rng(0))
-    record = pol.step(np.zeros((0, 5)))
-    assert record.t == range(1, 1) and record.selected.shape == (0, 2)
-    assert pol.rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, "overflow"])
@@ -559,6 +554,19 @@ def test_step_rejects_what_is_not_a_block(kind):
     assert pol.t == 0 and not pol.theta.any()
     record = pol.step(G, G)
     assert record.t == range(1, 4) and record.selected.shape == (3, k)
+
+
+@pytest.mark.parametrize("kind", ["score", "priced", "semibandit", "oftrl"])
+def test_step_rejects_a_block_of_no_rounds(kind):
+    # every policy names the empty block before it plays or draws anything
+    n, k = 5, 2
+    cfg = ScoreConfig(n=n, k=k, T=1)
+    pol = (OftrlPolicy(cfg, np.random.default_rng(0)) if kind == "oftrl"
+           else make_planner(kind, cfg, np.random.default_rng(0)))
+    with pytest.raises(ValueError, match=r"a block needs at least one round, got shape \(0, 5\)"):
+        pol.step(np.zeros((0, n)), np.zeros((0, n)))
+    assert pol.t == 0 and not pol.theta.any()
+    assert pol.rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 def test_block_rounds_hold_at_most_plan_cells():
