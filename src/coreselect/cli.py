@@ -13,6 +13,7 @@ Exit status is 0 on success and nonzero when any check or run fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -69,7 +70,9 @@ def _cmd_lower_bound(args: argparse.Namespace) -> int:
     return 0 if res["within_4se"] else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once and shared by every ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="coreselect",
         description="Online k-of-N subset selection benchmarks",

@@ -22,6 +22,7 @@ from .setfn import (
     ModularFunction,
     SetFunction,
     linear_sum_assignment,
+    subset_table,
 )
 
 DEFAULT_TOL = 1e-7
@@ -57,9 +58,8 @@ def marginal_vector(
     perm = np.asarray(perm, dtype=int)
     if sorted(perm.tolist()) != list(range(n)):
         raise ValueError("perm must be a permutation of 0..n-1")
-    prefixes = f.prefix_values(perm)
     g = np.empty(n)
-    g[perm] = prefixes[1:] - prefixes[:-1]
+    g[perm] = np.diff(f.prefix_values(perm))
     if submodular:
         alpha = 1.0
     elif rho is not None:
@@ -74,9 +74,7 @@ def marginal_vector(
 def shapley_exact(f: SetFunction) -> np.ndarray:
     """Exact Shapley value via the weighted-subset formula (2^n evaluations)."""
     n = f.n
-    if n > ENUM_MAX:
-        raise EnumerationTooLargeError(f"n = {n} > {ENUM_MAX}")
-    fv = f.values_all()
+    fv = f.values_all()  # raises EnumerationTooLargeError past ENUM_MAX
     fact = [math.factorial(i) for i in range(n + 1)]
     coef = np.array([fact[s] * fact[n - s - 1] / fact[n] for s in range(n)])
     sizes = np.array([bin(m).count("1") for m in range(1 << n)])
@@ -121,10 +119,7 @@ def dictator_vector(f: SetFunction, i_star: int, m: float | None = None) -> Admi
 
 def subset_sums(g: np.ndarray) -> np.ndarray:
     """sum_{i in mask} g_i for every bitmask, by array doubling."""
-    out = np.zeros(1)
-    for gi in np.asarray(g, dtype=float):
-        out = np.concatenate([out, out + gi])
-    return out
+    return subset_table(np.asarray(g, dtype=float), np.add)
 
 
 def core_membership(
@@ -162,10 +157,8 @@ def tightest_alpha(g: np.ndarray, f: SetFunction, tol: float = DEFAULT_TOL) -> f
     be scaled away, so it yields +inf; nonpositive mass there is ignored.
     """
     g = np.asarray(g, dtype=float)
-    if f.n > ENUM_MAX:
-        raise EnumerationTooLargeError(f"n = {f.n} > {ENUM_MAX}")
+    fv = f.values_all()[1:]  # raises EnumerationTooLargeError past ENUM_MAX
     gs = subset_sums(g)[1:]
-    fv = f.values_all()[1:]
     zero = fv <= 0.0
     if np.any(zero & (gs > tol)):
         return float("inf")
@@ -336,18 +329,20 @@ def modular_strategy():
 
 
 def marginal_strategy(rng: np.random.Generator | None = None):
-    """Greedy marginal vectors, each along a fresh random permutation: b
-    rows from b ``rng.permutation(n)`` calls, one per round.
+    """Greedy marginal vectors, each along a fresh random permutation: a
+    run's b permutations are the rows of one ``rng.permuted`` call, the stream
+    of b ``rng.permutation(n)`` calls, valued by one ``prefix_values`` call.
 
     A fixed permutation would let an adversary align against it; the identity
     permutation remains available by passing rng=None.
     """
 
     def strategy(f: SetFunction, b: int) -> np.ndarray:
+        perms = np.tile(np.arange(f.n), (b, 1))
+        if rng is not None:
+            rng.permuted(perms, axis=1, out=perms)
         G = np.empty((b, f.n))
-        for row in G:
-            perm = None if rng is None else rng.permutation(f.n)
-            row[:] = marginal_vector(f, perm, submodular=True).g
+        np.put_along_axis(G, perms, np.diff(f.prefix_values(perms), axis=1), axis=1)
         return G
 
     return strategy

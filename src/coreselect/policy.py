@@ -327,14 +327,9 @@ class OftrlPolicy(_Policy):
         self.state = OftrlState(weighted_center=np.zeros(config.n))
         self._afw_active: tuple[np.ndarray, np.ndarray] | None = None
 
-    def _objective(self, hvec: np.ndarray) -> QuadraticObjective | None:
-        """What the proposal against the hint ``hvec`` minimizes, or None
-        while no hint error has been seen and the objective is linear."""
-        return self._quadratic(self.theta + hvec)
-
     def _quadratic(self, linear: np.ndarray) -> QuadraticObjective | None:
-        """The objective of :meth:`_objective` from its linear part,
-        theta plus the hint."""
+        """What the proposal minimizes, from its linear part (theta plus the
+        hint); None while no hint error has been seen, as it is then linear."""
         st = self.state
         if st.sigma_sum <= 0.0:
             return None

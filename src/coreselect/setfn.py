@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
-import operator
 import os
 import sys
-from functools import reduce
-from itertools import accumulate, product
+from itertools import product
 from typing import Iterable
 
 import numpy as np
+
+from .blocks import PLAN_CELLS
 
 ENUM_MAX = 20          # hard guard for 2^n enumerations
 STRUCT_CHECK_MAX = 14  # guard for pairwise structural checks
@@ -92,6 +92,16 @@ def indices_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def subset_table(rows: np.ndarray, op) -> np.ndarray:
+    """``op`` (``np.add`` or ``np.bitwise_or``) over the rows of each subset
+    of ``rows``, indexed by bitmask, by array doubling from a zero entry for
+    the empty subset: row i appends ``op(out, rows[i])`` to the table."""
+    out = np.zeros((1,) + rows.shape[1:], dtype=rows.dtype)
+    for row in rows:
+        out = np.concatenate([out, op(out, row)])
+    return out
+
+
 class SetFunction:
     """Evaluation oracle for a normalized set function on {0, ..., n-1}.
 
@@ -111,11 +121,9 @@ class SetFunction:
     def value_mask(self, mask: int) -> float:
         raise NotImplementedError
 
-    def value(self, indices: Iterable[int] | np.ndarray) -> float | np.ndarray:
-        """f of one set of indices, or, for a (B, k) index array, the B
-        values of its rows: the rounds of a run of this reward."""
-        if isinstance(indices, np.ndarray) and indices.ndim == 2:
-            return np.array([self.value_mask(mask_of(row)) for row in indices.tolist()])
+    def value(self, indices: Iterable[int]) -> float:
+        """f of one set of indices; the families a run rewards override it to
+        also take a run's (b, k) sets and return their b values."""
         return self.value_mask(mask_of(indices))
 
     def full_value(self) -> float:
@@ -135,17 +143,16 @@ class SetFunction:
         return np.array([self.value_mask(m) for m in range(1 << self.n)])
 
     def prefix_values(self, perm: np.ndarray) -> np.ndarray:
-        """f evaluated on the n + 1 prefixes of a permutation.
-
-        The generic route costs n + 1 oracle calls; families with incremental
-        structure override it.
-        """
-        vals = np.empty(self.n + 1)
-        vals[0] = 0.0
-        mask = 0
-        for i, idx in enumerate(perm):
-            mask |= 1 << int(idx)
-            vals[i + 1] = self.value_mask(mask)
+        """f evaluated on the n + 1 prefixes of a permutation, or of each of
+        (b, n) rows of them.  The generic route costs n + 1 oracle calls per
+        permutation; families with incremental structure override it."""
+        perm = np.asarray(perm)
+        vals = np.zeros(perm.shape[:-1] + (self.n + 1,))
+        for row, order in zip(vals.reshape(-1, self.n + 1), perm.reshape(-1, self.n).tolist()):
+            mask = 0
+            for i, idx in enumerate(order, 1):
+                mask |= 1 << idx
+                row[i] = self.value_mask(mask)
         return vals
 
 
@@ -193,16 +200,12 @@ class ModularFunction(SetFunction):
         return self.total
 
     def _enumerate_values(self) -> np.ndarray:
-        w = self._vector()
-        out = np.zeros(1)
-        for i in range(self.n):
-            out = np.concatenate([out, out + w[i]])
-        return out
+        return subset_table(self._vector(), np.add)
 
     def prefix_values(self, perm: np.ndarray) -> np.ndarray:
-        vals = np.empty(self.n + 1)
-        vals[0] = 0.0
-        np.cumsum(self._vector()[np.asarray(perm, dtype=int)], out=vals[1:])
+        perm = np.asarray(perm, dtype=int)
+        vals = np.zeros(perm.shape[:-1] + (self.n + 1,))
+        np.cumsum(self._vector()[perm], axis=-1, out=vals[..., 1:])
         return vals
 
 
@@ -210,11 +213,11 @@ class CoverageFunction(SetFunction):
     """f(S) = ``scale`` times the size of the union of the covering sets
     chosen by S.
 
-    ``family[i]`` lists the universe items element i covers, kept as a
-    Python int bitset (item j <-> bit j), so a universe of any size works;
-    each bitset is read off a packed boolean row of the universe, in time
-    linear in its size.  ``scale`` is how the benchmark normalizes
-    instances to value bound 1.
+    ``family[i]`` lists the universe items element i covers, kept as row i
+    of ``words``, an (n, ceil(U / 64)) array of little-endian uint64 words
+    (item j <-> bit j), so a universe of any size works.  A union is the OR
+    of the chosen rows, and its size their ``np.bitwise_count``.  ``scale``
+    is how the benchmark normalizes instances to value bound 1.
     """
 
     def __init__(self, family: list[Iterable[int]], universe_size: int,
@@ -222,42 +225,44 @@ class CoverageFunction(SetFunction):
         if universe_size < 1:
             raise ValueError("universe must be nonempty")
         self.universe_size = universe_size
-        covers = np.zeros((len(family), universe_size), dtype=bool)
+        covers = np.zeros((len(family), 64 * -(-universe_size // 64)), dtype=bool)
         for row, items in zip(covers, family):
             items = np.asarray(items if isinstance(items, np.ndarray) else list(items),
                                dtype=np.intp)
             if ((items < 0) | (items >= universe_size)).any():
                 raise ValueError("family covers items outside the universe")
             row[items] = True
-        self.family_bits = [int.from_bytes(row.tobytes(), "little")
-                            for row in np.packbits(covers, axis=1, bitorder="little")]
+        self.words = np.packbits(covers, axis=1, bitorder="little").view("<u8")
         self.scale = float(scale)
-        full = self.scale * reduce(operator.or_, self.family_bits, 0).bit_count()
-        super().__init__(len(family), value_bound=full, monotone=True)
+        super().__init__(len(family), value_bound=self.value(np.arange(len(family))[None])[0],
+                         monotone=True)
+
+    def _counts(self, sets: np.ndarray, op=np.bitwise_or.reduce) -> np.ndarray:
+        """The item count of the union of each row of the (b, m) index array
+        ``sets``, or, with ``op=np.bitwise_or.accumulate``, of each prefix of
+        each row, as (b, m) counts.  The rows go c at a time, so that their
+        gathered (c, m, W) words stay within ``PLAN_CELLS`` words."""
+        step = max(1, PLAN_CELLS // max(1, sets.shape[1] * self.words.shape[1]))
+        return np.concatenate([
+            np.bitwise_count(op(self.words[sets[i:i + step]], axis=1)).sum(axis=-1)
+            for i in range(0, len(sets), step)])
 
     def value_mask(self, mask: int) -> float:
-        bits = 0
-        for i in indices_of(mask):
-            bits |= self.family_bits[i]
-        return self.scale * bits.bit_count()
+        return float(self.value(np.array([indices_of(mask)], dtype=np.intp))[0])
+
+    def value(self, indices: Iterable[int] | np.ndarray) -> float | np.ndarray:
+        if isinstance(indices, np.ndarray) and indices.ndim == 2:
+            return self.scale * self._counts(indices)
+        return self.value_mask(mask_of(indices))
 
     def _enumerate_values(self) -> np.ndarray:
-        # the bitsets as rows of little-endian uint64 words
-        size = 8 * -(-self.universe_size // 64)
-        words = np.frombuffer(b"".join(bits.to_bytes(size, "little")
-                                       for bits in self.family_bits),
-                              dtype="<u8").reshape(self.n, -1)
-        bits = np.zeros((1, words.shape[1]), dtype=np.uint64)
-        for row in words:
-            bits = np.concatenate([bits, bits | row])
-        return self.scale * np.bitwise_count(bits).sum(axis=1).astype(float)
+        return self.scale * np.bitwise_count(subset_table(self.words, np.bitwise_or)).sum(axis=1)
 
     def prefix_values(self, perm: np.ndarray) -> np.ndarray:
-        # one incremental union per step instead of rebuilding each prefix
-        items = [self.family_bits[i] for i in np.asarray(perm).tolist()]
-        unions = accumulate(items, operator.or_)
-        counts = [0] + [bits.bit_count() for bits in unions]
-        return self.scale * np.array(counts, dtype=float)
+        perm = np.asarray(perm, dtype=np.intp)
+        counts = self._counts(perm.reshape(-1, self.n), np.bitwise_or.accumulate)
+        # the empty prefix covers nothing
+        return self.scale * np.insert(counts, 0, 0, axis=1).reshape(perm.shape[:-1] + (-1,))
 
 
 class MatchingRewardFunction(SetFunction):

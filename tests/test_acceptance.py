@@ -163,7 +163,7 @@ def test_criterion_5_afw_matches_exact():
         recs, refs = [], []
         for h, fv in zip(hints, fvecs):
             # the exact minimizer of the objective the proposal solves
-            obj = pol._objective(h) if mode == "afw" else None
+            obj = pol._quadratic(pol.theta + h) if mode == "afw" else None
             refs.append(None if obj is None else obj.exact_minimizer())
             recs.append(pol.step(fv[None], h[None]))
         runs[mode] = (pol, recs, refs)

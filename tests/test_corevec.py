@@ -455,6 +455,13 @@ def test_marginal_strategy_identity_vs_random():
     rows = marginal_strategy(np.random.default_rng(13))(f, 20)
     assert rows.shape == (20, 3)
     assert len({tuple(np.round(g, 9)) for g in rows}) > 1  # fresh permutations vary
+    # rewards of other families: each row is marginal_vector along its permutation
+    rng = np.random.default_rng(14)
+    for g in (TableFunction(rng.random(16), monotone=False),
+              ModularFunction(rng.standard_normal(4))):
+        got_rng, want_rng = np.random.default_rng(15), np.random.default_rng(15)
+        want = [marginal_vector(g, want_rng.permutation(4)).g for _ in range(7)]
+        assert marginal_strategy(got_rng)(g, 7).tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize("n, universe, b", [(6, 12, 1), (20, 40, 204), (40, 80, 30)])
@@ -468,6 +475,27 @@ def test_marginal_strategy_run_is_its_rounds_one_at_a_time(n, universe, b):
                      for _ in range(b)])
     assert got.shape == (b, n) and got.tobytes() == want.tobytes()
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_coverage_runs_hold_a_bounded_slice_of_their_words():
+    import tracemalloc
+
+    from coreselect.adversary import random_coverage
+
+    # 204 rounds of 20 elements over 200000 items: all of a run's gathered
+    # words at once would take about 100 MiB
+    n, b = 20, 204
+    f = random_coverage(n, 200000, np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    sets = np.sort(rng.permuted(np.tile(np.arange(n), (b, 1)), axis=1)[:, :5], axis=1)
+    for call in (lambda: marginal_strategy(rng)(f, b), lambda: f.value(sets)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 def test_matching_dual_strategy_solves_once_per_run(monkeypatch):

@@ -601,7 +601,7 @@ def run_oftrl(n, k, T, spec, seed, mode="exact", **kwargs):
     recs = []
     refs = []  # the exact minimizer of each round's objective, if not linear
     for f, h, fv in zip(fs, hints, fvecs):
-        obj = pol._objective(h)
+        obj = pol._quadratic(pol.theta + h)
         refs.append(None if obj is None else obj.exact_minimizer())
         recs.append(pol.step(fv[None], h[None]))
     rec = joined(recs)

@@ -136,6 +136,14 @@ def test_coverage_of_any_universe_is_the_union_size(universe):
         perm = rng.permutation(n)
         want = [union_reward(family, perm[:i].tolist(), scale) for i in range(n + 1)]
         assert f.prefix_values(perm).tolist() == want
+    # a (b, k) block of sets, and (b, n) rows of permutations
+    perms = rng.permuted(np.tile(np.arange(n), (30, 1)), axis=1)
+    for k in (1, 5, n):
+        want = [union_reward(family, row, scale) for row in perms[:, :k].tolist()]
+        assert f.value(perms[:, :k]).tobytes() == np.array(want).tobytes()
+    want = [[union_reward(family, row[:i], scale) for i in range(n + 1)]
+            for row in perms.tolist()]
+    assert f.prefix_values(perms).tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize("universe", [63, 64, 65, 130])
