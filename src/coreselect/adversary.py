@@ -200,8 +200,7 @@ def random_coverage(n: int, universe: int, rng: np.random.Generator,
     # guarantee full coverage so the normalized full value is exactly 1
     for e in np.flatnonzero(~covers.any(axis=0)).tolist():
         covers[int(rng.integers(0, n)), e] = True
-    return CoverageFunction([np.flatnonzero(row) for row in covers], universe,
-                            scale=1.0 / universe)
+    return CoverageFunction(covers, universe, scale=1.0 / universe)
 
 
 def make_coverage_drift_adversary(n: int, universe: int | None = None,

@@ -1,12 +1,14 @@
 """Experiment harness: config parsing, replicated runs, CSV output and sweeps.
 
-Every policy kind runs through one replica loop.  It packs the adversary's
+Every policy kind runs through one replica loop, which advances a group of
+replicas, its lanes, together, a block at a time.  It packs each lane's
 ``(reward, rounds)`` runs into blocks of up to ``block_rounds(n)`` rounds,
-plays each block with one ``step``, which sees only the runs' proxy vectors
-(and hints), values the drawn sets of each run with one ``value`` call, and
-folds the block into a ``RegretLedger`` and, when an output directory is
-set, into the replica's CSV, so no block outlives its rows.  The CSV layout
-per replica is one row per round::
+plays block b of every lane with one ``play_lanes``, which sees only the
+runs' proxy vectors (and hints), values the drawn sets of each run with one
+``value`` call, and folds each lane's block into its ``RegretLedger`` and,
+when an output directory is set, into its CSV, so no block outlives its
+rows.  The semi-bandit plays its lanes in lockstep; every other policy
+plays groups of one.  The CSV layout per replica is one row per round::
 
     round,reward,full_reward,cum_reward,cum_benchmark,aug_regret,static_regret,observed,cum_cost
 
@@ -16,6 +18,7 @@ config produce byte-identical files.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -246,27 +249,25 @@ def _reward_blocks(runs: Iterator[tuple[SetFunction, int]], size: int
         yield block
 
 
-def _replica_blocks(cfg: ExperimentConfig, policy: ScorePolicy | OftrlPolicy,
-                    adv: Adversary, rngs: dict, result: ReplicaResult
-                    ) -> Iterator[tuple[RoundRecord, np.ndarray, np.ndarray]]:
-    """Each block of the adversary's runs, played after its rewards are
-    revealed: its record, and each round's reward and full-set reward.
+def _reveal(cfg: ExperimentConfig, adv: Adversary, rngs: dict, result: ReplicaResult
+            ) -> Iterator[tuple[list[tuple[SetFunction, slice]], np.ndarray, np.ndarray | None]]:
+    """Each block of one replica's runs, revealed from its own generators:
+    the block's ``(f, rows)`` runs, their proxy vectors as (B, n) rows, and
+    their hints, which only the optimistic policy gets (else None).
 
     A run's proxy vectors come from one core-strategy call (a failing one
     ends the replica before its block is played, naming the run's rounds,
-    or the part of them that its error's ``rows`` gives),
-    and its rewards from one ``value`` call on its (b, k) sets after the
-    block's ``step``.  The optimistic policy also gets a block's hints in one
-    call; rewards on at most 16 elements then log their squared
-    sup-distances for the optimistic bound.
+    or the part of them that its error's ``rows`` gives), and a block's
+    hints from one call; rewards on at most 16 elements then log their
+    squared sup-distances for the optimistic bound.
     """
     strategy = adv.core_strategy(rngs["strategy"])
     spec = None
     if cfg.policy.kind == "oftrl":
         spec = cfg.hints if cfg.hints is not None else HintSpec("perfect")
         result.sq_distances = [] if cfg.n <= 16 else None
+    t = 0  # the rounds revealed so far
     for block in _reward_blocks(adv.rounds(cfg.T, rngs["adversary"]), block_rounds(cfg.n)):
-        t = policy.t  # the rounds played so far
         B = block[-1][1].stop
         G = np.empty((B, cfg.n))
         for f, rows in block:
@@ -282,12 +283,36 @@ def _replica_blocks(cfg: ExperimentConfig, policy: ScorePolicy | OftrlPolicy,
         for f, rows in block:
             if result.sq_distances is not None:
                 _log_sq_distances(result, f, hints[rows], t + rows.start)
-        record = policy.step(G, hints)
-        reward, full = np.empty(B), np.empty(B)
-        for f, rows in block:
-            reward[rows] = f.value(record.selected[rows])
-            full[rows] = f.full_value()
-        yield record, reward, full
+        yield block, G, hints
+        t += B
+
+
+def _group_blocks(cfg: ExperimentConfig, adv: Adversary, policies: list, rngs: list[dict],
+                  results: list[ReplicaResult]
+                  ) -> Iterator[list[tuple[RoundRecord, np.ndarray, np.ndarray]]]:
+    """Each block of a lane group's rounds: block b is revealed for every
+    lane, then played by the group with one ``play_lanes``, which sees
+    only the lanes' proxy vectors (and hints); then each lane's drawn sets
+    are valued, one ``value`` call per run.  Yields each lane's record and
+    its rounds' rewards and full-set rewards.
+
+    The replicas of a config share the block layout, since the adversaries'
+    runs are cut by (T, n, phases) only, so every lane's block b has the
+    same rounds.
+    """
+    play = type(policies[0]).play_lanes
+    lanes = [_reveal(cfg, adv, r, result) for r, result in zip(rngs, results)]
+    for revealed in zip(*lanes):
+        hints = None if revealed[0][2] is None else [H for _, _, H in revealed]
+        records = play(policies, [G for _, G, _ in revealed], hints)
+        played = []
+        for (block, _, _), record in zip(revealed, records):
+            reward, full = np.empty(len(record.t)), np.empty(len(record.t))
+            for f, rows in block:
+                reward[rows] = f.value(record.selected[rows])
+                full[rows] = f.full_value()
+            played.append((record, reward, full))
+        yield played
 
 
 def _log_sq_distances(result: ReplicaResult, f: SetFunction, hints: np.ndarray,
@@ -313,40 +338,97 @@ def _log_sq_distances(result: ReplicaResult, f: SetFunction, hints: np.ndarray,
                              "too large)") from None
 
 
+# The most replicas that play as lanes of one group.  A semi-bandit replica
+# at n = 20, k = 5 costs about 16 µs per round alone, 5.6 at 8 lanes, 2.1 at
+# 32, 1.5 at 64 and 1.3 at 96 (2-core VM); past 64 the gain flattens out,
+# while the group holds a block of every lane and, writing CSVs, one open
+# file per lane.
+LANES = 64
+
+
+def _group_size(cfg: ExperimentConfig) -> int:
+    """How many replicas of ``cfg`` play as the lanes of one group: up to
+    ``LANES`` for the semi-bandit at k < n, whose rounds the lanes share,
+    and one for every other policy, which plays a block in one pass."""
+    if cfg.policy.kind == "semibandit" and cfg.k < cfg.n:
+        return min(LANES, cfg.replicas)
+    return 1
+
+
+def _groups(cfg: ExperimentConfig, workers: int) -> list[range]:
+    """The lane groups of ``cfg``'s replicas, in replica order: the replicas
+    are cut into one contiguous share per worker, and each share into
+    groups of at most ``_group_size(cfg)``."""
+    size, R = _group_size(cfg), cfg.replicas
+    shares = max(1, min(workers, R))
+    cuts = [R * i // shares for i in range(shares + 1)]
+    return [range(first, min(first + size, stop))
+            for start, stop in zip(cuts, cuts[1:]) for first in range(start, stop, size)]
+
+
+def _run_group(cfg: ExperimentConfig, replicas: range,
+               out_dir: str | Path | None = None) -> list[ReplicaResult]:
+    """The replicas ``replicas`` of ``cfg``, run as the lanes of one group;
+    each is deterministic in (config, replica index), whatever group it
+    plays in.
+
+    With ``out_dir`` set, the rows of each ``replica_<i>.csv`` are written a
+    block of rounds at a time, as each block ends.  An error in any lane
+    ends the group and removes all of its files.
+    """
+    adv = adversary_from_config(cfg.adversary, cfg.n)
+    alpha, M, G = _resolve_bounds(cfg, adv)
+    score_cfg = ScoreConfig(n=cfg.n, k=cfg.k, T=cfg.T, alpha=alpha, M=M, G=G,
+                            eta=cfg.policy.eta)
+    rngs = [_replica_rngs(cfg.seed, r) for r in replicas]
+    results = [ReplicaResult(RegretLedger(cfg.n, cfg.k, alpha)) for _ in replicas]
+    policies = [_make_policy(cfg, score_cfg, r["policy"]) for r in rngs]
+    blocks = _group_blocks(cfg, adv, policies, rngs, results)
+    ledgers = [result.ledger for result in results]
+    if out_dir is None:
+        for played in blocks:
+            for ledger, block in zip(ledgers, played):
+                ledger.fold(*block)
+        return results
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    paths = [out / f"replica_{r}.csv" for r in replicas]
+    if len(paths) == 1:  # a lone replica's file, as perfbench's spans time it
+        write_replica_csv(paths[0], (played[0] for played in blocks), ledgers[0])
+    else:
+        _write_csvs(paths, blocks, ledgers)
+    return results
+
+
 def run_replica(cfg: ExperimentConfig, replica: int,
                 out_dir: str | Path | None = None) -> ReplicaResult:
-    """One independent seeded run; deterministic in (config, replica index).
+    """One independent seeded run, a lane group of one; deterministic in
+    (config, replica index).
 
     With ``out_dir`` set, the rows of ``replica_<i>.csv`` are written a
     block of rounds at a time, as each block ends.
     """
-    adv = adversary_from_config(cfg.adversary, cfg.n)
-    alpha, M, G = _resolve_bounds(cfg, adv)
-    rngs = _replica_rngs(cfg.seed, replica)
-    score_cfg = ScoreConfig(n=cfg.n, k=cfg.k, T=cfg.T, alpha=alpha, M=M, G=G,
-                            eta=cfg.policy.eta)
-    result = ReplicaResult(RegretLedger(cfg.n, cfg.k, alpha))
-    policy = _make_policy(cfg, score_cfg, rngs["policy"])
-    blocks = _replica_blocks(cfg, policy, adv, rngs, result)
-    if out_dir is None:
-        for block in blocks:
-            result.ledger.fold(*block)
-    else:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_replica_csv(out / f"replica_{replica}.csv", blocks, result.ledger)
-    return result
+    return _run_group(cfg, range(replica, replica + 1), out_dir)[0]
+
+
+def _group_summaries(cfg: ExperimentConfig, replicas: range,
+                     out_dir: str | None = None) -> list[dict]:
+    """Run a lane group, optionally write its CSVs, return only each
+    replica's final numbers (cheap to ship across process boundaries)."""
+    finals = []
+    for result in _run_group(cfg, replicas, out_dir):
+        finals.append(result.final_summary())
+        if result.sq_distances is not None:
+            finals[-1]["optimistic_bound"] = optimistic_regret_bound(
+                cfg.k, result.sq_distances)
+    return finals
 
 
 def replica_summary(cfg: ExperimentConfig, replica: int,
                     out_dir: str | None = None) -> dict:
     """Run one replica, optionally write its CSV, return only the final
-    numbers (cheap to ship across process boundaries)."""
-    result = run_replica(cfg, replica, out_dir)
-    finals = result.final_summary()
-    if result.sq_distances is not None:
-        finals["optimistic_bound"] = optimistic_regret_bound(cfg.k, result.sq_distances)
-    return finals
+    numbers."""
+    return _group_summaries(cfg, range(replica, replica + 1), out_dir)[0]
 
 
 def run_replicas(cfg: ExperimentConfig, workers: int = 1,
@@ -354,16 +436,18 @@ def run_replicas(cfg: ExperimentConfig, workers: int = 1,
     """All replica summaries, merged by replica index.
 
     Replicas are independent (their streams derive from (seed, index)), so
-    they may run in parallel; the merge order keeps output deterministic.
+    they may run in lane groups (:func:`_groups`) and in parallel, one
+    contiguous share of them per worker; the merge order keeps output
+    deterministic.
     """
-    if workers <= 1 or cfg.replicas == 1:
-        return [replica_summary(cfg, r, out_dir) for r in range(cfg.replicas)]
+    groups = _groups(cfg, workers)
+    if workers <= 1 or len(groups) == 1:
+        return [f for group in groups for f in _group_summaries(cfg, group, out_dir)]
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(replica_summary, cfg, r, out_dir)
-                   for r in range(cfg.replicas)]
-        return [f.result() for f in futures]
+        futures = [pool.submit(_group_summaries, cfg, group, out_dir) for group in groups]
+        return [f for future in futures for f in future.result()]
 
 
 def _fmt(x: float) -> str:
@@ -378,22 +462,37 @@ def write_replica_csv(path: Path, blocks: Iterable[tuple[RoundRecord, np.ndarray
                       ledger: RegretLedger) -> None:
     """Fold each block of rounds, its record with its rounds' rewards and
     full-set rewards, into the ledger and write its rows, with one
-    ``write``, as the block ends, reading the block's columns as they are.
-    Every float is the ``repr`` of a Python float from ``tolist``, which is
-    what ``_fmt`` writes.  If a round raises, the partial file is
+    ``write``, as the block ends.  If a round raises, the partial file is
     removed."""
+    _write_csvs([path], ([block] for block in blocks), [ledger])
+
+
+def _write_csvs(paths: list[Path],
+                blocks: Iterable[list[tuple[RoundRecord, np.ndarray, np.ndarray]]],
+                ledgers: list[RegretLedger]) -> None:
+    """:func:`write_replica_csv` of each lane of a group, a block of all
+    lanes at a time: lane r's block folds into ``ledgers[r]`` and its rows
+    go to ``paths[r]``, read off the block's columns as they are.  Every
+    float is the ``repr`` of a Python float from ``tolist``, which is what
+    ``_fmt`` writes.  If a round of any lane raises, every file of the
+    group is removed."""
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(CSV_HEADER + "\n")
-            for block, reward, full in blocks:
-                rows = ledger.fold(block, reward, full)
-                fh.write("".join([_CSV_ROW % row for row in zip(
-                    block.t, reward.tolist(), full.tolist(),
-                    rows.cum_reward.tolist(), rows.benchmark().tolist(),
-                    rows.aug_regret().tolist(), rows.static_regret().tolist(),
-                    block.observed, rows.cum_cost.tolist())]))
+        with contextlib.ExitStack() as stack:
+            files = [stack.enter_context(open(path, "w", encoding="utf-8", newline="\n"))
+                     for path in paths]
+            for fh in files:
+                fh.write(CSV_HEADER + "\n")
+            for played in blocks:
+                for fh, ledger, (block, reward, full) in zip(files, ledgers, played):
+                    rows = ledger.fold(block, reward, full)
+                    fh.write("".join([_CSV_ROW % row for row in zip(
+                        block.t, reward.tolist(), full.tolist(),
+                        rows.cum_reward.tolist(), rows.benchmark().tolist(),
+                        rows.aug_regret().tolist(), rows.static_regret().tolist(),
+                        block.observed, rows.cum_cost.tolist())]))
     except BaseException:
-        path.unlink(missing_ok=True)
+        for path in paths:
+            path.unlink(missing_ok=True)
         raise
 
 

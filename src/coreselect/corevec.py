@@ -198,8 +198,10 @@ def hungarian_duals(w: np.ndarray, tol: float = 1e-6) -> tuple:
     costs, every nonnegative feasible pair sums below the matching value.
 
     ``w`` may also be a (P, m, m) stack: then u and v are (P, m) rows, the
-    matching a list of P matchings and the value a (P,) array, each with
-    the bits of its matrix alone.  One Bellman-Ford relaxes the whole stack,
+    matching a (P, m) array whose row p holds the column matched to each
+    row of matrix p, and the value a (P,) array, each with the bits of its
+    matrix alone (the dual strategy reads only the prices, so no list of
+    pairs is built for a stack).  One Bellman-Ford relaxes the whole stack,
     and a matrix that has settled is never relaxed again.  An error from a
     stack names the first matrix that failed.
     """
@@ -261,10 +263,9 @@ def hungarian_duals(w: np.ndarray, tol: float = 1e-6) -> tuple:
     infeasible = (u[:, :, None] + v[:, None, :] > stack + tol).any(axis=(1, 2))
     if infeasible.any():
         raise fail(infeasible, "dual prices violate feasibility")
-    matching = [list(zip(range(m), c)) for c in cols.tolist()]
     if w.ndim == 3:
-        return u, v, matching, value
-    return u[0], v[0], matching[0], float(value[0])
+        return u, v, cols, value
+    return u[0], v[0], list(zip(range(m), cols[0].tolist())), float(value[0])
 
 
 def matching_core_vector(w: np.ndarray) -> AdmissibleVector:

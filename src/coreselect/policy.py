@@ -20,6 +20,7 @@ accounting as running sums, folded in a block at a time.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -31,13 +32,13 @@ from .blocks import row_dots, running_sums
 from .hypersimplex import (
     QuadraticObjective,
     _check_entropic_args,
-    _entropic_vector,
+    _entropic_block,
     afw_minimize,
     default_afw_budget,
     entropic_ftrl_argmax,
     lmo,
 )
-from .sampling import _check_uniforms, _madow_vector, draw
+from .sampling import _check_uniforms, _madow_block, draw
 
 
 def norm_bound(alpha: float, value_bound: float) -> float:
@@ -128,6 +129,10 @@ class _Policy:
         same shape.
         Returns the block's columns.
         """
+        return self._play(*self._checked(G, H))
+
+    def _checked(self, G, H):
+        """(G, H) as ``step`` takes them, after checking their shapes."""
         if H is None and self.needs_hint:
             raise ValueError("the optimistic policy needs a hint every round")
         G, n = np.asarray(G), self.config.n
@@ -137,7 +142,17 @@ class _Policy:
             raise ValueError(f"a block needs at least one round, got shape {G.shape}")
         if H is not None and np.shape(H) != G.shape:
             raise ValueError(f"hints must be of shape {G.shape}, got {np.shape(H)}")
-        return self._play(G, H)
+        return G, H
+
+    @classmethod
+    def play_lanes(cls, lanes: list["_Policy"], G: list[np.ndarray],
+                   H: list[np.ndarray] | None = None) -> list[RoundRecord]:
+        """Play one block on each lane of a group: policies of this class on
+        one config, each with its own generator and state.  Lane r plays
+        the rows ``G[r]`` (with the hints ``H[r]``), and gets the record
+        its own ``step`` gives; here the lanes step one after another."""
+        return [lane.step(g, None if H is None else H[r])
+                for r, (lane, g) in enumerate(zip(lanes, G))]
 
     def _thetas(self, fed: np.ndarray) -> np.ndarray:
         """theta before each round of a block and, becoming ``theta``, after
@@ -197,38 +212,72 @@ class ScorePolicy(_Policy):
 class SemiBanditPolicy(ScorePolicy):
     """Score variant that only sees the selected coordinates of the core
     vector and feeds inverse-propensity estimates for them.  The feed
-    depends on the drawn set, so a block is played one row at a time:
-    propose from theta, draw, and feed the row.
+    depends on the drawn set, so a block is played one round at a time:
+    propose from theta, draw, and feed the round.
+
+    Independent runs play as lanes of one group (:meth:`play_lanes`), in
+    lockstep: their thetas are the rows of one (R, n) array, and each
+    round is one row-wise entropic argmax, one row-wise Madow draw and
+    one inverse-propensity feed into the flattened thetas, each lane's
+    row bit for bit what the lane alone gives.  A single policy's
+    ``step`` is a group of one.
 
     What is constant over a block is checked once: ``eta`` and ``k``, and
-    the block's uniforms, drawn with one ``rng.random(B)`` (the stream and
-    generator state of B single draws).  Each row then runs the bodies of
-    the 1-d :func:`entropic_ftrl_argmax` and Madow sample, which keep
-    their checks of the row's own data, on a proposal clipped already.
-    At k == n every row feeds its whole vector, as the score policy plays.
+    the block's uniforms, drawn for each lane from its own generator with
+    one ``rng.random(B)`` (the stream and generator state of B single
+    draws).  The kernels' bodies then keep their checks of the rounds' own
+    data, on proposals inside [0, 1] already.  At k == n every round feeds
+    its whole vector, as the score policy plays.
     """
 
     def _play(self, G, H):
-        cfg = self.config
+        return self._lockstep([self], [G])[0]
+
+    @classmethod
+    def play_lanes(cls, lanes, G, H=None):
+        G = [lane._checked(g, h)[0] for lane, g, h in
+             zip(lanes, G, itertools.repeat(None) if H is None else H)]
+        if len({g.shape for g in G}) > 1:
+            raise ValueError(f"the lanes' blocks differ in shape: {[g.shape for g in G]}")
+        return cls._lockstep(lanes, G)
+
+    @staticmethod
+    def _lockstep(lanes: list["SemiBanditPolicy"], G: list[np.ndarray]
+                  ) -> list[RoundRecord]:
+        cfg = lanes[0].config
         if cfg.k == cfg.n:
-            return super()._play(G, H)
-        eta, k = cfg.eta, cfg.k
-        _check_entropic_args(eta, k, cfg.n)
-        u = self.rng.random(len(G))
+            return [ScorePolicy._play(lane, g, None) for lane, g in zip(lanes, G)]
+        eta, k, n = cfg.eta, cfg.k, cfg.n
+        _check_entropic_args(eta, k, n)
+        R, B = len(lanes), len(G[0])
+        u = np.array([lane.rng.random(B) for lane in lanes])
         _check_uniforms(u)
-        theta = self.theta
-        p = np.empty(G.shape)
-        selected = np.empty((len(G), k), dtype=np.intp)
-        for i, ui in enumerate(u.tolist()):
-            p[i] = q = _entropic_vector(theta, eta, k)
-            selected[i] = chosen = _madow_vector(q, k, ui, q)
-            probs = q[chosen]
-            if (probs <= 0.0).any():
-                raise RuntimeError("selected an element with zero inclusion probability")
-            # theta starts at +0.0 and a sum is -0.0 only if both terms are, so
-            # adding 0.0 off the selected coordinates would change no bit
-            theta[chosen] += G[i, chosen] / probs
-        return self._record(G, p, selected)
+        theta = np.array([lane.theta for lane in lanes])
+        fed = theta.reshape(-1)
+        g = np.concatenate(G, axis=1)  # each round's rows, flattened
+        p, selected = [], []
+        try:
+            for i, ui in enumerate(u.T):
+                q = _entropic_block(theta, eta, k)
+                at = _madow_block(q, k, ui, clipped=True)  # into the flattened rows
+                p.append(q)
+                selected.append(at)
+                probs = q.take(at)
+                if np.minimum.reduce(probs, None) <= 0.0:
+                    raise RuntimeError("selected an element with zero inclusion probability")
+                # theta starts at +0.0 and a sum is -0.0 only if both terms
+                # are, so adding 0.0 off the selected coordinates would
+                # change no bit
+                fed[at] = fed.take(at) + g[i].take(at) / probs
+        finally:  # an error leaves each lane its theta fed so far
+            for lane, row in zip(lanes, theta):
+                lane.theta = row
+        # each lane's rows, one after another
+        p = np.concatenate(p, axis=1).reshape(R, B, n)
+        selected = np.concatenate(selected, axis=1).reshape(R, B, k)
+        if R > 1:  # less each lane's offset, the column indices
+            selected -= np.arange(0, R * n, n)[:, None, None]
+        return [lane._record(gr, pr, sr) for lane, gr, pr, sr in zip(lanes, G, p, selected)]
 
 
 def priced_epsilon(n: int, k: int, T: int, G: float, cost: float) -> float:

@@ -215,26 +215,38 @@ class CoverageFunction(SetFunction):
 
     ``family[i]`` lists the universe items element i covers, kept as row i
     of ``words``, an (n, ceil(U / 64)) array of little-endian uint64 words
-    (item j <-> bit j), so a universe of any size works.  A union is the OR
-    of the chosen rows, and its size their ``np.bitwise_count``.  ``scale``
-    is how the benchmark normalizes instances to value bound 1.
+    (item j <-> bit j), so a universe of any size works.  ``family`` may
+    also be the (n, U) boolean incidence itself, row i marking the items
+    element i covers, which is packed as it is.  A union is the OR of the
+    chosen rows, and its size their ``np.bitwise_count``.  ``scale`` is how
+    the benchmark normalizes instances to value bound 1.
     """
 
-    def __init__(self, family: list[Iterable[int]], universe_size: int,
+    def __init__(self, family: list[Iterable[int]] | np.ndarray, universe_size: int,
                  scale: float = 1.0):
         if universe_size < 1:
             raise ValueError("universe must be nonempty")
         self.universe_size = universe_size
-        covers = np.zeros((len(family), 64 * -(-universe_size // 64)), dtype=bool)
-        for row, items in zip(covers, family):
-            items = np.asarray(items if isinstance(items, np.ndarray) else list(items),
-                               dtype=np.intp)
-            if ((items < 0) | (items >= universe_size)).any():
-                raise ValueError("family covers items outside the universe")
-            row[items] = True
-        self.words = np.packbits(covers, axis=1, bitorder="little").view("<u8")
+        if isinstance(family, np.ndarray) and family.dtype == bool:
+            if family.ndim != 2 or family.shape[1] != universe_size:
+                raise ValueError(f"an incidence of a universe of {universe_size} items "
+                                 f"must be (n, {universe_size}), got shape {family.shape}")
+            covers = family
+        else:
+            covers = np.zeros((len(family), universe_size), dtype=bool)
+            for row, items in zip(covers, family):
+                items = np.asarray(items if isinstance(items, np.ndarray) else list(items),
+                                   dtype=np.intp)
+                if ((items < 0) | (items >= universe_size)).any():
+                    raise ValueError("family covers items outside the universe")
+                row[items] = True
+        # whole words: the packed bytes, then zeros up to a multiple of 8
+        packed = np.packbits(covers, axis=1, bitorder="little")
+        words = np.zeros((len(covers), 8 * -(-universe_size // 64)), dtype=np.uint8)
+        words[:, :packed.shape[1]] = packed
+        self.words = words.view("<u8")
         self.scale = float(scale)
-        super().__init__(len(family), value_bound=self.value(np.arange(len(family))[None])[0],
+        super().__init__(len(covers), value_bound=self.value(np.arange(len(covers))[None])[0],
                          monotone=True)
 
     def _counts(self, sets: np.ndarray, op=np.bitwise_or.reduce) -> np.ndarray:

@@ -323,10 +323,26 @@ def test_hungarian_duals_of_a_stack_equal_its_matrices_one_at_a_time(name):
     for p, wp in enumerate(stack):
         up, vp, matching_p, value_p = hungarian_duals(wp)
         assert u[p].tobytes() == up.tobytes() and v[p].tobytes() == vp.tobytes()
-        assert matching[p] == matching_p and value[p] == value_p
+        assert list(zip(range(m), matching[p].tolist())) == matching_p
+        assert value[p] == value_p
     # a stack of one is the matrix itself, as rows
     one = hungarian_duals(w[None])
     assert one[0].tobytes() == hungarian_duals(w)[0][None].tobytes()
+
+
+def test_hungarian_duals_of_a_stack_return_each_rows_column():
+    # a stack's matching is its (P, m) assignment columns, not P lists of
+    # pairs that the dual strategy would build and throw away; one matrix
+    # keeps its list of pairs, which verify reads
+    rng = np.random.default_rng(11)
+    for P, m in ((1, 1), (3, 4), (10, 10)):
+        stack = rng.random((P, m, m))
+        u, v, cols, value = hungarian_duals(stack)
+        assert isinstance(cols, np.ndarray) and cols.dtype.kind == "i"
+        assert cols.shape == (P, m)
+        for p, wp in enumerate(stack):
+            assert hungarian_duals(wp)[2] == list(zip(range(m), cols[p].tolist()))
+            assert sorted(cols[p].tolist()) == list(range(m))
 
 
 def test_hungarian_duals_of_a_stack_name_the_matrix_that_fails(monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 from coreselect.hypersimplex import (
     InfeasiblePointError,
     QuadraticObjective,
-    _entropic_vector,
+    _entropic_few,
     _refeasibilize,
     afw_minimize,
     entropic_ftrl_argmax,
@@ -271,24 +271,26 @@ def test_entropic_rejects_bad_input():
             entropic_ftrl_argmax(np.zeros(3), eta, 1)
     with pytest.raises(ValueError):
         entropic_ftrl_argmax(np.zeros(3), 1.0, 4)
-    # non-finite scores, in one vector, in a block row and in the 1-d body,
-    # which checks them only in its branch for wide spreads; that branch
-    # names them before any infinities are subtracted, so without a warning
+    # non-finite scores, in one vector, in a block row and in the few-rows
+    # body, which checks them only in its branch for wide spreads; that
+    # branch names them before any infinities are subtracted, so without a
+    # warning
     for bad in (np.inf, -np.inf, np.nan):
         for theta in (np.array([bad, 0.0, 1.0]), np.full(3, bad)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                for solve in (entropic_ftrl_argmax, _entropic_vector):
+                for solve, scores in ((entropic_ftrl_argmax, theta),
+                                      (_entropic_few, theta[None])):
                     with pytest.raises(ValueError, match="theta contains non-finite entries"):
-                        solve(theta, 1.0, 2)
+                        solve(scores, 1.0, 2)
                 with pytest.raises(ValueError, match="theta contains non-finite entries"):
                     entropic_ftrl_argmax(np.array([np.zeros(3), theta]), 1.0, 2)
     # eta * theta overflows at the top score, in one vector, in a block row
-    # and in the 1-d body
+    # and in the few-rows body
     theta = np.array([2.0, 2.0, 0.0, 1.0])
     for solve, scores in ((entropic_ftrl_argmax, theta),
                           (entropic_ftrl_argmax, np.array([np.zeros(4), theta])),
-                          (_entropic_vector, theta)):
+                          (_entropic_few, theta[None])):
         with pytest.raises(ValueError, match="eta \\* theta overflows"), \
                 np.errstate(over="ignore", invalid="ignore"):
             solve(scores, 1e308, 2)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from coreselect.adversary import random_coverage
 from coreselect.blocks import block_rounds
 from coreselect.oracles import TableFunction, enumerate_matching_value, second_game
 from coreselect.setfn import (
@@ -128,8 +129,19 @@ def test_coverage_of_any_universe_is_the_union_size(universe):
     n, scale = 12, 1.0 / universe
     family = [np.flatnonzero(rng.random(universe) < 0.3).tolist() for _ in range(n)]
     family[0].append(universe - 1)  # the top item is covered
+    family[1] = []  # an element that covers nothing
     f = CoverageFunction(family, universe, scale=scale)
     assert f.full_value() == f.value_bound == union_reward(family, range(n), scale)
+    # the (n, U) boolean incidence packs to the same words and values
+    incidence = np.zeros((n, universe), dtype=bool)
+    for row, items in zip(incidence, family):
+        row[items] = True
+    g = CoverageFunction(incidence, universe, scale=scale)
+    assert g.words.shape == (n, -(-universe // 64))
+    assert g.words.tobytes() == f.words.tobytes()
+    assert g.value_bound == f.value_bound
+    sets = rng.permuted(np.tile(np.arange(n), (30, 1)), axis=1)[:, :5]
+    assert g.value(sets).tobytes() == f.value(sets).tobytes()
     for _ in range(20):
         chosen = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False).tolist()
         assert f.value(chosen) == union_reward(family, chosen, scale)
@@ -155,6 +167,23 @@ def test_coverage_values_all_of_any_universe(universe):
         f = CoverageFunction(family, universe, scale=1.0 / universe)
         want = [union_reward(family, indices_of(m), 1.0 / universe) for m in range(1 << n)]
         assert f.values_all().tolist() == want
+
+
+@pytest.mark.parametrize("universe", [1, 2, 65])
+def test_random_coverage_packs_its_incidence_as_index_lists_would(universe):
+    # at density 0 every row is empty until the fallback covers one item,
+    # and the fix-up then covers every item no row covers
+    for density in (0.0, 0.3):
+        f = random_coverage(6, universe, np.random.default_rng(universe), density)
+        incidence = np.unpackbits(f.words.view(np.uint8), axis=1,
+                                  bitorder="little")[:, :universe].astype(bool)
+        assert incidence.any(axis=1).all() and incidence.any(axis=0).all()
+        lists = CoverageFunction([np.flatnonzero(row) for row in incidence], universe,
+                                 scale=1.0 / universe)
+        assert lists.words.tobytes() == f.words.tobytes()
+        assert f.full_value() == lists.full_value() == 1.0
+    with pytest.raises(ValueError, match="must be \\(n, 65\\)"):
+        CoverageFunction(np.ones((2, 64), dtype=bool), 65)
 
 
 def test_coverage_rejects_items_outside_the_universe():
