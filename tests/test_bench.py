@@ -106,6 +106,71 @@ def test_semibandit_config_runs(tmp_path):
     assert [int(row.split(",")[0]) for row in rows] == list(range(1, cfg.T + 1))
 
 
+def outputs(out_dir):
+    """Every file a run wrote, by name."""
+    return {path.name: path.read_bytes() for path in sorted(Path(out_dir).iterdir())}
+
+
+@pytest.mark.parametrize("R", [2, 3, 25])
+def test_semibandit_lane_group_equals_each_replica_alone(R, tmp_path):
+    # n = 20 and T = 450 cross blocks of 204 rounds and drift phases of 45
+    cfg = ExperimentConfig.from_dict(base_config(
+        n=20, k=5, T=450, replicas=R, policy={"kind": "semibandit"},
+        adversary={"kind": "coverage-drift"}))
+    assert bench_module._groups(cfg, 1) == [range(R)]
+    group = bench_module._group_summaries(cfg, range(R), tmp_path / "group")
+    alone = [bench_module.replica_summary(cfg, r, tmp_path / "alone") for r in range(R)]
+    assert group == alone
+    assert outputs(tmp_path / "group") == outputs(tmp_path / "alone")
+    assert len(outputs(tmp_path / "group")) == R
+
+
+def test_k_equals_n_plays_groups_of_one(tmp_path):
+    cfg = ExperimentConfig.from_dict(base_config(
+        k=6, replicas=3, policy={"kind": "semibandit"}))
+    assert bench_module._groups(cfg, 1) == [range(0, 1), range(1, 2), range(2, 3)]
+    group = bench_module._group_summaries(cfg, range(3), tmp_path / "group")
+    alone = [bench_module.replica_summary(cfg, r, tmp_path / "alone") for r in range(3)]
+    assert group == alone and all(f["aug_regret"] == 0.0 for f in group)
+    assert outputs(tmp_path / "group") == outputs(tmp_path / "alone")
+
+
+def test_lane_groups_split_among_workers_keep_replica_order(tmp_path):
+    cfg = ExperimentConfig.from_dict(base_config(
+        n=20, k=5, T=60, replicas=25, policy={"kind": "semibandit"}))
+    # one contiguous share of the replicas per worker, each one group
+    assert bench_module._groups(cfg, 2) == [range(0, 12), range(12, 25)]
+    assert bench_module._groups(cfg, 100) == [range(r, r + 1) for r in range(25)]
+    one = run_experiment(cfg, out_dir=tmp_path / "one", workers=1)
+    two = run_experiment(cfg, out_dir=tmp_path / "two", workers=2)
+    assert one == two
+    assert outputs(tmp_path / "one") == outputs(tmp_path / "two")
+
+
+def test_a_failing_lane_names_its_round_and_ends_its_group(monkeypatch, tmp_path):
+    # lane 1 of 3 fails on its third run, rounds 9-12 (coverage phases of 4
+    # rounds), after lane 0 revealed its block; the error ends the group,
+    # which leaves none of its files
+    real, built = Adversary.core_strategy, itertools.count()
+
+    def core_strategy(self, rng):
+        strategy, lane, calls = real(self, rng), next(built), itertools.count(1)
+
+        def flaky(f, b):
+            if lane == 1 and next(calls) == 3:
+                raise KeyError("boom")
+            return strategy(f, b)
+
+        return flaky
+
+    monkeypatch.setattr(Adversary, "core_strategy", core_strategy)
+    cfg = ExperimentConfig.from_dict(base_config(
+        replicas=3, policy={"kind": "semibandit"}, adversary={"kind": "coverage-drift"}))
+    with pytest.raises(RuntimeError, match="core strategy failed on rounds 9-12: 'boom'"):
+        run_experiment(cfg, out_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("policy", [
     {"kind": "score"}, {"kind": "oftrl", "mode": "exact"}, {"kind": "semibandit"},
     {"kind": "priced"}, {"kind": "oftrl", "mode": "afw"},
@@ -721,6 +786,30 @@ def test_runs_import_no_module(tmp_path):
     assert [(raw["policy"], raw["adversary"]["kind"], names)
             for raw, names in zip(configs, gained) if names] == []
     assert gained[-1] == []
+
+
+def test_trace_instrumentation_finds_every_attribute_it_wraps():
+    # perfbench/spans.py reads each attribute it wraps (bench.run_replica,
+    # bench.replica_summary, bench.write_replica_csv, bench.lmo,
+    # ScorePolicy.step and the others), so one that is gone fails here
+    # rather than in a `--trace 1` run
+    src = str(Path(coreselect.__file__).resolve().parents[1])
+    code = "\n".join([
+        "import sys",
+        f"sys.path[:0] = [{str(PERFBENCH)!r}, {src!r}]",
+        "import spans",
+        "spans.instrument(spans.SpanRecorder())",
+        "import coreselect",
+        f"assert coreselect.__file__.startswith({src!r}), coreselect.__file__",
+        "from coreselect import bench, policy",
+        "for fn in (bench.run_replica, bench.replica_summary, bench.write_replica_csv,",
+        "           bench.lmo, policy.ScorePolicy.step, policy.OftrlPolicy.step):",
+        "    assert hasattr(fn, '__wrapped__'), fn",
+        "print('instrumented')",
+    ])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["instrumented"]
 
 
 def test_traced_benchmark_reaches_every_layer(tmp_path):

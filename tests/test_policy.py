@@ -7,7 +7,9 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import coreselect.hypersimplex as hypersimplex_module
 import coreselect.policy as policy_module
+import coreselect.sampling as sampling_module
 from coreselect.adversary import (
     HintSpec,
     adversary_from_config,
@@ -294,6 +296,96 @@ def test_semibandit_non_finite_theta_fails_at_the_written_out_round(bad):
     assert not np.isfinite(theta).all()
     assert pol.theta.tobytes() == theta.tobytes()
     assert pol.t == 0
+
+
+class FixedUniforms:
+    """A generator stand-in whose ``random(size)`` hands out given draws in
+    order, as a lane's generator would its own."""
+
+    def __init__(self, u):
+        self.u = list(u)
+
+    def random(self, size):
+        out, self.u = self.u[:size], self.u[size:]
+        return np.array(out)
+
+
+def fallback_case(n, k, eta, rng):
+    """(theta, u): scores whose proposal caps a coordinate at 1, and a
+    uniform at which rounding puts two grid points into that coordinate's
+    interval, so the Madow draw hands a dropped slot on."""
+    for _ in range(10_000):
+        theta = rng.normal(size=n)
+        theta[rng.integers(0, n, 2)] += 40.0
+        p = entropic_ftrl_argmax(theta, eta, k)
+        prefix = np.concatenate([[0.0], np.cumsum(p)])
+        prefix[-1] = k
+        for j in np.flatnonzero(p == 1.0).tolist():
+            base = float(prefix[j] % 1.0)
+            for u in (base, math.nextafter(base, 0.0), math.nextafter(base, 1.0)):
+                grid = np.ceil(np.minimum(prefix, k) - u)
+                if 0.0 <= u < 1.0 and np.count_nonzero(grid[1:] > grid[:-1]) < k:
+                    return theta, u
+    raise AssertionError("no proposal takes the Madow fallback")
+
+
+@pytest.mark.parametrize("R", [2, 3, 25])
+@pytest.mark.parametrize("case", ["log-space", "straddling", "fallback", "k == n"])
+def test_semibandit_lanes_equal_each_lane_alone(R, case, monkeypatch):
+    # one lane takes the named branch while the others do not; 2 and 3
+    # lanes share the few-rows argmax, 25 the row body
+    rng = np.random.default_rng([R, len(case)])
+    n, B, eta = 20, 7, 1.0
+    k = {"straddling": n - 1, "k == n": n}.get(case, 5)
+    odd = int(rng.integers(R))
+    thetas = [rng.normal(size=n) for _ in range(R)]
+    us = [rng.random(B).tolist() for _ in range(R)]
+    G = rng.normal(size=(R, B, n))
+    if case == "log-space":  # scores spread past 690 / eta
+        thetas[odd] = rng.permutation(n) * 100.0
+    elif case == "straddling":  # equal scores on both sides of the caps
+        thetas[odd], G[odd] = straddling_ties(n, rng), 0.0
+    elif case == "fallback":
+        thetas[odd], us[odd][0] = fallback_case(n, k, eta, rng)
+    calls = {}
+
+    def counted(name):
+        real = getattr(sampling_module if name == "_fill_dropped_slots" else
+                       hypersimplex_module, name)
+
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(sampling_module, "_fill_dropped_slots", counted("_fill_dropped_slots"))
+    monkeypatch.setattr(hypersimplex_module, "_capped_exponentials_in_log_space",
+                        counted("_capped_exponentials_in_log_space"))
+    cfg = ScoreConfig(n=n, k=k, T=B, eta=eta)
+
+    def lanes():
+        pols = [SemiBanditPolicy(cfg, FixedUniforms(u)) for u in us]
+        for pol, theta in zip(pols, thetas):
+            pol.theta = theta.copy()
+        return pols
+
+    alone = lanes()
+    want = [pol.step(g) for pol, g in zip(alone, G)]
+    seen, calls = calls, {}
+    group = lanes()
+    got = SemiBanditPolicy.play_lanes(group, list(G))
+    assert calls == seen
+    if case in ("log-space", "straddling"):
+        assert 1 <= seen["_capped_exponentials_in_log_space"] <= B
+    elif case == "fallback":
+        assert seen == {"_fill_dropped_slots": 1}
+    for a, b, pa, pb in zip(want, got, alone, group):
+        assert a.t == b.t and a.observed == b.observed
+        assert a.p.tobytes() == b.p.tobytes()
+        assert a.selected.tobytes() == b.selected.astype(a.selected.dtype).tobytes()
+        assert a.cost.tobytes() == b.cost.tobytes()
+        assert pa.theta.tobytes() == pb.theta.tobytes() and pa.t == pb.t
 
 
 def test_ips_estimate_is_exactly_unbiased_by_marginal_law():
