@@ -13,14 +13,14 @@ a per-peek price).
 
 The policies play a block in one pass over (B, n) arrays, except the
 semi-bandit one, whose feed depends on the drawn set and which plays it one
-row at a time; the optimistic proposals, each centered at those before it,
-are the one step made row by row.  ``RegretLedger`` keeps the regret
+round at a time, the rounds of a group of independent runs together; the
+optimistic proposals, each centered at those before it, are the one step
+made row by row.  ``RegretLedger`` keeps the regret
 accounting as running sums, folded in a block at a time.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -231,19 +231,14 @@ class SemiBanditPolicy(ScorePolicy):
     """
 
     def _play(self, G, H):
-        return self._lockstep([self], [G])[0]
+        return self.play_lanes([self], [G])[0]
 
     @classmethod
     def play_lanes(cls, lanes, G, H=None):
-        G = [lane._checked(g, h)[0] for lane, g, h in
-             zip(lanes, G, itertools.repeat(None) if H is None else H)]
+        # the semi-bandit takes no hints
+        G = [lane._checked(g, None)[0] for lane, g in zip(lanes, G)]
         if len({g.shape for g in G}) > 1:
             raise ValueError(f"the lanes' blocks differ in shape: {[g.shape for g in G]}")
-        return cls._lockstep(lanes, G)
-
-    @staticmethod
-    def _lockstep(lanes: list["SemiBanditPolicy"], G: list[np.ndarray]
-                  ) -> list[RoundRecord]:
         cfg = lanes[0].config
         if cfg.k == cfg.n:
             return [ScorePolicy._play(lane, g, None) for lane, g in zip(lanes, G)]
