@@ -256,8 +256,8 @@ def _reveal(cfg: ExperimentConfig, adv: Adversary, rngs: dict, result: ReplicaRe
     their hints, which only the optimistic policy gets (else None).
 
     A run's proxy vectors come from one core-strategy call (a failing one
-    ends the replica before its block is played, naming the run's rounds,
-    or the part of them that its error's ``rows`` gives), and a block's
+    ends the replica's group before its block is played, naming the run's
+    rounds, or the part of them that its error's ``rows`` gives), and a block's
     hints from one call; rewards on at most 16 elements then log their
     squared sup-distances for the optimistic bound.
     """
