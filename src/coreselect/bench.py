@@ -249,17 +249,18 @@ def _reward_blocks(runs: Iterator[tuple[SetFunction, int]], size: int
         yield block
 
 
-def _reveal(cfg: ExperimentConfig, adv: Adversary, rngs: dict, result: ReplicaResult
+def _reveal(cfg: ExperimentConfig, adv: Adversary, replica: int, rngs: dict,
+            result: ReplicaResult
             ) -> Iterator[tuple[list[tuple[SetFunction, slice]], np.ndarray, np.ndarray | None]]:
     """Each block of one replica's runs, revealed from its own generators:
     the block's ``(f, rows)`` runs, their proxy vectors as (B, n) rows, and
     their hints, which only the optimistic policy gets (else None).
 
     A run's proxy vectors come from one core-strategy call (a failing one
-    ends the replica's group before its block is played, naming the run's
-    rounds, or the part of them that its error's ``rows`` gives), and a block's
-    hints from one call; rewards on at most 16 elements then log their
-    squared sup-distances for the optimistic bound.
+    ends the replica's group before its block is played, naming the replica
+    and the run's rounds, or the part of them that its error's ``rows``
+    gives), and a block's hints from one call; rewards on at most 16
+    elements then log their squared sup-distances for the optimistic bound.
     """
     strategy = adv.core_strategy(rngs["strategy"])
     spec = None
@@ -278,7 +279,8 @@ def _reveal(cfg: ExperimentConfig, adv: Adversary, rngs: dict, result: ReplicaRe
                 part = getattr(exc, "rows", range(rows.stop - rows.start))
                 first, last = t + rows.start + part[0] + 1, t + rows.start + part[-1] + 1
                 where = f"round {first}" if first == last else f"rounds {first}-{last}"
-                raise RuntimeError(f"core strategy failed on {where}: {exc}") from exc
+                raise RuntimeError(
+                    f"replica {replica}: core strategy failed on {where}: {exc}") from exc
         hints = None if spec is None else generate_hints(G, spec, rngs["hints"])
         for f, rows in block:
             if result.sq_distances is not None:
@@ -287,21 +289,21 @@ def _reveal(cfg: ExperimentConfig, adv: Adversary, rngs: dict, result: ReplicaRe
         t += B
 
 
-def _group_blocks(cfg: ExperimentConfig, adv: Adversary, policies: list, rngs: list[dict],
-                  results: list[ReplicaResult]
+def _group_blocks(cfg: ExperimentConfig, adv: Adversary, replicas: range, policies: list,
+                  rngs: list[dict], results: list[ReplicaResult]
                   ) -> Iterator[list[tuple[RoundRecord, np.ndarray, np.ndarray]]]:
-    """Each block of a lane group's rounds: block b is revealed for every
-    lane, then played by the group with one ``play_lanes``, which sees
-    only the lanes' proxy vectors (and hints); then each lane's drawn sets
-    are valued, one ``value`` call per run.  Yields each lane's record and
-    its rounds' rewards and full-set rewards.
+    """Each block of the rounds of the lane group ``replicas``: block b is
+    revealed for every lane, then played by the group with one
+    ``play_lanes``, which sees only the lanes' proxy vectors (and hints);
+    then each lane's drawn sets are valued, one ``value`` call per run.
+    Yields each lane's record and its rounds' rewards and full-set rewards.
 
     The replicas of a config share the block layout, since the adversaries'
     runs are cut by (T, n, phases) only, so every lane's block b has the
     same rounds.
     """
     play = type(policies[0]).play_lanes
-    lanes = [_reveal(cfg, adv, r, result) for r, result in zip(rngs, results)]
+    lanes = [_reveal(cfg, adv, *lane) for lane in zip(replicas, rngs, results)]
     for revealed in zip(*lanes):
         hints = None if revealed[0][2] is None else [H for _, _, H in revealed]
         records = play(policies, [G for _, G, _ in revealed], hints)
@@ -383,7 +385,7 @@ def _run_group(cfg: ExperimentConfig, replicas: range,
     rngs = [_replica_rngs(cfg.seed, r) for r in replicas]
     results = [ReplicaResult(RegretLedger(cfg.n, cfg.k, alpha)) for _ in replicas]
     policies = [_make_policy(cfg, score_cfg, r["policy"]) for r in rngs]
-    blocks = _group_blocks(cfg, adv, policies, rngs, results)
+    blocks = _group_blocks(cfg, adv, replicas, policies, rngs, results)
     ledgers = [result.ledger for result in results]
     if out_dir is None:
         for played in blocks:

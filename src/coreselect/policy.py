@@ -38,7 +38,7 @@ from .hypersimplex import (
     entropic_ftrl_argmax,
     lmo,
 )
-from .sampling import _check_uniforms, _madow_block, draw
+from .sampling import _check_uniforms, _madow_rows, draw
 
 
 def norm_bound(alpha: float, value_bound: float) -> float:
@@ -226,8 +226,8 @@ class SemiBanditPolicy(ScorePolicy):
     the block's uniforms, drawn for each lane from its own generator with
     one ``rng.random(B)`` (the stream and generator state of B single
     draws).  The kernels' bodies then keep their checks of the rounds' own
-    data, on proposals inside [0, 1] already.  At k == n every round feeds
-    its whole vector, as the score policy plays.
+    data.  At k == n every round feeds its whole vector, as the score
+    policy plays.
     """
 
     def _play(self, G, H):
@@ -254,7 +254,7 @@ class SemiBanditPolicy(ScorePolicy):
         try:
             for i, ui in enumerate(u.T):
                 q = _entropic_block(theta, eta, k)
-                at = _madow_block(q, k, ui, clipped=True)  # into the flattened rows
+                at = _madow_rows(q, k, ui)  # into the flattened rows
                 p.append(q)
                 selected.append(at)
                 probs = q.take(at)

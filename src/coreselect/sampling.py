@@ -10,6 +10,8 @@ row of a block, and returns the selected indices as a (k,) array, or a
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .hypersimplex import InfeasiblePointError
@@ -18,25 +20,36 @@ PREFIX_SUM_TOL = 1e-6
 
 
 def _prefix_sums(p: np.ndarray, k: int) -> np.ndarray:
-    """Prefix sums with the final entry forced to exactly k.
+    """The prefix sums of one point ``p`` or of each row of a (B, n) block,
+    along the last axis: a leading 0, then the running sums of the point
+    clipped to [0, 1], with the final entry forced to exactly k.
 
+    ``p`` is checked first: a NaN, a coordinate outside [0, 1] or a total
+    farther than ``PREFIX_SUM_TOL`` from k raises InfeasiblePointError.
     Floating-point drift in sum(p) would otherwise let the last grid point
     escape the last interval and break the exact-cardinality guarantee.
     """
-    prefix = np.empty(p.size + 1)
-    prefix[0] = 0.0
-    p.cumsum(out=prefix[1:])
-    _check_total(float(prefix[-1]), k)
-    prefix[-1] = float(k)
-    np.minimum(prefix, float(k), out=prefix)
-    return prefix
-
-
-def _check_total(total: float, k: int) -> None:
-    if not abs(total - k) <= PREFIX_SUM_TOL:  # NaN fails too
+    lo, hi = np.minimum.reduce(p, None), np.maximum.reduce(p, None)
+    if not (lo >= -PREFIX_SUM_TOL and hi <= 1.0 + PREFIX_SUM_TOL):  # NaN fails too
+        raise InfeasiblePointError("p has a NaN or a coordinate outside [0, 1]")
+    if lo < 0.0 or hi > 1.0:  # else the clip would move nothing
+        p = p.clip(0.0, 1.0)
+    prefix = np.zeros(p.shape[:-1] + (p.shape[-1] + 1,))
+    # (the axis passed by position: as a keyword it costs a third more here)
+    np.add.accumulate(p, -1, None, prefix[..., 1:])
+    # the totals, finite now, as floats: on the few rows of a round's draw
+    # their min and max cost a sixth of numpy's reductions
+    totals = prefix[..., -1].ravel().tolist()
+    top = max(totals)
+    if not (top - k <= PREFIX_SUM_TOL and k - min(totals) <= PREFIX_SUM_TOL):
+        total = max(totals, key=lambda t: abs(t - k))
         raise InfeasiblePointError(
             f"sum(p) = {total:.9g} is not within {PREFIX_SUM_TOL} of k = {k}"
         )
+    if top > k:  # the sums never fall, so none exceeds k otherwise
+        np.minimum(prefix, float(k), out=prefix)
+    prefix[..., -1] = float(k)
+    return prefix
 
 
 def madow_sample(p: np.ndarray, k: int, u: float | np.ndarray) -> np.ndarray:
@@ -52,8 +65,7 @@ def madow_sample(p: np.ndarray, k: int, u: float | np.ndarray) -> np.ndarray:
 
     For a (B, n) block of points, ``u`` holds one draw per row and the
     result is a (B, k) index array whose row i is the set row i alone
-    gives.  Once ``u`` is checked, :func:`_madow_block` picks the body by
-    the block's size.
+    gives.  One point is drawn as a block of one row.
     """
     p = np.asarray(p, dtype=float)
     if p.ndim == 2:
@@ -61,55 +73,12 @@ def madow_sample(p: np.ndarray, k: int, u: float | np.ndarray) -> np.ndarray:
         if u.shape != (len(p),):
             raise ValueError(f"{len(p)} points need {len(p)} draws, got shape {u.shape}")
         _check_uniforms(u)
-        selected = _madow_block(p, k, u)
-        if len(p) > 1:  # flat indices less their row's offset are the column indices
-            selected -= np.arange(0, p.size, p.shape[1])[:, None]
+        selected = _madow_rows(p, k, u)
+        selected %= p.shape[1]  # the flat indices less their rows' offsets
         return selected
     if not (0.0 <= u < 1.0):
         raise ValueError(f"u must lie in [0, 1), got {u}")
-    return _madow_vector(p, k, u, p.clip(0.0, 1.0))
-
-
-def _madow_block(p: np.ndarray, k: int, u: np.ndarray, clipped: bool = False
-                 ) -> np.ndarray:
-    """The sets :func:`madow_sample` draws from the rows of a (B, n) block
-    with their own draws, checked already, as (B, k) indices into the
-    flattened block; with ``clipped``, ``p`` lies in [0, 1] already and is
-    not clipped.  One row goes through the 1-d body :func:`_madow_vector`,
-    which at n = 20 takes about half the time of the row code
-    :func:`_madow_rows` run on one row (4 against 8 µs); more rows through
-    the row code."""
-    if len(p) == 1:
-        row = p[0]
-        return _madow_vector(row, k, float(u[0]), row if clipped else row.clip(0.0, 1.0))[None]
-    return _madow_rows(p, k, u, clipped)
-
-
-def _madow_vector(p: np.ndarray, k: int, u: float, inside: np.ndarray
-                  ) -> np.ndarray:
-    """:func:`madow_sample` of one float vector ``p`` for a uniform ``u``
-    checked already, with ``inside`` its clip to [0, 1] (``p`` itself when
-    it lies there).  ``p`` is checked here."""
-    _check_range(p)
-    grid = _prefix_sums(inside, k) - u
-    np.ceil(grid, out=grid)
-    chosen = grid[1:] > grid[:-1]
-    selected = chosen.nonzero()[0]
-    if selected.size < k:
-        _fill_dropped_slots(chosen, p, k)
-        selected = chosen.nonzero()[0]
-    if selected.size != k:
-        raise InfeasiblePointError(
-            f"selected {selected.size} elements instead of k = {k}"
-        )
-    return selected
-
-
-def _check_range(p: np.ndarray) -> None:
-    # written so that a NaN fails too
-    if not (np.minimum.reduce(p, None) >= -PREFIX_SUM_TOL
-            and np.maximum.reduce(p, None) <= 1.0 + PREFIX_SUM_TOL):
-        raise InfeasiblePointError("p has a NaN or a coordinate outside [0, 1]")
+    return _madow_rows(p[None], k, np.array([u]))[0]
 
 
 def _check_uniforms(u: np.ndarray) -> None:
@@ -127,25 +96,15 @@ def _fill_dropped_slots(chosen: np.ndarray, p: np.ndarray, k: int) -> None:
     chosen[pool[: k - np.count_nonzero(chosen)]] = True
 
 
-def _madow_rows(p: np.ndarray, k: int, u: np.ndarray, clipped: bool = False
-                ) -> np.ndarray:
+def _madow_rows(p: np.ndarray, k: int, u: np.ndarray) -> np.ndarray:
     """The sets :func:`madow_sample` draws from the rows of a (B, n) block
     with their own draws, checked already, as (B, k) indices into the
-    flattened block, and ``p`` not clipped if ``clipped`` says it lies in
-    [0, 1] already: the same checks of ``p``, prefix sums and ceilings,
-    row-wise.  The indices come from one ``nonzero`` of the flattened mask,
-    which at (16, 1000) takes about 4 µs against 23 for the column indices
-    of the 2-d ``nonzero``."""
-    _check_range(p)
-    B, n = p.shape
-    grid = np.zeros((B, n + 1))
-    # (the axis passed by position: as a keyword it costs a third more here)
-    np.add.accumulate(p if clipped else p.clip(0.0, 1.0), 1, out=grid[:, 1:])
-    off = abs(grid[:, -1] - k)
-    if not np.maximum.reduce(off) <= PREFIX_SUM_TOL:  # NaN fails too
-        _check_total(float(grid[off.argmax(), -1]), k)
-    grid[:, -1] = float(k)
-    np.minimum(grid, float(k), out=grid)
+    flattened block: the rows' prefix sums, less their draws, and their
+    ceilings.  The indices come from one ``nonzero`` of the flattened
+    mask, which at (16, 1000) takes about 4 µs against 23 for the column
+    indices of the 2-d ``nonzero``."""
+    B = len(p)
+    grid = _prefix_sums(p, k)
     grid -= u[:, None]
     np.ceil(grid, out=grid)
     chosen = grid[:, 1:] > grid[:, :-1]
@@ -175,6 +134,21 @@ def draw(p: np.ndarray, k: int, rng: np.random.Generator,
     return madow_sample(p, k, u)
 
 
+def _support(p: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The u-interval lengths of the sampling distribution and their (m, k)
+    sets, one row per interval in the order of u: all the sets come from
+    one draw of the point repeated once per interval, at its midpoint (so
+    an (m, n + 1) grid, m <= n + 1)."""
+    p = np.asarray(p, dtype=float)
+    pts = np.unique(np.concatenate([[0.0, 1.0], np.mod(_prefix_sums(p, k), 1.0)]))
+    lo, hi = pts[:-1], pts[1:]
+    # midpoints of sub-ulp segments can round to 1
+    mids = np.minimum(0.5 * (lo + hi), math.nextafter(1.0, 0.0))
+    sets = _madow_rows(p[None].repeat(len(mids), 0), k, mids)
+    sets %= len(p)  # the flat indices less their rows' offsets
+    return hi - lo, sets
+
+
 def madow_support(p: np.ndarray, k: int) -> list[tuple[float, np.ndarray]]:
     """All (probability, set) pairs of the sampling distribution, exactly.
 
@@ -184,29 +158,20 @@ def madow_support(p: np.ndarray, k: int) -> list[tuple[float, np.ndarray]]:
     its u-interval.  Useful both for exact marginal-law checks and for
     exact conditional expectations of set functions.
     """
-    p = np.asarray(p, dtype=float)
-    frac = np.mod(_prefix_sums(p, k), 1.0)
-    pts = np.unique(np.concatenate([[0.0, 1.0], frac]))
-    pts = pts[(pts >= 0.0) & (pts <= 1.0)]
-    support = []
-    top = np.nextafter(1.0, 0.0)  # midpoints of sub-ulp segments can round to 1
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        if hi - lo <= 0.0:
-            continue
-        mid = min(0.5 * (lo + hi), top)
-        support.append((float(hi - lo), madow_sample(p, k, mid)))
-    return support
+    lengths, sets = _support(p, k)
+    return list(zip(lengths.tolist(), sets))
 
 
 def madow_marginal_measure(p: np.ndarray, k: int) -> np.ndarray:
     """Exact measure of {u : element i is selected} for every i.
 
-    Sums interval lengths over the breakpoint decomposition; no sampling
-    involved, so the result should match p to floating-point accuracy.
+    Sums interval lengths over the breakpoint decomposition, in the order
+    of u; no sampling involved, so the result should match p to
+    floating-point accuracy.
     """
+    lengths, sets = _support(p, k)
     measure = np.zeros(len(p))
-    for length, sel in madow_support(p, k):
-        measure[sel] += length
+    np.add.at(measure, sets, lengths[:, None])
     return measure
 
 

@@ -148,9 +148,9 @@ def test_lane_groups_split_among_workers_keep_replica_order(tmp_path):
 
 
 def test_a_failing_lane_names_its_round_and_ends_its_group(monkeypatch, tmp_path):
-    # lane 1 of 3 fails on its third run, rounds 9-12 (coverage phases of 4
-    # rounds), after lane 0 revealed its block; the error ends the group,
-    # which leaves none of its files
+    # lane 1 of 3, replica 1, fails on its third run, rounds 9-12 (coverage
+    # phases of 4 rounds), after lane 0 revealed its block; the error names
+    # the replica and ends the group, which leaves none of its files
     real, built = Adversary.core_strategy, itertools.count()
 
     def core_strategy(self, rng):
@@ -166,7 +166,8 @@ def test_a_failing_lane_names_its_round_and_ends_its_group(monkeypatch, tmp_path
     monkeypatch.setattr(Adversary, "core_strategy", core_strategy)
     cfg = ExperimentConfig.from_dict(base_config(
         replicas=3, policy={"kind": "semibandit"}, adversary={"kind": "coverage-drift"}))
-    with pytest.raises(RuntimeError, match="core strategy failed on rounds 9-12: 'boom'"):
+    with pytest.raises(RuntimeError, match="^replica 1: core strategy failed on "
+                                           "rounds 9-12: 'boom'$"):
         run_experiment(cfg, out_dir=tmp_path)
     assert list(tmp_path.iterdir()) == []
 

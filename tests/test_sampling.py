@@ -188,14 +188,67 @@ def test_block_of_points_samples_each_row_as_alone():
         draw(p, k, single).tolist() for p in rows]
 
 
+def test_a_point_just_outside_the_box_draws_as_its_clip():
+    # unclipped, the interval of element 2 would start below the end of
+    # element 0's, and u = 0.4999997 would choose 3 elements
+    p = np.array([0.5, -5e-7, 0.5 + 5e-7, 1.0])
+    us = [0.0, 0.25, 0.4999997, 0.75]
+    for u in us:
+        assert madow_sample(p, 2, u).tolist() == madow_sample(p.clip(0.0, 1.0), 2, u).tolist()
+    assert madow_sample(np.array([p, p]), 2, np.array(us[2:])).tolist() == [
+        madow_sample(p.clip(0.0, 1.0), 2, u).tolist() for u in us[2:]]
+
+
 def test_block_rejects_what_a_row_rejects():
     good = [0.5] * 4
     with pytest.raises(ValueError, match="need 2 draws"):
         madow_sample(np.array([good, good]), 2, np.array([0.3]))
     with pytest.raises(ValueError, match="u must lie"):
         madow_sample(np.array([good, good]), 2, np.array([0.3, 1.0]))
-    for bad in ([0.5, np.nan, 0.5, 0.5], [0.9, 0.9, 0.9, 0.9], [1.5, 0.5, 0.0, 0.0]):
+    # the last two clip to a sum of exactly k: only the range of the point
+    # as given rejects them
+    for bad in ([0.5, np.nan, 0.5, 0.5], [0.9, 0.9, 0.9, 0.9], [1.5, 0.5, 0.0, 0.0],
+                [1.5, -0.5, 1.0, 0.0], [1.2, -0.2, 1.0, 0.0]):
         with pytest.raises(InfeasiblePointError):
             madow_sample(bad, 2, 0.3)
         with pytest.raises(InfeasiblePointError):
             madow_sample(np.array([good, bad]), 2, np.array([0.3, 0.3]))
+
+
+def support_loop(p, k):
+    """The support written out, with each interval's draw: one draw of the
+    point per u-interval, at its midpoint, clamped below 1 for a sub-ulp
+    segment."""
+    pts = np.unique(np.concatenate([[0.0, 1.0], np.mod(_prefix_sums(p, k), 1.0)]))
+    top = np.nextafter(1.0, 0.0)
+    mids = [min(0.5 * (lo + hi), top) for lo, hi in zip(pts[:-1], pts[1:])]
+    return [(float(hi - lo), u, madow_sample(p, k, u))
+            for lo, hi, u in zip(pts[:-1], pts[1:], mids)]
+
+
+def test_support_in_one_draw_equals_one_draw_per_interval():
+    rng = np.random.default_rng(10)
+    ulp = np.spacing(1.0) / 2  # 1 - ulp is the float below 1
+    points = [
+        (np.array([1.0 - ulp, ulp, 0.0]), 1),  # the segment [1 - ulp, 1]: its midpoint rounds to 1
+        (np.ones(5), 5),  # k = n
+        (np.array([1.0]), 1),  # n = 1
+    ]
+    # enough random points that the order of some measure's sums shows
+    points += [(_random_point(12, 5, rng), 5) for _ in range(100)]
+    points += [(p, 6) for p, _ in fallback_cases(12, 6, 3, rng)]
+    for p, k in points:
+        want = support_loop(p, k)
+        got = madow_support(p, k)
+        assert [w for w, _ in got] == [w for w, _, _ in want]
+        assert [s.tolist() for _, s in got] == [s.tolist() for _, _, s in want]
+        # each set of an interval wider than a few ulps is the one the binary
+        # search over the prefix sums finds at its midpoint (in a narrower
+        # one, the rounding of u + i moves the search's grid points)
+        wide = [(u, s.tolist()) for (w, u, _), (_, s) in zip(want, got) if w > 1e-12]
+        oracle = searchsorted_oracle(p, [u for u, _ in wide], k)
+        assert [s for _, s in wide] == oracle.tolist()
+        measure = np.zeros(len(p))
+        for length, _, sel in want:
+            measure[sel] += length
+        assert madow_marginal_measure(p, k).tobytes() == measure.tobytes()
