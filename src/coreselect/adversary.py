@@ -109,7 +109,8 @@ def _rescaled_rows(w: np.ndarray, G: float, fallback: np.ndarray) -> np.ndarray:
     row of norm 0 is replaced by the same row of ``fallback`` (or by
     ``fallback`` itself, one vector).  A norm past the float range is an
     error: such a row would be rescaled to 0."""
-    norms = np.sqrt(row_dots(w, w))
+    with np.errstate(over="ignore"):  # named below, without numpy's warning
+        norms = np.sqrt(row_dots(w, w))
     if not np.isfinite(norms).all():
         raise ValueError("coefficient rows too large to rescale to norm G: "
                          "their squares overflow (modular-drift jitter * G too large)")

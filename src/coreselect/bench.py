@@ -7,8 +7,10 @@ plays block b of every lane with one ``play_lanes``, which sees only the
 runs' proxy vectors (and hints), values the drawn sets of each run with one
 ``value`` call, and folds each lane's block into its ``RegretLedger`` and,
 when an output directory is set, into its CSV, so no block outlives its
-rows.  The semi-bandit plays its lanes in lockstep; every other policy
-plays groups of one.  The CSV layout per replica is one row per round::
+rows.  The semi-bandit plays its lanes in lockstep, round by round; the
+score and priced policies play their lanes' blocks as one stacked block;
+the optimistic policy plays groups of one.  The CSV layout per replica is
+one row per round::
 
     round,reward,full_reward,cum_reward,cum_benchmark,aug_regret,static_regret,observed,cum_cost
 
@@ -19,7 +21,6 @@ config produce byte-identical files.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import json
 import math
 from dataclasses import MISSING, dataclass, fields, replace
@@ -40,7 +41,7 @@ from .adversary import (
     adversary_from_config,
     generate_hints,
 )
-from .blocks import block_rounds
+from .blocks import PLAN_CELLS, block_rounds
 from .hypersimplex import lmo  # noqa: F401  unused here, but perfbench/spans.py wraps bench.lmo
 from .policy import (
     OftrlPolicy,
@@ -57,7 +58,7 @@ from .policy import (
     priced_regret_bound,
     static_regret_bound,
 )
-from .setfn import CoverageFunction, ModularFunction, SetFunction, distance_sup
+from .setfn import CoverageFunction, ModularFunction, SetFunction, distance_sup, subset_table
 
 SCHEMA_VERSION = 1
 CSV_HEADER = "round,reward,full_reward,cum_reward,cum_benchmark,aug_regret,static_regret,observed,cum_cost"
@@ -294,19 +295,23 @@ def _group_blocks(cfg: ExperimentConfig, adv: Adversary, replicas: range, polici
                   ) -> Iterator[list[tuple[RoundRecord, np.ndarray, np.ndarray]]]:
     """Each block of the rounds of the lane group ``replicas``: block b is
     revealed for every lane, then played by the group with one
-    ``play_lanes``, which sees only the lanes' proxy vectors (and hints);
-    then each lane's drawn sets are valued, one ``value`` call per run.
+    ``play_lanes`` (by a lone replica with its ``step``), which sees only
+    the lanes' proxy vectors (and hints); then each lane's drawn sets are
+    valued, one ``value`` call per run.
     Yields each lane's record and its rounds' rewards and full-set rewards.
 
     The replicas of a config share the block layout, since the adversaries'
     runs are cut by (T, n, phases) only, so every lane's block b has the
     same rounds.
     """
-    play = type(policies[0]).play_lanes
     lanes = [_reveal(cfg, adv, *lane) for lane in zip(replicas, rngs, results)]
     for revealed in zip(*lanes):
-        hints = None if revealed[0][2] is None else [H for _, _, H in revealed]
-        records = play(policies, [G for _, G, _ in revealed], hints)
+        G = [g for _, g, _ in revealed]
+        hints = None if revealed[0][2] is None else [h for _, _, h in revealed]
+        if len(policies) > 1:
+            records = type(policies[0]).play_lanes(policies, G, hints)
+        else:  # a lone replica steps, as perfbench's spans time it
+            records = [policies[0].step(G[0], None if hints is None else hints[0])]
         played = []
         for (block, _, _), record in zip(revealed, records):
             reward, full = np.empty(len(record.t)), np.empty(len(record.t))
@@ -320,20 +325,30 @@ def _group_blocks(cfg: ExperimentConfig, adv: Adversary, replicas: range, polici
 def _log_sq_distances(result: ReplicaResult, f: SetFunction, hints: np.ndarray,
                       t: int) -> None:
     """Append the squared sup-distance of each round of a run from its
-    reward f to its hint, a row of ``hints`` (each hint a function of its
-    own, let go once measured), or stop logging for rewards that have no
-    such distance.  ``t`` rounds came before the run; a square past the
-    float range is an error naming its round."""
+    reward f to its hint, a row of ``hints``, or stop logging for rewards
+    that have no such distance.  ``t`` rounds came before the run; a square
+    past the float range is an error naming its round.
+
+    A modular run's rows take the closed form of :func:`distance_sup`, one
+    by one.  A coverage run tabulates its hints over all 2^n subsets as
+    rows, at most ``PLAN_CELLS`` entries at a time, and takes each row's
+    largest gap from f's one table: the bits of ``distance_sup`` row by
+    row."""
     if isinstance(f, ModularFunction):  # a run's rewards are its rows
-        fs = [ModularFunction(w) for w in f.w]
+        gaps = [distance_sup(ModularFunction(w), ModularFunction(h))
+                for w, h in zip(f.w, hints)]
     elif isinstance(f, CoverageFunction):
-        fs = itertools.repeat(f)
+        F, h = f.values_all(), ModularFunction(hints).w  # checks they are finite
+        size, gaps = max(1, PLAN_CELLS >> f.n), []
+        for first in range(0, len(h), size):
+            H = subset_table(h[first:first + size], np.add)
+            gaps += np.abs(np.subtract(F, H, out=H), out=H).max(axis=1).tolist()
     else:
         result.sq_distances = None
         return
-    for t, (fi, h) in enumerate(zip(fs, hints), t + 1):
+    for t, gap in enumerate(gaps, t + 1):
         try:
-            result.sq_distances.append(distance_sup(fi, ModularFunction(h)) ** 2)
+            result.sq_distances.append(gap ** 2)
         except OverflowError:
             raise ValueError(f"round {t}: the squared sup-distance of the hint from "
                              "the reward overflows the float range (hints noise_l2 "
@@ -344,17 +359,29 @@ def _log_sq_distances(result: ReplicaResult, f: SetFunction, hints: np.ndarray,
 # at n = 20, k = 5 costs about 16 µs per round alone, 5.6 at 8 lanes, 2.1 at
 # 32, 1.5 at 64 and 1.3 at 96 (2-core VM); past 64 the gain flattens out,
 # while the group holds a block of every lane and, writing CSVs, one open
-# file per lane.
+# file per lane.  The score and priced lanes stack their blocks, so they
+# take fewer: as many as fit one PLAN_CELLS block.
 LANES = 64
 
 
 def _group_size(cfg: ExperimentConfig) -> int:
-    """How many replicas of ``cfg`` play as the lanes of one group: up to
-    ``LANES`` for the semi-bandit at k < n, whose rounds the lanes share,
-    and one for every other policy, which plays a block in one pass."""
-    if cfg.policy.kind == "semibandit" and cfg.k < cfg.n:
+    """How many replicas of ``cfg`` play as the lanes of one group.
+
+    At k < n: up to ``LANES`` for the semi-bandit, whose lanes share each
+    round's kernel calls; and for the score and priced policies, whose lanes
+    share each block's argmax and Madow draw on their stacked rows, as many
+    as fit one ``PLAN_CELLS`` block of their (B, n) rows, and at least one.
+    Uncapped, 64 score lanes at n = 20, T = 2000 peaked at twice the memory
+    of lone replicas, and at n = 200 ran slower.  One for the optimistic
+    policy, whose proposals go row by row, and for every policy at k == n,
+    which draws nothing."""
+    kind = cfg.policy.kind
+    if kind == "oftrl" or cfg.k == cfg.n:
+        return 1
+    if kind == "semibandit":
         return min(LANES, cfg.replicas)
-    return 1
+    rows = min(cfg.T, block_rounds(cfg.n)) * cfg.n
+    return min(LANES, cfg.replicas, max(1, PLAN_CELLS // rows))
 
 
 def _groups(cfg: ExperimentConfig, workers: int) -> list[range]:

@@ -13,10 +13,13 @@ a per-peek price).
 
 The policies play a block in one pass over (B, n) arrays, except the
 semi-bandit one, whose feed depends on the drawn set and which plays it one
-round at a time, the rounds of a group of independent runs together; the
-optimistic proposals, each centered at those before it, are the one step
-made row by row.  ``RegretLedger`` keeps the regret
-accounting as running sums, folded in a block at a time.
+round at a time; the optimistic proposals, each centered at those before
+it, are the one step made row by row.  Independent runs of the other
+policies play as the lanes of a group (``play_lanes``): the semi-bandit's
+lanes play each round together, and the score and priced lanes stack
+their blocks, so that one argmax and one Madow draw serve them all.
+``RegretLedger`` keeps the regret accounting as running sums, folded in a
+block at a time.
 """
 
 from __future__ import annotations
@@ -144,16 +147,6 @@ class _Policy:
             raise ValueError(f"hints must be of shape {G.shape}, got {np.shape(H)}")
         return G, H
 
-    @classmethod
-    def play_lanes(cls, lanes: list["_Policy"], G: list[np.ndarray],
-                   H: list[np.ndarray] | None = None) -> list[RoundRecord]:
-        """Play one block on each lane of a group: policies of this class on
-        one config, each with its own generator and state.  Lane r plays
-        the rows ``G[r]`` (with the hints ``H[r]``), and gets the record
-        its own ``step`` gives; here the lanes step one after another."""
-        return [lane.step(g, None if H is None else H[r])
-                for r, (lane, g) in enumerate(zip(lanes, G))]
-
     def _thetas(self, fed: np.ndarray) -> np.ndarray:
         """theta before each round of a block and, becoming ``theta``, after
         it: the (B + 1, n) rows of one running sum of the block's feeds."""
@@ -190,17 +183,51 @@ class ScorePolicy(_Policy):
     array, then one row-wise entropic argmax gives every proposal and one
     row-wise Madow draw every set, each row bit for bit what one round
     alone gives.
+
+    Independent runs play as lanes of one group (:meth:`play_lanes`): each
+    lane feeds and sums its own thetas, then one argmax takes the lanes'
+    theta rows stacked as (R * B, n), and one Madow draw the stacked
+    proposals with each lane's own uniforms.  A single policy's ``step`` is
+    a group of one.
     """
 
     def _play(self, G, H):
-        cfg = self.config
-        fed, observed, cost, u = self._feed_block(G)
-        theta = self._thetas(fed)
+        return self.play_lanes([self], [G], [H])[0]
+
+    @classmethod
+    def play_lanes(cls, lanes: list["ScorePolicy"], G: list[np.ndarray],
+                   H: list[np.ndarray] | None = None) -> list[RoundRecord]:
+        """Play one block on each lane of a group: policies of this class on
+        one config, each with its own generator and state.  Lane r plays
+        the rows ``G[r]`` (with the hints ``H[r]``, which it ignores), and
+        gets the record its own ``step`` gives."""
+        G = cls._checked_lanes(lanes, G, H)
+        cfg = lanes[0].config
+        R, (B, n) = len(lanes), G[0].shape
+        fed, observed, cost, drawn = zip(*[lane._feed_block(g) for lane, g in zip(lanes, G)])
+        theta = [lane._thetas(f)[:-1] for lane, f in zip(lanes, fed)]
         if cfg.k == cfg.n:
-            p = np.ones(G.shape)
+            p, u = np.ones((R * B, n)), None
         else:
-            p = entropic_ftrl_argmax(theta[:-1], cfg.eta, cfg.k)
-        return self._record(G, p, self._draw(p, u), observed, cost)
+            p = entropic_ftrl_argmax(theta[0] if R == 1 else np.concatenate(theta),
+                                     cfg.eta, cfg.k)
+            # the uniforms a lane's feed drew, or one rng.random(B) from its
+            # own generator after its feed, as the lane alone draws them
+            u = [lane.rng.random(B) if ui is None else ui for lane, ui in zip(lanes, drawn)]
+            u = u[0] if R == 1 else np.concatenate(u)
+        selected = lanes[0]._draw(p, u)
+        return [lane._record(*rows) for lane, *rows in zip(
+            lanes, G, p.reshape(R, B, n), selected.reshape(R, B, -1), observed, cost)]
+
+    @staticmethod
+    def _checked_lanes(lanes, G, H=None) -> list[np.ndarray]:
+        """The lanes' blocks ``G``, after checking each (with its hints
+        ``H[r]``) as its lane's ``step`` would, and that they share a shape."""
+        G = [lane._checked(g, None if H is None else H[r])[0]
+             for r, (lane, g) in enumerate(zip(lanes, G))]
+        if len({g.shape for g in G}) > 1:
+            raise ValueError(f"the lanes' blocks differ in shape: {[g.shape for g in G]}")
+        return G
 
     def _feed_block(self, G):
         """(fed, observed, cost, u) of a block of rounds: what each round
@@ -230,18 +257,13 @@ class SemiBanditPolicy(ScorePolicy):
     policy plays.
     """
 
-    def _play(self, G, H):
-        return self.play_lanes([self], [G])[0]
-
     @classmethod
     def play_lanes(cls, lanes, G, H=None):
-        # the semi-bandit takes no hints
-        G = [lane._checked(g, None)[0] for lane, g in zip(lanes, G)]
-        if len({g.shape for g in G}) > 1:
-            raise ValueError(f"the lanes' blocks differ in shape: {[g.shape for g in G]}")
         cfg = lanes[0].config
         if cfg.k == cfg.n:
-            return [ScorePolicy._play(lane, g, None) for lane, g in zip(lanes, G)]
+            return super().play_lanes(lanes, G)
+        # the semi-bandit takes no hints
+        G = cls._checked_lanes(lanes, G)
         eta, k, n = cfg.eta, cfg.k, cfg.n
         _check_entropic_args(eta, k, n)
         R, B = len(lanes), len(G[0])
@@ -252,18 +274,21 @@ class SemiBanditPolicy(ScorePolicy):
         g = np.concatenate(G, axis=1)  # each round's rows, flattened
         p, selected = [], []
         try:
-            for i, ui in enumerate(u.T):
-                q = _entropic_block(theta, eta, k)
-                at = _madow_rows(q, k, ui)  # into the flattened rows
-                p.append(q)
-                selected.append(at)
-                probs = q.take(at)
-                if np.minimum.reduce(probs, None) <= 0.0:
-                    raise RuntimeError("selected an element with zero inclusion probability")
-                # theta starts at +0.0 and a sum is -0.0 only if both terms
-                # are, so adding 0.0 off the selected coordinates would
-                # change no bit
-                fed[at] = fed.take(at) + g[i].take(at) / probs
+            # once per block: see _entropic_block
+            with np.errstate(over="ignore", invalid="ignore"):
+                for i, ui in enumerate(u.T):
+                    q = _entropic_block(theta, eta, k)
+                    at = _madow_rows(q, k, ui)  # into the flattened rows
+                    p.append(q)
+                    selected.append(at)
+                    probs = q.take(at)
+                    if np.minimum.reduce(probs, None) <= 0.0:
+                        raise RuntimeError(
+                            "selected an element with zero inclusion probability")
+                    # theta starts at +0.0 and a sum is -0.0 only if both
+                    # terms are, so adding 0.0 off the selected coordinates
+                    # would change no bit
+                    fed[at] = fed.take(at) + g[i].take(at) / probs
         finally:  # an error leaves each lane its theta fed so far
             for lane, row in zip(lanes, theta):
                 lane.theta = row
@@ -513,12 +538,19 @@ class RegretLedger(_Regrets):
         sums[1:, 1] = full_reward
         sums[1:, 2] = r.cost
         sums[1:, 3] = row_dots(G, r.p)
-        np.add.accumulate(sums, axis=0, out=sums)  # cumsum, with less overhead
+        with np.errstate(over="ignore"):  # a sum past the float range is named below
+            np.add.accumulate(sums, axis=0, out=sums)  # cumsum, with less overhead
+        last = sums[-1].tolist()
+        if any(map(math.isinf, last)):
+            i, j = np.argwhere(np.isinf(sums[1:]))[0].tolist()
+            what = ("reward", "full-set reward", "price paid (policy cost too large)",
+                    "inner product of proxy vectors and proposals")[j]
+            raise ValueError(f"round {r.t[i]}: the summed {what} overflows the float range")
         total = np.empty((len(G) + 1, G.shape[1]))
         total[0] = self.total_g
         total[1:] = G
         running_sums(total)
-        self.cum_reward, self.cum_full, self.cum_cost, self.cum_dot = sums[-1].tolist()
+        self.cum_reward, self.cum_full, self.cum_cost, self.cum_dot = last
         self.total_g = total[-1]
         return LedgerRows(self.k, self.scale, sums[1:, 0], sums[1:, 1], sums[1:, 2],
                           sums[1:, 3], total[1:])

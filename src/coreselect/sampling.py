@@ -102,8 +102,10 @@ def _madow_rows(p: np.ndarray, k: int, u: np.ndarray) -> np.ndarray:
     flattened block: the rows' prefix sums, less their draws, and their
     ceilings.  The indices come from one ``nonzero`` of the flattened
     mask, which at (16, 1000) takes about 4 µs against 23 for the column
-    indices of the 2-d ``nonzero``."""
+    indices of the 2-d ``nonzero``.  A block of no rows draws no sets."""
     B = len(p)
+    if not B:
+        return np.empty((0, k), dtype=np.intp)
     grid = _prefix_sums(p, k)
     grid -= u[:, None]
     np.ceil(grid, out=grid)

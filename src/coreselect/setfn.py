@@ -93,12 +93,15 @@ def indices_of(mask: int) -> tuple[int, ...]:
 
 
 def subset_table(rows: np.ndarray, op) -> np.ndarray:
-    """``op`` (``np.add`` or ``np.bitwise_or``) over the rows of each subset
-    of ``rows``, indexed by bitmask, by array doubling from a zero entry for
-    the empty subset: row i appends ``op(out, rows[i])`` to the table."""
-    out = np.zeros((1,) + rows.shape[1:], dtype=rows.dtype)
-    for row in rows:
-        out = np.concatenate([out, op(out, row)])
+    """``op`` (``np.add`` or ``np.bitwise_or``) over the entries of each
+    subset of the last axis of ``rows``, indexed by bitmask: (..., n)
+    entries give (..., 2^n) tables.  They are filled in place by doubling
+    from a zero entry for the empty subset: entry i fills the second half of
+    the first 2^(i+1) with ``op(first half, rows[..., i])``."""
+    out = np.empty(rows.shape[:-1] + (1 << rows.shape[-1],), dtype=rows.dtype)
+    out[..., 0] = 0
+    for i in range(rows.shape[-1]):
+        op(out[..., :1 << i], rows[..., i, None], out=out[..., 1 << i:2 << i])
     return out
 
 
@@ -268,7 +271,7 @@ class CoverageFunction(SetFunction):
         return self.value_mask(mask_of(indices))
 
     def _enumerate_values(self) -> np.ndarray:
-        return self.scale * np.bitwise_count(subset_table(self.words, np.bitwise_or)).sum(axis=1)
+        return self.scale * np.bitwise_count(subset_table(self.words.T, np.bitwise_or)).sum(axis=0)
 
     def prefix_values(self, perm: np.ndarray) -> np.ndarray:
         perm = np.asarray(perm, dtype=np.intp)

@@ -8,7 +8,6 @@ import re
 import subprocess
 import sys
 import warnings
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -111,13 +110,16 @@ def outputs(out_dir):
     return {path.name: path.read_bytes() for path in sorted(Path(out_dir).iterdir())}
 
 
-@pytest.mark.parametrize("R", [2, 3, 25])
-def test_semibandit_lane_group_equals_each_replica_alone(R, tmp_path):
-    # n = 20 and T = 450 cross blocks of 204 rounds and drift phases of 45
-    cfg = ExperimentConfig.from_dict(base_config(
-        n=20, k=5, T=450, replicas=R, policy={"kind": "semibandit"},
+def lane_config(policy, R):
+    # n = 20 and T = 450 cross blocks of 204 rounds and drift phases of 45,
+    # and leave an uneven last block of 42 rounds
+    return ExperimentConfig.from_dict(base_config(
+        n=20, k=5, T=450, replicas=R, policy={"kind": policy},
         adversary={"kind": "coverage-drift"}))
-    assert bench_module._groups(cfg, 1) == [range(R)]
+
+
+def assert_group_equals_each_replica_alone(cfg, tmp_path):
+    R = cfg.replicas
     group = bench_module._group_summaries(cfg, range(R), tmp_path / "group")
     alone = [bench_module.replica_summary(cfg, r, tmp_path / "alone") for r in range(R)]
     assert group == alone
@@ -125,51 +127,97 @@ def test_semibandit_lane_group_equals_each_replica_alone(R, tmp_path):
     assert len(outputs(tmp_path / "group")) == R
 
 
+@pytest.mark.parametrize("R", [2, 3, 25])
+def test_semibandit_lane_group_equals_each_replica_alone(R, tmp_path):
+    cfg = lane_config("semibandit", R)
+    assert bench_module._groups(cfg, 1) == [range(R)]
+    assert_group_equals_each_replica_alone(cfg, tmp_path)
+
+
+@pytest.mark.parametrize("R", [2, 3, 25])
+@pytest.mark.parametrize("policy", ["score", "priced"])
+def test_score_and_priced_lane_groups_equal_each_replica_alone(policy, R, tmp_path):
+    cfg = lane_config(policy, R)
+    # the groups hold as many lanes as fit one PLAN_CELLS block of 204
+    # rounds: 4; the group of 25 is played past that cap
+    assert bench_module._groups(cfg, 1) == [range(r, min(r + 4, R)) for r in range(0, R, 4)]
+    assert_group_equals_each_replica_alone(cfg, tmp_path)
+
+
+def test_score_and_priced_groups_fit_one_plan_block():
+    def groups(n, T, replicas, policy, k=5, adversary="modular-random"):
+        return bench_module._groups(ExperimentConfig.from_dict(base_config(
+            n=n, k=k, T=T, replicas=replicas, policy=policy,
+            adversary={"kind": adversary})), 1)
+
+    # perfbench's score-matching config: 6 lanes of 100 rounds at n = 20
+    assert groups(20, 100, 6, {"kind": "score"}, 10, "matching-random") == [range(6)]
+    # blocks of 204 rounds at n = 20: 4 lanes; blocks of 81 at n = 200: 1
+    for policy in ({"kind": "score"}, {"kind": "priced"}):
+        assert groups(20, 2000, 64, policy) == [range(r, r + 4) for r in range(0, 64, 4)]
+        assert groups(200, 2000, 3, policy) == [range(r, r + 1) for r in range(3)]
+    # the semi-bandit shares rounds, not blocks; the optimistic proposals go
+    # row by row
+    assert groups(200, 2000, 3, {"kind": "semibandit"}) == [range(3)]
+    for mode in ("exact", "afw"):
+        assert groups(20, 100, 3, {"kind": "oftrl", "mode": mode}) == [
+            range(r, r + 1) for r in range(3)]
+
+
 def test_k_equals_n_plays_groups_of_one(tmp_path):
-    cfg = ExperimentConfig.from_dict(base_config(
-        k=6, replicas=3, policy={"kind": "semibandit"}))
-    assert bench_module._groups(cfg, 1) == [range(0, 1), range(1, 2), range(2, 3)]
-    group = bench_module._group_summaries(cfg, range(3), tmp_path / "group")
-    alone = [bench_module.replica_summary(cfg, r, tmp_path / "alone") for r in range(3)]
-    assert group == alone and all(f["aug_regret"] == 0.0 for f in group)
-    assert outputs(tmp_path / "group") == outputs(tmp_path / "alone")
+    for policy in ("semibandit", "score"):
+        cfg = ExperimentConfig.from_dict(base_config(
+            k=6, replicas=3, policy={"kind": policy}))
+        assert bench_module._groups(cfg, 1) == [range(0, 1), range(1, 2), range(2, 3)]
+        out = tmp_path / policy
+        group = bench_module._group_summaries(cfg, range(3), out / "group")
+        alone = [bench_module.replica_summary(cfg, r, out / "alone") for r in range(3)]
+        assert group == alone and all(f["aug_regret"] == 0.0 for f in group)
+        assert outputs(out / "group") == outputs(out / "alone")
 
 
 def test_lane_groups_split_among_workers_keep_replica_order(tmp_path):
-    cfg = ExperimentConfig.from_dict(base_config(
-        n=20, k=5, T=60, replicas=25, policy={"kind": "semibandit"}))
-    # one contiguous share of the replicas per worker, each one group
-    assert bench_module._groups(cfg, 2) == [range(0, 12), range(12, 25)]
-    assert bench_module._groups(cfg, 100) == [range(r, r + 1) for r in range(25)]
-    one = run_experiment(cfg, out_dir=tmp_path / "one", workers=1)
-    two = run_experiment(cfg, out_dir=tmp_path / "two", workers=2)
-    assert one == two
-    assert outputs(tmp_path / "one") == outputs(tmp_path / "two")
+    for policy in ("semibandit", "score"):
+        cfg = ExperimentConfig.from_dict(base_config(
+            n=20, k=5, T=60, replicas=25, policy={"kind": policy}))
+        # one contiguous share of the replicas per worker, each one group
+        # (13 score lanes of 60 rounds fit one PLAN_CELLS block)
+        assert bench_module._groups(cfg, 2) == [range(0, 12), range(12, 25)]
+        assert bench_module._groups(cfg, 100) == [range(r, r + 1) for r in range(25)]
+        out = tmp_path / policy
+        one = run_experiment(cfg, out_dir=out / "one", workers=1)
+        two = run_experiment(cfg, out_dir=out / "two", workers=2)
+        assert one == two
+        assert outputs(out / "one") == outputs(out / "two")
 
 
 def test_a_failing_lane_names_its_round_and_ends_its_group(monkeypatch, tmp_path):
     # lane 1 of 3, replica 1, fails on its third run, rounds 9-12 (coverage
     # phases of 4 rounds), after lane 0 revealed its block; the error names
     # the replica and ends the group, which leaves none of its files
-    real, built = Adversary.core_strategy, itertools.count()
+    real = Adversary.core_strategy
+    for policy in ("semibandit", "score", "priced"):
+        built = itertools.count()
 
-    def core_strategy(self, rng):
-        strategy, lane, calls = real(self, rng), next(built), itertools.count(1)
+        def core_strategy(self, rng):
+            strategy, lane, calls = real(self, rng), next(built), itertools.count(1)
 
-        def flaky(f, b):
-            if lane == 1 and next(calls) == 3:
-                raise KeyError("boom")
-            return strategy(f, b)
+            def flaky(f, b):
+                if lane == 1 and next(calls) == 3:
+                    raise KeyError("boom")
+                return strategy(f, b)
 
-        return flaky
+            return flaky
 
-    monkeypatch.setattr(Adversary, "core_strategy", core_strategy)
-    cfg = ExperimentConfig.from_dict(base_config(
-        replicas=3, policy={"kind": "semibandit"}, adversary={"kind": "coverage-drift"}))
-    with pytest.raises(RuntimeError, match="^replica 1: core strategy failed on "
-                                           "rounds 9-12: 'boom'$"):
-        run_experiment(cfg, out_dir=tmp_path)
-    assert list(tmp_path.iterdir()) == []
+        monkeypatch.setattr(Adversary, "core_strategy", core_strategy)
+        cfg = ExperimentConfig.from_dict(base_config(
+            replicas=3, policy={"kind": policy, "epsilon": 0.5} if policy == "priced"
+            else {"kind": policy}, adversary={"kind": "coverage-drift"}))
+        assert bench_module._groups(cfg, 1) == [range(3)]
+        with pytest.raises(RuntimeError, match="^replica 1: core strategy failed on "
+                                               "rounds 9-12: 'boom'$"):
+            run_experiment(cfg, out_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("policy", [
@@ -276,22 +324,40 @@ def test_core_strategy_failing_mid_block_plays_none_of_it(
     assert not (tmp_path / "replica_0.csv").exists()
 
 
-def test_a_round_lets_go_of_its_hint_once_played(monkeypatch):
-    # the sup-distance puts a table of 2^n values on each hint, so a block of
-    # rounds that kept its hints to the end would hold a block's worth of them
-    real_distance_sup, seen = bench_module.distance_sup, []
+def test_coverage_hint_distances_come_from_tables_within_a_block(monkeypatch):
+    # a coverage run tabulates its hints over all 2^n subsets, at most
+    # PLAN_CELLS entries at a time (one hint's table where that is larger),
+    # with the bits of distance_sup one hint at a time
+    from coreselect.adversary import random_coverage
+    from coreselect.blocks import PLAN_CELLS
+    from coreselect.setfn import ModularFunction, distance_sup
 
-    def distance_sup(f, h):
-        assert all(ref() is None for ref in seen)
-        seen.append(weakref.ref(h))
-        return real_distance_sup(f, h)
+    real, tables = bench_module.subset_table, []
 
-    monkeypatch.setattr(bench_module, "distance_sup", distance_sup)
-    cfg = ExperimentConfig.from_dict(base_config(
-        policy={"kind": "oftrl"}, adversary={"kind": "coverage-drift"}, replicas=1,
-        hints={"mode": "additive-noise", "noise_l2": 0.3}))
-    result = run_replica(cfg, 0)
-    assert len(seen) == cfg.T == len(result.sq_distances)
+    def subset_table(rows, op):
+        tables.append(rows.shape)
+        return real(rows, op)
+
+    monkeypatch.setattr(bench_module, "subset_table", subset_table)
+    rng = np.random.default_rng(11)
+    for n, b in ((3, 30), (12, 10), (15, 3)):
+        f = random_coverage(n, 3 * n, rng)
+        hints = rng.normal(size=(b, n)) * 2.0
+        hints[0] = f.values_all()[1 << np.arange(n)]  # f on each singleton
+        result, tables = bench_module.ReplicaResult(None, [1.5]), []
+        bench_module._log_sq_distances(result, f, hints, 7)
+        want = [distance_sup(f, ModularFunction(h)) ** 2 for h in hints]
+        assert result.sq_distances == [1.5] + want
+        assert sum(rows for rows, _ in tables) == b
+        assert all(rows * 2 ** n <= max(PLAN_CELLS, 2 ** n) for rows, _ in tables)
+    # a non-finite hint is refused, and a square past the float range names its round
+    f = random_coverage(4, 8, rng)
+    for bad, error in ((np.nan, "coefficients must be a finite"),
+                       (1e200, "^round 9: the squared sup-distance of the hint")):
+        hints = np.zeros((3, 4))
+        hints[1, 2] = bad
+        with pytest.raises(ValueError, match=error):
+            bench_module._log_sq_distances(bench_module.ReplicaResult(None, []), f, hints, 7)
 
 
 def test_sweep_rows_and_file(tmp_path):
@@ -593,6 +659,36 @@ def test_subnormal_regularizer_weight_fails_without_a_warning():
             run_replica(cfg, 0)
 
 
+@pytest.mark.parametrize("policy", ["score", "semibandit", "priced"])
+def test_an_overflowing_eta_fails_without_a_warning(policy):
+    # eta * theta past the float range: the argmax's named error, and no
+    # numpy warning before it, from a block and from the semi-bandit's rounds
+    # (an explicit epsilon, so that the priced rate is not clamped)
+    pol = {"kind": policy, "eta": 1e306, **({"epsilon": 0.5} if policy == "priced" else {})}
+    cfg = ExperimentConfig.from_dict(base_config(
+        n=6, k=2, T=400, replicas=2, policy=pol,
+        adversary={"kind": "modular-random", "G": 100.0}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="eta \\* theta overflows the float range"):
+            run_experiment(cfg)
+
+
+@pytest.mark.parametrize("overrides, error", [
+    ({"adversary": {"kind": "modular-drift", "jitter": 1e308}},
+     "their squares overflow \\(modular-drift jitter \\* G too large\\)"),
+    ({"policy": {"kind": "priced", "cost": 1e308}},
+     "^round 2: the summed price paid \\(policy cost too large\\) overflows"),
+], ids=["jitter", "cost"])
+def test_sums_past_the_float_range_fail_without_a_warning(overrides, error):
+    cfg = ExperimentConfig.from_dict(base_config(T=3, replicas=1, **overrides))
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "priced observation rate", UserWarning)
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=error):
+            run_experiment(cfg)
+
+
 def _without(key):
     raw = base_config(T=5, replicas=1)
     del raw[key]
@@ -665,7 +761,8 @@ def test_every_reachable_config_runs_or_exits_2_naming_its_field(tmp_path, capsy
         cfg_path.write_text(json.dumps(raw))
         try:
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
+                # the clamped priced rate only; a numpy warning fails the case
+                warnings.filterwarnings("ignore", "priced observation rate", UserWarning)
                 code = main(["run", "--config", str(cfg_path)])
         except Exception as exc:  # a traceback, not an exit status
             capsys.readouterr()

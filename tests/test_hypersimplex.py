@@ -296,6 +296,19 @@ def test_entropic_rejects_bad_input():
             solve(scores, 1e308, 2)
 
 
+def test_entropic_overflow_is_named_without_a_warning():
+    # eta * theta past the float range: the named error, and no numpy
+    # warning before it, from one vector, the few-rows body (1 and 2 rows)
+    # and the row body (10 rows)
+    theta = np.array([100.0, 200.0, 300.0, 50.0])
+    for scores in (theta, theta[None], np.array([np.zeros(4), theta]),
+                   np.tile(theta, (10, 1)), np.vstack([np.zeros((9, 4)), theta])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="eta \\* theta overflows"):
+                entropic_ftrl_argmax(scores, 1e306, 2)
+
+
 # ---------------------------------------------------------------------------
 # Euclidean projection.
 

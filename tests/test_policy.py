@@ -329,23 +329,26 @@ def fallback_case(n, k, eta, rng):
     raise AssertionError("no proposal takes the Madow fallback")
 
 
-@pytest.mark.parametrize("R", [2, 3, 25])
-@pytest.mark.parametrize("case", ["log-space", "straddling", "fallback", "k == n"])
-def test_semibandit_lanes_equal_each_lane_alone(R, case, monkeypatch):
-    # one lane takes the named branch while the others do not; 2 and 3
-    # lanes share the few-rows argmax, 25 the row body
+LANE_CASES = ["log-space", "straddling", "fallback", "k == n"]
+
+
+def check_lanes_equal_each_lane_alone(make, draws, R, case, monkeypatch):
+    """Play R lanes of the policies ``make(cfg, rng)``, whose generators
+    hand out ``draws`` uniforms per round, as one group and one by one: one
+    lane takes the named branch while the others do not, and each lane's
+    record, theta and branch counts must equal what it gives alone."""
     rng = np.random.default_rng([R, len(case)])
     n, B, eta = 20, 7, 1.0
     k = {"straddling": n - 1, "k == n": n}.get(case, 5)
     odd = int(rng.integers(R))
     thetas = [rng.normal(size=n) for _ in range(R)]
-    us = [rng.random(B).tolist() for _ in range(R)]
+    us = [rng.random(draws * B).tolist() for _ in range(R)]
     G = rng.normal(size=(R, B, n))
     if case == "log-space":  # scores spread past 690 / eta
         thetas[odd] = rng.permutation(n) * 100.0
     elif case == "straddling":  # equal scores on both sides of the caps
         thetas[odd], G[odd] = straddling_ties(n, rng), 0.0
-    elif case == "fallback":
+    elif case == "fallback":  # the first round's Madow uniform is the first draw
         thetas[odd], us[odd][0] = fallback_case(n, k, eta, rng)
     calls = {}
 
@@ -365,7 +368,7 @@ def test_semibandit_lanes_equal_each_lane_alone(R, case, monkeypatch):
     cfg = ScoreConfig(n=n, k=k, T=B, eta=eta)
 
     def lanes():
-        pols = [SemiBanditPolicy(cfg, FixedUniforms(u)) for u in us]
+        pols = [make(cfg, FixedUniforms(u)) for u in us]
         for pol, theta in zip(pols, thetas):
             pol.theta = theta.copy()
         return pols
@@ -374,7 +377,7 @@ def test_semibandit_lanes_equal_each_lane_alone(R, case, monkeypatch):
     want = [pol.step(g) for pol, g in zip(alone, G)]
     seen, calls = calls, {}
     group = lanes()
-    got = SemiBanditPolicy.play_lanes(group, list(G))
+    got = type(group[0]).play_lanes(group, list(G))
     assert calls == seen
     if case in ("log-space", "straddling"):
         assert 1 <= seen["_capped_exponentials_in_log_space"] <= B
@@ -386,6 +389,28 @@ def test_semibandit_lanes_equal_each_lane_alone(R, case, monkeypatch):
         assert a.selected.tobytes() == b.selected.astype(a.selected.dtype).tobytes()
         assert a.cost.tobytes() == b.cost.tobytes()
         assert pa.theta.tobytes() == pb.theta.tobytes() and pa.t == pb.t
+
+
+@pytest.mark.parametrize("R", [2, 3, 25])
+@pytest.mark.parametrize("case", LANE_CASES)
+def test_semibandit_lanes_equal_each_lane_alone(R, case, monkeypatch):
+    # 2 and 3 lanes share the few-rows argmax, 25 the row body
+    check_lanes_equal_each_lane_alone(SemiBanditPolicy, 1, R, case, monkeypatch)
+
+
+@pytest.mark.parametrize("R", [1, 2, 25])
+@pytest.mark.parametrize("case", LANE_CASES)
+@pytest.mark.parametrize("policy", ["score", "priced"])
+def test_score_and_priced_lanes_equal_each_lane_alone(policy, R, case, monkeypatch):
+    # a lane alone plays its 7 rounds through the few-rows argmax, and
+    # stacked with others through the row body; a priced round draws its
+    # Madow uniform, then its coin
+    if policy == "score":
+        check_lanes_equal_each_lane_alone(ScorePolicy, 1, R, case, monkeypatch)
+    else:
+        check_lanes_equal_each_lane_alone(
+            lambda cfg, rng: PricedPolicy(cfg, rng, cost=0.5, epsilon=0.6),
+            2, R, case, monkeypatch)
 
 
 def test_ips_estimate_is_exactly_unbiased_by_marginal_law():

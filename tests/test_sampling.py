@@ -215,6 +215,18 @@ def test_block_rejects_what_a_row_rejects():
             madow_sample(np.array([good, bad]), 2, np.array([0.3, 0.3]))
 
 
+def test_an_empty_block_draws_no_sets():
+    # a block of no points takes no draws and gives a (0, k) index array,
+    # as a block of rows gives (B, k)
+    for n, k in ((4, 2), (1, 1)):
+        got = madow_sample(np.zeros((0, n)), k, np.zeros(0))
+        assert got.shape == (0, k) and got.dtype.kind == "i"
+        got = draw(np.zeros((0, n)), k, np.random.default_rng(0))
+        assert got.shape == (0, k) and got.dtype.kind == "i"
+    with pytest.raises(ValueError, match="0 points need 0 draws"):
+        madow_sample(np.zeros((0, 4)), 2, np.zeros(1))
+
+
 def support_loop(p, k):
     """The support written out, with each interval's draw: one draw of the
     point per u-interval, at its midpoint, clamped below 1 for a sub-ulp
