@@ -332,11 +332,10 @@ def generate_hints(fvecs: np.ndarray, spec: HintSpec,
     ``rng.standard_normal(n)``, and a direction of norm 0 is dropped for
     the next one drawn.
     """
-    fv = np.array(fvecs, dtype=float)
-    if not fv.size:
-        return fv
-    if spec.mode == "perfect" or spec.noise_l2 == 0.0 and spec.mode == "additive-noise":
-        h = fv
+    fv = np.asarray(fvecs, dtype=float)
+    if not fv.size or spec.mode == "perfect" or (
+            spec.noise_l2 == 0.0 and spec.mode == "additive-noise"):
+        h = fv.copy()  # a hint never aliases its proxy vector
     elif spec.mode == "additive-noise":
         z = rng.standard_normal(fv.shape)
         norms = np.sqrt(row_dots(z, z))

@@ -167,11 +167,12 @@ class ExperimentConfig:
 
 @dataclass
 class ReplicaResult:
-    """One replica's accounting, plus the squared sup-distance of every hint
-    when the optimistic policy's rewards are small enough to enumerate."""
+    """One replica's accounting, plus the squared sup-distance of every hint,
+    one entry per round, when the optimistic policy's rewards are small
+    enough to enumerate."""
 
     ledger: RegretLedger
-    sq_distances: list[float] | None = None
+    sq_distances: np.ndarray | None = None
 
     def final_summary(self) -> dict:
         ledger = self.ledger
@@ -267,7 +268,7 @@ def _reveal(cfg: ExperimentConfig, adv: Adversary, replica: int, rngs: dict,
     spec = None
     if cfg.policy.kind == "oftrl":
         spec = cfg.hints if cfg.hints is not None else HintSpec("perfect")
-        result.sq_distances = [] if cfg.n <= 16 else None
+        result.sq_distances = np.empty(cfg.T) if cfg.n <= 16 else None
     t = 0  # the rounds revealed so far
     for block in _reward_blocks(adv.rounds(cfg.T, rngs["adversary"]), block_rounds(cfg.n)):
         B = block[-1][1].stop
@@ -324,19 +325,20 @@ def _group_blocks(cfg: ExperimentConfig, adv: Adversary, replicas: range, polici
 
 def _log_sq_distances(result: ReplicaResult, f: SetFunction, hints: np.ndarray,
                       t: int) -> None:
-    """Append the squared sup-distance of each round of a run from its
-    reward f to its hint, a row of ``hints``, or stop logging for rewards
-    that have no such distance.  ``t`` rounds came before the run; a square
-    past the float range is an error naming its round.
+    """Write the squared sup-distance of each round of a run from its reward
+    f to its hint, a row of ``hints``, into ``result.sq_distances`` from
+    entry t, the rounds that came before the run, or stop logging for
+    rewards that have no such distance.  A square past the float range is
+    an error naming its round.
 
-    A modular run's rows take the closed form of :func:`distance_sup`, one
-    by one.  A coverage run tabulates its hints over all 2^n subsets as
+    A modular run takes the closed form of :func:`distance_sup` on its rows
+    at once.  A coverage run tabulates its hints over all 2^n subsets as
     rows, at most ``PLAN_CELLS`` entries at a time, and takes each row's
-    largest gap from f's one table: the bits of ``distance_sup`` row by
-    row."""
+    largest gap from f's one table.  Either way each gap has the bits of
+    ``distance_sup`` row by row, and its square is Python's ``gap ** 2``,
+    whose last bit numpy's ``x * x`` does not always give."""
     if isinstance(f, ModularFunction):  # a run's rewards are its rows
-        gaps = [distance_sup(ModularFunction(w), ModularFunction(h))
-                for w, h in zip(f.w, hints)]
+        gaps = distance_sup(f, ModularFunction(hints)).tolist()
     elif isinstance(f, CoverageFunction):
         F, h = f.values_all(), ModularFunction(hints).w  # checks they are finite
         size, gaps = max(1, PLAN_CELLS >> f.n), []
@@ -346,11 +348,12 @@ def _log_sq_distances(result: ReplicaResult, f: SetFunction, hints: np.ndarray,
     else:
         result.sq_distances = None
         return
-    for t, gap in enumerate(gaps, t + 1):
+    squares = result.sq_distances
+    for t, gap in enumerate(gaps, t):
         try:
-            result.sq_distances.append(gap ** 2)
+            squares[t] = gap ** 2
         except OverflowError:
-            raise ValueError(f"round {t}: the squared sup-distance of the hint from "
+            raise ValueError(f"round {t + 1}: the squared sup-distance of the hint from "
                              "the reward overflows the float range (hints noise_l2 "
                              "too large)") from None
 

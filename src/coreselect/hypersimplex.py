@@ -18,7 +18,7 @@ All functions are pure; none touch global state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -463,30 +463,28 @@ def _lmo_indices(cost: np.ndarray, k: int) -> np.ndarray:
     return top
 
 
-@dataclass
 class QuadraticObjective:
-    """F(p) = sum_t (sigma_t / 2) * ||p - center_t||^2 - <p, linear>."""
+    """F(p) = sum_t (sigma_t / 2) * ||p - center_t||^2 - <p, linear>.
 
-    n: int
-    k: int
-    centers: list[tuple[float, np.ndarray]]
-    linear: np.ndarray
+    ``sigma_total`` sums the weights and ``weighted_center`` the products
+    sigma_t * center_t, each in order from zero: the first product plus 0.0
+    has the bits of ``np.zeros(n)`` plus it."""
 
-    sigma_total: float = field(init=False)
-    weighted_center: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.linear = np.asarray(self.linear, dtype=float)
-        self.sigma_total = 0.0
-        self.weighted_center = np.zeros(self.n)
-        for sigma, c in self.centers:
+    def __init__(self, n: int, k: int, centers: list[tuple[float, np.ndarray]],
+                 linear: np.ndarray):
+        self.n, self.k, self.centers = n, k, centers
+        self.linear = np.asarray(linear, dtype=float)
+        self.sigma_total, center = 0.0, None
+        for sigma, c in centers:
             if sigma < 0:
                 raise ValueError("center weights must be nonnegative")
             c = np.asarray(c, dtype=float)
-            if c.shape != (self.n,):
+            if c.shape != (n,):
                 raise ValueError("center has wrong length")
             self.sigma_total += float(sigma)
-            self.weighted_center = self.weighted_center + sigma * c
+            term = sigma * c
+            center = term + 0.0 if center is None else np.add(center, term, out=center)
+        self.weighted_center = np.zeros(n) if center is None else center
 
     def value(self, x: np.ndarray) -> float:
         """Objective up to an additive constant (enough for gaps and line search)."""

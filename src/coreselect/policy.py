@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import hypersimplex
 from .blocks import row_dots, running_sums
 from .hypersimplex import (
     QuadraticObjective,
@@ -358,17 +357,6 @@ class PricedPolicy(ScorePolicy):
         return fed, seen.tolist(), np.where(seen, self.cost, 0.0), None if full else draws[::2]
 
 
-@dataclass
-class OftrlState:
-    """Mutable optimistic-learner state, kept separate for inspection."""
-
-    weighted_center: np.ndarray
-    sigma_sum: float = 0.0
-    delta_sum: float = 0.0
-    eps: float | None = None
-    first_delta: float | None = None  # earliest positive hint error
-
-
 class OftrlPolicy(_Policy):
     """Optimistic follow-the-regularized-leader with modular hints.
 
@@ -379,8 +367,12 @@ class OftrlPolicy(_Policy):
     round's active set.  While no hint error has been seen the objective is
     linear and the proposal is the plain top-k vertex.
 
-    A block is played in one pass, as the score policy plays it, except
-    that the proposals and the regularizer schedule go row by row.
+    The regularizers are kept as their summed weights ``sigma_sum``, the
+    weights times their centers summed in ``weighted_center``, and the
+    summed squared hint errors ``delta_sum``; AFW's tolerance ``eps`` is
+    set by the first positive hint error.  A block is played in one pass,
+    as the score policy plays it, except that the proposals and the
+    regularizer schedule go row by row.
     """
 
     needs_hint = True
@@ -393,79 +385,66 @@ class OftrlPolicy(_Policy):
         self.mode = mode
         self.sigma_scale = 1.0 / config.k if sigma_scale is None else float(sigma_scale)
         self.afw_budget = default_afw_budget(config.T)
-        self.state = OftrlState(weighted_center=np.zeros(config.n))
+        self.sigma_sum = self.delta_sum = 0.0
+        self.weighted_center = np.zeros(config.n)
+        self.eps: float | None = None
         self._afw_active: tuple[np.ndarray, np.ndarray] | None = None
 
     def _quadratic(self, linear: np.ndarray) -> QuadraticObjective | None:
         """What the proposal minimizes, from its linear part (theta plus the
         hint); None while no hint error has been seen, as it is then linear."""
-        st = self.state
-        if st.sigma_sum <= 0.0:
+        s = self.sigma_sum
+        if s <= 0.0:
             return None
-        return QuadraticObjective(
-            self.config.n, self.config.k,
-            centers=[(st.sigma_sum, st.weighted_center / st.sigma_sum)],
-            linear=linear,
-        )
+        return QuadraticObjective(self.config.n, self.config.k,
+                                  [(s, self.weighted_center / s)], linear)
 
     def _play(self, G, H):
-        cfg = self.config
+        cfg, k = self.config, self.config.k
         # each round's linear part, theta before the round plus its hint
         linear = self._thetas(G)[:-1] + H
-        # one round's ((g - h) ** 2).sum() is its row's sum here, bit for bit
-        deltas = ((G - H) ** 2).sum(axis=1).tolist()
         p = np.ones(G.shape)
-        for i, delta in enumerate(deltas):
-            t = self.t + i + 1
-            if cfg.k < cfg.n:
-                p[i] = self._propose(linear[i], t)
-            self._update(delta, p[i], t)
-        return self._record(G, p, self._draw(p))
-
-    def _propose(self, linear: np.ndarray, t: int) -> np.ndarray:
-        """Round t's proposal, from its linear part ``linear``."""
-        st, k = self.state, self.config.k
-        if st.sigma_sum <= 0.0:
-            self._afw_active = None
-            return lmo(-linear, k)
-        if self.mode == "afw":
-            res = afw_minimize(self._quadratic(linear), eps=st.eps,
-                               max_iters=self.afw_budget, active=self._afw_active)
-            self._afw_active = res.active
-            return res.p
-        # _quadratic(linear).exact_minimizer(), with its bits and no objective
-        s = st.sigma_sum
-        # at a subnormal weight the scores overflow; the projection's finite
-        # check names that, so numpy's warning would only repeat it
+        # scores over a subnormal weight overflow, as may hint errors near the
+        # float limit: the errors below name both, which numpy's warnings repeat
         with np.errstate(over="ignore"):
-            y = (linear + (0.0 + s * (st.weighted_center / s))) / s
-        try:  # looked up on the module, where perfbench/spans.py wraps it
-            return hypersimplex.euclidean_project(y, k)
-        except ValueError as exc:
-            # the point projected is the scores over the weight, which the
-            # projection solves at any scale; a weight so small that they
-            # overflow the float range leaves it non-finite entries
-            raise ValueError(
-                f"round {t}: the exact proposal failed at regularizer weight "
-                f"{s:.3g} (policy sigma {self.sigma_scale:g} times "
-                f"the hint errors, which hints noise_l2 sets): {exc}") from exc
-
-    def _update(self, delta: float, p: np.ndarray, t: int) -> None:
-        """The regularizer schedule after round t, whose proposal was p and
-        whose squared hint error was ``delta``."""
-        cfg = self.config
-        st = self.state
-        new_sum = st.delta_sum + delta
-        if not new_sum < math.inf:
-            raise ValueError(f"round {t}: the summed squared hint errors "
-                             "overflow the float range (hints noise_l2 too large)")
-        sigma_t = self.sigma_scale * (math.sqrt(new_sum) - math.sqrt(st.delta_sum))
-        st.delta_sum = new_sum
-        st.sigma_sum += sigma_t
-        st.weighted_center += sigma_t * p
-        if st.eps is None and delta > 0.0:
-            st.first_delta = delta
-            st.eps = self.sigma_scale * math.sqrt(delta) / (200.0 * cfg.G**2 * cfg.T**2)
+            # one round's ((g - h) ** 2).sum() is its row's sum here, bit for bit
+            deltas = ((G - H) ** 2).sum(axis=1).tolist()
+            for i, delta in enumerate(deltas):
+                t = self.t + i + 1
+                if k == cfg.n:
+                    pass  # the full set, with p all ones
+                elif (obj := self._quadratic(linear[i])) is None:
+                    self._afw_active = None
+                    p[i] = lmo(-linear[i], k)
+                elif self.mode == "afw":
+                    res = afw_minimize(obj, eps=self.eps, max_iters=self.afw_budget,
+                                       active=self._afw_active)
+                    self._afw_active = res.active
+                    p[i] = res.p
+                else:
+                    try:
+                        p[i] = obj.exact_minimizer()
+                    except ValueError as exc:
+                        # the point projected is the scores over the weight,
+                        # which the projection solves at any scale; a weight so
+                        # small that they overflow leaves it non-finite entries
+                        raise ValueError(
+                            f"round {t}: the exact proposal failed at regularizer "
+                            f"weight {self.sigma_sum:.3g} (policy sigma "
+                            f"{self.sigma_scale:g} times the hint errors, which "
+                            f"hints noise_l2 sets): {exc}") from exc
+                # the regularizer schedule after the round
+                new_sum = self.delta_sum + delta
+                if not new_sum < math.inf:
+                    raise ValueError(f"round {t}: the summed squared hint errors overflow "
+                                     "the float range (hints noise_l2 too large)")
+                sigma_t = self.sigma_scale * (math.sqrt(new_sum) - math.sqrt(self.delta_sum))
+                self.delta_sum = new_sum
+                self.sigma_sum += sigma_t
+                self.weighted_center += sigma_t * p[i]
+                if self.eps is None and delta > 0.0:
+                    self.eps = self.sigma_scale * math.sqrt(delta) / (200.0 * cfg.G**2 * cfg.T**2)
+        return self._record(G, p, self._draw(p))
 
 
 # ---------------------------------------------------------------------------
@@ -570,8 +549,9 @@ def augmented_regret_bound(n: int, k: int, T: int, M: float) -> float:
     return 4.0 * M * math.sqrt(k * T * math.log(n / k))
 
 
-def optimistic_regret_bound(k: int, sq_distances: list[float]) -> float:
-    """Hint-quality guarantee: 12 k sqrt(sum of squared sup-distances)."""
+def optimistic_regret_bound(k: int, sq_distances: np.ndarray | list[float]) -> float:
+    """Hint-quality guarantee: 12 k sqrt(sum of squared sup-distances); a
+    list and an array of the same squares sum to the same bits."""
     return 12.0 * k * math.sqrt(float(np.sum(sq_distances)))
 
 

@@ -252,15 +252,29 @@ class CoverageFunction(SetFunction):
         super().__init__(len(covers), value_bound=self.value(np.arange(len(covers))[None])[0],
                          monotone=True)
 
-    def _counts(self, sets: np.ndarray, op=np.bitwise_or.reduce) -> np.ndarray:
+    def _counts(self, sets: np.ndarray, prefixes: bool = False) -> np.ndarray:
         """The item count of the union of each row of the (b, m) index array
-        ``sets``, or, with ``op=np.bitwise_or.accumulate``, of each prefix of
-        each row, as (b, m) counts.  The rows go c at a time, so that their
-        gathered (c, m, W) words stay within ``PLAN_CELLS`` words."""
-        step = max(1, PLAN_CELLS // max(1, sets.shape[1] * self.words.shape[1]))
-        return np.concatenate([
-            np.bitwise_count(op(self.words[sets[i:i + step]], axis=1)).sum(axis=-1)
-            for i in range(0, len(sets), step)])
+        ``sets``, or, with ``prefixes``, of each prefix of each row, as (b, m)
+        counts.  The rows go c at a time and their sets s at a time, the
+        union so far carried from slice to slice, so that their gathered
+        (c, s, W) words stay within ``PLAN_CELLS`` words (one set's W words
+        at least)."""
+        (b, m), W = sets.shape, self.words.shape[1]
+        span = max(1, min(m, PLAN_CELLS // W))
+        step = max(1, PLAN_CELLS // (span * W))
+        op = np.bitwise_or.accumulate if prefixes else np.bitwise_or.reduce
+        counts = np.empty((b, m) if prefixes else b, dtype=np.uint64)
+        for i in range(0, b, step):
+            for j in range(0, max(m, 1), span):  # once for sets of no elements
+                part = op(self.words[sets[i:i + step, j:j + span]], axis=1)
+                if j:  # with the union of the sets before the slice
+                    part |= union
+                union = part[:, -1:] if prefixes else part
+                if prefixes:
+                    counts[i:i + step, j:j + span] = np.bitwise_count(part).sum(axis=-1)
+            if not prefixes:
+                counts[i:i + step] = np.bitwise_count(union).sum(axis=-1)
+        return counts
 
     def value_mask(self, mask: int) -> float:
         return float(self.value(np.array([indices_of(mask)], dtype=np.intp))[0])
@@ -275,7 +289,7 @@ class CoverageFunction(SetFunction):
 
     def prefix_values(self, perm: np.ndarray) -> np.ndarray:
         perm = np.asarray(perm, dtype=np.intp)
-        counts = self._counts(perm.reshape(-1, self.n), np.bitwise_or.accumulate)
+        counts = self._counts(perm.reshape(-1, self.n), prefixes=True)
         # the empty prefix covers nothing
         return self.scale * np.insert(counts, 0, 0, axis=1).reshape(perm.shape[:-1] + (-1,))
 
@@ -391,18 +405,22 @@ class MatchingRewardFunction(SetFunction):
         return out
 
 
-def distance_sup(f: SetFunction, h: ModularFunction) -> float:
+def distance_sup(f: SetFunction, h: ModularFunction) -> float | np.ndarray:
     """max over all subsets of |f(S) - h(S)|.
 
     Modular-vs-modular has the O(n) closed form max(sum of positive gaps,
-    -sum of negative gaps); anything else is enumerated exactly, guarded by
-    ``ENUM_MAX``.
+    -sum of negative gaps); for two blocks of (b, n) rows it gives the b
+    gaps of their rows, each with the bits of its rows alone.  Anything else
+    is enumerated exactly, guarded by ``ENUM_MAX``.
     """
     if f.n != h.n:
         raise ValueError("mismatched ground sets")
     if isinstance(f, ModularFunction):
-        nu = f._vector() - h._vector()
-        return float(max(np.maximum(nu, 0.0).sum(), -np.minimum(nu, 0.0).sum()))
+        # a block has no distance from one vector, nor from another block's rows
+        nu = f.w - h.w if f.w.shape == h.w.shape else f._vector() - h._vector()
+        # np.maximum keeps the first of equal sums, as Python's max does
+        gap = np.maximum(np.maximum(nu, 0.0).sum(axis=-1), -np.minimum(nu, 0.0).sum(axis=-1))
+        return gap if gap.ndim else float(gap)
     _guard(f.n, ENUM_MAX, "a non-modular distance")
     return float(np.abs(f.values_all() - h.values_all()).max())
 

@@ -137,7 +137,7 @@ def test_criterion_4_optimistic_hint_bound():
         if noise == 0.0:
             # perfect hints zero out the hint-error form of the bound; the
             # measured regret must then sit at (numerical) zero or below
-            ok = ok and pol.state.delta_sum == 0.0 and aug <= 1e-6 * T
+            ok = ok and pol.delta_sum == 0.0 and aug <= 1e-6 * T
         results.append((noise, aug, rhs, ok))
     ok = all(r[3] for r in results)
     detail = "; ".join(f"noise {r[0]:g}: regret {r[1]:.2f} <= {r[2]:.1f}"
@@ -169,8 +169,10 @@ def test_criterion_5_afw_matches_exact():
         runs[mode] = (pol, recs, refs)
 
     pol_afw, recs_afw, refs_afw = runs["afw"]
-    eps = pol_afw.state.eps
-    sigma_root = pol_afw.sigma_scale * math.sqrt(pol_afw.state.first_delta)
+    eps = pol_afw.eps
+    # the first positive squared hint error sets the tolerance
+    deltas = ((fvecs - hints) ** 2).sum(axis=1)
+    sigma_root = pol_afw.sigma_scale * math.sqrt(deltas[deltas > 0.0][0])
     assert eps == sigma_root / (200.0 * G**2 * T**2)
     per_round_bound = math.sqrt(2.0 * eps / sigma_root)
     diffs = [float(np.linalg.norm(r.p[0] - ref))

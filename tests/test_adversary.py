@@ -363,9 +363,12 @@ def test_hints_match_the_vectors_worked_out_one_at_a_time(n, B, zero):
     fvecs = [row for row in np.random.default_rng(n + B).standard_normal((B, n))]
     for spec in (HintSpec("perfect"), HintSpec("additive-noise", 0.37),
                  HintSpec("additive-noise", 0.0), HintSpec("adversarial-flip")):
-        got = generate_hints(np.array(fvecs), spec, ZeroedNormals(B, n, zero))
+        G = np.array(fvecs)
+        got = generate_hints(G, spec, ZeroedNormals(B, n, zero))
         want_rng = ZeroedNormals(B, n, zero)
         assert got.tobytes() == hints_reference(fvecs, spec, want_rng).tobytes()
+        # the block is read, never written, and no hint aliases it
+        assert G.tobytes() == np.array(fvecs).tobytes() and not np.shares_memory(got, G)
         if spec.noise_l2 > 0.0:
             assert want_rng.drawn == B + len(zero)
     assert generate_hints([], HintSpec("additive-noise", 0.37), None).size == 0

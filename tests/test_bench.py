@@ -324,6 +324,28 @@ def test_core_strategy_failing_mid_block_plays_none_of_it(
     assert not (tmp_path / "replica_0.csv").exists()
 
 
+def test_an_exact_optimistic_replica_retains_at_most_10_bytes_per_round():
+    # the slope of tracemalloc's peak between two horizons, both past one
+    # block of 204 rounds at n = 12: the hints' squared sup-distances are
+    # the one per-round store, 8 bytes each
+    import tracemalloc
+
+    horizons, peaks = (2000, 6000), []
+    tracemalloc.start()
+    try:
+        for T in horizons:
+            cfg = ExperimentConfig.from_dict(base_config(
+                n=12, k=4, T=T, replicas=1, policy={"kind": "oftrl", "mode": "exact"},
+                hints={"mode": "additive-noise", "noise_l2": 0.5}))
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            run_replica(cfg, 0)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / (horizons[1] - horizons[0]) <= 10.0
+
+
 def test_coverage_hint_distances_come_from_tables_within_a_block(monkeypatch):
     # a coverage run tabulates its hints over all 2^n subsets, at most
     # PLAN_CELLS entries at a time (one hint's table where that is larger),
@@ -344,10 +366,10 @@ def test_coverage_hint_distances_come_from_tables_within_a_block(monkeypatch):
         f = random_coverage(n, 3 * n, rng)
         hints = rng.normal(size=(b, n)) * 2.0
         hints[0] = f.values_all()[1 << np.arange(n)]  # f on each singleton
-        result, tables = bench_module.ReplicaResult(None, [1.5]), []
+        result, tables = bench_module.ReplicaResult(None, np.full(7 + b, 1.5)), []
         bench_module._log_sq_distances(result, f, hints, 7)
         want = [distance_sup(f, ModularFunction(h)) ** 2 for h in hints]
-        assert result.sq_distances == [1.5] + want
+        assert result.sq_distances.tolist() == [1.5] * 7 + want
         assert sum(rows for rows, _ in tables) == b
         assert all(rows * 2 ** n <= max(PLAN_CELLS, 2 ** n) for rows, _ in tables)
     # a non-finite hint is refused, and a square past the float range names its round
@@ -357,7 +379,46 @@ def test_coverage_hint_distances_come_from_tables_within_a_block(monkeypatch):
         hints = np.zeros((3, 4))
         hints[1, 2] = bad
         with pytest.raises(ValueError, match=error):
-            bench_module._log_sq_distances(bench_module.ReplicaResult(None, []), f, hints, 7)
+            bench_module._log_sq_distances(bench_module.ReplicaResult(None, np.empty(10)),
+                                           f, hints, 7)
+
+
+def test_modular_hint_distances_come_a_run_at_a_time():
+    # a modular run's gaps come from distance_sup on its (b, n) rows at once,
+    # each with the bits of its row alone, and their squares are Python's
+    # gap ** 2, with ties of the positive and negative sums, all-zero rows
+    # and scales from 1e-300 to 1e150
+    from coreselect.setfn import ModularFunction, distance_sup
+
+    rng = np.random.default_rng(12)
+    for n, b in ((1, 5), (6, 40), (16, 204)):
+        for scale in (1e-300, 1e-150, 1.0, 1e150):
+            w = rng.random((b, n)) * scale
+            hints = w + rng.normal(size=(b, n)) * scale
+            hints[0] = w[0]  # a perfect hint: an all-zero gap row
+            hints[1] = 0.0
+            w[1] = 0.0       # an all-zero reward and hint
+            if n > 1:        # gaps of +1 and -1 scale: tied sums
+                hints[2] = w[2]
+                hints[2, 0] += scale
+                hints[2, 1] -= scale
+            f = ModularFunction(w)
+            gaps = distance_sup(f, ModularFunction(hints))
+            want = [distance_sup(ModularFunction(wi), ModularFunction(h))
+                    for wi, h in zip(w, hints)]
+            assert gaps.tolist() == want
+            result = bench_module.ReplicaResult(None, np.full(3 + b, 1.5))
+            bench_module._log_sq_distances(result, f, hints, 3)
+            want_sq = np.array([1.5] * 3 + [gap ** 2 for gap in want])
+            assert result.sq_distances.tobytes() == want_sq.tobytes()
+    # a square past the float range names its round, with no numpy warning
+    hints = np.zeros((3, 4))
+    hints[1, 2] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^round 9: the squared sup-distance of the hint"):
+            bench_module._log_sq_distances(bench_module.ReplicaResult(None, np.empty(10)),
+                                           ModularFunction(np.zeros((3, 4))), hints, 7)
 
 
 def test_sweep_rows_and_file(tmp_path):

@@ -748,7 +748,7 @@ def test_oftrl_step_without_hint_at_full_selection_fails_before_the_round():
 def test_perfect_hints_route_through_vertices_with_no_regret():
     pol, played, _ = run_oftrl(8, 3, 400, HintSpec("perfect"), 0)
     rec = played[0]
-    assert pol.state.sigma_sum == 0.0  # no hint error ever observed
+    assert pol.sigma_sum == 0.0  # no hint error ever observed
     assert np.all((rec.p < 1e-12) | (rec.p > 1 - 1e-12))  # vertex proposals
     assert folded(8, 3, played).static_regret() <= 1e-6 * 400
 
@@ -757,12 +757,11 @@ def test_sigma_schedule_telescopes():
     adv, fs, fvecs, hints = make_oftrl_inputs(8, 300, HintSpec("additive-noise", 0.3), 1)
     pol = OftrlPolicy(ScoreConfig(n=8, k=3, T=300, M=adv.M, G=adv.G),
                       np.random.default_rng(4))
-    st = pol.state
-    sigma_sums = [st.sigma_sum]
+    sigma_sums = [pol.sigma_sum]
     for h, fv in zip(hints, fvecs):
         pol.step(fv[None], h[None])
-        sigma_sums.append(st.sigma_sum)
-    assert st.sigma_sum == pytest.approx((1 / 3) * math.sqrt(st.delta_sum), abs=1e-9)
+        sigma_sums.append(pol.sigma_sum)
+    assert pol.sigma_sum == pytest.approx((1 / 3) * math.sqrt(pol.delta_sum), abs=1e-9)
     assert len(sigma_sums) == 301 and sigma_sums == sorted(sigma_sums)  # sigma_t >= 0
 
 
@@ -778,11 +777,12 @@ def test_adversarial_flip_delta_is_four_norms():
 
 def test_exact_and_afw_modes_agree_per_round():
     spec = HintSpec("additive-noise", 0.4)
-    pol, (rec, _, _), (_, _, refs) = run_oftrl(8, 3, 150, spec, 4, mode="afw")
-    assert pol.state.eps is not None
-    bound = math.sqrt(
-        2 * pol.state.eps / (pol.sigma_scale * math.sqrt(pol.state.first_delta))
-    )
+    pol, (rec, _, _), (_, hints, refs) = run_oftrl(8, 3, 150, spec, 4, mode="afw")
+    # the first positive squared hint error sets the tolerance
+    deltas = ((rec.gvec - hints) ** 2).sum(axis=1)
+    sigma_root = pol.sigma_scale * math.sqrt(deltas[deltas > 0.0][0])
+    assert pol.eps == sigma_root / (200.0 * pol.config.G**2 * 150**2)
+    bound = math.sqrt(2 * pol.eps / sigma_root)
     checked = 0
     for p, ref in zip(rec.p, refs):
         if ref is not None:
@@ -805,13 +805,12 @@ def test_optimistic_block_equals_its_rounds_one_step_each(mode, adversary):
     pol = OftrlPolicy(cfg, np.random.default_rng(4), mode=mode)
     got = joined([pol.step(G[start:stop], H[start:stop])
                   for start, stop in ((0, 12), (12, 13), (13, T))])
-    assert got.t == want.t == range(1, T + 1) and one.state.sigma_sum > 0.0
+    assert got.t == want.t == range(1, T + 1) and one.sigma_sum > 0.0
     assert np.array_equal(got.selected, want.selected)
     assert got.p.tobytes() == want.p.tobytes()
     assert pol.theta.tobytes() == one.theta.tobytes()
-    assert pol.state.weighted_center.tobytes() == one.state.weighted_center.tobytes()
-    assert (pol.state.sigma_sum, pol.state.delta_sum) == (one.state.sigma_sum,
-                                                          one.state.delta_sum)
+    assert pol.weighted_center.tobytes() == one.weighted_center.tobytes()
+    assert (pol.sigma_sum, pol.delta_sum, pol.eps) == (one.sigma_sum, one.delta_sum, one.eps)
     assert pol.rng.bit_generator.state == one.rng.bit_generator.state
 
 

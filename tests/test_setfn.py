@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from coreselect import setfn
 from coreselect.adversary import random_coverage
 from coreselect.blocks import block_rounds
 from coreselect.oracles import TableFunction, enumerate_matching_value, second_game
@@ -156,6 +157,37 @@ def test_coverage_of_any_universe_is_the_union_size(universe):
     want = [[union_reward(family, row[:i], scale) for i in range(n + 1)]
             for row in perms.tolist()]
     assert f.prefix_values(perms).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("cells", [1, 3, 7, 40])
+def test_coverage_gathers_stay_within_plan_cells_words(cells, monkeypatch):
+    # with PLAN_CELLS down to a few words, a row's sets are walked in slices
+    # of at most PLAN_CELLS // W, the union carried from slice to slice:
+    # every gather holds at most PLAN_CELLS words (one set's W at least),
+    # and value and prefix_values keep their bits
+    class Gathers(np.ndarray):
+        sizes = []
+
+        def __getitem__(self, key):
+            out = np.asarray(super().__getitem__(key))
+            Gathers.sizes.append(out.size)
+            return out
+
+    def calls(f, sets):
+        return [f.value(sets[:, :k]) for k in (0, 1, 5, n)] + [f.prefix_values(sets)]
+
+    rng = np.random.default_rng(cells)
+    n = 13
+    for universe in (65, 200, 700):
+        f = random_coverage(n, universe, rng)
+        sets = rng.permuted(np.tile(np.arange(n), (9, 1)), axis=1)
+        want = calls(f, sets)
+        monkeypatch.setattr(setfn, "PLAN_CELLS", cells)
+        f.words, Gathers.sizes = f.words.view(Gathers), []
+        got = calls(f, sets)
+        monkeypatch.undo()
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        assert 0 < max(Gathers.sizes) <= max(cells, f.words.shape[1])
 
 
 @pytest.mark.parametrize("universe", [63, 64, 65, 130])
