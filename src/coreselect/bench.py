@@ -58,7 +58,7 @@ from .policy import (
     priced_regret_bound,
     static_regret_bound,
 )
-from .setfn import CoverageFunction, ModularFunction, SetFunction, distance_sup, subset_table
+from .setfn import CoverageFunction, ModularFunction, SetFunction, distance_sup
 
 SCHEMA_VERSION = 1
 CSV_HEADER = "round,reward,full_reward,cum_reward,cum_benchmark,aug_regret,static_regret,observed,cum_cost"
@@ -311,7 +311,7 @@ def _group_blocks(cfg: ExperimentConfig, adv: Adversary, replicas: range, polici
         hints = None if revealed[0][2] is None else [h for _, _, h in revealed]
         if len(policies) > 1:
             records = type(policies[0]).play_lanes(policies, G, hints)
-        else:  # a lone replica steps, as perfbench's spans time it
+        else:  # kept only for perfbench's spans, which time step (ROADMAP item 13)
             records = [policies[0].step(G[0], None if hints is None else hints[0])]
         played = []
         for (block, _, _), record in zip(revealed, records):
@@ -331,23 +331,16 @@ def _log_sq_distances(result: ReplicaResult, f: SetFunction, hints: np.ndarray,
     rewards that have no such distance.  A square past the float range is
     an error naming its round.
 
-    A modular run takes the closed form of :func:`distance_sup` on its rows
-    at once.  A coverage run tabulates its hints over all 2^n subsets as
-    rows, at most ``PLAN_CELLS`` entries at a time, and takes each row's
-    largest gap from f's one table.  Either way each gap has the bits of
-    ``distance_sup`` row by row, and its square is Python's ``gap ** 2``,
-    whose last bit numpy's ``x * x`` does not always give."""
-    if isinstance(f, ModularFunction):  # a run's rewards are its rows
-        gaps = distance_sup(f, ModularFunction(hints)).tolist()
-    elif isinstance(f, CoverageFunction):
-        F, h = f.values_all(), ModularFunction(hints).w  # checks they are finite
-        size, gaps = max(1, PLAN_CELLS >> f.n), []
-        for first in range(0, len(h), size):
-            H = subset_table(h[first:first + size], np.add)
-            gaps += np.abs(np.subtract(F, H, out=H), out=H).max(axis=1).tolist()
-    else:
+    The gaps come from one :func:`distance_sup` call on the run's hints:
+    a modular run's closed form on its rows, a coverage run's tables of its
+    hints over all 2^n subsets.  Each gap has the bits of its row alone,
+    and its square is Python's ``gap ** 2``, whose last bit numpy's
+    ``x * x`` does not always give."""
+    if not isinstance(f, (ModularFunction, CoverageFunction)):
         result.sq_distances = None
         return
+    # a modular run's rewards are its rows; ModularFunction checks the hints are finite
+    gaps = distance_sup(f, ModularFunction(hints)).tolist()
     squares = result.sq_distances
     for t, gap in enumerate(gaps, t):
         try:

@@ -472,7 +472,7 @@ class QuadraticObjective:
 
     def __init__(self, n: int, k: int, centers: list[tuple[float, np.ndarray]],
                  linear: np.ndarray):
-        self.n, self.k, self.centers = n, k, centers
+        self.n, self.k = n, k
         self.linear = np.asarray(linear, dtype=float)
         self.sigma_total, center = 0.0, None
         for sigma, c in centers:

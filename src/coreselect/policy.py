@@ -1,25 +1,26 @@
 """Online subset-selection policies and their regret accounting.
 
-Every policy plays a block of B rounds per ``step``: draw a Madow sample
-from each round's proposed inclusion probabilities, feed the learner the
-round's proxy vector, which the caller passes in as a row, and return the
-block's columns as one ``RoundRecord``: the proposals, the (B, k) drawn
-sets, what was observed and paid.  A policy sees only these vectors, never
-the rewards: the caller values the drawn sets.  The policies differ only in
-the proposal (entropic argmax of the cumulative score, or an optimistic
-quadratic step against a hint) and in the feed (the admissible vector
-itself, an inverse-propensity estimate, or a Bernoulli-gated estimate with
-a per-peek price).
+Every policy plays a block of B rounds on each lane of a group of
+independent runs with one ``play_lanes``, and ``step`` is a group of one:
+draw a Madow sample from each round's proposed inclusion probabilities,
+feed the learner the round's proxy vector, which the caller passes in as a
+row, and return the block's columns as one ``RoundRecord``: the proposals,
+the (B, k) drawn sets, what was observed and paid.  A policy sees only
+these vectors, never the rewards: the caller values the drawn sets.  The
+policies differ only in the proposal (entropic argmax of the cumulative
+score, or an optimistic quadratic step against a hint) and in the feed (the
+admissible vector itself, an inverse-propensity estimate, or a
+Bernoulli-gated estimate with a per-peek price).  At k == n there is
+nothing to propose or draw, and ``play_lanes`` plays the full set.
 
 The policies play a block in one pass over (B, n) arrays, except the
 semi-bandit one, whose feed depends on the drawn set and which plays it one
 round at a time; the optimistic proposals, each centered at those before
-it, are the one step made row by row.  Independent runs of the other
-policies play as the lanes of a group (``play_lanes``): the semi-bandit's
-lanes play each round together, and the score and priced lanes stack
-their blocks, so that one argmax and one Madow draw serve them all.
-``RegretLedger`` keeps the regret accounting as running sums, folded in a
-block at a time.
+it, are the one step made row by row.  The semi-bandit's lanes play each
+round together, and the score and priced lanes stack their blocks, so that
+one argmax and one Madow draw serve them all; the optimistic lanes play one
+after another.  ``RegretLedger`` keeps the regret accounting as running
+sums, folded in a block at a time.
 """
 
 from __future__ import annotations
@@ -82,6 +83,7 @@ class ScoreConfig:
             if self.k == self.n:
                 self.eta = 0.0  # degenerate: the policy plays the full set
             else:
+                _check_tuning(self.G, self.T)
                 self.eta = math.sqrt(
                     self.k * math.log(self.n / self.k) / (2.0 * self.G**2 * self.T)
                 )
@@ -89,6 +91,15 @@ class ScoreConfig:
             raise ValueError(f"eta must be finite, got {self.eta!r}")
         if self.k < self.n and self.eta <= 0.0:
             raise ValueError("eta must be positive when k < n")
+
+
+def _check_tuning(G: float, T: int) -> None:
+    """The tuned learning rates divide by 2 G^2 T: an error names G and T
+    where that or its reciprocal is zero or past the float range."""
+    denominator = 2.0 * G * G * T
+    if denominator in (0.0, math.inf) or 1.0 / denominator == math.inf:
+        raise ValueError(f"G = {G!r} and T = {T} make 2 * G**2 * T = {denominator!r}, "
+                         "so no learning rate can be tuned from them; set eta")
 
 
 @dataclass
@@ -110,9 +121,12 @@ class RoundRecord:
 
 
 class _Policy:
-    """A policy: ``step`` checks a block of rounds and ``_play`` plays it.
-    ``theta`` sums what the learner was fed.  At k == n every round plays
-    the full set with p all ones, and nothing is proposed or drawn."""
+    """A policy: ``play_lanes`` plays one block of rounds on each lane of a
+    group, and ``step`` is a group of one.  ``play_lanes`` checks the
+    blocks and decides k == n once: there the capped simplex is the single
+    point of all ones, so each lane feeds its rounds and plays the full set,
+    and nothing is proposed or drawn.  Otherwise it hands the lanes to the
+    class's ``_play``.  ``theta`` sums what the learner was fed."""
 
     # the optimistic proposal is made against the round's hint
     needs_hint = False
@@ -124,27 +138,52 @@ class _Policy:
         self.t = 0
 
     def step(self, G: np.ndarray, H: np.ndarray | None = None) -> RoundRecord:
-        """Play a block of B rounds and log it.
+        """Play a block of B rounds and log it: a group of one lane.
 
         ``G`` holds the rounds' proxy vectors as (B, n) rows, B >= 1, and
         ``H`` their hints (which the optimistic policy needs) as rows of the
         same shape.
         Returns the block's columns.
         """
-        return self._play(*self._checked(G, H))
+        return self.play_lanes([self], [G], [H])[0]
 
-    def _checked(self, G, H):
-        """(G, H) as ``step`` takes them, after checking their shapes."""
-        if H is None and self.needs_hint:
-            raise ValueError("the optimistic policy needs a hint every round")
-        G, n = np.asarray(G), self.config.n
-        if G.ndim != 2 or G.shape[1] != n:
-            raise ValueError(f"proxy vectors must be (B, {n}) rows, got shape {G.shape}")
-        if not len(G):
-            raise ValueError(f"a block needs at least one round, got shape {G.shape}")
-        if H is not None and np.shape(H) != G.shape:
-            raise ValueError(f"hints must be of shape {G.shape}, got {np.shape(H)}")
-        return G, H
+    @classmethod
+    def play_lanes(cls, lanes: list["_Policy"], G: list[np.ndarray],
+                   H: list[np.ndarray | None] | None = None) -> list[RoundRecord]:
+        """Play one block on each lane of a group: policies of this class on
+        one config, each with its own generator and state.  Lane r plays
+        the rows ``G[r]`` with the hints ``H[r]`` (which only the optimistic
+        policy reads), and gets the record its own ``step`` gives.  The
+        blocks must share one shape."""
+        n = lanes[0].config.n
+        G = [np.asarray(g) for g in G]
+        H = [None] * len(lanes) if H is None else H
+        for g, h in zip(G, H):
+            if h is None and cls.needs_hint:
+                raise ValueError("the optimistic policy needs a hint every round")
+            if g.ndim != 2 or g.shape[1] != n:
+                raise ValueError(f"proxy vectors must be (B, {n}) rows, got shape {g.shape}")
+            if not len(g):
+                raise ValueError(f"a block needs at least one round, got shape {g.shape}")
+            if h is not None and np.shape(h) != g.shape:
+                raise ValueError(f"hints must be of shape {g.shape}, got {np.shape(h)}")
+        if len({g.shape for g in G}) > 1:
+            raise ValueError(f"the lanes' blocks differ in shape: {[g.shape for g in G]}")
+        if lanes[0].config.k < n:
+            return cls._play(lanes, G, H)
+        records = []
+        for lane, g in zip(lanes, G):
+            fed, observed, cost, _ = lane._feed_block(g)
+            lane._thetas(fed)
+            records.append(lane._record(g, np.ones(g.shape),
+                                        np.broadcast_to(np.arange(n), g.shape), observed, cost))
+        return records
+
+    def _feed_block(self, G):
+        """(fed, observed, cost, u) of a block of rounds: what each round
+        feeds, observes and pays (None: all, nothing), and the uniforms of
+        its Madow draws if the feeds had to draw first (else None)."""
+        return G, None, None, None
 
     def _thetas(self, fed: np.ndarray) -> np.ndarray:
         """theta before each round of a block and, becoming ``theta``, after
@@ -155,14 +194,6 @@ class _Policy:
         running_sums(theta)
         self.theta = theta[-1]
         return theta
-
-    def _draw(self, p: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
-        """The (B, k) sets drawn at the proposals ``p`` (with the uniforms
-        ``u`` if drawn already), or the full set in every row at k == n."""
-        cfg = self.config
-        if cfg.k == cfg.n:
-            return np.broadcast_to(np.arange(cfg.n), p.shape)
-        return draw(p, cfg.k, self.rng, u)
 
     def _record(self, G, p, selected, observed=None, cost=None) -> RoundRecord:
         """The block's columns.  Every round is observed and free unless
@@ -181,58 +212,24 @@ class ScorePolicy(_Policy):
     pass: theta before every round is one cumulative sum over a (B + 1, n)
     array, then one row-wise entropic argmax gives every proposal and one
     row-wise Madow draw every set, each row bit for bit what one round
-    alone gives.
-
-    Independent runs play as lanes of one group (:meth:`play_lanes`): each
-    lane feeds and sums its own thetas, then one argmax takes the lanes'
-    theta rows stacked as (R * B, n), and one Madow draw the stacked
-    proposals with each lane's own uniforms.  A single policy's ``step`` is
-    a group of one.
+    alone gives.  The lanes of a group each feed and sum their own thetas,
+    then one argmax takes their theta rows stacked as (R * B, n), and one
+    Madow draw the stacked proposals with each lane's own uniforms.
     """
 
-    def _play(self, G, H):
-        return self.play_lanes([self], [G], [H])[0]
-
     @classmethod
-    def play_lanes(cls, lanes: list["ScorePolicy"], G: list[np.ndarray],
-                   H: list[np.ndarray] | None = None) -> list[RoundRecord]:
-        """Play one block on each lane of a group: policies of this class on
-        one config, each with its own generator and state.  Lane r plays
-        the rows ``G[r]`` (with the hints ``H[r]``, which it ignores), and
-        gets the record its own ``step`` gives."""
-        G = cls._checked_lanes(lanes, G, H)
+    def _play(cls, lanes, G, H):
         cfg = lanes[0].config
         R, (B, n) = len(lanes), G[0].shape
         fed, observed, cost, drawn = zip(*[lane._feed_block(g) for lane, g in zip(lanes, G)])
         theta = [lane._thetas(f)[:-1] for lane, f in zip(lanes, fed)]
-        if cfg.k == cfg.n:
-            p, u = np.ones((R * B, n)), None
-        else:
-            p = entropic_ftrl_argmax(theta[0] if R == 1 else np.concatenate(theta),
-                                     cfg.eta, cfg.k)
-            # the uniforms a lane's feed drew, or one rng.random(B) from its
-            # own generator after its feed, as the lane alone draws them
-            u = [lane.rng.random(B) if ui is None else ui for lane, ui in zip(lanes, drawn)]
-            u = u[0] if R == 1 else np.concatenate(u)
-        selected = lanes[0]._draw(p, u)
+        p = entropic_ftrl_argmax(theta[0] if R == 1 else np.concatenate(theta), cfg.eta, cfg.k)
+        # the uniforms a lane's feed drew, or one rng.random(B) from its own
+        # generator after its feed, as the lane alone draws them
+        u = [lane.rng.random(B) if ui is None else ui for lane, ui in zip(lanes, drawn)]
+        selected = draw(p, cfg.k, lanes[0].rng, u[0] if R == 1 else np.concatenate(u))
         return [lane._record(*rows) for lane, *rows in zip(
             lanes, G, p.reshape(R, B, n), selected.reshape(R, B, -1), observed, cost)]
-
-    @staticmethod
-    def _checked_lanes(lanes, G, H=None) -> list[np.ndarray]:
-        """The lanes' blocks ``G``, after checking each (with its hints
-        ``H[r]``) as its lane's ``step`` would, and that they share a shape."""
-        G = [lane._checked(g, None if H is None else H[r])[0]
-             for r, (lane, g) in enumerate(zip(lanes, G))]
-        if len({g.shape for g in G}) > 1:
-            raise ValueError(f"the lanes' blocks differ in shape: {[g.shape for g in G]}")
-        return G
-
-    def _feed_block(self, G):
-        """(fed, observed, cost, u) of a block of rounds: what each round
-        feeds, observes and pays (None: all, nothing), and the uniforms of
-        its Madow draws if the feeds had to draw first (else None)."""
-        return G, None, None, None
 
 
 class SemiBanditPolicy(ScorePolicy):
@@ -241,28 +238,21 @@ class SemiBanditPolicy(ScorePolicy):
     depends on the drawn set, so a block is played one round at a time:
     propose from theta, draw, and feed the round.
 
-    Independent runs play as lanes of one group (:meth:`play_lanes`), in
-    lockstep: their thetas are the rows of one (R, n) array, and each
-    round is one row-wise entropic argmax, one row-wise Madow draw and
-    one inverse-propensity feed into the flattened thetas, each lane's
-    row bit for bit what the lane alone gives.  A single policy's
-    ``step`` is a group of one.
+    The lanes of a group play in lockstep: their thetas are the rows of one
+    (R, n) array, and each round is one row-wise entropic argmax, one
+    row-wise Madow draw and one inverse-propensity feed into the flattened
+    thetas, each lane's row bit for bit what the lane alone gives.
 
     What is constant over a block is checked once: ``eta`` and ``k``, and
     the block's uniforms, drawn for each lane from its own generator with
     one ``rng.random(B)`` (the stream and generator state of B single
     draws).  The kernels' bodies then keep their checks of the rounds' own
-    data.  At k == n every round feeds its whole vector, as the score
-    policy plays.
+    data.  At k == n, ``play_lanes`` feeds every round its whole vector.
     """
 
     @classmethod
-    def play_lanes(cls, lanes, G, H=None):
+    def _play(cls, lanes, G, H):
         cfg = lanes[0].config
-        if cfg.k == cfg.n:
-            return super().play_lanes(lanes, G)
-        # the semi-bandit takes no hints
-        G = cls._checked_lanes(lanes, G)
         eta, k, n = cfg.eta, cfg.k, cfg.n
         _check_entropic_args(eta, k, n)
         R, B = len(lanes), len(G[0])
@@ -340,11 +330,9 @@ class PricedPolicy(ScorePolicy):
         The learning rate scales with the observation rate actually in use,
         so an explicit epsilon override retunes eta with it.
         """
+        _check_tuning(G, T)
         eps = priced_epsilon(n, k, T, G, cost) if epsilon is None else epsilon
-        if k == n:
-            eta = 0.0
-        else:
-            eta = math.sqrt(eps * k * math.log(n / k) / (2.0 * T * G * G))
+        eta = math.sqrt(eps * k * math.log(n / k) / (2.0 * T * G * G))
         return ScoreConfig(n=n, k=k, T=T, alpha=alpha, M=M, G=G, eta=eta)
 
     def _feed_block(self, G):
@@ -372,7 +360,8 @@ class OftrlPolicy(_Policy):
     summed squared hint errors ``delta_sum``; AFW's tolerance ``eps`` is
     set by the first positive hint error.  A block is played in one pass,
     as the score policy plays it, except that the proposals and the
-    regularizer schedule go row by row.
+    regularizer schedule go row by row.  The lanes of a group play one
+    after another.
     """
 
     needs_hint = True
@@ -399,52 +388,54 @@ class OftrlPolicy(_Policy):
         return QuadraticObjective(self.config.n, self.config.k,
                                   [(s, self.weighted_center / s)], linear)
 
-    def _play(self, G, H):
-        cfg, k = self.config, self.config.k
-        # each round's linear part, theta before the round plus its hint
-        linear = self._thetas(G)[:-1] + H
-        p = np.ones(G.shape)
+    @classmethod
+    def _play(cls, lanes, G, H):
+        cfg, records = lanes[0].config, []
         # scores over a subnormal weight overflow, as may hint errors near the
         # float limit: the errors below name both, which numpy's warnings repeat
         with np.errstate(over="ignore"):
-            # one round's ((g - h) ** 2).sum() is its row's sum here, bit for bit
-            deltas = ((G - H) ** 2).sum(axis=1).tolist()
-            for i, delta in enumerate(deltas):
-                t = self.t + i + 1
-                if k == cfg.n:
-                    pass  # the full set, with p all ones
-                elif (obj := self._quadratic(linear[i])) is None:
-                    self._afw_active = None
-                    p[i] = lmo(-linear[i], k)
-                elif self.mode == "afw":
-                    res = afw_minimize(obj, eps=self.eps, max_iters=self.afw_budget,
-                                       active=self._afw_active)
-                    self._afw_active = res.active
-                    p[i] = res.p
-                else:
-                    try:
-                        p[i] = obj.exact_minimizer()
-                    except ValueError as exc:
-                        # the point projected is the scores over the weight,
-                        # which the projection solves at any scale; a weight so
-                        # small that they overflow leaves it non-finite entries
-                        raise ValueError(
-                            f"round {t}: the exact proposal failed at regularizer "
-                            f"weight {self.sigma_sum:.3g} (policy sigma "
-                            f"{self.sigma_scale:g} times the hint errors, which "
-                            f"hints noise_l2 sets): {exc}") from exc
-                # the regularizer schedule after the round
-                new_sum = self.delta_sum + delta
-                if not new_sum < math.inf:
-                    raise ValueError(f"round {t}: the summed squared hint errors overflow "
-                                     "the float range (hints noise_l2 too large)")
-                sigma_t = self.sigma_scale * (math.sqrt(new_sum) - math.sqrt(self.delta_sum))
-                self.delta_sum = new_sum
-                self.sigma_sum += sigma_t
-                self.weighted_center += sigma_t * p[i]
-                if self.eps is None and delta > 0.0:
-                    self.eps = self.sigma_scale * math.sqrt(delta) / (200.0 * cfg.G**2 * cfg.T**2)
-        return self._record(G, p, self._draw(p))
+            for lane, g, h in zip(lanes, G, H):
+                # each round's linear part, theta before the round plus its hint
+                linear = lane._thetas(g)[:-1] + h
+                p = np.empty(g.shape)
+                # one round's ((g - h) ** 2).sum() is its row's sum here, bit for bit
+                deltas = ((g - h) ** 2).sum(axis=1).tolist()
+                for i, delta in enumerate(deltas):
+                    if (obj := lane._quadratic(linear[i])) is None:
+                        lane._afw_active = None
+                        p[i] = lmo(-linear[i], cfg.k)
+                    elif lane.mode == "afw":
+                        res = afw_minimize(obj, eps=lane.eps, max_iters=lane.afw_budget,
+                                           active=lane._afw_active)
+                        lane._afw_active = res.active
+                        p[i] = res.p
+                    else:
+                        try:
+                            p[i] = obj.exact_minimizer()
+                        except ValueError as exc:
+                            # the point projected is the scores over the weight,
+                            # solved at any scale; a weight so small that they
+                            # overflow leaves it non-finite entries
+                            raise ValueError(
+                                f"round {lane.t + i + 1}: the exact proposal failed at "
+                                f"regularizer weight {lane.sigma_sum:.3g} (policy sigma "
+                                f"{lane.sigma_scale:g} times the hint errors, which "
+                                f"hints noise_l2 sets): {exc}") from exc
+                    # the regularizer schedule after the round
+                    new_sum = lane.delta_sum + delta
+                    if not new_sum < math.inf:
+                        raise ValueError(f"round {lane.t + i + 1}: the summed squared hint "
+                                         "errors overflow the float range (hints noise_l2 "
+                                         "too large)")
+                    sigma_t = lane.sigma_scale * (math.sqrt(new_sum) - math.sqrt(lane.delta_sum))
+                    lane.delta_sum = new_sum
+                    lane.sigma_sum += sigma_t
+                    lane.weighted_center += sigma_t * p[i]
+                    if lane.eps is None and delta > 0.0:
+                        lane.eps = (lane.sigma_scale * math.sqrt(delta)
+                                   / (200.0 * cfg.G**2 * cfg.T**2))
+                records.append(lane._record(g, p, draw(p, cfg.k, lane.rng)))
+        return records
 
 
 # ---------------------------------------------------------------------------
@@ -537,15 +528,11 @@ class RegretLedger(_Regrets):
 
 def static_regret_bound(n: int, k: int, T: int, G: float) -> float:
     """Closed-form guarantee for the linear-reward learner."""
-    if k == n:
-        return 0.0
     return 2.0 * G * math.sqrt(2.0 * k * T * math.log(n / k))
 
 
 def augmented_regret_bound(n: int, k: int, T: int, M: float) -> float:
     """Closed-form guarantee for admissible rewards."""
-    if k == n:
-        return 0.0
     return 4.0 * M * math.sqrt(k * T * math.log(n / k))
 
 
@@ -557,6 +544,4 @@ def optimistic_regret_bound(k: int, sq_distances: np.ndarray | list[float]) -> f
 
 def priced_regret_bound(n: int, k: int, T: int, G: float) -> float:
     """Guarantee on regret plus observation spend under priced feedback."""
-    if k == n:
-        return 0.0
     return 4.0 * G ** (2.0 / 3.0) * (k * math.log(n / k)) ** (1.0 / 3.0) * T ** (2.0 / 3.0)

@@ -229,7 +229,6 @@ class CoverageFunction(SetFunction):
                  scale: float = 1.0):
         if universe_size < 1:
             raise ValueError("universe must be nonempty")
-        self.universe_size = universe_size
         if isinstance(family, np.ndarray) and family.dtype == bool:
             if family.ndim != 2 or family.shape[1] != universe_size:
                 raise ValueError(f"an incidence of a universe of {universe_size} items "
@@ -251,6 +250,7 @@ class CoverageFunction(SetFunction):
         self.scale = float(scale)
         super().__init__(len(covers), value_bound=self.value(np.arange(len(covers))[None])[0],
                          monotone=True)
+        self._full_cache = self.value_bound  # the bound is the full union's value
 
     def _counts(self, sets: np.ndarray, prefixes: bool = False) -> np.ndarray:
         """The item count of the union of each row of the (b, m) index array
@@ -406,12 +406,14 @@ class MatchingRewardFunction(SetFunction):
 
 
 def distance_sup(f: SetFunction, h: ModularFunction) -> float | np.ndarray:
-    """max over all subsets of |f(S) - h(S)|.
+    """max over all subsets of |f(S) - h(S)|, or the b such gaps of a block
+    of (b, n) hint rows, each with the bits of its row alone.
 
     Modular-vs-modular has the O(n) closed form max(sum of positive gaps,
-    -sum of negative gaps); for two blocks of (b, n) rows it gives the b
-    gaps of their rows, each with the bits of its rows alone.  Anything else
-    is enumerated exactly, guarded by ``ENUM_MAX``.
+    -sum of negative gaps); a modular f then takes one vector or a block of
+    rows of the hints' shape.  Any other f is tabulated over all 2^n
+    subsets, guarded by ``ENUM_MAX``, and so are the hints, at most
+    ``PLAN_CELLS`` entries at a time (one hint's 2^n where that is more).
     """
     if f.n != h.n:
         raise ValueError("mismatched ground sets")
@@ -422,7 +424,12 @@ def distance_sup(f: SetFunction, h: ModularFunction) -> float | np.ndarray:
         gap = np.maximum(np.maximum(nu, 0.0).sum(axis=-1), -np.minimum(nu, 0.0).sum(axis=-1))
         return gap if gap.ndim else float(gap)
     _guard(f.n, ENUM_MAX, "a non-modular distance")
-    return float(np.abs(f.values_all() - h.values_all()).max())
+    F, rows = f.values_all(), np.atleast_2d(h.w)
+    gap, size = np.empty(len(rows)), max(1, PLAN_CELLS >> f.n)
+    for first in range(0, len(rows), size):
+        table = subset_table(rows[first:first + size], np.add)
+        gap[first:first + size] = np.abs(np.subtract(F, table, out=table), out=table).max(axis=1)
+    return gap if h.w.ndim == 2 else float(gap[0])
 
 
 def _guard(n: int, cap: int, what: str) -> None:

@@ -350,25 +350,26 @@ def test_coverage_hint_distances_come_from_tables_within_a_block(monkeypatch):
     # a coverage run tabulates its hints over all 2^n subsets, at most
     # PLAN_CELLS entries at a time (one hint's table where that is larger),
     # with the bits of distance_sup one hint at a time
+    from coreselect import setfn
     from coreselect.adversary import random_coverage
     from coreselect.blocks import PLAN_CELLS
     from coreselect.setfn import ModularFunction, distance_sup
 
-    real, tables = bench_module.subset_table, []
+    real, tables = setfn.subset_table, []
 
     def subset_table(rows, op):
         tables.append(rows.shape)
         return real(rows, op)
 
-    monkeypatch.setattr(bench_module, "subset_table", subset_table)
+    monkeypatch.setattr(setfn, "subset_table", subset_table)
     rng = np.random.default_rng(11)
     for n, b in ((3, 30), (12, 10), (15, 3)):
         f = random_coverage(n, 3 * n, rng)
         hints = rng.normal(size=(b, n)) * 2.0
         hints[0] = f.values_all()[1 << np.arange(n)]  # f on each singleton
+        want = [distance_sup(f, ModularFunction(h)) ** 2 for h in hints]
         result, tables = bench_module.ReplicaResult(None, np.full(7 + b, 1.5)), []
         bench_module._log_sq_distances(result, f, hints, 7)
-        want = [distance_sup(f, ModularFunction(h)) ** 2 for h in hints]
         assert result.sq_distances.tolist() == [1.5] * 7 + want
         assert sum(rows for rows, _ in tables) == b
         assert all(rows * 2 ** n <= max(PLAN_CELLS, 2 ** n) for rows, _ in tables)

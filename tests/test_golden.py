@@ -61,10 +61,11 @@ CONFIGS = {
                                       "policy": {"kind": kind},
                                       "adversary": {"kind": "coverage-drift"}}
        for kind in ("score", "semibandit")},
-    # k == n: the full selection, played a row at a time
-    "semibandit-modular-random-kn": {
-        **BASE, "k": 6, "policy": {"kind": "semibandit"},
-        "adversary": {"kind": "modular-random"}},
+    # k == n: the full selection, with nothing proposed or drawn; the priced
+    # run still tosses its coins
+    **{f"{kind}-modular-random-kn": {**BASE, "k": 6, "policy": {"kind": kind},
+                                     "adversary": {"kind": "modular-random"}}
+       for kind in ("score", "semibandit", "priced")},
     "oftrl-exact-coverage-drift-kn": {
         **BASE, "k": 6, "policy": {"kind": "oftrl", "mode": "exact"},
         "adversary": {"kind": "coverage-drift"}, "hints": NOISY},

@@ -1,6 +1,7 @@
 """Policy round mechanics, estimator properties, and regret accounting."""
 
 import math
+import re
 import warnings
 from dataclasses import fields
 
@@ -31,6 +32,7 @@ from coreselect.policy import (
     augmented_regret_bound,
     norm_bound,
     priced_epsilon,
+    priced_regret_bound,
     static_regret_bound,
 )
 from coreselect.sampling import (
@@ -109,6 +111,25 @@ def test_config_defaults():
 def test_config_degenerate_full_selection():
     cfg = ScoreConfig(n=4, k=4, T=10)
     assert cfg.eta == 0.0
+
+
+@pytest.mark.parametrize("G", [0.0, 1e-200, 1e-160, 1e200, math.inf])
+def test_tuned_eta_names_G_and_T_where_2_G2_T_cannot_be_divided_by(G):
+    # the tuned rate divides by 2 G^2 T: where that or its reciprocal is 0 or
+    # past the float range, the error names G and T, not a division by zero
+    # or the rate that came out of it
+    where = re.escape(f"G = {G!r} and T = 10 make 2 * G**2 * T")
+    with pytest.raises(ValueError, match=where):
+        ScoreConfig(n=4, k=2, T=10, G=G)
+    with pytest.raises(ValueError, match=where):
+        PricedPolicy.tuned_config(4, 2, 10, G, 1.0)
+    # an eta that is set needs no tuning
+    assert ScoreConfig(n=4, k=2, T=10, G=G, eta=0.5).eta == 0.5
+
+
+def test_tuned_eta_from_a_zero_value_bound_names_G_and_T():
+    with pytest.raises(ValueError, match=r"G = 0\.0 and T = 10 make"):
+        ScoreConfig(n=4, k=2, T=10, M=0.0)
 
 
 def test_config_validation():
@@ -389,6 +410,8 @@ def check_lanes_equal_each_lane_alone(make, draws, R, case, monkeypatch):
         assert a.selected.tobytes() == b.selected.astype(a.selected.dtype).tobytes()
         assert a.cost.tobytes() == b.cost.tobytes()
         assert pa.theta.tobytes() == pb.theta.tobytes() and pa.t == pb.t
+        if k == n:  # the full set, proposed as all ones
+            assert (b.p == 1.0).all() and (b.selected == np.arange(n)).all()
 
 
 @pytest.mark.parametrize("R", [2, 3, 25])
@@ -814,6 +837,41 @@ def test_optimistic_block_equals_its_rounds_one_step_each(mode, adversary):
     assert pol.rng.bit_generator.state == one.rng.bit_generator.state
 
 
+@pytest.mark.parametrize("R", [2, 3])
+@pytest.mark.parametrize("k", [3, 8])
+@pytest.mark.parametrize("mode", ["exact", "afw"])
+def test_optimistic_lanes_equal_each_lane_alone(mode, k, R):
+    # a group plays each lane through the row loop (k < n), or feeds it and
+    # plays the full set (k == n): each lane's record and state are what
+    # its own step gives
+    n, B = 8, 12
+    rng = np.random.default_rng([R, k])
+    G = rng.normal(size=(R, B, n))
+    H = G + 0.3 * rng.normal(size=(R, B, n))
+    cfg = ScoreConfig(n=n, k=k, T=B)
+
+    def lanes():
+        return [OftrlPolicy(cfg, np.random.default_rng(r), mode=mode) for r in range(R)]
+
+    alone, group = lanes(), lanes()
+    want = [pol.step(g, h) for pol, g, h in zip(alone, G, H)]
+    got = OftrlPolicy.play_lanes(group, list(G), list(H))
+    for a, b, pa, pb in zip(want, got, alone, group):
+        assert a.t == b.t == range(1, B + 1) and a.observed == b.observed
+        for name in ("p", "selected", "gvec", "cost"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+        assert pa.theta.tobytes() == pb.theta.tobytes()
+        assert pa.weighted_center.tobytes() == pb.weighted_center.tobytes()
+        assert (pa.sigma_sum, pa.delta_sum, pa.eps) == (pb.sigma_sum, pb.delta_sum, pb.eps)
+        assert pa.rng.bit_generator.state == pb.rng.bit_generator.state
+        if k < n:
+            assert pb.sigma_sum > 0.0 and pb.eps is not None
+        else:  # the full set, and theta fed every round
+            assert (b.p == 1.0).all() and (b.selected == np.arange(n)).all()
+            fed = running_sums(np.vstack([np.zeros(n), b.gvec]))
+            assert pb.theta.tobytes() == fed[-1].tobytes()
+
+
 def test_oftrl_augmented_regret_within_hint_bound():
     from coreselect.setfn import distance_sup
 
@@ -979,5 +1037,12 @@ def test_bound_helpers():
     assert augmented_regret_bound(20, 5, 10000, 1.0) == pytest.approx(
         4 * math.sqrt(5 * 10000 * math.log(4.0))
     )
-    assert static_regret_bound(5, 5, 100, 1.0) == 0.0
+    # at k == n, log(n/k) is 0.0, so each closed form gives +0.0 by itself
+    for value in (static_regret_bound(5, 5, 100, 1.5),
+                  augmented_regret_bound(5, 5, 100, 1.5),
+                  priced_regret_bound(5, 5, 100, 1.5),
+                  PricedPolicy.tuned_config(5, 5, 100, 1.5, 0.5).eta,
+                  PricedPolicy.tuned_config(5, 5, 100, 1.5, 0.5, epsilon=0.3).eta,
+                  ScoreConfig(n=5, k=5, T=100).eta):
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
     assert norm_bound(2.0, 3.0) == pytest.approx(6.0 * math.sqrt(2))

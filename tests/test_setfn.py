@@ -250,6 +250,35 @@ def test_distance_sup_enumerated_for_coverage():
     assert distance_sup(f, h) == brute_distance(f, h)
 
 
+@pytest.mark.parametrize("cells", [1, 40, 100, 16384])
+def test_distance_sup_takes_a_block_of_hints_for_a_tabulated_reward(cells, monkeypatch):
+    # a block of (b, n) hints gives b gaps, each with the bits of its hint
+    # alone, from tables of the hints over all 2^n subsets that hold at most
+    # PLAN_CELLS entries each (one hint's 2^n where that is more)
+    rng = np.random.default_rng(cells)
+    real, tables = setfn.subset_table, []
+
+    def subset_table(rows, op):
+        if op is np.add:
+            tables.append(rows.shape[0])
+        return real(rows, op)
+
+    monkeypatch.setattr(setfn, "PLAN_CELLS", cells)
+    monkeypatch.setattr(setfn, "subset_table", subset_table)
+    for f in (random_coverage(6, 18, rng), TableFunction(rng.random(1 << 5)),
+              MatchingRewardFunction(rng.random((2, 2)))):
+        F, H = f.values_all(), rng.normal(size=(13, f.n))
+        H[0] = 0.0
+        want = [float(np.abs(F - real(h, np.add)).max()) for h in H]
+        tables.clear()
+        got = distance_sup(f, ModularFunction(H))
+        assert got.tolist() == want
+        assert sum(tables) == len(H)
+        assert all(rows << f.n <= max(cells, 1 << f.n) for rows in tables)
+        one = distance_sup(f, ModularFunction(H[1]))
+        assert type(one) is float and one == want[1]
+
+
 def test_distance_sup_size_guard():
     class Big(SetFunction):
         def __init__(self):
