@@ -385,7 +385,7 @@ def _groups(cfg: ExperimentConfig, workers: int) -> list[range]:
     are cut into one contiguous share per worker, and each share into
     groups of at most ``_group_size(cfg)``."""
     size, R = _group_size(cfg), cfg.replicas
-    shares = max(1, min(workers, R))
+    shares = min(workers, R)
     cuts = [R * i // shares for i in range(shares + 1)]
     return [range(first, min(first + size, stop))
             for start, stop in zip(cuts, cuts[1:]) for first in range(start, stop, size)]
@@ -465,12 +465,15 @@ def run_replicas(cfg: ExperimentConfig, workers: int = 1,
     contiguous share of them per worker; the merge order keeps output
     deterministic.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     groups = _groups(cfg, workers)
-    if workers <= 1 or len(groups) == 1:
+    if workers == 1 or len(groups) == 1:
         return [f for group in groups for f in _group_summaries(cfg, group, out_dir)]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # a forking pool starts all of its workers on its first submit
+    with ProcessPoolExecutor(max_workers=min(workers, len(groups))) as pool:
         futures = [pool.submit(_group_summaries, cfg, group, out_dir) for group in groups]
         return [f for future in futures for f in future.result()]
 

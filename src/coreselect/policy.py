@@ -293,6 +293,7 @@ def priced_epsilon(n: int, k: int, T: int, G: float, cost: float) -> float:
     """Observation rate balancing estimation variance against total price."""
     if k == n:
         return 1.0
+    _check_tuning(G, T)
     eps = (2.0 * G * G * k * math.log(n / k) / (T * cost * cost)) ** (1.0 / 3.0)
     if not (0.0 < eps <= 1.0):
         warnings.warn(

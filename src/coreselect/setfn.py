@@ -110,6 +110,10 @@ class SetFunction:
 
     ``value_bound`` is an upper bound M on f; ``monotone`` is the caller's
     declaration, trusted by the policies and spot-checked by the diagnostics.
+
+    A subclass defines ``value`` or ``value_mask``; each defaults to the
+    other.  A reward family's ``value`` is its one valuation body, on a
+    run's (b, k) sets, and one set is a run of one row (``_run``).
     """
 
     def __init__(self, n: int, value_bound: float, monotone: bool = True):
@@ -122,12 +126,30 @@ class SetFunction:
         self._full_cache: float | None = None
 
     def value_mask(self, mask: int) -> float:
-        raise NotImplementedError
+        """f of the set of the bits of ``mask``."""
+        return self.value(indices_of(mask))
 
     def value(self, indices: Iterable[int]) -> float:
-        """f of one set of indices; the families a run rewards override it to
-        also take a run's (b, k) sets and return their b values."""
+        """f of one set of indices."""
         return self.value_mask(mask_of(indices))
+
+    def _run(self, indices: Iterable[int] | np.ndarray,
+             rounds: int | None = None) -> tuple[np.ndarray, bool]:
+        """``indices`` as the (b, k) sets of a run, and whether they were one
+        set.  A (b, k) index array is taken as it is, but a block of
+        ``rounds`` rewards takes exactly one set per round; one set of
+        indices becomes a run of one row, each index checked to lie in
+        [0, n)."""
+        if isinstance(indices, np.ndarray) and indices.ndim == 2:
+            if rounds is not None and len(indices) != rounds:
+                raise ValueError(f"a block of {rounds} rounds takes {rounds} sets, "
+                                 f"one per round, got {len(indices)}")
+            return indices, False
+        row = np.array([list(indices)], dtype=np.intp)
+        outside = row[(row < 0) | (row >= self.n)]
+        if outside.size:
+            raise ValueError(f"index {outside[0]} is outside the ground set [0, {self.n})")
+        return row, True
 
     def full_value(self) -> float:
         if self._full_cache is None:
@@ -162,11 +184,12 @@ class SetFunction:
 class ModularFunction(SetFunction):
     """f(S) = sum of per-element coefficients over S.
 
-    ``w`` may also be a (B, n) block of coefficient vectors, the rewards of
-    B rounds as rows: ``value`` then takes a (B, k) index array, one set per
-    row, and returns the B rewards, and ``total`` and ``full_value`` hold
-    the B row totals, each with the bits of its row alone.  The block is
-    monotone if every row is, and bounded by the largest row bound.
+    ``value`` takes one set or a run's (b, k) sets, valued by one
+    gather-sum.  ``w`` may also be a (B, n) block of coefficient vectors,
+    the rewards of B rounds as rows, which takes one set per row; ``total``
+    and ``full_value`` then hold the B row totals, each with the bits of
+    its row alone.  The block is monotone if every row is, and bounded by
+    the largest row bound.
     """
 
     def __init__(self, w: np.ndarray):
@@ -190,14 +213,12 @@ class ModularFunction(SetFunction):
                              "ModularFunction(w[i]) is round i's reward")
         return self.w
 
-    def value_mask(self, mask: int) -> float:
-        return float(self._vector()[list(indices_of(mask))].sum())
-
     def value(self, indices: Iterable[int] | np.ndarray) -> float | np.ndarray:
-        if self.w.ndim == 2:  # one gather-sum: row i sums w[i] over indices[i]
-            return np.take_along_axis(self.w, indices, axis=1).sum(axis=1)
-        idx = list(indices)
-        return float(self.w[idx].sum()) if idx else 0.0
+        sets, one = self._run(indices, len(self.w) if self.w.ndim == 2 else None)
+        # one gather-sum: row i sums w[i], or the one w, over sets[i]
+        w = self._vector() if one else self.w
+        out = np.take_along_axis(np.atleast_2d(w), sets, axis=1).sum(axis=1)
+        return float(out[0]) if one else out
 
     def full_value(self) -> float:
         return self.total
@@ -276,13 +297,10 @@ class CoverageFunction(SetFunction):
                 counts[i:i + step] = np.bitwise_count(union).sum(axis=-1)
         return counts
 
-    def value_mask(self, mask: int) -> float:
-        return float(self.value(np.array([indices_of(mask)], dtype=np.intp))[0])
-
     def value(self, indices: Iterable[int] | np.ndarray) -> float | np.ndarray:
-        if isinstance(indices, np.ndarray) and indices.ndim == 2:
-            return self.scale * self._counts(indices)
-        return self.value_mask(mask_of(indices))
+        sets, one = self._run(indices)
+        out = self.scale * self._counts(sets)
+        return float(out[0]) if one else out
 
     def _enumerate_values(self) -> np.ndarray:
         return self.scale * np.bitwise_count(subset_table(self.words.T, np.bitwise_or)).sum(axis=0)
@@ -301,12 +319,12 @@ class MatchingRewardFunction(SetFunction):
     subset that does not pick equally many U and V vertices (or picks none)
     evaluates to 0.
 
-    ``w`` may also be a (P, m, m) stack of matrices with ``phase``, each
-    round's index into it: the rewards of a block of rounds, round i's
-    being ``w[phase[i]]``.  ``value`` then takes the block's (b, k) sets,
-    one per round, and ``full_value`` returns the b full-set values, each
-    with the bits of its round's reward alone.  A stack is bounded by its
-    largest matrix's bound.
+    ``value`` takes one set or a run's (b, k) sets: b sets of one matrix,
+    or one set per round of a block, whose ``w`` is a (P, m, m) stack of
+    matrices with ``phase``, each round's index into it, round i's reward
+    being ``w[phase[i]]``.  A block's ``full_value`` is its b full-set
+    values, each with the bits of its round's reward alone.  A stack is
+    bounded by its largest matrix's bound.
     """
 
     def __init__(self, w: np.ndarray, phase: np.ndarray | None = None):
@@ -328,51 +346,38 @@ class MatchingRewardFunction(SetFunction):
         super().__init__(2 * self.m, value_bound=float(self.m * w.max()) if w.size else 0.0,
                          monotone=False)
 
-    def _matrix(self) -> np.ndarray:
-        """``w`` of one round's reward: a block has no value on one set."""
-        if self.phase is not None:
-            raise ValueError("a block of matching rewards takes one set per round; "
-                             "MatchingRewardFunction(w[phase[i]]) is round i's reward")
-        return self.w
-
-    def split(self, indices: Iterable[int]) -> tuple[list[int], list[int]]:
-        rows, cols = [], []
-        for i in indices:
-            (rows if i < self.m else cols).append(i if i < self.m else i - self.m)
-        return rows, cols
-
     def is_balanced(self, indices: Iterable[int]) -> bool:
-        rows, cols = self.split(indices)
-        return len(rows) == len(cols) and len(rows) > 0
+        in_u = [i < self.m for i in indices]
+        return 0 < 2 * sum(in_u) == len(in_u)
 
     def value(self, indices: Iterable[int] | np.ndarray) -> float | np.ndarray:
         """The value of one set, or of each row of a (b, k) index array:
         the rounds of a block, or b sets of this one reward.
 
-        Each row's value has the bits of ``_value`` on it.  One gather takes
-        the h x h submatrix of every balanced row (h = k / 2), its U entries
-        first and then its V entries, each in the row's order, as ``split``
-        gives them; the solver takes one matrix per call, and one gather-sum
-        adds up the matched entries.
+        One gather takes the h x h submatrix of every balanced row
+        (h = k / 2), its U entries first and then its V entries, each in the
+        row's order; the solver takes one matrix per call, and one
+        gather-sum adds up the matched entries.  Other rows are worth 0.
         """
-        if not (isinstance(indices, np.ndarray) and indices.ndim == 2):
-            return self._value(indices)
-        b, k = indices.shape
+        sets, one = self._run(indices, None if self.phase is None else len(self.phase))
+        if one and self.phase is not None:
+            raise ValueError("a block of matching rewards takes one set per round; "
+                             "MatchingRewardFunction(w[phase[i]]) is round i's reward")
+        b, k = sets.shape
         out = np.zeros(b)
-        in_u = indices < self.m
+        in_u = sets < self.m
         h = k // 2
         rows = np.flatnonzero(in_u.sum(axis=1) == h) if h and k == 2 * h else []
-        if not len(rows):
-            return out
-        sets = indices[rows]
-        sets = np.take_along_axis(sets, np.argsort(~in_u[rows], axis=1, kind="stable"),
-                                  axis=1)
-        phase = self.phase[rows] if self.phase is not None else np.zeros_like(rows)
-        sub = self._stack[phase[:, None, None], sets[:, :h, None], sets[:, None, h:] - self.m]
-        solve = assignment_solver()
-        cols = np.array([solve(s)[1] for s in sub])
-        out[rows] = sub[np.arange(len(rows))[:, None], np.arange(h), cols].sum(axis=1)
-        return out
+        if len(rows):
+            picked = np.take_along_axis(
+                sets[rows], np.argsort(~in_u[rows], axis=1, kind="stable"), axis=1)
+            phase = self.phase[rows] if self.phase is not None else np.zeros_like(rows)
+            sub = self._stack[phase[:, None, None], picked[:, :h, None],
+                              picked[:, None, h:] - self.m]
+            solve = assignment_solver()
+            cols = np.array([solve(s)[1] for s in sub])
+            out[rows] = sub[np.arange(len(rows))[:, None], np.arange(h), cols].sum(axis=1)
+        return float(out[0]) if one else out
 
     def full_value(self) -> float | np.ndarray:
         """f of the whole ground set, or a block's b per-round values: each
@@ -383,18 +388,6 @@ class MatchingRewardFunction(SetFunction):
             self._full_cache = (totals[self.phase] if self.phase is not None
                                 else float(totals[0]))
         return self._full_cache
-
-    def _value(self, indices: Iterable[int]) -> float:
-        w = self._matrix()
-        rows, cols = self.split(indices)
-        if len(rows) != len(cols) or not rows:
-            return 0.0
-        sub = w[np.array(rows)[:, None], cols]
-        r, c = linear_sum_assignment(sub)
-        return float(sub[r, c].sum())
-
-    def value_mask(self, mask: int) -> float:
-        return self._value(indices_of(mask))
 
     def balanced_masks(self) -> list[int]:
         """All nonempty balanced subsets, as bitmasks."""

@@ -23,6 +23,7 @@ from coreselect.bench import (
     lower_bound_experiment,
     run_experiment,
     run_replica,
+    run_replicas,
     sweep,
 )
 from coreselect.cli import main
@@ -189,6 +190,45 @@ def test_lane_groups_split_among_workers_keep_replica_order(tmp_path):
         two = run_experiment(cfg, out_dir=out / "two", workers=2)
         assert one == two
         assert outputs(out / "one") == outputs(out / "two")
+
+
+def test_run_replicas_asks_the_pool_for_at_most_one_worker_per_group(monkeypatch):
+    # a forking pool starts all of its workers on its first submit: the fake
+    # records the size asked for and runs each group inline, starting none
+    import concurrent.futures
+
+    sizes = []
+
+    class Inline:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    cfg = ExperimentConfig.from_dict(base_config(T=10, replicas=2))
+    alone = run_replicas(cfg, workers=1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Inline)
+    assert run_replicas(cfg, workers=5000) == alone
+    assert sizes == [2]
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_cli_run_names_a_worker_count_below_one(workers, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(T=10, replicas=2)))
+    assert main(["run", "--config", str(cfg_path), "--workers", workers]) == 2
+    assert f"workers must be at least 1, got {workers}" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        run_replicas(ExperimentConfig.from_dict(base_config(T=10)), workers=int(workers))
 
 
 def test_a_failing_lane_names_its_round_and_ends_its_group(monkeypatch, tmp_path):

@@ -123,6 +123,8 @@ def test_tuned_eta_names_G_and_T_where_2_G2_T_cannot_be_divided_by(G):
         ScoreConfig(n=4, k=2, T=10, G=G)
     with pytest.raises(ValueError, match=where):
         PricedPolicy.tuned_config(4, 2, 10, G, 1.0)
+    with pytest.raises(ValueError, match=where):
+        priced_epsilon(4, 2, 10, G, 1.0)
     # an eta that is set needs no tuning
     assert ScoreConfig(n=4, k=2, T=10, G=G, eta=0.5).eta == 0.5
 

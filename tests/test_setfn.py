@@ -18,6 +18,7 @@ from coreselect.setfn import (
     distance_sup,
     estimate_rho,
     indices_of,
+    linear_sum_assignment,
     mask_of,
 )
 
@@ -99,6 +100,72 @@ def test_block_gather_sum_matches_each_row_alone(n):
             want = [float(row[idx].sum()) for row, idx in zip(w, sets.tolist())]
             assert w[np.arange(B)[:, None], sets].sum(axis=1).tolist() == want
             assert ModularFunction(w).value(sets).tobytes() == np.array(want).tobytes()
+
+
+def test_one_round_modular_reward_values_a_run_row_by_row():
+    rng = np.random.default_rng(3)
+    w = rng.standard_normal(9) * 10.0 ** rng.uniform(-5.0, 5.0, 9)
+    w[4] = -0.0
+    f = ModularFunction(w)
+    for k in (0, 1, 4, 9):
+        sets = rng.permuted(np.tile(np.arange(9), (6, 1)), axis=1)[:, :k]
+        want = [float(w[s].sum()) for s in sets.tolist()]
+        assert [f.value(s) for s in sets.tolist()] == want
+        got = f.value(sets)
+        assert got.shape == (6,) and got.tobytes() == np.array(want).tobytes()
+    assert ModularFunction([1, 2, 3, 4]).value(np.array([[0, 1], [2, 3]])).tolist() == [3, 7]
+
+
+def test_a_block_takes_one_set_per_round():
+    # a run of sets that is not one per round names both counts
+    rng = np.random.default_rng(4)
+    modular = ModularFunction(rng.random((3, 6)))
+    matching = MatchingRewardFunction(rng.random((2, 3, 3)), np.array([0, 0, 1, 1]))
+    for f, b, rounds in ((modular, 1, 3), (modular, 2, 3), (modular, 4, 3),
+                         (matching, 2, 4), (matching, 5, 4)):
+        sets = np.tile(np.array([0, 3]), (b, 1))
+        with pytest.raises(ValueError, match=f"block of {rounds} rounds takes {rounds} sets, "
+                                             f"one per round, got {b}$"):
+            f.value(sets)
+    assert modular.value(np.tile(np.array([0, 3]), (3, 1))).shape == (3,)
+    assert matching.value(np.tile(np.array([0, 3]), (4, 1))).shape == (4,)
+
+
+@pytest.mark.parametrize("f", [
+    ModularFunction(np.arange(1.0, 5.0)),
+    CoverageFunction([[0], [1, 2], [2], []], 3),
+    MatchingRewardFunction(np.arange(1.0, 5.0).reshape(2, 2)),
+], ids=["modular", "coverage", "matching"])
+def test_a_set_with_an_index_outside_the_ground_set_is_an_error(f):
+    assert f.n == 4
+    for indices in ([4], [0, 2, 4], [-1], [1, -1], np.array([0, 7])):
+        with pytest.raises(ValueError, match=r"outside the ground set \[0, 4\)"):
+            f.value(indices)
+    assert f.value([0, 3]) == f.value(np.array([0, 3]))
+
+
+def contract_families():
+    """A reward of each family on 8 elements, with ties and signed zeros."""
+    rng = np.random.default_rng(8)
+    w = np.round(rng.standard_normal(8), 1)
+    w[[1, 6]] = -0.0, 0.0
+    family = [rng.choice(20, size=int(rng.integers(0, 6)), replace=False) for _ in range(8)]
+    return [ModularFunction(w), CoverageFunction(family, 20, scale=0.05),
+            MatchingRewardFunction(np.round(rng.random((4, 4)) * 3))]
+
+
+@pytest.mark.parametrize("f", contract_families(), ids=["modular", "coverage", "matching"])
+def test_one_set_is_a_run_of_one_row(f):
+    # value(S) is value of the run [S], and value_mask(m) is value of m's set
+    rng = np.random.default_rng(f.n)
+    for k in range(f.n + 1):
+        for s in rng.permuted(np.tile(np.arange(f.n), (5, 1)), axis=1)[:, :k]:
+            got = f.value(s.tolist())
+            assert type(got) is float
+            assert np.float64(got).tobytes() == f.value(s[None])[:1].tobytes()
+    for m in range(1 << f.n):
+        assert np.float64(f.value_mask(m)).tobytes() == \
+            np.float64(f.value(indices_of(m))).tobytes()
 
 
 def test_coverage_against_union_counting():
@@ -383,12 +450,26 @@ def test_matching_reward_unbalanced_is_zero():
     assert f.is_balanced([0, 2])
 
 
+def matching_value_reference(w, indices):
+    """The matching value of one set on the matrix w, written out: split
+    into its U and V entries, each in the set's order, and the assignment
+    of the submatrix they pick (0 for an empty or unbalanced set)."""
+    m = len(w)
+    rows = [i for i in indices if i < m]
+    cols = [i - m for i in indices if i >= m]
+    if len(rows) != len(cols) or not rows:
+        return 0.0
+    sub = w[np.array(rows)[:, None], cols]
+    r, c = linear_sum_assignment(sub)
+    return float(sub[r, c].sum())
+
+
 def matching_values_reference(f, sets):
-    """The values of a matching block written out: ``_value`` of each set
-    on its round's matrix, one set at a time."""
+    """The values of a matching block written out: each set on its round's
+    matrix, one set at a time."""
     stack = f.w if f.phase is not None else f.w[None]
     phase = f.phase if f.phase is not None else np.zeros(len(sets), dtype=int)
-    return np.array([MatchingRewardFunction(stack[p])._value(row)
+    return np.array([matching_value_reference(stack[p], row)
                      for p, row in zip(phase.tolist(), sets.tolist())])
 
 
@@ -428,7 +509,7 @@ def test_matching_block_values_equal_the_sets_one_at_a_time(m, k, b, P, ties):
     # the full values, one per round, each its own matrix's
     full = [MatchingRewardFunction(w[p]).full_value() for p in phase.tolist()]
     assert block.full_value().tobytes() == np.array(full).tobytes()
-    assert one.full_value() == one._value(range(2 * m))
+    assert one.full_value() == matching_value_reference(w[0], range(2 * m))
 
 
 def test_matching_block_has_no_value_on_one_set():
