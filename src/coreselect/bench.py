@@ -4,13 +4,17 @@ Every policy kind runs through one replica loop, which advances a group of
 replicas, its lanes, together, a block at a time.  It packs each lane's
 ``(reward, rounds)`` runs into blocks of up to ``block_rounds(n)`` rounds,
 plays block b of every lane with one ``play_lanes``, which sees only the
-runs' proxy vectors (and hints), values the drawn sets of each run with one
-``value`` call, and folds each lane's block into its ``RegretLedger`` and,
-when an output directory is set, into its CSV, so no block outlives its
-rows.  The semi-bandit plays its lanes in lockstep, round by round; the
-score and priced policies play their lanes' blocks as one stacked block;
-the optimistic policy plays groups of one.  The CSV layout per replica is
-one row per round::
+runs' proxy vectors (and hints), and folds each lane's block into its
+``RegretLedger`` and, when an output directory is set, into its CSV, so no
+block outlives its rows.  A group's block is revealed and valued as one
+reward where it can be: each run's modular or matching rewards are joined
+across the lanes, so one core-strategy call gives every lane's proxy
+vectors and one ``value`` and one ``full_value`` call value every lane's
+drawn sets; other rewards take one call per run of each lane.  The
+semi-bandit plays its lanes in lockstep, round by round; the score and
+priced policies play their lanes' blocks as one stacked block; the
+optimistic policy plays groups of one.  The CSV layout per replica is one
+row per round::
 
     round,reward,full_reward,cum_reward,cum_benchmark,aug_regret,static_regret,observed,cum_cost
 
@@ -58,7 +62,13 @@ from .policy import (
     priced_regret_bound,
     static_regret_bound,
 )
-from .setfn import CoverageFunction, ModularFunction, SetFunction, distance_sup
+from .setfn import (
+    CoverageFunction,
+    MatchingRewardFunction,
+    ModularFunction,
+    SetFunction,
+    distance_sup,
+)
 
 SCHEMA_VERSION = 1
 CSV_HEADER = "round,reward,full_reward,cum_reward,cum_benchmark,aug_regret,static_regret,observed,cum_cost"
@@ -251,76 +261,151 @@ def _reward_blocks(runs: Iterator[tuple[SetFunction, int]], size: int
         yield block
 
 
-def _reveal(cfg: ExperimentConfig, adv: Adversary, replica: int, rngs: dict,
-            result: ReplicaResult
-            ) -> Iterator[tuple[list[tuple[SetFunction, slice]], np.ndarray, np.ndarray | None]]:
-    """Each block of one replica's runs, revealed from its own generators:
-    the block's ``(f, rows)`` runs, their proxy vectors as (B, n) rows, and
-    their hints, which only the optimistic policy gets (else None).
-
-    A run's proxy vectors come from one core-strategy call (a failing one
-    ends the replica's group before its block is played, naming the replica
-    and the run's rounds, or the part of them that its error's ``rows``
-    gives), and a block's hints from one call; rewards on at most 16
-    elements then log their squared sup-distances for the optimistic bound.
-    """
-    strategy = adv.core_strategy(rngs["strategy"])
-    spec = None
-    if cfg.policy.kind == "oftrl":
-        spec = cfg.hints if cfg.hints is not None else HintSpec("perfect")
-        result.sq_distances = np.empty(cfg.T) if cfg.n <= 16 else None
-    t = 0  # the rounds revealed so far
-    for block in _reward_blocks(adv.rounds(cfg.T, rngs["adversary"]), block_rounds(cfg.n)):
-        B = block[-1][1].stop
-        G = np.empty((B, cfg.n))
-        for f, rows in block:
-            try:
-                G[rows] = strategy(f, rows.stop - rows.start)
-            except Exception as exc:
-                # an error may name the rows of the run it is about
-                part = getattr(exc, "rows", range(rows.stop - rows.start))
-                first, last = t + rows.start + part[0] + 1, t + rows.start + part[-1] + 1
-                where = f"round {first}" if first == last else f"rounds {first}-{last}"
-                raise RuntimeError(
-                    f"replica {replica}: core strategy failed on {where}: {exc}") from exc
-        hints = None if spec is None else generate_hints(G, spec, rngs["hints"])
-        for f, rows in block:
-            if result.sq_distances is not None:
-                _log_sq_distances(result, f, hints[rows], t + rows.start)
-        yield block, G, hints
-        t += B
-
-
 def _group_blocks(cfg: ExperimentConfig, adv: Adversary, replicas: range, policies: list,
                   rngs: list[dict], results: list[ReplicaResult]
                   ) -> Iterator[list[tuple[RoundRecord, np.ndarray, np.ndarray]]]:
-    """Each block of the rounds of the lane group ``replicas``: block b is
-    revealed for every lane, then played by the group with one
-    ``play_lanes`` (by a lone replica with its ``step``), which sees only
-    the lanes' proxy vectors (and hints); then each lane's drawn sets are
-    valued, one ``value`` call per run.
+    """Each block of the rounds of the lane group ``replicas``, revealed,
+    played and valued as one reward per run where the lanes' rewards of
+    the run join (:func:`_joins`): one core-strategy call gives the proxy
+    vectors of every lane (a call that raises is redone lane by lane, so an
+    error names the first lane that fails alone, with its rounds); the
+    group plays the block with one ``play_lanes`` (a lone replica with its
+    ``step``), which sees only the lanes' proxy vectors (and the hints that
+    only the optimistic policy gets); then one ``value`` and one
+    ``full_value`` call value every lane's drawn sets.  Rewards that do not
+    join are revealed and valued lane by lane, one call per run.
     Yields each lane's record and its rounds' rewards and full-set rewards.
 
     The replicas of a config share the block layout, since the adversaries'
     runs are cut by (T, n, phases) only, so every lane's block b has the
-    same rounds.
+    same rounds.  Rewards on at most 16 elements log their squared
+    sup-distances from the hints for the optimistic bound.
     """
-    lanes = [_reveal(cfg, adv, *lane) for lane in zip(replicas, rngs, results)]
-    for revealed in zip(*lanes):
-        G = [g for _, g, _ in revealed]
-        hints = None if revealed[0][2] is None else [h for _, _, h in revealed]
+    n = cfg.n
+    strategies = [adv.core_strategy(rng["strategy"]) for rng in rngs]
+    spec = None
+    if cfg.policy.kind == "oftrl":
+        spec = cfg.hints if cfg.hints is not None else HintSpec("perfect")
+        for result in results:
+            result.sq_distances = np.empty(cfg.T) if n <= 16 else None
+    streams = [_reward_blocks(adv.rounds(cfg.T, rng["adversary"]), block_rounds(n))
+               for rng in rngs]
+    t = 0  # the rounds revealed so far
+    for blocks in zip(*streams):
+        G, rewards = _reveal_block(blocks, strategies, cfg.k, t, replicas)
+        hints = None
+        if spec is not None:
+            hints = [generate_hints(g, spec, rng["hints"]) for g, rng in zip(G, rngs)]
+            for result, block, h in zip(results, blocks, hints):
+                for f, rows in block:
+                    if result.sq_distances is not None:
+                        _log_sq_distances(result, f, h[rows], t + rows.start)
         if len(policies) > 1:
-            records = type(policies[0]).play_lanes(policies, G, hints)
+            records = type(policies[0]).play_lanes(policies, list(G), hints)
         else:  # kept only for perfbench's spans, which time step (ROADMAP item 13)
             records = [policies[0].step(G[0], None if hints is None else hints[0])]
-        played = []
-        for (block, _, _), record in zip(revealed, records):
-            reward, full = np.empty(len(record.t)), np.empty(len(record.t))
-            for f, rows in block:
-                reward[rows] = f.value(record.selected[rows])
-                full[rows] = f.full_value()
-            played.append((record, reward, full))
-        yield played
+        yield _value_block(records, rewards)
+        t += G.shape[1]
+
+
+def _reveal_block(blocks: tuple, strategies: list, k: int, t: int,
+                  replicas: range) -> tuple[np.ndarray, list]:
+    """The proxy vectors of block b of each lane, which starts after round t,
+    as (R, B, n) rows, and each run's rows with its rewards, each with the
+    range of lanes it reveals and values.  Where the lanes' rewards of a
+    run join, one strategy call on each joined reward gives its lanes' rows;
+    a joined call that raises, and every other reward, takes one call per
+    lane, the lanes in order, so that an error names the first lane that
+    fails alone."""
+    runs = [rows for _, rows in blocks[0]]
+    G = np.empty((len(blocks), runs[-1].stop, blocks[0][0][0].n))
+    rewards, joined = [], []
+    for j, rows in enumerate(runs):
+        b = rows.stop - rows.start
+        rewards.append((rows, []))
+        for chunk, f in _joins([block[j][0] for block in blocks], b, k):
+            try:
+                vectors = strategies[chunk.start](f, len(chunk) * b)
+                G[chunk.start:chunk.stop, rows] = vectors.reshape(len(chunk), b, -1)
+            except Exception:  # redone lane by lane below
+                continue
+            rewards[-1][1].append((chunk, f))
+        joined.append({r for chunk, _ in rewards[-1][1] for r in chunk})
+    for r, block in enumerate(blocks):
+        for (f, rows), (_, run), done in zip(block, rewards, joined):
+            if r not in done:
+                _lane_vectors(strategies[r], f, G[r], rows, t, replicas[r])
+                run.append((range(r, r + 1), f))
+    return G, rewards
+
+
+def _value_block(records: list[RoundRecord], rewards: list
+                 ) -> list[tuple[RoundRecord, np.ndarray, np.ndarray]]:
+    """Each lane's record with its rounds' rewards and full-set rewards: one
+    ``value`` and one ``full_value`` call per reward of each run, on the
+    stacked sets of the lanes it values."""
+    reward, full = np.empty((2, len(records), len(records[0].t)))
+    for rows, run in rewards:
+        for chunk, f in run:
+            sets = np.concatenate([records[r].selected[rows] for r in chunk])
+            reward[chunk.start:chunk.stop, rows] = f.value(sets).reshape(len(chunk), -1)
+            full[chunk.start:chunk.stop, rows] = np.reshape(f.full_value(), (len(chunk), -1))
+    return list(zip(records, reward, full))
+
+
+def _lane_vectors(strategy, f: SetFunction, G: np.ndarray, rows: slice, t: int,
+                  replica: int) -> None:
+    """One lane's proxy vectors of its run f, written into the rows ``rows``
+    of its block G, which starts after round t, from one call of its core
+    strategy.  A failing call names the replica and the run's rounds, or
+    the part of them that its error's ``rows`` gives."""
+    b = rows.stop - rows.start
+    try:
+        G[rows] = strategy(f, b)
+    except Exception as exc:
+        part = getattr(exc, "rows", range(b))
+        first, last = t + rows.start + part[0] + 1, t + rows.start + part[-1] + 1
+        where = f"round {first}" if first == last else f"rounds {first}-{last}"
+        raise RuntimeError(
+            f"replica {replica}: core strategy failed on {where}: {exc}") from exc
+
+
+def _joins(rewards: list[SetFunction], b: int, k: int) -> list[tuple[range, SetFunction]]:
+    """The lanes' rewards of one run of b rounds, joined into one reward per
+    chunk of consecutive lanes: modular rewards of b rows by their rows,
+    matching rewards of b rounds by their stacks of phase matrices, each
+    lane's phase indices offset by the matrices of the lanes before it.  A
+    chunk holds as many lanes as keep what the joined reward makes (a
+    modular reward's rows; the dual solve's (P, m, m) arrays and the
+    valuation's (b, h, h) gather of a matching reward, h = k / 2) within
+    max(PLAN_CELLS, one lane's own) cells.  A chunk of one lane is not
+    joined, nor are other rewards, such as coverage rewards, whose strategy
+    draws from each lane's own generator; the modular and matching
+    strategies draw nothing."""
+    if len(rewards) < 2:
+        return []
+    if all(isinstance(f, ModularFunction) and f.w.ndim == 2 and len(f.w) == b
+           for f in rewards):
+        cells = rewards[0].w.size
+
+        def join(fs):
+            return ModularFunction(np.concatenate([f.w for f in fs]))
+    elif all(isinstance(f, MatchingRewardFunction) and f.phase is not None and
+             len(f.phase) == b for f in rewards):
+        cells = max(max(f.w.size for f in rewards), b * (k // 2) ** 2)
+
+        def join(fs):
+            offsets = np.cumsum([0] + [len(f.w) for f in fs[:-1]]).tolist()
+            return MatchingRewardFunction(np.concatenate([f.w for f in fs]), np.concatenate(
+                [f.phase + offset for f, offset in zip(fs, offsets)]))
+    else:
+        return []
+    size, R = PLAN_CELLS // cells, len(rewards)
+    if size < 2:
+        return []
+    # a chunk that starts at the last lane would hold it alone
+    return [(range(first, min(first + size, R)), join(rewards[first:first + size]))
+            for first in range(0, R - 1, size)]
 
 
 def _log_sq_distances(result: ReplicaResult, f: SetFunction, hints: np.ndarray,

@@ -352,7 +352,12 @@ def marginal_strategy(rng: np.random.Generator | None = None):
 def matching_dual_strategy():
     """Optimal assignment duals of a matching reward: one ``hungarian_duals``
     call per run, on its stack of phase matrices for a block (on its one
-    matrix otherwise), and each round's row the duals of its phase.
+    matrix otherwise), and each round's row the duals of its phase.  The
+    run may be the joined runs of a lane group's block, their stacks one
+    after another, so one call reveals every lane.  The matrices' matching
+    values that the call returns become the reward's ``totals``, its
+    full-set values, so each matrix's assignment is solved once; they have
+    the bits ``full_value`` solves for.  Nothing is drawn.
 
     A matrix whose duals fail names its phase's rounds: the error's
     ``rows`` is the range of the run's rows that are that phase's."""
@@ -362,12 +367,13 @@ def matching_dual_strategy():
             raise TypeError("matching_dual_strategy needs MatchingRewardFunction rewards")
         phase = np.zeros(b, dtype=np.intp) if f.phase is None else f.phase
         try:  # looked up on the module, where perfbench/spans.py wraps it
-            u, v, _, _ = hungarian_duals(f.w)
+            u, v, _, value = hungarian_duals(f.w)
         except DualsError as exc:
             rows = np.flatnonzero(phase == exc.index)
             if rows.size:  # a matrix no round plays names no rows
                 exc.rows = range(rows[0], rows[-1] + 1)
             raise
+        f.totals = np.atleast_1d(value)
         return np.concatenate([u, v], axis=-1).reshape(-1, f.n)[phase]
 
     return strategy

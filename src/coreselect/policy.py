@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .adversary import _check_real
 from .blocks import row_dots, running_sums
 from .hypersimplex import (
     QuadraticObjective,
@@ -290,10 +291,14 @@ class SemiBanditPolicy(ScorePolicy):
 
 
 def priced_epsilon(n: int, k: int, T: int, G: float, cost: float) -> float:
-    """Observation rate balancing estimation variance against total price."""
+    """Observation rate balancing estimation variance against total price.
+    It divides by 2 G^2 T and by cost**2, so an error names G and T, or a
+    cost that is not finite and positive with a positive square."""
     if k == n:
         return 1.0
     _check_tuning(G, T)
+    _check_real("cost", cost, "positive with a positive square",
+                lambda x: x > 0.0 and x * x > 0.0)
     eps = (2.0 * G * G * k * math.log(n / k) / (T * cost * cost)) ** (1.0 / 3.0)
     if not (0.0 < eps <= 1.0):
         warnings.warn(

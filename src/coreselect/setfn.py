@@ -130,8 +130,8 @@ class SetFunction:
         return self.value(indices_of(mask))
 
     def value(self, indices: Iterable[int]) -> float:
-        """f of one set of indices."""
-        return self.value_mask(mask_of(indices))
+        """f of one set of indices, each in [0, n)."""
+        return self.value_mask(mask_of(self._run(indices)[0][0]))
 
     def _run(self, indices: Iterable[int] | np.ndarray,
              rounds: int | None = None) -> tuple[np.ndarray, bool]:
@@ -323,8 +323,10 @@ class MatchingRewardFunction(SetFunction):
     or one set per round of a block, whose ``w`` is a (P, m, m) stack of
     matrices with ``phase``, each round's index into it, round i's reward
     being ``w[phase[i]]``.  A block's ``full_value`` is its b full-set
-    values, each with the bits of its round's reward alone.  A stack is
-    bounded by its largest matrix's bound.
+    values, each with the bits of its round's reward alone, read off
+    ``totals``, the matching value of each matrix of the stack: solved on
+    the first ``full_value``, unless the dual strategy has already set them
+    from its own solves.  A stack is bounded by its largest matrix's bound.
     """
 
     def __init__(self, w: np.ndarray, phase: np.ndarray | None = None):
@@ -342,6 +344,7 @@ class MatchingRewardFunction(SetFunction):
                 raise ValueError("phase indices must name matrices of the stack")
         self.w, self.phase = w, phase
         self._stack = w if phase is not None else w[None]
+        self.totals: np.ndarray | None = None
         self.m = w.shape[-1]
         super().__init__(2 * self.m, value_bound=float(self.m * w.max()) if w.size else 0.0,
                          monotone=False)
@@ -381,13 +384,12 @@ class MatchingRewardFunction(SetFunction):
 
     def full_value(self) -> float | np.ndarray:
         """f of the whole ground set, or a block's b per-round values: each
-        matrix's assignment is solved once, on the matrix itself."""
-        if self._full_cache is None:
+        matrix's assignment is solved once, on the matrix itself, unless
+        ``totals`` holds its value already."""
+        if self.totals is None:
             solve = assignment_solver()
-            totals = np.array([w[solve(w)].sum() for w in self._stack])
-            self._full_cache = (totals[self.phase] if self.phase is not None
-                                else float(totals[0]))
-        return self._full_cache
+            self.totals = np.array([w[solve(w)].sum() for w in self._stack])
+        return self.totals[self.phase] if self.phase is not None else float(self.totals[0])
 
     def balanced_masks(self) -> list[int]:
         """All nonempty balanced subsets, as bitmasks."""

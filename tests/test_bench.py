@@ -111,12 +111,14 @@ def outputs(out_dir):
     return {path.name: path.read_bytes() for path in sorted(Path(out_dir).iterdir())}
 
 
-def lane_config(policy, R):
+def lane_config(policy, R, adversary="coverage-drift", T=450, k=5):
     # n = 20 and T = 450 cross blocks of 204 rounds and drift phases of 45,
     # and leave an uneven last block of 42 rounds
+    policy = {"kind": policy}
+    if policy["kind"] == "priced" and adversary == "matching-random":
+        policy["epsilon"] = 0.5  # the tuned rate is past 1 on these rewards
     return ExperimentConfig.from_dict(base_config(
-        n=20, k=5, T=450, replicas=R, policy={"kind": policy},
-        adversary={"kind": "coverage-drift"}))
+        n=20, k=k, T=T, replicas=R, policy=policy, adversary={"kind": adversary}))
 
 
 def assert_group_equals_each_replica_alone(cfg, tmp_path):
@@ -142,6 +144,19 @@ def test_score_and_priced_lane_groups_equal_each_replica_alone(policy, R, tmp_pa
     # the groups hold as many lanes as fit one PLAN_CELLS block of 204
     # rounds: 4; the group of 25 is played past that cap
     assert bench_module._groups(cfg, 1) == [range(r, min(r + 4, R)) for r in range(0, R, 4)]
+    assert_group_equals_each_replica_alone(cfg, tmp_path)
+
+
+@pytest.mark.parametrize("R", [2, 3, 25])
+@pytest.mark.parametrize("policy", ["score", "priced", "semibandit"])
+@pytest.mark.parametrize("adversary", [
+    "matching-random", "modular-random", "modular-drift", "onehot-ensemble"])
+def test_lane_groups_on_joined_rewards_equal_each_replica_alone(adversary, policy, R, tmp_path):
+    # these rewards join across the lanes of a group: one strategy, value and
+    # full_value call per run.  T = 250 crosses a block of 204 rounds and
+    # phases of 25, and the matching rewards' balanced sets of k = 6 have a
+    # value to solve for
+    cfg = lane_config(policy, R, adversary, T=250, k=6)
     assert_group_equals_each_replica_alone(cfg, tmp_path)
 
 
@@ -329,6 +344,74 @@ def test_failing_matching_duals_name_their_phase_rounds(phase, where, matrix, mo
         run_replica(cfg, 0)
 
 
+def test_a_dual_solve_failing_in_one_lane_raises_what_its_replica_raises_alone(
+        monkeypatch, tmp_path):
+    # lane 1 of 3 gets a non-optimal assignment of its fourth phase matrix
+    # (rounds 76-100): the joined call that holds it fails, and the lanes
+    # redone one by one name replica 1 as run_replica does
+    cfg = lane_config("score", 3, "matching-random", T=250, k=6)
+    assert bench_module._groups(cfg, 1) == [range(3)]
+    adv = bench_module.adversary_from_config(cfg.adversary, cfg.n)
+    f, _ = next(adv.rounds(cfg.T, bench_module._replica_rngs(cfg.seed, 1)["adversary"]))
+    bad = f.w[3].tobytes()
+    solve = corevec.linear_sum_assignment
+
+    def solver(w):
+        rows, cols = solve(w)
+        return (rows, cols[::-1]) if w.tobytes() == bad else (rows, cols)
+
+    monkeypatch.setattr(corevec, "linear_sum_assignment", solver)
+    with pytest.raises(RuntimeError) as alone:
+        run_replica(cfg, 1)
+    assert str(alone.value).startswith("replica 1: core strategy failed on rounds 76-100: "
+                                       "matrix 3 of the stack: shortest-path potentials")
+    with pytest.raises(RuntimeError) as group:
+        run_experiment(cfg, out_dir=tmp_path)
+    assert str(group.value) == str(alone.value)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("R, T, blocks, solves", [
+    (6, 100, 1, 6 * 10),  # perfbench's score-matching: one block of 10 phases
+    (3, 250, 2, 3 * (9 + 2)),  # phase 9 of 10 runs on into the second block
+])
+def test_a_lane_group_solves_each_phase_matrix_once_per_block(R, T, blocks, solves,
+                                                             monkeypatch):
+    # one strategy, duals, value and full_value call per block for the whole
+    # group, and one full-matrix assignment per phase matrix per block: the
+    # full-set values come from the duals' solves
+    from coreselect import setfn
+
+    cfg = ExperimentConfig.from_dict(base_config(
+        n=20, k=10, T=T, replicas=R, adversary={"kind": "matching-random"}))
+    assert bench_module._groups(cfg, 1) == [range(R)]
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    def solver(cost, solve=setfn.assignment_solver()):
+        if cost.shape == (10, 10):  # a whole phase matrix, not a set's submatrix
+            calls.append("full")
+        return solve(cost)
+
+    real_strategy = Adversary.core_strategy
+    monkeypatch.setattr(setfn, "_solver", solver)
+    monkeypatch.setattr(corevec, "hungarian_duals", counted("duals", corevec.hungarian_duals))
+    monkeypatch.setattr(Adversary, "core_strategy",
+                        lambda self, rng: counted("strategy", real_strategy(self, rng)))
+    for name in ("value", "full_value"):
+        monkeypatch.setattr(setfn.MatchingRewardFunction, name,
+                            counted(name, getattr(setfn.MatchingRewardFunction, name)))
+    run_replicas(cfg)
+    for name in ("strategy", "duals", "value", "full_value"):
+        assert calls.count(name) == blocks
+    assert calls.count("full") == solves
+
+
 @pytest.mark.parametrize("policy", [{"kind": "score"}, {"kind": "priced"}])
 def test_core_strategy_failing_mid_block_plays_none_of_it(
         policy, monkeypatch, tmp_path):
@@ -362,6 +445,35 @@ def test_core_strategy_failing_mid_block_plays_none_of_it(
     # the error ends the run before rounds 1-24, its block's, are played
     assert played == []
     assert not (tmp_path / "replica_0.csv").exists()
+
+
+def test_a_lane_group_joins_no_more_than_one_plan_block_of_large_matching_rewards(
+        monkeypatch):
+    # 4 semi-bandit lanes at m = 100: each lane's block of 81 rounds is a
+    # stack of 9 phase matrices, 90000 cells, past PLAN_CELLS, so no lanes
+    # join.  The group's tracemalloc peak stays within 1 MiB (8 arrays of
+    # PLAN_CELLS floats) of the same group revealed lane by lane; joined
+    # whole, the dual solve's (36, 100, 100) arrays alone would take
+    # 2.9 MB each
+    import tracemalloc
+
+    cfg = ExperimentConfig.from_dict(base_config(
+        n=200, k=10, T=81, replicas=4, policy={"kind": "semibandit"},
+        adversary={"kind": "matching-random", "phases": 9}))
+    assert bench_module._groups(cfg, 1) == [range(4)]
+    run_replicas(cfg)  # loads what the run needs before it is measured
+    real, peaks = bench_module._joins, []
+    tracemalloc.start()
+    try:
+        for joins in (lambda rewards, b, k: [], real):
+            monkeypatch.setattr(bench_module, "_joins", joins)
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            run_replicas(cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 8 * 8 * bench_module.PLAN_CELLS
 
 
 def test_an_exact_optimistic_replica_retains_at_most_10_bytes_per_round():

@@ -493,6 +493,22 @@ def test_marginal_strategy_run_is_its_rounds_one_at_a_time(n, universe, b):
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
+def test_modular_and_matching_strategies_leave_their_generator_untouched():
+    # so one call on the joined runs of a lane group serves every lane;
+    # the marginal strategy draws a permutation per round
+    from coreselect.adversary import adversary_from_config
+
+    for kind, n in (("modular-random", 6), ("modular-drift", 6), ("onehot-ensemble", 6),
+                    ("matching-random", 8), ("coverage-drift", 6)):
+        adv = adversary_from_config({"kind": kind}, n)
+        rng = np.random.default_rng(7)
+        state = rng.bit_generator.state
+        strategy = adv.core_strategy(rng)
+        for f, b in adv.rounds(30, np.random.default_rng(8)):
+            strategy(f, b)
+        assert (rng.bit_generator.state == state) == (kind != "coverage-drift"), kind
+
+
 def test_coverage_runs_hold_a_bounded_slice_of_their_words():
     import tracemalloc
 
@@ -546,6 +562,31 @@ def test_matching_dual_strategy_solves_once_per_run(monkeypatch):
     assert rows.tobytes() == want.tobytes()
     with pytest.raises(TypeError):
         strategy(ModularFunction(np.ones((1, 4))), 1)
+
+
+def test_matching_dual_strategy_gives_the_full_values_it_solved(monkeypatch):
+    # the duals' matching values, as the reward's full-set values, have the
+    # bits full_value solves for, on random and quarter-rounded (tied)
+    # stacks; after the strategy, full_value solves nothing
+    from coreselect import setfn
+
+    rng = np.random.default_rng(29)
+    cases = []
+    for m in range(1, 16):
+        for rounded in (False, True):
+            w = rng.random((4, m, m)) * 3
+            cases.append((np.round(4 * w) / 4 if rounded else w, rng.integers(0, 4, 9)))
+    solved = [MatchingRewardFunction(w, phase).full_value() for w, phase in cases]
+    for (w, phase), want in zip(cases, solved):
+        f = MatchingRewardFunction(w, phase)
+        matching_dual_strategy()(f, len(phase))
+        with monkeypatch.context() as patch:
+            patch.setattr(setfn, "assignment_solver", lambda: pytest.fail("solved again"))
+            assert f.full_value().tobytes() == want.tobytes()
+    # one matrix: its value as a float
+    f = MatchingRewardFunction(cases[-1][0][0])
+    matching_dual_strategy()(f, 2)
+    assert f.full_value() == MatchingRewardFunction(f.w).full_value()
 
 
 def test_matching_dual_strategy_names_the_rows_of_the_phase_that_fails(monkeypatch):

@@ -476,6 +476,17 @@ def test_priced_epsilon_formula_value():
     assert priced_epsilon(20, 5, 10**5, 1.0, 1.0) == pytest.approx(0.0517549, abs=1e-6)
 
 
+@pytest.mark.parametrize("cost", [0.0, -1.0, 1e-200, math.nan, math.inf, -math.inf])
+def test_priced_epsilon_names_a_cost_the_config_would_reject(cost):
+    # the tuned rate divides by cost**2: a cost the config would reject is
+    # named, not divided by or clamped with a warning of a short horizon
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(
+                f"cost must be finite and positive with a positive square, got {cost!r}")):
+            priced_epsilon(4, 2, 10, 1.0, cost)
+
+
 def test_priced_epsilon_clamps_with_warning():
     with pytest.warns(UserWarning):
         eps = priced_epsilon(20, 5, 2, 1.0, 0.01)

@@ -144,6 +144,14 @@ def test_a_set_with_an_index_outside_the_ground_set_is_an_error(f):
     assert f.value([0, 3]) == f.value(np.array([0, 3]))
 
 
+def test_a_table_function_names_an_index_outside_its_ground_set():
+    f = second_game()
+    for indices in ([3], [-1], [0, 3], np.array([1, -2])):
+        with pytest.raises(ValueError, match=r"^index -?\d+ is outside the ground set \[0, 3\)$"):
+            f.value(indices)
+    assert f.value([0, 2]) == 2.0 and f.value(np.array([1])) == 1.0
+
+
 def contract_families():
     """A reward of each family on 8 elements, with ties and signed zeros."""
     rng = np.random.default_rng(8)
