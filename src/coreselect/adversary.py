@@ -74,7 +74,6 @@ class Adversary:
     """A reward stream plus the matching core-vector strategy and bounds."""
 
     kind: str
-    n: int
     alpha: float
     M: float
     G: float
@@ -147,7 +146,7 @@ def make_onehot_adversary(n: int) -> Adversary:
             first += b
             yield ModularFunction(w), b
 
-    return Adversary("onehot-ensemble", n, alpha=1.0, M=1.0, G=1.0,
+    return Adversary("onehot-ensemble", alpha=1.0, M=1.0, G=1.0,
                      _make_rounds=rounds, _make_strategy=lambda rng: modular_strategy())
 
 
@@ -160,7 +159,7 @@ def make_modular_random_adversary(n: int, G: float = 1.0) -> Adversary:
             yield ModularFunction(_modular_rows(b, n, G, rng)), b
 
     # each coordinate is at most G, and the sum is at most sqrt(n) * G
-    return Adversary("modular-random", n, alpha=1.0, M=float(np.sqrt(n)) * G, G=G,
+    return Adversary("modular-random", alpha=1.0, M=float(np.sqrt(n)) * G, G=G,
                      _make_rounds=rounds, _make_strategy=lambda rng: modular_strategy())
 
 
@@ -184,7 +183,7 @@ def make_modular_drift_adversary(n: int, G: float = 1.0,
                            0.0)
             yield ModularFunction(_rescaled_rows(w, G, base)), b
 
-    return Adversary("modular-drift", n, alpha=1.0, M=float(np.sqrt(n)) * G, G=G,
+    return Adversary("modular-drift", alpha=1.0, M=float(np.sqrt(n)) * G, G=G,
                      _make_rounds=rounds, _make_strategy=lambda rng: modular_strategy())
 
 
@@ -220,7 +219,7 @@ def make_coverage_drift_adversary(n: int, universe: int | None = None,
                 f = random_coverage(n, universe, rng, density)
             yield f, b
 
-    return Adversary("coverage-drift", n, alpha=1.0, M=1.0, G=1.0,
+    return Adversary("coverage-drift", alpha=1.0, M=1.0, G=1.0,
                      _make_rounds=rounds,
                      _make_strategy=marginal_strategy)
 
@@ -253,7 +252,7 @@ def make_matching_random_adversary(m: int, w_max: float = 1.0,
             yield MatchingRewardFunction(np.stack(stack), phase - first), b
             start += b
 
-    return Adversary("matching-random", n, alpha=1.0, M=float(m) * w_max,
+    return Adversary("matching-random", alpha=1.0, M=float(m) * w_max,
                      G=float(n) * w_max / float(np.sqrt(2.0)),
                      _make_rounds=rounds,
                      _make_strategy=lambda rng: matching_dual_strategy())

@@ -10,11 +10,12 @@ block outlives its rows.  A group's block is revealed and valued as one
 reward where it can be: each run's modular or matching rewards are joined
 across the lanes, so one core-strategy call gives every lane's proxy
 vectors and one ``value`` and one ``full_value`` call value every lane's
-drawn sets; other rewards take one call per run of each lane.  The
+drawn sets; other rewards take one call per run of each lane.  Every
+policy plays in lane groups at every k (:func:`_group_size`): the
 semi-bandit plays its lanes in lockstep, round by round; the score and
 priced policies play their lanes' blocks as one stacked block; the
-optimistic policy plays groups of one.  The CSV layout per replica is one
-row per round::
+optimistic policy plays its lanes' blocks one after another.  The CSV
+layout per replica is one row per round::
 
     round,reward,full_reward,cum_reward,cum_benchmark,aug_regret,static_regret,observed,cum_cost
 
@@ -139,9 +140,9 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self) -> None:
-        # each is the length of arrays or lists a run holds
+        # each is the length of arrays or lists a run holds; a run has a round
         for name in ("n", "k", "T", "replicas"):
-            _check_int(name, getattr(self, name), most=ARRAY_MAX)
+            _check_int(name, getattr(self, name), least={"T": 1}.get(name), most=ARRAY_MAX)
         _check_int("seed", self.seed, least=0)
         if self.alpha is not None:
             _check_real("alpha", self.alpha, ">= 1", lambda x: x >= 1.0)
@@ -270,8 +271,8 @@ def _group_blocks(cfg: ExperimentConfig, adv: Adversary, replicas: range, polici
     vectors of every lane (a call that raises is redone lane by lane, so an
     error names the first lane that fails alone, with its rounds); the
     group plays the block with one ``play_lanes`` (a lone replica with its
-    ``step``), which sees only the lanes' proxy vectors (and the hints that
-    only the optimistic policy gets); then one ``value`` and one
+    ``step``), which sees only the lanes' proxy vectors (and their hints,
+    when the policy class ``needs_hint``); then one ``value`` and one
     ``full_value`` call value every lane's drawn sets.  Rewards that do not
     join are revealed and valued lane by lane, one call per run.
     Yields each lane's record and its rounds' rewards and full-set rewards.
@@ -284,7 +285,7 @@ def _group_blocks(cfg: ExperimentConfig, adv: Adversary, replicas: range, polici
     n = cfg.n
     strategies = [adv.core_strategy(rng["strategy"]) for rng in rngs]
     spec = None
-    if cfg.policy.kind == "oftrl":
+    if type(policies[0]).needs_hint:
         spec = cfg.hints if cfg.hints is not None else HintSpec("perfect")
         for result in results:
             result.sq_distances = np.empty(cfg.T) if n <= 16 else None
@@ -382,8 +383,6 @@ def _joins(rewards: list[SetFunction], b: int, k: int) -> list[tuple[range, SetF
     joined, nor are other rewards, such as coverage rewards, whose strategy
     draws from each lane's own generator; the modular and matching
     strategies draw nothing."""
-    if len(rewards) < 2:
-        return []
     if all(isinstance(f, ModularFunction) and f.w.ndim == 2 and len(f.w) == b
            for f in rewards):
         cells = rewards[0].w.size
@@ -440,26 +439,21 @@ def _log_sq_distances(result: ReplicaResult, f: SetFunction, hints: np.ndarray,
 # at n = 20, k = 5 costs about 16 µs per round alone, 5.6 at 8 lanes, 2.1 at
 # 32, 1.5 at 64 and 1.3 at 96 (2-core VM); past 64 the gain flattens out,
 # while the group holds a block of every lane and, writing CSVs, one open
-# file per lane.  The score and priced lanes stack their blocks, so they
-# take fewer: as many as fit one PLAN_CELLS block.
+# file per lane.  The other policies' lanes each hold a block of (B, n)
+# rows, so they take fewer: as many as fit one PLAN_CELLS block.
 LANES = 64
 
 
 def _group_size(cfg: ExperimentConfig) -> int:
-    """How many replicas of ``cfg`` play as the lanes of one group.
+    """How many replicas of ``cfg`` play as the lanes of one group, at any k.
 
-    At k < n: up to ``LANES`` for the semi-bandit, whose lanes share each
-    round's kernel calls; and for the score and priced policies, whose lanes
-    share each block's argmax and Madow draw on their stacked rows, as many
-    as fit one ``PLAN_CELLS`` block of their (B, n) rows, and at least one.
+    Every lane group shares each block's reveal and valuation
+    (:func:`_joins`).  Up to ``LANES`` for the semi-bandit, whose lanes also
+    share each round's kernel calls; for every other policy, as many as keep
+    one ``PLAN_CELLS`` block of their (B, n) rows, and at least one.
     Uncapped, 64 score lanes at n = 20, T = 2000 peaked at twice the memory
-    of lone replicas, and at n = 200 ran slower.  One for the optimistic
-    policy, whose proposals go row by row, and for every policy at k == n,
-    which draws nothing."""
-    kind = cfg.policy.kind
-    if kind == "oftrl" or cfg.k == cfg.n:
-        return 1
-    if kind == "semibandit":
+    of lone replicas, and at n = 200 ran slower."""
+    if cfg.policy.kind == "semibandit":
         return min(LANES, cfg.replicas)
     rows = min(cfg.T, block_rounds(cfg.n)) * cfg.n
     return min(LANES, cfg.replicas, max(1, PLAN_CELLS // rows))
@@ -665,7 +659,9 @@ def sweep(cfg: ExperimentConfig, axis: str, values: list[float],
     rows = []
     for v in values:
         if axis in ("T", "k"):
-            patched = replace(cfg, **{axis: int(v)}, out=None)
+            # an integral float is its int; the config's check names any other value
+            count = int(v) if isinstance(v, float) and v.is_integer() else v
+            patched = replace(cfg, **{axis: count}, out=None)
         elif axis == "noise_l2":
             patched = replace(cfg, hints=HintSpec("additive-noise", noise_l2=float(v)), out=None)
         else:

@@ -285,8 +285,7 @@ class SemiBanditPolicy(ScorePolicy):
         # each lane's rows, one after another
         p = np.concatenate(p, axis=1).reshape(R, B, n)
         selected = np.concatenate(selected, axis=1).reshape(R, B, k)
-        if R > 1:  # less each lane's offset, the column indices
-            selected -= np.arange(0, R * n, n)[:, None, None]
+        selected -= np.arange(0, R * n, n)[:, None, None]  # less each lane's offset
         return [lane._record(gr, pr, sr) for lane, gr, pr, sr in zip(lanes, G, p, selected)]
 
 

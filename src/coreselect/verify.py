@@ -162,13 +162,8 @@ def _check_afw(rng, max_n) -> CheckResult:
 
 
 def _random_submodular_instances(rng, max_n):
-    out = []
-    for n in (4, 6, min(10, max_n), min(12, max_n)):
-        if n < 2:
-            continue
-        f = random_coverage(n, 2 * n, rng, density=0.4)
-        out.append(f)
-    return out
+    sizes = [min(n, max_n) for n in (4, 6, 10, 12)]
+    return [random_coverage(n, 2 * n, rng, density=0.4) for n in sizes]
 
 
 def _check_marginal_membership(rng, max_n) -> CheckResult:
@@ -189,7 +184,7 @@ def _check_marginal_membership(rng, max_n) -> CheckResult:
 
 def _check_rho(rng, max_n) -> CheckResult:
     for trial in range(6):
-        n = int(rng.integers(4, min(8, max_n) + 1))
+        n = int(rng.integers(min(4, max_n), min(8, max_n) + 1))
         f = random_monotone_function(n, rng)
         rho = estimate_rho(f)
         if not (0.0 < rho <= 1.0):
@@ -246,8 +241,9 @@ def _check_games(rng=None, max_n=None) -> CheckResult:
 
 
 def _check_matching_duals(rng, max_n) -> CheckResult:
+    most = min(4, max_n // 2)  # a matching reward on m + m vertices
     for trial in range(9):
-        m = 4 if trial == 8 else int(rng.integers(1, 5))
+        m = most if trial == 8 else int(rng.integers(1, most + 1))
         if trial == 8:
             # integer costs in {0, 1, 2}: ties make the dual polytope most degenerate
             w = rng.integers(0, 3, (m, m)).astype(float)
@@ -267,10 +263,9 @@ def _check_matching_duals(rng, max_n) -> CheckResult:
         if any(abs(u[i] + v[j] - w[i, j]) > 1e-6 for i, j in matching):
             return CheckResult("matching-dual-membership", False,
                                "matched pair not tight")
-        if m <= 4:
-            if abs(value - enumerate_matching_value(w)) > 1e-9:
-                return CheckResult("matching-dual-membership", False,
-                                   "matching value differs from enumeration")
+        if abs(value - enumerate_matching_value(w)) > 1e-9:
+            return CheckResult("matching-dual-membership", False,
+                               "matching value differs from enumeration")
         f = MatchingRewardFunction(w)
         av = matching_core_vector(w)
         if not core_membership(av.g, f, 1.0, masks=np.array(f.balanced_masks())):
@@ -314,7 +309,7 @@ def _check_norm_bounds(rng, max_n) -> CheckResult:
         dv = dictator_vector(g, int(np.argmax([g.value([i]) for i in range(g.n)])))
         if float(np.linalg.norm(dv.g)) > norm_bound(dv.alpha, g.value_bound) + 1e-7:
             return CheckResult("admissible-norm-bounds", False, "dictator vector outside ball")
-        m = int(rng.integers(1, 4))
+        m = int(rng.integers(1, min(3, max_n // 2) + 1))
         w = rng.random(m)[:, None] + rng.random(m)[None, :]  # nonnegative prices exist
         av2 = matching_core_vector(w)
         if float(np.linalg.norm(av2.g)) > 2 * m * float(w.max()) / math.sqrt(2.0) + 1e-7:

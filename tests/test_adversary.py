@@ -289,7 +289,8 @@ def test_adversary_from_config_round_trip_and_strictness():
     adv = adversary_from_config({"kind": "modular-random", "G": 2.0}, 5)
     assert adv.kind == "modular-random" and adv.G == 2.0
     adv2 = adversary_from_config({"kind": "matching-random"}, 6)
-    assert adv2.n == 6
+    f, _ = next(adv2.rounds(4, np.random.default_rng(0)))
+    assert f.n == 6 and f.w.shape[1:] == (3, 3)
     with pytest.raises(ValueError, match="even ground set"):
         adversary_from_config({"kind": "matching-random", "bogus": 1}, 5)
     with pytest.raises(ValueError, match=r"unknown adversary keys: \['bogus'\]"):

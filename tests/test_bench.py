@@ -113,12 +113,19 @@ def outputs(out_dir):
 
 def lane_config(policy, R, adversary="coverage-drift", T=450, k=5):
     # n = 20 and T = 450 cross blocks of 204 rounds and drift phases of 45,
-    # and leave an uneven last block of 42 rounds
-    policy = {"kind": policy}
-    if policy["kind"] == "priced" and adversary == "matching-random":
+    # and leave an uneven last block of 42 rounds.  ``policy`` is a kind, or
+    # "oftrl-exact" or "oftrl-afw"; the optimistic policy gets noisy hints,
+    # so that its regularizers, AFW and the hint stream all do work (noise
+    # 0.1 keeps the AFW cases to about a third of their time at 0.5)
+    kind, _, mode = policy.partition("-")
+    policy, hints = {"kind": kind}, None
+    if kind == "oftrl":
+        policy["mode"], hints = mode, {"mode": "additive-noise", "noise_l2": 0.1}
+    if kind == "priced" and adversary == "matching-random":
         policy["epsilon"] = 0.5  # the tuned rate is past 1 on these rewards
     return ExperimentConfig.from_dict(base_config(
-        n=20, k=k, T=T, replicas=R, policy=policy, adversary={"kind": adversary}))
+        n=20, k=k, T=T, replicas=R, policy=policy, adversary={"kind": adversary},
+        hints=hints))
 
 
 def assert_group_equals_each_replica_alone(cfg, tmp_path):
@@ -128,39 +135,40 @@ def assert_group_equals_each_replica_alone(cfg, tmp_path):
     assert group == alone
     assert outputs(tmp_path / "group") == outputs(tmp_path / "alone")
     assert len(outputs(tmp_path / "group")) == R
+    return group
 
 
-@pytest.mark.parametrize("R", [2, 3, 25])
-def test_semibandit_lane_group_equals_each_replica_alone(R, tmp_path):
-    cfg = lane_config("semibandit", R)
-    assert bench_module._groups(cfg, 1) == [range(R)]
+ADVERSARIES = ["coverage-drift", "matching-random", "modular-random", "modular-drift",
+               "onehot-ensemble"]
+LANE_POLICIES = ["score", "priced", "semibandit", "oftrl-exact", "oftrl-afw"]
+
+
+def lane_cases():
+    """(adversary, policy, k, R) of every lane-equality case at n = 20.  At
+    k < n, coverage rewards run at k = 5 and T = 450, and the others, which
+    join across the lanes, at k = 6 (the matching rewards' balanced sets of
+    3 + 3 have a value to solve for) and T = 250, which crosses a block of
+    204 rounds and phases of 25; the score, priced and semi-bandit groups
+    also play 25 lanes, past the score and priced lanes' cap of 4.  At
+    k = n = 20, T = 250 too, with 2 and 3 lanes."""
+    for adversary, policy in itertools.product(ADVERSARIES, LANE_POLICIES):
+        k = 5 if adversary == "coverage-drift" else 6
+        for R in (2, 3) if policy.startswith("oftrl") else (2, 3, 25):
+            yield adversary, policy, k, R
+        for R in (2, 3):
+            yield adversary, policy, 20, R
+
+
+@pytest.mark.parametrize("adversary, policy, k, R", list(lane_cases()))
+def test_lane_groups_equal_each_replica_alone(adversary, policy, k, R, tmp_path):
+    # every policy at every k groups its replicas; the group's CSVs and
+    # summaries are each replica's alone, byte for byte
+    cfg = lane_config(policy, R, adversary, T=450 if k == 5 else 250, k=k)
+    assert len(bench_module._groups(cfg, 1)[0]) > 1
     assert_group_equals_each_replica_alone(cfg, tmp_path)
 
 
-@pytest.mark.parametrize("R", [2, 3, 25])
-@pytest.mark.parametrize("policy", ["score", "priced"])
-def test_score_and_priced_lane_groups_equal_each_replica_alone(policy, R, tmp_path):
-    cfg = lane_config(policy, R)
-    # the groups hold as many lanes as fit one PLAN_CELLS block of 204
-    # rounds: 4; the group of 25 is played past that cap
-    assert bench_module._groups(cfg, 1) == [range(r, min(r + 4, R)) for r in range(0, R, 4)]
-    assert_group_equals_each_replica_alone(cfg, tmp_path)
-
-
-@pytest.mark.parametrize("R", [2, 3, 25])
-@pytest.mark.parametrize("policy", ["score", "priced", "semibandit"])
-@pytest.mark.parametrize("adversary", [
-    "matching-random", "modular-random", "modular-drift", "onehot-ensemble"])
-def test_lane_groups_on_joined_rewards_equal_each_replica_alone(adversary, policy, R, tmp_path):
-    # these rewards join across the lanes of a group: one strategy, value and
-    # full_value call per run.  T = 250 crosses a block of 204 rounds and
-    # phases of 25, and the matching rewards' balanced sets of k = 6 have a
-    # value to solve for
-    cfg = lane_config(policy, R, adversary, T=250, k=6)
-    assert_group_equals_each_replica_alone(cfg, tmp_path)
-
-
-def test_score_and_priced_groups_fit_one_plan_block():
+def test_lane_groups_fit_one_plan_block_but_the_semibandits():
     def groups(n, T, replicas, policy, k=5, adversary="modular-random"):
         return bench_module._groups(ExperimentConfig.from_dict(base_config(
             n=n, k=k, T=T, replicas=replicas, policy=policy,
@@ -168,28 +176,30 @@ def test_score_and_priced_groups_fit_one_plan_block():
 
     # perfbench's score-matching config: 6 lanes of 100 rounds at n = 20
     assert groups(20, 100, 6, {"kind": "score"}, 10, "matching-random") == [range(6)]
-    # blocks of 204 rounds at n = 20: 4 lanes; blocks of 81 at n = 200: 1
-    for policy in ({"kind": "score"}, {"kind": "priced"}):
-        assert groups(20, 2000, 64, policy) == [range(r, r + 4) for r in range(0, 64, 4)]
-        assert groups(200, 2000, 3, policy) == [range(r, r + 1) for r in range(3)]
-    # the semi-bandit shares rounds, not blocks; the optimistic proposals go
-    # row by row
-    assert groups(200, 2000, 3, {"kind": "semibandit"}) == [range(3)]
-    for mode in ("exact", "afw"):
-        assert groups(20, 100, 3, {"kind": "oftrl", "mode": mode}) == [
-            range(r, r + 1) for r in range(3)]
+    # blocks of 204 rounds at n = 20: 4 lanes; blocks of 81 at n = 200: 1,
+    # whatever the policy but the semi-bandit, and at k = n too
+    for policy in ({"kind": "score"}, {"kind": "priced"}, {"kind": "oftrl", "mode": "exact"},
+                   {"kind": "oftrl", "mode": "afw"}):
+        for k in (5, 20):
+            assert groups(20, 2000, 64, policy, k) == [range(r, r + 4) for r in range(0, 64, 4)]
+        for k in (5, 200):
+            assert groups(200, 2000, 3, policy, k) == [range(r, r + 1) for r in range(3)]
+        assert groups(20, 100, 3, policy) == [range(3)]
+    # the semi-bandit shares rounds, not blocks: up to LANES at any k
+    for k in (5, 200):
+        assert groups(200, 2000, 3, {"kind": "semibandit"}, k) == [range(3)]
+    assert groups(20, 2000, 100, {"kind": "semibandit"}, 20) == [range(64), range(64, 100)]
 
 
-def test_k_equals_n_plays_groups_of_one(tmp_path):
-    for policy in ("semibandit", "score"):
+def test_k_equals_n_plays_lane_groups(tmp_path):
+    # n = 6 logs the optimistic hints' sup-distances too
+    for policy in LANE_POLICIES:
+        kind, _, mode = policy.partition("-")
         cfg = ExperimentConfig.from_dict(base_config(
-            k=6, replicas=3, policy={"kind": policy}))
-        assert bench_module._groups(cfg, 1) == [range(0, 1), range(1, 2), range(2, 3)]
-        out = tmp_path / policy
-        group = bench_module._group_summaries(cfg, range(3), out / "group")
-        alone = [bench_module.replica_summary(cfg, r, out / "alone") for r in range(3)]
-        assert group == alone and all(f["aug_regret"] == 0.0 for f in group)
-        assert outputs(out / "group") == outputs(out / "alone")
+            k=6, replicas=3, policy={"kind": kind, **({"mode": mode} if mode else {})}))
+        assert bench_module._groups(cfg, 1) == [range(3)]
+        group = assert_group_equals_each_replica_alone(cfg, tmp_path / policy)
+        assert all(f["aug_regret"] == 0.0 for f in group)
 
 
 def test_lane_groups_split_among_workers_keep_replica_order(tmp_path):
@@ -576,16 +586,39 @@ def test_modular_hint_distances_come_a_run_at_a_time():
 
 def test_sweep_rows_and_file(tmp_path):
     cfg = ExperimentConfig.from_dict(base_config(replicas=1, T=20))
-    rows = sweep(cfg, "T", [10, 20], out_path=tmp_path / "sweep.csv")
-    assert [r["value"] for r in rows] == [10, 20]
+    rows = sweep(cfg, "T", [10, 20, 20.0], out_path=tmp_path / "sweep.csv")
+    assert [r["value"] for r in rows] == [10, 20, 20.0]
+    assert rows[2] == rows[1]  # an integral float runs as its int
     text = (tmp_path / "sweep.csv").read_text()
     assert text.startswith("axis,value,")
-    assert len(text.strip().split("\n")) == 3
+    assert len(text.strip().split("\n")) == 4
     with pytest.raises(ValueError):
         sweep(cfg, "bogus", [1])
     # axis values pass the same validation as the config file
     with pytest.raises(ValueError, match="cost must be finite and positive"):
         sweep(cfg, "C", [0.0])
+
+
+@pytest.mark.parametrize("axis, text, message", [
+    ("T", "20.7", "T must be an integer, got 20.7"),
+    ("k", "2.5", "k must be an integer, got 2.5"),
+    ("T", "1e400", "T must be an integer, got inf"),
+    ("T", "nan", "T must be an integer, got nan"),
+    ("T", "0", "T must be >= 1, got 0"),
+])
+def test_sweep_names_a_count_axis_value_that_is_no_count(axis, text, message, tmp_path,
+                                                         capsys):
+    # a count axis takes an integral float as its int, and runs nothing else
+    cfg = ExperimentConfig.from_dict(base_config(replicas=1, T=20))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sweep(cfg, axis, [float(text)])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(replicas=1, T=20)))
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(cfg_path), "--axis", axis, "--values", text,
+                 "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_noise_axis_uses_hints():
@@ -654,6 +687,24 @@ def test_verify_all_passes_and_detects_injected_fault():
         by_name = {r.name: r for r in results}
         assert not by_name["projection-vs-active-set-enumeration"].passed
         assert detail in by_name["projection-vs-active-set-enumeration"].detail
+
+
+@pytest.mark.parametrize("max_n", [3, 4, 6])
+def test_verify_builds_no_reward_past_max_n(max_n, monkeypatch, capsys):
+    from coreselect.setfn import SetFunction
+
+    sizes, init = [], SetFunction.__init__
+
+    def counted(self, n, *args, **kwargs):
+        sizes.append(n)
+        init(self, n, *args, **kwargs)
+
+    monkeypatch.setattr(SetFunction, "__init__", counted)
+    results = verify_all(max_n=max_n)
+    assert all(r.passed for r in results), [r for r in results if not r.passed]
+    assert sizes and max(sizes) <= max_n
+    assert main(["verify", "--max-n", str(max_n)]) == 0
+    assert "13/13 checks passed" in capsys.readouterr().out
 
 
 def test_cli_verify_and_lower_bound(capsys):
@@ -731,6 +782,7 @@ def test_config_rejects_nonpositive_cost_and_sigma(policy):
     pytest.param({"alpha": 0.5}, "alpha must be finite and >= 1", id="alpha-half"),
     pytest.param({"alpha": float("nan")}, "alpha must be finite and >= 1", id="alpha-nan"),
     pytest.param({"T": 2.5}, "T must be an integer", id="T-float"),
+    pytest.param({"T": 0}, "T must be >= 1, got 0", id="T-zero"),
     pytest.param({"replicas": "2"}, "replicas must be an integer", id="replicas-string"),
     pytest.param({"n": True}, "n must be an integer", id="n-bool"),
     pytest.param({"seed": 1.0}, "seed must be an integer", id="seed-float"),
