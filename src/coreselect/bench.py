@@ -178,12 +178,11 @@ class ExperimentConfig:
 
 @dataclass
 class ReplicaResult:
-    """One replica's accounting, plus the squared sup-distance of every hint,
-    one entry per round, when the optimistic policy's rewards are small
-    enough to enumerate."""
+    """One replica's accounting, plus the running sum of its hints' squared
+    sup-distances, while its rewards have one (:func:`_log_sq_distances`)."""
 
     ledger: RegretLedger
-    sq_distances: np.ndarray | None = None
+    sq_sum: float | None = None
 
     def final_summary(self) -> dict:
         ledger = self.ledger
@@ -279,17 +278,16 @@ def _group_blocks(cfg: ExperimentConfig, adv: Adversary, replicas: range, polici
 
     The replicas of a config share the block layout, since the adversaries'
     runs are cut by (T, n, phases) only, so every lane's block b has the
-    same rounds.  Rewards on at most 16 elements log their squared
-    sup-distances from the hints for the optimistic bound.
+    same rounds.  A hinted lane adds its hints' squared sup-distances to its
+    ``sq_sum`` for the optimistic bound (:func:`_log_sq_distances`).
     """
-    n = cfg.n
     strategies = [adv.core_strategy(rng["strategy"]) for rng in rngs]
     spec = None
     if type(policies[0]).needs_hint:
         spec = cfg.hints if cfg.hints is not None else HintSpec("perfect")
         for result in results:
-            result.sq_distances = np.empty(cfg.T) if n <= 16 else None
-    streams = [_reward_blocks(adv.rounds(cfg.T, rng["adversary"]), block_rounds(n))
+            result.sq_sum = 0.0
+    streams = [_reward_blocks(adv.rounds(cfg.T, rng["adversary"]), block_rounds(cfg.n))
                for rng in rngs]
     t = 0  # the rounds revealed so far
     for blocks in zip(*streams):
@@ -299,7 +297,7 @@ def _group_blocks(cfg: ExperimentConfig, adv: Adversary, replicas: range, polici
             hints = [generate_hints(g, spec, rng["hints"]) for g, rng in zip(G, rngs)]
             for result, block, h in zip(results, blocks, hints):
                 for f, rows in block:
-                    if result.sq_distances is not None:
+                    if result.sq_sum is not None:
                         _log_sq_distances(result, f, h[rows], t + rows.start)
         if len(policies) > 1:
             records = type(policies[0]).play_lanes(policies, list(G), hints)
@@ -409,30 +407,32 @@ def _joins(rewards: list[SetFunction], b: int, k: int) -> list[tuple[range, SetF
 
 def _log_sq_distances(result: ReplicaResult, f: SetFunction, hints: np.ndarray,
                       t: int) -> None:
-    """Write the squared sup-distance of each round of a run from its reward
-    f to its hint, a row of ``hints``, into ``result.sq_distances`` from
-    entry t, the rounds that came before the run, or stop logging for
-    rewards that have no such distance.  A square past the float range is
-    an error naming its round.
+    """Add the squared sup-distance of each round of a run, which starts
+    after round t, from its reward f to its hint, a row of ``hints``, to
+    ``result.sq_sum`` one at a time, in round order.  Only modular runs (any
+    n, by the O(n) closed form) and coverage runs (n <= 16, by 2^n tables)
+    have the distance; any other run stops the sum (None), so the replica
+    reports no optimistic bound.  A square, or the sum, past the float range
+    is an error naming its round.
 
-    The gaps come from one :func:`distance_sup` call on the run's hints:
-    a modular run's closed form on its rows, a coverage run's tables of its
-    hints over all 2^n subsets.  Each gap has the bits of its row alone,
-    and its square is Python's ``gap ** 2``, whose last bit numpy's
-    ``x * x`` does not always give."""
-    if not isinstance(f, (ModularFunction, CoverageFunction)):
-        result.sq_distances = None
+    The gaps come from one :func:`distance_sup` call on the run's hints, each
+    with the bits of its row alone; a square is Python's ``gap ** 2``, whose
+    last bit numpy's ``x * x`` does not always give."""
+    if not (isinstance(f, ModularFunction) or isinstance(f, CoverageFunction) and f.n <= 16):
+        result.sq_sum = None
         return
     # a modular run's rewards are its rows; ModularFunction checks the hints are finite
-    gaps = distance_sup(f, ModularFunction(hints)).tolist()
-    squares = result.sq_distances
-    for t, gap in enumerate(gaps, t):
+    total = result.sq_sum
+    for t, gap in enumerate(distance_sup(f, ModularFunction(hints)).tolist(), t + 1):
         try:
-            squares[t] = gap ** 2
+            total += gap ** 2
         except OverflowError:
-            raise ValueError(f"round {t + 1}: the squared sup-distance of the hint from "
-                             "the reward overflows the float range (hints noise_l2 "
-                             "too large)") from None
+            total = math.inf
+        if total == math.inf:
+            raise ValueError(f"round {t}: the squared sup-distance of the hint from the "
+                             "reward, or the sum of such squares, overflows the float "
+                             "range (hints noise_l2 too large)")
+    result.sq_sum = total
 
 
 # The most replicas that play as lanes of one group.  A semi-bandit replica
@@ -522,9 +522,8 @@ def _group_summaries(cfg: ExperimentConfig, replicas: range,
     finals = []
     for result in _run_group(cfg, replicas, out_dir):
         finals.append(result.final_summary())
-        if result.sq_distances is not None:
-            finals[-1]["optimistic_bound"] = optimistic_regret_bound(
-                cfg.k, result.sq_distances)
+        if result.sq_sum is not None:
+            finals[-1]["optimistic_bound"] = optimistic_regret_bound(cfg.k, result.sq_sum)
     return finals
 
 

@@ -541,10 +541,10 @@ def augmented_regret_bound(n: int, k: int, T: int, M: float) -> float:
     return 4.0 * M * math.sqrt(k * T * math.log(n / k))
 
 
-def optimistic_regret_bound(k: int, sq_distances: np.ndarray | list[float]) -> float:
-    """Hint-quality guarantee: 12 k sqrt(sum of squared sup-distances); a
-    list and an array of the same squares sum to the same bits."""
-    return 12.0 * k * math.sqrt(float(np.sum(sq_distances)))
+def optimistic_regret_bound(k: int, sq_sum: float) -> float:
+    """Hint-quality guarantee: 12 k sqrt(sq_sum), where ``sq_sum`` is the sum
+    of the hints' squared sup-distances from the rewards over the rounds."""
+    return 12.0 * k * math.sqrt(sq_sum)
 
 
 def priced_regret_bound(n: int, k: int, T: int, G: float) -> float:

@@ -486,10 +486,10 @@ def test_a_lane_group_joins_no_more_than_one_plan_block_of_large_matching_reward
     assert peaks[1] <= peaks[0] + 8 * 8 * bench_module.PLAN_CELLS
 
 
-def test_an_exact_optimistic_replica_retains_at_most_10_bytes_per_round():
+def test_an_exact_optimistic_replica_retains_at_most_1_byte_per_round():
     # the slope of tracemalloc's peak between two horizons, both past one
-    # block of 204 rounds at n = 12: the hints' squared sup-distances are
-    # the one per-round store, 8 bytes each
+    # block of 204 rounds at n = 12: the hints' squared sup-distances fold
+    # into one running sum, so nothing is kept per round
     import tracemalloc
 
     horizons, peaks = (2000, 6000), []
@@ -505,7 +505,7 @@ def test_an_exact_optimistic_replica_retains_at_most_10_bytes_per_round():
             peaks.append(tracemalloc.get_traced_memory()[1] - base)
     finally:
         tracemalloc.stop()
-    assert (peaks[1] - peaks[0]) / (horizons[1] - horizons[0]) <= 10.0
+    assert (peaks[1] - peaks[0]) / (horizons[1] - horizons[0]) <= 1.0
 
 
 def test_coverage_hint_distances_come_from_tables_within_a_block(monkeypatch):
@@ -529,12 +529,18 @@ def test_coverage_hint_distances_come_from_tables_within_a_block(monkeypatch):
         f = random_coverage(n, 3 * n, rng)
         hints = rng.normal(size=(b, n)) * 2.0
         hints[0] = f.values_all()[1 << np.arange(n)]  # f on each singleton
-        want = [distance_sup(f, ModularFunction(h)) ** 2 for h in hints]
-        result, tables = bench_module.ReplicaResult(None, np.full(7 + b, 1.5)), []
+        want = 1.5  # a prior total, then each square added in round order
+        for h in hints:
+            want += distance_sup(f, ModularFunction(h)) ** 2
+        result, tables = bench_module.ReplicaResult(None, 1.5), []
         bench_module._log_sq_distances(result, f, hints, 7)
-        assert result.sq_distances.tolist() == [1.5] * 7 + want
+        assert result.sq_sum == want
         assert sum(rows for rows, _ in tables) == b
         assert all(rows * 2 ** n <= max(PLAN_CELLS, 2 ** n) for rows, _ in tables)
+    # past 16 elements a coverage run has no tables: the sum stops
+    result, tables = bench_module.ReplicaResult(None, 1.5), []
+    bench_module._log_sq_distances(result, random_coverage(17, 34, rng), np.zeros((2, 17)), 0)
+    assert result.sq_sum is None and tables == []
     # a non-finite hint is refused, and a square past the float range names its round
     f = random_coverage(4, 8, rng)
     for bad, error in ((np.nan, "coefficients must be a finite"),
@@ -542,16 +548,15 @@ def test_coverage_hint_distances_come_from_tables_within_a_block(monkeypatch):
         hints = np.zeros((3, 4))
         hints[1, 2] = bad
         with pytest.raises(ValueError, match=error):
-            bench_module._log_sq_distances(bench_module.ReplicaResult(None, np.empty(10)),
-                                           f, hints, 7)
+            bench_module._log_sq_distances(bench_module.ReplicaResult(None, 1.5), f, hints, 7)
 
 
 def test_modular_hint_distances_come_a_run_at_a_time():
     # a modular run's gaps come from distance_sup on its (b, n) rows at once,
-    # each with the bits of its row alone, and their squares are Python's
-    # gap ** 2, with ties of the positive and negative sums, all-zero rows
-    # and scales from 1e-300 to 1e150
-    from coreselect.setfn import ModularFunction, distance_sup
+    # each with the bits of its row alone, and their squares, Python's
+    # gap ** 2, add to the running sum in round order, with ties of the
+    # positive and negative sums, all-zero rows and scales from 1e-300 to 1e150
+    from coreselect.setfn import MatchingRewardFunction, ModularFunction, distance_sup
 
     rng = np.random.default_rng(12)
     for n, b in ((1, 5), (6, 40), (16, 204)):
@@ -570,18 +575,81 @@ def test_modular_hint_distances_come_a_run_at_a_time():
             want = [distance_sup(ModularFunction(wi), ModularFunction(h))
                     for wi, h in zip(w, hints)]
             assert gaps.tolist() == want
-            result = bench_module.ReplicaResult(None, np.full(3 + b, 1.5))
+            result = bench_module.ReplicaResult(None, 1.5)
             bench_module._log_sq_distances(result, f, hints, 3)
-            want_sq = np.array([1.5] * 3 + [gap ** 2 for gap in want])
-            assert result.sq_distances.tobytes() == want_sq.tobytes()
-    # a square past the float range names its round, with no numpy warning
+            total = 1.5  # a prior total, then each square added in round order
+            for gap in want:
+                total += gap ** 2
+            assert result.sq_sum == total
+    # a square, or a sum of squares, past the float range names its round,
+    # with no numpy warning
     hints = np.zeros((3, 4))
     hints[1, 2] = 1e200
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^round 9: the squared sup-distance of the hint"):
-            bench_module._log_sq_distances(bench_module.ReplicaResult(None, np.empty(10)),
+            bench_module._log_sq_distances(bench_module.ReplicaResult(None, 1.5),
                                            ModularFunction(np.zeros((3, 4))), hints, 7)
+        hints[1, 2] = 1e154  # its square is finite, the prior total plus it is not
+        with pytest.raises(ValueError, match="^round 9: .* or the sum of such squares, "
+                                             "overflows"):
+            bench_module._log_sq_distances(bench_module.ReplicaResult(None, 1.7e308),
+                                           ModularFunction(np.zeros((3, 4))), hints, 7)
+    # any other reward stops the sum
+    result = bench_module.ReplicaResult(None, 1.5)
+    bench_module._log_sq_distances(result, MatchingRewardFunction(np.ones((2, 2))),
+                                   np.zeros((3, 4)), 0)
+    assert result.sq_sum is None
+
+
+def test_a_modular_optimistic_run_at_n1000_reports_its_bound():
+    # the n1000-T40 golden config: blocks of 16, 16 and 8 rounds at n = 1000,
+    # each gap squared and added in round order, from the replica's own
+    # reward and hint streams
+    from coreselect.adversary import adversary_from_config, generate_hints
+    from coreselect.setfn import ModularFunction, distance_sup
+
+    raw = {"schema": 1, "n": 1000, "k": 50, "T": 40, "seed": 7, "replicas": 1,
+           "policy": {"kind": "oftrl", "mode": "exact"},
+           "adversary": {"kind": "modular-random"},
+           "hints": {"mode": "additive-noise", "noise_l2": 0.5}}
+    cfg = ExperimentConfig.from_dict(raw)
+    summary = run_experiment(cfg)
+    rngs = bench_module._replica_rngs(cfg.seed, 0)
+    adv = adversary_from_config(cfg.adversary, cfg.n)
+    strategy = adv.core_strategy(rngs["strategy"])
+    total, rounds = 0.0, 0
+    for block in bench_module._reward_blocks(adv.rounds(cfg.T, rngs["adversary"]),
+                                             block_rounds(cfg.n)):
+        G = np.concatenate([strategy(f, rows.stop - rows.start) for f, rows in block])
+        hints = generate_hints(G, cfg.hints, rngs["hints"])
+        for f, rows in block:
+            for w, h in zip(f.w, hints[rows]):
+                total += distance_sup(ModularFunction(w), ModularFunction(h)) ** 2
+                rounds += 1
+    assert rounds == cfg.T and total > 0.0
+    assert summary["bounds"]["optimistic"] == 12.0 * cfg.k * math.sqrt(total)
+    assert summary["bounds"]["optimistic_ratio"] == (
+        summary["aug_regret"]["mean"] / summary["bounds"]["optimistic"])
+
+
+def test_an_overflowing_sum_of_squared_distances_names_its_round(tmp_path, capsys):
+    # each square is finite, and their sum passes the float range at round
+    # 14: a ValueError naming it, not an infinite bound, and no CSV left
+    raw = {"schema": 1, "n": 12, "k": 4, "T": 40, "seed": 7, "replicas": 1,
+           "policy": {"kind": "oftrl", "mode": "exact"},
+           "adversary": {"kind": "modular-random"},
+           "hints": {"mode": "additive-noise", "noise_l2": 2e153}}
+    message = "round 14: the squared sup-distance of the hint from the reward, or the sum"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^" + message):
+            run_experiment(ExperimentConfig.from_dict(raw))
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(out.glob("*.csv")) and not (out / "summary.json").exists()
 
 
 def test_sweep_rows_and_file(tmp_path):
@@ -705,6 +773,24 @@ def test_verify_builds_no_reward_past_max_n(max_n, monkeypatch, capsys):
     assert sizes and max(sizes) <= max_n
     assert main(["verify", "--max-n", str(max_n)]) == 0
     assert "13/13 checks passed" in capsys.readouterr().out
+
+
+def test_verify_shapley_builds_only_the_instances_it_checks(monkeypatch):
+    # the Shapley check draws the first two of the four coverage instances of
+    # the marginal check, bit for bit, and builds no more
+    from coreselect import verify
+
+    rng = np.random.default_rng(5)
+    want = [f.values_all() for f in verify._random_submodular_instances(rng, 12)[:2]]
+    built, real = [], verify.random_coverage
+
+    def counted(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(verify, "random_coverage", counted)
+    assert verify._check_shapley(np.random.default_rng(5), 12).passed
+    assert [f.values_all().tobytes() for f in built] == [v.tobytes() for v in want]
 
 
 def test_cli_verify_and_lower_bound(capsys):
