@@ -415,15 +415,14 @@ def _log_sq_distances(result: ReplicaResult, f: SetFunction, hints: np.ndarray,
     reports no optimistic bound.  A square, or the sum, past the float range
     is an error naming its round.
 
-    The gaps come from one :func:`distance_sup` call on the run's hints, each
-    with the bits of its row alone; a square is Python's ``gap ** 2``, whose
-    last bit numpy's ``x * x`` does not always give."""
+    The gaps come from one :func:`distance_sup` call on the run's hint
+    rows, which it checks, each gap with the bits of its row alone; a square
+    is Python's ``gap ** 2``, whose last bit ``x * x`` does not always give."""
     if not (isinstance(f, ModularFunction) or isinstance(f, CoverageFunction) and f.n <= 16):
         result.sq_sum = None
         return
-    # a modular run's rewards are its rows; ModularFunction checks the hints are finite
     total = result.sq_sum
-    for t, gap in enumerate(distance_sup(f, ModularFunction(hints)).tolist(), t + 1):
+    for t, gap in enumerate(distance_sup(f, hints).tolist(), t + 1):
         try:
             total += gap ** 2
         except OverflowError:
@@ -605,12 +604,20 @@ def _write_csvs(paths: list[Path],
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
                    workers: int = 1) -> dict:
     """Run all replicas, write per-replica CSVs (if an output dir is set), and
-    return the summary dict that also lands in summary.json."""
+    return the summary dict that also lands in summary.json.  A run that
+    fails removes its files and the output directories it made."""
     adv = adversary_from_config(cfg.adversary, cfg.n)
     alpha, M, G = _resolve_bounds(cfg, adv)
     out = Path(out_dir) if out_dir is not None else (Path(cfg.out) if cfg.out else None)
-    finals = run_replicas(cfg, workers=workers,
-                          out_dir=str(out) if out is not None else None)
+    made = [] if out is None else [d for d in (out, *out.parents) if not d.exists()]
+    try:
+        finals = run_replicas(cfg, workers=workers,
+                              out_dir=str(out) if out is not None else None)
+    except BaseException:
+        for d in made:
+            with contextlib.suppress(OSError):  # deepest first; one not empty stays
+                d.rmdir()
+        raise
     opt_bounds = [f.pop("optimistic_bound") for f in finals if "optimistic_bound" in f]
 
     aug = np.array([f["aug_regret"] for f in finals])

@@ -464,40 +464,30 @@ def _lmo_indices(cost: np.ndarray, k: int) -> np.ndarray:
 
 
 class QuadraticObjective:
-    """F(p) = sum_t (sigma_t / 2) * ||p - center_t||^2 - <p, linear>.
+    """F(p) = (sigma / 2) * ||p||^2 - <p, b> over the capped simplex for
+    ``k``, with n the length of the vector b.
 
-    ``sigma_total`` sums the weights and ``weighted_center`` the products
-    sigma_t * center_t, each in order from zero: the first product plus 0.0
-    has the bits of ``np.zeros(n)`` plus it."""
+    A sum of quadratic regularizers sum_t (sigma_t / 2) * ||p - c_t||^2
+    less a linear score <p, l> is this F, up to a constant, with sigma the
+    summed weights and b = l + sum_t sigma_t * c_t.  The weight must be
+    nonnegative and finite, and b one finite vector."""
 
-    def __init__(self, n: int, k: int, centers: list[tuple[float, np.ndarray]],
-                 linear: np.ndarray):
-        self.n, self.k = n, k
-        self.linear = np.asarray(linear, dtype=float)
-        self.sigma_total, center = 0.0, None
-        for sigma, c in centers:
-            if sigma < 0:
-                raise ValueError("center weights must be nonnegative")
-            c = np.asarray(c, dtype=float)
-            if c.shape != (n,):
-                raise ValueError("center has wrong length")
-            self.sigma_total += float(sigma)
-            term = sigma * c
-            center = term + 0.0 if center is None else np.add(center, term, out=center)
-        self.weighted_center = np.zeros(n) if center is None else center
+    def __init__(self, k: int, sigma: float, b: np.ndarray):
+        if not 0.0 <= sigma < math.inf:  # NaN fails too
+            raise ValueError(f"the weight sigma must be nonnegative and finite, got {sigma!r}")
+        self.k, self.sigma = k, float(sigma)
+        self.b = _check_finite(b, "the objective's vector b")
+        self.n = self.b.size
 
     def value(self, x: np.ndarray) -> float:
-        """Objective up to an additive constant (enough for gaps and line search)."""
-        return 0.5 * self.sigma_total * float(x @ x) - float(
-            x @ (self.weighted_center + self.linear)
-        )
+        """F(x) (enough for gaps and line search)."""
+        return 0.5 * self.sigma * float(x @ x) - float(x @ self.b)
 
     def exact_minimizer(self) -> np.ndarray:
-        """Closed-form route: the minimizer is the projection of the weighted mean."""
-        if self.sigma_total <= 0.0:
+        """Closed-form route: the minimizer is the projection of b / sigma."""
+        if self.sigma <= 0.0:
             raise ValueError("exact route needs a strictly convex objective")
-        y = (self.linear + self.weighted_center) / self.sigma_total
-        return euclidean_project(y, self.k)
+        return euclidean_project(self.b / self.sigma, self.k)
 
 
 @dataclass
@@ -521,7 +511,8 @@ def afw_minimize(
     max_iters: int,
     active: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> AfwResult:
-    """Away-steps Frank-Wolfe over the capped simplex.
+    """Away-steps Frank-Wolfe over the capped simplex, for the quadratic
+    ``obj``: (sigma / 2) * ||p||^2 - <p, b>, with sigma > 0.
 
     Maintains the iterate as a convex combination of vertices; each round
     picks the better of the Frank-Wolfe direction (toward the LMO vertex)
@@ -534,11 +525,11 @@ def afw_minimize(
     of their k elements) in the order they entered, and their weights.  The
     away vertex is the first of largest gradient sum, from one gather-sum.
     ``active`` may carry the (vertices, weights) of a previous solve for
-    warm starting; without it the solve starts at the vertex minimizing the
-    linear part.
+    warm starting; without it the solve starts at the vertex maximizing
+    <p, b>.
 
-    The objective's linear part and centers are checked to be finite once
-    per solve, not per iteration: each iteration calls the LMO body
+    The objective's weight and b are checked to be finite when it is
+    built, not per solve or iteration: each iteration calls the LMO body
     :func:`_lmo_indices`, whose indices are the new vertex's key as they
     stand, and finds the vertex's row among the active ones by the key's
     bytes.  A gradient that is not finite makes the Frank-Wolfe gap
@@ -548,21 +539,16 @@ def afw_minimize(
     an iteration takes about 8 µs against 12.5 with a checked ``lmo`` per
     iteration (criterion 5's solves, 2-core VM).
     """
-    if obj.sigma_total <= 0.0:
-        raise ValueError("afw_minimize needs sum of center weights > 0; use lmo for the linear case")
+    n, k, sigma = obj.n, obj.k, obj.sigma
+    if sigma <= 0.0:
+        raise ValueError("afw_minimize needs a positive weight sigma; use lmo for the linear case")
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    n, k, sigma = obj.n, obj.k, obj.sigma_total
 
-    # The iterate is confined to the sum(p) = k hyperplane, so shifting the
-    # linear term by a constant vector changes nothing; centering it keeps the
-    # gradient entries small and the gap computation well conditioned.
-    lin = obj.weighted_center + obj.linear
-    if not np.isfinite(lin).all():
-        raise ValueError("the objective's linear part or centers contain "
-                         "non-finite entries")
-    shift = float(np.mean(lin))
-    drift = lin - shift
+    # The iterate is confined to the sum(p) = k hyperplane, so shifting b by
+    # a constant vector changes nothing; centering it keeps the gradient
+    # entries small and the gap computation well conditioned.
+    drift = obj.b - float(np.mean(obj.b))
 
     x = np.zeros(n)
     if active is not None and len(active[0]):

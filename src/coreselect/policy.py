@@ -362,11 +362,12 @@ class OftrlPolicy(_Policy):
 
     The regularizers are kept as their summed weights ``sigma_sum``, the
     weights times their centers summed in ``weighted_center``, and the
-    summed squared hint errors ``delta_sum``; AFW's tolerance ``eps`` is
-    set by the first positive hint error.  A block is played in one pass,
-    as the score policy plays it, except that the proposals and the
-    regularizer schedule go row by row.  The lanes of a group play one
-    after another.
+    summed squared hint errors ``delta_sum``; a proposal minimizes one
+    quadratic, of weight ``sigma_sum`` and vector theta + hint +
+    ``weighted_center``.  AFW's tolerance ``eps`` is set by the first
+    positive hint error.  A block is played in one pass, as the score
+    policy plays it, except that the proposals and the regularizer
+    schedule go row by row.  The lanes of a group play one after another.
     """
 
     needs_hint = True
@@ -387,11 +388,9 @@ class OftrlPolicy(_Policy):
     def _quadratic(self, linear: np.ndarray) -> QuadraticObjective | None:
         """What the proposal minimizes, from its linear part (theta plus the
         hint); None while no hint error has been seen, as it is then linear."""
-        s = self.sigma_sum
-        if s <= 0.0:
+        if self.sigma_sum <= 0.0:
             return None
-        return QuadraticObjective(self.config.n, self.config.k,
-                                  [(s, self.weighted_center / s)], linear)
+        return QuadraticObjective(self.config.k, self.sigma_sum, linear + self.weighted_center)
 
     @classmethod
     def _play(cls, lanes, G, H):
@@ -406,26 +405,25 @@ class OftrlPolicy(_Policy):
                 # one round's ((g - h) ** 2).sum() is its row's sum here, bit for bit
                 deltas = ((g - h) ** 2).sum(axis=1).tolist()
                 for i, delta in enumerate(deltas):
-                    if (obj := lane._quadratic(linear[i])) is None:
-                        lane._afw_active = None
-                        p[i] = lmo(-linear[i], cfg.k)
-                    elif lane.mode == "afw":
-                        res = afw_minimize(obj, eps=lane.eps, max_iters=lane.afw_budget,
-                                           active=lane._afw_active)
-                        lane._afw_active = res.active
-                        p[i] = res.p
-                    else:
-                        try:
+                    try:
+                        if (obj := lane._quadratic(linear[i])) is None:
+                            lane._afw_active = None
+                            p[i] = lmo(-linear[i], cfg.k)
+                        elif lane.mode == "afw":
+                            res = afw_minimize(obj, eps=lane.eps, max_iters=lane.afw_budget,
+                                               active=lane._afw_active)
+                            lane._afw_active = res.active
+                            p[i] = res.p
+                        else:
                             p[i] = obj.exact_minimizer()
-                        except ValueError as exc:
-                            # the point projected is the scores over the weight,
-                            # solved at any scale; a weight so small that they
-                            # overflow leaves it non-finite entries
-                            raise ValueError(
-                                f"round {lane.t + i + 1}: the exact proposal failed at "
-                                f"regularizer weight {lane.sigma_sum:.3g} (policy sigma "
-                                f"{lane.sigma_scale:g} times the hint errors, which "
-                                f"hints noise_l2 sets): {exc}") from exc
+                    except ValueError as exc:
+                        # scores over a subnormal weight overflow in the exact
+                        # route, and a weight past the float range is no weight
+                        raise ValueError(
+                            f"round {lane.t + i + 1}: the {lane.mode} proposal failed at "
+                            f"regularizer weight {lane.sigma_sum:.3g} (policy sigma "
+                            f"{lane.sigma_scale:g} times the hint errors, which "
+                            f"hints noise_l2 sets): {exc}") from exc
                     # the regularizer schedule after the round
                     new_sum = lane.delta_sum + delta
                     if not new_sum < math.inf:

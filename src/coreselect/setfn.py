@@ -400,9 +400,11 @@ class MatchingRewardFunction(SetFunction):
         return out
 
 
-def distance_sup(f: SetFunction, h: ModularFunction) -> float | np.ndarray:
-    """max over all subsets of |f(S) - h(S)|, or the b such gaps of a block
-    of (b, n) hint rows, each with the bits of its row alone.
+def distance_sup(f: SetFunction, h: np.ndarray) -> float | np.ndarray:
+    """max over all subsets of |f(S) - h(S)| for the modular hint h given
+    by its coefficients, one vector of n, or the b such gaps of a block of
+    (b, n) hint rows, each with the bits of its row alone.  Hints that are
+    not finite, or not of that shape, are a ``ValueError``.
 
     Modular-vs-modular has the O(n) closed form max(sum of positive gaps,
     -sum of negative gaps); a modular f then takes one vector or a block of
@@ -410,21 +412,25 @@ def distance_sup(f: SetFunction, h: ModularFunction) -> float | np.ndarray:
     subsets, guarded by ``ENUM_MAX``, and so are the hints, at most
     ``PLAN_CELLS`` entries at a time (one hint's 2^n where that is more).
     """
-    if f.n != h.n:
-        raise ValueError("mismatched ground sets")
+    h = np.asarray(h, dtype=float)
+    if h.ndim not in (1, 2) or h.shape[-1] != f.n:
+        raise ValueError(f"the hints must be one vector or (b, n) rows of n = {f.n} "
+                         f"coefficients, got shape {h.shape}")
+    if not np.isfinite(h).all():
+        raise ValueError("the hints contain non-finite entries")
     if isinstance(f, ModularFunction):
         # a block has no distance from one vector, nor from another block's rows
-        nu = f.w - h.w if f.w.shape == h.w.shape else f._vector() - h._vector()
+        nu = f.w - h if f.w.shape == h.shape else f._vector() - h
         # np.maximum keeps the first of equal sums, as Python's max does
         gap = np.maximum(np.maximum(nu, 0.0).sum(axis=-1), -np.minimum(nu, 0.0).sum(axis=-1))
         return gap if gap.ndim else float(gap)
     _guard(f.n, ENUM_MAX, "a non-modular distance")
-    F, rows = f.values_all(), np.atleast_2d(h.w)
+    F, rows = f.values_all(), np.atleast_2d(h)
     gap, size = np.empty(len(rows)), max(1, PLAN_CELLS >> f.n)
     for first in range(0, len(rows), size):
         table = subset_table(rows[first:first + size], np.add)
         gap[first:first + size] = np.abs(np.subtract(F, table, out=table), out=table).max(axis=1)
-    return gap if h.w.ndim == 2 else float(gap[0])
+    return gap if h.ndim == 2 else float(gap[0])
 
 
 def _guard(n: int, cap: int, what: str) -> None:

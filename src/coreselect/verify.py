@@ -44,7 +44,6 @@ from .policy import norm_bound
 from .sampling import madow_marginal_measure, madow_sample
 from .setfn import (
     MatchingRewardFunction,
-    ModularFunction,
     check_monotone,
     check_submodular,
     distance_sup,
@@ -146,9 +145,11 @@ def _check_afw(rng, max_n) -> CheckResult:
     for _ in range(25):
         n = int(rng.integers(3, min(10, max_n) + 1))
         k = int(rng.integers(1, n))
-        centers = [(float(rng.uniform(0.2, 2.0)), random_feasible_point(n, k, rng))
-                   for _ in range(int(rng.integers(1, 4)))]
-        obj = QuadraticObjective(n, k, centers, rng.standard_normal(n))
+        sigma, b = 0.0, np.zeros(n)  # 1 to 3 regularizers, summed into one quadratic
+        for _ in range(int(rng.integers(1, 4))):
+            sigma_t = float(rng.uniform(0.2, 2.0))
+            sigma, b = sigma + sigma_t, b + sigma_t * random_feasible_point(n, k, rng)
+        obj = QuadraticObjective(k, sigma, b + rng.standard_normal(n))
         eps = 1e-8
         res = afw_minimize(obj, eps=eps, max_iters=4000)
         exact = obj.exact_minimizer()
@@ -322,8 +323,8 @@ def _check_hint_inequality(rng, max_n) -> CheckResult:
         n = int(rng.integers(2, min(8, max_n) + 1))
         f = random_coverage(n, 2 * n, rng, density=0.5)
         fvec = marginal_vector(f, rng.permutation(n), submodular=True).g
-        h = ModularFunction(fvec + rng.standard_normal(n) * rng.uniform(0, 1.5))
-        lhs = float(np.abs(fvec - h.w).sum())
+        h = fvec + rng.standard_normal(n) * rng.uniform(0, 1.5)
+        lhs = float(np.abs(fvec - h).sum())
         rhs = 3.0 * distance_sup(f, h)
         if lhs > rhs + 1e-9:
             return CheckResult("hint-distance-inequality", False,

@@ -30,7 +30,7 @@ from coreselect.policy import (
     static_regret_bound,
 )
 from coreselect.sampling import expected_set_value, madow_marginal_measure
-from coreselect.setfn import ModularFunction, distance_sup
+from coreselect.setfn import distance_sup
 from coreselect.verify import verify_all
 
 WORKERS = 2
@@ -126,7 +126,7 @@ def test_criterion_4_optimistic_hint_bound():
             start += b
             r = pol.step(fvecs[rows], hints[rows])
             ledger.fold(r, f.value(r.selected), np.full(b, f.full_value()))
-            sq += [distance_sup(f, ModularFunction(h)) ** 2 for h in hints[rows]]
+            sq += [distance_sup(f, h) ** 2 for h in hints[rows]]
             # against E[f(S) | p], summed in round order as the ledger sums
             # rewards
             for p in r.p:

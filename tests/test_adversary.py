@@ -273,7 +273,7 @@ def test_modular_block_reward_is_its_rows_one_at_a_time():
     # a block has no value on one set
     for single in (lambda f: f.value_mask(3), lambda f: f.values_all(),
                    lambda f: f.prefix_values(np.arange(7)),
-                   lambda f: distance_sup(f, ModularFunction(np.zeros(7)))):
+                   lambda f: distance_sup(f, np.zeros(7))):
         with pytest.raises(ValueError, match="a block of rewards takes one set per row"):
             single(ModularFunction(w))
     w[4, 2] = np.nan

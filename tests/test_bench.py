@@ -515,7 +515,7 @@ def test_coverage_hint_distances_come_from_tables_within_a_block(monkeypatch):
     from coreselect import setfn
     from coreselect.adversary import random_coverage
     from coreselect.blocks import PLAN_CELLS
-    from coreselect.setfn import ModularFunction, distance_sup
+    from coreselect.setfn import distance_sup
 
     real, tables = setfn.subset_table, []
 
@@ -531,7 +531,7 @@ def test_coverage_hint_distances_come_from_tables_within_a_block(monkeypatch):
         hints[0] = f.values_all()[1 << np.arange(n)]  # f on each singleton
         want = 1.5  # a prior total, then each square added in round order
         for h in hints:
-            want += distance_sup(f, ModularFunction(h)) ** 2
+            want += distance_sup(f, h) ** 2
         result, tables = bench_module.ReplicaResult(None, 1.5), []
         bench_module._log_sq_distances(result, f, hints, 7)
         assert result.sq_sum == want
@@ -543,7 +543,7 @@ def test_coverage_hint_distances_come_from_tables_within_a_block(monkeypatch):
     assert result.sq_sum is None and tables == []
     # a non-finite hint is refused, and a square past the float range names its round
     f = random_coverage(4, 8, rng)
-    for bad, error in ((np.nan, "coefficients must be a finite"),
+    for bad, error in ((np.nan, "the hints contain non-finite entries"),
                        (1e200, "^round 9: the squared sup-distance of the hint")):
         hints = np.zeros((3, 4))
         hints[1, 2] = bad
@@ -571,8 +571,8 @@ def test_modular_hint_distances_come_a_run_at_a_time():
                 hints[2, 0] += scale
                 hints[2, 1] -= scale
             f = ModularFunction(w)
-            gaps = distance_sup(f, ModularFunction(hints))
-            want = [distance_sup(ModularFunction(wi), ModularFunction(h))
+            gaps = distance_sup(f, hints)
+            want = [distance_sup(ModularFunction(wi), h)
                     for wi, h in zip(w, hints)]
             assert gaps.tolist() == want
             result = bench_module.ReplicaResult(None, 1.5)
@@ -625,7 +625,7 @@ def test_a_modular_optimistic_run_at_n1000_reports_its_bound():
         hints = generate_hints(G, cfg.hints, rngs["hints"])
         for f, rows in block:
             for w, h in zip(f.w, hints[rows]):
-                total += distance_sup(ModularFunction(w), ModularFunction(h)) ** 2
+                total += distance_sup(ModularFunction(w), h) ** 2
                 rounds += 1
     assert rounds == cfg.T and total > 0.0
     assert summary["bounds"]["optimistic"] == 12.0 * cfg.k * math.sqrt(total)
@@ -650,6 +650,28 @@ def test_an_overflowing_sum_of_squared_distances_names_its_round(tmp_path, capsy
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not list(out.glob("*.csv")) and not (out / "summary.json").exists()
+
+
+def test_a_failed_run_leaves_no_directory_it_made(tmp_path, monkeypatch, capsys):
+    # the overflowing config above fails at round 14: the output directories
+    # the run made go with its files; one that was there before stays, with
+    # what it holds
+    raw = {"schema": 1, "n": 12, "k": 4, "T": 40, "seed": 7, "replicas": 1,
+           "policy": {"kind": "oftrl", "mode": "exact"},
+           "adversary": {"kind": "modular-random"},
+           "hints": {"mode": "additive-noise", "noise_l2": 2e153}}
+    (tmp_path / "cfg.json").write_text(json.dumps(raw))
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", "cfg.json", "--out", "tmp/a/b"]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+    kept = tmp_path / "tmp"
+    kept.mkdir()
+    (kept / "notes.txt").write_text("kept\n")
+    for out in ("tmp/a/b", "tmp"):
+        assert main(["run", "--config", "cfg.json", "--out", out]) == 2
+        assert sorted(p.name for p in kept.iterdir()) == ["notes.txt"]
+    assert (kept / "notes.txt").read_text() == "kept\n"
+    assert "round 14" in capsys.readouterr().err
 
 
 def test_sweep_rows_and_file(tmp_path):
@@ -1009,6 +1031,21 @@ def test_subnormal_regularizer_weight_fails_without_a_warning():
         with pytest.raises(ValueError, match="round 2: the exact proposal failed at "
                                              "regularizer weight 1e-320 .* non-finite"):
             run_replica(cfg, 0)
+
+
+@pytest.mark.parametrize("mode", ["exact", "afw"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_an_overflowing_regularizer_weight_names_its_round(mode):
+    # sigma 1e300 times a hint error near 1e10 is past the float range: the
+    # objective refuses the weight, and either mode names the round
+    cfg = ExperimentConfig.from_dict(base_config(
+        n=6, k=2, T=5, replicas=1, seed=0, adversary={"kind": "modular-random"},
+        policy={"kind": "oftrl", "mode": mode, "sigma": 1e300},
+        hints={"mode": "additive-noise", "noise_l2": 1e10}))
+    with pytest.raises(ValueError, match=f"^round 2: the {mode} proposal failed at "
+                                         "regularizer weight inf .* the weight sigma must "
+                                         "be nonnegative and finite, got inf$"):
+        run_replica(cfg, 0)
 
 
 @pytest.mark.parametrize("policy", ["score", "semibandit", "priced"])

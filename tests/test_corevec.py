@@ -451,8 +451,8 @@ def test_hint_inequality_l1_vs_sup_distance():
     for _ in range(200):
         f = random_coverage(5, rng)
         fvec = marginal_vector(f, rng.permutation(5), submodular=True).g
-        h = ModularFunction(fvec + rng.standard_normal(5))
-        assert np.abs(fvec - h.w).sum() <= 3.0 * distance_sup(f, h) + 1e-9
+        h = fvec + rng.standard_normal(5)
+        assert np.abs(fvec - h).sum() <= 3.0 * distance_sup(f, h) + 1e-9
 
 
 # ---------------------------------------------------------------------------

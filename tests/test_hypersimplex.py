@@ -622,10 +622,19 @@ def _random_point(n, k, rng):
     return euclidean_project(rng.random(n) * 1.5 - 0.2, k)
 
 
+def _summed(k, centers, linear):
+    """The one quadratic of sum_t (sigma_t / 2) ||p - c_t||^2 - <p, linear>,
+    up to a constant: its weights summed and b = linear + sum_t sigma_t c_t."""
+    sigma, b = 0.0, linear
+    for sigma_t, c in centers:
+        sigma, b = sigma + sigma_t, b + sigma_t * c
+    return QuadraticObjective(k, sigma, b)
+
+
 def test_afw_single_center_returns_center():
     rng = np.random.default_rng(31)
     center = _random_point(6, 2, rng)
-    obj = QuadraticObjective(6, 2, [(1.0, center)], np.zeros(6))
+    obj = QuadraticObjective(2, 1.0, center)
     res = afw_minimize(obj, eps=1e-10, max_iters=3000)
     assert res.converged
     assert np.linalg.norm(res.p - center) < 1e-4
@@ -633,8 +642,8 @@ def test_afw_single_center_returns_center():
 
 def test_afw_vertex_center_recovered_immediately():
     v = np.array([1.0, 0, 1, 0])
-    obj = QuadraticObjective(4, 2, [(1.0, v)], np.zeros(4))
-    # the default start, the vertex minimizing the linear part, is v
+    obj = QuadraticObjective(2, 1.0, v)
+    # the default start, the vertex maximizing <p, b>, is v
     res = afw_minimize(obj, eps=1e-12, max_iters=50)
     np.testing.assert_allclose(res.p, v, atol=1e-12)
     assert res.iterations == 0
@@ -646,7 +655,7 @@ def test_afw_matches_exact_projection_route():
         n, k = 10, 3
         centers = [(float(rng.uniform(0.2, 2.0)), _random_point(n, k, rng))
                    for _ in range(int(rng.integers(1, 4)))]
-        obj = QuadraticObjective(n, k, centers, rng.standard_normal(n))
+        obj = _summed(k, centers, rng.standard_normal(n))
         eps = 1e-9
         res = afw_minimize(obj, eps=eps, max_iters=5000)
         exact = obj.exact_minimizer()
@@ -659,15 +668,15 @@ def test_afw_progress_is_monotone_in_budget():
     rng = np.random.default_rng(35)
     n, k = 8, 3
     centers = [(1.3, _random_point(n, k, rng)), (0.7, _random_point(n, k, rng))]
-    obj = QuadraticObjective(n, k, centers, rng.standard_normal(n))
+    obj = _summed(k, centers, rng.standard_normal(n))
     vals = [obj.value(afw_minimize(obj, 1e-14, budget).p)
             for budget in (1, 2, 4, 8, 16, 32)]
     assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
 
 def test_afw_requires_strict_convexity():
-    obj = QuadraticObjective(4, 2, [], np.ones(4))
-    with pytest.raises(ValueError):
+    obj = QuadraticObjective(2, 0.0, np.ones(4))
+    with pytest.raises(ValueError, match="afw_minimize needs a positive weight sigma"):
         afw_minimize(obj, 1e-6, 10)
 
 
@@ -675,9 +684,7 @@ def test_afw_iteration_cap_flags_not_raises():
     rng = np.random.default_rng(36)
     n, k = 12, 4
     # interior optimum, so two iterations cannot certify a 1e-16 gap
-    obj = QuadraticObjective(
-        n, k, [(1.0, _random_point(n, k, rng))], 0.01 * rng.standard_normal(n)
-    )
+    obj = _summed(k, [(1.0, _random_point(n, k, rng))], 0.01 * rng.standard_normal(n))
     res = afw_minimize(obj, eps=1e-16, max_iters=2)
     assert not res.converged
     validate_point(res.p, k, 1e-9)
@@ -685,28 +692,28 @@ def test_afw_iteration_cap_flags_not_raises():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_afw_rejects_non_finite_objectives_once_per_solve(bad):
+    # a non-finite linear part or center reaches b, and an objective with a
+    # non-finite b is refused when it is built, so no solve sees one
     n, k = 6, 2
     center, linear = np.full(n, k / n), np.linspace(-1.0, 1.0, n)
     bad_linear = linear.copy()
     bad_linear[2] = bad
     bad_center = center.copy()
     bad_center[4] = bad
-    match = "the objective's linear part or centers contain non-finite entries"
-    for obj in (QuadraticObjective(n, k, [(1.0, center)], bad_linear),
-                QuadraticObjective(n, k, [(1.0, center), (0.5, bad_center)], linear)):
-        for active in (None, (np.array([[0, 1]]), np.ones(1))):
-            with pytest.raises(ValueError, match=match):
-                afw_minimize(obj, 1e-9, 50, active)
-    obj = QuadraticObjective(n, k, [(1.0, center)], linear)
+    match = "the objective's vector b contains non-finite entries"
+    for centers, lin in (([(1.0, center)], bad_linear),
+                         ([(1.0, center), (0.5, bad_center)], linear)):
+        with pytest.raises(ValueError, match=match):
+            _summed(k, centers, lin)
+    obj = _summed(k, [(1.0, center)], linear)
     with pytest.raises(ValueError, match="the warm start's weights must be finite"):
         afw_minimize(obj, 1e-9, 50, (np.array([[0, 1], [2, 3]]), np.array([1.0, np.inf])))
 
 
 def test_afw_names_a_gradient_that_overflows():
-    # a finite weight, center and linear part, whose mean is 0, but at the
-    # warm start's vertex sigma * x - linear is 1.5e308 + 1.2e308
-    obj = QuadraticObjective(4, 2, [(1.5e308, np.zeros(4))],
-                             np.array([-1.2e308, 1.2e308, -1.2e308, 1.2e308]))
+    # a finite weight and b, whose mean is 0, but at the
+    # warm start's vertex sigma * x - b is 1.5e308 + 1.2e308
+    obj = QuadraticObjective(2, 1.5e308, np.array([-1.2e308, 1.2e308, -1.2e308, 1.2e308]))
     with np.errstate(over="ignore"), \
             pytest.raises(ValueError, match="gradient overflows the float range"):
         afw_minimize(obj, 1e-9, 50, (np.array([[0, 2]]), np.ones(1)))
@@ -717,11 +724,10 @@ def afw_dict_reference(obj, eps, max_iters, active=None):
     index tuples to weights, scored through a Python ``max``: returns
     (p, gap, iterations, converged, weights)."""
     n, k = obj.n, obj.k
-    shift = float(np.mean(obj.weighted_center + obj.linear))
-    drift = obj.weighted_center + obj.linear - shift
+    drift = obj.b - float(np.mean(obj.b))
 
     def grad(x):
-        return obj.sigma_total * x - drift
+        return obj.sigma * x - drift
 
     def vert(key):
         v = np.zeros(n)
@@ -769,7 +775,7 @@ def afw_dict_reference(obj, eps, max_iters, active=None):
         dd = float(d @ d)
         if dd <= 0.0:
             break
-        gamma = float(-(g @ d) / (obj.sigma_total * dd))
+        gamma = float(-(g @ d) / (obj.sigma * dd))
         gamma = min(max(gamma, 0.0), gamma_max)
         if gamma <= 0.0 or not np.isfinite(gamma):
             break
@@ -816,7 +822,7 @@ def test_afw_matches_the_dict_active_set_bit_for_bit(n, k):
     for i in range(70):
         if i % 10 == 0:  # a cold start, so that no active set grows past hundreds
             active = ref_active = None
-        obj = QuadraticObjective(n, k, [(sigma, center)], linear)
+        obj = _summed(k, [(sigma, center)], linear)
         # every tenth tolerance is out of reach, so the solve hits its cap
         eps = 1e-300 if i % 10 == 9 else 10.0 ** -rng.integers(4, 12)
         max_iters = int(rng.choice([5, 40, 120]))
@@ -830,14 +836,27 @@ def test_afw_matches_the_dict_active_set_bit_for_bit(n, k):
     assert capped and grown
     # at a weight near the float limit sigma * ||d||^2 overflows, the step
     # rounds to 0 and the solve stalls in its first iteration
-    obj = QuadraticObjective(n, k, [(1e308 / k, np.full(n, k / n))], linear)
+    obj = _summed(k, [(1e308 / k, np.full(n, k / n))], linear)
     res, _ = solve(obj, 1e-9, 50, None, None)
     assert res.iterations == 1 and not res.converged
 
 
 def test_quadratic_objective_rejects_negative_weights():
-    with pytest.raises(ValueError):
-        QuadraticObjective(3, 1, [(-0.5, np.zeros(3))], np.zeros(3))
+    # a weight that is negative, NaN or infinite is named, and so is a b
+    # that is not one finite vector
+    for sigma in (-0.5, -np.inf, np.nan, np.inf):
+        with pytest.raises(ValueError, match="the weight sigma must be nonnegative and finite, "
+                                             f"got {sigma!r}"):
+            QuadraticObjective(1, sigma, np.zeros(3))
+    with pytest.raises(ValueError, match="the objective's vector b must be a 1-d vector, "
+                                         r"got shape \(2, 3\)"):
+        QuadraticObjective(1, 1.0, np.zeros((2, 3)))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="the objective's vector b contains non-finite"):
+            QuadraticObjective(1, 1.0, np.array([0.0, bad, 1.0]))
+    # a zero weight is an objective, linear, and so are n and the weight's type
+    obj = QuadraticObjective(1, 0, [0.0, 1.0, 2.0])
+    assert (obj.n, obj.sigma, type(obj.sigma)) == (3, 0.0, float)
 
 
 def test_validate_point():

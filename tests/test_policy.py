@@ -781,6 +781,38 @@ def test_oftrl_step_without_hint_at_full_selection_fails_before_the_round():
     np.testing.assert_array_equal(pol.theta, np.zeros(4))
 
 
+def test_an_exact_proposal_projects_the_summed_vector_over_the_summed_weight(monkeypatch):
+    # the oftrl-exact-adversarial-flip golden config, replica 0: each round
+    # with a positive regularizer weight proposes the projection of
+    # (theta + hint + weighted_center) / sigma_sum, bit for bit.  Round 7 is
+    # the first whose bits a divide of weighted_center by the weight and a
+    # multiply back would move
+    from coreselect.bench import ExperimentConfig, run_replica
+    from coreselect.hypersimplex import euclidean_project
+    from test_golden import CONFIGS
+
+    wants, proposals = [], []
+    real_quadratic, real_draw = OftrlPolicy._quadratic, policy_module.draw
+
+    def quadratic(self, linear):
+        s = self.sigma_sum
+        wants.append(None if s <= 0.0 else
+                     euclidean_project((linear + self.weighted_center) / s, self.config.k))
+        return real_quadratic(self, linear)
+
+    def draw(p, k, rng):
+        proposals.extend(p.copy())
+        return real_draw(p, k, rng)
+
+    monkeypatch.setattr(OftrlPolicy, "_quadratic", quadratic)
+    monkeypatch.setattr(policy_module, "draw", draw)
+    run_replica(ExperimentConfig.from_dict(CONFIGS["oftrl-exact-adversarial-flip"]), 0)
+    assert len(wants) == len(proposals) == 20 and wants[0] is None
+    assert proposals[6].tobytes() == wants[6].tobytes()  # round 7
+    for want, p in zip(wants[1:], proposals[1:]):
+        assert p.tobytes() == want.tobytes()
+
+
 def test_perfect_hints_route_through_vertices_with_no_regret():
     pol, played, _ = run_oftrl(8, 3, 400, HintSpec("perfect"), 0)
     rec = played[0]
@@ -890,7 +922,7 @@ def test_oftrl_augmented_regret_within_hint_bound():
 
     n, k, T = 8, 3, 400
     _, played, (fs, hints, _) = run_oftrl(n, k, T, HintSpec("additive-noise", 0.3), 8)
-    sq = [distance_sup(f, ModularFunction(h)) ** 2 for f, h in zip(fs, hints)]
+    sq = [distance_sup(f, h) ** 2 for f, h in zip(fs, hints)]
     # against E[f(S) | p], summed in round order as the ledger sums rewards
     expected = 0.0
     for p, f in zip(played[0].p, fs):

@@ -304,9 +304,25 @@ def test_coverage_rejects_items_outside_the_universe():
 
 def test_distance_sup_modular_closed_form():
     f = ModularFunction(np.array([1.0, 2.0]))
-    h = ModularFunction(np.array([2.0, 1.0]))
-    assert distance_sup(f, h) == 1.0
-    assert distance_sup(f, f) == 0.0
+    assert distance_sup(f, np.array([2.0, 1.0])) == 1.0
+    assert distance_sup(f, f.w) == 0.0
+    # a list of coefficients is a vector too
+    assert distance_sup(f, [2.0, 1.0]) == 1.0
+
+
+@pytest.mark.parametrize("f", [ModularFunction(np.array([1.0, 2.0, 0.5])),
+                               ModularFunction(np.ones((2, 3))),
+                               CoverageFunction([[0, 1], [1, 2], [2]], 3)])
+def test_distance_sup_names_hints_that_are_no_finite_rows(f):
+    # hints are one vector of n coefficients or (b, n) rows of them, all finite
+    for bad in (np.zeros(2), np.zeros((2, 4)), np.zeros((1, 2, 3)), np.zeros(())):
+        with pytest.raises(ValueError, match=r"the hints must be one vector or \(b, n\) "
+                                             r"rows of n = 3 coefficients, got shape"):
+            distance_sup(f, bad)
+    for value in (np.nan, np.inf, -np.inf):
+        for bad in (np.array([0.0, value, 1.0]), np.array([[0.0, 1.0, 2.0], [1.0, 1.0, value]])):
+            with pytest.raises(ValueError, match="the hints contain non-finite entries"):
+                distance_sup(f, bad)
 
 
 def test_distance_sup_closed_form_matches_enumeration():
@@ -315,14 +331,14 @@ def test_distance_sup_closed_form_matches_enumeration():
         n = int(rng.integers(1, 11))
         f = ModularFunction(rng.standard_normal(n))
         h = ModularFunction(rng.standard_normal(n))
-        assert abs(distance_sup(f, h) - brute_distance(f, h)) < 1e-12
+        assert abs(distance_sup(f, h.w) - brute_distance(f, h)) < 1e-12
 
 
 def test_distance_sup_enumerated_for_coverage():
     f = CoverageFunction([[0, 1], [1, 2], [2]], 3)
     # singleton-additive modular approximation
     h = ModularFunction(np.array([2.0, 2.0, 1.0]))
-    assert distance_sup(f, h) == brute_distance(f, h)
+    assert distance_sup(f, h.w) == brute_distance(f, h)
 
 
 @pytest.mark.parametrize("cells", [1, 40, 100, 16384])
@@ -346,11 +362,11 @@ def test_distance_sup_takes_a_block_of_hints_for_a_tabulated_reward(cells, monke
         H[0] = 0.0
         want = [float(np.abs(F - real(h, np.add)).max()) for h in H]
         tables.clear()
-        got = distance_sup(f, ModularFunction(H))
+        got = distance_sup(f, H)
         assert got.tolist() == want
         assert sum(tables) == len(H)
         assert all(rows << f.n <= max(cells, 1 << f.n) for rows in tables)
-        one = distance_sup(f, ModularFunction(H[1]))
+        one = distance_sup(f, H[1])
         assert type(one) is float and one == want[1]
 
 
@@ -363,7 +379,7 @@ def test_distance_sup_size_guard():
             return 0.0
 
     with pytest.raises(EnumerationTooLargeError):
-        distance_sup(Big(), ModularFunction(np.zeros(25)))
+        distance_sup(Big(), np.zeros(25))
 
 
 def test_check_submodular_and_monotone_on_modular():
