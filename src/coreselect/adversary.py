@@ -82,9 +82,9 @@ class Adversary:
 
     def rounds(self, T: int, rng: np.random.Generator
                ) -> Iterator[tuple[SetFunction, int]]:
-        """The T rounds' rewards in order, as ``(f, b)`` runs: f is the
-        reward of the next b rounds, whose ``value`` takes their (b, k)
-        sets."""
+        """The T rounds' rewards in order, as ``(f, b)`` runs, each one block
+        of the harness: f is the reward of the next b rounds, at most
+        ``block_rounds(n)``, whose ``value`` takes their (b, k) sets."""
         return self._make_rounds(T, rng)
 
     def core_strategy(self, rng: np.random.Generator):

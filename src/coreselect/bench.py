@@ -1,16 +1,16 @@
 """Experiment harness: config parsing, replicated runs, CSV output and sweeps.
 
 Every policy kind runs through one replica loop, which advances a group of
-replicas, its lanes, together, a block at a time.  It packs each lane's
-``(reward, rounds)`` runs into blocks of up to ``block_rounds(n)`` rounds,
-plays block b of every lane with one ``play_lanes``, which sees only the
-runs' proxy vectors (and hints), and folds each lane's block into its
-``RegretLedger`` and, when an output directory is set, into its CSV, so no
-block outlives its rows.  A group's block is revealed and valued as one
-reward where it can be: each run's modular or matching rewards are joined
-across the lanes, so one core-strategy call gives every lane's proxy
-vectors and one ``value`` and one ``full_value`` call value every lane's
-drawn sets; other rewards take one call per run of each lane.  Every
+replicas, its lanes, together, a block at a time.  A block is one
+``(reward, rounds)`` run of each lane's adversary, of at most
+``block_rounds(n)`` rounds.  The loop plays block b of every lane with one
+``play_lanes``, which sees only the block's proxy vectors (and hints), and
+folds each lane's block into its ``RegretLedger`` and, when an output
+directory is set, into its CSV, so no block outlives its rows.  A group's
+block is revealed and valued as one reward where it can be: the lanes'
+modular or matching rewards are joined, so one core-strategy call gives
+every lane's proxy vectors and one ``value`` and one ``full_value`` call
+value every lane's drawn sets; other rewards take one call per lane.  Every
 policy plays in lane groups at every k (:func:`_group_size`): the
 semi-bandit plays its lanes in lockstep, round by round; the score and
 priced policies play their lanes' blocks as one stacked block; the
@@ -245,36 +245,21 @@ def _make_policy(cfg: ExperimentConfig, score_cfg: ScoreConfig,
     return PricedPolicy(score_cfg, rng, cost=pol.cost, epsilon=eps)
 
 
-def _reward_blocks(runs: Iterator[tuple[SetFunction, int]], size: int
-                   ) -> Iterator[list[tuple[SetFunction, slice]]]:
-    """Consecutive ``(f, b)`` runs packed into blocks of at most ``size``
-    rounds: each block a list of ``(f, rows)``, where ``rows`` is the slice
-    of the block's rounds that are f's."""
-    block, stop = [], 0
-    for f, b in runs:
-        if block and stop + b > size:
-            yield block
-            block, stop = [], 0
-        block.append((f, slice(stop, stop + b)))
-        stop += b
-    if block:
-        yield block
-
-
 def _group_blocks(cfg: ExperimentConfig, adv: Adversary, replicas: range, policies: list,
                   rngs: list[dict], results: list[ReplicaResult]
                   ) -> Iterator[list[tuple[RoundRecord, np.ndarray, np.ndarray]]]:
-    """Each block of the rounds of the lane group ``replicas``, revealed,
-    played and valued as one reward per run where the lanes' rewards of
-    the run join (:func:`_joins`): one core-strategy call gives the proxy
-    vectors of every lane (a call that raises is redone lane by lane, so an
-    error names the first lane that fails alone, with its rounds); the
-    group plays the block with one ``play_lanes`` (a lone replica with its
-    ``step``), which sees only the lanes' proxy vectors (and their hints,
-    when the policy class ``needs_hint``); then one ``value`` and one
-    ``full_value`` call value every lane's drawn sets.  Rewards that do not
-    join are revealed and valued lane by lane, one call per run.
-    Yields each lane's record and its rounds' rewards and full-set rewards.
+    """Each block of the rounds of the lane group ``replicas``, one
+    ``(f, b)`` run of each lane's adversary, revealed, played and valued as
+    one reward where the lanes' rewards join (:func:`_joins`): one
+    core-strategy call gives the proxy vectors of every lane (a call that
+    raises is redone lane by lane, so an error names the first lane that
+    fails alone, with its rounds); the group plays the block with one
+    ``play_lanes`` (a lone replica with its ``step``), which sees only the
+    lanes' proxy vectors (and their hints, when the policy class
+    ``needs_hint``); then one ``value`` and one ``full_value`` call value
+    every lane's drawn sets.  Rewards that do not join are revealed and
+    valued lane by lane.  Yields each lane's record and its rounds' rewards
+    and full-set rewards.
 
     The replicas of a config share the block layout, since the adversaries'
     runs are cut by (T, n, phases) only, so every lane's block b has the
@@ -287,90 +272,80 @@ def _group_blocks(cfg: ExperimentConfig, adv: Adversary, replicas: range, polici
         spec = cfg.hints if cfg.hints is not None else HintSpec("perfect")
         for result in results:
             result.sq_sum = 0.0
-    streams = [_reward_blocks(adv.rounds(cfg.T, rng["adversary"]), block_rounds(cfg.n))
-               for rng in rngs]
     t = 0  # the rounds revealed so far
-    for blocks in zip(*streams):
-        G, rewards = _reveal_block(blocks, strategies, cfg.k, t, replicas)
+    for runs in zip(*[adv.rounds(cfg.T, rng["adversary"]) for rng in rngs]):
+        rewards, b = [f for f, _ in runs], runs[0][1]
+        G, chunks = _reveal_block(rewards, b, strategies, cfg.k, t, replicas)
         hints = None
         if spec is not None:
             hints = [generate_hints(g, spec, rng["hints"]) for g, rng in zip(G, rngs)]
-            for result, block, h in zip(results, blocks, hints):
-                for f, rows in block:
-                    if result.sq_sum is not None:
-                        _log_sq_distances(result, f, h[rows], t + rows.start)
+            for result, f, h in zip(results, rewards, hints):
+                if result.sq_sum is not None:
+                    _log_sq_distances(result, f, h, t)
         if len(policies) > 1:
             records = type(policies[0]).play_lanes(policies, list(G), hints)
         else:  # kept only for perfbench's spans, which time step (ROADMAP item 13)
             records = [policies[0].step(G[0], None if hints is None else hints[0])]
-        yield _value_block(records, rewards)
-        t += G.shape[1]
+        yield _value_block(records, chunks)
+        t += b
 
 
-def _reveal_block(blocks: tuple, strategies: list, k: int, t: int,
-                  replicas: range) -> tuple[np.ndarray, list]:
-    """The proxy vectors of block b of each lane, which starts after round t,
-    as (R, B, n) rows, and each run's rows with its rewards, each with the
-    range of lanes it reveals and values.  Where the lanes' rewards of a
-    run join, one strategy call on each joined reward gives its lanes' rows;
-    a joined call that raises, and every other reward, takes one call per
-    lane, the lanes in order, so that an error names the first lane that
-    fails alone."""
-    runs = [rows for _, rows in blocks[0]]
-    G = np.empty((len(blocks), runs[-1].stop, blocks[0][0][0].n))
-    rewards, joined = [], []
-    for j, rows in enumerate(runs):
-        b = rows.stop - rows.start
-        rewards.append((rows, []))
-        for chunk, f in _joins([block[j][0] for block in blocks], b, k):
-            try:
-                vectors = strategies[chunk.start](f, len(chunk) * b)
-                G[chunk.start:chunk.stop, rows] = vectors.reshape(len(chunk), b, -1)
-            except Exception:  # redone lane by lane below
-                continue
-            rewards[-1][1].append((chunk, f))
-        joined.append({r for chunk, _ in rewards[-1][1] for r in chunk})
-    for r, block in enumerate(blocks):
-        for (f, rows), (_, run), done in zip(block, rewards, joined):
-            if r not in done:
-                _lane_vectors(strategies[r], f, G[r], rows, t, replicas[r])
-                run.append((range(r, r + 1), f))
-    return G, rewards
+def _reveal_block(rewards: list[SetFunction], b: int, strategies: list, k: int, t: int,
+                  replicas: range) -> tuple[np.ndarray, list[tuple[range, SetFunction]]]:
+    """The proxy vectors of the lanes' block of b rounds, which starts after
+    round t, as (R, b, n) rows, from the lanes' rewards, one per lane, and
+    the rewards that value the block, each with the range of lanes it
+    reveals and values.  Where the lanes' rewards join, one strategy call
+    on each joined reward gives its lanes' rows; a joined call that raises,
+    and every other reward, takes one call per lane, the lanes in order, so
+    that an error names the first lane that fails alone."""
+    G = np.empty((len(rewards), b, rewards[0].n))
+    chunks = []
+    for chunk, f in _joins(rewards, b, k):
+        try:
+            vectors = strategies[chunk.start](f, len(chunk) * b)
+            G[chunk.start:chunk.stop] = vectors.reshape(len(chunk), b, -1)
+        except Exception:  # redone lane by lane below
+            continue
+        chunks.append((chunk, f))
+    done = {r for chunk, _ in chunks for r in chunk}
+    for r, f in enumerate(rewards):
+        if r not in done:
+            _lane_vectors(strategies[r], f, G[r], t, replicas[r])
+            chunks.append((range(r, r + 1), f))
+    return G, chunks
 
 
-def _value_block(records: list[RoundRecord], rewards: list
+def _value_block(records: list[RoundRecord], chunks: list[tuple[range, SetFunction]]
                  ) -> list[tuple[RoundRecord, np.ndarray, np.ndarray]]:
     """Each lane's record with its rounds' rewards and full-set rewards: one
-    ``value`` and one ``full_value`` call per reward of each run, on the
-    stacked sets of the lanes it values."""
+    ``value`` and one ``full_value`` call per reward, on the stacked sets of
+    the lanes it values."""
     reward, full = np.empty((2, len(records), len(records[0].t)))
-    for rows, run in rewards:
-        for chunk, f in run:
-            sets = np.concatenate([records[r].selected[rows] for r in chunk])
-            reward[chunk.start:chunk.stop, rows] = f.value(sets).reshape(len(chunk), -1)
-            full[chunk.start:chunk.stop, rows] = np.reshape(f.full_value(), (len(chunk), -1))
+    for chunk, f in chunks:
+        sets = np.concatenate([records[r].selected for r in chunk])
+        reward[chunk.start:chunk.stop] = f.value(sets).reshape(len(chunk), -1)
+        full[chunk.start:chunk.stop] = np.reshape(f.full_value(), (len(chunk), -1))
     return list(zip(records, reward, full))
 
 
-def _lane_vectors(strategy, f: SetFunction, G: np.ndarray, rows: slice, t: int,
-                  replica: int) -> None:
-    """One lane's proxy vectors of its run f, written into the rows ``rows``
-    of its block G, which starts after round t, from one call of its core
-    strategy.  A failing call names the replica and the run's rounds, or
-    the part of them that its error's ``rows`` gives."""
-    b = rows.stop - rows.start
+def _lane_vectors(strategy, f: SetFunction, G: np.ndarray, t: int, replica: int) -> None:
+    """One lane's proxy vectors of its reward f, written into its block G of
+    b rows, which starts after round t, from one call of its core strategy.
+    A failing call names the replica and the block's rounds, or the part of
+    them that its error's ``rows`` gives."""
     try:
-        G[rows] = strategy(f, b)
+        G[:] = strategy(f, len(G))
     except Exception as exc:
-        part = getattr(exc, "rows", range(b))
-        first, last = t + rows.start + part[0] + 1, t + rows.start + part[-1] + 1
+        part = getattr(exc, "rows", range(len(G)))
+        first, last = t + part[0] + 1, t + part[-1] + 1
         where = f"round {first}" if first == last else f"rounds {first}-{last}"
         raise RuntimeError(
             f"replica {replica}: core strategy failed on {where}: {exc}") from exc
 
 
 def _joins(rewards: list[SetFunction], b: int, k: int) -> list[tuple[range, SetFunction]]:
-    """The lanes' rewards of one run of b rounds, joined into one reward per
+    """The lanes' rewards of one block of b rounds, joined into one reward per
     chunk of consecutive lanes: modular rewards of b rows by their rows,
     matching rewards of b rounds by their stacks of phase matrices, each
     lane's phase indices offset by the matrices of the lanes before it.  A
@@ -407,15 +382,15 @@ def _joins(rewards: list[SetFunction], b: int, k: int) -> list[tuple[range, SetF
 
 def _log_sq_distances(result: ReplicaResult, f: SetFunction, hints: np.ndarray,
                       t: int) -> None:
-    """Add the squared sup-distance of each round of a run, which starts
-    after round t, from its reward f to its hint, a row of ``hints``, to
-    ``result.sq_sum`` one at a time, in round order.  Only modular runs (any
-    n, by the O(n) closed form) and coverage runs (n <= 16, by 2^n tables)
-    have the distance; any other run stops the sum (None), so the replica
-    reports no optimistic bound.  A square, or the sum, past the float range
-    is an error naming its round.
+    """Add the squared sup-distance of each round of a lane's block, which
+    starts after round t, from its reward f to its hint, a row of ``hints``,
+    to ``result.sq_sum`` one at a time, in round order.  Only modular
+    rewards (any n, by the O(n) closed form) and coverage rewards (n <= 16,
+    by 2^n tables) have the distance; any other reward stops the sum
+    (None), so the replica reports no optimistic bound.  A square, or the
+    sum, past the float range is an error naming its round.
 
-    The gaps come from one :func:`distance_sup` call on the run's hint
+    The gaps come from one :func:`distance_sup` call on the block's hint
     rows, which it checks, each gap with the bits of its row alone; a square
     is Python's ``gap ** 2``, whose last bit ``x * x`` does not always give."""
     if not (isinstance(f, ModularFunction) or isinstance(f, CoverageFunction) and f.n <= 16):

@@ -1,16 +1,16 @@
 """Blocks of rounds: their size, and the row-wise sums and dots that work on
 them with the bits of one round at a time.
 
-The adversaries yield runs, the policies play and the harness reveals and
-accounts rounds a block at a time; every run and block has at most
-``block_rounds(n)`` rounds, so its (B, n) arrays hold at most ``PLAN_CELLS``
-entries.  The lane groups of every policy but the semi-bandit hold the
-blocks of as many replicas as keep their (R * B, n) rows within
-``PLAN_CELLS`` entries too (one replica at least), a lane group joins the
-modular or matching rewards of as many lanes as keep the joined reward's
-arrays within ``PLAN_CELLS`` entries (one lane's own at least), and a
-coverage run tabulates its hints over all 2^n subsets as rows of at most
-``PLAN_CELLS`` entries (one hint at least).
+A block is one ``(f, b)`` run of an adversary, b rounds of one reward f,
+which the harness reveals and accounts, and the policies play, at once; it
+has at most ``block_rounds(n)`` rounds, so its (B, n) arrays hold at most
+``PLAN_CELLS`` entries.  The lane groups of every policy but the
+semi-bandit hold the blocks of as many replicas as keep their (R * B, n)
+rows within ``PLAN_CELLS`` entries too (one replica at least), a lane group
+joins the modular or matching rewards of as many lanes as keep the joined
+reward's arrays within ``PLAN_CELLS`` entries (one lane's own at least),
+and a coverage reward tabulates its hints over all 2^n subsets as rows of
+at most ``PLAN_CELLS`` entries (one hint at least).
 The output bytes do not depend on the block size.
 """
 

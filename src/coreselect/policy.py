@@ -433,10 +433,21 @@ class OftrlPolicy(_Policy):
                     sigma_t = lane.sigma_scale * (math.sqrt(new_sum) - math.sqrt(lane.delta_sum))
                     lane.delta_sum = new_sum
                     lane.sigma_sum += sigma_t
+                    if not lane.sigma_sum < math.inf:
+                        raise ValueError(f"round {lane.t + i + 1}: the regularizer weight "
+                                         "overflows the float range (policy sigma "
+                                         f"{lane.sigma_scale:g} times the hint errors, which "
+                                         "hints noise_l2 sets)")
                     lane.weighted_center += sigma_t * p[i]
                     if lane.eps is None and delta > 0.0:
                         lane.eps = (lane.sigma_scale * math.sqrt(delta)
                                    / (200.0 * cfg.G**2 * cfg.T**2))
+                        if lane.mode == "afw" and not 0.0 < lane.eps < math.inf:
+                            raise ValueError(
+                                f"round {lane.t + i + 1}: AFW's tolerance (policy sigma "
+                                f"{lane.sigma_scale:g} times the hint error over 200 * G**2 "
+                                f"* T**2, G = {cfg.G:g}, T = {cfg.T}) leaves the float "
+                                f"range: got {lane.eps!r}")
                 records.append(lane._record(g, p, draw(p, cfg.k, lane.rng)))
         return records
 

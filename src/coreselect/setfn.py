@@ -224,7 +224,20 @@ class ModularFunction(SetFunction):
         return self.total
 
     def _enumerate_values(self) -> np.ndarray:
-        return subset_table(self._vector(), np.add)
+        """Each subset's value with the bits ``value`` gives it: one
+        ``value`` call per slice of PLAN_CELLS // n sets of one size, their
+        indices lowest first (a doubling table adds one element at a time,
+        which moves the last bits)."""
+        n = self._vector().size
+        sizes = np.bitwise_count(np.arange(1 << n))
+        by_size = np.split(np.argsort(sizes, kind="stable"), np.cumsum(np.bincount(sizes))[:-1])
+        out, rows, bits = np.zeros(1 << n), max(1, PLAN_CELLS // n), 1 << np.arange(n)
+        for size, masks in enumerate(by_size[1:], 1):
+            for first in range(0, len(masks), rows):
+                chunk = masks[first:first + rows]
+                members = np.flatnonzero(chunk[:, None] & bits != 0) % n
+                out[chunk] = self.value(members.reshape(len(chunk), size))
+        return out
 
     def prefix_values(self, perm: np.ndarray) -> np.ndarray:
         perm = np.asarray(perm, dtype=int)

@@ -445,15 +445,15 @@ def test_core_strategy_failing_mid_block_plays_none_of_it(
 
     monkeypatch.setattr(Adversary, "core_strategy", core_strategy)
     monkeypatch.setattr(ScorePolicy, "step", step)
-    # coverage phases of 4 rounds are runs of their own, and one block holds
-    # them all, so a block can fail midway
+    # coverage phases of 4 rounds, shorter than a block, are blocks of their
+    # own, so the seventh strategy call reveals rounds 25-28
     cfg = ExperimentConfig.from_dict(base_config(
         policy=policy, replicas=1, adversary={"kind": "coverage-drift"}))
-    assert cfg.T <= block_rounds(cfg.n)  # rounds 25-28 lie inside the first block
+    assert cfg.T <= block_rounds(cfg.n)
     with pytest.raises(RuntimeError, match="core strategy failed on rounds 25-28: 'boom'"):
         run_experiment(cfg, out_dir=tmp_path)
-    # the error ends the run before rounds 1-24, its block's, are played
-    assert played == []
+    # the six blocks before it are played, and the failing block is not
+    assert played == [list(range(first, first + 4)) for first in range(1, 25, 4)]
     assert not (tmp_path / "replica_0.csv").exists()
 
 
@@ -619,14 +619,11 @@ def test_a_modular_optimistic_run_at_n1000_reports_its_bound():
     adv = adversary_from_config(cfg.adversary, cfg.n)
     strategy = adv.core_strategy(rngs["strategy"])
     total, rounds = 0.0, 0
-    for block in bench_module._reward_blocks(adv.rounds(cfg.T, rngs["adversary"]),
-                                             block_rounds(cfg.n)):
-        G = np.concatenate([strategy(f, rows.stop - rows.start) for f, rows in block])
-        hints = generate_hints(G, cfg.hints, rngs["hints"])
-        for f, rows in block:
-            for w, h in zip(f.w, hints[rows]):
-                total += distance_sup(ModularFunction(w), h) ** 2
-                rounds += 1
+    for f, b in adv.rounds(cfg.T, rngs["adversary"]):
+        hints = generate_hints(strategy(f, b), cfg.hints, rngs["hints"])
+        for w, h in zip(f.w, hints):
+            total += distance_sup(ModularFunction(w), h) ** 2
+            rounds += 1
     assert rounds == cfg.T and total > 0.0
     assert summary["bounds"]["optimistic"] == 12.0 * cfg.k * math.sqrt(total)
     assert summary["bounds"]["optimistic_ratio"] == (
@@ -1034,18 +1031,40 @@ def test_subnormal_regularizer_weight_fails_without_a_warning():
 
 
 @pytest.mark.parametrize("mode", ["exact", "afw"])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_an_overflowing_regularizer_weight_names_its_round(mode):
     # sigma 1e300 times a hint error near 1e10 is past the float range: the
-    # objective refuses the weight, and either mode names the round
+    # schedule names the round whose update overflows, in either mode, and
+    # no numpy warning comes before it
     cfg = ExperimentConfig.from_dict(base_config(
         n=6, k=2, T=5, replicas=1, seed=0, adversary={"kind": "modular-random"},
         policy={"kind": "oftrl", "mode": mode, "sigma": 1e300},
         hints={"mode": "additive-noise", "noise_l2": 1e10}))
-    with pytest.raises(ValueError, match=f"^round 2: the {mode} proposal failed at "
-                                         "regularizer weight inf .* the weight sigma must "
-                                         "be nonnegative and finite, got inf$"):
-        run_replica(cfg, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^round 1: the regularizer weight overflows "
+                                             "the float range \\(policy sigma 1e\\+300 times "
+                                             "the hint errors, which hints noise_l2 sets\\)$"):
+            run_replica(cfg, 0)
+
+
+def test_an_underflowing_afw_tolerance_names_its_round():
+    # AFW's tolerance is sigma times round 1's hint error over 200 G**2 T**2:
+    # at sigma 1e-310 and T = 5 it is 0 (at T = 3 it is the least subnormal,
+    # and the run completes).  The error names the round, sigma, G and T,
+    # and the exact mode does not read the tolerance
+    raw = base_config(n=6, k=2, T=5, replicas=1, seed=0,
+                      policy={"kind": "oftrl", "mode": "afw", "sigma": 1e-310},
+                      hints={"mode": "additive-noise", "noise_l2": 1e-10})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^round 1: AFW's tolerance \\(policy sigma 1e-310 "
+                                             "times the hint error over 200 \\* G\\*\\*2 \\* "
+                                             "T\\*\\*2, G = 1, T = 5\\) leaves the float "
+                                             "range: got 0.0$"):
+            run_replica(ExperimentConfig.from_dict(raw), 0)
+    raw["policy"]["mode"] = "exact"
+    with pytest.raises(ValueError, match="^round 2: the exact proposal failed"):
+        run_replica(ExperimentConfig.from_dict(raw), 0)
 
 
 @pytest.mark.parametrize("policy", ["score", "semibandit", "priced"])
@@ -1326,12 +1345,11 @@ def test_traced_benchmark_reaches_every_layer(tmp_path):
     ])
     calls = json.loads(_run_fresh(code))
     assert [name for name, count in calls.items() if count == 0] == []
-    # 4 configs of T=10, one replica each, and one step per block: each
-    # config's runs fill one block, modular-drift's 10 phases of one round
-    # as well.  One core-strategy call per run: matching yields one run per
-    # block, whose ten one-round phases it spans; coverage and modular-drift
-    # have 10 phases of one round, modular-random one run
-    assert calls["policy.step"] == 1 + 1 + 1 + 1
+    # 4 configs of T=10, one replica each, and one step and one
+    # core-strategy call per block, one adversary run: matching yields one
+    # run, which spans its ten one-round phases; coverage and modular-drift
+    # have 10 phases of one round, each a run, and modular-random one run
+    assert calls["policy.step"] == 1 + 10 + 10 + 1
     assert calls["corevec.core_vector"] == 1 + 10 + 10 + 1
     assert calls["corevec.hungarian_duals"] == 1
 

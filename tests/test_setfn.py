@@ -87,6 +87,33 @@ def test_modular_evaluation_and_bounds():
     )
 
 
+def test_modular_table_has_the_bits_of_value(monkeypatch):
+    # adding one element at a time, as a doubling table does, and numpy's
+    # pairwise sum give mask 255 of this w as -5.099999999999999 and -5.1
+    w = np.round(np.random.default_rng(8).standard_normal(8), 1)
+    w[[1, 6]] = -0.0, 0.0
+    f = ModularFunction(w)
+    assert f.value(range(8)) == -5.1
+    assert f.values_all()[255] == -5.1
+    want = [f.value(indices_of(m)) for m in range(256)]
+    assert f.values_all().tobytes() == np.array(want).tobytes()
+    # at n = 14 the sets of 7 elements take 24024 indices: the table is
+    # built by value calls of at most PLAN_CELLS indices each
+    f = ModularFunction(np.random.default_rng(14).normal(size=14) * 10.0 ** np.arange(-7, 7))
+    cells, real_value = [], ModularFunction.value
+
+    def value(self, indices):
+        cells.append(np.size(indices))
+        return real_value(self, indices)
+
+    monkeypatch.setattr(ModularFunction, "value", value)
+    table = f.values_all()
+    assert 0 < max(cells) <= setfn.PLAN_CELLS
+    monkeypatch.undo()
+    want = [f.value(indices_of(m)) for m in range(1 << 14)]
+    assert table.tobytes() == np.array(want).tobytes()
+
+
 @pytest.mark.parametrize("n", [1, 20, 1000, 2000])
 def test_block_gather_sum_matches_each_row_alone(n):
     # numpy's pairwise sum adds fewer than 8 terms in a loop, unrolls by 8
