@@ -10,13 +10,12 @@ from .corevec import (
     AdmissibleVector,
     avg_submodular_shapley_check,
     core_membership,
+    core_vectors,
     dictator_vector,
     find_dictator,
     hungarian_duals,
-    marginal_strategy,
     marginal_vector,
     matching_core_vector,
-    modular_strategy,
     shapley_exact,
     tightest_alpha,
 )

@@ -25,11 +25,7 @@ from typing import Iterator
 import numpy as np
 
 from .blocks import block_rounds, row_dots
-from .corevec import (
-    marginal_strategy,
-    matching_dual_strategy,
-    modular_strategy,
-)
+from .corevec import core_vectors
 from .setfn import (
     CoverageFunction,
     MatchingRewardFunction,
@@ -71,14 +67,15 @@ def _check_real(name: str, value, rule: str = "", holds=lambda x: True) -> None:
 
 @dataclass
 class Adversary:
-    """A reward stream plus the matching core-vector strategy and bounds."""
+    """A reward stream and the bounds it promises.  Its rewards' proxy
+    vectors come from :func:`core_vectors`, which picks the construction by
+    each reward's family."""
 
     kind: str
     alpha: float
     M: float
     G: float
     _make_rounds: object
-    _make_strategy: object
 
     def rounds(self, T: int, rng: np.random.Generator
                ) -> Iterator[tuple[SetFunction, int]]:
@@ -89,9 +86,10 @@ class Adversary:
 
     def core_strategy(self, rng: np.random.Generator):
         """The callable ``(f, b) -> G`` that gives a run's proxy vectors
-        as (b, n) rows; an error it raises may carry ``rows``, the range
-        of the run's rows it is about."""
-        return self._make_strategy(rng)
+        as (b, n) rows, :func:`core_vectors` drawing from ``rng``; an error
+        it raises may carry ``rows``, the range of the run's rows it is
+        about."""
+        return lambda f, b: core_vectors(f, b, rng)
 
 
 def _modular_rows(b: int, n: int, G: float, rng: np.random.Generator) -> np.ndarray:
@@ -146,8 +144,7 @@ def make_onehot_adversary(n: int) -> Adversary:
             first += b
             yield ModularFunction(w), b
 
-    return Adversary("onehot-ensemble", alpha=1.0, M=1.0, G=1.0,
-                     _make_rounds=rounds, _make_strategy=lambda rng: modular_strategy())
+    return Adversary("onehot-ensemble", alpha=1.0, M=1.0, G=1.0, _make_rounds=rounds)
 
 
 def make_modular_random_adversary(n: int, G: float = 1.0) -> Adversary:
@@ -160,7 +157,7 @@ def make_modular_random_adversary(n: int, G: float = 1.0) -> Adversary:
 
     # each coordinate is at most G, and the sum is at most sqrt(n) * G
     return Adversary("modular-random", alpha=1.0, M=float(np.sqrt(n)) * G, G=G,
-                     _make_rounds=rounds, _make_strategy=lambda rng: modular_strategy())
+                     _make_rounds=rounds)
 
 
 def make_modular_drift_adversary(n: int, G: float = 1.0,
@@ -184,7 +181,7 @@ def make_modular_drift_adversary(n: int, G: float = 1.0,
             yield ModularFunction(_rescaled_rows(w, G, base)), b
 
     return Adversary("modular-drift", alpha=1.0, M=float(np.sqrt(n)) * G, G=G,
-                     _make_rounds=rounds, _make_strategy=lambda rng: modular_strategy())
+                     _make_rounds=rounds)
 
 
 def random_coverage(n: int, universe: int, rng: np.random.Generator,
@@ -219,9 +216,7 @@ def make_coverage_drift_adversary(n: int, universe: int | None = None,
                 f = random_coverage(n, universe, rng, density)
             yield f, b
 
-    return Adversary("coverage-drift", alpha=1.0, M=1.0, G=1.0,
-                     _make_rounds=rounds,
-                     _make_strategy=marginal_strategy)
+    return Adversary("coverage-drift", alpha=1.0, M=1.0, G=1.0, _make_rounds=rounds)
 
 
 def make_matching_random_adversary(m: int, w_max: float = 1.0,
@@ -253,9 +248,7 @@ def make_matching_random_adversary(m: int, w_max: float = 1.0,
             start += b
 
     return Adversary("matching-random", alpha=1.0, M=float(m) * w_max,
-                     G=float(n) * w_max / float(np.sqrt(2.0)),
-                     _make_rounds=rounds,
-                     _make_strategy=lambda rng: matching_dual_strategy())
+                     G=float(n) * w_max / float(np.sqrt(2.0)), _make_rounds=rounds)
 
 
 # the rule a config value of each real factory parameter must meet; the other

@@ -353,9 +353,9 @@ def _joins(rewards: list[SetFunction], b: int, k: int) -> list[tuple[range, SetF
     modular reward's rows; the dual solve's (P, m, m) arrays and the
     valuation's (b, h, h) gather of a matching reward, h = k / 2) within
     max(PLAN_CELLS, one lane's own) cells.  A chunk of one lane is not
-    joined, nor are other rewards, such as coverage rewards, whose strategy
-    draws from each lane's own generator; the modular and matching
-    strategies draw nothing."""
+    joined, nor are other rewards, such as coverage rewards: ``core_vectors``
+    draws only for their marginal vectors, each lane from its own
+    generator."""
     if all(isinstance(f, ModularFunction) and f.w.ndim == 2 and len(f.w) == b
            for f in rewards):
         cells = rewards[0].w.size

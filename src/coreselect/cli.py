@@ -56,7 +56,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = ExperimentConfig.from_json(args.config)
-    values = [float(v) for v in args.values.split(",") if v.strip()]
+    values = []
+    for item in filter(str.strip, args.values.split(",")):
+        try:
+            values.append(float(item))
+        except ValueError:
+            raise ValueError(f"--values: {item.strip()!r} is not a number") from None
     rows = sweep(cfg, args.axis, values, out_path=args.out)
     for row in rows:
         print(f"{args.axis}={row['value']:g} aug={row['aug_regret_mean']:.4g} "
@@ -115,7 +120,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

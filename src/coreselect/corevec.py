@@ -200,7 +200,7 @@ def hungarian_duals(w: np.ndarray, tol: float = 1e-6) -> tuple:
     ``w`` may also be a (P, m, m) stack: then u and v are (P, m) rows, the
     matching a (P, m) array whose row p holds the column matched to each
     row of matrix p, and the value a (P,) array, each with the bits of its
-    matrix alone (the dual strategy reads only the prices, so no list of
+    matrix alone (``core_vectors`` reads no matching, so no list of
     pairs is built for a stack).  One Bellman-Ford relaxes the whole stack,
     and a matrix that has settled is never relaxed again.  An error from a
     stack names the first matrix that failed.
@@ -314,57 +314,34 @@ def avg_submodular_shapley_check(f: SetFunction, tol: float = DEFAULT_TOL) -> bo
 
 
 # ---------------------------------------------------------------------------
-# Strategies: callables (f, b) -> the (b, n) proxy vectors of a run of b
-# rounds whose reward is f, for the online policies.
+# The proxy vectors the online policies learn from.
 
-def modular_strategy():
-    """For modular rewards the coefficient vector is the exact 1-core
-    choice: a run's vectors are its reward's (b, n) coefficient rows."""
+def core_vectors(f: SetFunction, b: int, rng: np.random.Generator) -> np.ndarray:
+    """The proxy vectors of a run of b rounds whose reward is f, as (b, n)
+    rows, one core vector per round, chosen by the reward's family:
 
-    def strategy(f: SetFunction, b: int) -> np.ndarray:
-        if not isinstance(f, ModularFunction):
-            raise TypeError("modular_strategy needs ModularFunction rewards")
-        return f.w
-
-    return strategy
-
-
-def marginal_strategy(rng: np.random.Generator | None = None):
-    """Greedy marginal vectors, each along a fresh random permutation: a
-    run's b permutations are the rows of one ``rng.permuted`` call, the stream
-    of b ``rng.permutation(n)`` calls, valued by one ``prefix_values`` call.
-
-    A fixed permutation would let an adversary align against it; the identity
-    permutation remains available by passing rng=None.
+    - a modular reward: its coefficient rows ``f.w``, the exact 1-core
+      choice.  Nothing is drawn.
+    - a matching reward: its optimal assignment duals, from one
+      ``hungarian_duals`` call on its stack of phase matrices for a block
+      (on its one matrix otherwise), each round's row the duals of its
+      phase.  The run may be the joined runs of a lane group's block,
+      their stacks one after another, so one call reveals every lane.  The
+      matrices' matching values that the call returns become the reward's
+      ``totals``, its full-set values, so each matrix's assignment is
+      solved once; they have the bits ``full_value`` solves for.  Nothing
+      is drawn.  A matrix whose duals fail names its phase's rounds: the
+      error's ``rows`` is the range of the run's rows that are that
+      phase's.
+    - any other reward: greedy marginal vectors, each along a fresh random
+      permutation (a fixed one would let an adversary align against it).
+      The run's b permutations are the rows of one ``rng.permuted`` call,
+      the stream of b ``rng.permutation(n)`` calls, valued by one
+      ``prefix_values`` call.
     """
-
-    def strategy(f: SetFunction, b: int) -> np.ndarray:
-        perms = np.tile(np.arange(f.n), (b, 1))
-        if rng is not None:
-            rng.permuted(perms, axis=1, out=perms)
-        G = np.empty((b, f.n))
-        np.put_along_axis(G, perms, np.diff(f.prefix_values(perms), axis=1), axis=1)
-        return G
-
-    return strategy
-
-
-def matching_dual_strategy():
-    """Optimal assignment duals of a matching reward: one ``hungarian_duals``
-    call per run, on its stack of phase matrices for a block (on its one
-    matrix otherwise), and each round's row the duals of its phase.  The
-    run may be the joined runs of a lane group's block, their stacks one
-    after another, so one call reveals every lane.  The matrices' matching
-    values that the call returns become the reward's ``totals``, its
-    full-set values, so each matrix's assignment is solved once; they have
-    the bits ``full_value`` solves for.  Nothing is drawn.
-
-    A matrix whose duals fail names its phase's rounds: the error's
-    ``rows`` is the range of the run's rows that are that phase's."""
-
-    def strategy(f: SetFunction, b: int) -> np.ndarray:
-        if not isinstance(f, MatchingRewardFunction):
-            raise TypeError("matching_dual_strategy needs MatchingRewardFunction rewards")
+    if isinstance(f, ModularFunction):
+        return f.w
+    if isinstance(f, MatchingRewardFunction):
         phase = np.zeros(b, dtype=np.intp) if f.phase is None else f.phase
         try:  # looked up on the module, where perfbench/spans.py wraps it
             u, v, _, value = hungarian_duals(f.w)
@@ -375,5 +352,8 @@ def matching_dual_strategy():
             raise
         f.totals = np.atleast_1d(value)
         return np.concatenate([u, v], axis=-1).reshape(-1, f.n)[phase]
-
-    return strategy
+    perms = np.tile(np.arange(f.n), (b, 1))
+    rng.permuted(perms, axis=1, out=perms)
+    G = np.empty((b, f.n))
+    np.put_along_axis(G, perms, np.diff(f.prefix_values(perms), axis=1), axis=1)
+    return G

@@ -338,8 +338,9 @@ class MatchingRewardFunction(SetFunction):
     being ``w[phase[i]]``.  A block's ``full_value`` is its b full-set
     values, each with the bits of its round's reward alone, read off
     ``totals``, the matching value of each matrix of the stack: solved on
-    the first ``full_value``, unless the dual strategy has already set them
-    from its own solves.  A stack is bounded by its largest matrix's bound.
+    the first ``full_value``, unless ``core_vectors`` has already set them
+    from its own dual solves.  A stack is bounded by its largest matrix's
+    bound.
     """
 
     def __init__(self, w: np.ndarray, phase: np.ndarray | None = None):

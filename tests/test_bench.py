@@ -423,7 +423,7 @@ def test_a_lane_group_solves_each_phase_matrix_once_per_block(R, T, blocks, solv
 
 
 @pytest.mark.parametrize("policy", [{"kind": "score"}, {"kind": "priced"}])
-def test_core_strategy_failing_mid_block_plays_none_of_it(
+def test_a_failing_core_strategy_plays_none_of_its_block(
         policy, monkeypatch, tmp_path):
     real_core_strategy, real_step = Adversary.core_strategy, ScorePolicy.step
     played = []
@@ -669,6 +669,34 @@ def test_a_failed_run_leaves_no_directory_it_made(tmp_path, monkeypatch, capsys)
         assert sorted(p.name for p in kept.iterdir()) == ["notes.txt"]
     assert (kept / "notes.txt").read_text() == "kept\n"
     assert "round 14" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, path", [
+    (["--config", "made"], "made"),
+    (["--config", "cfg.json", "--out", "cfg.json"], "cfg.json"),
+    (["--config", "cfg.json", "--out", "cfg.json/sub"], "cfg.json/sub"),
+], ids=["config-is-a-directory", "out-is-a-file", "out-under-a-file"])
+def test_cli_run_names_a_path_it_cannot_use(args, path, tmp_path, monkeypatch, capsys):
+    # a config path that is a directory, or an output path that is or runs
+    # through a file, ends in an error line naming it, not a traceback
+    raw = json.dumps(base_config(replicas=1, T=10))
+    (tmp_path / "cfg.json").write_text(raw)
+    (tmp_path / "made").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(path) in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "made"]
+    assert (tmp_path / "cfg.json").read_text() == raw
+
+
+def test_cli_sweep_names_a_value_that_is_no_number(tmp_path, capsys):
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "sweep.csv"
+    cfg_path.write_text(json.dumps(base_config(replicas=1, T=20)))
+    assert main(["sweep", "--config", str(cfg_path), "--axis", "T", "--values", "10,x",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --values: 'x' is not a number\n"
+    assert not out.exists()
 
 
 def test_sweep_rows_and_file(tmp_path):

@@ -10,14 +10,12 @@ from coreselect import corevec
 from coreselect.corevec import (
     avg_submodular_shapley_check,
     core_membership,
+    core_vectors,
     dictator_vector,
     find_dictator,
     hungarian_duals,
-    marginal_strategy,
     marginal_vector,
     matching_core_vector,
-    matching_dual_strategy,
-    modular_strategy,
     shapley_exact,
     subset_sums,
     tightest_alpha,
@@ -332,7 +330,7 @@ def test_hungarian_duals_of_a_stack_equal_its_matrices_one_at_a_time(name):
 
 def test_hungarian_duals_of_a_stack_return_each_rows_column():
     # a stack's matching is its (P, m) assignment columns, not P lists of
-    # pairs that the dual strategy would build and throw away; one matrix
+    # pairs that core_vectors would build and throw away; one matrix
     # keeps its list of pairs, which verify reads
     rng = np.random.default_rng(11)
     for P, m in ((1, 1), (3, 4), (10, 10)):
@@ -456,28 +454,50 @@ def test_hint_inequality_l1_vs_sup_distance():
 
 
 # ---------------------------------------------------------------------------
-# Strategies.
+# The proxy vectors of a run: core_vectors.
 
 def test_modular_strategy_returns_coefficients():
     f = ModularFunction(np.array([[1.0, 2.0], [3.0, 4.0]]))  # a run of 2 rounds
-    assert modular_strategy()(f, 2) is f.w
-    with pytest.raises(TypeError):
-        modular_strategy()(indicator_game(), 1)
+    rng = np.random.default_rng(12)
+    state = rng.bit_generator.state
+    assert core_vectors(f, 2, rng) is f.w
+    assert rng.bit_generator.state == state
 
 
 def test_marginal_strategy_identity_vs_random():
+    # the marginal vectors of a coverage reward follow a fresh permutation
+    # per round, so the rows of a long run are not all the same
     f = CoverageFunction([[0, 1], [1, 2], [2]], 3)
-    np.testing.assert_allclose(marginal_strategy(None)(f, 2), [[2.0, 1.0, 0.0]] * 2)
-    rows = marginal_strategy(np.random.default_rng(13))(f, 20)
+    rows = core_vectors(f, 20, np.random.default_rng(13))
     assert rows.shape == (20, 3)
-    assert len({tuple(np.round(g, 9)) for g in rows}) > 1  # fresh permutations vary
-    # rewards of other families: each row is marginal_vector along its permutation
+    assert len({tuple(np.round(g, 9)) for g in rows}) > 1
+    np.testing.assert_allclose(rows.sum(axis=1), f.full_value())
+
+
+def test_core_vectors_pick_the_construction_by_reward_family():
     rng = np.random.default_rng(14)
-    for g in (TableFunction(rng.random(16), monotone=False),
-              ModularFunction(rng.standard_normal(4))):
+    stack = rng.random((3, 3, 3))
+    state = rng.bit_generator.state
+    # a modular run of 2 rounds: its own coefficient rows
+    f = ModularFunction(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    assert core_vectors(f, 2, rng) is f.w
+    # a matching run, on one matrix and on a stack of phases: each round's
+    # row is its phase's duals, u then v
+    for f, b in ((MatchingRewardFunction(stack[0]), 4),
+                 (MatchingRewardFunction(stack, np.array([0, 0, 1, 2, 2])), 5)):
+        u, v, _, _ = hungarian_duals(f.w)
+        duals = np.concatenate([u, v], axis=-1).reshape(-1, f.n)
+        want = duals[np.zeros(b, dtype=np.intp) if f.phase is None else f.phase]
+        assert core_vectors(f, b, rng).tobytes() == want.tobytes()
+    assert rng.bit_generator.state == state  # neither draws
+    # coverage and table rewards: each row is marginal_vector along the
+    # permutation the generator draws for its round
+    for g in (CoverageFunction([[0, 1], [1, 2], [2], [0, 3]], 4),
+              TableFunction(rng.random(16), monotone=False)):
         got_rng, want_rng = np.random.default_rng(15), np.random.default_rng(15)
         want = [marginal_vector(g, want_rng.permutation(4)).g for _ in range(7)]
-        assert marginal_strategy(got_rng)(g, 7).tobytes() == np.array(want).tobytes()
+        assert core_vectors(g, 7, got_rng).tobytes() == np.array(want).tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("n, universe, b", [(6, 12, 1), (20, 40, 204), (40, 80, 30)])
@@ -486,7 +506,7 @@ def test_marginal_strategy_run_is_its_rounds_one_at_a_time(n, universe, b):
 
     f = random_coverage(n, universe, np.random.default_rng(n))
     got_rng, want_rng = np.random.default_rng(b), np.random.default_rng(b)
-    got = marginal_strategy(got_rng)(f, b)
+    got = core_vectors(f, b, got_rng)
     want = np.array([marginal_vector(f, want_rng.permutation(n), submodular=True).g
                      for _ in range(b)])
     assert got.shape == (b, n) and got.tobytes() == want.tobytes()
@@ -495,7 +515,7 @@ def test_marginal_strategy_run_is_its_rounds_one_at_a_time(n, universe, b):
 
 def test_modular_and_matching_strategies_leave_their_generator_untouched():
     # so one call on the joined runs of a lane group serves every lane;
-    # the marginal strategy draws a permutation per round
+    # the marginal vectors draw a permutation per round
     from coreselect.adversary import adversary_from_config
 
     for kind, n in (("modular-random", 6), ("modular-drift", 6), ("onehot-ensemble", 6),
@@ -520,7 +540,7 @@ def test_coverage_runs_hold_a_bounded_slice_of_their_words():
     f = random_coverage(n, 200000, np.random.default_rng(0))
     rng = np.random.default_rng(1)
     sets = np.sort(rng.permuted(np.tile(np.arange(n), (b, 1)), axis=1)[:, :5], axis=1)
-    for call in (lambda: marginal_strategy(rng)(f, b), lambda: f.value(sets)):
+    for call in (lambda: core_vectors(f, b, rng), lambda: f.value(sets)):
         tracemalloc.start()
         try:
             call()
@@ -541,7 +561,11 @@ def test_matching_dual_strategy_solves_once_per_run(monkeypatch):
     w = np.array([[1.0, 2.0], [3.0, 4.0]])
     duals = matching_core_vector(w).g
     monkeypatch.setattr(corevec, "hungarian_duals", counting)
-    strategy = matching_dual_strategy()
+    rng = np.random.default_rng(0)
+
+    def strategy(f, b):
+        return core_vectors(f, b, rng)
+
     f = MatchingRewardFunction(w)
     rows = strategy(f, 5)
     assert len(calls) == 1 and rows.shape == (5, 4)
@@ -560,8 +584,6 @@ def test_matching_dual_strategy_solves_once_per_run(monkeypatch):
     assert len(calls) == 3 and calls[-1] is stack
     want = np.array([matching_core_vector(stack[p]).g for p in phase])
     assert rows.tobytes() == want.tobytes()
-    with pytest.raises(TypeError):
-        strategy(ModularFunction(np.ones((1, 4))), 1)
 
 
 def test_matching_dual_strategy_gives_the_full_values_it_solved(monkeypatch):
@@ -579,13 +601,13 @@ def test_matching_dual_strategy_gives_the_full_values_it_solved(monkeypatch):
     solved = [MatchingRewardFunction(w, phase).full_value() for w, phase in cases]
     for (w, phase), want in zip(cases, solved):
         f = MatchingRewardFunction(w, phase)
-        matching_dual_strategy()(f, len(phase))
+        core_vectors(f, len(phase), rng)
         with monkeypatch.context() as patch:
             patch.setattr(setfn, "assignment_solver", lambda: pytest.fail("solved again"))
             assert f.full_value().tobytes() == want.tobytes()
     # one matrix: its value as a float
     f = MatchingRewardFunction(cases[-1][0][0])
-    matching_dual_strategy()(f, 2)
+    core_vectors(f, 2, rng)
     assert f.full_value() == MatchingRewardFunction(f.w).full_value()
 
 
@@ -596,10 +618,10 @@ def test_matching_dual_strategy_names_the_rows_of_the_phase_that_fails(monkeypat
     monkeypatch.setattr(corevec, "hungarian_duals", failing)
     f = MatchingRewardFunction(np.ones((3, 2, 2)), np.array([0, 1, 1, 1, 2]))
     with pytest.raises(corevec.DualsError, match="boom") as info:
-        matching_dual_strategy()(f, 5)
+        core_vectors(f, 5, np.random.default_rng(0))
     assert info.value.rows == range(1, 4)
     # a matrix that no round plays leaves the rows to the caller
     f = MatchingRewardFunction(np.ones((3, 2, 2)), np.array([0, 2, 2]))
     with pytest.raises(corevec.DualsError, match="boom") as info:
-        matching_dual_strategy()(f, 3)
+        core_vectors(f, 3, np.random.default_rng(0))
     assert not hasattr(info.value, "rows")

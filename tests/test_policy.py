@@ -19,7 +19,7 @@ from coreselect.adversary import (
     make_modular_drift_adversary,
 )
 from coreselect.blocks import PLAN_CELLS, block_rounds, running_sums
-from coreselect.corevec import marginal_strategy, modular_strategy
+from coreselect.corevec import core_vectors
 from coreselect.hypersimplex import entropic_ftrl_argmax, lmo
 from coreselect.policy import (
     OftrlPolicy,
@@ -191,8 +191,8 @@ def test_constant_adversary_converges_to_top_k():
     f = ModularFunction(w[None])  # one round's reward, as a run of 1
     cfg = ScoreConfig(n=5, k=2, T=3000, M=float(w.sum()), G=float(np.linalg.norm(w)))
     pol = ScorePolicy(cfg, np.random.default_rng(0))
-    strategy = modular_strategy()
-    rec = joined([pol.step(strategy(f, 1)) for _ in range(3000)])
+    rng = np.random.default_rng(1)
+    rec = joined([pol.step(core_vectors(f, 1, rng)) for _ in range(3000)])
     # late-round selection probability concentrates on the two best elements
     late = np.mean([p[:2].sum() for p in rec.p[-100:]])
     assert late > 1.8
@@ -693,7 +693,7 @@ def test_step_rejects_what_is_not_a_block(kind):
     n, k = 6, 2
     adv = adversary_from_config({"kind": "modular-random"}, n)
     (f, b), = adv.rounds(3, np.random.default_rng(0))  # one run of 3 rounds
-    G = modular_strategy()(f, b)
+    G = core_vectors(f, b, np.random.default_rng(2))
     cfg = ScoreConfig(n=n, k=k, T=3, M=adv.M, G=adv.G)
     pol = (OftrlPolicy(cfg, np.random.default_rng(1)) if kind == "oftrl"
            else make_planner(kind, cfg, np.random.default_rng(1)))
