@@ -132,16 +132,14 @@ def _blocks(T: int, n: int, phases: int = 1) -> Iterator[tuple[int, bool]]:
 def make_onehot_adversary(n: int) -> Adversary:
     """Each round rewards exactly one uniformly random element with value 1.
 
-    The hot elements of all T rounds come from one ``rng.integers(0, n,
-    size=T)``; a block of rounds is one reward, its indicator rows."""
+    A block of b rounds draws its hot elements with one ``rng.integers(0,
+    n, size=b)``, the stream of one draw for all T rounds, and is one
+    reward, its indicator rows."""
 
     def rounds(T, rng):
-        hot = rng.integers(0, n, size=T)
-        first = 0
         for b, _ in _blocks(T, n):
             w = np.zeros((b, n))
-            w[np.arange(b), hot[first:first + b]] = 1.0
-            first += b
+            w[np.arange(b), rng.integers(0, n, size=b)] = 1.0
             yield ModularFunction(w), b
 
     return Adversary("onehot-ensemble", alpha=1.0, M=1.0, G=1.0, _make_rounds=rounds)

@@ -576,6 +576,22 @@ def _write_csvs(paths: list[Path],
         raise
 
 
+@contextlib.contextmanager
+def _made_folders(folder: Path | None) -> Iterator[None]:
+    """Make ``folder`` (if not None) and its missing parents for the body; if
+    it raises, remove the ones made, deepest first, that are still empty."""
+    made = [] if folder is None else [d for d in (folder, *folder.parents) if not d.exists()]
+    try:
+        if folder is not None:
+            folder.mkdir(parents=True, exist_ok=True)
+        yield
+    except BaseException:
+        for d in made:
+            with contextlib.suppress(OSError):  # one not empty stays
+                d.rmdir()
+        raise
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
                    workers: int = 1) -> dict:
     """Run all replicas, write per-replica CSVs (if an output dir is set), and
@@ -584,15 +600,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     adv = adversary_from_config(cfg.adversary, cfg.n)
     alpha, M, G = _resolve_bounds(cfg, adv)
     out = Path(out_dir) if out_dir is not None else (Path(cfg.out) if cfg.out else None)
-    made = [] if out is None else [d for d in (out, *out.parents) if not d.exists()]
-    try:
+    with _made_folders(out):
         finals = run_replicas(cfg, workers=workers,
                               out_dir=str(out) if out is not None else None)
-    except BaseException:
-        for d in made:
-            with contextlib.suppress(OSError):  # deepest first; one not empty stays
-                d.rmdir()
-        raise
     opt_bounds = [f.pop("optimistic_bound") for f in finals if "optimistic_bound" in f]
 
     aug = np.array([f["aug_regret"] for f in finals])
@@ -634,36 +644,41 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
 def sweep(cfg: ExperimentConfig, axis: str, values: list[float],
           out_path: str | Path | None = None) -> list[dict]:
     """Re-run the experiment varying one scalar; returns one summary row per
-    axis value and optionally writes the aggregated CSV."""
+    axis value and optionally writes the aggregated CSV, whose path is
+    checked, and whose missing folders are made, before the first run."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}")
+    out = None if out_path is None else Path(out_path)
+    if out is not None and (out.is_dir() or any(d.is_file() for d in out.parents)):
+        raise ValueError(f"cannot write the sweep to {out}: it is a directory or lies under a file")
     rows = []
-    for v in values:
-        if axis in ("T", "k"):
-            # an integral float is its int; the config's check names any other value
-            count = int(v) if isinstance(v, float) and v.is_integer() else v
-            patched = replace(cfg, **{axis: count}, out=None)
-        elif axis == "noise_l2":
-            patched = replace(cfg, hints=HintSpec("additive-noise", noise_l2=float(v)), out=None)
-        else:
-            key = "epsilon" if axis == "epsilon" else "cost"
-            patched = replace(cfg, policy=replace(cfg.policy, **{key: float(v)}), out=None)
-        s = run_experiment(patched, out_dir=None)
-        rows.append({
-            "axis": axis, "value": v,
-            "aug_regret_mean": s["aug_regret"]["mean"],
-            "static_regret_mean": s["static_regret"]["mean"],
-            "cost_mean": s["cost"]["mean"],
-            "total_mean": s["static_regret"]["mean"] + s["cost"]["mean"],
-        })
-    if out_path is not None:
-        header = "axis,value,aug_regret_mean,static_regret_mean,cost_mean,total_mean"
-        lines = [header] + [
-            ",".join([r["axis"], _fmt(r["value"]), _fmt(r["aug_regret_mean"]),
-                      _fmt(r["static_regret_mean"]), _fmt(r["cost_mean"]),
-                      _fmt(r["total_mean"])]) for r in rows
-        ]
-        Path(out_path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    with _made_folders(None if out is None else out.parent):
+        for v in values:
+            if axis in ("T", "k"):
+                # an integral float is its int; the config's check names any other value
+                count = int(v) if isinstance(v, float) and v.is_integer() else v
+                patched = replace(cfg, **{axis: count}, out=None)
+            elif axis == "noise_l2":
+                patched = replace(cfg, hints=HintSpec("additive-noise", noise_l2=float(v)), out=None)
+            else:
+                key = "epsilon" if axis == "epsilon" else "cost"
+                patched = replace(cfg, policy=replace(cfg.policy, **{key: float(v)}), out=None)
+            s = run_experiment(patched, out_dir=None)
+            rows.append({
+                "axis": axis, "value": v,
+                "aug_regret_mean": s["aug_regret"]["mean"],
+                "static_regret_mean": s["static_regret"]["mean"],
+                "cost_mean": s["cost"]["mean"],
+                "total_mean": s["static_regret"]["mean"] + s["cost"]["mean"],
+            })
+        if out is not None:
+            header = "axis,value,aug_regret_mean,static_regret_mean,cost_mean,total_mean"
+            lines = [header] + [
+                ",".join([r["axis"], _fmt(r["value"]), _fmt(r["aug_regret_mean"]),
+                          _fmt(r["static_regret_mean"]), _fmt(r["cost_mean"]),
+                          _fmt(r["total_mean"])]) for r in rows
+            ]
+            out.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     return rows
 
 

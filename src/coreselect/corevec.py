@@ -145,8 +145,7 @@ def core_membership(
         fv = f.values_all()
         return bool(np.all(gs[1:] <= alpha * fv[1:] + tol))
     masks = np.asarray(masks, dtype=int)
-    fvals = np.array([f.value_mask(int(m)) for m in masks])
-    return bool(np.all(gs[masks] <= alpha * fvals + tol))
+    return bool(np.all(gs[masks] <= alpha * f.values_all()[masks] + tol))
 
 
 def tightest_alpha(g: np.ndarray, f: SetFunction, tol: float = DEFAULT_TOL) -> float:

@@ -99,7 +99,7 @@ class TableFunction(SetFunction):
     def __init__(self, vals, monotone: bool = True):
         self._vals = np.asarray(vals, dtype=float)
         n = int(np.log2(len(self._vals)))
-        super().__init__(n, value_bound=float(self._vals.max()), monotone=monotone)
+        super().__init__(n, monotone=monotone)
 
     def value_mask(self, mask: int) -> float:
         return float(self._vals[mask])

@@ -45,10 +45,10 @@ from .hypersimplex import (
 from .sampling import _check_uniforms, _madow_rows, draw
 
 
-def norm_bound(alpha: float, value_bound: float) -> float:
+def norm_bound(alpha: float, M: float) -> float:
     """Default l2 bound on admissible vectors: every alpha-core of a reward
     bounded by M sits inside the ball of radius alpha * M * sqrt(2)."""
-    return alpha * value_bound * math.sqrt(2.0)
+    return alpha * M * math.sqrt(2.0)
 
 
 @dataclass

@@ -108,19 +108,18 @@ def subset_table(rows: np.ndarray, op) -> np.ndarray:
 class SetFunction:
     """Evaluation oracle for a normalized set function on {0, ..., n-1}.
 
-    ``value_bound`` is an upper bound M on f; ``monotone`` is the caller's
-    declaration, trusted by the policies and spot-checked by the diagnostics.
+    ``monotone`` is the caller's declaration, spot-checked by the diagnostics.
 
     A subclass defines ``value`` or ``value_mask``; each defaults to the
     other.  A reward family's ``value`` is its one valuation body, on a
-    run's (b, k) sets, and one set is a run of one row (``_run``).
+    run's (b, k) sets, and one set is a run of one row (``_run``); the
+    subset table and the prefix values are built on runs.
     """
 
-    def __init__(self, n: int, value_bound: float, monotone: bool = True):
+    def __init__(self, n: int, monotone: bool = True):
         if n < 1:
             raise ValueError("ground set must be nonempty")
         self.n = n
-        self.value_bound = float(value_bound)
         self.monotone = monotone
         self._values_cache: np.ndarray | None = None
         self._full_cache: float | None = None
@@ -129,31 +128,34 @@ class SetFunction:
         """f of the set of the bits of ``mask``."""
         return self.value(indices_of(mask))
 
-    def value(self, indices: Iterable[int]) -> float:
-        """f of one set of indices, each in [0, n)."""
-        return self.value_mask(mask_of(self._run(indices)[0][0]))
+    def value(self, indices: Iterable[int] | np.ndarray) -> float | np.ndarray:
+        """f of one set of indices, or of each row of a run's (b, k) sets,
+        each row through ``value_mask``."""
+        sets, one = self._run(indices)
+        out = np.array([self.value_mask(mask_of(s)) for s in sets.tolist()], dtype=float)
+        return float(out[0]) if one else out
 
     def _run(self, indices: Iterable[int] | np.ndarray,
              rounds: int | None = None) -> tuple[np.ndarray, bool]:
         """``indices`` as the (b, k) sets of a run, and whether they were one
-        set.  A (b, k) index array is taken as it is, but a block of
-        ``rounds`` rewards takes exactly one set per round; one set of
-        indices becomes a run of one row, each index checked to lie in
-        [0, n)."""
+        set, each index checked to lie in [0, n).  A (b, k) index array is
+        taken as it is, but a block of ``rounds`` rewards takes exactly one
+        set per round; one set of indices becomes a run of one row."""
         if isinstance(indices, np.ndarray) and indices.ndim == 2:
             if rounds is not None and len(indices) != rounds:
                 raise ValueError(f"a block of {rounds} rounds takes {rounds} sets, "
                                  f"one per round, got {len(indices)}")
-            return indices, False
-        row = np.array([list(indices)], dtype=np.intp)
-        outside = row[(row < 0) | (row >= self.n)]
+            sets, one = indices, False
+        else:
+            sets, one = np.array([list(indices)], dtype=np.intp), True
+        outside = sets[(sets < 0) | (sets >= self.n)]
         if outside.size:
             raise ValueError(f"index {outside[0]} is outside the ground set [0, {self.n})")
-        return row, True
+        return sets, one
 
     def full_value(self) -> float:
         if self._full_cache is None:
-            self._full_cache = self.value_mask((1 << self.n) - 1)
+            self._full_cache = self.value(range(self.n))
         return self._full_cache
 
     def values_all(self) -> np.ndarray:
@@ -165,19 +167,30 @@ class SetFunction:
         return self._values_cache
 
     def _enumerate_values(self) -> np.ndarray:
-        return np.array([self.value_mask(m) for m in range(1 << self.n)])
+        """Each subset's value with the bits ``value`` gives it: the empty
+        set's (a block of rewards raises here), then one ``value`` call per
+        slice of PLAN_CELLS // n sets of one size, indices lowest first (a
+        doubling table, one element at a time, would move the last bits)."""
+        n, out = self.n, np.full(1 << self.n, self.value(()))
+        sizes = np.bitwise_count(np.arange(1 << n))
+        by_size = np.split(np.argsort(sizes, kind="stable"), np.cumsum(np.bincount(sizes))[:-1])
+        rows, bits = max(1, PLAN_CELLS // n), 1 << np.arange(n)
+        for size, masks in enumerate(by_size[1:], 1):
+            for first in range(0, len(masks), rows):
+                chunk = masks[first:first + rows]
+                members = np.flatnonzero(chunk[:, None] & bits != 0) % n
+                out[chunk] = self.value(members.reshape(len(chunk), size))
+        return out
 
     def prefix_values(self, perm: np.ndarray) -> np.ndarray:
         """f evaluated on the n + 1 prefixes of a permutation, or of each of
-        (b, n) rows of them.  The generic route costs n + 1 oracle calls per
-        permutation; families with incremental structure override it."""
+        (b, n) rows of them: one ``value`` call per prefix length, on one
+        set or on the (b, i) prefixes.  Families with incremental structure
+        override it."""
         perm = np.asarray(perm)
         vals = np.zeros(perm.shape[:-1] + (self.n + 1,))
-        for row, order in zip(vals.reshape(-1, self.n + 1), perm.reshape(-1, self.n).tolist()):
-            mask = 0
-            for i, idx in enumerate(order, 1):
-                mask |= 1 << idx
-                row[i] = self.value_mask(mask)
+        for i in range(1, self.n + 1):
+            vals[..., i] = self.value(perm[..., :i])
         return vals
 
 
@@ -188,8 +201,7 @@ class ModularFunction(SetFunction):
     gather-sum.  ``w`` may also be a (B, n) block of coefficient vectors,
     the rewards of B rounds as rows, which takes one set per row; ``total``
     and ``full_value`` then hold the B row totals, each with the bits of
-    its row alone.  The block is monotone if every row is, and bounded by
-    the largest row bound.
+    its row alone.  The block is monotone if every row is.
     """
 
     def __init__(self, w: np.ndarray):
@@ -199,12 +211,7 @@ class ModularFunction(SetFunction):
         self.w = w
         # sum(axis=-1) gives each row of a block its 1-d w.sum()
         self.total = w.sum(axis=-1) if w.ndim == 2 else float(w.sum())
-        monotone = not w.size or bool(w.min() >= 0.0)
-        # a monotone w equals max(w, 0), so its total is the same sum
-        bound = self.total if monotone else np.maximum(w, 0.0).sum(axis=-1)
-        if w.ndim == 2:  # a block is bounded by its largest row bound
-            bound = np.max(bound, initial=0.0)
-        super().__init__(w.shape[-1], value_bound=bound, monotone=monotone)
+        super().__init__(w.shape[-1], monotone=not w.size or bool(w.min() >= 0.0))
 
     def _vector(self) -> np.ndarray:
         """``w`` of one round's reward: a block has no value on one set."""
@@ -223,22 +230,6 @@ class ModularFunction(SetFunction):
     def full_value(self) -> float:
         return self.total
 
-    def _enumerate_values(self) -> np.ndarray:
-        """Each subset's value with the bits ``value`` gives it: one
-        ``value`` call per slice of PLAN_CELLS // n sets of one size, their
-        indices lowest first (a doubling table adds one element at a time,
-        which moves the last bits)."""
-        n = self._vector().size
-        sizes = np.bitwise_count(np.arange(1 << n))
-        by_size = np.split(np.argsort(sizes, kind="stable"), np.cumsum(np.bincount(sizes))[:-1])
-        out, rows, bits = np.zeros(1 << n), max(1, PLAN_CELLS // n), 1 << np.arange(n)
-        for size, masks in enumerate(by_size[1:], 1):
-            for first in range(0, len(masks), rows):
-                chunk = masks[first:first + rows]
-                members = np.flatnonzero(chunk[:, None] & bits != 0) % n
-                out[chunk] = self.value(members.reshape(len(chunk), size))
-        return out
-
     def prefix_values(self, perm: np.ndarray) -> np.ndarray:
         perm = np.asarray(perm, dtype=int)
         vals = np.zeros(perm.shape[:-1] + (self.n + 1,))
@@ -256,7 +247,7 @@ class CoverageFunction(SetFunction):
     also be the (n, U) boolean incidence itself, row i marking the items
     element i covers, which is packed as it is.  A union is the OR of the
     chosen rows, and its size their ``np.bitwise_count``.  ``scale`` is how
-    the benchmark normalizes instances to value bound 1.
+    the benchmark normalizes instances to full value 1.
     """
 
     def __init__(self, family: list[Iterable[int]] | np.ndarray, universe_size: int,
@@ -282,9 +273,7 @@ class CoverageFunction(SetFunction):
         words[:, :packed.shape[1]] = packed
         self.words = words.view("<u8")
         self.scale = float(scale)
-        super().__init__(len(covers), value_bound=self.value(np.arange(len(covers))[None])[0],
-                         monotone=True)
-        self._full_cache = self.value_bound  # the bound is the full union's value
+        super().__init__(len(covers))
 
     def _counts(self, sets: np.ndarray, prefixes: bool = False) -> np.ndarray:
         """The item count of the union of each row of the (b, m) index array
@@ -339,8 +328,7 @@ class MatchingRewardFunction(SetFunction):
     values, each with the bits of its round's reward alone, read off
     ``totals``, the matching value of each matrix of the stack: solved on
     the first ``full_value``, unless ``core_vectors`` has already set them
-    from its own dual solves.  A stack is bounded by its largest matrix's
-    bound.
+    from its own dual solves.
     """
 
     def __init__(self, w: np.ndarray, phase: np.ndarray | None = None):
@@ -360,8 +348,7 @@ class MatchingRewardFunction(SetFunction):
         self._stack = w if phase is not None else w[None]
         self.totals: np.ndarray | None = None
         self.m = w.shape[-1]
-        super().__init__(2 * self.m, value_bound=float(self.m * w.max()) if w.size else 0.0,
-                         monotone=False)
+        super().__init__(2 * self.m, monotone=False)
 
     def is_balanced(self, indices: Iterable[int]) -> bool:
         in_u = [i < self.m for i in indices]

@@ -308,7 +308,7 @@ def _check_norm_bounds(rng, max_n) -> CheckResult:
             return CheckResult("admissible-norm-bounds", False, "core ball radius violated")
         g = random_monotone_function(min(n, 6), rng)
         dv = dictator_vector(g, int(np.argmax([g.value([i]) for i in range(g.n)])))
-        if float(np.linalg.norm(dv.g)) > norm_bound(dv.alpha, g.value_bound) + 1e-7:
+        if float(np.linalg.norm(dv.g)) > norm_bound(dv.alpha, g.full_value()) + 1e-7:
             return CheckResult("admissible-norm-bounds", False, "dictator vector outside ball")
         m = int(rng.integers(1, min(3, max_n // 2) + 1))
         w = rng.random(m)[:, None] + rng.random(m)[None, :]  # nonnegative prices exist

@@ -1,5 +1,7 @@
 """Generator determinism and declared-bound compliance."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,31 @@ def test_onehot_rounds_are_indicators():
 def test_onehot_single_element_universe():
     fs = onehot_rounds(1, 10, np.random.default_rng(1))
     assert all(f.w[0] == 1.0 for f in fs)
+
+
+@pytest.mark.parametrize("n, T", [(1, 5), (2, 1), (2, 409), (7, 1001), (20, 450), (1000, 41)])
+def test_onehot_blocks_draw_the_hot_elements_of_one_draw(n, T):
+    # one integers draw per block: the hot elements and the generator state
+    # after them are those of one draw of all T at once
+    rng, whole = np.random.default_rng(n + T), np.random.default_rng(n + T)
+    rows = np.concatenate([f.w for f, _ in make_onehot_adversary(n).rounds(T, rng)])
+    hot = whole.integers(0, n, size=T)
+    assert rows.shape == (T, n) and (rows.sum(axis=1) == 1.0).all()
+    assert rows.argmax(axis=1).tolist() == hot.tolist()
+    assert rng.bit_generator.state == whole.bit_generator.state
+
+
+def test_onehot_rounds_hold_one_block_at_a_time():
+    # a million rounds at n = 20 are 4902 blocks of at most 204 x 20
+    # coefficients (32 KiB); all their hot elements at once would be 8 MB
+    tracemalloc.start()
+    try:
+        for _ in make_onehot_adversary(20).rounds(10**6, np.random.default_rng(0)):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_onehot_frequencies_uniform():
@@ -206,7 +233,7 @@ def modular_drift_reference(n, G, phases, jitter, T, rng, fallbacks):
 
 def assert_rows_are_rewards(runs, want):
     """Each run's reward holds, as its b rows, the rewards ``want`` of one
-    round each, in order, with their bits, totals and bounds."""
+    round each, in order, with their bits and totals."""
     assert sum(b for _, b in runs) == len(want)
     start = 0
     for f, b in runs:
@@ -220,7 +247,6 @@ def assert_rows_are_rewards(runs, want):
         assert f.full_value() is f.total
         assert f.n == rows[0].n
         assert f.monotone == all(g.monotone for g in rows)
-        assert f.value_bound == max(g.value_bound for g in rows)
 
 
 @pytest.mark.parametrize("n, T, phases, jitter", [

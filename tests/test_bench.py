@@ -699,6 +699,34 @@ def test_cli_sweep_names_a_value_that_is_no_number(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_sweep_makes_the_folders_of_its_out_path(tmp_path):
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "made" / "deeper" / "sweep.csv"
+    cfg_path.write_text(json.dumps(base_config(replicas=1, T=20)))
+    assert main(["sweep", "--config", str(cfg_path), "--axis", "T", "--values", "10,20",
+                 "--out", str(out)]) == 0
+    assert out.read_text().startswith("axis,value,")
+
+
+@pytest.mark.parametrize("where", ["a directory", "under a file"])
+def test_cli_sweep_names_an_out_path_it_cannot_write_before_it_runs(where, tmp_path, capsys,
+                                                                    monkeypatch):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(replicas=1, T=20)))
+    if where == "a directory":
+        out = tmp_path / "sweep.csv"
+        out.mkdir()
+    else:
+        out = tmp_path / "file" / "sweep.csv"
+        out.parent.write_text("")
+    runs = []
+    monkeypatch.setattr(bench_module, "run_experiment", lambda *args, **kw: runs.append(args))
+    assert main(["sweep", "--config", str(cfg_path), "--axis", "T", "--values", "10,20",
+                 "--out", str(out)]) == 2
+    assert runs == [] and str(out) in capsys.readouterr().err
+    top = out.relative_to(tmp_path).parts[0]  # sweep.csv, or the file above it
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", top]
+
+
 def test_sweep_rows_and_file(tmp_path):
     cfg = ExperimentConfig.from_dict(base_config(replicas=1, T=20))
     rows = sweep(cfg, "T", [10, 20, 20.0], out_path=tmp_path / "sweep.csv")

@@ -436,7 +436,7 @@ def test_norm_bound_alpha_ball():
     rng = np.random.default_rng(11)
     for _ in range(20):
         f = random_coverage(5, rng)
-        M = f.value_bound
+        M = f.full_value()  # a monotone reward's largest value
         g = marginal_vector(f, rng.permutation(5), submodular=True).g
         assert np.linalg.norm(g) <= 1.0 * M * math.sqrt(2) + 1e-7
         assert np.all(g >= -1e-12)

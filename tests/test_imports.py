@@ -1,12 +1,16 @@
-"""Every name a module of the package imports is read in that module, and
-every function and class a module defines is read somewhere.
+"""Every name a module of the package imports is read in that module,
+every function and class a module defines is read somewhere, and the
+README's layout table and CSV header match the package.
 
 No linter is installed, so the checks walk the syntax trees with the
 standard library's ``ast``.
 """
 
 import ast
+import re
 from pathlib import Path
+
+from coreselect import bench
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "coreselect"
@@ -87,3 +91,12 @@ def test_the_check_finds_an_unread_definition(tmp_path):
     reader.write_text("from m import Left, called\nimport m\ncalled()\nprint(m.Held)\n"
                       "m.stored = None\n")
     assert definitions(module) - read_names([module, reader]) == {"Left", "stored"}
+
+
+def test_the_readme_names_every_module_and_the_csv_header():
+    # the layout table has a row for each module but __init__, and the CSV
+    # header the README shows is the one the harness writes
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    rows = set(re.findall(r"^\| `coreselect\.(\w+)` \|", readme, flags=re.M))
+    assert rows == {path.stem for path in SRC.glob("*.py")} - {"__init__"}
+    assert f"\n```\n{bench.CSV_HEADER}\n```\n" in readme

@@ -1,12 +1,19 @@
 """Reward-family evaluation and structural diagnostics."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from coreselect import setfn
 from coreselect.adversary import random_coverage
 from coreselect.blocks import block_rounds
-from coreselect.oracles import TableFunction, enumerate_matching_value, second_game
+from coreselect.oracles import (
+    TableFunction,
+    enumerate_matching_value,
+    random_monotone_function,
+    second_game,
+)
 from coreselect.setfn import (
     CoverageFunction,
     EnumerationTooLargeError,
@@ -179,6 +186,23 @@ def test_a_table_function_names_an_index_outside_its_ground_set():
     assert f.value([0, 2]) == 2.0 and f.value(np.array([1])) == 1.0
 
 
+@pytest.mark.parametrize("f", [
+    ModularFunction(np.arange(4.0)),
+    ModularFunction(np.ones((2, 4))),
+    CoverageFunction([[0], [1, 2], [2], []], 3),
+    MatchingRewardFunction(np.arange(1.0, 5.0).reshape(2, 2)),
+    TableFunction(np.arange(16.0)),
+], ids=["modular", "modular-block", "coverage", "matching", "table"])
+def test_a_run_with_an_index_outside_the_ground_set_is_an_error(f):
+    # a run's indices are checked as one set's are: none wraps around, and
+    # none is past the end; a run of no elements values to zeros
+    assert f.n == 4
+    for bad in (-1, -4, 4, 7):
+        with pytest.raises(ValueError, match=rf"^index {bad} is outside the ground set \[0, 4\)$"):
+            f.value(np.array([[0, 1], [2, bad]]))
+    assert f.value(np.empty((2, 0), dtype=np.intp)).tolist() == [0.0, 0.0]
+
+
 def contract_families():
     """A reward of each family on 8 elements, with ties and signed zeros."""
     rng = np.random.default_rng(8)
@@ -201,6 +225,66 @@ def test_one_set_is_a_run_of_one_row(f):
     for m in range(1 << f.n):
         assert np.float64(f.value_mask(m)).tobytes() == \
             np.float64(f.value(indices_of(m))).tobytes()
+
+
+class RootOfSum(SetFunction):
+    """f(S) = the square root of the sum of ``w`` over S, defined only by
+    ``value_mask``: every other body is the generic one."""
+
+    def __init__(self, w):
+        super().__init__(len(w))
+        self.w = w
+
+    def value_mask(self, mask):
+        return float(np.sqrt(self.w[list(indices_of(mask))].sum()))
+
+
+RUN = 12  # the sets of a run, the rounds of a block
+
+
+def contract_reward(kind):
+    """A reward of ``kind`` on 8 elements, and ``alone(i)``, the reward of
+    the run's row i alone: the reward itself, unless it holds a block of
+    ``RUN`` rounds."""
+    rng = np.random.default_rng(9)
+    if kind == "modular-block":
+        w = np.round(rng.standard_normal((RUN, 8)), 1)
+        w[0, [1, 6]] = -0.0, 0.0
+        return ModularFunction(w), lambda i: ModularFunction(w[i])
+    if kind == "matching-stack":
+        stack, phase = np.round(rng.random((3, 4, 4)) * 3), np.sort(rng.integers(0, 3, RUN))
+        return (MatchingRewardFunction(stack, phase),
+                lambda i: MatchingRewardFunction(stack[phase[i]]))
+    if kind == "table":
+        f = random_monotone_function(8, rng)
+    elif kind == "value-mask-only":
+        f = RootOfSum(rng.random(8))
+    else:
+        f = dict(zip(("modular", "coverage", "matching"), contract_families()))[kind]
+    return f, lambda i: f
+
+
+@pytest.mark.parametrize("kind", ["modular", "modular-block", "coverage", "matching",
+                                  "matching-stack", "table", "value-mask-only"])
+def test_every_reward_values_a_run_as_each_set_alone(kind):
+    # value of a run is each row valued alone, and the subset table and
+    # prefix values are value of each set, bit for bit
+    f, alone = contract_reward(kind)
+    perms = np.random.default_rng(10).permuted(np.tile(np.arange(f.n), (RUN, 1)), axis=1)
+    for k in range(f.n + 1):
+        got = f.value(perms[:, :k])
+        want = [alone(i).value(s) for i, s in enumerate(perms[:, :k].tolist())]
+        assert got.shape == (RUN,) and got.tobytes() == np.array(want).tobytes()
+    if kind.endswith(("-block", "-stack")):
+        return  # a block of rewards has no table, and no prefixes of one set
+    want = [f.value(indices_of(m)) for m in range(1 << f.n)]
+    assert f.values_all().tobytes() == np.array(want).tobytes()
+    if kind == "modular":  # running sums, whose bits a gather-sum need not have
+        want = [[0.0, *itertools.accumulate(f.w[p])] for p in perms.tolist()]
+    else:
+        want = [[f.value(p[:i]) for i in range(f.n + 1)] for p in perms.tolist()]
+    assert f.prefix_values(perms).tobytes() == np.array(want).tobytes()
+    assert f.prefix_values(perms[0]).tobytes() == np.array(want[0]).tobytes()
 
 
 def test_coverage_against_union_counting():
@@ -234,7 +318,7 @@ def test_coverage_of_any_universe_is_the_union_size(universe):
     family[0].append(universe - 1)  # the top item is covered
     family[1] = []  # an element that covers nothing
     f = CoverageFunction(family, universe, scale=scale)
-    assert f.full_value() == f.value_bound == union_reward(family, range(n), scale)
+    assert f.full_value() == union_reward(family, range(n), scale)
     # the (n, U) boolean incidence packs to the same words and values
     incidence = np.zeros((n, universe), dtype=bool)
     for row, items in zip(incidence, family):
@@ -242,7 +326,7 @@ def test_coverage_of_any_universe_is_the_union_size(universe):
     g = CoverageFunction(incidence, universe, scale=scale)
     assert g.words.shape == (n, -(-universe // 64))
     assert g.words.tobytes() == f.words.tobytes()
-    assert g.value_bound == f.value_bound
+    assert g.full_value() == f.full_value()
     sets = rng.permuted(np.tile(np.arange(n), (30, 1)), axis=1)[:, :5]
     assert g.value(sets).tobytes() == f.value(sets).tobytes()
     for _ in range(20):
@@ -400,7 +484,7 @@ def test_distance_sup_takes_a_block_of_hints_for_a_tabulated_reward(cells, monke
 def test_distance_sup_size_guard():
     class Big(SetFunction):
         def __init__(self):
-            super().__init__(25, 1.0)
+            super().__init__(25)
 
         def value_mask(self, mask):
             return 0.0
@@ -565,9 +649,9 @@ def test_matching_block_values_equal_the_sets_one_at_a_time(m, k, b, P, ties):
 
 def test_matching_block_has_no_value_on_one_set():
     block = MatchingRewardFunction(np.ones((2, 3, 3)), np.array([0, 0, 1]))
-    assert block.n == 6 and block.value_bound == 3.0
+    assert block.n == 6
     for single in (lambda: block.value([0, 3]), lambda: block.value_mask(9),
-                   block.values_all):
+                   block.values_all, lambda: block.prefix_values(np.arange(6))):
         with pytest.raises(ValueError, match="takes one set per round"):
             single()
     with pytest.raises(ValueError, match="phase index"):
