@@ -12,6 +12,10 @@ module provides the four solvers the online policies need:
 * ``lmo``                 - linear minimization oracle (a top-k selection),
 * ``afw_minimize``        - away-steps Frank-Wolfe for quadratic objectives.
 
+Each solver ends with a clip of its point to [0, 1] and stops there: the
+sum is k up to rounding, and the sampler (``sampling._prefix_sums``) alone
+pins it to k.
+
 All functions are pure; none touch global state.
 """
 
@@ -61,80 +65,6 @@ def validate_point(p: np.ndarray, k: int, tol: float = TAU_FEAS) -> None:
         raise InfeasiblePointError(f"sum(p) = {total:.12g} != k = {k}")
 
 
-def _refeasibilize(p: np.ndarray, k: int) -> np.ndarray:
-    """Clamp to [0,1] and spread the tiny sum residual over interior coordinates.
-
-    Solvers are exact up to floating point; downstream sampling wants an
-    exactly feasible vector, so the residual k - sum(p) is distributed over
-    coordinates strictly inside (0, 1) proportionally to their mass.  Each
-    row of a (B, n) block is repaired as the row alone would be, and only
-    if its residual is not zero.  The rows with a residual are grouped by
-    their number m of interior coordinates (``np.bincount``), and each group
-    is compressed to a (B_m, m) array of those coordinates: its row sums are
-    then bit for bit the sums of the compressed rows alone, and the group is
-    repaired with the same operations on whole rows.  A group with m = n
-    holds the rows inside (0, 1), and one with m = 0 the integral rows.
-    """
-    p = p.clip(0.0, 1.0)
-    if p.ndim == 1:
-        resid = k - float(p.sum())
-        if resid != 0.0:
-            _spread_residual(p, resid)
-        return p
-    resid = k - p.sum(axis=1)
-    rows = resid.nonzero()[0]
-    if not rows.size:
-        return p
-    w, resid = p[rows], resid[rows]
-    interior = w > 0.0
-    interior &= w < 1.0
-    m = interior.sum(axis=1)
-    for size in np.bincount(m).nonzero()[0].tolist():
-        group = m == size
-        if not size:
-            _check_integral(abs(resid[group]))
-            continue
-        # the group's interior coordinates, row by row in index order
-        inside = interior & group[:, None]
-        v = w[inside].reshape(-1, size)
-        # _spread_residual on whole rows: w + resid * (w / total), and each
-        # w moves toward one bound only, so the clip is the one-bound clamp
-        q = v / v.sum(axis=1)[:, None]
-        q *= resid[group][:, None]
-        q += v
-        w[inside] = q.clip(0.0, 1.0, out=q).ravel()
-    p[rows] = w
-    return p
-
-
-def _spread_residual(p: np.ndarray, resid: float) -> None:
-    """Add ``resid`` to the vector ``p`` in place, over its interior
-    coordinates in proportion to their mass."""
-    interior = p > 0.0
-    interior &= p < 1.0
-    w = p[interior]
-    if not w.size:
-        _check_integral(abs(resid))
-        return
-    # w + resid * (w / total), in place.  Every w is > 0, so total > 0, and
-    # each w moves toward the one bound resid points to: clamping to that
-    # bound is the clip to [0, 1]
-    q = w / float(np.add.reduce(w))
-    q *= resid
-    q += w
-    if resid > 0.0:
-        p[interior] = np.minimum(q, 1.0, out=q)
-    else:
-        p[interior] = np.maximum(q, 0.0, out=q)
-
-
-def _check_integral(off: float | np.ndarray) -> None:
-    """Integral vectors are left as they are when each misses the sum by
-    ``off`` <= 1e-7 (a NaN passes), and are an error otherwise."""
-    if np.any(off > 1e-7):
-        raise InfeasiblePointError("cannot repair infeasible integral vector")
-
-
 def entropic_ftrl_argmax(theta: np.ndarray, eta: float, k: int) -> np.ndarray:
     """Maximize <theta, p> - (1/eta) * sum(p_i log p_i) over the capped simplex.
 
@@ -180,7 +110,7 @@ def _entropic_block(theta: np.ndarray, eta: float, k: int) -> np.ndarray:
     """:func:`entropic_ftrl_argmax` of a (B, n) block of float scores, for
     an ``eta`` and ``k < n`` checked already, through the body its size
     calls for.  The few-rows body shares a call's fixed cost among its rows
-    but scans and repairs them one by one; the row body does every step on
+    but scans and caps them one by one; the row body does every step on
     all rows at once.  Per block (2-core VM, best of 5), the few-rows body
     takes 20 against 32 µs at B = 4 and 28 against 35 at B = 8, n = 20, and
     152 against 158 at B = 8, n = 1000; the row body wins from about
@@ -209,11 +139,11 @@ def _entropic_few(theta: np.ndarray, eta: float, k: int) -> np.ndarray:
     row or a few.  The sort, the exponentials and their reverse cumulative
     sums run on the whole block; the scan for each row's consistent j runs
     on Python floats (the same divides, multiplies and compares as on
-    arrays), and capped rows, tie splits and the residual repair are fixed
-    row by row.  ``theta`` is checked to be finite only where a non-finite
-    score must land: in the rare branch for scores spread wider than
-    ``EXP_SAFE_SPREAD``, which NaN, +-inf and eta * theta overflowing all
-    reach."""
+    arrays), and capped rows and tie splits are fixed row by row, before
+    one clip to [0, 1] of the whole block.  ``theta`` is checked to be
+    finite only where a non-finite score must land: in the rare branch for
+    scores spread wider than ``EXP_SAFE_SPREAD``, which NaN, +-inf and
+    eta * theta overflowing all reach."""
     R, n = theta.shape
     neg = theta * -eta  # -(eta * theta): ascending order is descending score
     order = neg.argsort()
@@ -266,18 +196,8 @@ def _entropic_few(theta: np.ndarray, eta: float, k: int) -> np.ndarray:
     p = np.empty(R * n)
     p[order] = e  # a fancy store: put checks each index, three times slower at n = 2000
     p = p.reshape(R, n)
-    # the clip to [0, 1] of _refeasibilize: no entry is below 0 here
-    np.minimum(p, 1.0, out=p)
-    # each row's residual from its sum, as the 1-d sum adds it up; one row
-    # is summed whole, which costs two thirds of a sum along the rows
-    if R == 1:
-        resid = [k - float(np.add.reduce(p, None))]
-    else:
-        resid = (k - np.add.reduce(p, 1)).tolist()
-    for r, res in enumerate(resid):
-        if res:
-            _spread_residual(p[r], res)
-    return p
+    # the clip to [0, 1]: no entry is below 0 here
+    return np.minimum(p, 1.0, out=p)
 
 
 def _capped_in_log_space(theta: np.ndarray, srt: np.ndarray, k: int
@@ -291,7 +211,7 @@ def _capped_in_log_space(theta: np.ndarray, srt: np.ndarray, k: int
 
 def _entropic_rows(theta: np.ndarray, eta: float, k: int) -> np.ndarray:
     """:func:`entropic_ftrl_argmax` of every row of a (B, n) block, k < n:
-    the same sort, exponentials, tie rule and repair, row-wise."""
+    the same sort, exponentials, tie rule and clip to [0, 1], row-wise."""
     B, n = theta.shape
     neg = theta * -eta
     every = np.arange(B)
@@ -317,7 +237,9 @@ def _entropic_rows(theta: np.ndarray, eta: float, k: int) -> np.ndarray:
         order[split] = neg[split].argsort(kind="stable") + split[:, None] * n
     p = np.empty(B * n)
     p[order] = e
-    return _refeasibilize(p.reshape(B, n), k)
+    p = p.reshape(B, n)
+    # the clip to [0, 1]: no entry is below 0 here
+    return np.minimum(p, 1.0, out=p)
 
 
 def _capped_exponentials_in_log_space(d: np.ndarray, k: int
@@ -405,7 +327,7 @@ def euclidean_project(y: np.ndarray, k: int) -> np.ndarray:
     else:  # none active: S is flat at k there
         t = float(bps[i])
     p = np.zeros(n)
-    p[cand] = _refeasibilize(w - t, k)  # clamps to [0, 1] first
+    p[cand] = (w - t).clip(0.0, 1.0)
     return p
 
 
@@ -624,7 +546,7 @@ def afw_minimize(
             keys, weights = keys[keep], weights[keep]
             tags = [tag for tag, kept in zip(tags, keep.tolist()) if kept]
 
-    return AfwResult(_refeasibilize(x, k), gap, steps, gap <= eps, (keys, weights))
+    return AfwResult(x.clip(0.0, 1.0), gap, steps, gap <= eps, (keys, weights))
 
 
 def default_afw_budget(horizon: int) -> int:

@@ -98,8 +98,10 @@ class TableFunction(SetFunction):
 
     def __init__(self, vals, monotone: bool = True):
         self._vals = np.asarray(vals, dtype=float)
-        n = int(np.log2(len(self._vals)))
-        super().__init__(n, monotone=monotone)
+        size = len(self._vals)
+        if not size or size & (size - 1):
+            raise ValueError(f"the table's length {size} is not a power of two")
+        super().__init__(size.bit_length() - 1, monotone=monotone)
 
     def value_mask(self, mask: int) -> float:
         return float(self._vals[mask])

@@ -28,6 +28,8 @@ def _prefix_sums(p: np.ndarray, k: int) -> np.ndarray:
     farther than ``PREFIX_SUM_TOL`` from k raises InfeasiblePointError.
     Floating-point drift in sum(p) would otherwise let the last grid point
     escape the last interval and break the exact-cardinality guarantee.
+    This is the one place that pins sum(p) to k: the solvers only clip
+    their points to [0, 1], and leave the total as their arithmetic gives.
     """
     lo, hi = np.minimum.reduce(p, None), np.maximum.reduce(p, None)
     if not (lo >= -PREFIX_SUM_TOL and hi <= 1.0 + PREFIX_SUM_TOL):  # NaN fails too

@@ -230,12 +230,6 @@ class ModularFunction(SetFunction):
     def full_value(self) -> float:
         return self.total
 
-    def prefix_values(self, perm: np.ndarray) -> np.ndarray:
-        perm = np.asarray(perm, dtype=int)
-        vals = np.zeros(perm.shape[:-1] + (self.n + 1,))
-        np.cumsum(self._vector()[perm], axis=-1, out=vals[..., 1:])
-        return vals
-
 
 class CoverageFunction(SetFunction):
     """f(S) = ``scale`` times the size of the union of the covering sets

@@ -823,7 +823,7 @@ def test_verify_all_passes_and_detects_injected_fault():
         return p
 
     def raising_projection(y, k):
-        raise InfeasiblePointError("cannot repair infeasible integral vector")
+        raise InfeasiblePointError("NaN or coordinate outside [0, 1]")
 
     for fault, detail in ((broken_projection, "mismatch"), (raising_projection, "raised")):
         results = verify_all(max_n=6, projection_fn=fault)
@@ -1333,21 +1333,12 @@ def test_runs_import_no_module(tmp_path):
         "    before = set(sys.modules)",
         f"    run_experiment(ExperimentConfig.from_dict(raw), out_dir={str(tmp_path)!r} + f'/{{i}}')",
         "    gained.append(sorted(set(sys.modules) - before))",
-        # a block repair of capped rows of two interior counts (2 and 3),
-        # which no 30-round config need reach
-        "import numpy as np",
-        "from coreselect.hypersimplex import _refeasibilize",
-        "before = set(sys.modules)",
-        "_refeasibilize(np.array([[1.0, 0.5, 0.3, 0.0], [1.0, 0.4, 0.3, 0.2],"
-        " [0.0, 0.6, 1.0, 0.5]]), 2)",
-        "gained.append(sorted(set(sys.modules) - before))",
         "print(json.dumps(gained))",
     ])
     gained = json.loads(_run_fresh(code))
-    assert len(gained) == 25 + 1
+    assert len(gained) == 25
     assert [(raw["policy"], raw["adversary"]["kind"], names)
             for raw, names in zip(configs, gained) if names] == []
-    assert gained[-1] == []
 
 
 def test_trace_instrumentation_finds_every_attribute_it_wraps():

@@ -8,6 +8,10 @@ configs it moves with ``PYTHONPATH=src python tests/test_golden.py NAME...``
 """
 
 import contextlib
+import csv
+import io
+import itertools
+import json
 from pathlib import Path
 
 import pytest
@@ -100,7 +104,46 @@ def test_outputs_match_golden(name, workers, tmp_path):
     want = GOLDEN / name
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in want.iterdir())
     for path in want.iterdir():
-        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), f"{name}/{path.name}"
+        got, expected = (tmp_path / path.name).read_bytes(), path.read_bytes()
+        assert got == expected, f"{name}/{path.name}: {first_difference(path.name, got, expected)}"
+
+
+def first_difference(file_name: str, got: bytes, want: bytes) -> str:
+    """Where an output file first differs from its golden: a CSV's data row
+    (1-based) and column header, or a ``summary.json`` key path."""
+    if file_name.endswith(".json"):
+        return first_key_difference(json.loads(got), json.loads(want)) or "formatting only"
+    got_rows, want_rows = (list(csv.reader(io.StringIO(b.decode()))) for b in (got, want))
+    header = want_rows[0]
+    for i, (g, w) in enumerate(itertools.zip_longest(got_rows, want_rows)):
+        if g == w:
+            continue
+        if g is None or w is None or len(g) != len(w):
+            return f"row {i}: {g} != {w}"
+        col = next(j for j, (a, b) in enumerate(zip(g, w)) if a != b)
+        return f"row {i}, column {header[col]}: {g[col]} != {w[col]}"
+    return "formatting only"
+
+
+def first_key_difference(got, want, path: str = "") -> str | None:
+    """The key path of the first value where two parsed JSON documents
+    differ, as ``bounds.static_ratio`` or ``replicas[0].static_regret``."""
+    if isinstance(got, dict) and isinstance(want, dict):
+        for key in sorted(set(got) | set(want)):
+            where = f"{path}.{key}" if path else key
+            if key not in got or key not in want:
+                return f"{where} (present on one side only)"
+            found = first_key_difference(got[key], want[key], where)
+            if found:
+                return found
+        return None
+    if isinstance(got, list) and isinstance(want, list) and len(got) == len(want):
+        for i, (g, w) in enumerate(zip(got, want)):
+            found = first_key_difference(g, w, f"{path}[{i}]")
+            if found:
+                return found
+        return None
+    return None if got == want else f"{path or '(top)'}: {got!r} != {want!r}"
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ from coreselect.hypersimplex import (
     InfeasiblePointError,
     QuadraticObjective,
     _entropic_few,
-    _refeasibilize,
     afw_minimize,
     entropic_ftrl_argmax,
     euclidean_project,
@@ -171,94 +170,6 @@ def test_entropic_monotone_in_scores():
         bumped = theta.copy()
         bumped[i] += float(rng.uniform(0.01, 2.0))
         assert entropic_ftrl_argmax(bumped, 1.2, k)[i] >= base[i] - 1e-12
-
-
-def refeasibilize_reference(p, k):
-    """The repair written out: clip, spread the residual over the interior
-    in proportion to mass, clip again."""
-    p = np.clip(p, 0.0, 1.0)
-    resid = k - float(p.sum())
-    if resid == 0.0:
-        return p
-    interior = (p > 0.0) & (p < 1.0)
-    if not interior.any():
-        if abs(resid) > 1e-7:
-            raise InfeasiblePointError("cannot repair infeasible integral vector")
-        return p
-    w = p[interior]
-    p[interior] = w + resid * (w / float(w.sum()))
-    return np.clip(p, 0.0, 1.0)
-
-
-def test_refeasibilize_matches_the_written_out_repair_bit_for_bit():
-    rng = np.random.default_rng(11)
-    for _ in range(2000):
-        n = int(rng.integers(1, 40))
-        k = int(rng.integers(1, n + 1))
-        p = rng.random(n) * (k / n) * 2.0
-        p[rng.random(n) < 0.2] = 1.0
-        p[rng.random(n) < 0.2] = rng.choice([0.0, -0.0, -0.3, 1.4])
-        # residuals from rounding noise up to ones large enough to push
-        # interior coordinates past a bound
-        p *= k / max(float(p.sum()), 1e-300) * (1.0 + rng.choice([0.0, 1e-15, -1e-13, 0.3, -0.3]))
-        try:
-            want = refeasibilize_reference(p.copy(), k)
-        except InfeasiblePointError:
-            with pytest.raises(InfeasiblePointError):
-                _refeasibilize(p.copy(), k)
-            continue
-        assert _refeasibilize(p.copy(), k).tobytes() == want.tobytes()
-        # a block repairs each row as the row alone, rows with a coordinate
-        # at 0 or 1 one at a time and rows inside (0, 1) all together
-        inside = rng.uniform(1e-3, 1.0 - 1e-3, n)
-        inside *= k / float(inside.sum()) * (1.0 + rng.choice([0.0, 1e-15, -1e-13, 0.3, -0.3]))
-        inside = np.minimum(inside, 1.0 - 1e-3)
-        block = np.array([p, inside, p[::-1], inside[::-1], p])
-        rows = [want, refeasibilize_reference(inside.copy(), k),
-                refeasibilize_reference(p[::-1].copy(), k),
-                refeasibilize_reference(inside[::-1].copy(), k), want]
-        assert _refeasibilize(block, k).tobytes() == np.array(rows).tobytes()
-    # blocks of many capped rows, grouped by interior count: rows that share
-    # a count and rows that do not, residuals of both signs, and integral
-    # rows, left as they are below a residual of 1e-7 (a target k off an
-    # integer by less) and an error above it
-    for _ in range(300):
-        n = int(rng.integers(1, 40))
-        k = int(rng.integers(1, n + 1))
-        target = k + rng.choice([0.0, 5e-8, -5e-8])
-        rows = [capped_row(n, k, rng) for _ in range(int(rng.integers(2, 30)))]
-        rows += [row[rng.permutation(n)] for row in rows[:3]]  # the same counts
-        integral = np.zeros(n)
-        integral[:k] = 1.0
-        rows += [integral, integral[::-1], np.full(n, np.nan)]
-        block = np.array(rows)[rng.permutation(len(rows))]
-        assert_repairs_rows_alone(block, target)
-        # one integral row far off its sum fails the block
-        block[int(rng.integers(len(block)))] = np.arange(n) < k - 1
-        with pytest.raises(InfeasiblePointError, match="infeasible integral vector"):
-            _refeasibilize(block, target)
-
-
-def capped_row(n, k, rng):
-    """A point of the capped simplex with coordinates at 0 and 1, off its
-    sum by rounding noise or by enough to push interior ones past a bound."""
-    p = rng.random(n) * (k / n) * 2.0
-    p[rng.random(n) < 0.3] = 1.0
-    p[rng.random(n) < 0.2] = rng.choice([0.0, -0.0, -0.3, 1.4])
-    return p * (k / max(float(p.clip(0.0, 1.0).sum()), 1e-300)
-                * (1.0 + rng.choice([0.0, 1e-15, -1e-13, 1e-3, -1e-3, 0.3, -0.3])))
-
-
-def assert_repairs_rows_alone(block, k):
-    """``_refeasibilize`` of a block is each row's written-out repair, and
-    fails where some row's does."""
-    try:
-        want = np.array([refeasibilize_reference(row.copy(), k) for row in block])
-    except InfeasiblePointError:
-        with pytest.raises(InfeasiblePointError):
-            _refeasibilize(block.copy(), k)
-        return
-    assert _refeasibilize(block.copy(), k).tobytes() == want.tobytes()
 
 
 def test_entropic_rejects_bad_input():
@@ -434,7 +345,7 @@ def project_breakpoint_sums_reference(y, k):
         tau = (n - entered[m] + act_sum[m] - k) / n_act[m]
     else:
         tau = bps[m]
-    return _refeasibilize(np.clip(y - tau, 0.0, 1.0), k)
+    return np.clip(y - tau, 0.0, 1.0)
 
 
 def lmo_stable_reference(cost, k):
@@ -566,7 +477,7 @@ def entropic_stable_reference(theta, eta, k):
         p_sorted[j:] = (k - j) / float(np.sum(e)) * e
     p = np.empty(n)
     p[order] = p_sorted
-    return _refeasibilize(p, k)
+    return np.clip(p, 0.0, 1.0)
 
 
 def straddling_ties(n, rng):
@@ -754,7 +665,7 @@ def afw_dict_reference(obj, eps, max_iters, active=None):
         d_fw = s - x
         gap = float(-g @ d_fw)
         if gap <= eps:
-            return _refeasibilize(x, k), gap, it - 1, True, weights
+            return np.clip(x, 0.0, 1.0), gap, it - 1, True, weights
 
         away_key = max(weights, key=lambda key: float(g[list(key)].sum()))
         v_away = vert(away_key)
@@ -794,7 +705,7 @@ def afw_dict_reference(obj, eps, max_iters, active=None):
     g = grad(x)
     s = lmo(g, k)
     gap = float(-g @ (s - x))
-    return _refeasibilize(x, k), gap, it, gap <= eps, weights
+    return np.clip(x, 0.0, 1.0), gap, it, gap <= eps, weights
 
 
 @pytest.mark.parametrize("n, k", [(12, 4), (20, 9), (30, 12)])

@@ -215,6 +215,29 @@ def test_block_rejects_what_a_row_rejects():
             madow_sample(np.array([good, bad]), 2, np.array([0.3, 0.3]))
 
 
+def test_the_sampler_alone_pins_the_total():
+    # the solvers only clip, so the sampler's check is the one on a point's
+    # sum: an integral point one short of k raises, alone or as a block row
+    n, k = 6, 3
+    short = (np.arange(n) < k - 1).astype(float)
+    good = np.full(n, k / n)
+    with pytest.raises(InfeasiblePointError, match="is not within 1e-06 of k"):
+        madow_sample(short, k, 0.3)
+    with pytest.raises(InfeasiblePointError, match="is not within 1e-06 of k"):
+        madow_sample(np.array([good, short, good]), k, np.full(3, 0.3))
+    # a total off by less than the tolerance draws exactly k distinct indices
+    us = np.r_[np.linspace(0.0, 1.0, 64, endpoint=False), 1.0 - 5e-7, np.nextafter(1.0, 0.0)]
+    under, over = short.copy(), short.copy()
+    under[k - 1] = 1.0 - 5e-7
+    over[k - 1:k + 1] = 1.0, 5e-7
+    for p in (good + 5e-7 / n, good - 5e-7 / n, under, over):
+        assert abs(p.sum() - k) > 4e-7
+        for u in us.tolist():
+            assert len(set(madow_sample(p, k, u).tolist())) == k
+        got = madow_sample(np.tile(p, (len(us), 1)), k, us)
+        assert all(len(set(row)) == k for row in got.tolist())
+
+
 def test_an_empty_block_draws_no_sets():
     # a block of no points takes no draws and gives a (0, k) index array,
     # as a block of rows gives (B, k)

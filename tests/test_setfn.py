@@ -1,7 +1,5 @@
 """Reward-family evaluation and structural diagnostics."""
 
-import itertools
-
 import numpy as np
 import pytest
 
@@ -279,10 +277,7 @@ def test_every_reward_values_a_run_as_each_set_alone(kind):
         return  # a block of rewards has no table, and no prefixes of one set
     want = [f.value(indices_of(m)) for m in range(1 << f.n)]
     assert f.values_all().tobytes() == np.array(want).tobytes()
-    if kind == "modular":  # running sums, whose bits a gather-sum need not have
-        want = [[0.0, *itertools.accumulate(f.w[p])] for p in perms.tolist()]
-    else:
-        want = [[f.value(p[:i]) for i in range(f.n + 1)] for p in perms.tolist()]
+    want = [[f.value(p[:i]) for i in range(f.n + 1)] for p in perms.tolist()]
     assert f.prefix_values(perms).tobytes() == np.array(want).tobytes()
     assert f.prefix_values(perms[0]).tobytes() == np.array(want[0]).tobytes()
 
@@ -518,6 +513,14 @@ def test_check_submodular_matches_brute_force():
         vals = np.concatenate([[0.0], rng.random((1 << n) - 1) * 2])
         f = TableFunction(vals, monotone=False)
         assert check_submodular(f) == brute_submodular(f)
+
+
+def test_table_length_must_be_a_power_of_two():
+    # a fifth entry would be dropped silently, as a table of n = 2
+    for vals in ([], [0.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0, 4.0], np.zeros(24)):
+        with pytest.raises(ValueError, match=f"length {len(vals)} is not a power of two"):
+            TableFunction(vals)
+    assert TableFunction([0.0, 1.0, 2.0, 3.0]).n == 2
 
 
 def test_second_game_is_monotone():
