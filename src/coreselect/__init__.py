@@ -6,25 +6,27 @@ from .adversary import (
     adversary_from_config,
     generate_hints,
 )
-from .corevec import (
-    AdmissibleVector,
-    avg_submodular_shapley_check,
-    core_membership,
-    core_vectors,
-    dictator_vector,
-    find_dictator,
-    hungarian_duals,
-    marginal_vector,
-    matching_core_vector,
-    shapley_exact,
-    tightest_alpha,
-)
+from .corevec import core_vectors, hungarian_duals
 from .hypersimplex import (
     QuadraticObjective,
     afw_minimize,
     entropic_ftrl_argmax,
     euclidean_project,
     lmo,
+)
+from .oracles import (
+    avg_submodular_shapley_check,
+    check_monotone,
+    check_submodular,
+    core_membership,
+    dictator_vector,
+    estimate_rho,
+    find_dictator,
+    madow_marginal_measure,
+    madow_support,
+    marginal_vector,
+    shapley_exact,
+    tightest_alpha,
 )
 from .policy import (
     OftrlPolicy,
@@ -37,21 +39,13 @@ from .policy import (
     augmented_regret_bound,
     static_regret_bound,
 )
-from .sampling import (
-    draw,
-    madow_marginal_measure,
-    madow_sample,
-    madow_support,
-)
+from .sampling import draw, madow_sample
 from .setfn import (
     CoverageFunction,
     MatchingRewardFunction,
     ModularFunction,
     SetFunction,
-    check_monotone,
-    check_submodular,
     distance_sup,
-    estimate_rho,
 )
 
 __version__ = "0.1.0"

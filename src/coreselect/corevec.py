@@ -1,168 +1,24 @@
-"""Construction and verification of admissible reward vectors.
+"""The proxy vectors the online policies learn from, one construction per
+reward family.
 
 A vector g is alpha-admissible for a normalized reward f when its entries sum
 to f(full set) and every subset S satisfies sum_{i in S} g_i <= alpha * f(S).
 Feeding such vectors to a linear-reward learner is what lets the policies
-handle nonlinear rewards, so this module collects the known constructions
-(greedy marginals, dictator spikes, Shapley values, matching duals) and
-brute-force membership diagnostics for small ground sets.
+handle nonlinear rewards.  ``core_vectors`` picks the construction (a
+modular reward's coefficients, matching duals, greedy marginals); their
+membership is checked by the exhaustive oracles of ``coreselect.oracles``.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .setfn import (
-    ENUM_MAX,
-    EnumerationTooLargeError,
     MatchingRewardFunction,
     ModularFunction,
     SetFunction,
     linear_sum_assignment,
-    subset_table,
 )
-
-DEFAULT_TOL = 1e-7
-
-
-@dataclass(frozen=True)
-class AdmissibleVector:
-    """A candidate core vector with its claimed admissibility level.
-
-    ``alpha`` is None when the construction makes no claim.
-    """
-
-    g: np.ndarray
-    alpha: float | None
-
-
-def marginal_vector(
-    f: SetFunction,
-    perm: np.ndarray | None = None,
-    submodular: bool = False,
-    rho: float | None = None,
-) -> AdmissibleVector:
-    """Telescoping marginal gains of f along a permutation (n oracle calls).
-
-    g[perm[i]] = f(first i+1 elements) - f(first i elements).  The entries
-    always sum to f(full set).  The admissibility tag is 1 for a declared
-    submodular f, 1/rho when an approximation factor rho is supplied, and
-    absent otherwise.
-    """
-    n = f.n
-    if perm is None:
-        perm = np.arange(n)
-    perm = np.asarray(perm, dtype=int)
-    if sorted(perm.tolist()) != list(range(n)):
-        raise ValueError("perm must be a permutation of 0..n-1")
-    g = np.empty(n)
-    g[perm] = np.diff(f.prefix_values(perm))
-    if submodular:
-        alpha = 1.0
-    elif rho is not None:
-        if not (0.0 < rho <= 1.0):
-            raise ValueError("rho must lie in (0, 1]")
-        alpha = 1.0 / rho
-    else:
-        alpha = None
-    return AdmissibleVector(g, alpha)
-
-
-def shapley_exact(f: SetFunction) -> np.ndarray:
-    """Exact Shapley value via the weighted-subset formula (2^n evaluations)."""
-    n = f.n
-    fv = f.values_all()  # raises EnumerationTooLargeError past ENUM_MAX
-    fact = [math.factorial(i) for i in range(n + 1)]
-    coef = np.array([fact[s] * fact[n - s - 1] / fact[n] for s in range(n)])
-    sizes = np.array([bin(m).count("1") for m in range(1 << n)])
-    sh = np.zeros(n)
-    masks = np.arange(1 << n)
-    for i in range(n):
-        bi = 1 << i
-        without = masks[masks & bi == 0]
-        sh[i] = float(np.sum(coef[sizes[without]] * (fv[without | bi] - fv[without])))
-    return sh
-
-
-def find_dictator(f: SetFunction, m: float) -> int | None:
-    """Lowest element whose singleton value already reaches m, if any.
-
-    For a monotone f this certifies that every set containing the element is
-    worth at least m.
-    """
-    if not f.monotone:
-        raise ValueError("dictator search requires a monotone oracle")
-    for i in range(f.n):
-        if f.value([i]) >= m:
-            return i
-    return None
-
-
-def dictator_vector(f: SetFunction, i_star: int, m: float | None = None) -> AdmissibleVector:
-    """Single-spike vector putting the whole value f(full set) on a dictator.
-
-    ``m`` is the dictatorship level; it defaults to the dictator's singleton
-    value.  The claimed admissibility is f(full set) / m.
-    """
-    big_m = f.full_value()
-    if m is None:
-        m = f.value([i_star])
-    if m <= 0:
-        raise ValueError("dictator level m must be positive")
-    g = np.zeros(f.n)
-    g[i_star] = big_m
-    return AdmissibleVector(g, big_m / m)
-
-
-def subset_sums(g: np.ndarray) -> np.ndarray:
-    """sum_{i in mask} g_i for every bitmask, by array doubling."""
-    return subset_table(np.asarray(g, dtype=float), np.add)
-
-
-def core_membership(
-    g: np.ndarray,
-    f: SetFunction,
-    alpha: float,
-    tol: float = DEFAULT_TOL,
-    masks: np.ndarray | None = None,
-) -> bool:
-    """Exhaustively check that g lies in the alpha-core of f.
-
-    Requires sum(g) = f(full set) within tol and sum_{i in S} g_i <=
-    alpha * f(S) + tol for every nonempty S (or only the ``masks`` supplied,
-    e.g. the balanced subsets of a matching reward).
-    """
-    g = np.asarray(g, dtype=float)
-    if f.n > ENUM_MAX:
-        raise EnumerationTooLargeError(f"n = {f.n} > {ENUM_MAX}")
-    if abs(float(g.sum()) - f.full_value()) > tol:
-        return False
-    gs = subset_sums(g)
-    if masks is None:
-        fv = f.values_all()
-        return bool(np.all(gs[1:] <= alpha * fv[1:] + tol))
-    masks = np.asarray(masks, dtype=int)
-    return bool(np.all(gs[masks] <= alpha * f.values_all()[masks] + tol))
-
-
-def tightest_alpha(g: np.ndarray, f: SetFunction, tol: float = DEFAULT_TOL) -> float:
-    """Smallest alpha at which g satisfies every subset constraint.
-
-    Taken as the max of (sum_{i in S} g_i) / f(S) over nonempty S with
-    f(S) > 0, clamped below at 1.  Positive g-mass on a zero-value set cannot
-    be scaled away, so it yields +inf; nonpositive mass there is ignored.
-    """
-    g = np.asarray(g, dtype=float)
-    fv = f.values_all()[1:]  # raises EnumerationTooLargeError past ENUM_MAX
-    gs = subset_sums(g)[1:]
-    zero = fv <= 0.0
-    if np.any(zero & (gs > tol)):
-        return float("inf")
-    ratios = gs[~zero] / fv[~zero]
-    return float(max(1.0, ratios.max())) if ratios.size else 1.0
 
 
 class DualsError(RuntimeError):
@@ -266,54 +122,6 @@ def hungarian_duals(w: np.ndarray, tol: float = 1e-6) -> tuple:
         return u, v, cols, value
     return u[0], v[0], list(zip(range(m), cols[0].tolist())), float(value[0])
 
-
-def matching_core_vector(w: np.ndarray) -> AdmissibleVector:
-    """1-admissible vector for a matching reward: optimal duals (u, v) laid
-    out over the ground set U followed by V."""
-    u, v, _, _ = hungarian_duals(w)
-    return AdmissibleVector(np.concatenate([u, v]), 1.0)
-
-
-def avg_submodular_shapley_check(f: SetFunction, tol: float = DEFAULT_TOL) -> bool:
-    """Certify that the Shapley value of f lies in its core (alpha = 1).
-
-    Evaluates, for every target set T, the permutation-weighted sum of
-    marginal-contribution differences f_i(S) - f_i(S intersect T) over all S
-    containing i in T; the Shapley value is in the core iff every such sum is
-    nonpositive.
-    """
-    n = f.n
-    if n > 10:
-        raise EnumerationTooLargeError(f"n = {n} > 10 for the Shapley core check")
-    fv = f.values_all()
-    fact = [math.factorial(i) for i in range(n + 1)]
-    sizes = np.array([bin(m).count("1") for m in range(1 << n)])
-    weight = np.array([0.0] + [fact[s - 1] * fact[n - s] / fact[n] for s in range(1, n + 1)])
-    masks = np.arange(1 << n)
-    marg = []  # marg[i][mask] = f(mask) - f(mask minus i), for masks containing i
-    for i in range(n):
-        bi = 1 << i
-        col = np.zeros(1 << n)
-        has = masks[masks & bi != 0]
-        col[has] = fv[has] - fv[has ^ bi]
-        marg.append(col)
-    w_all = weight[sizes]
-    for t_mask in range(1, 1 << n):
-        total = 0.0
-        for i in range(n):
-            if not t_mask >> i & 1:
-                continue
-            bi = 1 << i
-            has = masks[masks & bi != 0]
-            inter = has & t_mask
-            total += float(np.sum(w_all[has] * (marg[i][has] - marg[i][inter])))
-        if total > tol:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# The proxy vectors the online policies learn from.
 
 def core_vectors(f: SetFunction, b: int, rng: np.random.Generator) -> np.ndarray:
     """The proxy vectors of a run of b rounds whose reward is f, as (b, n)

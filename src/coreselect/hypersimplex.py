@@ -2,8 +2,8 @@
 
 This polytope is exactly the set of feasible marginal inclusion probabilities
 for sampling k of n elements without replacement.  A point of it is a plain
-float vector p, with k passed beside it; ``validate_point`` checks one.  The
-module provides the four solvers the online policies need:
+float vector p, with k passed beside it.  The module provides the four
+solvers the online policies need:
 
 * ``entropic_ftrl_argmax`` - exact maximizer of a linear score minus a scaled
   negative entropy (the follow-the-regularized-leader update),
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TAU_FEAS = 1e-9
 # exp(-690) ~ 3e-300 is still a normal double: below this spread of scores the
 # exponentials and their tail sums keep full precision, and k / e cannot overflow
 EXP_SAFE_SPREAD = 690.0
@@ -47,22 +46,6 @@ def _check_finite(x: np.ndarray, name: str, rows: bool = False) -> np.ndarray:
     if not np.isfinite(x).all():
         raise ValueError(f"{name} contains non-finite entries")
     return x
-
-
-def validate_point(p: np.ndarray, k: int, tol: float = TAU_FEAS) -> None:
-    """Raise ``InfeasiblePointError`` unless the vector p lies in [0,1]^n
-    with sum(p) = k, to within ``tol`` (``tol * n`` for the sum)."""
-    if p.ndim != 1:
-        raise InfeasiblePointError(f"p must be one vector, got shape {p.shape}")
-    n = p.size
-    if not (1 <= k <= n):
-        raise InfeasiblePointError(f"need 1 <= k <= n, got k={k}, n={n}")
-    # written so that a NaN coordinate fails both checks
-    if not (p.min() >= -tol and p.max() <= 1.0 + tol):
-        raise InfeasiblePointError("NaN or coordinate outside [0, 1]")
-    total = float(p.sum())
-    if not abs(total - k) <= max(tol, tol * n):
-        raise InfeasiblePointError(f"sum(p) = {total:.12g} != k = {k}")
 
 
 def entropic_ftrl_argmax(theta: np.ndarray, eta: float, k: int) -> np.ndarray:

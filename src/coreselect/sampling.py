@@ -5,12 +5,11 @@ to k), one uniform draw u picks the k-set whose prefix-sum intervals contain
 the grid points u, u+1, ..., u+k-1.  Element i then lands in the sample with
 probability exactly p_i.  The sampler takes (p, k) of one point or of each
 row of a block, and returns the selected indices as a (k,) array, or a
-(B, k) array for a block.
+(B, k) array for a block.  The exact law of a draw, its at most n + 1 sets
+and their probabilities, is enumerated in ``coreselect.oracles``.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -136,49 +135,3 @@ def draw(p: np.ndarray, k: int, rng: np.random.Generator,
     if u is None:
         u = float(rng.random()) if p.ndim == 1 else rng.random(len(p))
     return madow_sample(p, k, u)
-
-
-def _support(p: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The u-interval lengths of the sampling distribution and their (m, k)
-    sets, one row per interval in the order of u: all the sets come from
-    one draw of the point repeated once per interval, at its midpoint (so
-    an (m, n + 1) grid, m <= n + 1)."""
-    p = np.asarray(p, dtype=float)
-    pts = np.unique(np.concatenate([[0.0, 1.0], np.mod(_prefix_sums(p, k), 1.0)]))
-    lo, hi = pts[:-1], pts[1:]
-    # midpoints of sub-ulp segments can round to 1
-    mids = np.minimum(0.5 * (lo + hi), math.nextafter(1.0, 0.0))
-    sets = _madow_rows(p[None].repeat(len(mids), 0), k, mids)
-    sets %= len(p)  # the flat indices less their rows' offsets
-    return hi - lo, sets
-
-
-def madow_support(p: np.ndarray, k: int) -> list[tuple[float, np.ndarray]]:
-    """All (probability, set) pairs of the sampling distribution, exactly.
-
-    The set is piecewise constant in u; it can only change when some grid
-    point u + i crosses a prefix sum, i.e. at u = frac(prefix_j).  So there
-    are at most n + 1 distinct sets; each carries the Lebesgue measure of
-    its u-interval.  Useful both for exact marginal-law checks and for
-    exact conditional expectations of set functions.
-    """
-    lengths, sets = _support(p, k)
-    return list(zip(lengths.tolist(), sets))
-
-
-def madow_marginal_measure(p: np.ndarray, k: int) -> np.ndarray:
-    """Exact measure of {u : element i is selected} for every i.
-
-    Sums interval lengths over the breakpoint decomposition, in the order
-    of u; no sampling involved, so the result should match p to
-    floating-point accuracy.
-    """
-    lengths, sets = _support(p, k)
-    measure = np.zeros(len(p))
-    np.add.at(measure, sets, lengths[:, None])
-    return measure
-
-
-def expected_set_value(p: np.ndarray, k: int, value_fn) -> float:
-    """Exact E[f(S)] under Madow sampling at p, via the support enumeration."""
-    return float(sum(length * value_fn(sel) for length, sel in madow_support(p, k)))

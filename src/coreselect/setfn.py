@@ -1,8 +1,10 @@
-"""Set-function oracles: reward families and small-n structural diagnostics.
+"""Set-function oracles: the reward families and their subset tables.
 
 Public evaluation works on index iterables, or on the (b, k) sets of a run of
-b rounds; the enumeration paths use integer bitmasks internally (element i
-<-> bit i), which keeps exhaustive checks cheap for the diagnostics' n <= 20.
+b rounds.  The enumeration paths use integer bitmasks internally (element i
+<-> bit i): ``values_all`` tabulates f over all 2^n subsets for n <= 20,
+which ``distance_sup`` reads for a reward that is not modular, and so do the
+exhaustive checks of ``coreselect.oracles``.
 """
 
 from __future__ import annotations
@@ -18,9 +20,7 @@ import numpy as np
 
 from .blocks import PLAN_CELLS
 
-ENUM_MAX = 20          # hard guard for 2^n enumerations
-STRUCT_CHECK_MAX = 14  # guard for pairwise structural checks
-RHO_MAX = 12           # guard for the subset-lattice rho scan
+ENUM_MAX = 20  # hard guard for 2^n enumerations
 
 
 class EnumerationTooLargeError(ValueError):
@@ -108,7 +108,8 @@ def subset_table(rows: np.ndarray, op) -> np.ndarray:
 class SetFunction:
     """Evaluation oracle for a normalized set function on {0, ..., n-1}.
 
-    ``monotone`` is the caller's declaration, spot-checked by the diagnostics.
+    ``monotone`` is the caller's declaration, which ``coreselect.oracles``
+    checks exhaustively at small n.
 
     A subclass defines ``value`` or ``value_mask``; each defaults to the
     other.  A reward family's ``value`` is its one valuation body, on a
@@ -344,10 +345,6 @@ class MatchingRewardFunction(SetFunction):
         self.m = w.shape[-1]
         super().__init__(2 * self.m, monotone=False)
 
-    def is_balanced(self, indices: Iterable[int]) -> bool:
-        in_u = [i < self.m for i in indices]
-        return 0 < 2 * sum(in_u) == len(in_u)
-
     def value(self, indices: Iterable[int] | np.ndarray) -> float | np.ndarray:
         """The value of one set, or of each row of a (b, k) index array:
         the rounds of a block, or b sets of this one reward.
@@ -386,14 +383,6 @@ class MatchingRewardFunction(SetFunction):
             self.totals = np.array([w[solve(w)].sum() for w in self._stack])
         return self.totals[self.phase] if self.phase is not None else float(self.totals[0])
 
-    def balanced_masks(self) -> list[int]:
-        """All nonempty balanced subsets, as bitmasks."""
-        out = []
-        for mask in range(1, 1 << self.n):
-            if self.is_balanced(indices_of(mask)):
-                out.append(mask)
-        return out
-
 
 def distance_sup(f: SetFunction, h: np.ndarray) -> float | np.ndarray:
     """max over all subsets of |f(S) - h(S)| for the modular hint h given
@@ -431,78 +420,3 @@ def distance_sup(f: SetFunction, h: np.ndarray) -> float | np.ndarray:
 def _guard(n: int, cap: int, what: str) -> None:
     if n > cap:
         raise EnumerationTooLargeError(f"n = {n} > {cap} for {what}")
-
-
-def check_submodular(f: SetFunction, tol: float = 1e-9) -> bool:
-    """Exhaustive diminishing-returns check.
-
-    Verified over all pairs of added elements at every base set, which is
-    equivalent to the full (A subset of B, i outside B) family of
-    inequalities on the subset lattice.
-    """
-    _guard(f.n, STRUCT_CHECK_MAX, "submodularity check")
-    fv = f.values_all()
-    n = f.n
-    masks = np.arange(1 << n)
-    for i in range(n):
-        bi = 1 << i
-        for j in range(i + 1, n):
-            bj = 1 << j
-            base = masks[(masks & bi == 0) & (masks & bj == 0)]
-            if np.any(fv[base | bi] + fv[base | bj] + tol < fv[base | bi | bj] + fv[base]):
-                return False
-    return True
-
-
-def check_monotone(f: SetFunction, tol: float = 1e-9) -> bool:
-    """Exhaustive monotonicity check over every covering pair S, S + {i}."""
-    _guard(f.n, STRUCT_CHECK_MAX, "monotonicity check")
-    fv = f.values_all()
-    masks = np.arange(1 << f.n)
-    for i in range(f.n):
-        bi = 1 << i
-        base = masks[masks & bi == 0]
-        if np.any(fv[base | bi] + tol < fv[base]):
-            return False
-    return True
-
-
-def estimate_rho(f: SetFunction, tol: float = 1e-12) -> float:
-    """Largest rho in (0, 1] with rho * (f(B+i) - f(B)) <= f(A+i) - f(A) for
-    all A subset of B and i outside B.
-
-    Returns the minimum marginal-gain ratio over the subset lattice, capped
-    at 1.  A pair with positive denominator and zero numerator means no
-    positive rho works; the result is then 0.  Zero-denominator pairs impose
-    no constraint and are skipped.
-    """
-    _guard(f.n, RHO_MAX, "rho estimation")
-    if not f.monotone:
-        raise ValueError("rho estimation expects a monotone oracle")
-    fv = f.values_all()
-    n = f.n
-    masks = np.arange(1 << n)
-    rho = 1.0
-    for i in range(n):
-        bi = 1 << i
-        free = masks[masks & bi == 0]
-        marg = fv[free | bi] - fv[free]
-        # smallest marginal over all subsets A of each B: subset-min transform
-        best = np.full(1 << n, np.inf)
-        best[free] = marg
-        for j in range(n):
-            if j == i:
-                continue
-            bj = 1 << j
-            hi = masks[(masks & bj != 0) & (masks & bi == 0)]
-            best[hi] = np.minimum(best[hi], best[hi ^ bj])
-        den = marg
-        pos = den > tol
-        if not pos.any():
-            continue
-        num = best[free][pos]
-        if np.any(num <= tol):
-            return 0.0
-        rho = min(rho, float((num / den[pos]).min()))
-    return min(rho, 1.0)
-

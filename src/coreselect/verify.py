@@ -12,43 +12,39 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adversary import random_coverage
-from .corevec import (
-    avg_submodular_shapley_check,
-    core_membership,
-    dictator_vector,
-    find_dictator,
-    hungarian_duals,
-    marginal_vector,
-    matching_core_vector,
-    shapley_exact,
-    tightest_alpha,
-)
+from .corevec import hungarian_duals
 from .hypersimplex import (
     QuadraticObjective,
     afw_minimize,
     entropic_ftrl_argmax,
     euclidean_project,
     lmo,
-    validate_point,
 )
 from .oracles import (
+    avg_submodular_shapley_check,
+    balanced_masks,
+    check_monotone,
+    check_submodular,
+    core_membership,
+    dictator_vector,
     enumerate_lmo_value,
     enumerate_matching_value,
     enumerate_projection,
+    estimate_rho,
     exact_projection,
+    find_dictator,
     indicator_game,
+    madow_marginal_measure,
+    marginal_vector,
     random_monotone_function,
     second_game,
+    shapley_exact,
+    tightest_alpha,
+    validate_point,
 )
 from .policy import norm_bound
-from .sampling import madow_marginal_measure, madow_sample
-from .setfn import (
-    MatchingRewardFunction,
-    check_monotone,
-    check_submodular,
-    distance_sup,
-    estimate_rho,
-)
+from .sampling import madow_sample
+from .setfn import MatchingRewardFunction, distance_sup
 
 SEED = 2024  # every check draws from SeedSequence([SEED, crc32(check name)])
 
@@ -174,8 +170,8 @@ def _check_marginal_membership(rng, max_n) -> CheckResult:
             return CheckResult("submodular-marginal-membership", False,
                                "coverage instance failed structural check")
         for _ in range(100):
-            av = marginal_vector(f, rng.permutation(f.n), submodular=True)
-            if not core_membership(av.g, f, 1.0):
+            g = marginal_vector(f, rng.permutation(f.n))
+            if not core_membership(g, f, 1.0):
                 return CheckResult("submodular-marginal-membership", False,
                                    f"marginal vector outside 1-core at n={f.n}")
             count += 1
@@ -191,8 +187,7 @@ def _check_rho(rng, max_n) -> CheckResult:
         if not (0.0 < rho <= 1.0):
             return CheckResult("rho-marginal-tightest-alpha", False,
                                f"rho estimate {rho} out of range for strictly monotone f")
-        av = marginal_vector(f, rng.permutation(n))
-        ta = tightest_alpha(av.g, f)
+        ta = tightest_alpha(marginal_vector(f, rng.permutation(n)), f)
         if ta > 1.0 / rho + 1e-7:
             return CheckResult("rho-marginal-tightest-alpha", False,
                                f"tightest alpha {ta:.6g} exceeds 1/rho {1 / rho:.6g}")
@@ -207,8 +202,8 @@ def _check_dictator(rng, max_n) -> CheckResult:
         i_star = find_dictator(f, m)
         if i_star is None:
             return CheckResult("dictator-membership", False, "dictator not found at its own level")
-        av = dictator_vector(f, i_star, m)
-        if not core_membership(av.g, f, av.alpha, tol=1e-7):
+        g, alpha = dictator_vector(f, i_star, m)
+        if not core_membership(g, f, alpha, tol=1e-7):
             return CheckResult("dictator-membership", False,
                                f"dictator vector outside M/m core at n={n}")
     return CheckResult("dictator-membership", True, "10 random monotone instances")
@@ -233,8 +228,8 @@ def _check_games(rng=None, max_n=None) -> CheckResult:
         return CheckResult("three-player-games", False, f"tightest alpha {ta} != 1.5")
     if find_dictator(first, 1.0) != 0:
         return CheckResult("three-player-games", False, "dictator of the first game not element 0")
-    dv = dictator_vector(second, 0, 1.0)
-    if dv.alpha != 2.0 or not core_membership(dv.g, second, 2.0):
+    g, alpha = dictator_vector(second, 0, 1.0)
+    if alpha != 2.0 or not core_membership(g, second, 2.0):
         return CheckResult("three-player-games", False, "dictator vector of the second game fails")
     if not check_monotone(second):
         return CheckResult("three-player-games", False, "second game should be monotone")
@@ -267,9 +262,8 @@ def _check_matching_duals(rng, max_n) -> CheckResult:
         if abs(value - enumerate_matching_value(w)) > 1e-9:
             return CheckResult("matching-dual-membership", False,
                                "matching value differs from enumeration")
-        f = MatchingRewardFunction(w)
-        av = matching_core_vector(w)
-        if not core_membership(av.g, f, 1.0, masks=np.array(f.balanced_masks())):
+        if not core_membership(np.concatenate([u, v]), MatchingRewardFunction(w), 1.0,
+                               masks=balanced_masks(m)):
             return CheckResult("matching-dual-membership", False,
                                "dual vector violates a balanced-subset constraint")
     return CheckResult("matching-dual-membership", True,
@@ -298,22 +292,24 @@ def _check_norm_bounds(rng, max_n) -> CheckResult:
         n = int(rng.integers(3, min(10, max_n) + 1))
         f = random_coverage(n, 2 * n, rng, density=0.4)
         M = f.full_value()
-        av = marginal_vector(f, rng.permutation(n), submodular=True)
-        if np.any(av.g < -1e-12):
+        g = marginal_vector(f, rng.permutation(n))
+        if np.any(g < -1e-12):
             return CheckResult("admissible-norm-bounds", False, "negative marginal gain")
-        l2, l1 = float(np.linalg.norm(av.g)), float(np.abs(av.g).sum())
+        l2, l1 = float(np.linalg.norm(g)), float(np.abs(g).sum())
         if l2 > l1 + 1e-9 or l1 > M + 1e-7:
             return CheckResult("admissible-norm-bounds", False, "monotone norm chain violated")
         if l2 > norm_bound(1.0, M) + 1e-7:
             return CheckResult("admissible-norm-bounds", False, "core ball radius violated")
-        g = random_monotone_function(min(n, 6), rng)
-        dv = dictator_vector(g, int(np.argmax([g.value([i]) for i in range(g.n)])))
-        if float(np.linalg.norm(dv.g)) > norm_bound(dv.alpha, g.full_value()) + 1e-7:
+        table = random_monotone_function(min(n, 6), rng)
+        best = int(np.argmax([table.value([i]) for i in range(table.n)]))
+        spike, alpha = dictator_vector(table, best)
+        if float(np.linalg.norm(spike)) > norm_bound(alpha, table.full_value()) + 1e-7:
             return CheckResult("admissible-norm-bounds", False, "dictator vector outside ball")
         m = int(rng.integers(1, min(3, max_n // 2) + 1))
         w = rng.random(m)[:, None] + rng.random(m)[None, :]  # nonnegative prices exist
-        av2 = matching_core_vector(w)
-        if float(np.linalg.norm(av2.g)) > 2 * m * float(w.max()) / math.sqrt(2.0) + 1e-7:
+        u, v, _, _ = hungarian_duals(w)
+        duals = np.concatenate([u, v])
+        if float(np.linalg.norm(duals)) > 2 * m * float(w.max()) / math.sqrt(2.0) + 1e-7:
             return CheckResult("admissible-norm-bounds", False, "matching vector outside ball")
     return CheckResult("admissible-norm-bounds", True, "10 rounds of constructions")
 
@@ -322,7 +318,7 @@ def _check_hint_inequality(rng, max_n) -> CheckResult:
     for trial in range(1000):
         n = int(rng.integers(2, min(8, max_n) + 1))
         f = random_coverage(n, 2 * n, rng, density=0.5)
-        fvec = marginal_vector(f, rng.permutation(n), submodular=True).g
+        fvec = marginal_vector(f, rng.permutation(n))
         h = fvec + rng.standard_normal(n) * rng.uniform(0, 1.5)
         lhs = float(np.abs(fvec - h).sum())
         rhs = 3.0 * distance_sup(f, h)

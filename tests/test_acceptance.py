@@ -22,6 +22,7 @@ from coreselect.bench import (
     run_replicas,
 )
 from coreselect.hypersimplex import entropic_ftrl_argmax, euclidean_project
+from coreselect.oracles import expected_set_value, madow_marginal_measure
 from coreselect.policy import (
     OftrlPolicy,
     RegretLedger,
@@ -29,7 +30,6 @@ from coreselect.policy import (
     augmented_regret_bound,
     static_regret_bound,
 )
-from coreselect.sampling import expected_set_value, madow_marginal_measure
 from coreselect.setfn import distance_sup
 from coreselect.verify import verify_all
 

@@ -7,31 +7,30 @@ import numpy as np
 import pytest
 
 from coreselect import corevec
-from coreselect.corevec import (
-    avg_submodular_shapley_check,
-    core_membership,
-    core_vectors,
-    dictator_vector,
-    find_dictator,
-    hungarian_duals,
-    marginal_vector,
-    matching_core_vector,
-    shapley_exact,
-    subset_sums,
-    tightest_alpha,
-)
+from coreselect.corevec import core_vectors, hungarian_duals
 from coreselect.oracles import (
     TableFunction,
+    avg_submodular_shapley_check,
+    balanced_masks,
+    check_submodular,
+    core_membership,
+    dictator_vector,
     enumerate_matching_value,
+    estimate_rho,
+    find_dictator,
     indicator_game,
+    marginal_vector,
+    random_monotone_function,
     second_game,
+    shapley_exact,
+    tightest_alpha,
 )
 from coreselect.setfn import (
     CoverageFunction,
     MatchingRewardFunction,
     ModularFunction,
-    check_submodular,
     distance_sup,
+    subset_table,
 )
 
 
@@ -41,7 +40,7 @@ def shapley_by_permutations(f):
     acc = np.zeros(n)
     count = 0
     for perm in itertools.permutations(range(n)):
-        acc += marginal_vector(f, np.array(perm)).g
+        acc += marginal_vector(f, np.array(perm))
         count += 1
     return acc / count
 
@@ -60,40 +59,33 @@ def test_marginal_of_modular_is_the_coefficients():
     f = ModularFunction(w)
     for _ in range(5):
         perm = rng.permutation(6)
-        np.testing.assert_allclose(marginal_vector(f, perm).g, w, atol=1e-12)
+        np.testing.assert_allclose(marginal_vector(f, perm), w, atol=1e-12)
 
 
 def test_marginal_of_indicator_game_identity_permutation():
-    av = marginal_vector(indicator_game(), np.arange(3))
-    np.testing.assert_allclose(av.g, [1.0, 0.0, 0.0], atol=1e-12)
-    assert core_membership(av.g, indicator_game(), 1.0)
+    g = marginal_vector(indicator_game(), np.arange(3))
+    np.testing.assert_allclose(g, [1.0, 0.0, 0.0], atol=1e-12)
+    assert core_membership(g, indicator_game(), 1.0)
 
 
 def test_marginal_of_coverage_example():
     f = CoverageFunction([[0, 1], [1, 2], [2]], 3)
-    av = marginal_vector(f, np.arange(3), submodular=True)
-    np.testing.assert_allclose(av.g, [2.0, 1.0, 0.0], atol=1e-12)
-    assert av.alpha == 1.0
-    assert core_membership(av.g, f, 1.0)
+    g = marginal_vector(f, np.arange(3))
+    np.testing.assert_allclose(g, [2.0, 1.0, 0.0], atol=1e-12)
+    assert core_membership(g, f, 1.0)
 
 
 def test_marginal_sums_to_full_value_exactly():
     rng = np.random.default_rng(1)
     for _ in range(20):
         f = random_coverage(6, rng)
-        g = marginal_vector(f, rng.permutation(6)).g
+        g = marginal_vector(f, rng.permutation(6))
         assert g.sum() == f.full_value()
 
 
-def test_marginal_alpha_tags():
-    f = indicator_game()
-    assert marginal_vector(f).alpha is None
-    assert marginal_vector(f, submodular=True).alpha == 1.0
-    assert marginal_vector(f, rho=0.5).alpha == 2.0
-    with pytest.raises(ValueError):
-        marginal_vector(f, rho=1.5)
-    with pytest.raises(ValueError):
-        marginal_vector(f, np.array([0, 0, 1]))
+def test_marginal_vector_rejects_a_bad_permutation():
+    with pytest.raises(ValueError, match="permutation"):
+        marginal_vector(indicator_game(), np.array([0, 0, 1]))
 
 
 def test_submodular_marginals_live_in_the_core():
@@ -102,7 +94,7 @@ def test_submodular_marginals_live_in_the_core():
         f = random_coverage(5, rng)
         assert check_submodular(f)
         for _ in range(100):
-            g = marginal_vector(f, rng.permutation(5)).g
+            g = marginal_vector(f, rng.permutation(5))
             assert core_membership(g, f, 1.0)
 
 
@@ -132,24 +124,37 @@ def test_find_dictator_examples():
 
 
 def test_dictator_vector_first_game():
-    av = dictator_vector(indicator_game(), 0, 1.0)
-    np.testing.assert_allclose(av.g, [1.0, 0.0, 0.0])
-    assert av.alpha == 1.0
-    assert core_membership(av.g, indicator_game(), 1.0)
+    g, alpha = dictator_vector(indicator_game(), 0, 1.0)
+    np.testing.assert_allclose(g, [1.0, 0.0, 0.0])
+    assert alpha == 1.0
+    assert core_membership(g, indicator_game(), 1.0)
 
 
 def test_dictator_vector_second_game():
     f = second_game()
-    av = dictator_vector(f, 0, 1.0)
-    np.testing.assert_allclose(av.g, [2.0, 0.0, 0.0])
-    assert av.alpha == 2.0
-    assert core_membership(av.g, f, 2.0)
+    g, alpha = dictator_vector(f, 0, 1.0)
+    np.testing.assert_allclose(g, [2.0, 0.0, 0.0])
+    assert alpha == 2.0
+    assert core_membership(g, f, 2.0)
+
+
+def test_dictator_vector_rejects_a_level_above_the_dictators_singleton_value():
+    # the claimed alpha f(N)/m rests on every set holding the dictator being
+    # worth at least m: at m = 1 this vector needs alpha = 4.96, not 1
+    f = random_monotone_function(4, np.random.default_rng(0))
+    single = f.value([0])
+    for m in (1.0, 0.0):
+        with pytest.raises(ValueError) as info:
+            dictator_vector(f, 0, m=m)
+        assert f"m = {m} " in str(info.value) and f"f({{0}}) = {single}]" in str(info.value)
+    g, alpha = dictator_vector(f, 0, m=single)
+    assert alpha == f.full_value() / single and core_membership(g, f, alpha)
 
 
 def test_dictator_vector_modular_spike():
     f = ModularFunction(np.array([1.0, 0.0, 0.0]))
-    av = dictator_vector(f, 0)
-    np.testing.assert_allclose(av.g, f.w)
+    g, _ = dictator_vector(f, 0)
+    np.testing.assert_allclose(g, f.w)
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +193,6 @@ def test_tightest_alpha_flags_mass_on_zero_sets():
 
 
 def test_tightest_alpha_bounded_by_rho_guarantee():
-    from coreselect.setfn import estimate_rho
-
     eps = 0.25
     vals = [bin(m).count("1") + (eps if bin(m).count("1") >= 2 else 0.0)
             for m in range(16)]
@@ -197,13 +200,13 @@ def test_tightest_alpha_bounded_by_rho_guarantee():
     rho = estimate_rho(f)
     rng = np.random.default_rng(7)
     for _ in range(20):
-        g = marginal_vector(f, rng.permutation(4)).g
+        g = marginal_vector(f, rng.permutation(4))
         assert tightest_alpha(g, f) <= 1.0 / rho + 1e-9
 
 
 def test_subset_sums_matches_direct():
     g = np.array([1.0, -2.0, 0.5])
-    gs = subset_sums(g)
+    gs = subset_table(g, np.add)
     for mask in range(8):
         direct = sum(g[i] for i in range(3) if mask >> i & 1)
         assert abs(gs[mask] - direct) < 1e-12
@@ -292,9 +295,8 @@ def test_hungarian_duals_on_degenerate_costs(name):
     if m <= 6:
         assert abs(value - enumerate_matching_value(w)) <= m * tol
     if m <= 4:
-        f = MatchingRewardFunction(w)
-        assert core_membership(np.concatenate([u, v]), f, 1.0, tol=m * tol,
-                               masks=np.array(f.balanced_masks()))
+        assert core_membership(np.concatenate([u, v]), MatchingRewardFunction(w), 1.0,
+                               tol=m * tol, masks=balanced_masks(m))
 
 
 def test_hungarian_duals_reject_a_non_optimal_assignment(monkeypatch):
@@ -368,12 +370,11 @@ def test_hungarian_duals_of_a_stack_name_the_matrix_that_fails(monkeypatch):
 def test_matching_core_vector_membership_on_balanced_subsets():
     w = np.array([[1.0, 2.0], [3.0, 4.0]])
     f = MatchingRewardFunction(w)
-    av = matching_core_vector(w)
-    assert abs(av.g.sum() - f.full_value()) < 1e-9
-    assert core_membership(av.g, f, 1.0, masks=np.array(f.balanced_masks()))
+    g = np.concatenate(hungarian_duals(w)[:2])
+    assert abs(g.sum() - f.full_value()) < 1e-9
+    assert core_membership(g, f, 1.0, masks=balanced_masks(2))
     # the published dual pair is itself a valid core point
-    assert core_membership(np.array([1.0, 3.0, 0.0, 1.0]), f, 1.0,
-                           masks=np.array(f.balanced_masks()))
+    assert core_membership(np.array([1.0, 3.0, 0.0, 1.0]), f, 1.0, masks=balanced_masks(2))
 
 
 def test_matching_core_vector_random_instances():
@@ -382,9 +383,9 @@ def test_matching_core_vector_random_instances():
         m = int(rng.integers(1, 4))
         w = rng.random((m, m)) * 2
         f = MatchingRewardFunction(w)
-        av = matching_core_vector(w)
-        assert abs(av.g.sum() - f.full_value()) < 1e-6
-        assert core_membership(av.g, f, 1.0, masks=np.array(f.balanced_masks()))
+        g = np.concatenate(hungarian_duals(w)[:2])
+        assert abs(g.sum() - f.full_value()) < 1e-6
+        assert core_membership(g, f, 1.0, masks=balanced_masks(m))
 
 
 def test_matching_core_vector_norm_bound_with_nonnegative_prices():
@@ -394,8 +395,8 @@ def test_matching_core_vector_norm_bound_with_nonnegative_prices():
     for _ in range(10):
         m = int(rng.integers(1, 5))
         w = rng.random(m)[:, None] + rng.random(m)[None, :]
-        av = matching_core_vector(w)
-        assert np.linalg.norm(av.g) <= 2 * m * w.max() / math.sqrt(2.0) + 1e-7
+        g = np.concatenate(hungarian_duals(w)[:2])
+        assert np.linalg.norm(g) <= 2 * m * w.max() / math.sqrt(2.0) + 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +438,7 @@ def test_norm_bound_alpha_ball():
     for _ in range(20):
         f = random_coverage(5, rng)
         M = f.full_value()  # a monotone reward's largest value
-        g = marginal_vector(f, rng.permutation(5), submodular=True).g
+        g = marginal_vector(f, rng.permutation(5))
         assert np.linalg.norm(g) <= 1.0 * M * math.sqrt(2) + 1e-7
         assert np.all(g >= -1e-12)
         assert np.linalg.norm(g) <= np.abs(g).sum() + 1e-12
@@ -448,7 +449,7 @@ def test_hint_inequality_l1_vs_sup_distance():
     rng = np.random.default_rng(12)
     for _ in range(200):
         f = random_coverage(5, rng)
-        fvec = marginal_vector(f, rng.permutation(5), submodular=True).g
+        fvec = marginal_vector(f, rng.permutation(5))
         h = fvec + rng.standard_normal(5)
         assert np.abs(fvec - h).sum() <= 3.0 * distance_sup(f, h) + 1e-9
 
@@ -492,10 +493,12 @@ def test_core_vectors_pick_the_construction_by_reward_family():
     assert rng.bit_generator.state == state  # neither draws
     # coverage and table rewards: each row is marginal_vector along the
     # permutation the generator draws for its round
+    table = rng.random(16)
+    table[0] = 0.0  # normalized, drawn as before so that no later draw moves
     for g in (CoverageFunction([[0, 1], [1, 2], [2], [0, 3]], 4),
-              TableFunction(rng.random(16), monotone=False)):
+              TableFunction(table, monotone=False)):
         got_rng, want_rng = np.random.default_rng(15), np.random.default_rng(15)
-        want = [marginal_vector(g, want_rng.permutation(4)).g for _ in range(7)]
+        want = [marginal_vector(g, want_rng.permutation(4)) for _ in range(7)]
         assert core_vectors(g, 7, got_rng).tobytes() == np.array(want).tobytes()
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
@@ -507,8 +510,7 @@ def test_marginal_strategy_run_is_its_rounds_one_at_a_time(n, universe, b):
     f = random_coverage(n, universe, np.random.default_rng(n))
     got_rng, want_rng = np.random.default_rng(b), np.random.default_rng(b)
     got = core_vectors(f, b, got_rng)
-    want = np.array([marginal_vector(f, want_rng.permutation(n), submodular=True).g
-                     for _ in range(b)])
+    want = np.array([marginal_vector(f, want_rng.permutation(n)) for _ in range(b)])
     assert got.shape == (b, n) and got.tobytes() == want.tobytes()
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
@@ -559,7 +561,7 @@ def test_matching_dual_strategy_solves_once_per_run(monkeypatch):
         return solve(w, *args, **kwargs)
 
     w = np.array([[1.0, 2.0], [3.0, 4.0]])
-    duals = matching_core_vector(w).g
+    duals = np.concatenate(hungarian_duals(w)[:2])
     monkeypatch.setattr(corevec, "hungarian_duals", counting)
     rng = np.random.default_rng(0)
 
@@ -582,7 +584,7 @@ def test_matching_dual_strategy_solves_once_per_run(monkeypatch):
     phase = np.array([0, 0, 1, 2, 2, 2])
     rows = strategy(MatchingRewardFunction(stack, phase), 6)
     assert len(calls) == 3 and calls[-1] is stack
-    want = np.array([matching_core_vector(stack[p]).g for p in phase])
+    want = np.array([np.concatenate(hungarian_duals(stack[p])[:2]) for p in phase])
     assert rows.tobytes() == want.tobytes()
 
 

@@ -14,9 +14,13 @@ from coreselect.hypersimplex import (
     entropic_ftrl_argmax,
     euclidean_project,
     lmo,
+)
+from coreselect.oracles import (
+    enumerate_lmo_value,
+    enumerate_projection,
+    exact_projection,
     validate_point,
 )
-from coreselect.oracles import enumerate_lmo_value, enumerate_projection, exact_projection
 
 RNG = np.random.default_rng(7)
 # a tolerance of a few rounding steps of a coordinate in [0, 1]

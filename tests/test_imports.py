@@ -1,6 +1,7 @@
 """Every name a module of the package imports is read in that module,
-every function and class a module defines is read somewhere, and the
-README's layout table and CSV header match the package.
+every function and class a module defines is read somewhere (and, in a
+module on a run's path, read on that path), and the README's layout table
+and CSV header match the package.
 
 No linter is installed, so the checks walk the syntax trees with the
 standard library's ``ast``.
@@ -81,6 +82,25 @@ def test_every_definition_is_read():
     unread = {(path.name, name) for path in sorted(SRC.glob("*.py"))
               for name in definitions(path) - read}
     assert unread == set()
+
+
+# the modules off the run path: the diagnostics, the command line and the
+# re-exports
+OFF_RUN_PATH = ("oracles.py", "verify.py", "cli.py", "__init__.py")
+# (module, definition): why a run-path module defines what no run reads
+RUN_PATH_UNREAD = {
+    ("bench.py", "run_replica"): "perfbench/spans.py wraps it (ROADMAP item 13)",
+    ("bench.py", "replica_summary"): "perfbench/spans.py wraps it (ROADMAP item 13)",
+}
+
+
+def test_the_run_path_defines_only_what_a_run_reads():
+    # what only the diagnostics and the tests read belongs in oracles.py
+    run_path = [path for path in sorted(SRC.glob("*.py")) if path.name not in OFF_RUN_PATH]
+    read = read_names([*run_path, SRC / "cli.py"])
+    unread = {(path.name, name) for path in run_path
+              for name in definitions(path) - read}
+    assert unread == set(RUN_PATH_UNREAD)
 
 
 def test_the_check_finds_an_unread_definition(tmp_path):

@@ -35,13 +35,8 @@ from coreselect.policy import (
     priced_regret_bound,
     static_regret_bound,
 )
-from coreselect.sampling import (
-    _prefix_sums,
-    draw,
-    expected_set_value,
-    madow_marginal_measure,
-    madow_sample,
-)
+from coreselect.oracles import expected_set_value, madow_marginal_measure
+from coreselect.sampling import _prefix_sums, draw, madow_sample
 from coreselect.setfn import ModularFunction
 from test_hypersimplex import straddling_ties
 

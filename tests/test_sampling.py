@@ -8,14 +8,8 @@ from coreselect.hypersimplex import (
     entropic_ftrl_argmax,
     euclidean_project,
 )
-from coreselect.sampling import (
-    _prefix_sums,
-    draw,
-    expected_set_value,
-    madow_marginal_measure,
-    madow_sample,
-    madow_support,
-)
+from coreselect.oracles import expected_set_value, madow_marginal_measure, madow_support
+from coreselect.sampling import _prefix_sums, draw, madow_sample
 
 
 def _random_point(n, k, rng):

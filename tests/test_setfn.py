@@ -8,7 +8,11 @@ from coreselect.adversary import random_coverage
 from coreselect.blocks import block_rounds
 from coreselect.oracles import (
     TableFunction,
+    balanced_masks,
+    check_monotone,
+    check_submodular,
     enumerate_matching_value,
+    estimate_rho,
     random_monotone_function,
     second_game,
 )
@@ -18,10 +22,7 @@ from coreselect.setfn import (
     MatchingRewardFunction,
     ModularFunction,
     SetFunction,
-    check_monotone,
-    check_submodular,
     distance_sup,
-    estimate_rho,
     indices_of,
     linear_sum_assignment,
     mask_of,
@@ -462,8 +463,9 @@ def test_distance_sup_takes_a_block_of_hints_for_a_tabulated_reward(cells, monke
 
     monkeypatch.setattr(setfn, "PLAN_CELLS", cells)
     monkeypatch.setattr(setfn, "subset_table", subset_table)
-    for f in (random_coverage(6, 18, rng), TableFunction(rng.random(1 << 5)),
-              MatchingRewardFunction(rng.random((2, 2)))):
+    coverage, table = random_coverage(6, 18, rng), rng.random(1 << 5)
+    table[0] = 0.0  # normalized, drawn as before so that no later draw moves
+    for f in (coverage, TableFunction(table), MatchingRewardFunction(rng.random((2, 2)))):
         F, H = f.values_all(), rng.normal(size=(13, f.n))
         H[0] = 0.0
         want = [float(np.abs(F - real(h, np.add)).max()) for h in H]
@@ -521,6 +523,14 @@ def test_table_length_must_be_a_power_of_two():
         with pytest.raises(ValueError, match=f"length {len(vals)} is not a power of two"):
             TableFunction(vals)
     assert TableFunction([0.0, 1.0, 2.0, 3.0]).n == 2
+
+
+def test_table_empty_set_entry_must_be_zero():
+    # a normalized function is worth 0 on the empty set
+    for vals in ([5.0, 6.0], [-1.0, 0.0, 1.0, 2.0], [np.nan, 1.0]):
+        with pytest.raises(ValueError, match=f"empty-set entry {vals[0]} is not 0"):
+            TableFunction(vals)
+    assert TableFunction([-0.0, 6.0]).value([]) == 0.0
 
 
 def test_second_game_is_monotone():
@@ -584,8 +594,19 @@ def test_matching_reward_unbalanced_is_zero():
     assert f.value([0]) == 0.0
     assert f.value([0, 1, 2]) == 0.0
     assert f.value([]) == 0.0
-    assert not f.is_balanced([0])
-    assert f.is_balanced([0, 2])
+    assert 0b0101 in balanced_masks(2)
+    assert 0b0001 not in balanced_masks(2)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_balanced_masks_pick_as_many_u_as_v_vertices(m):
+    want = []
+    for mask in range(1 << 2 * m):
+        in_u = sum(mask >> i & 1 for i in range(m))
+        in_v = sum(mask >> i & 1 for i in range(m, 2 * m))
+        if in_u == in_v > 0:
+            want.append(mask)
+    assert balanced_masks(m).tolist() == want
 
 
 def matching_value_reference(w, indices):
