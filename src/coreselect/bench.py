@@ -356,14 +356,12 @@ def _joins(rewards: list[SetFunction], b: int, k: int) -> list[tuple[range, SetF
     joined, nor are other rewards, such as coverage rewards: ``core_vectors``
     draws only for their marginal vectors, each lane from its own
     generator."""
-    if all(isinstance(f, ModularFunction) and f.w.ndim == 2 and len(f.w) == b
-           for f in rewards):
+    if all(isinstance(f, ModularFunction) and f.rounds == b for f in rewards):
         cells = rewards[0].w.size
 
         def join(fs):
             return ModularFunction(np.concatenate([f.w for f in fs]))
-    elif all(isinstance(f, MatchingRewardFunction) and f.phase is not None and
-             len(f.phase) == b for f in rewards):
+    elif all(isinstance(f, MatchingRewardFunction) and f.rounds == b for f in rewards):
         cells = max(max(f.w.size for f in rewards), b * (k // 2) ** 2)
 
         def join(fs):

@@ -127,8 +127,9 @@ def core_vectors(f: SetFunction, b: int, rng: np.random.Generator) -> np.ndarray
     """The proxy vectors of a run of b rounds whose reward is f, as (b, n)
     rows, one core vector per round, chosen by the reward's family:
 
-    - a modular reward: its coefficient rows ``f.w``, the exact 1-core
-      choice.  Nothing is drawn.
+    - a modular reward: its coefficient rows ``f.w`` for a block, or its
+      one vector repeated b times, the exact 1-core choice.  Nothing is
+      drawn.
     - a matching reward: its optimal assignment duals, from one
       ``hungarian_duals`` call on its stack of phase matrices for a block
       (on its one matrix otherwise), each round's row the duals of its
@@ -147,7 +148,7 @@ def core_vectors(f: SetFunction, b: int, rng: np.random.Generator) -> np.ndarray
       ``prefix_values`` call.
     """
     if isinstance(f, ModularFunction):
-        return f.w
+        return f.w if f.rounds is not None else np.tile(f.w, (b, 1))
     if isinstance(f, MatchingRewardFunction):
         phase = np.zeros(b, dtype=np.intp) if f.phase is None else f.phase
         try:  # looked up on the module, where perfbench/spans.py wraps it

@@ -214,7 +214,7 @@ def _entropic_rows(theta: np.ndarray, eta: float, k: int) -> np.ndarray:
     e *= c[every, j][:, None]
     e[np.arange(n) < j[:, None]] = 1.0
     for r in (~(d[:, -1] >= -EXP_SAFE_SPREAD)).nonzero()[0].tolist():
-        e[r], j[r] = _capped_exponentials_in_log_space(d[r], k)
+        e[r], j[r] = _capped_in_log_space(theta[r], srt[r], k)
     split = ((j > 0) & (srt[every, j - 1] == srt[every, j])).nonzero()[0]
     if split.size:  # rows with equal scores on both sides of the caps
         order[split] = neg[split].argsort(kind="stable") + split[:, None] * n
@@ -319,15 +319,16 @@ def lmo(cost: np.ndarray, k: int) -> np.ndarray:
 
     Returns the 0/1 indicator of the k smallest costs; ties break toward the
     lowest index so repeated runs give identical traces.  Only a tie between
-    the k-th and (k+1)-th smallest costs leaves the set open, so the default
-    sort decides it unless those two are equal, and then a stable sort does
-    (:func:`_lmo_indices`, the body that Frank-Wolfe calls).
+    the k-th and (k+1)-th smallest costs leaves the set open.
+    :func:`_lmo_indices`, the body that Frank-Wolfe calls, gives the same
+    vertex as its indices.
 
     ``cost`` may also be a (B, n) block of cost vectors; the result then
-    holds their vertices as rows, each the one its row alone gives.  A row
-    needs only its k-th smallest cost v and to know whether the (k+1)-th
-    equals it.  One partition around column k puts the (k+1)-th there and
-    the k smallest before it, so v is the largest of those, and a row with
+    holds their vertices as rows, each the one its row alone gives, and one
+    vector is solved as a block of one row.  A row needs only its k-th
+    smallest cost v and to know whether the (k+1)-th equals it.  One
+    partition around column k puts the (k+1)-th there and the k smallest
+    before it, so v is the largest of those, and a row with
     no tie at v has exactly k costs <= v: its vertex is that mask, which a
     signed zero cannot split, since -0.0 == 0.0.  Only rows with the tie are
     sorted, stably.  The partition takes one kth on purpose: numpy 2.4 sends
@@ -343,18 +344,15 @@ def lmo(cost: np.ndarray, k: int) -> np.ndarray:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if k == n:
         return np.ones(cost.shape)
-    if cost.ndim == 1:
-        v = np.zeros(n)
-        v[_lmo_indices(cost, k)] = 1.0
-        return v
-    part = np.partition(cost, k, axis=1)
+    rows = np.atleast_2d(cost)
+    part = np.partition(rows, k, axis=1)
     kth = part[:, :k].max(axis=1)
-    v = (cost <= kth[:, None]).astype(float)
+    v = (rows <= kth[:, None]).astype(float)
     tie = (kth == part[:, k]).nonzero()[0]
     if tie.size:
         v[tie] = 0.0
-        v[tie[:, None], cost[tie].argsort(kind="stable")[:, :k]] = 1.0
-    return v
+        v[tie[:, None], rows[tie].argsort(kind="stable")[:, :k]] = 1.0
+    return v.reshape(cost.shape)
 
 
 def _lmo_indices(cost: np.ndarray, k: int) -> np.ndarray:

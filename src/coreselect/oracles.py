@@ -18,7 +18,7 @@ import numpy as np
 
 from .hypersimplex import InfeasiblePointError
 from .sampling import _madow_rows, _prefix_sums
-from .setfn import SetFunction, _guard, indices_of, subset_table
+from .setfn import SetFunction, _guard, subset_table
 
 STRUCT_CHECK_MAX = 14  # guard for pairwise structural checks
 RHO_MAX = 12           # guard for the subset-lattice rho scan
@@ -110,6 +110,7 @@ def enumerate_matching_value(w: np.ndarray) -> float:
 def validate_point(p: np.ndarray, k: int, tol: float = TAU_FEAS) -> None:
     """Raise ``InfeasiblePointError`` unless the vector p lies in [0,1]^n
     with sum(p) = k, to within ``tol`` (``tol * n`` for the sum)."""
+    p = np.asarray(p, dtype=float)
     if p.ndim != 1:
         raise InfeasiblePointError(f"p must be one vector, got shape {p.shape}")
     n = p.size
@@ -169,9 +170,20 @@ def expected_set_value(p: np.ndarray, k: int, value_fn) -> float:
     return float(sum(length * value_fn(sel) for length, sel in madow_support(p, k)))
 
 
+def indices_of(mask: int) -> tuple[int, ...]:
+    """The elements of the set of the bits of ``mask``, lowest first."""
+    out = []
+    while mask:  # one step per set bit, lowest first
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 class TableFunction(SetFunction):
-    """Set function given by its value on every bitmask (length 2^n table),
-    normalized: its empty-set entry is 0."""
+    """Set function given by its finite value on every bitmask (length 2^n
+    table), normalized: its empty-set entry is 0.  A run's (b, k) sets are
+    valued by one gather at their bitmasks."""
 
     def __init__(self, vals, monotone: bool = True):
         self._vals = np.asarray(vals, dtype=float)
@@ -180,10 +192,13 @@ class TableFunction(SetFunction):
             raise ValueError(f"the table's length {size} is not a power of two")
         if self._vals[0] != 0.0:
             raise ValueError(f"the table's empty-set entry {self._vals[0]} is not 0")
+        bad = np.flatnonzero(~np.isfinite(self._vals))
+        if bad.size:
+            raise ValueError(f"the table's entry {bad[0]} is {self._vals[bad[0]]}, not finite")
         super().__init__(size.bit_length() - 1, monotone=monotone)
 
-    def value_mask(self, mask: int) -> float:
-        return float(self._vals[mask])
+    def _values(self, sets: np.ndarray) -> np.ndarray:
+        return self._vals[np.bitwise_or.reduce(np.left_shift(1, sets), axis=1)]
 
 
 def random_monotone_function(n: int, rng: np.random.Generator) -> TableFunction:

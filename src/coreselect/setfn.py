@@ -76,22 +76,6 @@ def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return assignment_solver()(cost)
 
 
-def mask_of(indices: Iterable[int]) -> int:
-    m = 0
-    for i in indices:
-        m |= 1 << int(i)
-    return m
-
-
-def indices_of(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:  # one step per set bit, lowest first
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
-
-
 def subset_table(rows: np.ndarray, op) -> np.ndarray:
     """``op`` (``np.add`` or ``np.bitwise_or``) over the entries of each
     subset of the last axis of ``rows``, indexed by bitmask: (..., n)
@@ -109,13 +93,15 @@ class SetFunction:
     """Evaluation oracle for a normalized set function on {0, ..., n-1}.
 
     ``monotone`` is the caller's declaration, which ``coreselect.oracles``
-    checks exhaustively at small n.
+    checks exhaustively at small n.  ``rounds`` is None for one reward, and
+    B for a block of B rounds' rewards, which takes one set per round.
 
-    A subclass defines ``value`` or ``value_mask``; each defaults to the
-    other.  A reward family's ``value`` is its one valuation body, on a
-    run's (b, k) sets, and one set is a run of one row (``_run``); the
-    subset table and the prefix values are built on runs.
+    ``value`` is the one valuation entry; a family writes only
+    ``_values(sets)``, its body on the (b, k) sets of a run, checked
+    already.  The subset table and the prefix values are built on runs.
     """
+
+    rounds: int | None = None
 
     def __init__(self, n: int, monotone: bool = True):
         if n < 1:
@@ -125,34 +111,21 @@ class SetFunction:
         self._values_cache: np.ndarray | None = None
         self._full_cache: float | None = None
 
-    def value_mask(self, mask: int) -> float:
-        """f of the set of the bits of ``mask``."""
-        return self.value(indices_of(mask))
-
     def value(self, indices: Iterable[int] | np.ndarray) -> float | np.ndarray:
-        """f of one set of indices, or of each row of a run's (b, k) sets,
-        each row through ``value_mask``."""
-        sets, one = self._run(indices)
-        out = np.array([self.value_mask(mask_of(s)) for s in sets.tolist()], dtype=float)
-        return float(out[0]) if one else out
-
-    def _run(self, indices: Iterable[int] | np.ndarray,
-             rounds: int | None = None) -> tuple[np.ndarray, bool]:
-        """``indices`` as the (b, k) sets of a run, and whether they were one
-        set, each index checked to lie in [0, n).  A (b, k) index array is
-        taken as it is, but a block of ``rounds`` rewards takes exactly one
-        set per round; one set of indices becomes a run of one row."""
-        if isinstance(indices, np.ndarray) and indices.ndim == 2:
-            if rounds is not None and len(indices) != rounds:
-                raise ValueError(f"a block of {rounds} rounds takes {rounds} sets, "
-                                 f"one per round, got {len(indices)}")
-            sets, one = indices, False
-        else:
-            sets, one = np.array([list(indices)], dtype=np.intp), True
+        """f of one set of indices, or of each row of a run's (b, k) index
+        array: one set is valued as a run of one row, with the same bits.
+        Every index must lie in [0, n), and a block of B rounds' rewards
+        takes exactly B sets, never one set."""
+        one = not (isinstance(indices, np.ndarray) and indices.ndim == 2)
+        sets = np.array([list(indices)], dtype=np.intp) if one else indices
+        if self.rounds is not None and (one or len(sets) != self.rounds):
+            raise ValueError(f"a block of {self.rounds} rounds takes {self.rounds} sets, "
+                             f"one per round, got {'one set' if one else len(sets)}")
         outside = sets[(sets < 0) | (sets >= self.n)]
         if outside.size:
             raise ValueError(f"index {outside[0]} is outside the ground set [0, {self.n})")
-        return sets, one
+        out = self._values(sets)
+        return float(out[0]) if one else out
 
     def full_value(self) -> float:
         if self._full_cache is None:
@@ -198,11 +171,11 @@ class SetFunction:
 class ModularFunction(SetFunction):
     """f(S) = sum of per-element coefficients over S.
 
-    ``value`` takes one set or a run's (b, k) sets, valued by one
-    gather-sum.  ``w`` may also be a (B, n) block of coefficient vectors,
-    the rewards of B rounds as rows, which takes one set per row; ``total``
-    and ``full_value`` then hold the B row totals, each with the bits of
-    its row alone.  The block is monotone if every row is.
+    A run's (b, k) sets are valued by one gather-sum.  ``w`` may also be a
+    (B, n) block of coefficient vectors, the rewards of B rounds as rows,
+    whose ``rounds`` is B; ``total`` and ``full_value`` then hold the B row
+    totals, each with the bits of its row alone.  The block is monotone if
+    every row is.
     """
 
     def __init__(self, w: np.ndarray):
@@ -212,21 +185,12 @@ class ModularFunction(SetFunction):
         self.w = w
         # sum(axis=-1) gives each row of a block its 1-d w.sum()
         self.total = w.sum(axis=-1) if w.ndim == 2 else float(w.sum())
+        self.rounds = len(w) if w.ndim == 2 else None
         super().__init__(w.shape[-1], monotone=not w.size or bool(w.min() >= 0.0))
 
-    def _vector(self) -> np.ndarray:
-        """``w`` of one round's reward: a block has no value on one set."""
-        if self.w.ndim == 2:
-            raise ValueError("a block of rewards takes one set per row; "
-                             "ModularFunction(w[i]) is round i's reward")
-        return self.w
-
-    def value(self, indices: Iterable[int] | np.ndarray) -> float | np.ndarray:
-        sets, one = self._run(indices, len(self.w) if self.w.ndim == 2 else None)
+    def _values(self, sets: np.ndarray) -> np.ndarray:
         # one gather-sum: row i sums w[i], or the one w, over sets[i]
-        w = self._vector() if one else self.w
-        out = np.take_along_axis(np.atleast_2d(w), sets, axis=1).sum(axis=1)
-        return float(out[0]) if one else out
+        return np.take_along_axis(np.atleast_2d(self.w), sets, axis=1).sum(axis=1)
 
     def full_value(self) -> float:
         return self.total
@@ -294,10 +258,8 @@ class CoverageFunction(SetFunction):
                 counts[i:i + step] = np.bitwise_count(union).sum(axis=-1)
         return counts
 
-    def value(self, indices: Iterable[int] | np.ndarray) -> float | np.ndarray:
-        sets, one = self._run(indices)
-        out = self.scale * self._counts(sets)
-        return float(out[0]) if one else out
+    def _values(self, sets: np.ndarray) -> np.ndarray:
+        return self.scale * self._counts(sets)
 
     def _enumerate_values(self) -> np.ndarray:
         return self.scale * np.bitwise_count(subset_table(self.words.T, np.bitwise_or)).sum(axis=0)
@@ -316,14 +278,14 @@ class MatchingRewardFunction(SetFunction):
     subset that does not pick equally many U and V vertices (or picks none)
     evaluates to 0.
 
-    ``value`` takes one set or a run's (b, k) sets: b sets of one matrix,
-    or one set per round of a block, whose ``w`` is a (P, m, m) stack of
-    matrices with ``phase``, each round's index into it, round i's reward
-    being ``w[phase[i]]``.  A block's ``full_value`` is its b full-set
-    values, each with the bits of its round's reward alone, read off
-    ``totals``, the matching value of each matrix of the stack: solved on
-    the first ``full_value``, unless ``core_vectors`` has already set them
-    from its own dual solves.
+    A run's (b, k) sets are b sets of one matrix, or one set per round of
+    a block, whose ``w`` is a (P, m, m) stack of matrices with ``phase``,
+    each round's index into it, round i's reward being ``w[phase[i]]``,
+    and whose ``rounds`` is ``len(phase)``.  A block's ``full_value`` is
+    its b full-set values, each with the bits of its round's reward alone,
+    read off ``totals``, the matching value of each matrix of the stack:
+    solved on the first ``full_value``, unless ``core_vectors`` has
+    already set them from its own dual solves.
     """
 
     def __init__(self, w: np.ndarray, phase: np.ndarray | None = None):
@@ -340,24 +302,21 @@ class MatchingRewardFunction(SetFunction):
             if phase.ndim != 1 or not ((phase >= 0) & (phase < len(w))).all():
                 raise ValueError("phase indices must name matrices of the stack")
         self.w, self.phase = w, phase
+        self.rounds = None if phase is None else len(phase)
         self._stack = w if phase is not None else w[None]
         self.totals: np.ndarray | None = None
         self.m = w.shape[-1]
         super().__init__(2 * self.m, monotone=False)
 
-    def value(self, indices: Iterable[int] | np.ndarray) -> float | np.ndarray:
-        """The value of one set, or of each row of a (b, k) index array:
-        the rounds of a block, or b sets of this one reward.
+    def _values(self, sets: np.ndarray) -> np.ndarray:
+        """The value of each row of a (b, k) index array: the rounds of a
+        block, or b sets of this one reward.
 
         One gather takes the h x h submatrix of every balanced row
         (h = k / 2), its U entries first and then its V entries, each in the
         row's order; the solver takes one matrix per call, and one
         gather-sum adds up the matched entries.  Other rows are worth 0.
         """
-        sets, one = self._run(indices, None if self.phase is None else len(self.phase))
-        if one and self.phase is not None:
-            raise ValueError("a block of matching rewards takes one set per round; "
-                             "MatchingRewardFunction(w[phase[i]]) is round i's reward")
         b, k = sets.shape
         out = np.zeros(b)
         in_u = sets < self.m
@@ -372,7 +331,7 @@ class MatchingRewardFunction(SetFunction):
             solve = assignment_solver()
             cols = np.array([solve(s)[1] for s in sub])
             out[rows] = sub[np.arange(len(rows))[:, None], np.arange(h), cols].sum(axis=1)
-        return float(out[0]) if one else out
+        return out
 
     def full_value(self) -> float | np.ndarray:
         """f of the whole ground set, or a block's b per-round values: each
@@ -388,13 +347,14 @@ def distance_sup(f: SetFunction, h: np.ndarray) -> float | np.ndarray:
     """max over all subsets of |f(S) - h(S)| for the modular hint h given
     by its coefficients, one vector of n, or the b such gaps of a block of
     (b, n) hint rows, each with the bits of its row alone.  Hints that are
-    not finite, or not of that shape, are a ``ValueError``.
+    not finite, or not of that shape, are a ``ValueError``, and so are any
+    but B rows for a block of B rounds' rewards.
 
     Modular-vs-modular has the O(n) closed form max(sum of positive gaps,
-    -sum of negative gaps); a modular f then takes one vector or a block of
-    rows of the hints' shape.  Any other f is tabulated over all 2^n
-    subsets, guarded by ``ENUM_MAX``, and so are the hints, at most
-    ``PLAN_CELLS`` entries at a time (one hint's 2^n where that is more).
+    -sum of negative gaps), row by row for a block.  Any other f is
+    tabulated over all 2^n subsets, guarded by ``ENUM_MAX``, and so are the
+    hints, at most ``PLAN_CELLS`` entries at a time (one hint's 2^n where
+    that is more).
     """
     h = np.asarray(h, dtype=float)
     if h.ndim not in (1, 2) or h.shape[-1] != f.n:
@@ -402,9 +362,11 @@ def distance_sup(f: SetFunction, h: np.ndarray) -> float | np.ndarray:
                          f"coefficients, got shape {h.shape}")
     if not np.isfinite(h).all():
         raise ValueError("the hints contain non-finite entries")
+    if f.rounds is not None and (h.ndim == 1 or len(h) != f.rounds):
+        raise ValueError(f"a block of {f.rounds} rounds takes {f.rounds} hints, "
+                         f"one per round, got shape {h.shape}")
     if isinstance(f, ModularFunction):
-        # a block has no distance from one vector, nor from another block's rows
-        nu = f.w - h if f.w.shape == h.shape else f._vector() - h
+        nu = f.w - h
         # np.maximum keeps the first of equal sums, as Python's max does
         gap = np.maximum(np.maximum(nu, 0.0).sum(axis=-1), -np.minimum(nu, 0.0).sum(axis=-1))
         return gap if gap.ndim else float(gap)

@@ -297,10 +297,12 @@ def test_modular_block_reward_is_its_rows_one_at_a_time():
     want = [g.value(s) for g, s in zip(rows, sets.tolist())]
     assert ModularFunction(w).value(sets).tobytes() == np.array(want).tobytes()
     # a block has no value on one set
-    for single in (lambda f: f.value_mask(3), lambda f: f.values_all(),
+    for single in (lambda f: f.value([3]), lambda f: f.values_all(),
                    lambda f: f.prefix_values(np.arange(7)),
-                   lambda f: distance_sup(f, np.zeros(7))):
-        with pytest.raises(ValueError, match="a block of rewards takes one set per row"):
+                   lambda f: distance_sup(f, np.zeros(7)),
+                   lambda f: distance_sup(f, np.zeros((8, 7)))):
+        with pytest.raises(ValueError, match="^a block of 9 rounds takes 9 (sets|hints), "
+                                             "one per round, got (one set|shape)"):
             single(ModularFunction(w))
     w[4, 2] = np.nan
     with pytest.raises(ValueError, match="coefficients must be a finite 1-d vector or rows"):

@@ -465,6 +465,17 @@ def test_modular_strategy_returns_coefficients():
     assert rng.bit_generator.state == state
 
 
+def test_one_modular_reward_gives_one_row_per_round():
+    # a run of b rounds of one reward: its coefficients as each round's row
+    w = np.array([1.0, -0.0, 2.5])
+    rng = np.random.default_rng(12)
+    state = rng.bit_generator.state
+    for b in (1, 3):
+        rows = core_vectors(ModularFunction(w), b, rng)
+        assert rows.shape == (b, 3) and rows.tobytes() == np.tile(w, (b, 1)).tobytes()
+    assert rng.bit_generator.state == state
+
+
 def test_marginal_strategy_identity_vs_random():
     # the marginal vectors of a coverage reward follow a fresh permutation
     # per round, so the rows of a long run are not all the same

@@ -313,6 +313,8 @@ def test_lmo_examples():
     np.testing.assert_array_equal(lmo(np.array([5.0, -2, 7]), 3), [1, 1, 1])
     # ties break toward the lowest index
     np.testing.assert_array_equal(lmo(np.array([1.0, 1, 1, 0]), 2), [1, 0, 0, 1])
+    np.testing.assert_array_equal(lmo(np.array([2.0, 0, 1, 1, 1]), 3), [0, 1, 1, 1, 0])
+    np.testing.assert_array_equal(lmo(np.array([3.0, 0.0, -0.0, 0.0]), 2), [0, 1, 1, 0])
 
 
 def test_lmo_minimizes_over_all_vertices():
@@ -783,5 +785,12 @@ def test_validate_point():
             validate_point(np.array(p), 2)
     # one vector only, and 1 <= k <= n
     for p, k in ((np.full((2, 3), 2 / 3), 2), (np.ones(3), 4)):
+        with pytest.raises(InfeasiblePointError):
+            validate_point(p, k)
+
+
+def test_validate_point_takes_a_list():
+    validate_point([0.5, 0.5], 1)
+    for p, k in (([0.5, 0.75], 1), ([[0.5, 0.5]], 1), ([0.5, float("nan")], 1)):
         with pytest.raises(InfeasiblePointError):
             validate_point(p, k)

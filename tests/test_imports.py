@@ -113,6 +113,41 @@ def test_the_check_finds_an_unread_definition(tmp_path):
     assert definitions(module) - read_names([module, reader]) == {"Left", "stored"}
 
 
+def reward_methods(paths) -> dict[str, set[str]]:
+    """The methods that each subclass of ``SetFunction`` defined in the
+    modules at ``paths`` defines itself, by class name; a subclass is found
+    through the base names of its class statement."""
+    classes = {node.name: node for path in paths
+               for node in ast.parse(path.read_text(encoding="utf-8")).body
+               if isinstance(node, ast.ClassDef)}
+
+    def is_reward(name):
+        bases = classes[name].bases if name in classes else []
+        return any(isinstance(base, ast.Name) and
+                   (base.id == "SetFunction" or is_reward(base.id)) for base in bases)
+
+    return {name: {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+            for name, node in classes.items() if is_reward(name)}
+
+
+def test_every_reward_writes_only_its_values_body():
+    # SetFunction.value alone checks and unwraps a run; a family writes _values
+    methods = reward_methods(sorted(SRC.glob("*.py")))
+    assert {"ModularFunction", "CoverageFunction", "MatchingRewardFunction",
+            "TableFunction"} <= set(methods)
+    assert {name for name, defined in methods.items()
+            if "_values" not in defined or "value" in defined} == set()
+
+
+def test_the_check_finds_a_reward_with_its_own_value(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("class SetFunction:\n    def value(self):\n        pass\n"
+                      "class A(SetFunction):\n    def _values(self):\n        pass\n"
+                      "class B(A):\n    def value(self):\n        pass\n"
+                      "class C(object):\n    def value(self):\n        pass\n")
+    assert reward_methods([module]) == {"A": {"_values"}, "B": {"value"}}
+
+
 def test_the_readme_names_every_module_and_the_csv_header():
     # the layout table has a row for each module but __init__, and the CSV
     # header the README shows is the one the harness writes

@@ -316,6 +316,21 @@ def test_semibandit_non_finite_theta_fails_at_the_written_out_round(bad):
     assert pol.t == 0
 
 
+@pytest.mark.parametrize("R", [1, 8, 9])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_semibandit_lanes_name_a_non_finite_theta(R, bad):
+    # past eight lanes the row body solves the rounds; it names a theta
+    # that is not finite as the few-rows body does
+    n, k, B = 12, 4, 9
+    G = np.random.default_rng(5).normal(size=(B, n))
+    G[5] = bad
+    cfg = ScoreConfig(n=n, k=k, T=B, eta=2.0)
+    lanes = [SemiBanditPolicy(cfg, np.random.default_rng(6 + r)) for r in range(R)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="theta contains non-finite entries"):
+            SemiBanditPolicy.play_lanes(lanes, [G] * R)
+
+
 class FixedUniforms:
     """A generator stand-in whose ``random(size)`` hands out given draws in
     order, as a lane's generator would its own."""

@@ -1,5 +1,7 @@
 """Reward-family evaluation and structural diagnostics."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from coreselect.oracles import (
     check_submodular,
     enumerate_matching_value,
     estimate_rho,
+    indices_of,
     random_monotone_function,
     second_game,
 )
@@ -23,15 +26,18 @@ from coreselect.setfn import (
     ModularFunction,
     SetFunction,
     distance_sup,
-    indices_of,
     linear_sum_assignment,
-    mask_of,
 )
+
+
+def at(f, mask):
+    """f of the set of the bits of ``mask``."""
+    return f.value(indices_of(mask))
 
 
 def brute_distance(f, h):
     return max(
-        abs(f.value_mask(m) - h.value_mask(m)) for m in range(1 << f.n)
+        abs(at(f, m) - at(h, m)) for m in range(1 << f.n)
     )
 
 
@@ -45,8 +51,8 @@ def brute_submodular(f, tol=1e-9):
                 if b_mask >> i & 1:
                     continue
                 bi = 1 << i
-                lhs = f.value_mask(a | bi) - f.value_mask(a)
-                rhs = f.value_mask(b_mask | bi) - f.value_mask(b_mask)
+                lhs = at(f, a | bi) - at(f, a)
+                rhs = at(f, b_mask | bi) - at(f, b_mask)
                 if lhs + tol < rhs:
                     return False
             if a == 0:
@@ -65,8 +71,8 @@ def brute_rho(f, tol=1e-12):
                 if b_mask >> i & 1:
                     continue
                 bi = 1 << i
-                den = f.value_mask(b_mask | bi) - f.value_mask(b_mask)
-                num = f.value_mask(a | bi) - f.value_mask(a)
+                den = at(f, b_mask | bi) - at(f, b_mask)
+                num = at(f, a | bi) - at(f, a)
                 if den > tol:
                     if num <= tol:
                         return 0.0
@@ -78,8 +84,8 @@ def brute_rho(f, tol=1e-12):
 
 
 def test_mask_round_trip():
-    assert indices_of(mask_of([0, 3, 5])) == (0, 3, 5)
-    assert mask_of(()) == 0 and indices_of(0) == ()
+    assert indices_of(0b101001) == (0, 3, 5)
+    assert indices_of(0) == () and indices_of(1 << 70) == (70,)
 
 
 def test_modular_evaluation_and_bounds():
@@ -214,28 +220,13 @@ def contract_families():
 
 @pytest.mark.parametrize("f", contract_families(), ids=["modular", "coverage", "matching"])
 def test_one_set_is_a_run_of_one_row(f):
-    # value(S) is value of the run [S], and value_mask(m) is value of m's set
+    # value(S) is value of the run [S]
     rng = np.random.default_rng(f.n)
     for k in range(f.n + 1):
         for s in rng.permuted(np.tile(np.arange(f.n), (5, 1)), axis=1)[:, :k]:
             got = f.value(s.tolist())
             assert type(got) is float
             assert np.float64(got).tobytes() == f.value(s[None])[:1].tobytes()
-    for m in range(1 << f.n):
-        assert np.float64(f.value_mask(m)).tobytes() == \
-            np.float64(f.value(indices_of(m))).tobytes()
-
-
-class RootOfSum(SetFunction):
-    """f(S) = the square root of the sum of ``w`` over S, defined only by
-    ``value_mask``: every other body is the generic one."""
-
-    def __init__(self, w):
-        super().__init__(len(w))
-        self.w = w
-
-    def value_mask(self, mask):
-        return float(np.sqrt(self.w[list(indices_of(mask))].sum()))
 
 
 RUN = 12  # the sets of a run, the rounds of a block
@@ -256,15 +247,13 @@ def contract_reward(kind):
                 lambda i: MatchingRewardFunction(stack[phase[i]]))
     if kind == "table":
         f = random_monotone_function(8, rng)
-    elif kind == "value-mask-only":
-        f = RootOfSum(rng.random(8))
     else:
         f = dict(zip(("modular", "coverage", "matching"), contract_families()))[kind]
     return f, lambda i: f
 
 
 @pytest.mark.parametrize("kind", ["modular", "modular-block", "coverage", "matching",
-                                  "matching-stack", "table", "value-mask-only"])
+                                  "matching-stack", "table"])
 def test_every_reward_values_a_run_as_each_set_alone(kind):
     # value of a run is each row valued alone, and the subset table and
     # prefix values are value of each set, bit for bit
@@ -293,10 +282,10 @@ def test_coverage_against_union_counting():
         for _ in range(20):
             mask = int(rng.integers(0, 1 << n))
             want = len(set().union(*[set(family[i]) for i in indices_of(mask)])) if mask else 0
-            assert f.value_mask(mask) == want
+            assert at(f, mask) == want
         np.testing.assert_allclose(
             f.values_all(),
-            [f.value_mask(m) for m in range(1 << n)],
+            [at(f, m) for m in range(1 << n)],
         )
 
 
@@ -483,8 +472,8 @@ def test_distance_sup_size_guard():
         def __init__(self):
             super().__init__(25)
 
-        def value_mask(self, mask):
-            return 0.0
+        def _values(self, sets):
+            return np.zeros(len(sets))
 
     with pytest.raises(EnumerationTooLargeError):
         distance_sup(Big(), np.zeros(25))
@@ -531,6 +520,34 @@ def test_table_empty_set_entry_must_be_zero():
         with pytest.raises(ValueError, match=f"empty-set entry {vals[0]} is not 0"):
             TableFunction(vals)
     assert TableFunction([-0.0, 6.0]).value([]) == 0.0
+
+
+def test_table_entries_must_be_finite():
+    # a non-finite entry would reach the regret columns of a run
+    for vals, entry in (([0.0, np.nan, 1.0, np.inf], "1 is nan"),
+                        ([0.0, 1.0, 2.0, -np.inf], "3 is -inf"),
+                        ([0.0, 1.0, np.inf, 2.0], "2 is inf")):
+        with pytest.raises(ValueError, match=f"^the table's entry {entry}, not finite$"):
+            TableFunction(vals)
+
+
+def test_a_table_values_a_run_at_its_rows_bitmasks():
+    # each row's value is the table's entry at the row's bitmask, bit for
+    # bit, whatever the row's order, and no row makes a Python call of its own
+    vals = np.concatenate([[0.0], np.random.default_rng(15).standard_normal(1023)])
+    f = TableFunction(vals, monotone=False)
+    sets = np.random.default_rng(16).permuted(np.tile(np.arange(10), (2000, 1)), axis=1)
+    for k in (0, 1, 4, 10):
+        masks = [sum(1 << i for i in row) for row in sets[:, :k].tolist()]
+        calls = []
+        sys.setprofile(lambda frame, event, arg: calls.append(event == "call"))
+        try:
+            got = f.value(sets[:, :k])
+        finally:
+            sys.setprofile(None)
+        assert got.tobytes() == vals[masks].tobytes()
+        assert sum(calls) < 100
+    assert f.value([9, 0]) == vals[0b1000000001]
 
 
 def test_second_game_is_monotone():
@@ -674,9 +691,10 @@ def test_matching_block_values_equal_the_sets_one_at_a_time(m, k, b, P, ties):
 def test_matching_block_has_no_value_on_one_set():
     block = MatchingRewardFunction(np.ones((2, 3, 3)), np.array([0, 0, 1]))
     assert block.n == 6
-    for single in (lambda: block.value([0, 3]), lambda: block.value_mask(9),
-                   block.values_all, lambda: block.prefix_values(np.arange(6))):
-        with pytest.raises(ValueError, match="takes one set per round"):
+    for single in (lambda: block.value([0, 3]), block.values_all,
+                   lambda: block.prefix_values(np.arange(6))):
+        with pytest.raises(ValueError, match="^a block of 3 rounds takes 3 sets, "
+                                             "one per round, got one set$"):
             single()
     with pytest.raises(ValueError, match="phase index"):
         MatchingRewardFunction(np.ones((2, 3, 3)))
